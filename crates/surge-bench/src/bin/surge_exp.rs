@@ -21,8 +21,6 @@
 //!                          sweeps; writes BENCH_sweep.json
 //!   shard-bench            sharded ingest vs sequential driver; writes
 //!                          BENCH_shard.json
-//!   window-bench           window-lane expansion vs monolithic engine;
-//!                          writes BENCH_window.json
 //!   checkpoint-bench       checkpointed driver vs in-memory driver +
 //!                          recovery vs replay-from-zero (bit-identity
 //!                          asserted first), one row per WAL fsync
@@ -158,7 +156,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|shard-bench|window-bench|checkpoint-bench|degrade-bench|serve-bench|elastic-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|shard-bench|checkpoint-bench|degrade-bench|serve-bench|elastic-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
         .to_string()
@@ -203,18 +201,6 @@ fn run_elastic_bench(cfg: &ExpConfig) -> Result<(), String> {
     print!("{}", print::elastic_bench(&rows));
     let json = print::elastic_bench_json(&rows);
     let path = "BENCH_elastic.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the window-lane scaling experiment, printing the table and writing
-/// `BENCH_window.json` to the working directory.
-fn run_window_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::window_bench(cfg);
-    print!("{}", print::window_bench(&rows));
-    let json = print::window_bench_json(&rows);
-    let path = "BENCH_window.json";
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("# wrote {path}");
     Ok(())
@@ -362,7 +348,6 @@ fn run(args: &Args) -> Result<(), String> {
         "roadnet" => print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg))),
         "sweep-bench" => run_sweep_bench(cfg)?,
         "shard-bench" => run_shard_bench(cfg)?,
-        "window-bench" => run_window_bench(cfg)?,
         "checkpoint-bench" => run_checkpoint_bench(cfg)?,
         "degrade-bench" => run_degrade_bench(cfg)?,
         "serve-bench" => run_serve_bench(cfg)?,
@@ -430,7 +415,6 @@ fn run(args: &Args) -> Result<(), String> {
             run_sweep_bench(cfg)?;
             run_shard_bench(cfg)?;
             run_elastic_bench(cfg)?;
-            run_window_bench(cfg)?;
             run_checkpoint_bench(cfg)?;
             run_degrade_bench(cfg)?;
             run_serve_bench(cfg)?;

@@ -1914,195 +1914,6 @@ pub fn elastic_bench(cfg: &ExpConfig) -> Vec<ElasticBenchRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Window-lane scaling experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the window-lane scaling experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowBenchRow {
-    /// Workload label: `"uniform"` (evenly spread anchor cells) or `"taxi"`
-    /// (hot-spot skew).
-    pub workload: &'static str,
-    /// Lane count; 0 marks the monolithic `SlidingWindowEngine` baseline.
-    pub lanes: usize,
-    /// Objects expanded.
-    pub objects: u64,
-    /// Events emitted (New + Grown + Expired) — invariant across lane
-    /// counts.
-    pub events: u64,
-    /// Grown/Expired transitions expanded — invariant across lane counts.
-    pub transitions: u64,
-    /// Largest per-lane transition count — the expansion critical path.
-    /// Scaling shows up as this dropping toward `transitions / lanes` while
-    /// `transitions` stays constant (wall-clock is flat on a single-core
-    /// host).
-    pub max_lane_transitions: u64,
-    /// Wall-clock milliseconds for the expansion run.
-    pub elapsed_ms: f64,
-    /// Throughput in events per second.
-    pub events_per_sec: f64,
-    /// Baseline elapsed / this row's elapsed.
-    pub speedup: f64,
-}
-
-/// Engine adapter for [`expand_run`]: both the monolithic and the sharded
-/// window engine expand a stream through the same batched API.
-trait WindowExpander {
-    fn push(&mut self, o: SpatialObject, out: &mut surge_stream::EventBatch);
-    fn finish(&mut self, out: &mut surge_stream::EventBatch);
-}
-
-impl WindowExpander for SlidingWindowEngine {
-    fn push(&mut self, o: SpatialObject, out: &mut surge_stream::EventBatch) {
-        self.push_into(o, out);
-    }
-    fn finish(&mut self, out: &mut surge_stream::EventBatch) {
-        self.finish_into(out);
-    }
-}
-
-impl WindowExpander for surge_stream::ShardedWindowEngine {
-    fn push(&mut self, o: SpatialObject, out: &mut surge_stream::EventBatch) {
-        self.push_into(o, out);
-    }
-    fn finish(&mut self, out: &mut surge_stream::EventBatch) {
-        self.finish_into(out);
-    }
-}
-
-/// Expands one stream through an engine, returning
-/// `(events, transitions, checksum)` — the checksum keeps the expansion
-/// honest (the batch is consumed, not dead-code-eliminated) and doubles as
-/// a cheap cross-configuration identity signal.
-fn expand_run<E: WindowExpander>(stream: &[SpatialObject], eng: &mut E) -> (u64, u64, u64) {
-    let mut batch = surge_stream::EventBatch::with_capacity(64);
-    let (mut events, mut transitions, mut checksum) = (0u64, 0u64, 0u64);
-    let mut note = |batch: &surge_stream::EventBatch| {
-        for ev in batch.iter() {
-            events += 1;
-            if ev.kind != surge_core::EventKind::New {
-                transitions += 1;
-            }
-            checksum = checksum.wrapping_add(ev.object.id ^ ev.at);
-        }
-    };
-    for obj in stream.iter().copied() {
-        batch.clear();
-        eng.push(obj, &mut batch);
-        note(&batch);
-    }
-    batch.clear();
-    eng.finish(&mut batch);
-    note(&batch);
-    (events, transitions, checksum)
-}
-
-/// Runs window-lane expansion at lane counts {1, 2, 4, 8} against the
-/// monolithic engine, asserting the merged event stream is **bit-identical**
-/// to the monolithic one before reporting timings (`surge_exp window-bench`
-/// → `BENCH_window.json`). The scaling signal on a single-core host is
-/// `max_lane_transitions`, the expansion critical path.
-pub fn window_bench(cfg: &ExpConfig) -> Vec<WindowBenchRow> {
-    use surge_stream::{EventBatch, ShardedWindowEngine};
-
-    let taxi_windows = Dataset::Taxi.spec().default_windows;
-    let taxi_objects = objects_for(Dataset::Taxi, taxi_windows, cfg.objects, cfg.max_objects);
-    let uniform_windows = WindowConfig::equal(60_000);
-    let workloads: [(&'static str, WindowConfig, RegionSize, Vec<SpatialObject>); 2] = [
-        (
-            "uniform",
-            uniform_windows,
-            RegionSize::new(0.3, 0.3),
-            uniform_stream(cfg.objects.clamp(4_000, 200_000), cfg.seed),
-        ),
-        (
-            "taxi",
-            taxi_windows,
-            query_for(Dataset::Taxi, taxi_windows, 1.0, DEFAULT_ALPHA).region,
-            stream_for(Dataset::Taxi, taxi_objects, cfg.seed),
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    for (workload, windows, region, stream) in workloads {
-        // Reference expansion, collected once for the bit-identity check.
-        let mut reference: Vec<surge_core::Event> = Vec::new();
-        {
-            let mut eng = SlidingWindowEngine::new(windows);
-            let mut batch = EventBatch::new();
-            for obj in stream.iter().copied() {
-                eng.push_into(obj, &mut batch);
-            }
-            eng.finish_into(&mut batch);
-            reference.extend_from_slice(batch.as_slice());
-        }
-
-        // Monolithic baseline row (lanes = 0).
-        let mut eng = SlidingWindowEngine::new(windows);
-        let t0 = std::time::Instant::now();
-        let (events, transitions, base_checksum) = expand_run(&stream, &mut eng);
-        let base_elapsed = t0.elapsed();
-        assert_eq!(events as usize, reference.len());
-        rows.push(WindowBenchRow {
-            workload,
-            lanes: 0,
-            objects: stream.len() as u64,
-            events,
-            transitions,
-            max_lane_transitions: transitions,
-            elapsed_ms: base_elapsed.as_secs_f64() * 1e3,
-            events_per_sec: events as f64 / base_elapsed.as_secs_f64().max(1e-9),
-            speedup: 1.0,
-        });
-
-        for lanes in [1usize, 2, 4, 8] {
-            // Identity pass: the merged lane stream must be bit-identical
-            // to the monolithic expansion — benchmarks must not time a
-            // divergent pipeline.
-            {
-                let mut eng = ShardedWindowEngine::new(windows, region, lanes);
-                let mut batch = EventBatch::new();
-                for obj in stream.iter().copied() {
-                    eng.push_into(obj, &mut batch);
-                }
-                eng.finish_into(&mut batch);
-                assert_eq!(batch.len(), reference.len(), "{workload} lanes {lanes}");
-                for (i, (a, b)) in batch.iter().zip(reference.iter()).enumerate() {
-                    assert!(
-                        a.kind == b.kind
-                            && a.at == b.at
-                            && a.object.id == b.object.id
-                            && a.object.weight.to_bits() == b.object.weight.to_bits()
-                            && a.object.pos.x.to_bits() == b.object.pos.x.to_bits()
-                            && a.object.pos.y.to_bits() == b.object.pos.y.to_bits(),
-                        "window-bench divergence at {workload}, lanes={lanes}, event {i}"
-                    );
-                }
-            }
-
-            // Timed pass.
-            let mut eng = ShardedWindowEngine::new(windows, region, lanes);
-            let t0 = std::time::Instant::now();
-            let (events, transitions, checksum) = expand_run(&stream, &mut eng);
-            let elapsed = t0.elapsed();
-            assert_eq!(checksum, base_checksum, "checksum diverged");
-            rows.push(WindowBenchRow {
-                workload,
-                lanes,
-                objects: stream.len() as u64,
-                events,
-                transitions,
-                max_lane_transitions: eng.max_lane_transitions(),
-                elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-                speedup: base_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint & recovery experiment
 // ---------------------------------------------------------------------------
 
@@ -2389,7 +2200,6 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
         let mut server = SurgeServer::new(ServeConfig {
             slide_objects: slide,
             threads: 1,
-            engine_lanes: 1,
         });
         let subs: Vec<_> = queries
             .iter()
@@ -3045,40 +2855,6 @@ mod tests {
             .find(|r| r.workload == "redeliver" && r.mode == "persistent")
             .expect("redeliver persistent row");
         assert!(redeliver.epoch_hits > 0);
-    }
-
-    #[test]
-    fn window_bench_reports_baseline_and_lane_rows() {
-        let rows = window_bench(&tiny());
-        // Two workloads x (baseline + lanes {1, 2, 4, 8}); the runner
-        // itself asserts bit-identical event streams before timing.
-        assert_eq!(rows.len(), 10);
-        for chunk in rows.chunks(5) {
-            assert_eq!(chunk[0].lanes, 0);
-            assert_eq!(chunk[0].speedup, 1.0);
-            assert_eq!(chunk[0].max_lane_transitions, chunk[0].transitions);
-            for w in chunk.windows(2) {
-                assert_eq!(w[0].workload, w[1].workload);
-                assert_eq!(w[0].objects, w[1].objects);
-                // Lane count never changes what is expanded.
-                assert_eq!(w[0].events, w[1].events);
-                assert_eq!(w[0].transitions, w[1].transitions);
-            }
-            for r in &chunk[1..] {
-                assert_eq!(r.lanes.count_ones(), 1);
-                assert!(r.events_per_sec > 0.0);
-                assert!(r.max_lane_transitions <= r.transitions);
-                // The expansion critical path must shrink with lanes.
-                if r.lanes >= 4 && r.transitions > 100 {
-                    assert!(
-                        r.max_lane_transitions < r.transitions,
-                        "{}x{} did not distribute transitions",
-                        r.workload,
-                        r.lanes
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -443,69 +443,6 @@ pub fn elastic_bench_json(rows: &[crate::experiments::ElasticBenchRow]) -> Strin
     out
 }
 
-/// The window-lane scaling experiment as a console table. The `lanes = 0`
-/// row is the monolithic `SlidingWindowEngine` baseline.
-pub fn window_bench(rows: &[crate::experiments::WindowBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = format!(
-        "\n== Window lanes: ShardedWindowEngine vs monolithic expansion ({cpus} cpu) ==\n{:<10} {:<10} {:>10} {:>10} {:>12} {:>10} {:>12} {:>12} {:>9}\n",
-        "workload",
-        "config",
-        "objects",
-        "events",
-        "transitions",
-        "max-lane",
-        "elapsed(ms)",
-        "events/s",
-        "speedup"
-    );
-    for r in rows {
-        let label = if r.lanes == 0 {
-            "mono".to_string()
-        } else {
-            format!("lanes={}", r.lanes)
-        };
-        out.push_str(&format!(
-            "{:<10} {:<10} {:>10} {:>10} {:>12} {:>10} {:>12.1} {:>12.0} {:>8.2}x\n",
-            r.workload,
-            label,
-            r.objects,
-            r.events,
-            r.transitions,
-            r.max_lane_transitions,
-            r.elapsed_ms,
-            r.events_per_sec,
-            r.speedup
-        ));
-    }
-    out
-}
-
-/// The window-lane scaling experiment as a `BENCH_window.json` document
-/// (hand-rolled: the offline build has no serde).
-pub fn window_bench_json(rows: &[crate::experiments::WindowBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out =
-        format!("{{\n  \"benchmark\": \"window_lanes\",\n  \"cpus\": {cpus},\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"lanes\": {}, \"objects\": {}, \"events\": {}, \"transitions\": {}, \"max_lane_transitions\": {}, \"elapsed_ms\": {:.3}, \"events_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.lanes,
-            r.objects,
-            r.events,
-            r.transitions,
-            r.max_lane_transitions,
-            r.elapsed_ms,
-            r.events_per_sec,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// The checkpoint/recovery experiment as a console table: durability
 /// overhead, snapshot-stall percentiles (p50/p99/max) and recovery time
 /// against replay-from-zero.
@@ -1022,47 +959,6 @@ mod elastic_tests {
 
 #[cfg(test)]
 mod window_tests {
-    use super::*;
-
-    #[test]
-    fn window_bench_json_is_wellformed() {
-        let rows = vec![
-            crate::experiments::WindowBenchRow {
-                workload: "uniform",
-                lanes: 0,
-                objects: 1000,
-                events: 3000,
-                transitions: 2000,
-                max_lane_transitions: 2000,
-                elapsed_ms: 5.0,
-                events_per_sec: 600_000.0,
-                speedup: 1.0,
-            },
-            crate::experiments::WindowBenchRow {
-                workload: "uniform",
-                lanes: 8,
-                objects: 1000,
-                events: 3000,
-                transitions: 2000,
-                max_lane_transitions: 260,
-                elapsed_ms: 5.5,
-                events_per_sec: 545_454.0,
-                speedup: 0.9,
-            },
-        ];
-        let json = window_bench_json(&rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"lanes\":").count(), 2);
-        assert_eq!(json.matches("\"max_lane_transitions\":").count(), 2);
-        let table = window_bench(&rows);
-        assert!(table.contains("mono"));
-        assert!(table.contains("lanes=8"));
-        assert!(table.contains("0.90x"));
-    }
-}
-
-#[cfg(test)]
-mod shard_tests {
     use super::*;
 
     #[test]

@@ -83,13 +83,7 @@ pub struct ServeLaneState {
     pub in_slide: u64,
     /// Flushes the lane has executed.
     pub slides: u64,
-    /// Engine shard-lane count (1 = monolithic emission order, which every
-    /// count reproduces bit-identically).
-    pub lane_count: u64,
-    /// The router region `(width, height)` the sharded engine was built
-    /// with — needed to rebuild the identical lane assignment.
-    pub region: (f64, f64),
-    /// Merged window-engine residency (the monolithic-equivalent state).
+    /// Window-engine residency.
     pub engine: EngineState,
     /// Detector groups fed by this lane, in registration order.
     pub groups: Vec<ServeGroupState>,
@@ -137,9 +131,6 @@ fn encode_registry(lanes: &[ServeLaneState]) -> Vec<u8> {
         w.u64(lane.start_objects);
         w.u64(lane.in_slide);
         w.u64(lane.slides);
-        w.u64(lane.lane_count);
-        w.f64(lane.region.0);
-        w.f64(lane.region.1);
         put_engine(&mut w, &lane.engine);
         w.u64(lane.groups.len() as u64);
         for g in &lane.groups {
@@ -165,14 +156,6 @@ fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
         let start_objects = r.u64("lane.start_objects")?;
         let in_slide = r.u64("lane.in_slide")?;
         let slides = r.u64("lane.slides")?;
-        let lane_count = r.u64("lane.lane_count")?;
-        if lane_count == 0 {
-            return Err(inv("serve lane: lane_count must be positive"));
-        }
-        let region = (r.f64("lane.region.w")?, r.f64("lane.region.h")?);
-        if !(region.0 > 0.0 && region.0.is_finite() && region.1 > 0.0 && region.1.is_finite()) {
-            return Err(inv("serve lane: router region must be positive and finite"));
-        }
         let engine = get_engine(&mut r)?;
         let n_groups = r.u64("lane.groups")?;
         let mut groups = Vec::with_capacity(n_groups.min(1 << 16) as usize);
@@ -216,8 +199,6 @@ fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
             start_objects,
             in_slide,
             slides,
-            lane_count,
-            region,
             engine,
             groups,
         });

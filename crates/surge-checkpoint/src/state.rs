@@ -472,14 +472,6 @@ pub(crate) fn put_engine(w: &mut PayloadWriter, e: &EngineState) {
     w.u64(e.now);
     w.u64(e.last_created);
     w.u8(u8::from(e.started));
-    match e.last_arrival {
-        Some((t, id)) => {
-            w.u8(1);
-            w.u64(t);
-            w.u64(id);
-        }
-        None => w.u8(0),
-    }
     for objs in [&e.current, &e.past] {
         w.u64(objs.len() as u64);
         for o in objs {
@@ -500,14 +492,6 @@ pub(crate) fn get_engine(r: &mut PayloadReader<'_>) -> Result<EngineState, IoErr
     let now = r.u64("engine.now")?;
     let last_created = r.u64("engine.last_created")?;
     let started = r.u8("engine.started")? != 0;
-    let last_arrival = match r.u8("engine.last_arrival")? {
-        0 => None,
-        1 => Some((
-            r.u64("engine.last_arrival.t")?,
-            r.u64("engine.last_arrival.id")?,
-        )),
-        other => return Err(inv(format!("bad last_arrival flag {other}"))),
-    };
     let mut lists = Vec::with_capacity(2);
     for what in ["engine.current", "engine.past"] {
         let n = r.u64(what)?;
@@ -524,7 +508,6 @@ pub(crate) fn get_engine(r: &mut PayloadReader<'_>) -> Result<EngineState, IoErr
         now,
         last_created,
         started,
-        last_arrival,
         current,
         past,
     })

@@ -18,8 +18,8 @@ use surge_checkpoint::{
 };
 use surge_core::{Point, RegionAnswer, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot, SweepMode};
-use surge_stream::{drive_incremental, BalancerPolicy};
-use surge_testkit::arb_lattice_stream;
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
+use surge_testkit::{arb_lattice_stream, clustered_stream};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -182,6 +182,64 @@ fn skewed_checkpointed_run_reshards_and_matches_incremental() {
         "the skewed stream never split the mesh: {mesh:?}"
     );
     assert!(mesh.reshards >= 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One balancer policy, one reshard history: the load signal is the
+/// per-shard dirty-cell counts in every driver, so the mesh driver and the
+/// checkpoint runner split the same skewed stream at the same flushes.
+#[test]
+fn skewed_stream_reshards_at_the_same_flush_in_the_mesh_and_the_checkpoint_runner() {
+    let windows = WindowConfig::equal(170);
+    let slide = 16usize;
+    // A whole number of slides, and the checkpoint run ends in a crash: the
+    // mesh driver does not balance on its trailing partial / terminal
+    // flushes, so only full-slide flushes are comparable.
+    let stream = clustered_stream(30 * slide, 3, 5, 11);
+    let policy = BalancerPolicy {
+        skew_percent: 25,
+        patience: 2,
+        max_shards: 8,
+        min_load: 4,
+    };
+
+    let mut mesh = CellCspot::with_shards(query(windows), BoundMode::Combined, 2);
+    let report = drive_elastic(&mut mesh, windows, stream.iter().copied(), slide, policy);
+    // Each epoch but the last ends on the flush that resharded.
+    let mut flushes = 0u64;
+    let mesh_reshards: Vec<u64> = report.epochs[..report.epochs.len() - 1]
+        .iter()
+        .map(|e| {
+            flushes += e.slides;
+            flushes - 1
+        })
+        .collect();
+    assert!(!mesh_reshards.is_empty(), "the stream never split the mesh");
+
+    // Snapshot after every flush and keep them all: the MESH section's
+    // reshard count steps up in the snapshot taken right after a split.
+    let mut config = cfg(windows, 2, policy);
+    config.slide_objects = slide;
+    config.policy.snapshot_every_slides = 1;
+    config.policy.keep_snapshots = usize::MAX;
+    let dir = fresh_dir("same-flush");
+    run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Crash).expect("checkpointed");
+    let mut runner_reshards = Vec::new();
+    let mut seen = 0u32;
+    for (_, objects, path) in CheckpointDir::create(&dir).unwrap().snapshots().unwrap() {
+        let state = surge_checkpoint::CheckpointState::from_snapshot(
+            &surge_io::read_snapshot_from(&path).unwrap(),
+        )
+        .unwrap();
+        let reshards = state.mesh.expect("elastic runs carry MESH state").reshards;
+        if reshards > seen {
+            assert_eq!(reshards, seen + 1, "one split per flush");
+            runner_reshards.push(objects / slide as u64 - 1);
+            seen = reshards;
+        }
+    }
+    assert_eq!(mesh_reshards, runner_reshards);
+    assert_eq!(seen as u64, report.reshards);
     std::fs::remove_dir_all(&dir).ok();
 }
 

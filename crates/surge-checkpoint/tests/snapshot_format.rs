@@ -116,16 +116,20 @@ fn corrupt_crc_and_version_are_precise_errors() {
         Err(IoError::Invariant(_))
     ));
 
-    // A future version is a BadHeader, not a misparse.
-    let mut versioned = bytes.clone();
-    versioned[8] = 0xFE;
-    let n = versioned.len();
-    let crc = surge_io::crc32(&versioned[..n - 4]);
-    versioned[n - 4..].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        Snapshot::decode(&versioned),
-        Err(IoError::BadHeader { .. })
-    ));
+    // A future version — and version 1, whose ENGINE and SERVE_REGISTRY
+    // sections carried lane fields this layout no longer has — is a
+    // BadHeader, not a misparse.
+    for version in [0xFEu8, 1] {
+        let mut versioned = bytes.clone();
+        versioned[8] = version;
+        let n = versioned.len();
+        let crc = surge_io::crc32(&versioned[..n - 4]);
+        versioned[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Snapshot::decode(&versioned),
+            Err(IoError::BadHeader { .. })
+        ));
+    }
 
     // Wrong magic.
     let mut magic = bytes.clone();

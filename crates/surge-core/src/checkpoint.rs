@@ -46,10 +46,6 @@ pub struct EngineState {
     pub last_created: Timestamp,
     /// Whether the stream had become stable (at least one expiry seen).
     pub started: bool,
-    /// The most recent arrival's `(timestamp, id)` — the lane decomposition
-    /// needs it to keep enforcing the equal-timestamp increasing-id
-    /// contract across a restore.
-    pub last_arrival: Option<(Timestamp, ObjectId)>,
     /// Objects resident in the current window, oldest first.
     pub current: Vec<SpatialObject>,
     /// Objects resident in the past window, oldest first.
@@ -268,7 +264,6 @@ mod tests {
             now: 42,
             last_created: 40,
             started: true,
-            last_arrival: Some((40, 7)),
             current: vec![SpatialObject::new(7, 1.0, Point::new(0.0, 0.0), 40)],
             past: vec![],
         };

@@ -24,22 +24,6 @@ pub enum EventKind {
     Expired,
 }
 
-impl EventKind {
-    /// Rank of this kind in the engine's canonical tie order at equal
-    /// transition times: all `Grown` transitions due at `t` are emitted
-    /// before all `Expired` transitions due at `t` (the engine's grow branch
-    /// wins ties), and `New` arrivals at `t` come last (pending transitions
-    /// are drained before an arrival is admitted).
-    #[inline]
-    pub const fn rank(self) -> u8 {
-        match self {
-            EventKind::Grown => 0,
-            EventKind::Expired => 1,
-            EventKind::New => 2,
-        }
-    }
-}
-
 /// A window-transition event `e = ⟨o, l⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
@@ -81,20 +65,6 @@ impl Event {
             at,
         }
     }
-
-    /// The canonical total order of the event stream:
-    /// `(transition_time, kind_rank, object_id)`.
-    ///
-    /// A single sliding-window engine emits events in exactly this order
-    /// whenever equal-timestamp arrivals carry increasing object ids (the
-    /// streaming contract: ids are unique and assigned on arrival). It is
-    /// therefore the merge key for recombining per-lane event streams — a
-    /// k-way merge of lane streams by `order_key` is bit-identical to the
-    /// monolithic engine's emission, independent of lane count.
-    #[inline]
-    pub fn order_key(&self) -> (Timestamp, u8, crate::object::ObjectId) {
-        (self.at, self.kind.rank(), self.object.id)
-    }
 }
 
 #[cfg(test)]
@@ -121,27 +91,5 @@ mod tests {
         let x = Event::expired(obj(), 2_500);
         assert_eq!(x.kind, EventKind::Expired);
         assert_eq!(x.at, 2_500);
-    }
-
-    #[test]
-    fn kind_ranks_follow_engine_tie_order() {
-        assert!(EventKind::Grown.rank() < EventKind::Expired.rank());
-        assert!(EventKind::Expired.rank() < EventKind::New.rank());
-    }
-
-    #[test]
-    fn order_key_sorts_time_then_kind_then_id() {
-        let o = obj();
-        let grown = Event::grown(o, 1_000);
-        let expired = Event::expired(o, 1_000);
-        let arrival = Event::new_arrival(SpatialObject::new(9, 1.0, o.pos, 1_000));
-        assert!(grown.order_key() < expired.order_key());
-        assert!(expired.order_key() < arrival.order_key());
-        // Time dominates kind.
-        assert!(arrival.order_key() < Event::grown(o, 1_001).order_key());
-        // Id breaks full ties.
-        let a = Event::grown(SpatialObject::new(1, 1.0, o.pos, 0), 700);
-        let b = Event::grown(SpatialObject::new(2, 1.0, o.pos, 0), 700);
-        assert!(a.order_key() < b.order_key());
     }
 }

@@ -61,5 +61,5 @@ pub use ordered::TotalF64;
 pub use query::{QueryKey, QueryKeyError, RegionAnswer, RegionSize, SurgeQuery};
 pub use reduction::{object_to_rect, region_for_point};
 pub use score::{burst_score, BurstParams, ScorePair, SCORE_EPS};
-pub use store::{shard_of_cell, CellStore, LaneRouter, ShardedCellStore};
+pub use store::{shard_of_cell, CellStore, ShardedCellStore};
 pub use time::{Duration, Timestamp, WindowConfig};

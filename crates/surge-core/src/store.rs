@@ -22,9 +22,7 @@
 
 use std::collections::HashMap;
 
-use crate::grid::{CellId, GridSpec};
-use crate::object::SpatialObject;
-use crate::query::RegionSize;
+use crate::grid::CellId;
 
 /// The shard owning cell `id` in a store with `shard_count` shards.
 ///
@@ -91,58 +89,6 @@ impl<C> CellStore<C> for HashMap<CellId, C> {
         for (id, c) in self {
             f(*id, c);
         }
-    }
-}
-
-/// Routes stream objects to the window **lane** of their home shard.
-///
-/// The SURGE→cSPOT reduction maps an object to a query-sized rectangle whose
-/// bottom-left corner is the object's position, so the rectangle's *anchor
-/// cell* — the cell of the query-sized grid containing that corner — is a
-/// deterministic function of the object alone. Hashing the anchor cell with
-/// [`shard_of_cell`] assigns every object a home shard consistent with the
-/// cell sharding of [`ShardedCellStore`]: per-object window state (the dual
-/// sliding window is per-object — paper §IV-C) can then be partitioned into
-/// one lane per shard, and each shard worker expands its own lane's
-/// `Grown`/`Expired` transitions instead of receiving pre-expanded events.
-///
-/// Routing is pure and deterministic, so lane assignment is reproducible
-/// across runs, machines and thread interleavings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneRouter {
-    grid: GridSpec,
-    lanes: usize,
-}
-
-impl LaneRouter {
-    /// A router over `lanes` lanes (rounded up to a power of two, minimum 1)
-    /// for a `region`-sized query: the grid is the query-sized grid anchored
-    /// at the origin — the same grid every exact detector uses.
-    pub fn new(region: RegionSize, lanes: usize) -> Self {
-        LaneRouter {
-            grid: GridSpec::anchored(region.width, region.height),
-            lanes: lanes.max(1).next_power_of_two(),
-        }
-    }
-
-    /// Number of lanes (a power of two).
-    #[inline]
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
-    /// The anchor cell of `object`'s reduced rectangle (the grid cell
-    /// containing the rectangle's bottom-left corner, i.e. the object's
-    /// position).
-    #[inline]
-    pub fn anchor_cell(&self, object: &SpatialObject) -> CellId {
-        self.grid.cell_of(object.pos)
-    }
-
-    /// The home lane of `object`: [`shard_of_cell`] of its anchor cell.
-    #[inline]
-    pub fn lane_of(&self, object: &SpatialObject) -> usize {
-        shard_of_cell(self.anchor_cell(object), self.lanes)
     }
 }
 
@@ -294,32 +240,6 @@ mod tests {
         let mut seen = 0;
         store.for_each(|_, _| seen += 1);
         assert_eq!(seen, 49);
-    }
-
-    #[test]
-    fn lane_router_matches_cell_shard_of_anchor_cell() {
-        use crate::geom::Point;
-        let region = RegionSize::new(0.5, 0.25);
-        let router = LaneRouter::new(region, 8);
-        assert_eq!(router.lane_count(), 8);
-        for i in 0..50i64 {
-            let o = SpatialObject::new(i as u64, 1.0, Point::new(i as f64 * 0.3, -i as f64), 0);
-            let anchor = router.anchor_cell(&o);
-            assert_eq!(
-                anchor,
-                GridSpec::anchored(region.width, region.height).cell_of(o.pos)
-            );
-            assert_eq!(router.lane_of(&o), shard_of_cell(anchor, 8));
-            assert!(router.lane_of(&o) < 8);
-        }
-    }
-
-    #[test]
-    fn lane_router_rounds_lane_count_up() {
-        let region = RegionSize::new(1.0, 1.0);
-        assert_eq!(LaneRouter::new(region, 0).lane_count(), 1);
-        assert_eq!(LaneRouter::new(region, 3).lane_count(), 4);
-        assert_eq!(LaneRouter::new(region, 8).lane_count(), 8);
     }
 
     #[test]

@@ -222,8 +222,8 @@ proptest! {
     }
 
     /// The sharded driver on a persistent detector still bit-matches the
-    /// rebuild-mode incremental driver — persistence composes with lanes,
-    /// shard workers and the terminal drain.
+    /// rebuild-mode incremental driver — persistence composes with shard
+    /// workers and the terminal drain.
     #[test]
     fn sharded_persistent_matches_rebuild_incremental(
         objs in arb_lattice_stream(160),

@@ -36,7 +36,7 @@ use crate::error::{IoError, Result};
 /// Magic bytes identifying the snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SURGSNP1";
 /// Container version this module reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// An in-memory snapshot: an ordered list of `(tag, payload)` sections.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,7 +105,7 @@ impl Snapshot {
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != SNAPSHOT_VERSION {
             return Err(IoError::BadHeader {
-                expected: "snapshot version 1",
+                expected: "snapshot version 2",
                 found: format!("version {version}"),
             });
         }

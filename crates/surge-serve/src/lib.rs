@@ -9,7 +9,7 @@
 //! top-k, GAPS/MGAPS approximations). The server shares work at two levels:
 //!
 //! * **Lanes** — queries whose window configuration matches share one
-//!   [`ShardedWindowEngine`]: every arrival is expanded into the canonical
+//!   [`SlidingWindowEngine`]: every arrival is expanded into the canonical
 //!   `New`/`Grown`/`Expired` transition stream once per lane and broadcast
 //!   to every detector riding it.
 //! * **Groups** — queries that are outright identical (bitwise, via
@@ -28,20 +28,15 @@
 //! flavor) would have produced over the stream suffix the subscription
 //! lived through. Mid-stream registration starts a fresh lane at the
 //! current stream position; deregistration drops the channel without
-//! disturbing lane mates. `tests/multi_query.rs` proptests the claim across
-//! 1/2/8 engine lanes, including mid-stream churn, and
-//! `tests/serve_recovery.rs` proves a crashed server with live
-//! subscriptions recovers all of them bit-identically via
-//! [`ServeState`](surge_checkpoint::ServeState).
+//! disturbing lane mates. `tests/multi_query.rs` proptests the claim,
+//! including mid-stream churn, and `tests/serve_recovery.rs` proves a
+//! crashed server with live subscriptions recovers all of them
+//! bit-identically via [`ServeState`](surge_checkpoint::ServeState).
 //!
-//! The mesh is **elastic** at both levels:
-//! [`SurgeServer::reshard_lanes`] rebuilds every ingest lane's window
-//! engine at a new shard-lane count mid-run (lane count is structural, so
-//! bit-identity holds across the switch), and [`DetectorSpec::Elastic`]
-//! groups carry their own work-stealing sweep mesh whose balancer splits
-//! hot shards from flush-boundary load — `tests/reshard_live.rs` proves
-//! both under live subscriptions, and the group's
-//! [`MeshState`](surge_checkpoint::MeshState) travels through
+//! [`DetectorSpec::Elastic`] groups carry their own sweep mesh whose
+//! balancer splits hot shards from flush-boundary load —
+//! `tests/reshard_live.rs` proves it under live subscriptions, and the
+//! group's [`MeshState`](surge_checkpoint::MeshState) travels through
 //! [`ServeState`] so a recovered server resumes at the live width.
 
 #![forbid(unsafe_code)]
@@ -51,11 +46,9 @@ use surge_checkpoint::{
     DetectorSpec, MeshState, ServeGroupState, ServeLaneState, ServeMeta, ServeState, ServeSubState,
     SpecDetector,
 };
-use surge_core::{
-    QueryKey, QueryKeyError, RegionAnswer, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
-};
+use surge_core::{QueryKey, QueryKeyError, RegionAnswer, SpatialObject, SurgeQuery, WindowConfig};
 use surge_observe::{Counter, Flight, Observe, RegistrySnapshot, TraceDump, TraceEvent};
-use surge_stream::{AnswerLog, EventBatch, ShardedWindowEngine};
+use surge_stream::{AnswerLog, EventBatch, SlidingWindowEngine};
 
 /// Opaque subscription handle issued by [`SurgeServer::subscribe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,18 +111,14 @@ pub struct ServeConfig {
     pub slide_objects: usize,
     /// Sweep worker threads per flush.
     pub threads: usize,
-    /// Window-engine shard lanes per ingest lane (1 = monolithic; every
-    /// count produces the same merged event stream bit-identically).
-    pub engine_lanes: usize,
 }
 
 impl ServeConfig {
-    /// A sequential single-lane configuration.
+    /// A single-threaded configuration.
     pub fn sequential(slide_objects: usize) -> Self {
         ServeConfig {
             slide_objects,
             threads: 1,
-            engine_lanes: 1,
         }
     }
 }
@@ -224,12 +213,7 @@ struct Lane {
     start_objects: u64,
     in_slide: usize,
     slides: u64,
-    /// The router region the sharded engine was built with (the first
-    /// query's region size). Lane routing never affects the merged event
-    /// order — the lane-module contract — but rebuilding the identical
-    /// engine on restore needs the identical region.
-    region: RegionSize,
-    engine: ShardedWindowEngine,
+    engine: SlidingWindowEngine,
     groups: Vec<Group>,
     batch: EventBatch,
 }
@@ -317,13 +301,12 @@ impl SurgeServer {
     ///
     /// # Panics
     ///
-    /// Panics if `slide_objects` or `engine_lanes` is 0.
+    /// Panics if `slide_objects` is 0.
     pub fn new(cfg: ServeConfig) -> Self {
         assert!(
             cfg.slide_objects > 0,
             "slide must contain at least one object"
         );
-        assert!(cfg.engine_lanes > 0, "engine needs at least one lane");
         SurgeServer {
             cfg,
             objects_ingested: 0,
@@ -429,8 +412,7 @@ impl SurgeServer {
                     start_objects: start,
                     in_slide: 0,
                     slides: 0,
-                    region: query.region,
-                    engine: ShardedWindowEngine::new(windows, query.region, self.cfg.engine_lanes),
+                    engine: SlidingWindowEngine::new(windows),
                     groups: Vec::new(),
                     batch: EventBatch::new(),
                 });
@@ -506,31 +488,6 @@ impl SurgeServer {
         for lane in &mut self.lanes {
             lane.finish(self.cfg.threads, &self.probes);
         }
-    }
-
-    /// Live-reshards the **ingest mesh**: every lane's window engine is
-    /// rebuilt at `engine_lanes` shard lanes from its logical checkpoint,
-    /// without disturbing slide phase, detector state or subscription
-    /// channels. Lane count is structural — the merged transition stream
-    /// is bit-identical at every count — so answers after the reshard
-    /// match a server that ran at either width all along. Safe at any
-    /// stream position, including mid-slide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engine_lanes` is 0 (mirroring [`new`](Self::new)).
-    pub fn reshard_lanes(&mut self, engine_lanes: usize) -> Result<(), ServeError> {
-        assert!(engine_lanes > 0, "engine needs at least one lane");
-        if self.finished {
-            return Err(ServeError::Finished);
-        }
-        for lane in &mut self.lanes {
-            let state = lane.engine.checkpoint();
-            lane.engine = ShardedWindowEngine::from_state(&state, lane.region, engine_lanes)
-                .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-        }
-        self.cfg.engine_lanes = engine_lanes;
-        Ok(())
     }
 
     /// The elastic-mesh state of the detector group serving `sub` —
@@ -623,8 +580,6 @@ impl SurgeServer {
                     start_objects: lane.start_objects,
                     in_slide: lane.in_slide as u64,
                     slides: lane.slides,
-                    lane_count: lane.engine.lane_count() as u64,
-                    region: (lane.region.width, lane.region.height),
                     engine: lane.engine.checkpoint(),
                     groups: lane
                         .groups
@@ -653,8 +608,7 @@ impl SurgeServer {
 
     /// Rebuilds a live server from a captured registry. Every engine,
     /// shared detector and answer channel resumes exactly where the
-    /// capture left it; `engine_lanes` for *future* lanes defaults to the
-    /// first restored lane's count (or 1 on an empty registry).
+    /// capture left it.
     pub fn restore(state: &ServeState) -> Result<Self, ServeError> {
         let meta = &state.meta;
         if meta.slide_objects == 0 {
@@ -675,10 +629,8 @@ impl SurgeServer {
                     ls.start_objects, meta.objects_ingested
                 )));
             }
-            let region = RegionSize::new(ls.region.0, ls.region.1);
-            let engine =
-                ShardedWindowEngine::from_state(&ls.engine, region, ls.lane_count as usize)
-                    .map_err(|e| ServeError::Corrupt(e.to_string()))?;
+            let engine = SlidingWindowEngine::from_state(&ls.engine)
+                .map_err(|e| ServeError::Corrupt(e.to_string()))?;
             let mut groups = Vec::with_capacity(ls.groups.len());
             for gs in &ls.groups {
                 if gs.subs.is_empty() {
@@ -728,7 +680,6 @@ impl SurgeServer {
                 start_objects: ls.start_objects,
                 in_slide: ls.in_slide as usize,
                 slides: ls.slides,
-                region,
                 engine,
                 groups,
                 batch: EventBatch::new(),
@@ -739,7 +690,6 @@ impl SurgeServer {
             cfg: ServeConfig {
                 slide_objects: meta.slide_objects as usize,
                 threads: (meta.threads as usize).max(1),
-                engine_lanes: lanes.first().map_or(1, |l: &Lane| l.engine.lane_count()),
             },
             objects_ingested: meta.objects_ingested,
             next_sub_id: meta.next_sub_id.max(floor),
@@ -772,7 +722,7 @@ impl SurgeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surge_core::WindowConfig;
+    use surge_core::RegionSize;
 
     fn query(alpha: f64) -> SurgeQuery {
         SurgeQuery::whole_space(RegionSize::new(1.5, 1.5), WindowConfig::new(120, 60), alpha)

@@ -77,9 +77,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// N concurrent subscriptions — duplicated queries, mixed flavors, two
-    /// window configurations — each match their dedicated run, for 1/2/8
-    /// engine lanes. The exact flavor is additionally cross-checked against
-    /// `drive_incremental`, the driver a dedicated process would use.
+    /// window configurations — each match their dedicated run. The exact
+    /// flavor is additionally cross-checked against `drive_incremental`,
+    /// the driver a dedicated process would use.
     #[test]
     fn concurrent_subscriptions_match_independent_runs(
         raw in prop::collection::vec((0u32..18, 0u32..12, 0u32..8), 16..160),
@@ -88,10 +88,8 @@ proptest! {
         win in 60u64..320,
         slide in 1usize..24,
         threads in 1usize..4,
-        lane_idx in 0usize..3,
     ) {
         let objs = ticked_stream(raw, per_tick, tick);
-        let engine_lanes = [1usize, 2, 8][lane_idx];
         let w1 = WindowConfig::equal(win);
         let w2 = WindowConfig::new(win + win / 2, win / 2 + 1);
 
@@ -108,7 +106,7 @@ proptest! {
             (q5, DetectorSpec::Mgaps { shards: 1 }),
         ];
 
-        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads, engine_lanes });
+        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads });
         let subs: Vec<SubId> = panel
             .iter()
             .map(|(q, s)| server.subscribe(*q, *s).unwrap())
@@ -164,12 +162,10 @@ proptest! {
         win in 60u64..260,
         slide in 1usize..16,
         cut_pct in 20usize..80,
-        lane_idx in 0usize..3,
     ) {
         let objs = ticked_stream(raw, per_tick, tick);
         let cut = objs.len() * cut_pct / 100;
         let (prefix, suffix) = objs.split_at(cut);
-        let engine_lanes = [1usize, 2, 8][lane_idx];
         let threads = 2;
         let w = WindowConfig::equal(win);
 
@@ -177,7 +173,7 @@ proptest! {
         let qb = SurgeQuery::whole_space(RegionSize::new(1.2, 0.7), w, 0.6);
         let qc = SurgeQuery::whole_space(RegionSize::new(0.8, 0.8), w, 0.5);
 
-        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads, engine_lanes });
+        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads });
         let a = server.subscribe(qa, cell_spec()).unwrap();
         let b = server.subscribe(qb, DetectorSpec::Base { pruned: false }).unwrap();
 
@@ -212,50 +208,5 @@ proptest! {
         check_sub(&server, c, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, threads, "C (suffix)");
         check_sub(&server, c2, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, threads, "C twin");
         check_sub(&server, a_late, qa, cell_spec(), suffix, slide, threads, "late A (suffix)");
-    }
-}
-
-/// The same registry served at 1, 2 and 8 engine lanes produces identical
-/// channels — the lane-count independence the sharded-engine contract
-/// promises, observed end to end through the serving layer.
-#[test]
-fn lane_count_never_changes_answers() {
-    let objs = ticked_stream(
-        (0u32..200).map(|i| (i % 17, i % 11, i % 8)).collect(),
-        2,
-        13,
-    );
-    let w = WindowConfig::new(300, 150);
-    let q1 = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), w, 0.35);
-    let q2 = SurgeQuery::whole_space(RegionSize::new(1.4, 0.9), w, 0.65);
-
-    let mut per_lane_count: Vec<Vec<Vec<Vec<RegionAnswer>>>> = Vec::new();
-    for engine_lanes in [1usize, 2, 8] {
-        let mut server = SurgeServer::new(ServeConfig {
-            slide_objects: 9,
-            threads: 2,
-            engine_lanes,
-        });
-        let subs = [
-            server.subscribe(q1, cell_spec()).unwrap(),
-            server
-                .subscribe(q2, DetectorSpec::Gaps { shards: 2 })
-                .unwrap(),
-            server.subscribe(q1, DetectorSpec::TopK { k: 4 }).unwrap(),
-        ];
-        for obj in &objs {
-            server.ingest(*obj);
-        }
-        server.finish();
-        per_lane_count.push(
-            subs.iter()
-                .map(|s| server.answers(*s).unwrap().retained().to_vec())
-                .collect(),
-        );
-    }
-    for variant in &per_lane_count[1..] {
-        for (sub_idx, (got, want)) in variant.iter().zip(&per_lane_count[0]).enumerate() {
-            assert_flushes_bitwise(got, want, &format!("sub {sub_idx} vs 1-lane"));
-        }
     }
 }

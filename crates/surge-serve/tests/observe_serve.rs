@@ -43,7 +43,6 @@ fn observed_server_is_bit_identical_and_conserved() {
     let cfg = ServeConfig {
         slide_objects: 16,
         threads: 2,
-        engine_lanes: 2,
     };
 
     let run = |obs: Option<&Observe>| {
@@ -144,7 +143,6 @@ fn occupancy_gauges_track_churn() {
     let mut server = SurgeServer::new(ServeConfig {
         slide_objects: 8,
         threads: 1,
-        engine_lanes: 1,
     });
     server.observe(&obs);
 

@@ -64,7 +64,6 @@ fn live_registry_recovers_bit_identically() {
     let mut live = SurgeServer::new(ServeConfig {
         slide_objects: 7, // 150 % 7 != 0: the crash lands mid-slide
         threads: 2,
-        engine_lanes: 2,
     });
     let subs = populate(&mut live);
     assert_eq!(live.stats().subscriptions, 5);
@@ -143,7 +142,6 @@ fn recovery_mid_churn_preserves_late_lanes() {
     let mut live = SurgeServer::new(ServeConfig {
         slide_objects: 6,
         threads: 1,
-        engine_lanes: 2,
     });
     let subs = populate(&mut live);
     for obj in prefix {

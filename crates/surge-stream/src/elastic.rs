@@ -18,49 +18,44 @@
 //!    bit-identical for any steal schedule, and sweep *attribution* follows
 //!    the work (the thief counts stolen jobs, the donor counts kept cells
 //!    and installs imported outcomes without counting).
-//! 2. **Skew detection.** A [`ShardBalancer`] folds each flush's per-shard
-//!    dirty counts and per-lane window-transition deltas into a load
-//!    signal; when the maximum exceeds the mean by
-//!    [`BalancerPolicy::skew_percent`] for [`BalancerPolicy::patience`]
-//!    consecutive flushes, it recommends doubling the shard count. The
-//!    decision is a pure function of the flush-boundary counters, so a
-//!    crash-replayed run re-triggers the same reshard at the same flush.
+//! 2. **Skew detection.** A [`ShardBalancer`] reads each flush's per-shard
+//!    dirty-cell counts as the load signal; when the maximum exceeds the
+//!    mean by [`BalancerPolicy::skew_percent`] for
+//!    [`BalancerPolicy::patience`] consecutive flushes, it recommends
+//!    doubling the shard count. The decision is a pure function of the
+//!    flush-boundary counters, so a crash-replayed run re-triggers the same
+//!    reshard at the same flush.
 //! 3. **Live resharding.** The driver runs the mesh in *epochs*: on a
-//!    balancer recommendation (always at a slide boundary) it sends a
-//!    `Pause` marker through the mesh, joins the workers, merges the
-//!    window lanes into one monolithic [`surge_core::EngineState`]
-//!    ([`merge_lane_states`]), re-homes every cell under the new
+//!    balancer recommendation (always at a slide boundary) it closes the
+//!    workers' channels, joins them, re-homes every cell under the new
 //!    `shard_of_cell` mapping via the detector's checkpoint path
-//!    ([`ElasticIngest::reshard`]), rebuilds lanes at the new count with
-//!    [`WindowLane::from_state`] and resumes the stream where it left off.
-//!    Lane count and shard count are purely structural, so the answer
-//!    stream continues bit-identically — doubling the mesh without a
-//!    restart.
+//!    ([`ElasticIngest::reshard`]) and resumes the stream where it left
+//!    off. The window engine lives on the driver thread and simply carries
+//!    over; shard count is purely structural, so the answer stream
+//!    continues bit-identically — doubling the mesh without a restart.
 //!
 //! The flush handshake is a strict request/reply sequence — `FlushBegin` →
 //! dirty counts → `Export` → jobs → `Sweep` → outcomes → `Install` →
 //! answers — with at most one outstanding command per worker, so the
-//! bounded channels cannot deadlock regardless of capacity. The object
-//! broadcast and peer-to-peer lane exchange are shared with
+//! bounded channels cannot deadlock regardless of capacity. Window
+//! expansion, the event broadcast and worker-panic handling are shared with
 //! [`crate::sharded`] unchanged.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use surge_core::{
-    shard_of_cell, ElasticIngest, ElasticWorker, EngineState, ObjectId, RegionAnswer, RegionSize,
-    ShardAnswer, ShardRunStats, ShardWorkerStats, SpatialObject, Timestamp, WindowConfig,
+    shard_of_cell, ElasticIngest, ElasticWorker, Event, RegionAnswer, RegionSize, ShardAnswer,
+    ShardRunStats, ShardWorkerStats, SpatialObject, WindowConfig,
 };
 use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::lanes::{merge_lane_states, LaneMerger, LaneStats, WindowLane};
-use crate::sharded::{validate_arrival_order, LaneBatch, LaneExchange, BATCH, WATCHDOG_SEND};
-use crate::window::EventBatch;
+use crate::sharded::{join_workers, keep_best, recv_command, EventFanout, WorkerGone, BATCH};
+use crate::window::{EventBatch, SlidingWindowEngine};
 
 /// When the [`ShardBalancer`] recommends splitting the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,10 +88,10 @@ impl Default for BalancerPolicy {
 /// doubling the shard count.
 ///
 /// Fed once per flush with the per-shard dirty-cell counts (the sweep load
-/// about to run) and the per-lane window-transition deltas since the last
-/// flush (the expansion load just done). The decision is a deterministic
-/// function of these flush-boundary counters — crash recovery replays the
-/// same counters and re-triggers the same reshard at the same flush.
+/// about to run). The decision is a deterministic function of these
+/// flush-boundary counters — every driver (mesh, checkpoint runner, served
+/// group) reshards the same stream at the same flush, and crash recovery
+/// replays the same counters and re-triggers the same reshard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardBalancer {
     policy: BalancerPolicy,
@@ -139,21 +134,16 @@ impl ShardBalancer {
     }
 
     /// Observes one flush: `dirty[s]` is shard `s`'s dirty-cell count
-    /// before stealing, `transitions[s]` its lane's window transitions
-    /// since the last flush (pass `&[]` when no lanes exist, e.g. the
-    /// sequential checkpoint runner). Returns the recommended new shard
-    /// count, or `None` to keep running.
-    pub fn observe(&mut self, shards: usize, dirty: &[u64], transitions: &[u64]) -> Option<usize> {
+    /// before stealing. Returns the recommended new shard count, or `None`
+    /// to keep running.
+    pub fn observe(&mut self, shards: usize, dirty: &[u64]) -> Option<usize> {
         debug_assert_eq!(dirty.len(), shards);
-        let load = |s: usize| {
-            dirty.get(s).copied().unwrap_or(0) + transitions.get(s).copied().unwrap_or(0)
-        };
-        let total: u64 = (0..shards).map(load).sum();
+        let total: u64 = dirty.iter().sum();
         if total < self.policy.min_load {
             self.streak = 0;
             return None;
         }
-        let max = (0..shards).map(load).max().unwrap_or(0);
+        let max = dirty.iter().copied().max().unwrap_or(0);
         // max > mean * (1 + skew/100), in integers:
         let skewed = (max as u128) * 100 * (shards as u128)
             > (total as u128) * (100 + self.policy.skew_percent as u128);
@@ -244,11 +234,9 @@ pub(crate) fn steal_plan(dirty: &[u64]) -> Option<StealPlan> {
 
 /// What the driver sends each elastic worker.
 enum ElasticMsg<J, O> {
-    /// A batch of raw arrivals (shared, not deep-copied) — identical to the
-    /// sharded driver's broadcast round.
-    Objects(Arc<[SpatialObject]>),
-    /// End of stream: drain the lane tails and exchange the drained events.
-    Drain,
+    /// A batch of expanded events (shared, not deep-copied) — identical to
+    /// the sharded driver's broadcast.
+    Events(Arc<[Event]>),
     /// Flush phase 1: reply with your dirty-cell count.
     FlushBegin,
     /// Flush phase 2 (donors only): export the tail `k` of your dirty list
@@ -258,11 +246,8 @@ enum ElasticMsg<J, O> {
     /// kept cells in place.
     Sweep(Vec<J>),
     /// Flush phase 4 (everyone): install outcomes of your exported cells,
-    /// reply with your shard best and lane counters.
+    /// reply with your shard best.
     Install(Vec<O>),
-    /// Epoch end (always at a slide boundary, after a completed flush):
-    /// return your window lane to the driver for re-homing.
-    Pause,
 }
 
 /// Worker replies, on a dedicated per-worker channel (strictly one reply
@@ -271,61 +256,43 @@ enum ElasticReply<J, O> {
     Dirty(u64),
     Jobs(Vec<J>),
     Outcomes(Vec<O>),
-    Answer(Option<ShardAnswer>, LaneStats),
+    Answer(Option<ShardAnswer>),
 }
 
 fn elastic_worker_loop<W: ElasticWorker>(
     mut worker: W,
-    mut lane: WindowLane,
-    mut exchange: LaneExchange,
     rx: Receiver<ElasticMsg<W::Job, W::Outcome>>,
     tx: Sender<ElasticReply<W::Job, W::Outcome>>,
-) -> (ShardWorkerStats, LaneStats, WindowLane) {
-    let mut expanded = EventBatch::new();
-    for msg in rx.iter() {
-        match msg {
-            ElasticMsg::Objects(objects) => {
-                expanded.clear();
-                for obj in objects.iter() {
-                    lane.observe_into(obj, &mut expanded);
+) -> ShardWorkerStats {
+    while let Ok(msg) = recv_command(&rx) {
+        let reply = match msg {
+            ElasticMsg::Events(events) => {
+                for ev in events.iter() {
+                    worker.on_event(ev);
                 }
-                exchange.exchange_apply(&expanded, &mut worker);
+                continue;
             }
-            ElasticMsg::Drain => {
-                expanded.clear();
-                lane.finish_into(&mut expanded);
-                exchange.exchange_apply(&expanded, &mut worker);
-            }
-            ElasticMsg::FlushBegin => {
-                tx.send(ElasticReply::Dirty(worker.dirty_count()))
-                    .expect("driver alive");
-            }
-            ElasticMsg::Export(k) => {
-                tx.send(ElasticReply::Jobs(worker.export_jobs(k)))
-                    .expect("driver alive");
-            }
+            ElasticMsg::FlushBegin => ElasticReply::Dirty(worker.dirty_count()),
+            ElasticMsg::Export(k) => ElasticReply::Jobs(worker.export_jobs(k)),
             ElasticMsg::Sweep(stolen) => {
                 let outcomes = worker.run_jobs(stolen);
                 worker.sweep_kept();
-                tx.send(ElasticReply::Outcomes(outcomes))
-                    .expect("driver alive");
+                ElasticReply::Outcomes(outcomes)
             }
             ElasticMsg::Install(outcomes) => {
-                let best = worker.install_and_best(outcomes);
-                tx.send(ElasticReply::Answer(best, lane.stats()))
-                    .expect("driver alive");
+                ElasticReply::Answer(worker.install_and_best(outcomes))
             }
-            ElasticMsg::Pause => break,
-        }
+        };
+        tx.send(reply).expect("driver alive");
     }
-    (worker.stats(), lane.stats(), lane)
+    worker.stats()
 }
 
 /// Counters of one mesh epoch (the stretch between two reshards, or the
 /// whole run when none happen).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Shard/lane count of this epoch.
+    /// Shard count of this epoch.
     pub shards: usize,
     /// Flushes executed in this epoch.
     pub slides: u64,
@@ -336,8 +303,6 @@ pub struct EpochStats {
     pub shard_sweeps: Vec<u64>,
     /// Per-shard lifetime counters for this epoch's workers.
     pub shard_stats: Vec<ShardWorkerStats>,
-    /// Per-lane expansion counters for this epoch's lanes.
-    pub lane_stats: Vec<LaneStats>,
 }
 
 /// Outcome of an elastic run.
@@ -345,7 +310,7 @@ pub struct EpochStats {
 pub struct ElasticReport {
     /// Objects processed.
     pub objects: u64,
-    /// Window-transition events expanded across all lanes and epochs.
+    /// Window-transition events expanded and broadcast across all epochs.
     pub events: u64,
     /// Flushes executed across all epochs (stream slides + terminal drain).
     pub slides: u64,
@@ -388,11 +353,9 @@ enum EpochEnd {
 }
 
 /// One elastic flush handshake across the whole mesh. The caller has
-/// already broadcast any buffered objects. Returns the merged answer, the
-/// pre-steal dirty counts and the cumulative per-lane transition counts at
-/// this flush (for the balancer), and accounts stealing into `shard_sweeps`
-/// / `stolen`.
-#[allow(clippy::type_complexity)]
+/// already broadcast any buffered events. Returns the merged answer and the
+/// pre-steal dirty counts (for the balancer), and accounts stealing into
+/// `shard_sweeps` / `stolen`.
 fn elastic_flush<D: ElasticIngest>(
     txs: &[Sender<ElasticMsg<D::Job, D::Outcome>>],
     reply_rxs: &[Receiver<ElasticReply<D::Job, D::Outcome>>],
@@ -401,20 +364,20 @@ fn elastic_flush<D: ElasticIngest>(
     stolen_total: &mut u64,
     flight: &Flight,
     seq: u64,
-) -> (Option<RegionAnswer>, Vec<u64>, Vec<u64>) {
+) -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
     let n = txs.len();
     flight.record(TraceEvent::FlushStart { seq });
     // Phase 1: dirty counts.
     for tx in txs {
-        tx.send(ElasticMsg::FlushBegin).expect("worker alive");
+        tx.send(ElasticMsg::FlushBegin)?;
     }
-    let dirty: Vec<u64> = reply_rxs
-        .iter()
-        .map(|rx| match rx.recv().expect("worker alive") {
-            ElasticReply::Dirty(c) => c,
+    let mut dirty: Vec<u64> = Vec::with_capacity(n);
+    for rx in reply_rxs {
+        match rx.recv()? {
+            ElasticReply::Dirty(c) => dirty.push(c),
             _ => unreachable!("protocol: FlushBegin answers with Dirty"),
-        })
-        .collect();
+        }
+    }
 
     // Phase 2: plan + export.
     let plan = steal_plan(&dirty);
@@ -423,12 +386,12 @@ fn elastic_flush<D: ElasticIngest>(
         let mut jobs_by_donor: Vec<VecDeque<D::Job>> = (0..n).map(|_| VecDeque::new()).collect();
         for (d, &k) in plan.exports.iter().enumerate() {
             if k > 0 {
-                txs[d].send(ElasticMsg::Export(k)).expect("worker alive");
+                txs[d].send(ElasticMsg::Export(k))?;
             }
         }
         for (d, &k) in plan.exports.iter().enumerate() {
             if k > 0 {
-                match reply_rxs[d].recv().expect("worker alive") {
+                match reply_rxs[d].recv()? {
                     ElasticReply::Jobs(jobs) => {
                         debug_assert_eq!(jobs.len(), k);
                         jobs_by_donor[d] = jobs.into();
@@ -453,13 +416,13 @@ fn elastic_flush<D: ElasticIngest>(
     for (w, (tx, stolen)) in txs.iter().zip(stolen_for).enumerate() {
         let kept = dirty[w] - plan.as_ref().map_or(0, |p| p.exports[w] as u64);
         shard_sweeps[w] += kept + stolen.len() as u64;
-        tx.send(ElasticMsg::Sweep(stolen)).expect("worker alive");
+        tx.send(ElasticMsg::Sweep(stolen))?;
     }
 
     // Phase 4: route outcomes home and install.
     let mut to_install: Vec<Vec<D::Outcome>> = (0..n).map(|_| Vec::new()).collect();
     for rx in reply_rxs {
-        match rx.recv().expect("worker alive") {
+        match rx.recv()? {
             ElasticReply::Outcomes(outcomes) => {
                 for o in outcomes {
                     let home = shard_of_cell(D::outcome_cell(&o), n);
@@ -470,21 +433,12 @@ fn elastic_flush<D: ElasticIngest>(
         }
     }
     for (tx, outs) in txs.iter().zip(to_install) {
-        tx.send(ElasticMsg::Install(outs)).expect("worker alive");
+        tx.send(ElasticMsg::Install(outs))?;
     }
     let mut best: Option<ShardAnswer> = None;
-    let mut transitions: Vec<u64> = Vec::with_capacity(n);
     for rx in reply_rxs {
-        match rx.recv().expect("worker alive") {
-            ElasticReply::Answer(ans, lane) => {
-                transitions.push(lane.transitions);
-                if let Some(a) = ans {
-                    // Same total order as the sharded driver's merge.
-                    if best.is_none_or(|b| a.merge_key() > b.merge_key()) {
-                        best = Some(a);
-                    }
-                }
-            }
+        match rx.recv()? {
+            ElasticReply::Answer(ans) => keep_best(&mut best, ans),
             _ => unreachable!("protocol: Install answers with Answer"),
         }
     }
@@ -493,7 +447,7 @@ fn elastic_flush<D: ElasticIngest>(
         seq,
         answers: merged.is_some() as u64,
     });
-    (merged, dirty, transitions)
+    Ok((merged, dirty))
 }
 
 /// Drives `source` into an [`ElasticIngest`] detector with one worker per
@@ -505,9 +459,9 @@ fn elastic_flush<D: ElasticIngest>(
 ///
 /// # Panics
 ///
-/// Panics if `slide_objects` is 0, if the stream is not arrival-ordered
-/// (rejected on the driver thread, see the sharded driver), or propagates
-/// a worker panic.
+/// Panics if `slide_objects` is 0, if the stream is not timestamp-ordered
+/// (the engine's own check, on the calling thread before any broadcast),
+/// or propagates a worker panic.
 pub fn drive_elastic<D: ElasticIngest>(
     detector: &mut D,
     windows: WindowConfig,
@@ -568,251 +522,137 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
     obs: &Observe,
 ) -> ElasticReport {
     assert!(slide_objects > 0, "slide must contain at least one object");
-    let enabled = obs.is_enabled();
     let driver_flight = obs.flight("elastic/driver");
     let _panic_dump = obs.panic_dump_guard("drive_elastic");
-    let watchdog_fired = std::cell::Cell::new(false);
+    let fanout = EventFanout::new(obs, &driver_flight);
     let region = detector.region_size();
     let mut source = source.fuse();
+    // The one window engine, on the driver thread for the whole run: a
+    // reshard rebuilds the workers around it.
+    let mut engine = SlidingWindowEngine::new(windows);
+    let mut batch = EventBatch::with_capacity(BATCH);
     let mut balancer = ShardBalancer::new(policy);
-    let mut run = ShardRunStats::default();
     let mut objects = 0u64;
     let mut slides = 0u64;
+    let mut sweeps = 0u64;
     let mut stolen = 0u64;
     let mut reshards = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
     let mut final_answer: Option<RegionAnswer> = None;
     let mut epochs: Vec<EpochStats> = Vec::new();
-    // Arrival-order validation spans epochs: the stream contract doesn't
-    // reset at a reshard.
-    let mut last_arrival: Option<(Timestamp, ObjectId)> = None;
-    // The merged window state carried across a reshard; `None` only for
-    // the first epoch, whose lanes start fresh.
-    let mut paused: Option<EngineState> = None;
 
     loop {
         let n = detector.mesh_shards();
-        let lanes: Vec<WindowLane> = match &paused {
-            None => (0..n)
-                .map(|l| WindowLane::new(windows, region, l, n))
-                .collect(),
-            Some(state) => (0..n)
-                .map(|l| {
-                    WindowLane::from_state(state, region, l, n)
-                        .expect("a merged lane state restores at any lane count")
-                })
-                .collect(),
-        };
-
-        let (end, epoch, joined) = thread::scope(|scope| {
+        let (end, epoch) = thread::scope(|scope| {
             let workers = detector.elastic_workers();
             debug_assert_eq!(workers.len(), n);
-
-            // Mesh plumbing, identical to the sharded driver (see the
-            // capacity analysis there — proven deadlock-free by the
-            // slow-worker tests in tests/mesh_backpressure.rs).
-            let mut mesh_txs: Vec<Sender<LaneBatch>> = Vec::with_capacity(n);
-            let mut mesh_rxs: Vec<Receiver<LaneBatch>> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = bounded::<LaneBatch>((2 * n).max(4));
-                mesh_txs.push(tx);
-                mesh_rxs.push(rx);
-            }
 
             let mut txs: Vec<Sender<ElasticMsg<D::Job, D::Outcome>>> = Vec::with_capacity(n);
             let mut reply_rxs: Vec<Receiver<ElasticReply<D::Job, D::Outcome>>> =
                 Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
-            for (idx, (worker, (inbox, lane))) in workers
-                .into_iter()
-                .zip(mesh_rxs.into_iter().zip(lanes))
-                .enumerate()
-            {
+            for worker in workers {
                 let (tx, rx) = bounded::<ElasticMsg<D::Job, D::Outcome>>(16);
                 let (rtx, rrx) = bounded::<ElasticReply<D::Job, D::Outcome>>(1);
                 txs.push(tx);
                 reply_rxs.push(rrx);
-                let exchange = LaneExchange {
-                    lane: idx,
-                    peers: mesh_txs
-                        .iter()
-                        .enumerate()
-                        .filter(|(p, _)| *p != idx)
-                        .map(|(_, tx)| tx.clone())
-                        .collect(),
-                    inbox,
-                    pending: (0..n).map(|_| VecDeque::new()).collect(),
-                    merger: LaneMerger::new(),
-                    round: Vec::with_capacity(n),
-                };
-                handles.push(
-                    scope.spawn(move || elastic_worker_loop(worker, lane, exchange, rx, rtx)),
-                );
+                handles.push(scope.spawn(move || elastic_worker_loop(worker, rx, rtx)));
             }
-            drop(mesh_txs);
-
-            let broadcast = |batch: &mut Vec<SpatialObject>, seq: u64| {
-                if !batch.is_empty() {
-                    let shared: Arc<[SpatialObject]> = std::mem::take(batch).into();
-                    for (shard, tx) in txs.iter().enumerate() {
-                        if enabled {
-                            // Same reporting-only backpressure watchdog as
-                            // the sharded driver.
-                            let start = Instant::now();
-                            tx.send(ElasticMsg::Objects(Arc::clone(&shared)))
-                                .expect("worker alive");
-                            if start.elapsed() >= WATCHDOG_SEND {
-                                driver_flight.record(TraceEvent::Backpressure {
-                                    seq,
-                                    shard: shard as u32,
-                                });
-                                if !watchdog_fired.replace(true) {
-                                    eprintln!("{}", obs.trace_dump());
-                                }
-                            }
-                        } else {
-                            tx.send(ElasticMsg::Objects(Arc::clone(&shared)))
-                                .expect("worker alive");
-                        }
-                    }
-                }
-            };
 
             let mut shard_sweeps = vec![0u64; n];
             let mut epoch_stolen = 0u64;
             let mut epoch_slides = 0u64;
-            let mut prev_transitions = vec![0u64; n];
-            let mut batch: Vec<SpatialObject> = Vec::with_capacity(BATCH);
-            let mut in_slide = 0usize;
             let mut end = EpochEnd::Done;
-
-            for obj in source.by_ref() {
-                validate_arrival_order(&mut last_arrival, &obj);
-                batch.push(obj);
-                if batch.len() >= BATCH {
-                    broadcast(&mut batch, slides);
-                }
-                objects += 1;
-                in_slide += 1;
-                if in_slide >= slide_objects {
-                    broadcast(&mut batch, slides);
-                    let (ans, dirty, transitions) = elastic_flush::<D>(
-                        &txs,
-                        &reply_rxs,
-                        region,
-                        &mut shard_sweeps,
-                        &mut epoch_stolen,
-                        &driver_flight,
-                        slides,
-                    );
-                    answers.offer(ans, sink);
-                    slides += 1;
-                    epoch_slides += 1;
-                    in_slide = 0;
-                    let deltas: Vec<u64> = transitions
-                        .iter()
-                        .zip(prev_transitions.iter())
-                        .map(|(t, p)| t - p)
-                        .collect();
-                    prev_transitions = transitions;
-                    if let Some(to) = balancer.observe(n, &dirty, &deltas) {
-                        end = EpochEnd::Reshard(to);
-                        break;
-                    }
-                }
-            }
-
-            if matches!(end, EpochEnd::Done) {
-                // Stream exhausted: partial slide, then the terminal drain
-                // flush, mirroring the sharded driver (no balancing on the
-                // tail — there is nothing left to balance for).
-                if in_slide > 0 {
-                    broadcast(&mut batch, slides);
-                    let (ans, _, _) = elastic_flush::<D>(
-                        &txs,
-                        &reply_rxs,
-                        region,
-                        &mut shard_sweeps,
-                        &mut epoch_stolen,
-                        &driver_flight,
-                        slides,
-                    );
-                    answers.offer(ans, sink);
-                    slides += 1;
-                    epoch_slides += 1;
-                }
-                broadcast(&mut batch, slides);
-                for tx in &txs {
-                    tx.send(ElasticMsg::Drain).expect("worker alive");
-                }
-                let (ans, _, _) = elastic_flush::<D>(
+            // Broadcasts the buffered events, runs one flush handshake and
+            // delivers its answer; returns that answer and the dirty counts.
+            let mut flush = |batch: &mut EventBatch,
+                             answers: &mut AnswerLog<Option<RegionAnswer>>,
+                             slides: &mut u64|
+             -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
+                fanout.broadcast(&txs, batch, ElasticMsg::Events, *slides)?;
+                let (ans, dirty) = elastic_flush::<D>(
                     &txs,
                     &reply_rxs,
                     region,
                     &mut shard_sweeps,
                     &mut epoch_stolen,
                     &driver_flight,
-                    slides,
-                );
-                final_answer = ans;
+                    *slides,
+                )?;
                 answers.offer(ans, sink);
-                slides += 1;
+                *slides += 1;
                 epoch_slides += 1;
-            }
+                Ok((ans, dirty))
+            };
 
-            // Pause marker: the epoch always ends at a completed flush, so
-            // every worker is idle and every lane is at the same stream
-            // position.
-            for tx in &txs {
-                tx.send(ElasticMsg::Pause).expect("worker alive");
-            }
+            let driven = (|| {
+                let mut in_slide = 0usize;
+                for obj in source.by_ref() {
+                    engine.push_into(obj, &mut batch);
+                    if batch.len() >= BATCH {
+                        fanout.broadcast(&txs, &mut batch, ElasticMsg::Events, slides)?;
+                    }
+                    objects += 1;
+                    in_slide += 1;
+                    if in_slide >= slide_objects {
+                        let (_, dirty) = flush(&mut batch, &mut answers, &mut slides)?;
+                        in_slide = 0;
+                        if let Some(to) = balancer.observe(n, &dirty) {
+                            end = EpochEnd::Reshard(to);
+                            return Ok(());
+                        }
+                    }
+                }
+                // Stream exhausted: partial slide, then the terminal drain
+                // flush, mirroring the sharded driver (no balancing on the
+                // tail — there is nothing left to balance for).
+                if in_slide > 0 {
+                    flush(&mut batch, &mut answers, &mut slides)?;
+                }
+                engine.finish_into(&mut batch);
+                final_answer = flush(&mut batch, &mut answers, &mut slides)?.0;
+                Ok(())
+            })();
+            // The epoch always ends at a completed flush, so every worker
+            // is idle; closing the channels ends their loops.
             drop(txs);
-
-            let mut shard_stats = Vec::with_capacity(handles.len());
-            let mut lane_stats = Vec::with_capacity(handles.len());
-            let mut joined_lanes = Vec::with_capacity(handles.len());
-            for h in handles {
-                let (s, l, lane) = h.join().expect("shard worker panicked");
-                shard_stats.push(s);
-                lane_stats.push(l);
-                joined_lanes.push(lane);
-            }
+            let shard_stats = join_workers(handles, driven);
             let epoch = EpochStats {
                 shards: n,
                 slides: epoch_slides,
                 stolen: epoch_stolen,
                 shard_sweeps,
                 shard_stats,
-                lane_stats,
             };
-            (end, epoch, joined_lanes)
+            (end, epoch)
         });
 
-        run.events += epoch.lane_stats.iter().map(LaneStats::events).sum::<u64>();
-        run.new_events += epoch.lane_stats.iter().map(|s| s.arrivals).sum::<u64>();
-        run.searches += epoch.shard_stats.iter().map(|s| s.sweeps).sum::<u64>();
+        sweeps += epoch.shard_stats.iter().map(|s| s.sweeps).sum::<u64>();
         stolen += epoch.stolen;
         epochs.push(epoch);
 
         match end {
             EpochEnd::Done => break,
             EpochEnd::Reshard(to) => {
-                let from = epochs.last().map_or(0, |e| e.shards);
                 driver_flight.record(TraceEvent::ReshardEpoch {
                     epoch: epochs.len() as u64,
-                    from: from as u32,
+                    from: n as u32,
                     to: to as u32,
                 });
-                paused = Some(merge_lane_states(windows, &joined));
                 detector.reshard(to);
                 reshards += 1;
             }
         }
     }
 
+    let run = ShardRunStats {
+        events: fanout.events(),
+        new_events: objects,
+        searches: sweeps,
+    };
     detector.absorb_shard_run(run);
 
-    if enabled {
+    if obs.is_enabled() {
         // Registry totals match the report exactly; the per-epoch breakdown
         // exposes the stealing/resharding story the flat report sums away.
         obs.counter("elastic/objects").add(objects);
@@ -896,9 +736,9 @@ mod tests {
             min_load: 1,
         });
         let skewed = [100u64, 0];
-        assert_eq!(b.observe(2, &skewed, &[]), None);
-        assert_eq!(b.observe(2, &skewed, &[]), None);
-        assert_eq!(b.observe(2, &skewed, &[]), Some(4));
+        assert_eq!(b.observe(2, &skewed), None);
+        assert_eq!(b.observe(2, &skewed), None);
+        assert_eq!(b.observe(2, &skewed), Some(4));
         assert_eq!(b.reshards(), 1);
         assert_eq!(b.streak(), 0);
     }
@@ -911,10 +751,10 @@ mod tests {
             max_shards: 8,
             min_load: 1,
         });
-        assert_eq!(b.observe(2, &[100, 0], &[]), None);
-        assert_eq!(b.observe(2, &[50, 50], &[]), None); // resets
-        assert_eq!(b.observe(2, &[100, 0], &[]), None);
-        assert_eq!(b.observe(2, &[100, 0], &[]), Some(4));
+        assert_eq!(b.observe(2, &[100, 0]), None);
+        assert_eq!(b.observe(2, &[50, 50]), None); // resets
+        assert_eq!(b.observe(2, &[100, 0]), None);
+        assert_eq!(b.observe(2, &[100, 0]), Some(4));
     }
 
     #[test]
@@ -926,22 +766,10 @@ mod tests {
             min_load: 10,
         });
         // Below the noise floor: never triggers.
-        assert_eq!(b.observe(2, &[5, 0], &[]), None);
+        assert_eq!(b.observe(2, &[5, 0]), None);
         // At max: never recommends growing past it.
-        assert_eq!(b.observe(4, &[100, 0, 0, 0], &[]), None);
+        assert_eq!(b.observe(4, &[100, 0, 0, 0]), None);
         // Within bounds: triggers immediately (patience 1).
-        assert_eq!(b.observe(2, &[100, 0], &[]), Some(4));
-    }
-
-    #[test]
-    fn balancer_counts_lane_transitions_in_the_load() {
-        let mut b = ShardBalancer::new(BalancerPolicy {
-            skew_percent: 50,
-            patience: 1,
-            max_shards: 8,
-            min_load: 1,
-        });
-        // Dirty counts alone are balanced; the transition skew triggers.
-        assert_eq!(b.observe(2, &[1, 1], &[200, 0]), Some(4));
+        assert_eq!(b.observe(2, &[100, 0]), Some(4));
     }
 }

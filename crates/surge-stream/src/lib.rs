@@ -16,20 +16,17 @@
 //! * [`driver`] — replay loops feeding a source through the engine into a
 //!   detector: per-object timing for the evaluation harness, plus the
 //!   slide-batched [`drive_slides`] with dirty-cell accounting.
-//! * [`lanes`] — sharded window **lanes**: the window engine partitioned by
-//!   the cell-store spatial hash ([`ShardedWindowEngine`], [`WindowLane`]),
-//!   re-merged bit-identically by the canonical event order key.
 //! * [`parallel`] — fan-out drivers: several detectors over the same event
 //!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
 //!   incremental detectors ([`drive_incremental`]).
-//! * [`sharded`] — the sharded driver ([`drive_sharded`]): per-shard
-//!   workers expand their own window lanes from broadcast object batches,
-//!   exchange lane events peer-to-peer, ingest and sweep — with answers
+//! * [`sharded`] — the sharded driver ([`drive_sharded`]): the driver
+//!   thread expands window transitions once and broadcasts event batches;
+//!   per-shard workers ingest and sweep their own cells — with answers
 //!   bit-identical to the sequential drivers.
 //! * [`runtime`] — the common [`QueryRuntime`] state machine every
 //!   slide-batched driver wraps: a [`QueryCore`] (detector face) bound to a
-//!   [`WindowEngine`] at a slide cadence, with the canonical flush / drain /
-//!   terminal-flush contract in one place.
+//!   [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
+//!   drain / terminal-flush contract in one place.
 //! * [`answers`] — ack-released answer retention ([`AnswerLog`],
 //!   [`AnswerSink`]): the bounded replacement for the grow-forever
 //!   `answers: Vec` report pattern.
@@ -54,7 +51,6 @@ pub mod datasets;
 pub mod driver;
 pub mod elastic;
 pub mod generator;
-pub mod lanes;
 pub mod metrics;
 pub mod parallel;
 pub mod runtime;
@@ -74,15 +70,12 @@ pub use elastic::{
     EpochStats, ShardBalancer,
 };
 pub use generator::{BurstSpec, Hotspot, StreamGenerator, WorkloadConfig};
-pub use lanes::{merge_lane_states, LaneMerger, LaneStats, ShardedWindowEngine, WindowLane};
 pub use metrics::{LatencyHistogram, LatencySummary};
 pub use parallel::{
     drive_incremental, drive_incremental_observed, drive_incremental_with_sink, drive_parallel,
     sweep_parallel, IncrementalReport, ParallelReport,
 };
-pub use runtime::{
-    FlushOutcome, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes, WindowEngine,
-};
+pub use runtime::{FlushOutcome, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
 pub use sharded::{drive_sharded, drive_sharded_observed, drive_sharded_with_sink, ShardedReport};
 pub use text::{GeoMessage, KeywordQuery, TextStreamGenerator, Topic, TopicBurst, Vocabulary};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

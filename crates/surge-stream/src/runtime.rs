@@ -10,59 +10,20 @@
 //!
 //! [`QueryRuntime`] *is* that state machine, once: a [`QueryCore`] (the
 //! detector face: consume events, flush answers) bound to a
-//! [`WindowEngine`] (monolithic or lane-sharded) at a slide cadence. The
-//! single-query drivers wrap it; the multi-query serving layer
+//! [`SlidingWindowEngine`] (owned, or borrowed from the caller) at a slide
+//! cadence. The single-query drivers wrap it; the multi-query serving layer
 //! (`surge-serve`) runs one core per deduped detector group over shared
 //! engines. The flush contract is unchanged and proptested against the
 //! historical loops: the answer sequence is
 //! `[slide answers..., terminal answer]`, with a flush for the trailing
 //! partial slide before the drain.
 
+use std::borrow::BorrowMut;
+
 use surge_core::{DetectorStats, Event, RegionAnswer, SpatialObject, WindowConfig};
 use surge_observe::{Counter, Flight, Observe, TraceEvent};
 
-use crate::lanes::ShardedWindowEngine;
 use crate::window::{EventBatch, SlidingWindowEngine};
-
-/// A window engine a [`QueryRuntime`] can drive: anything that expands
-/// arrivals into the canonical transition stream and can drain its tail.
-///
-/// Implemented by [`SlidingWindowEngine`], [`ShardedWindowEngine`] (whose
-/// merged emission is bit-identical — the lane-module contract), and
-/// mutable references to either (drivers that borrow a caller's engine).
-pub trait WindowEngine {
-    /// Ingests one object, appending the caused events to `out`.
-    fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch);
-    /// Drains the tail windows, appending the pending transitions to `out`.
-    fn finish_into(&mut self, out: &mut EventBatch);
-}
-
-impl WindowEngine for SlidingWindowEngine {
-    fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch) {
-        SlidingWindowEngine::push_into(self, object, out);
-    }
-    fn finish_into(&mut self, out: &mut EventBatch) {
-        SlidingWindowEngine::finish_into(self, out);
-    }
-}
-
-impl WindowEngine for ShardedWindowEngine {
-    fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch) {
-        ShardedWindowEngine::push_into(self, object, out);
-    }
-    fn finish_into(&mut self, out: &mut EventBatch) {
-        ShardedWindowEngine::finish_into(self, out);
-    }
-}
-
-impl<E: WindowEngine> WindowEngine for &mut E {
-    fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch) {
-        (**self).push_into(object, out);
-    }
-    fn finish_into(&mut self, out: &mut EventBatch) {
-        (**self).finish_into(out);
-    }
-}
 
 /// What one flush produced.
 #[derive(Debug, Clone, Default)]
@@ -138,13 +99,13 @@ impl RuntimeProbes {
 }
 
 /// One continuous query's execution state: a [`QueryCore`] fed by a
-/// [`WindowEngine`] at a fixed slide cadence.
+/// [`SlidingWindowEngine`] (owned or `&mut`) at a fixed slide cadence.
 ///
 /// Every flush invokes the caller's `on_flush(seq, answers)` with a dense
 /// 0-based flush sequence number — the hook answer channels
 /// ([`crate::answers::AnswerLog`]) attach to.
 #[derive(Debug)]
-pub struct QueryRuntime<C: QueryCore, E: WindowEngine = SlidingWindowEngine> {
+pub struct QueryRuntime<C: QueryCore, E: BorrowMut<SlidingWindowEngine> = SlidingWindowEngine> {
     core: C,
     engine: E,
     slide_objects: usize,
@@ -156,7 +117,7 @@ pub struct QueryRuntime<C: QueryCore, E: WindowEngine = SlidingWindowEngine> {
 }
 
 impl<C: QueryCore> QueryRuntime<C> {
-    /// A runtime over a fresh monolithic engine.
+    /// A runtime over a fresh engine.
     ///
     /// # Panics
     ///
@@ -171,7 +132,7 @@ impl<C: QueryCore> QueryRuntime<C> {
     }
 }
 
-impl<C: QueryCore, E: WindowEngine> QueryRuntime<C, E> {
+impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
     /// A runtime over an existing engine (possibly mid-stream — the
     /// restore path and the borrowed-engine drivers).
     ///
@@ -206,7 +167,7 @@ impl<C: QueryCore, E: WindowEngine> QueryRuntime<C, E> {
         on_flush: &mut impl FnMut(u64, Vec<RegionAnswer>),
     ) {
         self.batch.clear();
-        self.engine.push_into(object, &mut self.batch);
+        self.engine.borrow_mut().push_into(object, &mut self.batch);
         for ev in self.batch.iter() {
             self.core.on_event(ev);
         }
@@ -230,7 +191,7 @@ impl<C: QueryCore, E: WindowEngine> QueryRuntime<C, E> {
             self.flush_now(on_flush);
         }
         self.batch.clear();
-        self.engine.finish_into(&mut self.batch);
+        self.engine.borrow_mut().finish_into(&mut self.batch);
         for ev in self.batch.iter() {
             self.core.on_event(ev);
         }
@@ -289,8 +250,8 @@ impl<C: QueryCore, E: WindowEngine> QueryRuntime<C, E> {
     }
 
     /// The engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
+    pub fn engine(&self) -> &SlidingWindowEngine {
+        self.engine.borrow()
     }
 
     /// Consumes the runtime, returning the core.
@@ -380,48 +341,6 @@ mod tests {
         rt.run(stream(10).into_iter(), |_, _| flushes += 1);
         // Two full slides + terminal only — no empty partial flush.
         assert_eq!(flushes, 3);
-    }
-
-    #[test]
-    fn sharded_engine_is_a_drop_in() {
-        let objs = stream(40);
-        let mono = {
-            let mut rt = QueryRuntime::new(
-                SumCore {
-                    sum: 0.0,
-                    events: 0,
-                    flushes: 0,
-                },
-                WindowConfig::equal(100),
-                8,
-                1,
-            );
-            let mut answers = Vec::new();
-            rt.run(objs.iter().copied(), |_, a| {
-                answers.push(a[0].score.to_bits())
-            });
-            (answers, *rt.counters())
-        };
-        let sharded = {
-            let engine =
-                ShardedWindowEngine::new(WindowConfig::equal(100), RegionSize::new(1.0, 1.0), 4);
-            let mut rt = QueryRuntime::over(
-                SumCore {
-                    sum: 0.0,
-                    events: 0,
-                    flushes: 0,
-                },
-                engine,
-                8,
-                1,
-            );
-            let mut answers = Vec::new();
-            rt.run(objs.iter().copied(), |_, a| {
-                answers.push(a[0].score.to_bits())
-            });
-            (answers, *rt.counters())
-        };
-        assert_eq!(mono, sharded);
     }
 
     #[test]

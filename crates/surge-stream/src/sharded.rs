@@ -1,23 +1,15 @@
-//! The sharded driver: parallel event expansion, ingest *and* dirty-cell
-//! sweeps.
+//! The sharded driver: parallel ingest *and* dirty-cell sweeps.
 //!
 //! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
-//! but still expands and applies every event on the calling thread. The
-//! PR-2 generation of [`drive_sharded`] moved *application* to per-shard
-//! ingest workers ([`ShardedIngest`]) yet kept the single
-//! `SlidingWindowEngine` on the driver — window-engine partitioning was the
-//! residual serial stage. This generation removes it with **window lanes**
-//! ([`crate::lanes`]): the driver broadcasts raw *object* batches, and each
-//! shard worker owns one [`WindowLane`] — the dual sliding window of the
-//! objects homed to its shard (`shard_of_cell` of the reduced rectangle's
-//! anchor cell). Workers expand their own `Grown`/`Expired` transitions,
-//! exchange the per-lane event batches peer-to-peer, and re-merge them by
-//! the canonical key [`Event::order_key`] — `(transition_time, kind_rank,
-//! object_id)` — before applying events to their own cells. The merged
-//! sequence every worker applies is **bit-identical** to the monolithic
-//! engine's emission (see the lane-module docs for the argument), so
-//! per-cell event order is exactly the sequential drivers' — lane count and
-//! thread interleaving change wall-clock time only.
+//! but applies every event on the calling thread. [`drive_sharded`] moves
+//! *application* to per-shard ingest workers ([`ShardedIngest`]): the
+//! driver thread owns the one [`SlidingWindowEngine`], expands each
+//! arrival into the canonical `Grown`/`Expired`/`New` sequence (O(1) per
+//! object — paper §IV-C) and broadcasts the events in shared
+//! `Arc<[Event]>` batches; every worker sees every event, in stream order,
+//! and applies the ones that touch its own cells. Per-cell event order is
+//! therefore exactly the sequential drivers' — shard count and thread
+//! interleaving change wall-clock time only.
 //!
 //! At each slide boundary the driver sends a flush marker: every worker
 //! sweeps its own dirty cells in place (arena-backed, no job shipping) and
@@ -27,43 +19,44 @@
 //! [`drive_incremental`](crate::parallel::drive_incremental) at the same
 //! slide cadence — including the terminal drain flush both drivers end
 //! with (`SlidingWindowEngine::finish` semantics).
+//!
+//! A worker that panics hangs up its channels; the driver's next send or
+//! receive on them fails, it stops, joins the mesh and re-raises the
+//! worker's own panic — no peer is left waiting.
 
-use std::collections::VecDeque;
+use std::cell::Cell;
+use std::sync::mpsc::{RecvError, SendError, TryRecvError};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration as WallDuration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use surge_core::{
-    Event, ObjectId, RegionAnswer, ShardAnswer, ShardRunStats, ShardWorker, ShardWorkerStats,
-    ShardedIngest, SpatialObject, Timestamp, WindowConfig,
+    Event, RegionAnswer, ShardAnswer, ShardRunStats, ShardWorker, ShardWorkerStats, ShardedIngest,
+    SpatialObject, WindowConfig,
 };
 use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::lanes::{LaneMerger, LaneStats, WindowLane};
-use crate::window::EventBatch;
+use crate::window::{EventBatch, SlidingWindowEngine};
 
-/// Objects are broadcast to shard workers in fixed-size batches to amortize
-/// channel overhead (each batch is one expansion/exchange round). Shared
-/// with the elastic driver ([`crate::elastic`]).
+/// Events are broadcast to shard workers once this many are buffered (and
+/// at every flush), amortizing channel overhead. Shared with the elastic
+/// driver ([`crate::elastic`]).
 pub(crate) const BATCH: usize = 256;
 
 /// How long a blocking mesh send may take before the backpressure watchdog
 /// notes it in the flight recorder (and dumps the rings once per run).
 /// Wall-clock gated, but it only ever *reports* — it never changes what the
 /// drivers compute, so the bitwise contract is untouched.
-pub(crate) const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
+const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
 
 /// What the driver sends each shard worker.
-enum LaneMsg {
-    /// A batch of raw arrivals, in stream order, shared (not deep-copied)
-    /// across the workers. Every worker receives every batch and expands
-    /// its own lane's events from it.
-    Objects(Arc<[SpatialObject]>),
-    /// End of stream: drain the lane tails and exchange the drained events.
-    Drain,
+enum ShardMsg {
+    /// A batch of expanded events, in stream order, shared (not
+    /// deep-copied) across the workers. Every worker receives every batch.
+    Events(Arc<[Event]>),
     /// Slide boundary: sweep your dirty cells and report your local best.
     Flush,
 }
@@ -73,7 +66,7 @@ enum LaneMsg {
 pub struct ShardedReport {
     /// Objects processed.
     pub objects: u64,
-    /// Window-transition events expanded across all lanes.
+    /// Window-transition events expanded and broadcast.
     pub events: u64,
     /// Flushes executed (each yields one merged answer): the stream slides
     /// plus the terminal drain flush.
@@ -82,8 +75,6 @@ pub struct ShardedReport {
     pub sweeps: u64,
     /// Per-shard lifetime counters, indexed by shard.
     pub shard_stats: Vec<ShardWorkerStats>,
-    /// Per-lane window-expansion counters, indexed by lane (= shard).
-    pub lane_stats: Vec<LaneStats>,
     /// The merged answer at every flush boundary, in flush order —
     /// bit-identical to `drive_incremental`'s per-slide answers. Retains
     /// every answer under the default [`RetainAll`] sink; bounded by
@@ -96,116 +87,159 @@ pub struct ShardedReport {
     pub final_answer: Option<RegionAnswer>,
 }
 
-impl ShardedReport {
-    /// The window-expansion critical path: the largest per-lane transition
-    /// count. Total transitions are invariant under lane count; near-linear
-    /// scaling shows up as this dropping toward `transitions / lanes`.
-    pub fn max_lane_transitions(&self) -> u64 {
-        self.lane_stats
-            .iter()
-            .map(|s| s.transitions)
-            .max()
-            .unwrap_or(0)
+/// A worker's channel hung up mid-run, which only a worker panic causes.
+/// The driver stops and hands this to [`join_workers`].
+pub(crate) struct WorkerGone;
+
+impl<T> From<SendError<T>> for WorkerGone {
+    fn from(_: SendError<T>) -> Self {
+        WorkerGone
     }
 }
 
-/// A lane batch in flight between shard workers: `(lane, events)`.
-pub(crate) type LaneBatch = (usize, Arc<[Event]>);
-
-/// Per-worker state for the expand → exchange → merge → apply round.
-/// Shared with the elastic driver ([`crate::elastic`]), whose flush rounds
-/// differ but whose exchange rounds are identical.
-pub(crate) struct LaneExchange {
-    pub(crate) lane: usize,
-    /// Senders to every *other* worker's inbox, in lane order.
-    pub(crate) peers: Vec<Sender<LaneBatch>>,
-    pub(crate) inbox: Receiver<LaneBatch>,
-    /// Received-but-not-yet-consumed batches, per lane (a fast peer can be
-    /// a round ahead; per-sender FIFO keeps each queue in round order).
-    pub(crate) pending: Vec<VecDeque<Arc<[Event]>>>,
-    pub(crate) merger: LaneMerger,
-    /// Reused assembly of the round's lane batches, in lane order.
-    pub(crate) round: Vec<Arc<[Event]>>,
+impl From<RecvError> for WorkerGone {
+    fn from(_: RecvError) -> Self {
+        WorkerGone
+    }
 }
 
-impl LaneExchange {
-    /// Shares this worker's expanded lane events with every peer, waits for
-    /// the round's batch from every other lane, and applies the merged
-    /// canonical sequence to `worker`.
-    pub(crate) fn exchange_apply<W: ShardWorker>(&mut self, expanded: &EventBatch, worker: &mut W) {
-        let own: Arc<[Event]> = Arc::from(expanded.as_slice());
-        for tx in &self.peers {
-            tx.send((self.lane, Arc::clone(&own))).expect("peer alive");
+/// How long an idle worker polls its command channel before parking. A
+/// flush is a handful of request/reply round trips a few hundred
+/// microseconds apart; parking between them costs a futex wake-up per
+/// round trip — on a virtualised host an interrupt to a halted vCPU —
+/// which on small slides outweighs the sweeps themselves.
+const WORKER_POLL: WallDuration = WallDuration::from_micros(100);
+
+/// A worker's receive: polls for up to [`WORKER_POLL`], yielding the CPU
+/// between polls, then blocks. `Err` once the driver has hung up. Shared
+/// with the elastic driver.
+pub(crate) fn recv_command<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => {}
         }
-        let lanes = self.pending.len();
-        self.round.clear();
-        for lane in 0..lanes {
-            if lane == self.lane {
-                self.round.push(Arc::clone(&own));
-                continue;
-            }
-            while self.pending[lane].is_empty() {
-                let (from, batch) = self.inbox.recv().expect("peer alive");
-                self.pending[from].push_back(batch);
-            }
-            self.round
-                .push(self.pending[lane].pop_front().expect("checked"));
+        if start.elapsed() >= WORKER_POLL {
+            return rx.recv();
         }
-        self.merger.merge(&self.round, |ev| worker.on_event(ev));
+        thread::yield_now();
     }
 }
 
-/// Rejects an out-of-order arrival **on the driver thread**, before it is
-/// broadcast into the mesh (mirroring `SlidingWindowEngine::push`'s
-/// stale-object rejection). Without this, the first lane to observe the bad
-/// object panics inside a shard worker and the failure surfaces as a
-/// cascade of opaque `expect("peer alive")` / `expect("worker alive")`
-/// panics across the mesh — one precise error here instead of a poisoned
-/// mesh. Shared with the elastic driver.
-pub(crate) fn validate_arrival_order(
-    last: &mut Option<(Timestamp, ObjectId)>,
-    obj: &SpatialObject,
-) {
-    if let Some((t, id)) = *last {
-        assert!(
-            obj.created > t || (obj.created == t && obj.id > id),
-            "sharded drivers need a timestamp-ordered stream with increasing ids on equal \
-             timestamps: got object {} at {} after object {} at {} (rejected on the driver \
-             thread before broadcast)",
-            obj.id,
-            obj.created,
-            id,
-            t
-        );
+/// Joins every worker (the caller has dropped their command senders) and
+/// re-raises the first worker panic with its own payload, so a failed
+/// worker surfaces as that one error. Shared with the elastic driver.
+pub(crate) fn join_workers<T>(
+    handles: Vec<ScopedJoinHandle<'_, T>>,
+    driven: Result<(), WorkerGone>,
+) -> Vec<T> {
+    let mut joined = Vec::with_capacity(handles.len());
+    let mut panic = None;
+    for h in handles {
+        match h.join() {
+            Ok(v) => joined.push(v),
+            Err(payload) => {
+                panic.get_or_insert(payload);
+            }
+        }
     }
-    *last = Some((obj.created, obj.id));
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    assert!(driven.is_ok(), "a shard worker hung up without panicking");
+    joined
+}
+
+/// Folds one shard's flush answer into the running best. Deterministic
+/// merge: shard bests are keyed by `(score, bound, cell)`, a total order
+/// independent of thread timing and shard count. Shared with the elastic
+/// driver.
+pub(crate) fn keep_best(best: &mut Option<ShardAnswer>, candidate: Option<ShardAnswer>) {
+    if let Some(a) = candidate {
+        if best.is_none_or(|b| a.merge_key() > b.merge_key()) {
+            *best = Some(a);
+        }
+    }
+}
+
+/// The driver's event fan-out: shares each expanded batch with every
+/// worker, counts what it sent, and — when observability is on — runs the
+/// reporting-only backpressure watchdog around each blocking send. Shared
+/// with the elastic driver.
+pub(crate) struct EventFanout<'a> {
+    obs: &'a Observe,
+    flight: &'a Flight,
+    watchdog_fired: Cell<bool>,
+    events: Cell<u64>,
+}
+
+impl<'a> EventFanout<'a> {
+    pub(crate) fn new(obs: &'a Observe, flight: &'a Flight) -> Self {
+        EventFanout {
+            obs,
+            flight,
+            watchdog_fired: Cell::new(false),
+            events: Cell::new(0),
+        }
+    }
+
+    /// Events broadcast so far.
+    pub(crate) fn events(&self) -> u64 {
+        self.events.get()
+    }
+
+    /// Sends `batch` to every worker as one shared allocation (each worker
+    /// holds an `Arc`, not a deep copy) and empties it.
+    pub(crate) fn broadcast<M>(
+        &self,
+        txs: &[Sender<M>],
+        batch: &mut EventBatch,
+        wrap: impl Fn(Arc<[Event]>) -> M,
+        seq: u64,
+    ) -> Result<(), WorkerGone> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.events.set(self.events.get() + batch.len() as u64);
+        let shared: Arc<[Event]> = Arc::from(batch.as_slice());
+        batch.clear();
+        for (shard, tx) in txs.iter().enumerate() {
+            // A slow send is noted in the driver ring and the rings are
+            // dumped once per run; the send itself is the same blocking
+            // call either way.
+            let start = self.obs.is_enabled().then(Instant::now);
+            tx.send(wrap(Arc::clone(&shared)))?;
+            if start.is_some_and(|s| s.elapsed() >= WATCHDOG_SEND) {
+                self.flight.record(TraceEvent::Backpressure {
+                    seq,
+                    shard: shard as u32,
+                });
+                if !self.watchdog_fired.replace(true) {
+                    eprintln!("{}", self.obs.trace_dump());
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 fn shard_worker_loop<W: ShardWorker>(
     mut worker: W,
-    mut lane: WindowLane,
-    mut exchange: LaneExchange,
-    rx: Receiver<LaneMsg>,
+    rx: Receiver<ShardMsg>,
     tx: Sender<Option<ShardAnswer>>,
     flight: Flight,
-) -> (ShardWorkerStats, LaneStats) {
-    let mut expanded = EventBatch::new();
+) -> ShardWorkerStats {
     let mut flush_seq = 0u64;
-    for msg in rx.iter() {
+    while let Ok(msg) = recv_command(&rx) {
         match msg {
-            LaneMsg::Objects(objects) => {
-                expanded.clear();
-                for obj in objects.iter() {
-                    lane.observe_into(obj, &mut expanded);
+            ShardMsg::Events(events) => {
+                for ev in events.iter() {
+                    worker.on_event(ev);
                 }
-                exchange.exchange_apply(&expanded, &mut worker);
             }
-            LaneMsg::Drain => {
-                expanded.clear();
-                lane.finish_into(&mut expanded);
-                exchange.exchange_apply(&expanded, &mut worker);
-            }
-            LaneMsg::Flush => {
+            ShardMsg::Flush => {
                 flight.record(TraceEvent::FlushStart { seq: flush_seq });
                 let best = worker.flush();
                 flight.record(TraceEvent::FlushEnd {
@@ -217,26 +251,24 @@ fn shard_worker_loop<W: ShardWorker>(
             }
         }
     }
-    (worker.stats(), lane.stats())
+    worker.stats()
 }
 
 /// Drives `source` into a [`ShardedIngest`] detector with one worker thread
 /// per shard, refreshing the merged continuous answer once per
 /// `slide_objects` arrivals (plus the terminal drain flush).
 ///
-/// Event expansion, ingest and dirty-cell sweeps all run on the shard
-/// workers: the calling thread only broadcasts raw object batches and
-/// merges flush answers. Each worker expands its own window lane and the
-/// workers exchange lane batches peer-to-peer, re-merging them by
-/// [`Event::order_key`] so every worker applies the exact sequential event
-/// order. The per-flush answers (and the detector's final state and stats)
-/// are bit-identical to
-/// [`crate::parallel::drive_incremental`] at the same slide size — see the
-/// module docs for why.
+/// The calling thread expands window transitions, broadcasts event batches
+/// and merges flush answers; ingest and dirty-cell sweeps run on the shard
+/// workers. The per-flush answers (and the detector's final state and
+/// stats) are bit-identical to [`crate::parallel::drive_incremental`] at
+/// the same slide size — see the module docs for why.
 ///
 /// # Panics
 ///
-/// Panics if `slide_objects` is 0, or propagates a worker panic.
+/// Panics if `slide_objects` is 0 or the stream is not timestamp-ordered
+/// (the engine's own check, on the calling thread before any broadcast),
+/// or propagates a worker panic.
 pub fn drive_sharded<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
@@ -252,7 +284,7 @@ pub fn drive_sharded<D: ShardedIngest>(
 ///
 /// # Panics
 ///
-/// Panics if `slide_objects` is 0, or propagates a worker panic.
+/// Same as [`drive_sharded`].
 pub fn drive_sharded_with_sink<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
@@ -272,15 +304,14 @@ pub fn drive_sharded_with_sink<D: ShardedIngest>(
 
 /// [`drive_sharded_with_sink`] with registry probes: driver counters under
 /// `sharded/*`, per-shard sweep/touch counters (`sharded/shard=N/sweeps`),
-/// per-lane expansion counters, a flight ring per shard worker plus one
-/// for the driver, a mesh-backpressure watchdog that notes slow channel
-/// sends and dumps the rings (reporting only — answers stay bitwise
-/// identical to the unobserved run, proptested), and a panic-time ring
-/// dump.
+/// a flight ring per shard worker plus one for the driver, a
+/// mesh-backpressure watchdog that notes slow channel sends and dumps the
+/// rings (reporting only — answers stay bitwise identical to the
+/// unobserved run, proptested), and a panic-time ring dump.
 ///
 /// # Panics
 ///
-/// Panics if `slide_objects` is 0, or propagates a worker panic.
+/// Same as [`drive_sharded`].
 pub fn drive_sharded_observed<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
@@ -290,12 +321,11 @@ pub fn drive_sharded_observed<D: ShardedIngest>(
     obs: &Observe,
 ) -> ShardedReport {
     assert!(slide_objects > 0, "slide must contain at least one object");
-    let enabled = obs.is_enabled();
     let driver_flight = obs.flight("sharded/driver");
     let _panic_dump = obs.panic_dump_guard("drive_sharded");
-    let watchdog_fired = std::cell::Cell::new(false);
+    let fanout = EventFanout::new(obs, &driver_flight);
     let region = detector.region_size();
-    let mut run = ShardRunStats::default();
+    let mut engine = SlidingWindowEngine::new(windows);
     let mut objects = 0u64;
     let mut slides = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
@@ -304,158 +334,81 @@ pub fn drive_sharded_observed<D: ShardedIngest>(
     // must still state the terminal answer.
     let mut final_answer: Option<RegionAnswer> = None;
 
-    let (shard_stats, lane_stats) = thread::scope(|scope| {
+    let shard_stats = thread::scope(|scope| {
         let workers = detector.ingest_workers();
         let n = workers.len();
-
-        // Mesh plumbing: one inbox per worker; every worker holds a sender
-        // to each peer's inbox. Capacity 2n holds the worst transient (a
-        // fast peer can run one round ahead of a slow worker, so up to
-        // 2(n-1) undelivered batches can target one inbox). A full inbox
-        // only backpressures, it cannot deadlock: a worker finishes all its
-        // round-k sends before starting round k+1, so the batches a blocked
-        // receiver is waiting on have already been delivered or are at the
-        // front of a peer's (FIFO) send — no cyclic wait.
-        let mut mesh_txs: Vec<Sender<LaneBatch>> = Vec::with_capacity(n);
-        let mut mesh_rxs: Vec<Receiver<LaneBatch>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<LaneBatch>((2 * n).max(4));
-            mesh_txs.push(tx);
-            mesh_rxs.push(rx);
-        }
-
-        let mut txs: Vec<Sender<LaneMsg>> = Vec::with_capacity(n);
+        let mut txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(n);
         let mut result_rxs: Vec<Receiver<Option<ShardAnswer>>> = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (idx, (worker, inbox)) in workers.into_iter().zip(mesh_rxs).enumerate() {
-            let (tx, rx) = bounded::<LaneMsg>(16);
+        for (idx, worker) in workers.into_iter().enumerate() {
+            let (tx, rx) = bounded::<ShardMsg>(16);
             let (rtx, rrx) = bounded::<Option<ShardAnswer>>(1);
             txs.push(tx);
             result_rxs.push(rrx);
-            let lane = WindowLane::new(windows, region, idx, n);
-            let exchange = LaneExchange {
-                lane: idx,
-                peers: mesh_txs
-                    .iter()
-                    .enumerate()
-                    .filter(|(p, _)| *p != idx)
-                    .map(|(_, tx)| tx.clone())
-                    .collect(),
-                inbox,
-                pending: (0..n).map(|_| VecDeque::new()).collect(),
-                merger: LaneMerger::new(),
-                round: Vec::with_capacity(n),
-            };
             let flight = obs.flight(&format!("sharded/shard={idx}"));
-            handles.push(
-                scope.spawn(move || shard_worker_loop(worker, lane, exchange, rx, rtx, flight)),
-            );
+            handles.push(scope.spawn(move || shard_worker_loop(worker, rx, rtx, flight)));
         }
-        drop(mesh_txs); // workers hold the only senders now
 
-        let broadcast = |batch: &mut Vec<SpatialObject>, seq: u64| {
-            if !batch.is_empty() {
-                // One shared allocation per batch; each worker holds an Arc,
-                // not a deep copy of the objects.
-                let shared: Arc<[SpatialObject]> = std::mem::take(batch).into();
-                for (shard, tx) in txs.iter().enumerate() {
-                    if enabled {
-                        // Backpressure watchdog: time the blocking mesh send.
-                        // A slow one is noted in the driver ring and the
-                        // rings are dumped once per run — reporting only,
-                        // the send itself is the same blocking call.
-                        let start = Instant::now();
-                        tx.send(LaneMsg::Objects(Arc::clone(&shared)))
-                            .expect("worker alive");
-                        if start.elapsed() >= WATCHDOG_SEND {
-                            driver_flight.record(TraceEvent::Backpressure {
-                                seq,
-                                shard: shard as u32,
-                            });
-                            if !watchdog_fired.replace(true) {
-                                eprintln!("{}", obs.trace_dump());
-                            }
-                        }
-                    } else {
-                        tx.send(LaneMsg::Objects(Arc::clone(&shared)))
-                            .expect("worker alive");
-                    }
+        let flush =
+            |batch: &mut EventBatch, seq: u64| -> Result<Option<RegionAnswer>, WorkerGone> {
+                fanout.broadcast(&txs, batch, ShardMsg::Events, seq)?;
+                driver_flight.record(TraceEvent::FlushStart { seq });
+                for tx in &txs {
+                    tx.send(ShardMsg::Flush)?;
+                }
+                let mut best: Option<ShardAnswer> = None;
+                for rx in &result_rxs {
+                    keep_best(&mut best, rx.recv()?);
+                }
+                let best = best.map(|b| b.answer(region));
+                driver_flight.record(TraceEvent::FlushEnd {
+                    seq,
+                    answers: best.is_some() as u64,
+                });
+                Ok(best)
+            };
+
+        let driven = (|| {
+            let mut batch = EventBatch::with_capacity(BATCH);
+            let mut in_slide = 0usize;
+            for obj in source {
+                engine.push_into(obj, &mut batch);
+                if batch.len() >= BATCH {
+                    fanout.broadcast(&txs, &mut batch, ShardMsg::Events, slides)?;
+                }
+                objects += 1;
+                in_slide += 1;
+                if in_slide >= slide_objects {
+                    answers.offer(flush(&mut batch, slides)?, sink);
+                    slides += 1;
+                    in_slide = 0;
                 }
             }
-        };
-        let flush = |batch: &mut Vec<SpatialObject>, seq: u64| -> Option<RegionAnswer> {
-            broadcast(batch, seq);
-            driver_flight.record(TraceEvent::FlushStart { seq });
-            for tx in &txs {
-                tx.send(LaneMsg::Flush).expect("worker alive");
-            }
-            // Deterministic merge: the shard bests are keyed by
-            // (score, bound, cell), a total order independent of thread
-            // timing and shard count.
-            let best = result_rxs
-                .iter()
-                .filter_map(|rx| rx.recv().expect("worker alive"))
-                .max_by_key(ShardAnswer::merge_key)
-                .map(|b| b.answer(region));
-            driver_flight.record(TraceEvent::FlushEnd {
-                seq,
-                answers: best.is_some() as u64,
-            });
-            best
-        };
-
-        let mut batch: Vec<SpatialObject> = Vec::with_capacity(BATCH);
-        let mut in_slide = 0usize;
-        let mut last_arrival: Option<(Timestamp, ObjectId)> = None;
-        for obj in source {
-            validate_arrival_order(&mut last_arrival, &obj);
-            batch.push(obj);
-            if batch.len() >= BATCH {
-                broadcast(&mut batch, slides);
-            }
-            objects += 1;
-            in_slide += 1;
-            if in_slide >= slide_objects {
-                answers.offer(flush(&mut batch, slides), sink);
+            if in_slide > 0 {
+                answers.offer(flush(&mut batch, slides)?, sink);
                 slides += 1;
-                in_slide = 0;
             }
-        }
-        if in_slide > 0 {
-            answers.offer(flush(&mut batch, slides), sink);
+            // Terminal drain + flush, mirroring the sequential slide loop.
+            engine.finish_into(&mut batch);
+            // The terminal answer is recorded before the sink can release it.
+            let ans = flush(&mut batch, slides)?;
+            final_answer = ans;
+            answers.offer(ans, sink);
             slides += 1;
-        }
-        // Terminal drain + flush, mirroring the sequential slide loop. Any
-        // buffered objects must reach the workers before the lanes drain
-        // (a Drain advances the lane clocks to the horizon, after which
-        // pushing an older arrival would panic).
-        broadcast(&mut batch, slides);
-        for tx in &txs {
-            tx.send(LaneMsg::Drain).expect("worker alive");
-        }
-        // The terminal answer is recorded before the sink can release it.
-        let ans = flush(&mut batch, slides);
-        final_answer = ans;
-        answers.offer(ans, sink);
-        slides += 1;
+            Ok(())
+        })();
         drop(txs); // close channels: workers drain and finish
-
-        let mut shard_stats = Vec::with_capacity(handles.len());
-        let mut lane_stats = Vec::with_capacity(handles.len());
-        for h in handles {
-            let (s, l) = h.join().expect("shard worker panicked");
-            shard_stats.push(s);
-            lane_stats.push(l);
-        }
-        (shard_stats, lane_stats)
+        join_workers(handles, driven)
     });
 
-    run.events = lane_stats.iter().map(LaneStats::events).sum();
-    run.new_events = lane_stats.iter().map(|s| s.arrivals).sum();
-    run.searches = shard_stats.iter().map(|s| s.sweeps).sum();
+    let run = ShardRunStats {
+        events: fanout.events(),
+        new_events: objects,
+        searches: shard_stats.iter().map(|s| s.sweeps).sum(),
+    };
     detector.absorb_shard_run(run);
 
-    if enabled {
+    if obs.is_enabled() {
         // Published after the join from the authoritative per-worker stats,
         // so registry totals equal the legacy report counters exactly
         // (conservation proptested in `tests/observe_differential.rs`).
@@ -469,12 +422,6 @@ pub fn drive_sharded_observed<D: ShardedIngest>(
             obs.counter(&format!("sharded/shard={i}/cell_touches"))
                 .add(s.cell_touches);
         }
-        for (i, l) in lane_stats.iter().enumerate() {
-            obs.counter(&format!("sharded/lane={i}/arrivals"))
-                .add(l.arrivals);
-            obs.counter(&format!("sharded/lane={i}/transitions"))
-                .add(l.transitions);
-        }
     }
 
     ShardedReport {
@@ -483,7 +430,6 @@ pub fn drive_sharded_observed<D: ShardedIngest>(
         slides,
         sweeps: run.searches,
         shard_stats,
-        lane_stats,
         final_answer,
         answers,
     }
@@ -574,25 +520,13 @@ mod tests {
                 assert_eq!(report.shard_stats.len(), par.shard_count());
                 let touches: u64 = report.shard_stats.iter().map(|s| s.cell_touches).sum();
                 assert!(touches > 0);
-                // The lanes partition the whole stream: every arrival has
-                // exactly one home lane, and the expansion critical path
-                // shrinks as lanes are added.
-                assert_eq!(report.lane_stats.len(), shards);
-                let arrivals: u64 = report.lane_stats.iter().map(|s| s.arrivals).sum();
-                assert_eq!(arrivals, report.objects);
-                if shards > 1 {
-                    let total: u64 = report.lane_stats.iter().map(|s| s.transitions).sum();
-                    assert!(report.max_lane_transitions() < total);
-                }
             }
         }
     }
 
     /// A stream whose third arrival is *late* (earlier timestamp than its
-    /// predecessor). Pre-fix, the first lane to observe it panicked inside
-    /// a shard worker and the run died in a cascade of `expect("peer
-    /// alive")` / `expect("worker alive")` panics; now the driver thread
-    /// rejects it before broadcast with one precise message.
+    /// predecessor): the window engine rejects it on the driver thread,
+    /// before anything is broadcast, with its one precise message.
     fn drive_late_arrival(shards: usize) {
         let objs = vec![
             SpatialObject::new(0, 1.0, Point::new(0.1, 0.1), 100),
@@ -604,32 +538,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
     fn late_arrival_is_rejected_on_the_driver_thread_1_shard() {
         drive_late_arrival(1);
     }
 
     #[test]
-    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
     fn late_arrival_is_rejected_on_the_driver_thread_2_shards() {
         drive_late_arrival(2);
     }
 
     #[test]
-    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
     fn late_arrival_is_rejected_on_the_driver_thread_8_shards() {
         drive_late_arrival(8);
-    }
-
-    #[test]
-    #[should_panic(expected = "rejected on the driver thread before broadcast")]
-    fn equal_timestamp_nonincreasing_id_is_rejected_on_the_driver_thread() {
-        let objs = vec![
-            SpatialObject::new(5, 1.0, Point::new(0.1, 0.1), 100),
-            SpatialObject::new(3, 1.0, Point::new(0.5, 0.5), 100), // id ties must increase
-        ];
-        let mut d = CellCspot::with_shards(query(0.5), BoundMode::Combined, 2);
-        drive_sharded(&mut d, WindowConfig::equal(400), objs.into_iter(), 8);
     }
 
     #[test]

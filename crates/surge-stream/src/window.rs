@@ -10,18 +10,18 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use surge_core::{
-    object_to_rect, CellId, EngineState, Event, GridSpec, ObjectId, RegionSize, RestoreError,
-    SpatialObject, Timestamp, WindowConfig,
+    object_to_rect, CellId, EngineState, Event, GridSpec, RegionSize, RestoreError, SpatialObject,
+    Timestamp, WindowConfig,
 };
 
 /// A reusable buffer of window-transition events.
 ///
-/// The engines' `*_into` entry points ([`SlidingWindowEngine::push_into`],
+/// The engine's `*_into` entry points ([`SlidingWindowEngine::push_into`],
 /// [`SlidingWindowEngine::advance_into`],
-/// [`SlidingWindowEngine::finish_into`] and their sharded counterparts)
-/// append into an `EventBatch` instead of allocating a fresh `Vec<Event>`
-/// per push — a driver clears and reuses one batch for the whole stream, so
-/// steady-state event expansion allocates nothing.
+/// [`SlidingWindowEngine::finish_into`]) append into an `EventBatch`
+/// instead of allocating a fresh `Vec<Event>` per push — a driver clears
+/// and reuses one batch for the whole stream, so steady-state event
+/// expansion allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     events: Vec<Event>,
@@ -70,18 +70,6 @@ impl EventBatch {
         self.events.iter()
     }
 
-    /// Appends one event.
-    #[inline]
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
-    /// Appends a slice of events.
-    #[inline]
-    pub fn extend_from_slice(&mut self, events: &[Event]) {
-        self.events.extend_from_slice(events);
-    }
-
     pub(crate) fn vec_mut(&mut self) -> &mut Vec<Event> {
         &mut self.events
     }
@@ -90,12 +78,6 @@ impl EventBatch {
 impl std::ops::Deref for EventBatch {
     type Target = [Event];
     fn deref(&self) -> &[Event] {
-        &self.events
-    }
-}
-
-impl AsRef<[Event]> for EventBatch {
-    fn as_ref(&self) -> &[Event] {
         &self.events
     }
 }
@@ -139,10 +121,6 @@ pub struct SlidingWindowEngine {
     now: Timestamp,
     last_created: Timestamp,
     started: bool,
-    /// The most recent arrival's `(timestamp, id)`, carried into
-    /// checkpoints so a restored lane decomposition can keep enforcing the
-    /// equal-timestamp increasing-id contract.
-    last_arrival: Option<(Timestamp, ObjectId)>,
 }
 
 impl SlidingWindowEngine {
@@ -155,7 +133,6 @@ impl SlidingWindowEngine {
             now: 0,
             last_created: 0,
             started: false,
-            last_arrival: None,
         }
     }
 
@@ -169,7 +146,6 @@ impl SlidingWindowEngine {
             now: self.now,
             last_created: self.last_created,
             started: self.started,
-            last_arrival: self.last_arrival,
             current: self.current.iter().copied().collect(),
             past: self.past.iter().copied().collect(),
         }
@@ -222,7 +198,6 @@ impl SlidingWindowEngine {
             now: state.now,
             last_created: state.last_created,
             started: state.started,
-            last_arrival: state.last_arrival,
         })
     }
 
@@ -275,12 +250,6 @@ impl SlidingWindowEngine {
 
     /// [`push`](Self::push) into a reused buffer: appends the caused events
     /// to `out` without allocating. Same panics as `push`.
-    ///
-    /// The engine's emission follows the canonical order
-    /// [`Event::order_key`] — `(transition_time, kind_rank, object_id)` —
-    /// provided equal-timestamp arrivals carry increasing object ids (the
-    /// natural contract when ids are assigned on arrival). The window-lane
-    /// decomposition ([`crate::lanes`]) relies on exactly that invariant.
     pub fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch) {
         self.push_raw(object, out.vec_mut());
     }
@@ -294,7 +263,6 @@ impl SlidingWindowEngine {
             floor
         );
         self.last_created = object.created;
-        self.last_arrival = Some((object.created, object.id));
         self.advance_raw(object.created, out);
         out.push(Event::new_arrival(object));
         self.current.push_back(object);

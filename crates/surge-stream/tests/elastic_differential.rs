@@ -15,7 +15,7 @@ use surge_exact::{BoundMode, CellCspot};
 use surge_stream::{
     drive_elastic, drive_incremental, drive_sharded, BalancerPolicy, ElasticReport,
 };
-use surge_testkit::arb_lattice_stream;
+use surge_testkit::{arb_lattice_stream, tie_timestamps_reverse_ids};
 
 fn query(alpha: f64) -> SurgeQuery {
     SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(300), alpha)
@@ -250,7 +250,8 @@ proptest! {
     /// Arbitrary lattice streams (dense ties), arbitrary slide cadence and
     /// starting shard count, split-happy balancer: per-slide answers
     /// bit-match the unsharded incremental driver across every reshard
-    /// history the balancer happens to pick.
+    /// history the balancer happens to pick — also on streams whose
+    /// equal-timestamp arrivals carry decreasing ids.
     #[test]
     fn elastic_driver_bit_matches_unsharded(
         objs in arb_lattice_stream(240),
@@ -258,7 +259,9 @@ proptest! {
         slide_pow in 2u32..6,
         shard_pow in 0u32..3,
         patience in 1u32..4,
+        tied in 0u32..2,
     ) {
+        let objs = if tied == 1 { tie_timestamps_reverse_ids(&objs, 20) } else { objs };
         let alpha = alpha_pct as f64 / 100.0;
         let slide = 1usize << slide_pow;
         let shards = 1usize << shard_pow;

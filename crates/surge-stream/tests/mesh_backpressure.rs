@@ -1,14 +1,14 @@
-//! Liveness tests for the mesh inbox bound.
+//! Liveness tests for the mesh channels.
 //!
-//! Both sharded drivers give every worker a lane-batch inbox of capacity
-//! `(2n).max(4)`: a fast peer can run one exchange round ahead of a slow
-//! worker, so up to `2(n-1)` undelivered batches can target one inbox. A
-//! full inbox must *backpressure* (senders block until the slow worker
-//! drains) — never deadlock. These tests pin a deliberately slow worker in
-//! the mesh at n=2 and n=8, push enough batches to fill its inbox many
-//! times over, and prove the run completes under a watchdog: if an inbox
-//! cap regression introduces a cyclic wait, the watchdog fires instead of
-//! the suite hanging.
+//! Both sharded drivers give every worker one bounded command channel fed
+//! by the driver thread alone. A full channel must *backpressure* the
+//! driver (its send blocks until the slow worker drains) — never deadlock
+//! — and a worker that panics must surface as that one panic from the
+//! driver, within bounded time, with no thread left waiting on it. These
+//! tests pin a deliberately slow or failing worker in the mesh at n=2 and
+//! n=8 and prove the run ends under a watchdog: a regression that
+//! introduces a wait nobody will satisfy fires the watchdog instead of
+//! hanging the suite.
 
 use std::marker::PhantomData;
 use std::sync::mpsc;
@@ -23,11 +23,13 @@ use surge_core::{ElasticIngest, ElasticWorker};
 use surge_stream::{drive_elastic, drive_sharded, BalancerPolicy};
 
 /// A detector whose shard-0 worker sleeps periodically while applying
-/// events — every other worker runs at full speed and races ahead until the
-/// slow worker's inbox is full and the mesh backpressures.
+/// events — every other worker runs at full speed while the driver fills
+/// the slow worker's channel and blocks on it — or, with `fail_at` set,
+/// panics on its N-th event.
 struct SlowMesh {
     shards: usize,
     delay: Duration,
+    fail_at: Option<u64>,
     events: u64,
 }
 
@@ -36,7 +38,15 @@ impl SlowMesh {
         SlowMesh {
             shards,
             delay,
+            fail_at: None,
             events: 0,
+        }
+    }
+
+    fn failing(shards: usize, fail_at: u64) -> Self {
+        SlowMesh {
+            fail_at: Some(fail_at),
+            ..SlowMesh::new(shards, Duration::ZERO)
         }
     }
 }
@@ -44,6 +54,7 @@ impl SlowMesh {
 struct SlowWorker<'a> {
     slow: bool,
     delay: Duration,
+    fail_at: Option<u64>,
     events: u64,
     _mesh: PhantomData<&'a ()>,
 }
@@ -51,8 +62,11 @@ struct SlowWorker<'a> {
 impl ShardWorker for SlowWorker<'_> {
     fn on_event(&mut self, _event: &Event) {
         self.events += 1;
+        if self.slow && self.fail_at == Some(self.events) {
+            panic!("injected worker failure at event {}", self.events);
+        }
         // Sleeping every event would dominate the test's wall clock; every
-        // 64th is enough to keep this worker rounds behind its peers.
+        // 64th is enough to keep this worker batches behind the driver.
         if self.slow && self.events.is_multiple_of(64) {
             thread::sleep(self.delay);
         }
@@ -105,11 +119,12 @@ impl ShardedIngest for SlowMesh {
     type Worker<'a> = SlowWorker<'a>;
 
     fn ingest_workers(&mut self) -> Vec<SlowWorker<'_>> {
-        let delay = self.delay;
+        let (delay, fail_at) = (self.delay, self.fail_at);
         (0..self.shards)
             .map(|i| SlowWorker {
                 slow: i == 0,
                 delay,
+                fail_at,
                 events: 0,
                 _mesh: PhantomData,
             })
@@ -144,8 +159,7 @@ impl ElasticIngest for SlowMesh {
     }
 }
 
-/// Arrivals spread across 16 cells so every lane stays busy, timestamps
-/// strictly increasing (the driver validates arrival order).
+/// Arrivals spread across 16 cells, timestamps strictly increasing.
 fn spread_stream(n: usize) -> Vec<SpatialObject> {
     (0..n)
         .map(|i| {
@@ -159,9 +173,10 @@ fn spread_stream(n: usize) -> Vec<SpatialObject> {
         .collect()
 }
 
-/// Runs `f` on its own thread and panics if it has not finished within
+/// Runs `f` on its own thread and panics if it has not ended within
 /// `timeout` — a deadlocked mesh hangs forever, so the watchdog converts it
-/// into a test failure.
+/// into a test failure. A drive that panics ends too: its panic is
+/// re-raised here.
 fn with_watchdog(timeout: Duration, f: impl FnOnce() -> (u64, u64) + Send + 'static) -> (u64, u64) {
     let (done_tx, done_rx) = mpsc::channel();
     let driver = thread::spawn(move || {
@@ -170,22 +185,28 @@ fn with_watchdog(timeout: Duration, f: impl FnOnce() -> (u64, u64) + Send + 'sta
         out
     });
     match done_rx.recv_timeout(timeout) {
-        Ok(()) => driver.join().expect("driver thread panicked"),
-        Err(_) => panic!("mesh deadlocked: drive did not finish within {timeout:?}"),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("mesh deadlocked: drive did not finish within {timeout:?}")
+        }
+        // Done, or the sender was dropped by an unwinding drive.
+        _ => driver
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
     }
 }
 
 fn sharded_backpressure(shards: usize) {
-    // > capacity × BATCH objects between flushes: the fast peers fill the
-    // slow worker's inbox several times over before each flush barrier.
-    let n_objects = 2_000usize;
+    // 9 000 events between flushes, in 256-event batches on a 16-deep
+    // channel: the driver fills the slow worker's channel twice over
+    // before each flush barrier.
+    let n_objects = 6_000usize;
     let (objects, events) = with_watchdog(Duration::from_secs(60), move || {
         let mut d = SlowMesh::new(shards, Duration::from_millis(2));
         let report = drive_sharded(
             &mut d,
             WindowConfig::equal(500),
             spread_stream(n_objects).into_iter(),
-            1_000,
+            3_000,
         );
         (report.objects, report.events)
     });
@@ -207,19 +228,19 @@ fn slow_worker_backpressures_without_deadlock_8_shards() {
 
 #[test]
 fn elastic_mesh_backpressures_without_deadlock() {
-    // The elastic driver shares the exchange mesh; its flush protocol adds
-    // the steal phases. With zero dirty cells the balancer stays quiet
+    // The elastic driver shares the event broadcast; its flush protocol
+    // adds the steal phases. With zero dirty cells the balancer stays quiet
     // (load < min_load), so this exercises the epoch loop under a slow
     // worker without resharding noise.
     for shards in [2usize, 8] {
-        let n_objects = 1_500usize;
+        let n_objects = 6_000usize;
         let (objects, events) = with_watchdog(Duration::from_secs(60), move || {
             let mut d = SlowMesh::new(shards, Duration::from_millis(2));
             let report = drive_elastic(
                 &mut d,
                 WindowConfig::equal(500),
                 spread_stream(n_objects).into_iter(),
-                750,
+                3_000,
                 BalancerPolicy::default(),
             );
             (report.objects, report.events)
@@ -227,4 +248,45 @@ fn elastic_mesh_backpressures_without_deadlock() {
         assert_eq!(objects, n_objects as u64);
         assert_eq!(events, 3 * n_objects as u64);
     }
+}
+
+/// Worker 0 panics on its 700th event — mid-stream, between flushes. The
+/// driver must end with that panic (not a hang, not a cascade of
+/// channel-closed panics) within the watchdog timeout.
+fn drive_with_failing_worker(shards: usize, elastic: bool) {
+    with_watchdog(Duration::from_secs(60), move || {
+        let mut d = SlowMesh::failing(shards, 700);
+        let (windows, source) = (WindowConfig::equal(500), spread_stream(2_000).into_iter());
+        if elastic {
+            let r = drive_elastic(&mut d, windows, source, 500, BalancerPolicy::default());
+            (r.objects, r.events)
+        } else {
+            let r = drive_sharded(&mut d, windows, source, 500);
+            (r.objects, r.events)
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "injected worker failure at event 700")]
+fn sharded_worker_panic_is_propagated_2_shards() {
+    drive_with_failing_worker(2, false);
+}
+
+#[test]
+#[should_panic(expected = "injected worker failure at event 700")]
+fn sharded_worker_panic_is_propagated_8_shards() {
+    drive_with_failing_worker(8, false);
+}
+
+#[test]
+#[should_panic(expected = "injected worker failure at event 700")]
+fn elastic_worker_panic_is_propagated_2_shards() {
+    drive_with_failing_worker(2, true);
+}
+
+#[test]
+#[should_panic(expected = "injected worker failure at event 700")]
+fn elastic_worker_panic_is_propagated_8_shards() {
+    drive_with_failing_worker(8, true);
 }

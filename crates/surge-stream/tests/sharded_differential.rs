@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use surge_core::{BurstDetector, RegionSize, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot};
 use surge_stream::{drive_incremental, drive_sharded};
-use surge_testkit::arb_lattice_stream as arb_stream;
+use surge_testkit::{arb_lattice_stream as arb_stream, tie_timestamps_reverse_ids};
 
 fn query(alpha: f64) -> SurgeQuery {
     SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(300), alpha)
@@ -22,14 +22,18 @@ fn query(alpha: f64) -> SurgeQuery {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded vs unsharded, bit for bit, at every slide boundary.
+    /// Sharded vs unsharded, bit for bit, at every slide boundary — also
+    /// on streams whose equal-timestamp arrivals carry decreasing ids,
+    /// which `drive_incremental` has always accepted.
     #[test]
     fn sharded_driver_bit_matches_unsharded(
         objs in arb_stream(260),
         alpha_pct in 0u32..100,
         slide_pow in 2u32..6,
         shard_pow in 0u32..5,
+        tied in 0u32..2,
     ) {
+        let objs = if tied == 1 { tie_timestamps_reverse_ids(&objs, 20) } else { objs };
         let alpha = alpha_pct as f64 / 100.0;
         let slide = 1usize << slide_pow;
         let shards = 1usize << shard_pow;

@@ -7,9 +7,8 @@
 //! The guarantee that makes every optimization PR in this repo trustworthy
 //! is *bitwise differential testing* against a retained naive path — flat vs
 //! recursive segment trees, segtree vs naive sweeps, persistent vs rebuild
-//! cell state, sharded vs sequential drivers, lane-merged vs monolithic
-//! window engines. Those comparisons are only as strong as their inputs, so
-//! the generators here are deliberately *collision-heavy*: coordinates snap
+//! cell state, sharded vs sequential drivers. Those comparisons are only
+//! as strong as their inputs, so the generators here are deliberately *collision-heavy*: coordinates snap
 //! to coarse lattices (shared edges, corner touches and exact overlaps are
 //! common, not measure-zero), weights are small integers (exact float ties),
 //! timestamps can repeat within a tick, and window configurations include
@@ -133,9 +132,23 @@ pub fn arb_lattice_stream(max_len: usize) -> impl Strategy<Value = Vec<SpatialOb
         .prop_map(lattice_stream)
 }
 
+/// Rewrites a stream so arrivals share timestamps (`created` floored to a
+/// multiple of `tick`) and carry **decreasing** ids. The result is still
+/// timestamp-ordered — all the window engine asks for — so every driver
+/// must accept it; none may assume ids rise with arrival order.
+pub fn tie_timestamps_reverse_ids(objs: &[SpatialObject], tick: u64) -> Vec<SpatialObject> {
+    let n = objs.len() as u64;
+    objs.iter()
+        .enumerate()
+        .map(|(i, o)| {
+            SpatialObject::new(n - 1 - i as u64, o.weight, o.pos, o.created / tick * tick)
+        })
+        .collect()
+}
+
 /// Raw tuples → a stream with **duplicate timestamps** (every `per_tick`
 /// arrivals share one tick) on a coarse spatial lattice, ids in arrival
-/// order — the stream shape that stresses cross-lane transition-time ties.
+/// order — the stream shape that stresses transition-time ties.
 pub fn ticked_stream(raw: Vec<(u32, u32, u32)>, per_tick: u64, tick: u64) -> Vec<SpatialObject> {
     raw.into_iter()
         .enumerate()
@@ -216,7 +229,7 @@ pub fn clustered_stream(n: usize, clusters: usize, step: u64, seed: u64) -> Vec<
 
 /// An evenly-loaded stream: pseudo-random positions over a wide area so the
 /// resident rectangles spread across many similarly-sized cells — the
-/// workload where shard/lane scaling (and persistent-sweep churn locality)
+/// workload where shard scaling (and persistent-sweep churn locality)
 /// is visible.
 pub fn uniform_stream(n: usize, seed: u64) -> Vec<SpatialObject> {
     let mut rng = Lcg::new(seed);

@@ -63,7 +63,6 @@ fn main() {
     let mut server = SurgeServer::new(ServeConfig {
         slide_objects: 64,
         threads: 2,
-        engine_lanes: 2,
     });
 
     // A dashboard and an alerting service watch the *same* query: one

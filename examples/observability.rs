@@ -6,8 +6,8 @@
 //!   [`Observe::off`] and once with a live handle; the example asserts the
 //!   two answer streams are *bit-identical* before trusting any metric.
 //! * **Conservation** — registry totals are cross-checked against the
-//!   driver's own report counters (total sweeps, per-shard partition, lane
-//!   arrivals + transitions == events) rather than taken on faith.
+//!   driver's own report counters (total sweeps, per-shard partition,
+//!   events) rather than taken on faith.
 //! * **Live serving stats** — a [`SurgeServer`] wired to the same handle
 //!   exposes occupancy gauges and throughput counters mid-stream, plus the
 //!   flight-recorder trail of its flush brackets, and exports the whole
@@ -100,22 +100,16 @@ fn main() {
     let per_shard =
         snap.sum_counters(|p| p.starts_with("sharded/shard=") && p.ends_with("/sweeps"));
     assert_eq!(per_shard, on.sweeps, "per-shard sweeps partition the total");
-    let lane_events =
-        snap.sum_counters(|p| p.starts_with("sharded/lane=") && !p.starts_with("sharded/lanes"));
-    assert_eq!(
-        lane_events, on.events,
-        "lane arrivals + transitions == events"
-    );
+    assert_eq!(snap.counter("sharded/events"), Some(on.events));
     println!(
-        "conserved: {} sweeps = sum of {} shard counters; {} lane events = report events",
-        on.sweeps, shards, lane_events
+        "conserved: {} sweeps = sum of {} shard counters; {} events = report events",
+        on.sweeps, shards, on.events
     );
 
     // ---- 3. Live serving stats on the same handle ----
     let mut server = SurgeServer::new(ServeConfig {
         slide_objects: 64,
         threads: 2,
-        engine_lanes: 2,
     });
     server.observe(&obs);
     let exact = DetectorSpec::Cell {

@@ -101,31 +101,12 @@ fn main() {
     );
 
     // Per-shard load: the spatial hash should spread the clusters' cells
-    // instead of funnelling a hot spot into one worker. Each worker also
-    // expands its own *window lane* (the arrivals homed to its shard), so
-    // the event-expansion critical path shrinks with shard count too.
+    // instead of funnelling a hot spot into one worker.
     println!("\n== per-shard load ==");
-    println!(
-        "{:<8} {:>14} {:>10} {:>10} {:>13}",
-        "shard", "cell-touches", "sweeps", "arrivals", "transitions"
-    );
-    for (i, (s, l)) in report
-        .shard_stats
-        .iter()
-        .zip(report.lane_stats.iter())
-        .enumerate()
-    {
-        println!(
-            "{:<8} {:>14} {:>10} {:>10} {:>13}",
-            i, s.cell_touches, s.sweeps, l.arrivals, l.transitions
-        );
+    println!("{:<8} {:>14} {:>10}", "shard", "cell-touches", "sweeps");
+    for (i, s) in report.shard_stats.iter().enumerate() {
+        println!("{:<8} {:>14} {:>10}", i, s.cell_touches, s.sweeps);
     }
-    let total_transitions: u64 = report.lane_stats.iter().map(|l| l.transitions).sum();
-    println!(
-        "expansion critical path: {} of {} transitions on the busiest lane",
-        report.max_lane_transitions(),
-        total_transitions
-    );
     let touches: u64 = report.shard_stats.iter().map(|s| s.cell_touches).sum();
     let max_touches = report
         .shard_stats

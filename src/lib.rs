@@ -110,8 +110,8 @@ pub mod prelude {
         drive, drive_autopilot, drive_incremental, drive_parallel, drive_sharded, drive_slides,
         drive_topk, sweep_parallel, AnswerQuality, AutopilotDetector, AutopilotReport, BurstSpec,
         Dataset, DirtyCellTracker, EventBatch, GeoMessage, Hotspot, KeywordQuery, LatencyHistogram,
-        ShardedReport, ShardedWindowEngine, SlidingWindowEngine, SloPolicy, StreamGenerator,
-        TextStreamGenerator, Tier, Topic, TopicBurst, Vocabulary, WindowLane, WorkloadConfig,
+        ShardedReport, SlidingWindowEngine, SloPolicy, StreamGenerator, TextStreamGenerator, Tier,
+        Topic, TopicBurst, Vocabulary, WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 }
