@@ -13,8 +13,8 @@
 //! Since the overload-autopilot work the detector is a first-class citizen
 //! of the production pipeline: its cells partition into `2^k` shards by the
 //! same deterministic spatial hash the exact detectors use
-//! (`shard_of_cell`), so it runs under `drive_sharded` with one
-//! [`GapShardWorker`] per shard, runs under `drive_incremental` (events keep
+//! (`shard_of_cell`), so it runs on the shard mesh (`drive_elastic`) with one
+//! [`GapMeshWorker`] per shard, runs under `drive_incremental` (events keep
 //! every cell fresh, so the dirty-sweep is a no-op), and checkpoints through
 //! [`CheckpointableDetector`] — weight sums captured bit-for-bit, rank keys
 //! recomputed on restore (a pure function of the sums).
@@ -23,9 +23,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use surge_core::{
     shard_of_cell, BurstDetector, BurstParams, CellId, CheckpointableDetector, DetectorState,
-    DetectorStats, Event, EventKind, GridCellState, GridSpec, IncrementalDetector, Point,
-    RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardRunStats, ShardWorker,
-    ShardWorkerStats, ShardedIngest, SurgeQuery, TotalF64,
+    DetectorStats, Event, EventKind, GridCellState, GridSpec, IncrementalDetector, MeshIngest,
+    MeshWorker, Point, RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardRunStats,
+    ShardWorkerStats, SurgeQuery, TotalF64,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -235,21 +235,9 @@ impl BurstDetector for GapSurge {
 }
 
 /// GAPS under the incremental driver: events keep every cell's score fresh
-/// (there is no deferred per-cell search), so the dirty-cell job surface is
-/// empty and `sweep_dirty` has nothing to do — `current()` is always ready.
+/// (there is no deferred per-cell search), so `sweep_dirty` has nothing to
+/// do — `current()` is always ready.
 impl IncrementalDetector for GapSurge {
-    type Job = ();
-    type Outcome = ();
-    type Scratch = ();
-
-    fn snapshot_dirty_jobs(&self) -> Vec<()> {
-        Vec::new()
-    }
-
-    fn run_job(&self, _job: &()) {}
-
-    fn install_outcomes(&mut self, _outcomes: Vec<()>) {}
-
     fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -259,12 +247,13 @@ impl IncrementalDetector for GapSurge {
     }
 }
 
-/// One shard's exclusive ingest handle (see [`ShardedIngest`]): applies the
+/// One shard's exclusive ingest handle (see [`MeshIngest`]): applies the
 /// event stream to its own cells and reports the shard-local best at flush
-/// boundaries. GAPS has no flush-time sweep work, so `flush` is a read of
-/// the shard's ranked set.
+/// boundaries. GAPS has no flush-time sweep work, so the steal phases keep
+/// their "nothing dirty" defaults and the flush is a read of the shard's
+/// ranked set.
 #[derive(Debug)]
-pub struct GapShardWorker<'a> {
+pub struct GapMeshWorker<'a> {
     shard: usize,
     shard_count: usize,
     query: SurgeQuery,
@@ -274,7 +263,7 @@ pub struct GapShardWorker<'a> {
     stats: ShardWorkerStats,
 }
 
-impl GapShardWorker<'_> {
+impl GapMeshWorker<'_> {
     /// The shard's best entry as a [`ShardAnswer`]. `bound` repeats the
     /// score (a GAPS cell's rank key *is* its score, there is no separate
     /// upper bound), so the merged `(score, bound, cell)` maximum reduces to
@@ -291,7 +280,10 @@ impl GapShardWorker<'_> {
     }
 }
 
-impl ShardWorker for GapShardWorker<'_> {
+impl MeshWorker for GapMeshWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, event: &Event) {
         if !self.query.accepts(event.object.pos) {
             return;
@@ -303,7 +295,7 @@ impl ShardWorker for GapShardWorker<'_> {
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         self.shard_answer()
     }
 
@@ -312,16 +304,18 @@ impl ShardWorker for GapShardWorker<'_> {
     }
 }
 
-impl ShardedIngest for GapSurge {
-    type Worker<'a> = GapShardWorker<'a>;
+impl MeshIngest for GapSurge {
+    type Job = ();
+    type Outcome = ();
+    type Worker<'a> = GapMeshWorker<'a>;
 
-    fn ingest_workers(&mut self) -> Vec<GapShardWorker<'_>> {
+    fn ingest_workers(&mut self) -> Vec<GapMeshWorker<'_>> {
         let (query, params, grid) = (self.query, self.params, self.grid);
         let shard_count = self.shards.len();
         self.shards
             .iter_mut()
             .enumerate()
-            .map(|(shard, state)| GapShardWorker {
+            .map(|(shard, state)| GapMeshWorker {
                 shard,
                 shard_count,
                 query,
@@ -341,6 +335,16 @@ impl ShardedIngest for GapSurge {
 
     fn region_size(&self) -> RegionSize {
         self.query.region
+    }
+
+    fn reshard(&mut self, shards: usize) {
+        let state = self.capture_state();
+        let mut fresh =
+            GapSurge::with_grid_shards(self.query, self.grid, shards.next_power_of_two());
+        fresh
+            .restore_state(&state)
+            .expect("a detector's own capture restores into a same-query twin");
+        *self = fresh;
     }
 }
 

@@ -9,8 +9,9 @@
 //!   instances; reports the best of the four.
 //!
 //! Both detectors implement the full production surface: sequential
-//! [`surge_core::BurstDetector`], sharded ingest, the (trivially empty)
-//! incremental-sweep contract, and bit-identical checkpoint capture/restore
+//! [`surge_core::BurstDetector`], the shard mesh ([`surge_core::MeshIngest`],
+//! including live resharding), the (trivially empty) incremental-sweep
+//! contract, and bit-identical checkpoint capture/restore
 //! — so they can stand in for the exact detector anywhere in the pipeline,
 //! including under the overload autopilot in `surge-stream`.
 
@@ -20,5 +21,5 @@
 pub mod gaps;
 pub mod mgaps;
 
-pub use gaps::{GapShardWorker, GapSurge};
-pub use mgaps::{MgapShardWorker, MgapSurge};
+pub use gaps::{GapMeshWorker, GapSurge};
+pub use mgaps::{MgapMeshWorker, MgapSurge};

@@ -7,8 +7,8 @@
 //! keeping the same O(log n) update cost and the same `(1−α)/4` worst-case
 //! guarantee (Theorem 4).
 //!
-//! Like [`GapSurge`], the detector participates in the sharded-ingest and
-//! checkpoint pipelines. Each [`MgapShardWorker`] owns shard *s* of all four
+//! Like [`GapSurge`], the detector participates in the shard-mesh and
+//! checkpoint pipelines. Each [`MgapMeshWorker`] owns shard *s* of all four
 //! grids; ties between grids are broken toward the lower-numbered grid on
 //! every path (the worker encodes the grid's priority in the
 //! [`ShardAnswer`] `bound` field so the merged maximum picks the same
@@ -16,11 +16,11 @@
 
 use surge_core::{
     BurstDetector, CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind,
-    GridSpec, IncrementalDetector, Rect, RegionAnswer, RegionSize, RestoreError, ShardAnswer,
-    ShardRunStats, ShardWorker, ShardWorkerStats, ShardedIngest, SurgeQuery, TotalF64,
+    GridSpec, IncrementalDetector, MeshIngest, MeshWorker, Rect, RegionAnswer, RegionSize,
+    RestoreError, ShardAnswer, ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
 };
 
-use crate::gaps::{GapShardWorker, GapSurge};
+use crate::gaps::{GapMeshWorker, GapSurge};
 
 /// The multi-grid approximate detector (MGAPS).
 #[derive(Debug)]
@@ -127,20 +127,8 @@ impl BurstDetector for MgapSurge {
 }
 
 /// MGAPS under the incremental driver: as with GAPS, every cell is kept
-/// fresh by the events themselves, so the job surface is empty.
+/// fresh by the events themselves, so there is nothing to sweep.
 impl IncrementalDetector for MgapSurge {
-    type Job = ();
-    type Outcome = ();
-    type Scratch = ();
-
-    fn snapshot_dirty_jobs(&self) -> Vec<()> {
-        Vec::new()
-    }
-
-    fn run_job(&self, _job: &()) {}
-
-    fn install_outcomes(&mut self, _outcomes: Vec<()>) {}
-
     fn shard_count(&self) -> usize {
         IncrementalDetector::shard_count(&self.grids[0])
     }
@@ -156,21 +144,24 @@ impl IncrementalDetector for MgapSurge {
 /// maximum breaks score ties toward the lower-numbered grid — exactly the
 /// sequential [`MgapSurge::current`] tie-break.
 #[derive(Debug)]
-pub struct MgapShardWorker<'a> {
-    inner: [GapShardWorker<'a>; 4],
+pub struct MgapMeshWorker<'a> {
+    inner: [GapMeshWorker<'a>; 4],
 }
 
-impl ShardWorker for MgapShardWorker<'_> {
+impl MeshWorker for MgapMeshWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, event: &Event) {
         for w in &mut self.inner {
             w.on_event(event);
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         let mut best: Option<ShardAnswer> = None;
         for (gi, w) in self.inner.iter_mut().enumerate() {
-            if let Some(a) = w.flush() {
+            if let Some(a) = w.install_and_best(Vec::new()) {
                 let prioritized = ShardAnswer {
                     bound: (3 - gi) as f64,
                     ..a
@@ -197,10 +188,12 @@ impl ShardWorker for MgapShardWorker<'_> {
     }
 }
 
-impl ShardedIngest for MgapSurge {
-    type Worker<'a> = MgapShardWorker<'a>;
+impl MeshIngest for MgapSurge {
+    type Job = ();
+    type Outcome = ();
+    type Worker<'a> = MgapMeshWorker<'a>;
 
-    fn ingest_workers(&mut self) -> Vec<MgapShardWorker<'_>> {
+    fn ingest_workers(&mut self) -> Vec<MgapMeshWorker<'_>> {
         let mut per_grid: Vec<_> = self
             .grids
             .iter_mut()
@@ -208,7 +201,7 @@ impl ShardedIngest for MgapSurge {
             .collect();
         let shard_count = per_grid[0].len();
         (0..shard_count)
-            .map(|_| MgapShardWorker {
+            .map(|_| MgapMeshWorker {
                 inner: std::array::from_fn(|gi| {
                     per_grid[gi].next().expect("grids share a shard count")
                 }),
@@ -223,6 +216,15 @@ impl ShardedIngest for MgapSurge {
 
     fn region_size(&self) -> RegionSize {
         self.query.region
+    }
+
+    fn reshard(&mut self, shards: usize) {
+        let state = self.capture_state();
+        let mut fresh = MgapSurge::with_shards(self.query, shards.next_power_of_two());
+        fresh
+            .restore_state(&state)
+            .expect("a detector's own capture restores into a same-query twin");
+        *self = fresh;
     }
 }
 

@@ -1,14 +1,17 @@
 //! Driver-equivalence differentials for the approx detectors: GAPS and
 //! MGAPS must produce **bit-identical** per-slide answer sequences under
-//! the sequential incremental driver and the sharded driver, at every
+//! the sequential incremental driver and the shard mesh, at every
 //! shard count — the same contract the exact detector family carries.
 //! Streams come from `surge-testkit`'s collision-heavy lattice generator
 //! (snapped positions, tied weights), the worst case for tie-breaking.
 
 use proptest::prelude::*;
 use surge_approx::{GapSurge, MgapSurge};
-use surge_core::{RegionAnswer, RegionSize, SurgeQuery, WindowConfig};
-use surge_stream::{drive_incremental, drive_sharded};
+use surge_core::{
+    Event, IncrementalDetector, MeshIngest, Point, RegionAnswer, RegionSize, SpatialObject,
+    SurgeQuery, WindowConfig,
+};
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
 use surge_testkit::arb_lattice_stream;
 
 fn assert_bitwise(a: &[Option<RegionAnswer>], b: &[Option<RegionAnswer>], ctx: &str) {
@@ -39,15 +42,57 @@ fn assert_bitwise(a: &[Option<RegionAnswer>], b: &[Option<RegionAnswer>], ctx: &
     }
 }
 
+// GAPS and MGAPS never report a dirty cell, so the balancer stays quiet
+// under any policy: the default runs a fixed-width mesh.
+
 fn query(windows: WindowConfig, alpha: f64) -> SurgeQuery {
     SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha)
+}
+
+/// `reshard(1 → 4)` mid-stream re-homes every cell without touching a single
+/// answer bit: a twin left at one shard stays in lockstep.
+fn assert_reshard_keeps_lockstep<D: MeshIngest + IncrementalDetector>(mut twin: D, mut d: D) {
+    for i in 0..160u64 {
+        if i == 80 {
+            d.reshard(4);
+            assert_eq!(d.shard_count(), 4);
+        }
+        let pos = Point::new((i % 13) as f64 * 0.45, (i % 7) as f64 * 0.45);
+        let o = SpatialObject::new(i, 1.0 + (i % 5) as f64, pos, i * 5);
+        let mut events = vec![Event::new_arrival(o)];
+        if i % 3 == 0 {
+            events.push(Event::grown(o, i * 5));
+        }
+        for e in &events {
+            twin.on_event(e);
+            d.on_event(e);
+        }
+        assert_bitwise(
+            &[twin.current()],
+            &[d.current()],
+            &format!("reshard step {i}"),
+        );
+    }
+    assert_eq!(d.stats(), twin.stats());
+}
+
+#[test]
+fn gaps_reshard_mid_stream_is_bit_identical() {
+    let q = query(WindowConfig::equal(1_000), 0.3);
+    assert_reshard_keeps_lockstep(GapSurge::with_shards(q, 1), GapSurge::with_shards(q, 1));
+}
+
+#[test]
+fn mgaps_reshard_mid_stream_is_bit_identical() {
+    let q = query(WindowConfig::equal(1_000), 0.3);
+    assert_reshard_keeps_lockstep(MgapSurge::with_shards(q, 1), MgapSurge::with_shards(q, 1));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn gaps_sharded_matches_incremental(
+    fn gaps_mesh_matches_incremental(
         objects in arb_lattice_stream(60),
         window_len in 4u64..120,
         alpha in 0.0f64..0.95,
@@ -60,12 +105,12 @@ proptest! {
         let mut seq = GapSurge::new(q);
         let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide, 2);
         let mut sharded = GapSurge::with_shards(q, shards);
-        let got = drive_sharded(&mut sharded, windows, objects.iter().copied(), slide);
+        let got = drive_elastic(&mut sharded, windows, objects.iter().copied(), slide, BalancerPolicy::default());
         assert_bitwise(base.answers.retained(), got.answers.retained(), &format!("GAPS @{shards} shards"));
     }
 
     #[test]
-    fn mgaps_sharded_matches_incremental(
+    fn mgaps_mesh_matches_incremental(
         objects in arb_lattice_stream(60),
         window_len in 4u64..120,
         alpha in 0.0f64..0.95,
@@ -78,7 +123,7 @@ proptest! {
         let mut seq = MgapSurge::new(q);
         let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide, 2);
         let mut sharded = MgapSurge::with_shards(q, shards);
-        let got = drive_sharded(&mut sharded, windows, objects.iter().copied(), slide);
+        let got = drive_elastic(&mut sharded, windows, objects.iter().copied(), slide, BalancerPolicy::default());
         assert_bitwise(base.answers.retained(), got.answers.retained(), &format!("MGAPS @{shards} shards"));
     }
 
@@ -91,10 +136,10 @@ proptest! {
         let windows = WindowConfig::equal(window_len);
         let q = query(windows, 0.5);
         let mut base = GapSurge::with_shards(q, 1);
-        let a = drive_sharded(&mut base, windows, objects.iter().copied(), slide);
+        let a = drive_elastic(&mut base, windows, objects.iter().copied(), slide, BalancerPolicy::default());
         for shards in [2usize, 8] {
             let mut det = GapSurge::with_shards(q, shards);
-            let b = drive_sharded(&mut det, windows, objects.iter().copied(), slide);
+            let b = drive_elastic(&mut det, windows, objects.iter().copied(), slide, BalancerPolicy::default());
             assert_bitwise(a.answers.retained(), b.answers.retained(), &format!("GAPS 1 vs {shards} shards"));
         }
     }

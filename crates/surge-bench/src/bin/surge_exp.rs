@@ -19,8 +19,6 @@
 //!   sweep-bench            naive vs segment-tree sweep, flat vs recursive
 //!                          segment tree, persistent vs rebuild cell
 //!                          sweeps; writes BENCH_sweep.json
-//!   shard-bench            sharded ingest vs sequential driver; writes
-//!                          BENCH_shard.json
 //!   checkpoint-bench       checkpointed driver vs in-memory driver +
 //!                          recovery vs replay-from-zero (bit-identity
 //!                          asserted first), one row per WAL fsync
@@ -33,10 +31,10 @@
 //!                          dedicated runs (bit-identity asserted first),
 //!                          dedup hit-rate and per-query answer
 //!                          throughput; writes BENCH_serve.json
-//!   elastic-bench          elastic mesh: work-stealing + live resharding
-//!                          vs static shards vs sequential (bit-identity
-//!                          and the >=2x max_shard_sweeps drop asserted
-//!                          first); writes BENCH_elastic.json
+//!   elastic-bench          shard mesh: work-stealing + live resharding
+//!                          vs sequential (bit-identity and the >=2x
+//!                          max_shard_sweeps drop asserted first); writes
+//!                          BENCH_elastic.json
 //!   observe-bench          observability overhead: every threaded driver
 //!                          with the surge-observe layer off vs on
 //!                          (bit-identity and registry conservation
@@ -156,7 +154,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|shard-bench|checkpoint-bench|degrade-bench|serve-bench|elastic-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|elastic-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
         .to_string()
@@ -177,22 +175,9 @@ fn run_sweep_bench(cfg: &ExpConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the shard-scaling experiment, printing the table and writing
-/// `BENCH_shard.json` to the working directory.
-fn run_shard_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::shard_bench(cfg);
-    print!("{}", print::shard_bench(&rows));
-    let json = print::shard_bench_json(&rows);
-    let path = "BENCH_shard.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
 /// Runs the elastic-mesh experiment (work-stealing + balancer-driven
-/// resharding vs the static mesh and the sequential baseline), printing
-/// the table and writing `BENCH_elastic.json` to the working directory.
-/// Bit-identity across every configuration *and* the >=2x
+/// resharding vs the sequential baseline), printing the table and writing
+/// `BENCH_elastic.json` to the working directory. Bit-identity *and* the >=2x
 /// `max_shard_sweeps` improvement on the hotspot workload are asserted
 /// inside the experiment before anything is timed, so a successful exit
 /// is the smoke check.
@@ -347,7 +332,6 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "roadnet" => print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg))),
         "sweep-bench" => run_sweep_bench(cfg)?,
-        "shard-bench" => run_shard_bench(cfg)?,
         "checkpoint-bench" => run_checkpoint_bench(cfg)?,
         "degrade-bench" => run_degrade_bench(cfg)?,
         "serve-bench" => run_serve_bench(cfg)?,
@@ -413,7 +397,6 @@ fn run(args: &Args) -> Result<(), String> {
             );
             print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg)));
             run_sweep_bench(cfg)?;
-            run_shard_bench(cfg)?;
             run_elastic_bench(cfg)?;
             run_checkpoint_bench(cfg)?;
             run_degrade_bench(cfg)?;

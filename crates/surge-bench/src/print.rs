@@ -322,69 +322,15 @@ pub fn sweep_bench_json(
     out
 }
 
-/// The shard-scaling experiment as a console table. The `shards = 0` row is
-/// the sequential `drive_incremental` baseline.
-pub fn shard_bench(rows: &[crate::experiments::ShardBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = format!(
-        "\n== Sharded ingest: drive_sharded vs sequential drive_incremental ({cpus} cpu) ==\n{:<10} {:<12} {:>10} {:>8} {:>10} {:>12} {:>12} {:>9}\n",
-        "workload", "config", "objects", "sweeps", "max-shard", "elapsed(ms)", "obj/s", "speedup"
-    );
-    for r in rows {
-        let label = if r.shards == 0 {
-            "seq-1t".to_string()
-        } else {
-            format!("shards={}", r.shards)
-        };
-        out.push_str(&format!(
-            "{:<10} {:<12} {:>10} {:>8} {:>10} {:>12.1} {:>12.0} {:>8.2}x\n",
-            r.workload,
-            label,
-            r.objects,
-            r.sweeps,
-            r.max_shard_sweeps,
-            r.elapsed_ms,
-            r.objects_per_sec,
-            r.speedup
-        ));
-    }
-    out
-}
-
-/// The shard-scaling experiment as a `BENCH_shard.json` document
-/// (hand-rolled: the offline build has no serde).
-pub fn shard_bench_json(rows: &[crate::experiments::ShardBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out =
-        format!("{{\n  \"benchmark\": \"sharded_ingest\",\n  \"cpus\": {cpus},\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"objects\": {}, \"events\": {}, \"sweeps\": {}, \"max_shard_sweeps\": {}, \"elapsed_ms\": {:.3}, \"objects_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.shards,
-            r.objects,
-            r.events,
-            r.sweeps,
-            r.max_shard_sweeps,
-            r.elapsed_ms,
-            r.objects_per_sec,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// The elastic-mesh experiment as a console table. The `seq` row is the
-/// unsharded baseline; `static` is `drive_sharded` at fixed ownership;
-/// `elastic` adds work-stealing and balancer-driven splits. All three are
-/// bit-identity-gated before timing; `max-shard` (the sweep critical path)
-/// is the scaling signal on a single-core host.
+/// unsharded baseline; `elastic` is the shard mesh (work-stealing and
+/// balancer-driven splits). Both are bit-identity-gated before timing;
+/// `max-shard` (the sweep critical path) is the scaling signal on a
+/// single-core host.
 pub fn elastic_bench(rows: &[crate::experiments::ElasticBenchRow]) -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "\n== Elastic mesh: steal + split vs static shards vs sequential ({cpus} cpu) ==\n{:<9} {:<8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12} {:>9}\n",
+        "\n== Shard mesh: steal + split vs sequential ({cpus} cpu) ==\n{:<9} {:<8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12} {:>9}\n",
         "workload",
         "mode",
         "shards",
@@ -666,7 +612,7 @@ mod observe_tests {
     fn observe_bench_json_embeds_registry_export() {
         let rows = vec![
             crate::experiments::ObserveBenchRow {
-                driver: "sharded",
+                driver: "elastic",
                 mode: "off",
                 objects: 10_000,
                 events: 40_000,
@@ -677,7 +623,7 @@ mod observe_tests {
                 overhead_pct: 0.0,
             },
             crate::experiments::ObserveBenchRow {
-                driver: "sharded",
+                driver: "elastic",
                 mode: "on",
                 objects: 10_000,
                 events: 40_000,
@@ -689,13 +635,13 @@ mod observe_tests {
             },
         ];
         let obs = surge_observe::Observe::enabled();
-        obs.counter("sharded/sweeps").add(300);
+        obs.counter("elastic/sweeps").add(300);
         let json = observe_bench_json(&rows, &obs.snapshot());
         assert!(json.contains("\"benchmark\": \"observe_overhead\""));
         assert!(json.contains("\"overhead_pct\": 2.50"));
         // The registry export is embedded, not re-encoded.
         assert!(json.contains("\"surge-observe-registry-v1\""));
-        assert!(json.contains("\"sharded/sweeps\": 300"));
+        assert!(json.contains("\"elastic/sweeps\": 300"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('"').count() % 2, 0);
         let table = observe_bench(&rows);
@@ -916,9 +862,9 @@ mod elastic_tests {
         let rows = vec![
             crate::experiments::ElasticBenchRow {
                 workload: "hotspot",
-                mode: "static",
-                shards: 2,
-                final_shards: 2,
+                mode: "seq",
+                shards: 0,
+                final_shards: 0,
                 objects: 2000,
                 events: 6000,
                 sweeps: 96,
@@ -954,46 +900,6 @@ mod elastic_tests {
         let table = elastic_bench(&rows);
         assert!(table.contains("elastic"));
         assert!(table.contains("max-shard"));
-    }
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-
-    #[test]
-    fn shard_bench_json_is_wellformed() {
-        let rows = vec![
-            crate::experiments::ShardBenchRow {
-                workload: "uniform",
-                shards: 0,
-                objects: 1000,
-                events: 2500,
-                sweeps: 40,
-                elapsed_ms: 12.0,
-                objects_per_sec: 83_333.0,
-                speedup: 1.0,
-                max_shard_sweeps: 40,
-            },
-            crate::experiments::ShardBenchRow {
-                workload: "uniform",
-                shards: 4,
-                objects: 1000,
-                events: 2500,
-                sweeps: 40,
-                elapsed_ms: 6.0,
-                objects_per_sec: 166_666.0,
-                speedup: 2.0,
-                max_shard_sweeps: 12,
-            },
-        ];
-        let json = shard_bench_json(&rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"shards\":").count(), 2);
-        let table = shard_bench(&rows);
-        assert!(table.contains("seq-1t"));
-        assert!(table.contains("shards=4"));
-        assert!(table.contains("2.00x"));
     }
 }
 

@@ -329,7 +329,7 @@ impl SpecDetector {
                 let dirty = d.dirty_counts();
                 let swept = d.sweep_dirty(threads);
                 let answers = d.current().into_iter().collect();
-                if let Some(to) = balancer.observe(d.shard_count(), &dirty) {
+                if let Some(to) = balancer.observe(&dirty) {
                     d.reshard(to);
                 }
                 FlushOutcome { answers, swept }

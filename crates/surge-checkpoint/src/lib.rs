@@ -7,7 +7,7 @@
 //!
 //! The ROADMAP's north star is a production system; every driver the
 //! earlier PRs built (`drive`, `drive_slides`, `drive_incremental`,
-//! `drive_sharded`) still ingests from t = 0, so a process restart lost
+//! `drive_elastic`) still ingests from t = 0, so a process restart lost
 //! all window state, persistent cell sweeps and top-k incumbents. This
 //! crate closes that gap with three pieces:
 //!

@@ -8,11 +8,11 @@ use surge_checkpoint::{
     CheckpointPolicy, DetectorSpec, SyncPolicy, Tail,
 };
 use surge_core::{
-    BurstDetector, Event, Point, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats, ShardWorker,
-    ShardWorkerStats, ShardedIngest, SpatialObject, SurgeQuery, WindowConfig,
+    BurstDetector, Event, MeshIngest, MeshWorker, Point, RegionAnswer, RegionSize, ShardAnswer,
+    ShardRunStats, ShardWorkerStats, SpatialObject, SurgeQuery, WindowConfig,
 };
 use surge_exact::{BoundMode, SweepMode};
-use surge_stream::{drive_sharded_with_sink, Ack};
+use surge_stream::{drive_elastic, drive_elastic_with_sink, Ack, BalancerPolicy};
 
 /// A fully periodic stream (period 60 in position and weight, constant
 /// timestamp spacing): once the windows saturate, residency at object
@@ -153,11 +153,13 @@ struct AlwaysWorker<'a> {
     _mesh: std::marker::PhantomData<&'a ()>,
 }
 
-impl ShardWorker for AlwaysWorker<'_> {
+impl MeshWorker for AlwaysWorker<'_> {
+    type Job = ();
+    type Outcome = ();
     fn on_event(&mut self, _event: &Event) {
         self.events += 1;
     }
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         Some(ShardAnswer {
             point: Point::new(0.25, 0.25),
             score: 1.0 + self.events as f64,
@@ -182,7 +184,9 @@ impl BurstDetector for AlwaysAnswer {
     }
 }
 
-impl ShardedIngest for AlwaysAnswer {
+impl MeshIngest for AlwaysAnswer {
+    type Job = ();
+    type Outcome = ();
     type Worker<'a> = AlwaysWorker<'a>;
     fn ingest_workers(&mut self) -> Vec<AlwaysWorker<'_>> {
         vec![AlwaysWorker {
@@ -196,9 +200,12 @@ impl ShardedIngest for AlwaysAnswer {
     fn region_size(&self) -> RegionSize {
         RegionSize::new(1.5, 1.5)
     }
+    fn reshard(&mut self, _shards: usize) {
+        unreachable!("one worker with no dirty cells never trips the balancer")
+    }
 }
 
-/// The sharded report's terminal answer is tracked independently of answer
+/// The mesh report's terminal answer is tracked independently of answer
 /// retention: a consumer that acks every flush releases the whole
 /// `answers` log, and `final_answer` must still hold the terminal flush's
 /// answer. Pre-fix, `final_answer` was derived as `answers.last()`, which
@@ -209,11 +216,12 @@ fn terminal_answer_survives_a_fully_acked_consumer() {
 
     // Ground truth: retain everything, terminal answer = last retained.
     let mut retained = AlwaysAnswer { events: 0 };
-    let full = surge_stream::drive_sharded(
+    let full = drive_elastic(
         &mut retained,
         WindowConfig::new(240, 120),
         stream.iter().copied(),
         8,
+        BalancerPolicy::default(),
     );
     let want = full
         .answers
@@ -230,11 +238,12 @@ fn terminal_answer_survives_a_fully_acked_consumer() {
     // The regression: a sink that releases every flush on delivery.
     let mut acked = AlwaysAnswer { events: 0 };
     let mut sink = |_seq: u64, _ans: &Option<RegionAnswer>| Ack::Release;
-    let report = drive_sharded_with_sink(
+    let report = drive_elastic_with_sink(
         &mut acked,
         WindowConfig::new(240, 120),
         stream.iter().copied(),
         8,
+        BalancerPolicy::default(),
         &mut sink,
     );
     assert!(report.answers.is_empty(), "everything was acked away");

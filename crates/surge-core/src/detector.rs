@@ -77,56 +77,19 @@ pub struct SweepCacheStats {
 
 /// A [`BurstDetector`] whose per-cell maintenance is *incremental*: events
 /// only mark the touched cells dirty, and the expensive per-cell searches
-/// can be snapshotted as pure jobs, executed out-of-band (in particular on
-/// worker threads — see `surge-stream`'s parallel dirty-cell sweeper) and
-/// installed back.
+/// are deferred to [`sweep_dirty`](Self::sweep_dirty), which a slide-batched
+/// driver calls once per flush instead of letting
+/// [`BurstDetector::current`] search stale cells lazily one by one.
 ///
-/// The contract mirrors `snapshot → compute → install`:
-///
-/// 1. [`snapshot_dirty_jobs`](Self::snapshot_dirty_jobs) captures every
-///    stale cell as self-contained data, in deterministic order;
-/// 2. [`run_job`](Self::run_job) computes one job's outcome **without
-///    mutating the detector** (it must be safe to call from many threads —
-///    implementations are `Sync` reads of immutable parameters);
-/// 3. [`install_outcomes`](Self::install_outcomes) writes the outcomes back,
-///    after which [`BurstDetector::current`] finds every cell fresh and the
-///    answer without further searching.
-///
-/// No events may be processed between the snapshot and the install, and the
-/// sequence must produce state identical to letting `current()` run the
+/// Sweeping must produce state identical to letting `current()` run the
 /// searches itself — parallelism may only change wall-clock time.
 pub trait IncrementalDetector: BurstDetector {
-    /// A self-contained unit of deferred per-cell work (shared read-only
-    /// with worker threads during the sweep).
-    type Job: Send + Sync;
-    /// The outcome of one job.
-    type Outcome: Send;
-    /// Per-worker scratch space reused across jobs (e.g. a sweep arena).
-    /// Detectors without reusable buffers use `()`.
-    type Scratch: Default + Send;
-
-    /// Captures every dirty cell as a pure job, in deterministic order.
-    fn snapshot_dirty_jobs(&self) -> Vec<Self::Job>;
-
-    /// Computes one job's outcome. Must not observe or mutate any state that
-    /// [`BurstDetector::on_event`] changes.
-    fn run_job(&self, job: &Self::Job) -> Self::Outcome;
-
-    /// [`run_job`](Self::run_job) over per-worker scratch space: identical
-    /// outcome, but a worker thread running many jobs reuses one
-    /// [`Scratch`](Self::Scratch) instead of allocating per job.
-    fn run_job_with(&self, scratch: &mut Self::Scratch, job: &Self::Job) -> Self::Outcome {
-        let _ = scratch;
-        self.run_job(job)
-    }
-
-    /// Installs outcomes produced by [`run_job`](Self::run_job) for the jobs
-    /// of the most recent snapshot.
-    ///
-    /// Outcomes are per-cell and commute across cells, so per-shard batches
-    /// (see [`snapshot_dirty_jobs_shard`](Self::snapshot_dirty_jobs_shard))
-    /// may be installed in any order and produce identical state.
-    fn install_outcomes(&mut self, outcomes: Vec<Self::Outcome>);
+    /// Sweeps every dirty cell **in place**, fanning out across up to
+    /// `threads` workers (a hint; honoring it is optional), and returns the
+    /// number of cells swept. After it returns, [`BurstDetector::current`]
+    /// finds every cell fresh. Per-cell work is independent, so results
+    /// must be bit-identical for any `threads`.
+    fn sweep_dirty(&mut self, threads: usize) -> u64;
 
     /// Number of cell shards this detector partitions its state into.
     /// Unsharded detectors report 1.
@@ -134,54 +97,12 @@ pub trait IncrementalDetector: BurstDetector {
         1
     }
 
-    /// Captures the dirty cells of one shard as pure jobs, in deterministic
-    /// order. Concatenating over all shards yields exactly the jobs of
-    /// [`snapshot_dirty_jobs`](Self::snapshot_dirty_jobs) (possibly
-    /// reordered across shards — never within one).
-    fn snapshot_dirty_jobs_shard(&self, shard: usize) -> Vec<Self::Job> {
-        if shard == 0 {
-            self.snapshot_dirty_jobs()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Sweeps every dirty cell **in place**, fanning out across up to
-    /// `threads` workers, and returns the number of cells swept. After it
-    /// returns, [`BurstDetector::current`] finds every cell fresh.
-    ///
-    /// Detectors with *persistent* per-cell sweep state override this: the
-    /// snapshot→compute→install path of [`snapshot_dirty_jobs`]
-    /// (which clones each dirty cell's rectangles into a pure job and
-    /// rebuilds the sweep from them) stays available as the
-    /// rebuild-per-search reference, but the hot path mutates the
-    /// persistent state where it lives — per-cell work is independent, so
-    /// results must be identical to the job path bit for bit, for any
-    /// `threads`.
-    ///
-    /// The default implementation routes through the job API sequentially
-    /// (`threads` is a hint; honoring it is optional).
-    ///
     /// Cumulative hot-path reuse counters of the persistent sweep layer
     /// backing [`sweep_dirty`](Self::sweep_dirty) (epoch-cache hits/misses,
     /// kinetic plan builds/reuses). The default reports all zeros, which is
     /// correct for detectors that rebuild their sweeps per search.
     fn sweep_cache_stats(&self) -> SweepCacheStats {
         SweepCacheStats::default()
-    }
-
-    /// [`snapshot_dirty_jobs`]: Self::snapshot_dirty_jobs
-    fn sweep_dirty(&mut self, threads: usize) -> u64 {
-        let _ = threads;
-        let jobs = self.snapshot_dirty_jobs();
-        let n = jobs.len() as u64;
-        let mut scratch = Self::Scratch::default();
-        let outcomes = jobs
-            .iter()
-            .map(|j| self.run_job_with(&mut scratch, j))
-            .collect();
-        self.install_outcomes(outcomes);
-        n
     }
 }
 
@@ -223,7 +144,7 @@ impl ShardAnswer {
     }
 }
 
-/// Counters a [`ShardWorker`] accumulates over its lifetime.
+/// Counters a [`MeshWorker`] accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardWorkerStats {
     /// Cell updates this shard applied (an event touching k cells of the
@@ -233,8 +154,8 @@ pub struct ShardWorkerStats {
     pub sweeps: u64,
 }
 
-/// Aggregate counters of one sharded run, folded back into the detector's
-/// [`DetectorStats`] by [`ShardedIngest::absorb_shard_run`] (shard workers
+/// Aggregate counters of one mesh run, folded back into the detector's
+/// [`DetectorStats`] by [`MeshIngest::absorb_shard_run`] (shard workers
 /// cannot touch the shared stats while they hold the shard borrows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardRunStats {
@@ -247,56 +168,12 @@ pub struct ShardRunStats {
 }
 
 /// One shard's exclusive ingest handle: applies the event stream to its own
-/// cells, sweeps its own dirty cells at flush boundaries, and reports its
-/// local best. Obtained from [`ShardedIngest::ingest_workers`]; the handles
+/// cells and takes part in the driver-coordinated flush at slide
+/// boundaries. Obtained from [`MeshIngest::ingest_workers`]; the handles
 /// borrow the detector's shards disjointly, so each can live on its own
-/// thread for the duration of a run.
-pub trait ShardWorker {
-    /// Applies one event to the cells of this shard (cells owned by other
-    /// shards are skipped). Every worker must see every event, in stream
-    /// order.
-    fn on_event(&mut self, event: &Event);
-
-    /// Sweeps this shard's dirty cells and returns the shard's best
-    /// candidate (`None` when the shard holds no scoring cell). After a
-    /// flush every cell in the shard is fresh.
-    fn flush(&mut self) -> Option<ShardAnswer>;
-
-    /// This worker's lifetime counters.
-    fn stats(&self) -> ShardWorkerStats;
-}
-
-/// A detector whose ingest can fan out across per-shard workers.
+/// thread for the duration of a mesh epoch.
 ///
-/// The contract extends [`IncrementalDetector`]'s snapshot→compute→install
-/// discipline to the *whole pipeline*: workers partition the cell state by
-/// [`crate::store::shard_of_cell`], every worker observes the full event
-/// stream in order (applying only its own cells), and flush answers merged
-/// by [`ShardAnswer::merge_key`] are bit-identical to the sequential
-/// detector's answer at the same stream position.
-pub trait ShardedIngest: BurstDetector {
-    /// The per-shard handle type (borrows the detector mutably).
-    type Worker<'a>: ShardWorker + Send
-    where
-        Self: 'a;
-
-    /// Splits the detector into one ingest worker per shard.
-    fn ingest_workers(&mut self) -> Vec<Self::Worker<'_>>;
-
-    /// Folds a completed sharded run's counters back into
-    /// [`BurstDetector::stats`].
-    fn absorb_shard_run(&mut self, run: ShardRunStats);
-
-    /// The query-region size (needed to turn merged [`ShardAnswer`]s into
-    /// [`RegionAnswer`]s while the workers still borrow the detector).
-    fn region_size(&self) -> RegionSize;
-}
-
-/// A [`ShardWorker`] that can participate in driver-coordinated work
-/// stealing at flush boundaries.
-///
-/// The steal protocol splits [`ShardWorker::flush`] into phases the driver
-/// sequences across the whole mesh:
+/// The driver sequences a flush across the whole mesh in phases:
 ///
 /// 1. [`dirty_count`](Self::dirty_count) — how many dirty cells this shard
 ///    would sweep now;
@@ -316,70 +193,97 @@ pub trait ShardedIngest: BurstDetector {
 /// reference path, which is bit-identical to the in-place persistent sweep
 /// — so any steal schedule yields the same merged answer and the same
 /// total sweep count as the un-stolen flush.
-pub trait ElasticWorker: ShardWorker {
+///
+/// The steal-phase methods default to "nothing dirty, nothing to export":
+/// a detector whose events keep every cell fresh (GAPS, MGAPS) implements
+/// only [`on_event`](Self::on_event),
+/// [`install_and_best`](Self::install_and_best) and [`stats`](Self::stats).
+pub trait MeshWorker {
     /// A stolen cell's sweep, self-contained enough to run on any worker.
     type Job: Send;
     /// The outcome of one stolen sweep, routed home by the driver.
     type Outcome: Send;
 
+    /// Applies one event to the cells of this shard (cells owned by other
+    /// shards are skipped). Every worker must see every event, in stream
+    /// order.
+    fn on_event(&mut self, event: &Event);
+
     /// Number of dirty cells this shard would sweep at the next flush.
-    fn dirty_count(&self) -> u64;
+    fn dirty_count(&self) -> u64 {
+        0
+    }
 
     /// Exports the tail `k` dirty cells as jobs and marks them exported
     /// (skipped by [`sweep_kept`](Self::sweep_kept), cleared by
     /// [`install_and_best`](Self::install_and_best)). `k` never exceeds
     /// the last reported [`dirty_count`](Self::dirty_count).
-    fn export_jobs(&mut self, k: usize) -> Vec<Self::Job>;
+    fn export_jobs(&mut self, k: usize) -> Vec<Self::Job> {
+        debug_assert_eq!(k, 0, "nothing dirty, nothing to export");
+        Vec::new()
+    }
 
     /// Runs jobs stolen from peers, counting each in this worker's
-    /// `sweeps`.
-    fn run_jobs(&mut self, jobs: Vec<Self::Job>) -> Vec<Self::Outcome>;
+    /// `sweeps`, and returns one outcome per job **in job order** (the
+    /// driver routes outcomes home by position).
+    fn run_jobs(&mut self, jobs: Vec<Self::Job>) -> Vec<Self::Outcome> {
+        debug_assert!(jobs.is_empty(), "no peer exports jobs");
+        Vec::new()
+    }
 
     /// Sweeps the dirty cells this shard kept (everything not exported),
     /// in place, counting them in this worker's `sweeps`.
-    fn sweep_kept(&mut self);
+    fn sweep_kept(&mut self) {}
 
     /// Installs outcomes of this shard's exported cells (computed by the
     /// thieves — not counted again here), clears the export list and
-    /// returns the shard's best candidate.
+    /// returns the shard's best candidate (`None` when the shard holds no
+    /// scoring cell). Afterwards every cell in the shard is fresh.
     fn install_and_best(&mut self, outcomes: Vec<Self::Outcome>) -> Option<ShardAnswer>;
+
+    /// This worker's lifetime counters.
+    fn stats(&self) -> ShardWorkerStats;
 }
 
-/// A [`ShardedIngest`] detector whose mesh is *elastic*: flushes can steal
-/// work across shards and the shard count can change at a pause boundary
-/// without losing state.
+/// A detector whose ingest fans out across a mesh of per-shard workers.
 ///
-/// [`reshard`](Self::reshard) re-homes every cell under the new
-/// [`crate::store::shard_of_cell`] mapping by capturing the detector's
-/// logical state and restoring it into a fresh store — the same
-/// machine-independent path checkpointing uses, so the answer stream after
-/// a reshard is bit-identical to a detector built at the new count from
-/// the start.
-pub trait ElasticIngest: ShardedIngest {
+/// Workers partition the cell state by [`crate::store::shard_of_cell`],
+/// every worker observes the full event stream in order (applying only its
+/// own cells), and flush answers merged by [`ShardAnswer::merge_key`] are
+/// bit-identical to the sequential detector's answer at the same stream
+/// position — for any steal schedule and any shard count.
+///
+/// The mesh is *elastic*: [`reshard`](Self::reshard) re-homes every cell
+/// under a new shard count by capturing the detector's logical state and
+/// restoring it into a fresh store — the same machine-independent path
+/// checkpointing uses, so the answer stream after a reshard is
+/// bit-identical to a detector built at the new count from the start.
+pub trait MeshIngest: BurstDetector {
     /// Stolen-sweep job (matches the worker's).
     type Job: Send;
     /// Stolen-sweep outcome (matches the worker's).
     type Outcome: Send;
-    /// The per-shard elastic handle type.
-    type EWorker<'a>: ElasticWorker<Job = Self::Job, Outcome = Self::Outcome> + Send
+    /// The per-shard handle type (borrows the detector mutably).
+    type Worker<'a>: MeshWorker<Job = Self::Job, Outcome = Self::Outcome> + Send
     where
         Self: 'a;
 
-    /// Splits the detector into one steal-capable worker per shard.
-    fn elastic_workers(&mut self) -> Vec<Self::EWorker<'_>>;
+    /// Splits the detector into one ingest worker per shard; the length is
+    /// the mesh's current shard count.
+    fn ingest_workers(&mut self) -> Vec<Self::Worker<'_>>;
 
-    /// Current shard count of the mesh.
-    fn mesh_shards(&self) -> usize;
+    /// Folds a completed mesh run's counters back into
+    /// [`BurstDetector::stats`].
+    fn absorb_shard_run(&mut self, run: ShardRunStats);
+
+    /// The query-region size (needed to turn merged [`ShardAnswer`]s into
+    /// [`RegionAnswer`]s while the workers still borrow the detector).
+    fn region_size(&self) -> RegionSize;
 
     /// Re-homes every cell under `shard_of_cell(id, shards)`. `shards` is
-    /// rounded up to a power of two by the store. Must be called only
-    /// between flushes (no dirty state in flight is required — dirty
-    /// marks survive via the captured per-cell state).
+    /// rounded up to a power of two. Must be called only between flushes
+    /// (dirty marks survive via the captured per-cell state).
     fn reshard(&mut self, shards: usize);
-
-    /// The home cell of an outcome — the driver routes each stolen
-    /// outcome back to `shard_of_cell(outcome_cell, n)`.
-    fn outcome_cell(outcome: &Self::Outcome) -> CellId;
 }
 
 /// A continuous top-k bursty-region detector (paper §VI).

@@ -18,7 +18,8 @@
 //!   behind the parallel-ingest pipeline.
 //! * [`reduction`] — the SURGE→cSPOT mapping (Theorem 1 of the paper).
 //! * [`detector`] — the [`BurstDetector`] / [`TopKDetector`] traits every
-//!   algorithm implements.
+//!   algorithm implements, plus [`IncrementalDetector`] (slide-batched dirty
+//!   sweeps) and [`MeshIngest`] / [`MeshWorker`] (the per-shard ingest mesh).
 //! * [`checkpoint`] — the logical state model behind durable snapshots:
 //!   [`EngineState`] for the window engines and the
 //!   [`CheckpointableDetector`] capture/restore contract for detectors
@@ -50,8 +51,8 @@ pub use checkpoint::{
     GridCellState, RectState, RestoreError,
 };
 pub use detector::{
-    BurstDetector, DetectorStats, ElasticIngest, ElasticWorker, IncrementalDetector, ShardAnswer,
-    ShardRunStats, ShardWorker, ShardWorkerStats, ShardedIngest, SweepCacheStats, TopKDetector,
+    BurstDetector, DetectorStats, IncrementalDetector, MeshIngest, MeshWorker, ShardAnswer,
+    ShardRunStats, ShardWorkerStats, SweepCacheStats, TopKDetector,
 };
 pub use event::{Event, EventKind};
 pub use geom::{Point, Rect};

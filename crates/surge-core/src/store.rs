@@ -5,7 +5,7 @@
 //! so `on_event` cannot fan out across cores. [`ShardedCellStore`] splits the
 //! cell universe into `2^k` disjoint shards by a **spatial hash** of the cell
 //! coordinates ([`shard_of_cell`]); any two cells in different shards can be
-//! mutated concurrently, which is what `surge-stream`'s sharded driver
+//! mutated concurrently, which is what `surge-stream`'s shard mesh
 //! exploits — each shard worker owns one shard's map exclusively for the
 //! whole run.
 //!

@@ -17,8 +17,8 @@
 //! per shard. Cells are independent — an event's updates to different cells
 //! commute — so the shards can ingest concurrently:
 //! [`CellCspot::ingest_workers`] splits the detector into per-shard
-//! [`CellShardWorker`]s that each own one shard's map and queue exclusively
-//! (`surge-stream`'s `drive_sharded` puts each on its own thread). The
+//! [`CellMeshWorker`]s that each own one shard's map and queue exclusively
+//! (`surge-stream`'s `drive_elastic` puts each on its own thread). The
 //! sequential [`BurstDetector::on_event`] routes through the exact same
 //! per-cell code, so shard count and thread count change wall-clock time
 //! only: detector state, answers and stats are bit-identical.
@@ -31,10 +31,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use surge_core::{
     object_to_rect, shard_of_cell, BurstDetector, BurstParams, CandidateState, CellId, CellState,
-    CheckpointableDetector, DetectorState, DetectorStats, ElasticIngest, ElasticWorker, Event,
-    EventKind, GridSpec, IncrementalDetector, Point, Rect, RectState, RegionAnswer, RegionSize,
-    RestoreError, ShardAnswer, ShardRunStats, ShardWorker, ShardWorkerStats, ShardedCellStore,
-    ShardedIngest, SurgeQuery, SweepCacheStats, TotalF64, WindowKind,
+    CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec,
+    IncrementalDetector, MeshIngest, MeshWorker, Point, Rect, RectState, RegionAnswer, RegionSize,
+    RestoreError, ShardAnswer, ShardRunStats, ShardWorkerStats, ShardedCellStore, SurgeQuery,
+    SweepCacheStats, TotalF64, WindowKind,
 };
 
 use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats};
@@ -415,20 +415,25 @@ fn dirty_ids(cells: &HashMap<CellId, Cell>) -> Vec<CellId> {
     ids
 }
 
-/// Sweeps every dirty cell of one shard in place (persistent state) and
-/// installs the outcomes. Returns the number of cells swept.
-fn sweep_shard_dirty(
-    cells: &mut HashMap<CellId, Cell>,
-    queue: &mut ShardQueue,
-    ctx: &ShardCtx,
-) -> u64 {
-    sweep_shard_dirty_excluding(cells, queue, ctx, &[])
+/// Snapshots dirty cells of one shard as self-contained rebuild jobs.
+fn dirty_jobs(cells: &HashMap<CellId, Cell>, ids: &[CellId]) -> Vec<DirtyCellJob> {
+    ids.iter()
+        .map(|&id| {
+            let cell = &cells[&id];
+            DirtyCellJob {
+                id,
+                rects: cell.sweep.full_rects(),
+                domain: cell.domain.expect("filtered to feasible"),
+            }
+        })
+        .collect()
 }
 
-/// [`sweep_shard_dirty`] minus the cells in `skip` (sorted ascending): the
-/// kept-cell sweep of an elastic flush, where `skip` is the exported tail
-/// whose sweeps run on thief workers instead.
-fn sweep_shard_dirty_excluding(
+/// Sweeps every dirty cell of one shard in place (persistent state) —
+/// minus the cells in `skip` (sorted ascending), the exported tail of a
+/// mesh flush whose sweeps run on thief workers instead — and installs the
+/// outcomes. Returns the number of cells swept.
+fn sweep_shard_dirty(
     cells: &mut HashMap<CellId, Cell>,
     queue: &mut ShardQueue,
     ctx: &ShardCtx,
@@ -635,47 +640,32 @@ impl CellCspot {
             .count()
     }
 
-    fn jobs_for_ids(&self, shard: usize, ids: Vec<CellId>) -> Vec<DirtyCellJob> {
-        let cells = self.store.shard(shard);
-        ids.into_iter()
-            .map(|id| {
-                let cell = &cells[&id];
-                DirtyCellJob {
-                    id,
-                    rects: cell.sweep.full_rects(),
-                    domain: cell.domain.expect("filtered to feasible"),
-                }
-            })
-            .collect()
-    }
-
     /// Snapshots every stale feasible cell as a self-contained
     /// [`DirtyCellJob`], in deterministic (cell-id) order.
     ///
-    /// The jobs are pure data: sweep them anywhere — in particular on worker
-    /// threads via `surge-stream`'s parallel dirty-cell sweeper — and feed
-    /// the outcomes back with [`Self::install_search_results`]. No events
-    /// may be applied between snapshot and install, otherwise the results
-    /// are silently out of date.
+    /// This snapshot → [`DirtyCellJob::run_with`] →
+    /// [`Self::install_search_results`] sequence is the rebuild-per-search
+    /// *reference* the in-place [`IncrementalDetector::sweep_dirty`] is
+    /// tested against (and the form in which mesh workers ship stolen
+    /// cells). The jobs are pure data; no events may be applied between
+    /// snapshot and install, otherwise the results are silently out of date.
     pub fn snapshot_dirty(&self) -> Vec<DirtyCellJob> {
-        let mut jobs: Vec<DirtyCellJob> = (0..self.store.shard_count())
-            .flat_map(|s| self.snapshot_dirty_shard(s))
+        let mut jobs: Vec<DirtyCellJob> = self
+            .store
+            .shards()
+            .iter()
+            .flat_map(|cells| dirty_jobs(cells, &dirty_ids(cells)))
             .collect();
         jobs.sort_unstable_by_key(|j| j.id);
         jobs
-    }
-
-    /// The [`Self::snapshot_dirty`] slice of one shard, in deterministic
-    /// (cell-id) order within the shard.
-    pub fn snapshot_dirty_shard(&self, shard: usize) -> Vec<DirtyCellJob> {
-        self.jobs_for_ids(shard, dirty_ids(self.store.shard(shard)))
     }
 
     /// Installs externally computed sweep outcomes (see
     /// [`Self::snapshot_dirty`]). Results for cells that have vanished in
     /// the meantime are ignored; each installed result counts as one search
     /// in [`DetectorStats`], exactly as if `search_cell` had run it.
-    /// Per-shard batches may be installed in any order.
+    /// Outcomes are per-cell and commute, so any install order produces
+    /// identical state.
     pub fn install_search_results(&mut self, results: impl IntoIterator<Item = DirtyCellResult>) {
         let ctx = self.ctx;
         for r in results {
@@ -884,32 +874,8 @@ impl CheckpointableDetector for CellCspot {
 }
 
 impl IncrementalDetector for CellCspot {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
-    type Scratch = SweepArena;
-
-    fn snapshot_dirty_jobs(&self) -> Vec<DirtyCellJob> {
-        self.snapshot_dirty()
-    }
-
-    fn run_job(&self, job: &DirtyCellJob) -> DirtyCellResult {
-        job.run(&self.ctx.params)
-    }
-
-    fn run_job_with(&self, arena: &mut SweepArena, job: &DirtyCellJob) -> DirtyCellResult {
-        job.run_with(arena, &self.ctx.params)
-    }
-
-    fn install_outcomes(&mut self, outcomes: Vec<DirtyCellResult>) {
-        self.install_search_results(outcomes);
-    }
-
     fn shard_count(&self) -> usize {
         self.store.shard_count()
-    }
-
-    fn snapshot_dirty_jobs_shard(&self, shard: usize) -> Vec<DirtyCellJob> {
-        self.snapshot_dirty_shard(shard)
     }
 
     fn sweep_cache_stats(&self) -> SweepCacheStats {
@@ -925,13 +891,12 @@ impl IncrementalDetector for CellCspot {
     /// In-place dirty sweeps over the persistent per-cell state, fanned out
     /// one scoped worker per shard chunk. Cells are independent and each
     /// shard's `(cells, queue)` pair is owned exclusively by one worker, so
-    /// results and stats are bit-identical to the sequential job path for
-    /// any thread count.
+    /// results and stats are bit-identical to the rebuild-per-search
+    /// reference ([`CellCspot::snapshot_dirty`]) for any thread count.
     ///
     /// Parallelism is bounded by the shard count (a shard's queue is
     /// mutated during install, so a shard cannot be split across workers
-    /// in place) — `threads > shard_count` adds nothing here, where the
-    /// old job-shipping path could fan single cells wider. Construct the
+    /// in place) — `threads > shard_count` adds nothing. Construct the
     /// detector with at least as many shards as sweep threads
     /// ([`CellCspot::with_shards`]; the default is
     /// [`DEFAULT_SHARDS`] = 8) to keep wide hosts saturated.
@@ -946,7 +911,7 @@ impl IncrementalDetector for CellCspot {
         let threads = threads.clamp(1, work.len().max(1));
         let swept: u64 = if threads <= 1 {
             work.iter_mut()
-                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
+                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx, &[]))
                 .sum()
         } else {
             let chunk = work.len().div_ceil(threads);
@@ -957,7 +922,7 @@ impl IncrementalDetector for CellCspot {
                         scope.spawn(move || {
                             chunk
                                 .iter_mut()
-                                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
+                                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx, &[]))
                                 .sum::<u64>()
                         })
                     })
@@ -973,13 +938,12 @@ impl IncrementalDetector for CellCspot {
     }
 }
 
-/// One shard's exclusive ingest handle (see [`ShardedIngest`]): owns the
-/// shard's cell map and queue for the lifetime of a sharded run, applies
-/// the event stream to its own cells, sweeps its dirty cells at flush
-/// boundaries with a private [`SweepArena`], and reports the shard-local
-/// best candidate.
+/// One shard's exclusive ingest handle (see [`MeshIngest`]): owns the
+/// shard's cell map and queue for the lifetime of a mesh epoch, applies the
+/// event stream to its own cells, sweeps its dirty cells at flush
+/// boundaries and reports the shard-local best candidate.
 #[derive(Debug)]
-pub struct CellShardWorker<'a> {
+pub struct CellMeshWorker<'a> {
     shard: usize,
     shard_count: usize,
     ctx: ShardCtx,
@@ -987,16 +951,26 @@ pub struct CellShardWorker<'a> {
     queue: &'a mut ShardQueue,
     pool: &'a mut SweepPool,
     stats: ShardWorkerStats,
-    /// Dirty cells exported to thieves in the current elastic flush (the
-    /// ascending tail of `dirty_ids`); skipped by the kept-cell sweep and
-    /// cleared once their outcomes are installed.
+    /// Dirty cells exported to thieves in the current flush (the ascending
+    /// tail of `dirty_ids`); skipped by the kept-cell sweep and cleared
+    /// once their outcomes are installed.
     exported: Vec<CellId>,
     /// Scratch for sweeping cells stolen *from* peers (the export path
     /// ships pure rebuild jobs, which reuse one arena across jobs).
     arena: SweepArena,
 }
 
-impl ShardWorker for CellShardWorker<'_> {
+/// The steal-capable flush (see [`MeshWorker`]): exported cells ship as
+/// [`DirtyCellJob`]s — the rebuild-per-search reference path, bit-identical
+/// to the in-place persistent sweep by construction — so any steal schedule
+/// produces the same installed state, the same merged answer and the same
+/// total sweep count as the un-stolen flush. Sweep attribution follows the
+/// work: the thief counts stolen jobs, the donor counts only kept cells and
+/// installs imported outcomes without counting.
+impl MeshWorker for CellMeshWorker<'_> {
+    type Job = DirtyCellJob;
+    type Outcome = DirtyCellResult;
+
     fn on_event(&mut self, event: &Event) {
         let Some(sweep) = event_sweep_rect(&self.ctx, event) else {
             return;
@@ -1012,27 +986,6 @@ impl ShardWorker for CellShardWorker<'_> {
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
-        self.stats.sweeps += sweep_shard_dirty(self.cells, self.queue, &self.ctx);
-        shard_best(self.cells, self.queue, &self.ctx)
-    }
-
-    fn stats(&self) -> ShardWorkerStats {
-        self.stats
-    }
-}
-
-/// The steal-capable flush (see [`ElasticWorker`]): exported cells ship as
-/// [`DirtyCellJob`]s — the rebuild-per-search reference path, bit-identical
-/// to the in-place persistent sweep by construction — so any steal schedule
-/// produces the same installed state, the same merged answer and the same
-/// total sweep count as the un-stolen flush. Sweep attribution follows the
-/// work: the thief counts stolen jobs, the donor counts only kept cells and
-/// installs imported outcomes without counting.
-impl ElasticWorker for CellShardWorker<'_> {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
-
     fn dirty_count(&self) -> u64 {
         dirty_ids(self.cells).len() as u64
     }
@@ -1042,17 +995,7 @@ impl ElasticWorker for CellShardWorker<'_> {
         let mut ids = dirty_ids(self.cells);
         let keep = ids.len().saturating_sub(k);
         self.exported = ids.split_off(keep);
-        self.exported
-            .iter()
-            .map(|&id| {
-                let cell = &self.cells[&id];
-                DirtyCellJob {
-                    id,
-                    rects: cell.sweep.full_rects(),
-                    domain: cell.domain.expect("filtered to feasible"),
-                }
-            })
-            .collect()
+        dirty_jobs(self.cells, &self.exported)
     }
 
     fn run_jobs(&mut self, jobs: Vec<DirtyCellJob>) -> Vec<DirtyCellResult> {
@@ -1063,8 +1006,7 @@ impl ElasticWorker for CellShardWorker<'_> {
     }
 
     fn sweep_kept(&mut self) {
-        self.stats.sweeps +=
-            sweep_shard_dirty_excluding(self.cells, self.queue, &self.ctx, &self.exported);
+        self.stats.sweeps += sweep_shard_dirty(self.cells, self.queue, &self.ctx, &self.exported);
     }
 
     fn install_and_best(&mut self, outcomes: Vec<DirtyCellResult>) -> Option<ShardAnswer> {
@@ -1075,12 +1017,18 @@ impl ElasticWorker for CellShardWorker<'_> {
         self.exported.clear();
         shard_best(self.cells, self.queue, &self.ctx)
     }
+
+    fn stats(&self) -> ShardWorkerStats {
+        self.stats
+    }
 }
 
-impl ShardedIngest for CellCspot {
-    type Worker<'a> = CellShardWorker<'a>;
+impl MeshIngest for CellCspot {
+    type Job = DirtyCellJob;
+    type Outcome = DirtyCellResult;
+    type Worker<'a> = CellMeshWorker<'a>;
 
-    fn ingest_workers(&mut self) -> Vec<CellShardWorker<'_>> {
+    fn ingest_workers(&mut self) -> Vec<CellMeshWorker<'_>> {
         let ctx = self.ctx;
         let shard_count = self.store.shard_count();
         self.store
@@ -1088,7 +1036,7 @@ impl ShardedIngest for CellCspot {
             .iter_mut()
             .zip(self.queues.iter_mut().zip(self.pools.iter_mut()))
             .enumerate()
-            .map(|(shard, (cells, (queue, pool)))| CellShardWorker {
+            .map(|(shard, (cells, (queue, pool)))| CellMeshWorker {
                 shard,
                 shard_count,
                 ctx,
@@ -1112,27 +1060,9 @@ impl ShardedIngest for CellCspot {
     fn region_size(&self) -> RegionSize {
         self.ctx.query.region
     }
-}
-
-impl ElasticIngest for CellCspot {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
-    type EWorker<'a> = CellShardWorker<'a>;
-
-    fn elastic_workers(&mut self) -> Vec<CellShardWorker<'_>> {
-        self.ingest_workers()
-    }
-
-    fn mesh_shards(&self) -> usize {
-        self.store.shard_count()
-    }
 
     fn reshard(&mut self, shards: usize) {
         CellCspot::reshard(self, shards);
-    }
-
-    fn outcome_cell(outcome: &DirtyCellResult) -> CellId {
-        outcome.id
     }
 }
 
@@ -1623,10 +1553,14 @@ mod tests {
         }
         // The flush contract compares against the *all-fresh* sequential
         // state (snapshot → install → current), the exact cadence the
-        // sharded driver runs at.
-        let jobs = seq.snapshot_dirty_jobs();
-        let outcomes: Vec<_> = jobs.iter().map(|j| seq.run_job(j)).collect();
-        seq.install_outcomes(outcomes);
+        // mesh driver runs at.
+        let params = seq.burst_params();
+        let outcomes: Vec<_> = seq
+            .snapshot_dirty()
+            .iter()
+            .map(|j| j.run(&params))
+            .collect();
+        seq.install_search_results(outcomes);
         let want = seq.current();
 
         let mut par = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
@@ -1640,7 +1574,10 @@ mod tests {
             }
             let best = workers
                 .iter_mut()
-                .filter_map(|w| w.flush())
+                .filter_map(|w| {
+                    w.sweep_kept();
+                    w.install_and_best(Vec::new())
+                })
                 .max_by_key(|a| a.merge_key());
             let sweeps: u64 = workers.iter().map(|w| w.stats().sweeps).sum();
             (best, sweeps)

@@ -36,7 +36,7 @@ pub mod sweep;
 
 pub use base::BaseDetector;
 pub use cell::{
-    BoundMode, CellCspot, CellShardWorker, DirtyCellJob, DirtyCellResult, DEFAULT_SHARDS,
+    BoundMode, CellCspot, CellMeshWorker, DirtyCellJob, DirtyCellResult, DEFAULT_SHARDS,
 };
 pub use maxrs::maxrs_sweep;
 pub use oracle::{score_of_region, snapshot_bursty_region, snapshot_rects, snapshot_topk};

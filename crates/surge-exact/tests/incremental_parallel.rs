@@ -1,12 +1,11 @@
 //! End-to-end equivalence of the incremental dirty-cell path: driving
-//! Cell-CSPOT through `drive_incremental` (snapshot dirty cells → parallel
-//! sweeps → install) must produce exactly the state and answers of the
-//! plain sequential driver, for any thread count — parallelism may only
-//! change wall-clock time.
+//! Cell-CSPOT through `drive_incremental` (in-place parallel sweeps of the
+//! dirty cells) must produce exactly the state and answers of the plain
+//! sequential driver, for any thread count — parallelism may only change
+//! wall-clock time. The rebuild-per-search reference (`snapshot_dirty` →
+//! `DirtyCellJob::run` → `install_search_results`) is held to the same bar.
 
-use surge_core::{
-    BurstDetector, IncrementalDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
-};
+use surge_core::{BurstDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::CellCspot;
 use surge_stream::{drive_incremental, SlidingWindowEngine};
 use surge_testkit::clustered_stream;
@@ -18,6 +17,13 @@ fn query(alpha: f64) -> SurgeQuery {
 /// A clustered deterministic stream that keeps several cells contending.
 fn stream(n: usize) -> Vec<SpatialObject> {
     clustered_stream(n, 5, 7, 0xA5A5_5A5A_1234_5678)
+}
+
+/// Sweeps every dirty cell through the rebuild-per-search reference path.
+fn sweep_by_reference(d: &mut CellCspot) {
+    let params = d.burst_params();
+    let outcomes: Vec<_> = d.snapshot_dirty().iter().map(|j| j.run(&params)).collect();
+    d.install_search_results(outcomes);
 }
 
 #[test]
@@ -103,9 +109,7 @@ fn snapshot_install_equals_lazy_search() {
             eager.on_event(&ev);
         }
         if i % 50 == 49 {
-            let jobs = eager.snapshot_dirty_jobs();
-            let outcomes: Vec<_> = jobs.iter().map(|j| eager.run_job(j)).collect();
-            eager.install_outcomes(outcomes);
+            sweep_by_reference(&mut eager);
             assert_eq!(eager.dirty_cell_count(), 0);
 
             let a = lazy.current().map(|r| r.score);
@@ -128,7 +132,7 @@ fn snapshot_install_equals_lazy_search() {
 #[test]
 fn snapshot_of_clean_detector_is_empty() {
     let mut d = CellCspot::new(query(0.5));
-    assert!(d.snapshot_dirty_jobs().is_empty());
+    assert!(d.snapshot_dirty().is_empty());
     let mut engine = SlidingWindowEngine::new(WindowConfig::equal(500));
     for ev in engine.push(SpatialObject::new(0, 1.0, Point::new(0.5, 0.5), 0)) {
         d.on_event(&ev);
@@ -138,9 +142,7 @@ fn snapshot_of_clean_detector_is_empty() {
     // (that is the point of the bounds), so dirt can remain...
     let _ = d.current();
     // ...whereas snapshot → install sweeps *every* dirty cell eagerly.
-    let jobs = d.snapshot_dirty_jobs();
-    let outcomes: Vec<_> = jobs.iter().map(|j| d.run_job(j)).collect();
-    d.install_outcomes(outcomes);
+    sweep_by_reference(&mut d);
     assert_eq!(d.dirty_cell_count(), 0);
-    assert!(d.snapshot_dirty_jobs().is_empty());
+    assert!(d.snapshot_dirty().is_empty());
 }

@@ -10,7 +10,7 @@ use surge_core::{BurstDetector, Rect, RegionSize, SurgeQuery, WindowConfig};
 use surge_exact::{
     sl_cspot_rebuild, BoundMode, CellCspot, PersistentCellSweep, SweepArena, SweepMode, SweepPool,
 };
-use surge_stream::{drive_incremental, drive_sharded, SlidingWindowEngine};
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy, SlidingWindowEngine};
 use surge_testkit::{arb_lattice_stream, arb_window_config};
 
 fn params(alpha_pct: u32) -> surge_core::BurstParams {
@@ -221,11 +221,11 @@ proptest! {
         }
     }
 
-    /// The sharded driver on a persistent detector still bit-matches the
+    /// The mesh driver on a persistent detector still bit-matches the
     /// rebuild-mode incremental driver — persistence composes with shard
-    /// workers and the terminal drain.
+    /// workers, stolen rebuild jobs and the terminal drain.
     #[test]
-    fn sharded_persistent_matches_rebuild_incremental(
+    fn mesh_persistent_matches_rebuild_incremental(
         objs in arb_lattice_stream(160),
         alpha_pct in 0u32..100,
         shard_pow in 0u32..4,
@@ -240,7 +240,8 @@ proptest! {
         let shards = 1usize << shard_pow;
         let mut pers =
             CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, shards);
-        let par = drive_sharded(&mut pers, windows, objs.iter().copied(), 32);
+        let fixed = BalancerPolicy { max_shards: shards, ..BalancerPolicy::default() };
+        let par = drive_elastic(&mut pers, windows, objs.iter().copied(), 32, fixed);
 
         prop_assert_eq!(par.answers.len(), seq.answers.len());
         for (i, (a, b)) in par.answers.iter().zip(seq.answers.iter()).enumerate() {

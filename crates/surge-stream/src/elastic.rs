@@ -1,12 +1,31 @@
-//! The elastic driver: a shard mesh that steals work, watches its own skew
-//! and reshards itself mid-run — all bit-identically.
+//! The shard mesh: parallel ingest *and* dirty-cell sweeps on one worker
+//! per shard, with work stealing, skew detection and live resharding — all
+//! bit-identically.
 //!
-//! [`crate::sharded::drive_sharded`] fixed the shard count at process start
-//! and let one hot shard own a whole flush's sweep load: a skewed workload
-//! (every object homed to one anchor cell) serializes the mesh no matter
-//! how many workers it has. This driver makes the mesh elastic in three
-//! compounding steps, each gated on bitwise differentials
-//! (`tests/elastic_differential.rs`) before any timing:
+//! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
+//! but applies every event on the calling thread. [`drive_elastic`] moves
+//! *application* to per-shard ingest workers ([`MeshIngest`]): the driver
+//! thread owns the one [`SlidingWindowEngine`], expands each arrival into
+//! the canonical `Grown`/`Expired`/`New` sequence (O(1) per object — paper
+//! §IV-C) and broadcasts the events in shared `Arc<[Event]>` batches; every
+//! worker sees every event, in stream order, and applies the ones that
+//! touch its own cells. Per-cell event order is therefore exactly the
+//! sequential drivers' — shard count and thread interleaving change
+//! wall-clock time only.
+//!
+//! At each slide boundary the driver runs a flush handshake: every worker
+//! sweeps dirty cells and answers with its shard-local best. Merging the
+//! shard answers by [`ShardAnswer::merge_key`] reproduces the sequential
+//! detector's best-first scan exactly, so the reported answers are
+//! bit-identical to [`drive_incremental`](crate::parallel::drive_incremental)
+//! at the same slide cadence — including the terminal drain flush both
+//! drivers end with (`SlidingWindowEngine::finish` semantics).
+//!
+//! A fixed ownership would let one hot shard own a whole flush's sweep
+//! load: a skewed workload (every object homed to one anchor cell)
+//! serializes the mesh no matter how many workers it has. The mesh is
+//! therefore elastic in three compounding steps, each gated on bitwise
+//! differentials (`tests/elastic_differential.rs`) before any timing:
 //!
 //! 1. **Work-stealing sweeps.** At a flush the driver collects per-shard
 //!    dirty-cell counts, computes a deterministic [`steal plan`](StealPlan)
@@ -22,14 +41,15 @@
 //!    dirty-cell counts as the load signal; when the maximum exceeds the
 //!    mean by [`BalancerPolicy::skew_percent`] for
 //!    [`BalancerPolicy::patience`] consecutive flushes, it recommends
-//!    doubling the shard count. The decision is a pure function of the
-//!    flush-boundary counters, so a crash-replayed run re-triggers the same
-//!    reshard at the same flush.
+//!    doubling the shard count (never past [`BalancerPolicy::max_shards`] —
+//!    set it to the starting width for a fixed-width mesh). The decision is
+//!    a pure function of the flush-boundary counters, so a crash-replayed
+//!    run re-triggers the same reshard at the same flush.
 //! 3. **Live resharding.** The driver runs the mesh in *epochs*: on a
 //!    balancer recommendation (always at a slide boundary) it closes the
 //!    workers' channels, joins them, re-homes every cell under the new
 //!    `shard_of_cell` mapping via the detector's checkpoint path
-//!    ([`ElasticIngest::reshard`]) and resumes the stream where it left
+//!    ([`MeshIngest::reshard`]) and resumes the stream where it left
 //!    off. The window engine lives on the driver thread and simply carries
 //!    over; shard count is purely structural, so the answer stream
 //!    continues bit-identically — doubling the mesh without a restart.
@@ -37,25 +57,46 @@
 //! The flush handshake is a strict request/reply sequence — `FlushBegin` →
 //! dirty counts → `Export` → jobs → `Sweep` → outcomes → `Install` →
 //! answers — with at most one outstanding command per worker, so the
-//! bounded channels cannot deadlock regardless of capacity. Window
-//! expansion, the event broadcast and worker-panic handling are shared with
-//! [`crate::sharded`] unchanged.
+//! bounded channels cannot deadlock regardless of capacity.
+//!
+//! A worker that panics hangs up its channels; the driver's next send or
+//! receive on them fails, it stops, joins the mesh and re-raises the
+//! worker's own panic — no peer is left waiting.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::mpsc::{RecvError, SendError, TryRecvError};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
+use std::time::{Duration as WallDuration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use surge_core::{
-    shard_of_cell, ElasticIngest, ElasticWorker, Event, RegionAnswer, RegionSize, ShardAnswer,
-    ShardRunStats, ShardWorkerStats, SpatialObject, WindowConfig,
+    Event, MeshIngest, MeshWorker, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats,
+    ShardWorkerStats, SpatialObject, WindowConfig,
 };
 use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::sharded::{join_workers, keep_best, recv_command, EventFanout, WorkerGone, BATCH};
 use crate::window::{EventBatch, SlidingWindowEngine};
+
+/// Events are broadcast to shard workers once this many are buffered (and
+/// at every flush), amortizing channel overhead.
+const BATCH: usize = 256;
+
+/// How long a blocking mesh send may take before the backpressure watchdog
+/// notes it in the flight recorder (and dumps the rings once per run).
+/// Wall-clock gated, but it only ever *reports* — it never changes what the
+/// driver computes, so the bitwise contract is untouched.
+const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
+
+/// How long an idle worker polls its command channel before parking. A
+/// flush is a handful of request/reply round trips a few hundred
+/// microseconds apart; parking between them costs a futex wake-up per
+/// round trip — on a virtualised host an interrupt to a halted vCPU —
+/// which on small slides outweighs the sweeps themselves.
+const WORKER_POLL: WallDuration = WallDuration::from_micros(100);
 
 /// When the [`ShardBalancer`] recommends splitting the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,8 +177,8 @@ impl ShardBalancer {
     /// Observes one flush: `dirty[s]` is shard `s`'s dirty-cell count
     /// before stealing. Returns the recommended new shard count, or `None`
     /// to keep running.
-    pub fn observe(&mut self, shards: usize, dirty: &[u64]) -> Option<usize> {
-        debug_assert_eq!(dirty.len(), shards);
+    pub fn observe(&mut self, dirty: &[u64]) -> Option<usize> {
+        let shards = dirty.len();
         let total: u64 = dirty.iter().sum();
         if total < self.policy.min_load {
             self.streak = 0;
@@ -232,10 +273,10 @@ pub(crate) fn steal_plan(dirty: &[u64]) -> Option<StealPlan> {
     })
 }
 
-/// What the driver sends each elastic worker.
-enum ElasticMsg<J, O> {
-    /// A batch of expanded events (shared, not deep-copied) — identical to
-    /// the sharded driver's broadcast.
+/// What the driver sends each mesh worker.
+enum MeshMsg<J, O> {
+    /// A batch of expanded events, in stream order, shared (not
+    /// deep-copied) across the workers. Every worker receives every batch.
     Events(Arc<[Event]>),
     /// Flush phase 1: reply with your dirty-cell count.
     FlushBegin,
@@ -252,35 +293,163 @@ enum ElasticMsg<J, O> {
 
 /// Worker replies, on a dedicated per-worker channel (strictly one reply
 /// per command — the mesh never has two commands in flight per worker).
-enum ElasticReply<J, O> {
+enum MeshReply<J, O> {
     Dirty(u64),
     Jobs(Vec<J>),
     Outcomes(Vec<O>),
     Answer(Option<ShardAnswer>),
 }
 
-fn elastic_worker_loop<W: ElasticWorker>(
+/// A worker's channel hung up mid-run, which only a worker panic causes.
+/// The driver stops and hands this to [`join_workers`].
+struct WorkerGone;
+
+impl<T> From<SendError<T>> for WorkerGone {
+    fn from(_: SendError<T>) -> Self {
+        WorkerGone
+    }
+}
+
+impl From<RecvError> for WorkerGone {
+    fn from(_: RecvError) -> Self {
+        WorkerGone
+    }
+}
+
+/// A worker's receive: polls for up to [`WORKER_POLL`], yielding the CPU
+/// between polls, then blocks. `Err` once the driver has hung up.
+fn recv_command<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => {}
+        }
+        if start.elapsed() >= WORKER_POLL {
+            return rx.recv();
+        }
+        thread::yield_now();
+    }
+}
+
+/// Joins every worker (the caller has dropped their command senders) and
+/// re-raises the first worker panic with its own payload, so a failed
+/// worker surfaces as that one error.
+fn join_workers<T>(
+    handles: Vec<ScopedJoinHandle<'_, T>>,
+    driven: Result<(), WorkerGone>,
+) -> Vec<T> {
+    let mut joined = Vec::with_capacity(handles.len());
+    let mut panic = None;
+    for h in handles {
+        match h.join() {
+            Ok(v) => joined.push(v),
+            Err(payload) => {
+                panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    assert!(driven.is_ok(), "a shard worker hung up without panicking");
+    joined
+}
+
+/// Folds one shard's flush answer into the running best. Deterministic
+/// merge: shard bests are keyed by `(score, bound, cell)`, a total order
+/// independent of thread timing and shard count.
+fn keep_best(best: &mut Option<ShardAnswer>, candidate: Option<ShardAnswer>) {
+    if let Some(a) = candidate {
+        if best.is_none_or(|b| a.merge_key() > b.merge_key()) {
+            *best = Some(a);
+        }
+    }
+}
+
+/// The driver's event fan-out: shares each expanded batch with every
+/// worker, counts what it sent, and — when observability is on — runs the
+/// reporting-only backpressure watchdog around each blocking send.
+struct EventFanout<'a> {
+    obs: &'a Observe,
+    flight: &'a Flight,
+    watchdog_fired: Cell<bool>,
+    /// Events broadcast so far.
+    events: Cell<u64>,
+}
+
+impl EventFanout<'_> {
+    /// Sends `batch` to every worker as one shared allocation (each worker
+    /// holds an `Arc`, not a deep copy) and empties it.
+    fn broadcast<J, O>(
+        &self,
+        txs: &[Sender<MeshMsg<J, O>>],
+        batch: &mut EventBatch,
+        seq: u64,
+    ) -> Result<(), WorkerGone> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.events.set(self.events.get() + batch.len() as u64);
+        let shared: Arc<[Event]> = Arc::from(batch.as_slice());
+        batch.clear();
+        for (shard, tx) in txs.iter().enumerate() {
+            // A slow send is noted in the driver ring and the rings are
+            // dumped once per run; the send itself is the same blocking
+            // call either way.
+            let start = self.obs.is_enabled().then(Instant::now);
+            tx.send(MeshMsg::Events(Arc::clone(&shared)))?;
+            if start.is_some_and(|s| s.elapsed() >= WATCHDOG_SEND) {
+                self.flight.record(TraceEvent::Backpressure {
+                    seq,
+                    shard: shard as u32,
+                });
+                if !self.watchdog_fired.replace(true) {
+                    eprintln!("{}", self.obs.trace_dump());
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One worker's command loop. `flush_seq` is the run-wide sequence number
+/// of the epoch's first flush, so the worker's flight ring traces flushes
+/// in the same logical time as the driver's.
+fn mesh_worker_loop<W: MeshWorker>(
     mut worker: W,
-    rx: Receiver<ElasticMsg<W::Job, W::Outcome>>,
-    tx: Sender<ElasticReply<W::Job, W::Outcome>>,
+    rx: Receiver<MeshMsg<W::Job, W::Outcome>>,
+    tx: Sender<MeshReply<W::Job, W::Outcome>>,
+    flight: Flight,
+    mut flush_seq: u64,
 ) -> ShardWorkerStats {
     while let Ok(msg) = recv_command(&rx) {
         let reply = match msg {
-            ElasticMsg::Events(events) => {
+            MeshMsg::Events(events) => {
                 for ev in events.iter() {
                     worker.on_event(ev);
                 }
                 continue;
             }
-            ElasticMsg::FlushBegin => ElasticReply::Dirty(worker.dirty_count()),
-            ElasticMsg::Export(k) => ElasticReply::Jobs(worker.export_jobs(k)),
-            ElasticMsg::Sweep(stolen) => {
+            MeshMsg::FlushBegin => {
+                flight.record(TraceEvent::FlushStart { seq: flush_seq });
+                MeshReply::Dirty(worker.dirty_count())
+            }
+            MeshMsg::Export(k) => MeshReply::Jobs(worker.export_jobs(k)),
+            MeshMsg::Sweep(stolen) => {
                 let outcomes = worker.run_jobs(stolen);
                 worker.sweep_kept();
-                ElasticReply::Outcomes(outcomes)
+                MeshReply::Outcomes(outcomes)
             }
-            ElasticMsg::Install(outcomes) => {
-                ElasticReply::Answer(worker.install_and_best(outcomes))
+            MeshMsg::Install(outcomes) => {
+                let best = worker.install_and_best(outcomes);
+                flight.record(TraceEvent::FlushEnd {
+                    seq: flush_seq,
+                    answers: best.is_some() as u64,
+                });
+                flush_seq += 1;
+                MeshReply::Answer(best)
             }
         };
         tx.send(reply).expect("driver alive");
@@ -305,7 +474,7 @@ pub struct EpochStats {
     pub shard_stats: Vec<ShardWorkerStats>,
 }
 
-/// Outcome of an elastic run.
+/// Outcome of a mesh run.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Objects processed.
@@ -324,17 +493,23 @@ pub struct ElasticReport {
     pub final_shards: usize,
     /// Per-epoch counters, in epoch order (always at least one).
     pub epochs: Vec<EpochStats>,
-    /// The merged answer at every flush boundary, bit-identical to
-    /// `drive_sharded` / `drive_incremental` at the same slide cadence.
+    /// The merged answer at every flush boundary, in flush order —
+    /// bit-identical to `drive_incremental`'s per-slide answers. Retains
+    /// every answer under the default [`RetainAll`] sink; bounded by
+    /// consumer lag under [`drive_elastic_with_sink`].
     pub answers: AnswerLog<Option<RegionAnswer>>,
-    /// The terminal flush's answer, tracked independently of retention.
+    /// The terminal flush's answer (after the drain: `None` unless the
+    /// detector reports something for empty windows), tracked independently
+    /// of retention — it is correct even when an acking sink has released
+    /// every flush from [`answers`](Self::answers).
     pub final_answer: Option<RegionAnswer>,
 }
 
 impl ElasticReport {
     /// The sweep critical path: the largest per-shard sweep count any
     /// single worker ran in any epoch. Stealing and splitting push this
-    /// toward `sweeps / shards`; a static skewed mesh pins it at `sweeps`.
+    /// toward `sweeps / shards`; without them a skewed stream pins it at
+    /// `sweeps`.
     pub fn max_shard_sweeps(&self) -> u64 {
         self.epochs
             .iter()
@@ -352,13 +527,13 @@ enum EpochEnd {
     Reshard(usize),
 }
 
-/// One elastic flush handshake across the whole mesh. The caller has
-/// already broadcast any buffered events. Returns the merged answer and the
+/// One flush handshake across the whole mesh. The caller has already
+/// broadcast any buffered events. Returns the merged answer and the
 /// pre-steal dirty counts (for the balancer), and accounts stealing into
 /// `shard_sweeps` / `stolen`.
-fn elastic_flush<D: ElasticIngest>(
-    txs: &[Sender<ElasticMsg<D::Job, D::Outcome>>],
-    reply_rxs: &[Receiver<ElasticReply<D::Job, D::Outcome>>],
+fn mesh_flush<J, O>(
+    txs: &[Sender<MeshMsg<J, O>>],
+    reply_rxs: &[Receiver<MeshReply<J, O>>],
     region: RegionSize,
     shard_sweeps: &mut [u64],
     stolen_total: &mut u64,
@@ -369,30 +544,30 @@ fn elastic_flush<D: ElasticIngest>(
     flight.record(TraceEvent::FlushStart { seq });
     // Phase 1: dirty counts.
     for tx in txs {
-        tx.send(ElasticMsg::FlushBegin)?;
+        tx.send(MeshMsg::FlushBegin)?;
     }
     let mut dirty: Vec<u64> = Vec::with_capacity(n);
     for rx in reply_rxs {
         match rx.recv()? {
-            ElasticReply::Dirty(c) => dirty.push(c),
+            MeshReply::Dirty(c) => dirty.push(c),
             _ => unreachable!("protocol: FlushBegin answers with Dirty"),
         }
     }
 
     // Phase 2: plan + export.
     let plan = steal_plan(&dirty);
-    let mut stolen_for: Vec<Vec<D::Job>> = (0..n).map(|_| Vec::new()).collect();
+    let mut stolen_for: Vec<Vec<J>> = (0..n).map(|_| Vec::new()).collect();
     if let Some(plan) = &plan {
-        let mut jobs_by_donor: Vec<VecDeque<D::Job>> = (0..n).map(|_| VecDeque::new()).collect();
+        let mut jobs_by_donor: Vec<VecDeque<J>> = (0..n).map(|_| VecDeque::new()).collect();
         for (d, &k) in plan.exports.iter().enumerate() {
             if k > 0 {
-                txs[d].send(ElasticMsg::Export(k))?;
+                txs[d].send(MeshMsg::Export(k))?;
             }
         }
         for (d, &k) in plan.exports.iter().enumerate() {
             if k > 0 {
                 match reply_rxs[d].recv()? {
-                    ElasticReply::Jobs(jobs) => {
+                    MeshReply::Jobs(jobs) => {
                         debug_assert_eq!(jobs.len(), k);
                         jobs_by_donor[d] = jobs.into();
                     }
@@ -416,29 +591,31 @@ fn elastic_flush<D: ElasticIngest>(
     for (w, (tx, stolen)) in txs.iter().zip(stolen_for).enumerate() {
         let kept = dirty[w] - plan.as_ref().map_or(0, |p| p.exports[w] as u64);
         shard_sweeps[w] += kept + stolen.len() as u64;
-        tx.send(ElasticMsg::Sweep(stolen))?;
+        tx.send(MeshMsg::Sweep(stolen))?;
     }
 
-    // Phase 4: route outcomes home and install.
-    let mut to_install: Vec<Vec<D::Outcome>> = (0..n).map(|_| Vec::new()).collect();
-    for rx in reply_rxs {
+    // Phase 4: route outcomes home and install. A thief's outcomes come
+    // back in job order, i.e. in the order of its `(donor, count)` runs.
+    let mut to_install: Vec<Vec<O>> = (0..n).map(|_| Vec::new()).collect();
+    for (thief, rx) in reply_rxs.iter().enumerate() {
         match rx.recv()? {
-            ElasticReply::Outcomes(outcomes) => {
-                for o in outcomes {
-                    let home = shard_of_cell(D::outcome_cell(&o), n);
-                    to_install[home].push(o);
+            MeshReply::Outcomes(outcomes) => {
+                let mut outcomes = outcomes.into_iter();
+                for &(donor, count) in plan.iter().flat_map(|p| &p.assign[thief]) {
+                    to_install[donor].extend(outcomes.by_ref().take(count));
                 }
+                debug_assert!(outcomes.next().is_none(), "one outcome per stolen job");
             }
             _ => unreachable!("protocol: Sweep answers with Outcomes"),
         }
     }
     for (tx, outs) in txs.iter().zip(to_install) {
-        tx.send(ElasticMsg::Install(outs))?;
+        tx.send(MeshMsg::Install(outs))?;
     }
     let mut best: Option<ShardAnswer> = None;
     for rx in reply_rxs {
         match rx.recv()? {
-            ElasticReply::Answer(ans) => keep_best(&mut best, ans),
+            MeshReply::Answer(ans) => keep_best(&mut best, ans),
             _ => unreachable!("protocol: Install answers with Answer"),
         }
     }
@@ -450,19 +627,26 @@ fn elastic_flush<D: ElasticIngest>(
     Ok((merged, dirty))
 }
 
-/// Drives `source` into an [`ElasticIngest`] detector with one worker per
-/// shard, stealing sweeps at every flush and doubling the shard count live
-/// whenever the balancer detects persistent skew — with answers
-/// bit-identical to [`crate::sharded::drive_sharded`] and the sequential
-/// drivers at the same slide cadence, for any steal schedule and any
-/// reshard history.
+/// Drives `source` into a [`MeshIngest`] detector with one worker thread
+/// per shard, refreshing the merged continuous answer once per
+/// `slide_objects` arrivals (plus the terminal drain flush), stealing
+/// sweeps at every flush and doubling the shard count live whenever the
+/// balancer detects persistent skew.
+///
+/// The calling thread expands window transitions, broadcasts event batches
+/// and merges flush answers; ingest and dirty-cell sweeps run on the shard
+/// workers. The per-flush answers (and the detector's final state and
+/// stats) are bit-identical to [`crate::parallel::drive_incremental`] at
+/// the same slide size, for any steal schedule and any reshard history —
+/// see the module docs for why. A `policy` whose `max_shards` equals the
+/// detector's shard count runs a fixed-width mesh.
 ///
 /// # Panics
 ///
 /// Panics if `slide_objects` is 0, if the stream is not timestamp-ordered
 /// (the engine's own check, on the calling thread before any broadcast),
 /// or propagates a worker panic.
-pub fn drive_elastic<D: ElasticIngest>(
+pub fn drive_elastic<D: MeshIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -479,9 +663,14 @@ pub fn drive_elastic<D: ElasticIngest>(
     )
 }
 
-/// [`drive_elastic`] with an explicit answer consumer (see
-/// [`crate::sharded::drive_sharded_with_sink`]).
-pub fn drive_elastic_with_sink<D: ElasticIngest>(
+/// [`drive_elastic`] with an explicit answer consumer: every merged flush
+/// answer is delivered through `sink` on the driver thread, and acked
+/// answers are released from `ElasticReport::answers` instead of retained.
+///
+/// # Panics
+///
+/// Same as [`drive_elastic`].
+pub fn drive_elastic_with_sink<D: MeshIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -501,18 +690,21 @@ pub fn drive_elastic_with_sink<D: ElasticIngest>(
 }
 
 /// [`drive_elastic_with_sink`] with registry probes: driver counters under
-/// `elastic/*`, per-epoch shard-sweep counters
-/// (`elastic/epoch=E/shard=S/sweeps`), and a driver flight ring that traces
-/// every flush, steal plan and reshard epoch in logical time. Stolen-cell
-/// counts and reshard decisions are already deterministic (see the module
-/// docs), so the trace dump is identical run-to-run; a disabled `obs`
-/// compiles the probes down to a branch on `None` and the answers are
-/// bitwise identical either way (proptested).
+/// `elastic/*`, per-epoch per-shard counters
+/// (`elastic/epoch=E/shard=S/sweeps`, `…/cell_touches`), a driver flight
+/// ring that traces every flush, steal plan and reshard epoch in logical
+/// time plus one ring per worker per epoch (`elastic/epoch=E/shard=S`), a
+/// mesh-backpressure watchdog that notes slow channel sends and dumps the
+/// rings, and a panic-time ring dump. Stolen-cell counts and reshard
+/// decisions are already deterministic (see the module docs), so the trace
+/// dump is identical run-to-run; a disabled `obs` compiles the probes down
+/// to a branch on `None` and the answers are bitwise identical either way
+/// (proptested).
 ///
 /// # Panics
 ///
 /// Same as [`drive_elastic`].
-pub fn drive_elastic_observed<D: ElasticIngest>(
+pub fn drive_elastic_observed<D: MeshIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -524,7 +716,12 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
     assert!(slide_objects > 0, "slide must contain at least one object");
     let driver_flight = obs.flight("elastic/driver");
     let _panic_dump = obs.panic_dump_guard("drive_elastic");
-    let fanout = EventFanout::new(obs, &driver_flight);
+    let fanout = EventFanout {
+        obs,
+        flight: &driver_flight,
+        watchdog_fired: Cell::new(false),
+        events: Cell::new(0),
+    };
     let region = detector.region_size();
     let mut source = source.fuse();
     // The one window engine, on the driver thread for the whole run: a
@@ -534,29 +731,28 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
     let mut balancer = ShardBalancer::new(policy);
     let mut objects = 0u64;
     let mut slides = 0u64;
-    let mut sweeps = 0u64;
-    let mut stolen = 0u64;
-    let mut reshards = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
+    // The terminal flush's answer, tracked independently of retention: an
+    // acking sink may release every flush from `answers`, and the report
+    // must still state the terminal answer.
     let mut final_answer: Option<RegionAnswer> = None;
     let mut epochs: Vec<EpochStats> = Vec::new();
 
     loop {
-        let n = detector.mesh_shards();
         let (end, epoch) = thread::scope(|scope| {
-            let workers = detector.elastic_workers();
-            debug_assert_eq!(workers.len(), n);
-
-            let mut txs: Vec<Sender<ElasticMsg<D::Job, D::Outcome>>> = Vec::with_capacity(n);
-            let mut reply_rxs: Vec<Receiver<ElasticReply<D::Job, D::Outcome>>> =
-                Vec::with_capacity(n);
+            let workers = detector.ingest_workers();
+            let n = workers.len();
+            let mut txs = Vec::with_capacity(n);
+            let mut reply_rxs = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
-            for worker in workers {
-                let (tx, rx) = bounded::<ElasticMsg<D::Job, D::Outcome>>(16);
-                let (rtx, rrx) = bounded::<ElasticReply<D::Job, D::Outcome>>(1);
+            for (shard, worker) in workers.into_iter().enumerate() {
+                let (tx, rx) = bounded::<MeshMsg<D::Job, D::Outcome>>(16);
+                let (rtx, rrx) = bounded::<MeshReply<D::Job, D::Outcome>>(1);
                 txs.push(tx);
                 reply_rxs.push(rrx);
-                handles.push(scope.spawn(move || elastic_worker_loop(worker, rx, rtx)));
+                let flight = obs.flight(&format!("elastic/epoch={}/shard={shard}", epochs.len()));
+                handles
+                    .push(scope.spawn(move || mesh_worker_loop(worker, rx, rtx, flight, slides)));
             }
 
             let mut shard_sweeps = vec![0u64; n];
@@ -569,8 +765,8 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                              answers: &mut AnswerLog<Option<RegionAnswer>>,
                              slides: &mut u64|
              -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
-                fanout.broadcast(&txs, batch, ElasticMsg::Events, *slides)?;
-                let (ans, dirty) = elastic_flush::<D>(
+                fanout.broadcast(&txs, batch, *slides)?;
+                let (ans, dirty) = mesh_flush(
                     &txs,
                     &reply_rxs,
                     region,
@@ -590,22 +786,22 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                 for obj in source.by_ref() {
                     engine.push_into(obj, &mut batch);
                     if batch.len() >= BATCH {
-                        fanout.broadcast(&txs, &mut batch, ElasticMsg::Events, slides)?;
+                        fanout.broadcast(&txs, &mut batch, slides)?;
                     }
                     objects += 1;
                     in_slide += 1;
                     if in_slide >= slide_objects {
                         let (_, dirty) = flush(&mut batch, &mut answers, &mut slides)?;
                         in_slide = 0;
-                        if let Some(to) = balancer.observe(n, &dirty) {
+                        if let Some(to) = balancer.observe(&dirty) {
                             end = EpochEnd::Reshard(to);
                             return Ok(());
                         }
                     }
                 }
                 // Stream exhausted: partial slide, then the terminal drain
-                // flush, mirroring the sharded driver (no balancing on the
-                // tail — there is nothing left to balance for).
+                // flush, mirroring the sequential slide loop (no balancing
+                // on the tail — there is nothing left to balance for).
                 if in_slide > 0 {
                     flush(&mut batch, &mut answers, &mut slides)?;
                 }
@@ -627,50 +823,57 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
             (end, epoch)
         });
 
-        sweeps += epoch.shard_stats.iter().map(|s| s.sweeps).sum::<u64>();
-        stolen += epoch.stolen;
+        let from = epoch.shards;
         epochs.push(epoch);
-
         match end {
             EpochEnd::Done => break,
             EpochEnd::Reshard(to) => {
                 driver_flight.record(TraceEvent::ReshardEpoch {
                     epoch: epochs.len() as u64,
-                    from: n as u32,
+                    from: from as u32,
                     to: to as u32,
                 });
                 detector.reshard(to);
-                reshards += 1;
             }
         }
     }
 
+    let final_shards = epochs.last().expect("at least one epoch").shards;
+    let reshards = epochs.len() as u64 - 1;
+    let stolen: u64 = epochs.iter().map(|e| e.stolen).sum();
     let run = ShardRunStats {
-        events: fanout.events(),
+        events: fanout.events.get(),
         new_events: objects,
-        searches: sweeps,
+        searches: epochs
+            .iter()
+            .flat_map(|e| e.shard_stats.iter().map(|s| s.sweeps))
+            .sum(),
     };
     detector.absorb_shard_run(run);
 
     if obs.is_enabled() {
-        // Registry totals match the report exactly; the per-epoch breakdown
-        // exposes the stealing/resharding story the flat report sums away.
+        // Published after the join from the authoritative per-worker stats,
+        // so registry totals equal the report exactly (conservation
+        // proptested in `tests/observe_differential.rs`); the per-epoch
+        // breakdown exposes the stealing/resharding story the flat report
+        // sums away.
         obs.counter("elastic/objects").add(objects);
         obs.counter("elastic/events").add(run.events);
         obs.counter("elastic/slides").add(slides);
         obs.counter("elastic/sweeps").add(run.searches);
         obs.counter("elastic/stolen").add(stolen);
         obs.counter("elastic/reshards").add(reshards);
-        obs.gauge("elastic/final_shards")
-            .set(detector.mesh_shards() as i64);
+        obs.gauge("elastic/final_shards").set(final_shards as i64);
         for (e, ep) in epochs.iter().enumerate() {
             obs.counter(&format!("elastic/epoch={e}/slides"))
                 .add(ep.slides);
             obs.counter(&format!("elastic/epoch={e}/stolen"))
                 .add(ep.stolen);
-            for (s, sw) in ep.shard_sweeps.iter().enumerate() {
+            for (s, (sw, st)) in ep.shard_sweeps.iter().zip(&ep.shard_stats).enumerate() {
                 obs.counter(&format!("elastic/epoch={e}/shard={s}/sweeps"))
                     .add(*sw);
+                obs.counter(&format!("elastic/epoch={e}/shard={s}/cell_touches"))
+                    .add(st.cell_touches);
             }
         }
     }
@@ -682,7 +885,7 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
         sweeps: run.searches,
         stolen,
         reshards,
-        final_shards: detector.mesh_shards(),
+        final_shards,
         epochs,
         answers,
         final_answer,
@@ -692,6 +895,94 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surge_core::{Point, SurgeQuery};
+    use surge_exact::{BoundMode, CellCspot};
+
+    fn query() -> SurgeQuery {
+        SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(400), 0.5)
+    }
+
+    /// A stream whose third arrival is *late* (earlier timestamp than its
+    /// predecessor): the window engine rejects it on the driver thread,
+    /// before anything is broadcast, with its one precise message.
+    fn drive_late_arrival(shards: usize) {
+        let objs = vec![
+            SpatialObject::new(0, 1.0, Point::new(0.1, 0.1), 100),
+            SpatialObject::new(1, 1.0, Point::new(0.5, 0.5), 200),
+            SpatialObject::new(2, 1.0, Point::new(0.9, 0.9), 150), // late
+        ];
+        let mut d = CellCspot::with_shards(query(), BoundMode::Combined, shards);
+        drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            objs.into_iter(),
+            8,
+            BalancerPolicy::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
+    fn late_arrival_is_rejected_on_the_driver_thread_1_shard() {
+        drive_late_arrival(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
+    fn late_arrival_is_rejected_on_the_driver_thread_2_shards() {
+        drive_late_arrival(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream must be timestamp-ordered")]
+    fn late_arrival_is_rejected_on_the_driver_thread_8_shards() {
+        drive_late_arrival(8);
+    }
+
+    #[test]
+    fn empty_stream_yields_only_the_terminal_flush() {
+        let mut d = CellCspot::new(query());
+        let report = drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            std::iter::empty(),
+            32,
+            BalancerPolicy::default(),
+        );
+        assert_eq!(report.objects, 0);
+        assert_eq!(report.slides, 1);
+        assert_eq!(report.answers.len(), 1);
+        assert!(report.final_answer.is_none());
+        assert_eq!(report.events, 0);
+        assert_eq!(report.epochs.len(), 1);
+    }
+
+    #[test]
+    fn partial_last_slide_and_drain_are_flushed() {
+        let mut d = CellCspot::new(query());
+        let report = drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            // Four clusters, timestamps 6 apart: ~67 objects per window.
+            surge_testkit::clustered_stream(70, 4, 6, 0xFEED).into_iter(),
+            32,
+            BalancerPolicy::default(),
+        );
+        assert_eq!(report.slides, 4); // 32 + 32 + 6, then the drain
+        assert_eq!(report.answers.len(), 4);
+        // The last pre-drain answer sees the resident windows; the terminal
+        // one sees them drained.
+        assert!(report.answers[2].is_some());
+        assert!(report.final_answer.is_none());
+        // Every object completed its lifecycle: 3 events each.
+        assert_eq!(report.events, 3 * 70);
+        let touches: u64 = report.epochs[0]
+            .shard_stats
+            .iter()
+            .map(|s| s.cell_touches)
+            .sum();
+        assert!(touches > 0);
+    }
 
     #[test]
     fn steal_plan_balances_to_fair_share() {
@@ -736,9 +1027,9 @@ mod tests {
             min_load: 1,
         });
         let skewed = [100u64, 0];
-        assert_eq!(b.observe(2, &skewed), None);
-        assert_eq!(b.observe(2, &skewed), None);
-        assert_eq!(b.observe(2, &skewed), Some(4));
+        assert_eq!(b.observe(&skewed), None);
+        assert_eq!(b.observe(&skewed), None);
+        assert_eq!(b.observe(&skewed), Some(4));
         assert_eq!(b.reshards(), 1);
         assert_eq!(b.streak(), 0);
     }
@@ -751,10 +1042,10 @@ mod tests {
             max_shards: 8,
             min_load: 1,
         });
-        assert_eq!(b.observe(2, &[100, 0]), None);
-        assert_eq!(b.observe(2, &[50, 50]), None); // resets
-        assert_eq!(b.observe(2, &[100, 0]), None);
-        assert_eq!(b.observe(2, &[100, 0]), Some(4));
+        assert_eq!(b.observe(&[100, 0]), None);
+        assert_eq!(b.observe(&[50, 50]), None); // resets
+        assert_eq!(b.observe(&[100, 0]), None);
+        assert_eq!(b.observe(&[100, 0]), Some(4));
     }
 
     #[test]
@@ -766,10 +1057,10 @@ mod tests {
             min_load: 10,
         });
         // Below the noise floor: never triggers.
-        assert_eq!(b.observe(2, &[5, 0]), None);
+        assert_eq!(b.observe(&[5, 0]), None);
         // At max: never recommends growing past it.
-        assert_eq!(b.observe(4, &[100, 0, 0, 0]), None);
+        assert_eq!(b.observe(&[100, 0, 0, 0]), None);
         // Within bounds: triggers immediately (patience 1).
-        assert_eq!(b.observe(2, &[100, 0]), Some(4));
+        assert_eq!(b.observe(&[100, 0]), Some(4));
     }
 }

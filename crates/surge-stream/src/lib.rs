@@ -19,10 +19,6 @@
 //! * [`parallel`] — fan-out drivers: several detectors over the same event
 //!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
 //!   incremental detectors ([`drive_incremental`]).
-//! * [`sharded`] — the sharded driver ([`drive_sharded`]): the driver
-//!   thread expands window transitions once and broadcasts event batches;
-//!   per-shard workers ingest and sweep their own cells — with answers
-//!   bit-identical to the sequential drivers.
 //! * [`runtime`] — the common [`QueryRuntime`] state machine every
 //!   slide-batched driver wraps: a [`QueryCore`] (detector face) bound to a
 //!   [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
@@ -37,10 +33,12 @@
 //!   a latency/residency SLO with hysteresis, warm hand-offs from the live
 //!   windows, and per-answer [`AnswerQuality`] stamps
 //!   ([`drive_autopilot`]).
-//! * [`elastic`] — the elastic mesh ([`drive_elastic`]): work-stealing
-//!   sweeps at every flush, a [`ShardBalancer`] watching per-flush skew,
-//!   and live resharding that doubles the shard count at a slide boundary
-//!   — all bit-identical to the static drivers.
+//! * [`elastic`] — the shard mesh ([`drive_elastic`]): the driver thread
+//!   expands window transitions once and broadcasts event batches;
+//!   per-shard workers ingest and sweep their own cells, with
+//!   work-stealing sweeps at every flush, a [`ShardBalancer`] watching
+//!   per-flush skew, and live resharding that doubles the shard count at a
+//!   slide boundary — all bit-identical to the sequential drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +52,6 @@ pub mod generator;
 pub mod metrics;
 pub mod parallel;
 pub mod runtime;
-pub mod sharded;
 pub mod text;
 pub mod window;
 
@@ -73,9 +70,8 @@ pub use generator::{BurstSpec, Hotspot, StreamGenerator, WorkloadConfig};
 pub use metrics::{LatencyHistogram, LatencySummary};
 pub use parallel::{
     drive_incremental, drive_incremental_observed, drive_incremental_with_sink, drive_parallel,
-    sweep_parallel, IncrementalReport, ParallelReport,
+    IncrementalReport, ParallelReport,
 };
 pub use runtime::{FlushOutcome, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
-pub use sharded::{drive_sharded, drive_sharded_observed, drive_sharded_with_sink, ShardedReport};
 pub use text::{GeoMessage, KeywordQuery, TextStreamGenerator, Topic, TopicBurst, Vocabulary};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

@@ -6,22 +6,18 @@
 //!   evaluation) means feeding the *same* event stream to several of them.
 //!   The stream is expanded once and fanned out to one worker thread per
 //!   detector over bounded channels.
-//! * [`sweep_parallel`] / [`drive_incremental`] — *within* one exact
-//!   detector, a window slide leaves a set of dirty cells whose SL-CSPOT
-//!   searches are independent per-cell work ([`IncrementalDetector`]).
-//!   `drive_incremental` sweeps them **in place** via
-//!   [`IncrementalDetector::sweep_dirty`]: detectors with persistent
-//!   per-cell sweep state fan one scoped worker per shard chunk over their
-//!   own `(cells, queue)` pairs, mutating the persistent structures where
-//!   they live instead of cloning rectangles into throwaway jobs. The
-//!   job-based snapshot→compute→install API (and [`sweep_parallel`], the
-//!   generic scoped-pool runner it rode on) remains the differential
-//!   reference and the default `sweep_dirty` implementation.
+//! * [`drive_incremental`] — *within* one exact detector, a window slide
+//!   leaves a set of dirty cells whose SL-CSPOT searches are independent
+//!   per-cell work ([`IncrementalDetector`]). `drive_incremental` sweeps
+//!   them **in place** via [`IncrementalDetector::sweep_dirty`]: detectors
+//!   with persistent per-cell sweep state fan one scoped worker per shard
+//!   chunk over their own `(cells, queue)` pairs, mutating the persistent
+//!   structures where they live instead of cloning rectangles into
+//!   throwaway jobs.
 //!
 //! In both cases results are bit-for-bit identical to a sequential run —
 //! parallelism only changes wall-clock time.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -90,7 +86,7 @@ fn worker(mut detector: Box<dyn BurstDetector + Send>, rx: Receiver<Vec<Event>>)
 /// Returns one report per detector, in input order.
 ///
 /// Unlike the replay drivers (`drive`, `drive_slides`, `drive_incremental`,
-/// `drive_sharded`), this harness deliberately does **not** drain the tail
+/// `drive_elastic`), this harness deliberately does **not** drain the tail
 /// windows: its purpose is comparing detectors on identical input, and the
 /// `final_answer` agreement check (all exact detectors must report the same
 /// score) is only meaningful while the windows still hold objects.
@@ -146,77 +142,6 @@ pub fn drive_parallel(
     })
 }
 
-/// Runs `f` over every job on up to `threads` scoped worker threads and
-/// returns the outcomes **in job order**.
-///
-/// Jobs are claimed one at a time from a shared atomic cursor (dynamic
-/// scheduling), so skewed per-job costs — some cells hold far more
-/// rectangles than others — still balance. `f` must be pure with respect to
-/// shared state; outcome order is restored by index, so results are
-/// identical to the sequential `jobs.iter().map(f)`.
-pub fn sweep_parallel<J, R, F>(jobs: &[J], threads: usize, f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    sweep_parallel_with(jobs, threads, || (), |(), j| f(j))
-}
-
-/// [`sweep_parallel`] with per-worker scratch state: each worker thread
-/// builds one `S` via `init` and threads it through every job it claims —
-/// the hook the sweep-arena reuse rides on
-/// (`IncrementalDetector::Scratch`).
-pub fn sweep_parallel_with<J, R, S, F>(
-    jobs: &[J],
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    f: F,
-) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&mut S, &J) -> R + Sync,
-{
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut state = init();
-        return jobs.iter().map(|j| f(&mut state, j)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            let init = &init;
-            handles.push(scope.spawn(move || {
-                let mut state = init();
-                let mut out: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    out.push((i, f(&mut state, &jobs[i])));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("sweep worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job produces an outcome"))
-        .collect()
-}
-
 /// Per-slide counters of an incremental run.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalReport {
@@ -231,7 +156,7 @@ pub struct IncrementalReport {
     /// Largest single-slide job count.
     pub max_jobs_per_slide: u64,
     /// The answer at every slide boundary, in slide order (the comparison
-    /// target for the sharded driver's bit-identity tests). Retains every
+    /// target for the mesh driver's bit-identity tests). Retains every
     /// answer under the default [`RetainAll`] sink; bounded by consumer lag
     /// under [`drive_incremental_with_sink`].
     pub answers: AnswerLog<Option<RegionAnswer>>,
@@ -249,9 +174,7 @@ pub struct IncrementalReport {
 /// per-cell sweep state (`CellCspot`) apply the slide's accumulated churn
 /// to that state instead of re-extracting and re-sorting each cell's
 /// rectangles into throwaway jobs — and *then* reads the answer, which
-/// finds every cell fresh. (The job-based snapshot→compute→install API
-/// remains the differential reference; `sweep_dirty`'s default routes
-/// through it.) The answer after each slide is identical to the sequential
+/// finds every cell fresh. The answer after each slide is identical to the sequential
 /// driver's answer at the same stream position. After the last slide the
 /// engine tail is drained and one terminal flush runs (counted in
 /// `slides`/`answers`), so the detector ends the run with empty windows.
@@ -497,24 +420,7 @@ mod tests {
         let _ = drive_parallel(vec![], WindowConfig::equal(100), stream(1).into_iter());
     }
 
-    #[test]
-    fn sweep_parallel_preserves_job_order() {
-        let jobs: Vec<u64> = (0..257).collect();
-        let seq: Vec<u64> = jobs.iter().map(|j| j * j).collect();
-        for threads in [1, 2, 4, 8] {
-            let par = sweep_parallel(&jobs, threads, |j| j * j);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn sweep_parallel_handles_empty_and_single() {
-        let empty: Vec<u64> = vec![];
-        assert!(sweep_parallel(&empty, 4, |j| *j).is_empty());
-        assert_eq!(sweep_parallel(&[7u64], 4, |j| *j + 1), vec![8]);
-    }
-
-    /// Toy incremental detector: per-cell sums with deferred "search" jobs.
+    /// Toy incremental detector: one deferred "search" per dirty flush.
     struct ToyIncremental {
         current: f64,
         dirty: bool,
@@ -549,22 +455,11 @@ mod tests {
     }
 
     impl IncrementalDetector for ToyIncremental {
-        type Job = f64;
-        type Outcome = f64;
-        type Scratch = ();
-        fn snapshot_dirty_jobs(&self) -> Vec<f64> {
-            if self.dirty {
-                vec![self.current]
-            } else {
-                Vec::new()
-            }
-        }
-        fn run_job(&self, job: &f64) -> f64 {
-            *job * 2.0
-        }
-        fn install_outcomes(&mut self, outcomes: Vec<f64>) {
-            self.refreshed += outcomes.len() as u64;
+        fn sweep_dirty(&mut self, _threads: usize) -> u64 {
+            let swept = self.dirty as u64;
+            self.refreshed += swept;
             self.dirty = false;
+            swept
         }
     }
 

@@ -1,7 +1,7 @@
 //! Liveness tests for the mesh channels.
 //!
-//! Both sharded drivers give every worker one bounded command channel fed
-//! by the driver thread alone. A full channel must *backpressure* the
+//! The mesh driver gives every worker one bounded command channel fed by
+//! the driver thread alone. A full channel must *backpressure* the
 //! driver (its send blocks until the slow worker drains) — never deadlock
 //! — and a worker that panics must surface as that one panic from the
 //! driver, within bounded time, with no thread left waiting on it. These
@@ -16,11 +16,10 @@ use std::thread;
 use std::time::Duration;
 
 use surge_core::{
-    BurstDetector, CellId, Event, Point, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats,
-    ShardWorker, ShardWorkerStats, ShardedIngest, SpatialObject, WindowConfig,
+    BurstDetector, Event, MeshIngest, MeshWorker, Point, RegionAnswer, RegionSize, ShardAnswer,
+    ShardRunStats, ShardWorkerStats, SpatialObject, WindowConfig,
 };
-use surge_core::{ElasticIngest, ElasticWorker};
-use surge_stream::{drive_elastic, drive_sharded, BalancerPolicy};
+use surge_stream::{drive_elastic, BalancerPolicy};
 
 /// A detector whose shard-0 worker sleeps periodically while applying
 /// events — every other worker runs at full speed while the driver fills
@@ -59,7 +58,10 @@ struct SlowWorker<'a> {
     _mesh: PhantomData<&'a ()>,
 }
 
-impl ShardWorker for SlowWorker<'_> {
+impl MeshWorker for SlowWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, _event: &Event) {
         self.events += 1;
         if self.slow && self.fail_at == Some(self.events) {
@@ -72,7 +74,7 @@ impl ShardWorker for SlowWorker<'_> {
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         None
     }
 
@@ -81,25 +83,6 @@ impl ShardWorker for SlowWorker<'_> {
             cell_touches: self.events,
             sweeps: 0,
         }
-    }
-}
-
-impl ElasticWorker for SlowWorker<'_> {
-    type Job = ();
-    type Outcome = ();
-
-    fn dirty_count(&self) -> u64 {
-        0
-    }
-    fn export_jobs(&mut self, _k: usize) -> Vec<()> {
-        Vec::new()
-    }
-    fn run_jobs(&mut self, _jobs: Vec<()>) -> Vec<()> {
-        Vec::new()
-    }
-    fn sweep_kept(&mut self) {}
-    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
-        None
     }
 }
 
@@ -115,7 +98,9 @@ impl BurstDetector for SlowMesh {
     }
 }
 
-impl ShardedIngest for SlowMesh {
+impl MeshIngest for SlowMesh {
+    type Job = ();
+    type Outcome = ();
     type Worker<'a> = SlowWorker<'a>;
 
     fn ingest_workers(&mut self) -> Vec<SlowWorker<'_>> {
@@ -138,24 +123,9 @@ impl ShardedIngest for SlowMesh {
     fn region_size(&self) -> RegionSize {
         RegionSize::new(1.0, 1.0)
     }
-}
 
-impl ElasticIngest for SlowMesh {
-    type Job = ();
-    type Outcome = ();
-    type EWorker<'a> = SlowWorker<'a>;
-
-    fn elastic_workers(&mut self) -> Vec<SlowWorker<'_>> {
-        self.ingest_workers()
-    }
-    fn mesh_shards(&self) -> usize {
-        self.shards
-    }
     fn reshard(&mut self, shards: usize) {
         self.shards = shards;
-    }
-    fn outcome_cell(_outcome: &()) -> CellId {
-        (0, 0)
     }
 }
 
@@ -195,18 +165,22 @@ fn with_watchdog(timeout: Duration, f: impl FnOnce() -> (u64, u64) + Send + 'sta
     }
 }
 
-fn sharded_backpressure(shards: usize) {
+/// With zero dirty cells the balancer stays quiet (load < min_load), so
+/// this exercises the broadcast, the flush handshake and the epoch loop
+/// under a slow worker without resharding noise.
+fn mesh_backpressure(shards: usize) {
     // 9 000 events between flushes, in 256-event batches on a 16-deep
     // channel: the driver fills the slow worker's channel twice over
     // before each flush barrier.
     let n_objects = 6_000usize;
     let (objects, events) = with_watchdog(Duration::from_secs(60), move || {
         let mut d = SlowMesh::new(shards, Duration::from_millis(2));
-        let report = drive_sharded(
+        let report = drive_elastic(
             &mut d,
             WindowConfig::equal(500),
             spread_stream(n_objects).into_iter(),
             3_000,
+            BalancerPolicy::default(),
         );
         (report.objects, report.events)
     });
@@ -218,75 +192,39 @@ fn sharded_backpressure(shards: usize) {
 
 #[test]
 fn slow_worker_backpressures_without_deadlock_2_shards() {
-    sharded_backpressure(2);
+    mesh_backpressure(2);
 }
 
 #[test]
 fn slow_worker_backpressures_without_deadlock_8_shards() {
-    sharded_backpressure(8);
-}
-
-#[test]
-fn elastic_mesh_backpressures_without_deadlock() {
-    // The elastic driver shares the event broadcast; its flush protocol
-    // adds the steal phases. With zero dirty cells the balancer stays quiet
-    // (load < min_load), so this exercises the epoch loop under a slow
-    // worker without resharding noise.
-    for shards in [2usize, 8] {
-        let n_objects = 6_000usize;
-        let (objects, events) = with_watchdog(Duration::from_secs(60), move || {
-            let mut d = SlowMesh::new(shards, Duration::from_millis(2));
-            let report = drive_elastic(
-                &mut d,
-                WindowConfig::equal(500),
-                spread_stream(n_objects).into_iter(),
-                3_000,
-                BalancerPolicy::default(),
-            );
-            (report.objects, report.events)
-        });
-        assert_eq!(objects, n_objects as u64);
-        assert_eq!(events, 3 * n_objects as u64);
-    }
+    mesh_backpressure(8);
 }
 
 /// Worker 0 panics on its 700th event — mid-stream, between flushes. The
 /// driver must end with that panic (not a hang, not a cascade of
 /// channel-closed panics) within the watchdog timeout.
-fn drive_with_failing_worker(shards: usize, elastic: bool) {
+fn drive_with_failing_worker(shards: usize) {
     with_watchdog(Duration::from_secs(60), move || {
         let mut d = SlowMesh::failing(shards, 700);
-        let (windows, source) = (WindowConfig::equal(500), spread_stream(2_000).into_iter());
-        if elastic {
-            let r = drive_elastic(&mut d, windows, source, 500, BalancerPolicy::default());
-            (r.objects, r.events)
-        } else {
-            let r = drive_sharded(&mut d, windows, source, 500);
-            (r.objects, r.events)
-        }
+        let r = drive_elastic(
+            &mut d,
+            WindowConfig::equal(500),
+            spread_stream(2_000).into_iter(),
+            500,
+            BalancerPolicy::default(),
+        );
+        (r.objects, r.events)
     });
 }
 
 #[test]
 #[should_panic(expected = "injected worker failure at event 700")]
-fn sharded_worker_panic_is_propagated_2_shards() {
-    drive_with_failing_worker(2, false);
+fn worker_panic_is_propagated_2_shards() {
+    drive_with_failing_worker(2);
 }
 
 #[test]
 #[should_panic(expected = "injected worker failure at event 700")]
-fn sharded_worker_panic_is_propagated_8_shards() {
-    drive_with_failing_worker(8, false);
-}
-
-#[test]
-#[should_panic(expected = "injected worker failure at event 700")]
-fn elastic_worker_panic_is_propagated_2_shards() {
-    drive_with_failing_worker(2, true);
-}
-
-#[test]
-#[should_panic(expected = "injected worker failure at event 700")]
-fn elastic_worker_panic_is_propagated_8_shards() {
-    drive_with_failing_worker(8, true);
+fn worker_panic_is_propagated_8_shards() {
+    drive_with_failing_worker(8);
 }

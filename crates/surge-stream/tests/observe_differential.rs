@@ -6,8 +6,8 @@
 //!
 //! This is the central contract of `surge-observe` (see its crate docs):
 //! observability is *reporting only*. The proptests here cover
-//! `drive_slides`, `drive_incremental`, `drive_sharded`, `drive_elastic`
-//! and `drive_autopilot`; `run_checkpointed` has its own differential in
+//! `drive_slides`, `drive_incremental`, `drive_elastic` and
+//! `drive_autopilot`; `run_checkpointed` has its own differential in
 //! `surge-checkpoint/tests/observe_checkpoint.rs`. Flight-recorder dumps
 //! are also checked for run-to-run determinism — same stream, same dump,
 //! ring wrap included — which only holds because trace events carry
@@ -21,8 +21,8 @@ use surge_exact::{BoundMode, CellCspot};
 use surge_observe::Observe;
 use surge_stream::{
     drive_autopilot_observed, drive_autopilot_with_sink, drive_elastic_observed, drive_incremental,
-    drive_incremental_observed, drive_sharded_observed, drive_slides, drive_slides_observed,
-    AutopilotDetector, BalancerPolicy, RetainAll, SlidingWindowEngine, SloPolicy,
+    drive_incremental_observed, drive_slides, drive_slides_observed, AutopilotDetector,
+    BalancerPolicy, RetainAll, SlidingWindowEngine, SloPolicy,
 };
 use surge_testkit::arb_lattice_stream;
 
@@ -156,61 +156,10 @@ proptest! {
         prop_assert_eq!(builds + reuses, misses, "plan accounting");
     }
 
-    /// `drive_sharded`: bitwise answers observed vs not, registry totals
-    /// conserved against the report, and the per-shard sweep counters sum
-    /// to the *sequential* driver's job count (satellite: per-shard sweeps
-    /// == sequential job count, read from the registry).
-    #[test]
-    fn drive_sharded_is_unperturbed_and_conserved(
-        objs in arb_lattice_stream(200),
-        alpha_pct in 0u32..100,
-        slide_pow in 2u32..6,
-        shard_pow in 0u32..3,
-    ) {
-        let alpha = alpha_pct as f64 / 100.0;
-        let slide = 1usize << slide_pow;
-        let shards = 1usize << shard_pow;
-        let windows = WindowConfig::equal(300);
-
-        let mut seq_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
-        let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide, 1);
-
-        let mut off_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let off = drive_sharded_observed(
-            &mut off_det, windows, objs.iter().copied(), slide, &mut RetainAll, &Observe::off(),
-        );
-
-        let obs = Observe::enabled();
-        let mut on_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let on = drive_sharded_observed(
-            &mut on_det, windows, objs.iter().copied(), slide, &mut RetainAll, &obs,
-        );
-
-        prop_assert_eq!(off.answers.len(), on.answers.len());
-        for (i, (a, b)) in off.answers.iter().zip(on.answers.iter()).enumerate() {
-            assert_answer_bits(a, b, &format!("sharded slide {i}"));
-        }
-        assert_answer_bits(&off.final_answer, &on.final_answer, "sharded terminal");
-        prop_assert_eq!(off.sweeps, on.sweeps);
-        prop_assert_eq!(off_det.stats(), on_det.stats());
-
-        let snap = obs.snapshot();
-        prop_assert_eq!(snap.counter("sharded/objects"), Some(on.objects));
-        prop_assert_eq!(snap.counter("sharded/events"), Some(on.events));
-        prop_assert_eq!(snap.counter("sharded/slides"), Some(on.slides));
-        prop_assert_eq!(snap.counter("sharded/sweeps"), Some(on.sweeps));
-        // Per-shard sweeps sum to the total — and to the sequential
-        // driver's job count: sharding moves sweeps, it never invents any.
-        let shard_sweeps = snap.sum_counters(|p| {
-            p.starts_with("sharded/shard=") && p.ends_with("/sweeps")
-        });
-        prop_assert_eq!(shard_sweeps, on.sweeps, "per-shard sweeps sum to total");
-        prop_assert_eq!(shard_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
-    }
-
     /// `drive_elastic`: bitwise answers observed vs not across arbitrary
     /// steal/reshard histories, with epoch-labelled registry counters
-    /// conserved against the report.
+    /// conserved against the report, and the per-shard sweep counters
+    /// summing to the *sequential* driver's job count.
     #[test]
     fn drive_elastic_is_unperturbed_and_conserved(
         objs in arb_lattice_stream(200),
@@ -230,6 +179,9 @@ proptest! {
             min_load: 1,
         };
 
+        let mut seq_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
+        let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide, 1);
+
         let mut off_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
         let off = drive_elastic_observed(
             &mut off_det, windows, objs.iter().copied(), slide, policy,
@@ -247,6 +199,7 @@ proptest! {
         for (i, (a, b)) in off.answers.iter().zip(on.answers.iter()).enumerate() {
             assert_answer_bits(a, b, &format!("elastic slide {i}"));
         }
+        assert_answer_bits(&off.final_answer, &on.final_answer, "elastic terminal");
         prop_assert_eq!(off.sweeps, on.sweeps);
         prop_assert_eq!(off.stolen, on.stolen);
         prop_assert_eq!(off.reshards, on.reshards);
@@ -269,6 +222,17 @@ proptest! {
             p.starts_with("elastic/epoch=") && p.ends_with("/sweeps")
         });
         prop_assert_eq!(epoch_sweeps, on.sweeps, "epoch sweeps partition the total");
+        // Sharding, stealing and resharding move sweeps; they never invent any.
+        prop_assert_eq!(epoch_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
+        let touches = snap.sum_counters(|p| {
+            p.starts_with("elastic/epoch=") && p.ends_with("/cell_touches")
+        });
+        let report_touches: u64 = on
+            .epochs
+            .iter()
+            .flat_map(|e| e.shard_stats.iter().map(|s| s.cell_touches))
+            .sum();
+        prop_assert_eq!(touches, report_touches, "per-shard touches match the report");
         let epoch_stolen = snap.sum_counters(|p| {
             p.starts_with("elastic/epoch=") && p.ends_with("/stolen")
         });
@@ -376,21 +340,34 @@ fn flight_dumps_are_deterministic_across_runs_with_ring_wrap() {
     let objs = stream(600, 0x0B5E_7DE7);
     let windows = WindowConfig::equal(300);
 
+    // Split-happy, so the dump also covers a reshard: one driver ring plus
+    // one ring per worker per epoch.
+    let policy = BalancerPolicy {
+        skew_percent: 0,
+        patience: 8,
+        max_shards: 8,
+        min_load: 1,
+    };
     let run = |cap: usize| {
         let obs = Observe::with_flight_capacity(cap);
         let mut det = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
-        let report = drive_sharded_observed(
+        let report = drive_elastic_observed(
             &mut det,
             windows,
             objs.iter().copied(),
             16,
+            policy,
             &mut RetainAll,
             &obs,
+        );
+        assert_eq!(
+            report.reshards, 1,
+            "the stream must cross one epoch boundary"
         );
         (obs.trace_dump(), report.slides)
     };
 
-    // Capacity 4 with ~38 slides: every per-shard ring wraps many times.
+    // Capacity 4 with ~38 slides: the per-shard rings wrap many times.
     let (dump_a, slides_a) = run(4);
     let (dump_b, slides_b) = run(4);
     assert_eq!(slides_a, slides_b);

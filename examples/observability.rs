@@ -2,7 +2,7 @@
 //!
 //! Demonstrates the three faces of [`surge::observe`]:
 //!
-//! * **Non-invasiveness** — the same sharded workload is driven once with
+//! * **Non-invasiveness** — the same shard-mesh workload is driven once with
 //!   [`Observe::off`] and once with a live handle; the example asserts the
 //!   two answer streams are *bit-identical* before trusting any metric.
 //! * **Conservation** — registry totals are cross-checked against the
@@ -22,7 +22,7 @@
 use surge::checkpoint::DetectorSpec;
 use surge::exact::BoundMode;
 use surge::prelude::*;
-use surge::stream::drive_sharded_observed;
+use surge::stream::drive_elastic_observed;
 
 fn stream(n: usize) -> Vec<SpatialObject> {
     let mut state = 0x0B5EC0FFEE_u64;
@@ -57,22 +57,24 @@ fn main() {
 
     // ---- 1. Non-invasiveness: observe-off vs observe-on, bit for bit ----
     let mut off_det = CellCspot::with_shards(query, BoundMode::Combined, shards);
-    let off = drive_sharded_observed(
+    let off = drive_elastic_observed(
         &mut off_det,
         windows,
         objects.iter().copied(),
         slide,
+        BalancerPolicy::default(),
         &mut surge::stream::RetainAll,
         &Observe::off(),
     );
 
     let obs = Observe::enabled();
     let mut on_det = CellCspot::with_shards(query, BoundMode::Combined, shards);
-    let on = drive_sharded_observed(
+    let on = drive_elastic_observed(
         &mut on_det,
         windows,
         objects.iter().copied(),
         slide,
+        BalancerPolicy::default(),
         &mut surge::stream::RetainAll,
         &obs,
     );
@@ -96,14 +98,15 @@ fn main() {
 
     // ---- 2. Conservation: the registry agrees with the report ----
     let snap = obs.snapshot();
-    assert_eq!(snap.counter("sharded/sweeps"), Some(on.sweeps));
+    assert_eq!(snap.counter("elastic/sweeps"), Some(on.sweeps));
     let per_shard =
-        snap.sum_counters(|p| p.starts_with("sharded/shard=") && p.ends_with("/sweeps"));
+        snap.sum_counters(|p| p.starts_with("elastic/epoch=") && p.ends_with("/sweeps"));
     assert_eq!(per_shard, on.sweeps, "per-shard sweeps partition the total");
-    assert_eq!(snap.counter("sharded/events"), Some(on.events));
+    assert_eq!(snap.counter("elastic/events"), Some(on.events));
     println!(
-        "conserved: {} sweeps = sum of {} shard counters; {} events = report events",
-        on.sweeps, shards, on.events
+        "conserved: {} sweeps = sum of the per-epoch shard counters ({} → {} shards); \
+         {} events = report events",
+        on.sweeps, shards, on.final_shards, on.events
     );
 
     // ---- 3. Live serving stats on the same handle ----

@@ -4,14 +4,16 @@
 //!
 //! 1. the sequential incremental driver (`drive_incremental`) — every event
 //!    is applied on the calling thread, dirty-cell sweeps fan out per slide;
-//! 2. the sharded driver (`drive_sharded`) — the detector splits into
+//! 2. the shard mesh (`drive_elastic`) — the detector splits into
 //!    per-shard workers (spatial-hash sharding of the cell map), events are
-//!    broadcast to every worker over channels, and both ingest *and* sweeps
-//!    run shard-parallel.
+//!    broadcast to every worker over channels, both ingest *and* sweeps run
+//!    shard-parallel, overloaded shards hand sweeps to idle ones at every
+//!    flush, and persistent skew doubles the shard count mid-run.
 //!
-//! The two must agree bit-for-bit at every slide boundary — sharding is a
-//! wall-clock optimization, never a semantic one — and the example verifies
-//! exactly that before printing per-shard load statistics.
+//! The two must agree bit-for-bit at every slide boundary — sharding,
+//! stealing and resharding are wall-clock optimizations, never semantic
+//! ones — and the example verifies exactly that before printing per-shard
+//! load statistics.
 //!
 //! Run with `cargo run --release --example sharded_ingest`.
 
@@ -55,11 +57,16 @@ fn main() {
     let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide, 1);
     let seq_elapsed = t0.elapsed();
 
-    // 2. Sharded: 8 shard workers ingest and sweep concurrently.
+    // 2. The mesh: 8 shard workers ingest and sweep concurrently. Capping
+    // the balancer at the starting width keeps the mesh at 8 shards.
     let shards = 8;
+    let policy = BalancerPolicy {
+        max_shards: shards,
+        ..BalancerPolicy::default()
+    };
     let mut par = CellCspot::with_shards(query, BoundMode::Combined, shards);
     let t0 = std::time::Instant::now();
-    let report = drive_sharded(&mut par, windows, objs.iter().copied(), slide);
+    let report = drive_elastic(&mut par, windows, objs.iter().copied(), slide, policy);
     let par_elapsed = t0.elapsed();
 
     // Bit-identity check at every slide boundary.
@@ -75,12 +82,12 @@ fn main() {
             _ => diverged += 1,
         }
     }
-    assert_eq!(diverged, 0, "sharded driver diverged from sequential");
+    assert_eq!(diverged, 0, "shard mesh diverged from sequential");
 
-    println!("== sharded ingest vs sequential incremental ==");
+    println!("== shard mesh vs sequential incremental ==");
     println!(
-        "objects {}  events {}  slides {}  sweeps {}",
-        report.objects, report.events, report.slides, report.sweeps
+        "objects {}  events {}  slides {}  sweeps {}  stolen {}",
+        report.objects, report.events, report.slides, report.sweeps, report.stolen
     );
     println!(
         "sequential: {:>8.1} ms   ({:.0} obj/s)",
@@ -88,7 +95,7 @@ fn main() {
         seq_report.objects as f64 / seq_elapsed.as_secs_f64()
     );
     println!(
-        "sharded x{}: {:>8.1} ms   ({:.0} obj/s, {:.2}x)",
+        "mesh x{}:    {:>8.1} ms   ({:.0} obj/s, {:.2}x)",
         shards,
         par_elapsed.as_secs_f64() * 1e3,
         report.objects as f64 / par_elapsed.as_secs_f64(),
@@ -104,12 +111,12 @@ fn main() {
     // instead of funnelling a hot spot into one worker.
     println!("\n== per-shard load ==");
     println!("{:<8} {:>14} {:>10}", "shard", "cell-touches", "sweeps");
-    for (i, s) in report.shard_stats.iter().enumerate() {
+    let shard_stats = &report.epochs[0].shard_stats;
+    for (i, s) in shard_stats.iter().enumerate() {
         println!("{:<8} {:>14} {:>10}", i, s.cell_touches, s.sweeps);
     }
-    let touches: u64 = report.shard_stats.iter().map(|s| s.cell_touches).sum();
-    let max_touches = report
-        .shard_stats
+    let touches: u64 = shard_stats.iter().map(|s| s.cell_touches).sum();
+    let max_touches = shard_stats
         .iter()
         .map(|s| s.cell_touches)
         .max()
@@ -118,6 +125,6 @@ fn main() {
         "total {} touches, max shard {:.1}% (ideal {:.1}%)",
         touches,
         100.0 * max_touches as f64 / touches.max(1) as f64,
-        100.0 / report.shard_stats.len().max(1) as f64
+        100.0 / shard_stats.len().max(1) as f64
     );
 }

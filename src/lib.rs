@@ -92,7 +92,7 @@ pub mod prelude {
     };
     pub use surge_core::{
         burst_score, shard_of_cell, BurstDetector, BurstParams, Event, EventKind,
-        IncrementalDetector, Point, Rect, RegionAnswer, RegionSize, ShardedIngest, SpatialObject,
+        IncrementalDetector, MeshIngest, Point, Rect, RegionAnswer, RegionSize, SpatialObject,
         SurgeQuery, TopKDetector, WindowConfig, WindowKind,
     };
     pub use surge_exact::{
@@ -107,11 +107,11 @@ pub mod prelude {
     };
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
-        drive, drive_autopilot, drive_incremental, drive_parallel, drive_sharded, drive_slides,
-        drive_topk, sweep_parallel, AnswerQuality, AutopilotDetector, AutopilotReport, BurstSpec,
-        Dataset, DirtyCellTracker, EventBatch, GeoMessage, Hotspot, KeywordQuery, LatencyHistogram,
-        ShardedReport, SlidingWindowEngine, SloPolicy, StreamGenerator, TextStreamGenerator, Tier,
-        Topic, TopicBurst, Vocabulary, WorkloadConfig,
+        drive, drive_autopilot, drive_elastic, drive_incremental, drive_parallel, drive_slides,
+        drive_topk, AnswerQuality, AutopilotDetector, AutopilotReport, BalancerPolicy, BurstSpec,
+        Dataset, DirtyCellTracker, ElasticReport, EventBatch, GeoMessage, Hotspot, KeywordQuery,
+        LatencyHistogram, SlidingWindowEngine, SloPolicy, StreamGenerator, TextStreamGenerator,
+        Tier, Topic, TopicBurst, Vocabulary, WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 }
