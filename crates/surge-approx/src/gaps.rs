@@ -24,8 +24,8 @@ use std::collections::{BTreeSet, HashMap};
 use surge_core::{
     shard_of_cell, BurstDetector, BurstParams, CellId, CheckpointableDetector, DetectorState,
     DetectorStats, Event, EventKind, GridCellState, GridSpec, IncrementalDetector, MeshIngest,
-    MeshWorker, Point, RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardRunStats,
-    ShardWorkerStats, SurgeQuery, TotalF64,
+    MeshWorker, Point, RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardFlush,
+    ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -249,9 +249,8 @@ impl IncrementalDetector for GapSurge {
 
 /// One shard's exclusive ingest handle (see [`MeshIngest`]): applies the
 /// event stream to its own cells and reports the shard-local best at flush
-/// boundaries. GAPS has no flush-time sweep work, so the steal phases keep
-/// their "nothing dirty" defaults and the flush is a read of the shard's
-/// ranked set.
+/// boundaries. GAPS has no flush-time sweep work, so the flush is a read
+/// of the shard's ranked set.
 #[derive(Debug)]
 pub struct GapMeshWorker<'a> {
     shard: usize,
@@ -281,9 +280,6 @@ impl GapMeshWorker<'_> {
 }
 
 impl MeshWorker for GapMeshWorker<'_> {
-    type Job = ();
-    type Outcome = ();
-
     fn on_event(&mut self, event: &Event) {
         if !self.query.accepts(event.object.pos) {
             return;
@@ -295,8 +291,11 @@ impl MeshWorker for GapMeshWorker<'_> {
         }
     }
 
-    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
-        self.shard_answer()
+    fn flush(&mut self) -> ShardFlush {
+        ShardFlush {
+            dirty: 0,
+            best: self.shard_answer(),
+        }
     }
 
     fn stats(&self) -> ShardWorkerStats {
@@ -305,8 +304,6 @@ impl MeshWorker for GapMeshWorker<'_> {
 }
 
 impl MeshIngest for GapSurge {
-    type Job = ();
-    type Outcome = ();
     type Worker<'a> = GapMeshWorker<'a>;
 
     fn ingest_workers(&mut self) -> Vec<GapMeshWorker<'_>> {

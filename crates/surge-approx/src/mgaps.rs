@@ -17,7 +17,7 @@
 use surge_core::{
     BurstDetector, CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind,
     GridSpec, IncrementalDetector, MeshIngest, MeshWorker, Rect, RegionAnswer, RegionSize,
-    RestoreError, ShardAnswer, ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
+    RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
 };
 
 use crate::gaps::{GapMeshWorker, GapSurge};
@@ -149,19 +149,16 @@ pub struct MgapMeshWorker<'a> {
 }
 
 impl MeshWorker for MgapMeshWorker<'_> {
-    type Job = ();
-    type Outcome = ();
-
     fn on_event(&mut self, event: &Event) {
         for w in &mut self.inner {
             w.on_event(event);
         }
     }
 
-    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
+    fn flush(&mut self) -> ShardFlush {
         let mut best: Option<ShardAnswer> = None;
         for (gi, w) in self.inner.iter_mut().enumerate() {
-            if let Some(a) = w.install_and_best(Vec::new()) {
+            if let Some(a) = w.flush().best {
                 let prioritized = ShardAnswer {
                     bound: (3 - gi) as f64,
                     ..a
@@ -174,7 +171,7 @@ impl MeshWorker for MgapMeshWorker<'_> {
                 }
             }
         }
-        best
+        ShardFlush { dirty: 0, best }
     }
 
     fn stats(&self) -> ShardWorkerStats {
@@ -189,8 +186,6 @@ impl MeshWorker for MgapMeshWorker<'_> {
 }
 
 impl MeshIngest for MgapSurge {
-    type Job = ();
-    type Outcome = ();
     type Worker<'a> = MgapMeshWorker<'a>;
 
     fn ingest_workers(&mut self) -> Vec<MgapMeshWorker<'_>> {

@@ -31,10 +31,6 @@
 //!                          dedicated runs (bit-identity asserted first),
 //!                          dedup hit-rate and per-query answer
 //!                          throughput; writes BENCH_serve.json
-//!   elastic-bench          shard mesh: work-stealing + live resharding
-//!                          vs sequential (bit-identity and the >=2x
-//!                          max_shard_sweeps drop asserted first); writes
-//!                          BENCH_elastic.json
 //!   observe-bench          observability overhead: every threaded driver
 //!                          with the surge-observe layer off vs on
 //!                          (bit-identity and registry conservation
@@ -154,7 +150,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|elastic-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
         .to_string()
@@ -170,22 +166,6 @@ fn run_sweep_bench(cfg: &ExpConfig) -> Result<(), String> {
     print!("{}", print::persistent_bench(&prows));
     let json = print::sweep_bench_json(&rows, &prows);
     let path = "BENCH_sweep.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the elastic-mesh experiment (work-stealing + balancer-driven
-/// resharding vs the sequential baseline), printing the table and writing
-/// `BENCH_elastic.json` to the working directory. Bit-identity *and* the >=2x
-/// `max_shard_sweeps` improvement on the hotspot workload are asserted
-/// inside the experiment before anything is timed, so a successful exit
-/// is the smoke check.
-fn run_elastic_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::elastic_bench(cfg);
-    print!("{}", print::elastic_bench(&rows));
-    let json = print::elastic_bench_json(&rows);
-    let path = "BENCH_elastic.json";
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("# wrote {path}");
     Ok(())
@@ -335,7 +315,6 @@ fn run(args: &Args) -> Result<(), String> {
         "checkpoint-bench" => run_checkpoint_bench(cfg)?,
         "degrade-bench" => run_degrade_bench(cfg)?,
         "serve-bench" => run_serve_bench(cfg)?,
-        "elastic-bench" => run_elastic_bench(cfg)?,
         "observe-bench" => run_observe_bench(cfg)?,
         "all" => {
             print!("{}", print::table1(&experiments::table1(cfg)));
@@ -397,7 +376,6 @@ fn run(args: &Args) -> Result<(), String> {
             );
             print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg)));
             run_sweep_bench(cfg)?;
-            run_elastic_bench(cfg)?;
             run_checkpoint_bench(cfg)?;
             run_degrade_bench(cfg)?;
             run_serve_bench(cfg)?;

@@ -1535,77 +1535,6 @@ fn redelivery_bench(cfg: &ExpConfig, slide: usize) -> Vec<PersistentBenchRow> {
     .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Elastic-mesh experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the elastic-mesh experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticBenchRow {
-    /// Workload label: `"hotspot"` (every object homed to cells owned by
-    /// one width-2 shard — worst-case skew) or `"uniform"` (evenly spread
-    /// load — the no-regression case).
-    pub workload: &'static str,
-    /// Mode: `"seq"` (unsharded `drive_incremental` baseline) or
-    /// `"elastic"` (`drive_elastic`: work-stealing + balancer-driven
-    /// resharding).
-    pub mode: &'static str,
-    /// Shard count at the start of the run (0 for the sequential row).
-    pub shards: usize,
-    /// Shard count at the end of the run (differs from `shards` only when
-    /// the balancer split the mesh).
-    pub final_shards: usize,
-    /// Objects driven through the pipeline.
-    pub objects: u64,
-    /// Window-transition events processed.
-    pub events: u64,
-    /// Dirty-cell sweeps across the whole run — invariant across modes
-    /// (a stolen sweep is counted by the thief, installation is free).
-    pub sweeps: u64,
-    /// Sweeps executed away from their owning shard (0 on the `seq` row).
-    pub stolen: u64,
-    /// Mesh-doubling events the balancer triggered (0 on the `seq` row).
-    pub reshards: u64,
-    /// Largest per-shard sweep count — the sweep critical path (all of
-    /// `sweeps` on the `seq` row). The acceptance bar: on the hotspot
-    /// workload the mesh must at least halve the sequential critical path.
-    pub max_shard_sweeps: u64,
-    /// Wall-clock milliseconds for the run.
-    pub elapsed_ms: f64,
-    /// Throughput in objects per second.
-    pub objects_per_sec: f64,
-    /// Baseline elapsed / this row's elapsed (wall-clock is meaningful
-    /// only on multi-core hosts; `max_shard_sweeps` is the scaling signal).
-    pub speedup: f64,
-}
-
-/// Worst-case skew for a width-2 mesh: every object is homed to one of 12
-/// cells that `shard_of_cell` hashes to shard 0, so without stealing the
-/// mesh's second worker never sweeps. Same construction as the
-/// `elastic_differential.rs` streams, scaled up.
-fn hotspot_stream(objects: usize, seed: u64) -> Vec<SpatialObject> {
-    let hot: Vec<(i64, i64)> = (0..40i64)
-        .flat_map(|i| (0..40i64).map(move |j| (i, j)))
-        .filter(|&(i, j)| surge_core::shard_of_cell((i, j), 2) == 0)
-        .take(12)
-        .collect();
-    let mut lcg = surge_testkit::Lcg::new(seed);
-    (0..objects)
-        .map(|i| {
-            let (cx, cy) = hot[(lcg.next_bits() as usize) % hot.len()];
-            SpatialObject::new(
-                i as u64,
-                1.0 + (i % 5) as f64 * 0.5,
-                surge_core::Point::new(
-                    cx as f64 + 0.1 + lcg.unit() * 0.8,
-                    cy as f64 + 0.1 + lcg.unit() * 0.8,
-                ),
-                i as u64,
-            )
-        })
-        .collect()
-}
-
 /// Asserts two per-slide answer streams are bit-identical.
 fn assert_slides_bitwise(
     got: &[Option<surge_core::RegionAnswer>],
@@ -1628,115 +1557,6 @@ fn assert_slides_bitwise(
             other => panic!("{ctx}: divergence at slide {i}: {other:?}"),
         }
     }
-}
-
-/// Runs the shard mesh against the sequential baseline on a
-/// worst-case-skew hotspot stream and a uniform stream, asserting
-/// per-slide answers are **bit-identical** *and* that steal+split at least
-/// halve the sequential sweep critical path (`max_shard_sweeps`) on the
-/// hotspot workload, before reporting timings (`surge_exp elastic-bench` →
-/// `BENCH_elastic.json`).
-pub fn elastic_bench(cfg: &ExpConfig) -> Vec<ElasticBenchRow> {
-    use surge_exact::{BoundMode, CellCspot};
-    use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
-
-    let slide = 256;
-    let shards = 2;
-    let policy = BalancerPolicy {
-        skew_percent: 25,
-        patience: 2,
-        max_shards: 8,
-        min_load: 4,
-    };
-    let mut rows = Vec::new();
-
-    let hot_windows = WindowConfig::equal(4_000);
-    let uniform_windows = WindowConfig::equal(60_000);
-    let workloads: [(&'static str, WindowConfig, SurgeQuery, Vec<SpatialObject>); 2] = [
-        (
-            "hotspot",
-            hot_windows,
-            SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), hot_windows, DEFAULT_ALPHA),
-            hotspot_stream(cfg.objects.clamp(2_000, 50_000), cfg.seed),
-        ),
-        (
-            "uniform",
-            uniform_windows,
-            SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), uniform_windows, DEFAULT_ALPHA),
-            uniform_stream(cfg.objects.clamp(2_000, 50_000), cfg.seed),
-        ),
-    ];
-
-    for (workload, windows, query, stream) in workloads {
-        // Sequential baseline: unsharded detector, single-threaded driver.
-        let mut seq = CellCspot::with_shards(query, BoundMode::Combined, 1);
-        let t0 = std::time::Instant::now();
-        let seq_report = drive_incremental(&mut seq, windows, stream.iter().copied(), slide, 1);
-        let seq_elapsed = t0.elapsed();
-        rows.push(ElasticBenchRow {
-            workload,
-            mode: "seq",
-            shards: 0,
-            final_shards: 0,
-            objects: seq_report.objects,
-            events: seq_report.events,
-            sweeps: seq_report.jobs,
-            stolen: 0,
-            reshards: 0,
-            max_shard_sweeps: seq_report.jobs,
-            elapsed_ms: seq_elapsed.as_secs_f64() * 1e3,
-            objects_per_sec: seq_report.objects as f64 / seq_elapsed.as_secs_f64().max(1e-9),
-            speedup: 1.0,
-        });
-
-        // The mesh: starting width 2, stealing + balancer splits.
-        let mut det = CellCspot::with_shards(query, BoundMode::Combined, shards);
-        let t0 = std::time::Instant::now();
-        let elastic_report =
-            drive_elastic(&mut det, windows, stream.iter().copied(), slide, policy);
-        let elastic_elapsed = t0.elapsed();
-        assert_slides_bitwise(
-            elastic_report.answers.retained(),
-            seq_report.answers.retained(),
-            &format!("elastic-bench {workload} elastic"),
-        );
-        assert_eq!(
-            elastic_report.sweeps, seq_report.jobs,
-            "elastic-bench {workload}: sweep count diverged"
-        );
-        let elastic_max = elastic_report.max_shard_sweeps();
-        if workload == "hotspot" {
-            // The acceptance bar: steal+split must at least halve the
-            // sequential sweep critical path on worst-case skew.
-            assert!(
-                elastic_max * 2 <= seq_report.jobs,
-                "elastic-bench {workload}: max_shard_sweeps {elastic_max} is not \
-                 a 2x improvement over the sequential driver's {}",
-                seq_report.jobs
-            );
-            assert!(
-                elastic_report.reshards >= 1,
-                "elastic-bench {workload}: the balancer never split the mesh"
-            );
-        }
-        rows.push(ElasticBenchRow {
-            workload,
-            mode: "elastic",
-            shards,
-            final_shards: elastic_report.final_shards,
-            objects: elastic_report.objects,
-            events: elastic_report.events,
-            sweeps: elastic_report.sweeps,
-            stolen: elastic_report.stolen,
-            reshards: elastic_report.reshards,
-            max_shard_sweeps: elastic_max,
-            elapsed_ms: elastic_elapsed.as_secs_f64() * 1e3,
-            objects_per_sec: elastic_report.objects as f64
-                / elastic_elapsed.as_secs_f64().max(1e-9),
-            speedup: seq_elapsed.as_secs_f64() / elastic_elapsed.as_secs_f64().max(1e-9),
-        });
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -2664,25 +2484,6 @@ mod tests {
             .find(|r| r.workload == "redeliver" && r.mode == "persistent")
             .expect("redeliver persistent row");
         assert!(redeliver.epoch_hits > 0);
-    }
-
-    #[test]
-    fn elastic_bench_gates_and_reports() {
-        let rows = elastic_bench(&tiny());
-        assert_eq!(rows.len(), 4, "seq/elastic rows for two workloads");
-        let hot: Vec<_> = rows.iter().filter(|r| r.workload == "hotspot").collect();
-        let seq = hot.iter().find(|r| r.mode == "seq").unwrap();
-        let ela = hot.iter().find(|r| r.mode == "elastic").unwrap();
-        assert_eq!(seq.sweeps, ela.sweeps, "stealing must conserve sweeps");
-        assert!(
-            ela.max_shard_sweeps * 2 <= seq.sweeps,
-            "acceptance: elastic {} vs sequential {}",
-            ela.max_shard_sweeps,
-            seq.sweeps
-        );
-        assert!(ela.stolen > 0, "worst-case skew must trigger steals");
-        assert!(ela.reshards >= 1, "worst-case skew must split the mesh");
-        assert!(ela.final_shards > ela.shards);
     }
 
     #[test]

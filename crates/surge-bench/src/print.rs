@@ -322,73 +322,6 @@ pub fn sweep_bench_json(
     out
 }
 
-/// The elastic-mesh experiment as a console table. The `seq` row is the
-/// unsharded baseline; `elastic` is the shard mesh (work-stealing and
-/// balancer-driven splits). Both are bit-identity-gated before timing;
-/// `max-shard` (the sweep critical path) is the scaling signal on a
-/// single-core host.
-pub fn elastic_bench(rows: &[crate::experiments::ElasticBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = format!(
-        "\n== Shard mesh: steal + split vs sequential ({cpus} cpu) ==\n{:<9} {:<8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12} {:>9}\n",
-        "workload",
-        "mode",
-        "shards",
-        "final",
-        "sweeps",
-        "stolen",
-        "splits",
-        "max-shard",
-        "elapsed(ms)",
-        "speedup"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<9} {:<8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12.1} {:>8.2}x\n",
-            r.workload,
-            r.mode,
-            r.shards,
-            r.final_shards,
-            r.sweeps,
-            r.stolen,
-            r.reshards,
-            r.max_shard_sweeps,
-            r.elapsed_ms,
-            r.speedup
-        ));
-    }
-    out
-}
-
-/// The elastic-mesh experiment as a `BENCH_elastic.json` document
-/// (hand-rolled: the offline build has no serde).
-pub fn elastic_bench_json(rows: &[crate::experiments::ElasticBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out =
-        format!("{{\n  \"benchmark\": \"elastic_mesh\",\n  \"cpus\": {cpus},\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \"final_shards\": {}, \"objects\": {}, \"events\": {}, \"sweeps\": {}, \"stolen\": {}, \"reshards\": {}, \"max_shard_sweeps\": {}, \"elapsed_ms\": {:.3}, \"objects_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.mode,
-            r.shards,
-            r.final_shards,
-            r.objects,
-            r.events,
-            r.sweeps,
-            r.stolen,
-            r.reshards,
-            r.max_shard_sweeps,
-            r.elapsed_ms,
-            r.objects_per_sec,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// The checkpoint/recovery experiment as a console table: durability
 /// overhead, snapshot-stall percentiles (p50/p99/max) and recovery time
 /// against replay-from-zero.
@@ -850,56 +783,6 @@ mod degrade_tests {
         assert!(table.contains("autopilot"));
         assert!(table.contains("OVER"));
         assert!(table.contains("ok"));
-    }
-}
-
-#[cfg(test)]
-mod elastic_tests {
-    use super::*;
-
-    #[test]
-    fn elastic_bench_json_is_wellformed() {
-        let rows = vec![
-            crate::experiments::ElasticBenchRow {
-                workload: "hotspot",
-                mode: "seq",
-                shards: 0,
-                final_shards: 0,
-                objects: 2000,
-                events: 6000,
-                sweeps: 96,
-                stolen: 0,
-                reshards: 0,
-                max_shard_sweeps: 96,
-                elapsed_ms: 4.0,
-                objects_per_sec: 500_000.0,
-                speedup: 1.0,
-            },
-            crate::experiments::ElasticBenchRow {
-                workload: "hotspot",
-                mode: "elastic",
-                shards: 2,
-                final_shards: 8,
-                objects: 2000,
-                events: 6000,
-                sweeps: 96,
-                stolen: 40,
-                reshards: 2,
-                max_shard_sweeps: 30,
-                elapsed_ms: 4.2,
-                objects_per_sec: 480_000.0,
-                speedup: 0.95,
-            },
-        ];
-        let json = elastic_bench_json(&rows);
-        assert!(json.contains("\"benchmark\": \"elastic_mesh\""));
-        assert!(json.contains("\"mode\": \"elastic\""));
-        assert!(json.contains("\"final_shards\": 8"));
-        assert!(json.contains("\"reshards\": 2"));
-        assert!(!json.contains("},\n  ]"));
-        let table = elastic_bench(&rows);
-        assert!(table.contains("elastic"));
-        assert!(table.contains("max-shard"));
     }
 }
 

@@ -9,7 +9,7 @@ use surge_checkpoint::{
 };
 use surge_core::{
     BurstDetector, Event, MeshIngest, MeshWorker, Point, RegionAnswer, RegionSize, ShardAnswer,
-    ShardRunStats, ShardWorkerStats, SpatialObject, SurgeQuery, WindowConfig,
+    ShardFlush, ShardRunStats, ShardWorkerStats, SpatialObject, SurgeQuery, WindowConfig,
 };
 use surge_exact::{BoundMode, SweepMode};
 use surge_stream::{drive_elastic, drive_elastic_with_sink, Ack, BalancerPolicy};
@@ -154,18 +154,19 @@ struct AlwaysWorker<'a> {
 }
 
 impl MeshWorker for AlwaysWorker<'_> {
-    type Job = ();
-    type Outcome = ();
     fn on_event(&mut self, _event: &Event) {
         self.events += 1;
     }
-    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
-        Some(ShardAnswer {
-            point: Point::new(0.25, 0.25),
-            score: 1.0 + self.events as f64,
-            bound: 2.0 + self.events as f64,
-            cell: (0, 0),
-        })
+    fn flush(&mut self) -> ShardFlush {
+        ShardFlush {
+            dirty: 0,
+            best: Some(ShardAnswer {
+                point: Point::new(0.25, 0.25),
+                score: 1.0 + self.events as f64,
+                bound: 2.0 + self.events as f64,
+                cell: (0, 0),
+            }),
+        }
     }
     fn stats(&self) -> ShardWorkerStats {
         ShardWorkerStats::default()
@@ -185,8 +186,6 @@ impl BurstDetector for AlwaysAnswer {
 }
 
 impl MeshIngest for AlwaysAnswer {
-    type Job = ();
-    type Outcome = ();
     type Worker<'a> = AlwaysWorker<'a>;
     fn ingest_workers(&mut self) -> Vec<AlwaysWorker<'_>> {
         vec![AlwaysWorker {

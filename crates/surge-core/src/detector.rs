@@ -167,79 +167,34 @@ pub struct ShardRunStats {
     pub searches: u64,
 }
 
-/// One shard's exclusive ingest handle: applies the event stream to its own
-/// cells and takes part in the driver-coordinated flush at slide
-/// boundaries. Obtained from [`MeshIngest::ingest_workers`]; the handles
-/// borrow the detector's shards disjointly, so each can live on its own
-/// thread for the duration of a mesh epoch.
-///
-/// The driver sequences a flush across the whole mesh in phases:
-///
-/// 1. [`dirty_count`](Self::dirty_count) — how many dirty cells this shard
-///    would sweep now;
-/// 2. [`export_jobs`](Self::export_jobs) — surrender the *tail* `k` of the
-///    shard's ascending dirty-cell list as self-contained jobs (the cells
-///    stay home; only their sweeps travel). Exported cells are remembered
-///    and skipped by the next [`sweep_kept`](Self::sweep_kept);
-/// 3. [`run_jobs`](Self::run_jobs) — sweep cells stolen *from peers*
-///    (counted in this worker's `sweeps`: the thief did the work);
-/// 4. [`sweep_kept`](Self::sweep_kept) — sweep the cells this shard kept,
-///    in place;
-/// 5. [`install_and_best`](Self::install_and_best) — install outcomes
-///    routed home by the driver **without counting them** (the thief
-///    already did), clear the export list, and report the shard's best.
-///
-/// Cells are independent and job execution uses the rebuild-per-search
-/// reference path, which is bit-identical to the in-place persistent sweep
-/// — so any steal schedule yields the same merged answer and the same
-/// total sweep count as the un-stolen flush.
-///
-/// The steal-phase methods default to "nothing dirty, nothing to export":
-/// a detector whose events keep every cell fresh (GAPS, MGAPS) implements
-/// only [`on_event`](Self::on_event),
-/// [`install_and_best`](Self::install_and_best) and [`stats`](Self::stats).
-pub trait MeshWorker {
-    /// A stolen cell's sweep, self-contained enough to run on any worker.
-    type Job: Send;
-    /// The outcome of one stolen sweep, routed home by the driver.
-    type Outcome: Send;
+/// What one shard reports for one mesh flush.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardFlush {
+    /// Dirty cells the shard held when the flush began — all of them swept
+    /// by it. The balancer's load signal and the driver's sweep tally.
+    pub dirty: u64,
+    /// The shard's best candidate with every cell fresh (`None` when the
+    /// shard holds no scoring cell).
+    pub best: Option<ShardAnswer>,
+}
 
+/// One shard's exclusive ingest handle: applies the event stream to its own
+/// cells and sweeps them at slide boundaries. Obtained from
+/// [`MeshIngest::ingest_workers`]; the handles borrow the detector's shards
+/// disjointly, so each can live on its own thread for the duration of a
+/// mesh epoch. A dirty cell is always swept by the shard that owns it.
+pub trait MeshWorker {
     /// Applies one event to the cells of this shard (cells owned by other
     /// shards are skipped). Every worker must see every event, in stream
     /// order.
     fn on_event(&mut self, event: &Event);
 
-    /// Number of dirty cells this shard would sweep at the next flush.
-    fn dirty_count(&self) -> u64 {
-        0
-    }
-
-    /// Exports the tail `k` dirty cells as jobs and marks them exported
-    /// (skipped by [`sweep_kept`](Self::sweep_kept), cleared by
-    /// [`install_and_best`](Self::install_and_best)). `k` never exceeds
-    /// the last reported [`dirty_count`](Self::dirty_count).
-    fn export_jobs(&mut self, k: usize) -> Vec<Self::Job> {
-        debug_assert_eq!(k, 0, "nothing dirty, nothing to export");
-        Vec::new()
-    }
-
-    /// Runs jobs stolen from peers, counting each in this worker's
-    /// `sweeps`, and returns one outcome per job **in job order** (the
-    /// driver routes outcomes home by position).
-    fn run_jobs(&mut self, jobs: Vec<Self::Job>) -> Vec<Self::Outcome> {
-        debug_assert!(jobs.is_empty(), "no peer exports jobs");
-        Vec::new()
-    }
-
-    /// Sweeps the dirty cells this shard kept (everything not exported),
-    /// in place, counting them in this worker's `sweeps`.
-    fn sweep_kept(&mut self) {}
-
-    /// Installs outcomes of this shard's exported cells (computed by the
-    /// thieves — not counted again here), clears the export list and
-    /// returns the shard's best candidate (`None` when the shard holds no
-    /// scoring cell). Afterwards every cell in the shard is fresh.
-    fn install_and_best(&mut self, outcomes: Vec<Self::Outcome>) -> Option<ShardAnswer>;
+    /// Sweeps every dirty cell of this shard in place, counting each in
+    /// this worker's `sweeps`, and reports how many there were plus the
+    /// shard's best candidate. Afterwards every cell in the shard is fresh.
+    /// A detector whose events keep every cell fresh (GAPS, MGAPS) reports
+    /// `dirty: 0`.
+    fn flush(&mut self) -> ShardFlush;
 
     /// This worker's lifetime counters.
     fn stats(&self) -> ShardWorkerStats;
@@ -251,7 +206,7 @@ pub trait MeshWorker {
 /// every worker observes the full event stream in order (applying only its
 /// own cells), and flush answers merged by [`ShardAnswer::merge_key`] are
 /// bit-identical to the sequential detector's answer at the same stream
-/// position — for any steal schedule and any shard count.
+/// position — for any shard count.
 ///
 /// The mesh is *elastic*: [`reshard`](Self::reshard) re-homes every cell
 /// under a new shard count by capturing the detector's logical state and
@@ -259,12 +214,8 @@ pub trait MeshWorker {
 /// checkpointing uses, so the answer stream after a reshard is
 /// bit-identical to a detector built at the new count from the start.
 pub trait MeshIngest: BurstDetector {
-    /// Stolen-sweep job (matches the worker's).
-    type Job: Send;
-    /// Stolen-sweep outcome (matches the worker's).
-    type Outcome: Send;
     /// The per-shard handle type (borrows the detector mutably).
-    type Worker<'a>: MeshWorker<Job = Self::Job, Outcome = Self::Outcome> + Send
+    type Worker<'a>: MeshWorker + Send
     where
         Self: 'a;
 

@@ -52,7 +52,7 @@ pub use checkpoint::{
 };
 pub use detector::{
     BurstDetector, DetectorStats, IncrementalDetector, MeshIngest, MeshWorker, ShardAnswer,
-    ShardRunStats, ShardWorkerStats, SweepCacheStats, TopKDetector,
+    ShardFlush, ShardRunStats, ShardWorkerStats, SweepCacheStats, TopKDetector,
 };
 pub use event::{Event, EventKind};
 pub use geom::{Point, Rect};

@@ -33,61 +33,16 @@ use surge_core::{
     object_to_rect, shard_of_cell, BurstDetector, BurstParams, CandidateState, CellId, CellState,
     CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec,
     IncrementalDetector, MeshIngest, MeshWorker, Point, Rect, RectState, RegionAnswer, RegionSize,
-    RestoreError, ShardAnswer, ShardRunStats, ShardWorkerStats, ShardedCellStore, SurgeQuery,
-    SweepCacheStats, TotalF64, WindowKind,
+    RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, ShardedCellStore,
+    SurgeQuery, SweepCacheStats, TotalF64, WindowKind,
 };
 
 use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats};
-use crate::sweep::{sl_cspot_rebuild, SweepArena, SweepRect, SweepResult};
+use crate::sweep::{SweepRect, SweepResult};
 
 /// Default shard count for the cell store (power of two; purely structural —
 /// any value yields identical answers).
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// A snapshot of one stale ("dirty") cell, self-contained enough to be swept
-/// out-of-band — e.g. on a worker thread — with [`crate::sweep::sl_cspot`].
-///
-/// Produced by [`CellCspot::snapshot_dirty`]; the matching outcomes are fed
-/// back through [`CellCspot::install_search_results`].
-#[derive(Debug, Clone)]
-pub struct DirtyCellJob {
-    /// The cell this job belongs to.
-    pub id: CellId,
-    /// The cell's rectangles in deterministic (object-id) order.
-    pub rects: Vec<SweepRect>,
-    /// The cell's feasible point domain.
-    pub domain: Rect,
-}
-
-/// The sweep outcome for one [`DirtyCellJob`].
-#[derive(Debug, Clone, Copy)]
-pub struct DirtyCellResult {
-    /// The cell the result belongs to.
-    pub id: CellId,
-    /// `sl_cspot` over the job's rects and domain (`None` when no rectangle
-    /// intersects the domain).
-    pub outcome: Option<SweepResult>,
-}
-
-impl DirtyCellJob {
-    /// Runs the sweep for this job. Pure: no detector state is touched, so
-    /// any number of jobs can run concurrently.
-    pub fn run(&self, params: &BurstParams) -> DirtyCellResult {
-        self.run_with(&mut SweepArena::new(), params)
-    }
-
-    /// [`run`](Self::run) over caller-owned scratch space — worker threads
-    /// keep one [`SweepArena`] each and sweep allocation-free. Jobs always
-    /// rebuild the sweep from their rectangle snapshot
-    /// ([`sl_cspot_rebuild`]): they are the differential reference for the
-    /// in-place persistent path, bit-identical by construction.
-    pub fn run_with(&self, arena: &mut SweepArena, params: &BurstParams) -> DirtyCellResult {
-        DirtyCellResult {
-            id: self.id,
-            outcome: sl_cspot_rebuild(arena, &self.rects, &self.domain, params),
-        }
-    }
-}
 
 /// Which upper bound the detector maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -415,40 +370,19 @@ fn dirty_ids(cells: &HashMap<CellId, Cell>) -> Vec<CellId> {
     ids
 }
 
-/// Snapshots dirty cells of one shard as self-contained rebuild jobs.
-fn dirty_jobs(cells: &HashMap<CellId, Cell>, ids: &[CellId]) -> Vec<DirtyCellJob> {
-    ids.iter()
-        .map(|&id| {
-            let cell = &cells[&id];
-            DirtyCellJob {
-                id,
-                rects: cell.sweep.full_rects(),
-                domain: cell.domain.expect("filtered to feasible"),
-            }
-        })
-        .collect()
-}
-
-/// Sweeps every dirty cell of one shard in place (persistent state) —
-/// minus the cells in `skip` (sorted ascending), the exported tail of a
-/// mesh flush whose sweeps run on thief workers instead — and installs the
-/// outcomes. Returns the number of cells swept.
+/// Sweeps every dirty cell of one shard in place (persistent state) and
+/// installs the outcomes. Returns the number of cells swept.
 fn sweep_shard_dirty(
     cells: &mut HashMap<CellId, Cell>,
     queue: &mut ShardQueue,
     ctx: &ShardCtx,
-    skip: &[CellId],
 ) -> u64 {
-    let mut swept = 0u64;
-    for id in dirty_ids(cells) {
-        if skip.binary_search(&id).is_ok() {
-            continue;
-        }
+    let ids = dirty_ids(cells);
+    for &id in &ids {
         let outcome = sweep_cell(cells, id).expect("dirty cell is present and feasible");
         install_result_into(cells, queue, ctx, id, outcome);
-        swept += 1;
     }
-    swept
+    ids.len() as u64
 }
 
 /// One shard's best fresh candidate under the sequential scan order: the
@@ -623,14 +557,9 @@ impl CellCspot {
         )
     }
 
-    /// The burst-score parameters this detector sweeps with.
-    pub fn burst_params(&self) -> BurstParams {
-        self.ctx.params
-    }
-
     /// Number of cells whose candidate is currently stale (searched lazily
     /// on the next [`BurstDetector::current`] call, or eagerly via
-    /// [`Self::snapshot_dirty`]).
+    /// [`IncrementalDetector::sweep_dirty`]).
     pub fn dirty_cell_count(&self) -> usize {
         self.store
             .shards()
@@ -638,49 +567,6 @@ impl CellCspot {
             .flat_map(|m| m.values())
             .filter(|c| matches!(c.cand, CandState::Stale))
             .count()
-    }
-
-    /// Snapshots every stale feasible cell as a self-contained
-    /// [`DirtyCellJob`], in deterministic (cell-id) order.
-    ///
-    /// This snapshot → [`DirtyCellJob::run_with`] →
-    /// [`Self::install_search_results`] sequence is the rebuild-per-search
-    /// *reference* the in-place [`IncrementalDetector::sweep_dirty`] is
-    /// tested against (and the form in which mesh workers ship stolen
-    /// cells). The jobs are pure data; no events may be applied between
-    /// snapshot and install, otherwise the results are silently out of date.
-    pub fn snapshot_dirty(&self) -> Vec<DirtyCellJob> {
-        let mut jobs: Vec<DirtyCellJob> = self
-            .store
-            .shards()
-            .iter()
-            .flat_map(|cells| dirty_jobs(cells, &dirty_ids(cells)))
-            .collect();
-        jobs.sort_unstable_by_key(|j| j.id);
-        jobs
-    }
-
-    /// Installs externally computed sweep outcomes (see
-    /// [`Self::snapshot_dirty`]). Results for cells that have vanished in
-    /// the meantime are ignored; each installed result counts as one search
-    /// in [`DetectorStats`], exactly as if `search_cell` had run it.
-    /// Outcomes are per-cell and commute, so any install order produces
-    /// identical state.
-    pub fn install_search_results(&mut self, results: impl IntoIterator<Item = DirtyCellResult>) {
-        let ctx = self.ctx;
-        for r in results {
-            let s = self.store.shard_of(r.id);
-            if self.store.shard(s).contains_key(&r.id) {
-                self.stats.searches += 1;
-                let _ = install_result_into(
-                    self.store.shard_mut(s),
-                    &mut self.queues[s],
-                    &ctx,
-                    r.id,
-                    r.outcome,
-                );
-            }
-        }
     }
 
     /// Per-shard dirty (stale, feasible) cell counts — the load signal an
@@ -892,7 +778,7 @@ impl IncrementalDetector for CellCspot {
     /// one scoped worker per shard chunk. Cells are independent and each
     /// shard's `(cells, queue)` pair is owned exclusively by one worker, so
     /// results and stats are bit-identical to the rebuild-per-search
-    /// reference ([`CellCspot::snapshot_dirty`]) for any thread count.
+    /// reference (a [`SweepMode::Rebuild`] detector) for any thread count.
     ///
     /// Parallelism is bounded by the shard count (a shard's queue is
     /// mutated during install, so a shard cannot be split across workers
@@ -911,7 +797,7 @@ impl IncrementalDetector for CellCspot {
         let threads = threads.clamp(1, work.len().max(1));
         let swept: u64 = if threads <= 1 {
             work.iter_mut()
-                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx, &[]))
+                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
                 .sum()
         } else {
             let chunk = work.len().div_ceil(threads);
@@ -922,7 +808,7 @@ impl IncrementalDetector for CellCspot {
                         scope.spawn(move || {
                             chunk
                                 .iter_mut()
-                                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx, &[]))
+                                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
                                 .sum::<u64>()
                         })
                     })
@@ -951,26 +837,9 @@ pub struct CellMeshWorker<'a> {
     queue: &'a mut ShardQueue,
     pool: &'a mut SweepPool,
     stats: ShardWorkerStats,
-    /// Dirty cells exported to thieves in the current flush (the ascending
-    /// tail of `dirty_ids`); skipped by the kept-cell sweep and cleared
-    /// once their outcomes are installed.
-    exported: Vec<CellId>,
-    /// Scratch for sweeping cells stolen *from* peers (the export path
-    /// ships pure rebuild jobs, which reuse one arena across jobs).
-    arena: SweepArena,
 }
 
-/// The steal-capable flush (see [`MeshWorker`]): exported cells ship as
-/// [`DirtyCellJob`]s — the rebuild-per-search reference path, bit-identical
-/// to the in-place persistent sweep by construction — so any steal schedule
-/// produces the same installed state, the same merged answer and the same
-/// total sweep count as the un-stolen flush. Sweep attribution follows the
-/// work: the thief counts stolen jobs, the donor counts only kept cells and
-/// installs imported outcomes without counting.
 impl MeshWorker for CellMeshWorker<'_> {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
-
     fn on_event(&mut self, event: &Event) {
         let Some(sweep) = event_sweep_rect(&self.ctx, event) else {
             return;
@@ -986,36 +855,13 @@ impl MeshWorker for CellMeshWorker<'_> {
         }
     }
 
-    fn dirty_count(&self) -> u64 {
-        dirty_ids(self.cells).len() as u64
-    }
-
-    fn export_jobs(&mut self, k: usize) -> Vec<DirtyCellJob> {
-        debug_assert!(self.exported.is_empty(), "previous export not installed");
-        let mut ids = dirty_ids(self.cells);
-        let keep = ids.len().saturating_sub(k);
-        self.exported = ids.split_off(keep);
-        dirty_jobs(self.cells, &self.exported)
-    }
-
-    fn run_jobs(&mut self, jobs: Vec<DirtyCellJob>) -> Vec<DirtyCellResult> {
-        self.stats.sweeps += jobs.len() as u64;
-        jobs.iter()
-            .map(|j| j.run_with(&mut self.arena, &self.ctx.params))
-            .collect()
-    }
-
-    fn sweep_kept(&mut self) {
-        self.stats.sweeps += sweep_shard_dirty(self.cells, self.queue, &self.ctx, &self.exported);
-    }
-
-    fn install_and_best(&mut self, outcomes: Vec<DirtyCellResult>) -> Option<ShardAnswer> {
-        for r in outcomes {
-            // The thief already accounted the sweep; install only.
-            install_result_into(self.cells, self.queue, &self.ctx, r.id, r.outcome);
+    fn flush(&mut self) -> ShardFlush {
+        let dirty = sweep_shard_dirty(self.cells, self.queue, &self.ctx);
+        self.stats.sweeps += dirty;
+        ShardFlush {
+            dirty,
+            best: shard_best(self.cells, self.queue, &self.ctx),
         }
-        self.exported.clear();
-        shard_best(self.cells, self.queue, &self.ctx)
     }
 
     fn stats(&self) -> ShardWorkerStats {
@@ -1024,8 +870,6 @@ impl MeshWorker for CellMeshWorker<'_> {
 }
 
 impl MeshIngest for CellCspot {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
     type Worker<'a> = CellMeshWorker<'a>;
 
     fn ingest_workers(&mut self) -> Vec<CellMeshWorker<'_>> {
@@ -1044,8 +888,6 @@ impl MeshIngest for CellCspot {
                 queue,
                 pool,
                 stats: ShardWorkerStats::default(),
-                exported: Vec::new(),
-                arena: SweepArena::default(),
             })
             .collect()
     }
@@ -1547,20 +1389,15 @@ mod tests {
             })
             .collect();
 
-        let mut seq = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
+        let mut seq =
+            CellCspot::with_sweep_mode(query(0.5), BoundMode::Combined, SweepMode::Rebuild, 4);
         for ev in &events {
             seq.on_event(ev);
         }
-        // The flush contract compares against the *all-fresh* sequential
-        // state (snapshot → install → current), the exact cadence the
-        // mesh driver runs at.
-        let params = seq.burst_params();
-        let outcomes: Vec<_> = seq
-            .snapshot_dirty()
-            .iter()
-            .map(|j| j.run(&params))
-            .collect();
-        seq.install_search_results(outcomes);
+        // The flush contract compares against the *all-fresh* state of the
+        // rebuild-per-search reference (sweep → current), the exact cadence
+        // the mesh driver runs at.
+        seq.sweep_dirty(1);
         let want = seq.current();
 
         let mut par = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
@@ -1574,10 +1411,7 @@ mod tests {
             }
             let best = workers
                 .iter_mut()
-                .filter_map(|w| {
-                    w.sweep_kept();
-                    w.install_and_best(Vec::new())
-                })
+                .filter_map(|w| w.flush().best)
                 .max_by_key(|a| a.merge_key());
             let sweeps: u64 = workers.iter().map(|w| w.stats().sweeps).sum();
             (best, sweeps)

@@ -35,9 +35,7 @@ pub mod segtree;
 pub mod sweep;
 
 pub use base::BaseDetector;
-pub use cell::{
-    BoundMode, CellCspot, CellMeshWorker, DirtyCellJob, DirtyCellResult, DEFAULT_SHARDS,
-};
+pub use cell::{BoundMode, CellCspot, CellMeshWorker, DEFAULT_SHARDS};
 pub use maxrs::maxrs_sweep;
 pub use oracle::{score_of_region, snapshot_bursty_region, snapshot_rects, snapshot_topk};
 pub use psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats, MIN_CHURN_BUDGET};

@@ -451,9 +451,9 @@ impl PersistentCellSweep {
         self.entries.binary_search_by_key(&id, |e| e.id).is_ok()
     }
 
-    /// The resident rectangles in id order (the `DirtyCellJob` snapshot —
-    /// what `sorted_rects` used to sort out of a hash map, now a plain
-    /// copy).
+    /// The resident rectangles in id order — the input differential tests
+    /// hand to the rebuild reference
+    /// ([`sl_cspot_rebuild`](crate::sweep::sl_cspot_rebuild)).
     pub fn full_rects(&self) -> Vec<SweepRect> {
         self.entries.iter().map(|e| e.rect).collect()
     }

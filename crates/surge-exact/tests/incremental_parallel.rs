@@ -2,11 +2,13 @@
 //! Cell-CSPOT through `drive_incremental` (in-place parallel sweeps of the
 //! dirty cells) must produce exactly the state and answers of the plain
 //! sequential driver, for any thread count — parallelism may only change
-//! wall-clock time. The rebuild-per-search reference (`snapshot_dirty` →
-//! `DirtyCellJob::run` → `install_search_results`) is held to the same bar.
+//! wall-clock time. The rebuild-per-search reference (a `SweepMode::Rebuild`
+//! detector swept with `sweep_dirty(1)`) is held to the same bar.
 
-use surge_core::{BurstDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
-use surge_exact::CellCspot;
+use surge_core::{
+    BurstDetector, IncrementalDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
+};
+use surge_exact::{BoundMode, CellCspot, SweepMode, DEFAULT_SHARDS};
 use surge_stream::{drive_incremental, SlidingWindowEngine};
 use surge_testkit::clustered_stream;
 
@@ -19,11 +21,15 @@ fn stream(n: usize) -> Vec<SpatialObject> {
     clustered_stream(n, 5, 7, 0xA5A5_5A5A_1234_5678)
 }
 
-/// Sweeps every dirty cell through the rebuild-per-search reference path.
-fn sweep_by_reference(d: &mut CellCspot) {
-    let params = d.burst_params();
-    let outcomes: Vec<_> = d.snapshot_dirty().iter().map(|j| j.run(&params)).collect();
-    d.install_search_results(outcomes);
+/// A detector on the rebuild-per-search reference path: every sweep
+/// re-sorts the cell's rectangles and runs `sl_cspot_rebuild`.
+fn reference(alpha: f64) -> CellCspot {
+    CellCspot::with_sweep_mode(
+        query(alpha),
+        BoundMode::Combined,
+        SweepMode::Rebuild,
+        DEFAULT_SHARDS,
+    )
 }
 
 #[test]
@@ -94,11 +100,11 @@ fn parallel_dirty_sweeps_match_sequential_answers() {
 #[test]
 fn snapshot_install_equals_lazy_search() {
     // Apply the same events to two detectors; resolve one lazily via
-    // current(), the other eagerly via snapshot → run → install. Scores and
-    // dirty-cell bookkeeping must agree.
+    // current(), the other eagerly via the reference's sweep_dirty. Scores
+    // and dirty-cell bookkeeping must agree.
     let objs = stream(400);
     let mut lazy = CellCspot::new(query(0.5));
-    let mut eager = CellCspot::new(query(0.5));
+    let mut eager = reference(0.5);
     let mut engine_a = SlidingWindowEngine::new(WindowConfig::equal(500));
     let mut engine_b = SlidingWindowEngine::new(WindowConfig::equal(500));
     for (i, obj) in objs.iter().enumerate() {
@@ -109,7 +115,7 @@ fn snapshot_install_equals_lazy_search() {
             eager.on_event(&ev);
         }
         if i % 50 == 49 {
-            sweep_by_reference(&mut eager);
+            eager.sweep_dirty(1);
             assert_eq!(eager.dirty_cell_count(), 0);
 
             let a = lazy.current().map(|r| r.score);
@@ -131,8 +137,8 @@ fn snapshot_install_equals_lazy_search() {
 
 #[test]
 fn snapshot_of_clean_detector_is_empty() {
-    let mut d = CellCspot::new(query(0.5));
-    assert!(d.snapshot_dirty().is_empty());
+    let mut d = reference(0.5);
+    assert_eq!(d.sweep_dirty(1), 0);
     let mut engine = SlidingWindowEngine::new(WindowConfig::equal(500));
     for ev in engine.push(SpatialObject::new(0, 1.0, Point::new(0.5, 0.5), 0)) {
         d.on_event(&ev);
@@ -141,8 +147,8 @@ fn snapshot_of_clean_detector_is_empty() {
     // current() resolves lazily: it may leave bound-dominated cells stale
     // (that is the point of the bounds), so dirt can remain...
     let _ = d.current();
-    // ...whereas snapshot → install sweeps *every* dirty cell eagerly.
-    sweep_by_reference(&mut d);
+    // ...whereas sweep_dirty sweeps *every* dirty cell eagerly.
+    d.sweep_dirty(1);
     assert_eq!(d.dirty_cell_count(), 0);
-    assert!(d.snapshot_dirty().is_empty());
+    assert_eq!(d.sweep_dirty(1), 0);
 }

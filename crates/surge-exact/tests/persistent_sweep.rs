@@ -223,7 +223,7 @@ proptest! {
 
     /// The mesh driver on a persistent detector still bit-matches the
     /// rebuild-mode incremental driver — persistence composes with shard
-    /// workers, stolen rebuild jobs and the terminal drain.
+    /// workers and the terminal drain.
     #[test]
     fn mesh_persistent_matches_rebuild_incremental(
         objs in arb_lattice_stream(160),

@@ -25,13 +25,6 @@ pub enum TraceEvent {
         /// Answers the flush produced.
         answers: u64,
     },
-    /// The elastic driver computed a steal plan for this flush.
-    StealPlan {
-        /// Flush sequence number.
-        seq: u64,
-        /// Total sweeps moved between shards by the plan.
-        moved: u64,
-    },
     /// The elastic mesh resharded at an epoch boundary.
     ReshardEpoch {
         /// Epoch index (0-based) that ended with this reshard.
@@ -80,9 +73,6 @@ impl std::fmt::Display for TraceEvent {
             TraceEvent::FlushStart { seq } => write!(f, "flush_start seq={seq}"),
             TraceEvent::FlushEnd { seq, answers } => {
                 write!(f, "flush_end seq={seq} answers={answers}")
-            }
-            TraceEvent::StealPlan { seq, moved } => {
-                write!(f, "steal_plan seq={seq} moved={moved}")
             }
             TraceEvent::ReshardEpoch { epoch, from, to } => {
                 write!(f, "reshard_epoch epoch={epoch} from={from} to={to}")
@@ -281,7 +271,6 @@ mod tests {
     fn events_render_stable_text() {
         let texts = [
             TraceEvent::FlushStart { seq: 7 }.to_string(),
-            TraceEvent::StealPlan { seq: 7, moved: 3 }.to_string(),
             TraceEvent::ReshardEpoch {
                 epoch: 1,
                 from: 2,
@@ -303,13 +292,12 @@ mod tests {
             TraceEvent::Backpressure { seq: 2, shard: 1 }.to_string(),
         ];
         assert_eq!(texts[0], "flush_start seq=7");
-        assert_eq!(texts[1], "steal_plan seq=7 moved=3");
-        assert_eq!(texts[2], "reshard_epoch epoch=1 from=2 to=4");
-        assert_eq!(texts[3], "tier_switch seq=9 from=exact to=mgaps");
+        assert_eq!(texts[1], "reshard_epoch epoch=1 from=2 to=4");
+        assert_eq!(texts[2], "tier_switch seq=9 from=exact to=mgaps");
         assert_eq!(
-            texts[4],
+            texts[3],
             "snapshot_stall slide=4 bytes=1024 sync_policy=os_flush"
         );
-        assert_eq!(texts[5], "backpressure seq=2 shard=1");
+        assert_eq!(texts[4], "backpressure seq=2 shard=1");
     }
 }

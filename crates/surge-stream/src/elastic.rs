@@ -1,6 +1,5 @@
 //! The shard mesh: parallel ingest *and* dirty-cell sweeps on one worker
-//! per shard, with work stealing, skew detection and live resharding — all
-//! bit-identically.
+//! per shard, with skew detection and live resharding — all bit-identically.
 //!
 //! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
 //! but applies every event on the calling thread. [`drive_elastic`] moves
@@ -13,31 +12,26 @@
 //! sequential drivers' — shard count and thread interleaving change
 //! wall-clock time only.
 //!
-//! At each slide boundary the driver runs a flush handshake: every worker
-//! sweeps dirty cells and answers with its shard-local best. Merging the
-//! shard answers by [`ShardAnswer::merge_key`] reproduces the sequential
-//! detector's best-first scan exactly, so the reported answers are
-//! bit-identical to [`drive_incremental`](crate::parallel::drive_incremental)
-//! at the same slide cadence — including the terminal drain flush both
-//! drivers end with (`SlidingWindowEngine::finish` semantics).
+//! At each slide boundary the driver sends every worker one `Flush`
+//! command; each worker sweeps the dirty cells of its own shard in place
+//! and replies once, with its pre-sweep dirty count and its shard-local
+//! best ([`ShardFlush`]). Merging the shard bests by
+//! [`ShardAnswer::merge_key`] reproduces the sequential detector's
+//! best-first scan exactly, so the reported answers are bit-identical to
+//! [`drive_incremental`](crate::parallel::drive_incremental) at the same
+//! slide cadence — including the terminal drain flush both drivers end with
+//! (`SlidingWindowEngine::finish` semantics). One command and one reply per
+//! worker means at most one outstanding command each, so the bounded
+//! channels cannot deadlock regardless of capacity.
 //!
-//! A fixed ownership would let one hot shard own a whole flush's sweep
-//! load: a skewed workload (every object homed to one anchor cell)
+//! A dirty cell is always swept by the shard that owns it, so a fixed
+//! ownership would let one hot shard own a whole flush's sweep load: a
+//! persistently skewed workload (every object homed to one anchor cell)
 //! serializes the mesh no matter how many workers it has. The mesh is
-//! therefore elastic in three compounding steps, each gated on bitwise
+//! therefore elastic in two compounding steps, each gated on bitwise
 //! differentials (`tests/elastic_differential.rs`) before any timing:
 //!
-//! 1. **Work-stealing sweeps.** At a flush the driver collects per-shard
-//!    dirty-cell counts, computes a deterministic [`steal plan`](StealPlan)
-//!    (donors export the ascending tail of their dirty list down to the
-//!    fair share; thieves fill up to it, both in index order) and ships
-//!    whole cells as pure rebuild jobs. Cells are independent, job sweeps
-//!    are bit-identical to in-place persistent sweeps by construction, and
-//!    answers still merge by `ShardAnswer::merge_key` — so results are
-//!    bit-identical for any steal schedule, and sweep *attribution* follows
-//!    the work (the thief counts stolen jobs, the donor counts kept cells
-//!    and installs imported outcomes without counting).
-//! 2. **Skew detection.** A [`ShardBalancer`] reads each flush's per-shard
+//! 1. **Skew detection.** A [`ShardBalancer`] reads each flush's per-shard
 //!    dirty-cell counts as the load signal; when the maximum exceeds the
 //!    mean by [`BalancerPolicy::skew_percent`] for
 //!    [`BalancerPolicy::patience`] consecutive flushes, it recommends
@@ -45,7 +39,7 @@
 //!    set it to the starting width for a fixed-width mesh). The decision is
 //!    a pure function of the flush-boundary counters, so a crash-replayed
 //!    run re-triggers the same reshard at the same flush.
-//! 3. **Live resharding.** The driver runs the mesh in *epochs*: on a
+//! 2. **Live resharding.** The driver runs the mesh in *epochs*: on a
 //!    balancer recommendation (always at a slide boundary) it closes the
 //!    workers' channels, joins them, re-homes every cell under the new
 //!    `shard_of_cell` mapping via the detector's checkpoint path
@@ -54,17 +48,11 @@
 //!    over; shard count is purely structural, so the answer stream
 //!    continues bit-identically — doubling the mesh without a restart.
 //!
-//! The flush handshake is a strict request/reply sequence — `FlushBegin` →
-//! dirty counts → `Export` → jobs → `Sweep` → outcomes → `Install` →
-//! answers — with at most one outstanding command per worker, so the
-//! bounded channels cannot deadlock regardless of capacity.
-//!
 //! A worker that panics hangs up its channels; the driver's next send or
 //! receive on them fails, it stops, joins the mesh and re-raises the
 //! worker's own panic — no peer is left waiting.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::mpsc::{RecvError, SendError, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, ScopedJoinHandle};
@@ -73,8 +61,8 @@ use std::time::{Duration as WallDuration, Instant};
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use surge_core::{
-    Event, MeshIngest, MeshWorker, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats,
-    ShardWorkerStats, SpatialObject, WindowConfig,
+    Event, MeshIngest, MeshWorker, RegionAnswer, RegionSize, ShardAnswer, ShardFlush,
+    ShardRunStats, ShardWorkerStats, SpatialObject, WindowConfig,
 };
 use surge_observe::{Flight, Observe, TraceEvent};
 
@@ -91,11 +79,13 @@ const BATCH: usize = 256;
 /// driver computes, so the bitwise contract is untouched.
 const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
 
-/// How long an idle worker polls its command channel before parking. A
-/// flush is a handful of request/reply round trips a few hundred
-/// microseconds apart; parking between them costs a futex wake-up per
-/// round trip — on a virtualised host an interrupt to a halted vCPU —
-/// which on small slides outweighs the sweeps themselves.
+/// How long an idle worker polls its command channel before parking.
+/// Event batches and flush commands arrive a few hundred microseconds
+/// apart; parking between them costs a futex wake-up per message — on a
+/// virtualised host an interrupt to a halted vCPU. Measured on this
+/// one-message flush, a plain blocking `recv` loses `taxi-mesh` in 5 of 6
+/// pairs (`objects_per_s` 74k vs 83k, `answer_p95_us` 673 vs 535 — see
+/// CHANGES.md, PR 20).
 const WORKER_POLL: WallDuration = WallDuration::from_micros(100);
 
 /// When the [`ShardBalancer`] recommends splitting the mesh.
@@ -175,7 +165,7 @@ impl ShardBalancer {
     }
 
     /// Observes one flush: `dirty[s]` is shard `s`'s dirty-cell count
-    /// before stealing. Returns the recommended new shard count, or `None`
+    /// before its sweep. Returns the recommended new shard count, or `None`
     /// to keep running.
     pub fn observe(&mut self, dirty: &[u64]) -> Option<usize> {
         let shards = dirty.len();
@@ -203,101 +193,14 @@ impl ShardBalancer {
     }
 }
 
-/// A deterministic work-stealing plan for one flush, computed from the
-/// per-shard dirty counts alone.
-///
-/// `fair = ceil(total / shards)`: shards above it export their surplus
-/// (the ascending *tail* of their dirty-cell list), shards below it steal
-/// up to it, deficits filled in index order from donors in index order.
-/// Total deficit always covers total surplus (`shards · fair ≥ total`),
-/// so every exported cell is assigned — and the same counts always produce
-/// the same plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StealPlan {
-    /// Cells each shard exports (0 for thieves and balanced shards).
-    pub(crate) exports: Vec<usize>,
-    /// Per-thief `(donor, count)` runs, donors in index order.
-    pub(crate) assign: Vec<Vec<(usize, usize)>>,
-    /// Total cells changing hands.
-    pub(crate) stolen: usize,
-}
-
-/// Computes the steal plan for one flush, or `None` when nothing moves
-/// (one shard, empty flush, or already balanced).
-pub(crate) fn steal_plan(dirty: &[u64]) -> Option<StealPlan> {
-    let n = dirty.len();
-    if n <= 1 {
-        return None;
-    }
-    let total: u64 = dirty.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let fair = total.div_ceil(n as u64);
-    let exports: Vec<usize> = dirty
-        .iter()
-        .map(|&c| c.saturating_sub(fair) as usize)
-        .collect();
-    let stolen: usize = exports.iter().sum();
-    if stolen == 0 {
-        return None;
-    }
-    let mut assign: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut donor = 0usize;
-    let mut avail = exports[0];
-    for (thief, &count) in dirty.iter().enumerate() {
-        let mut need = fair.saturating_sub(count) as usize;
-        while need > 0 {
-            while avail == 0 && donor + 1 < n {
-                donor += 1;
-                avail = exports[donor];
-            }
-            if avail == 0 {
-                break; // all surplus assigned
-            }
-            let take = need.min(avail);
-            assign[thief].push((donor, take));
-            need -= take;
-            avail -= take;
-        }
-    }
-    debug_assert_eq!(
-        assign.iter().flatten().map(|&(_, k)| k).sum::<usize>(),
-        stolen,
-        "every exported cell must be assigned"
-    );
-    Some(StealPlan {
-        exports,
-        assign,
-        stolen,
-    })
-}
-
-/// What the driver sends each mesh worker.
-enum MeshMsg<J, O> {
+/// What the driver sends each mesh worker. The reply channel carries one
+/// [`ShardFlush`] per `Flush`, nothing else.
+enum MeshMsg {
     /// A batch of expanded events, in stream order, shared (not
     /// deep-copied) across the workers. Every worker receives every batch.
     Events(Arc<[Event]>),
-    /// Flush phase 1: reply with your dirty-cell count.
-    FlushBegin,
-    /// Flush phase 2 (donors only): export the tail `k` of your dirty list
-    /// as jobs.
-    Export(usize),
-    /// Flush phase 3 (everyone): run these stolen jobs, then sweep your
-    /// kept cells in place.
-    Sweep(Vec<J>),
-    /// Flush phase 4 (everyone): install outcomes of your exported cells,
-    /// reply with your shard best.
-    Install(Vec<O>),
-}
-
-/// Worker replies, on a dedicated per-worker channel (strictly one reply
-/// per command — the mesh never has two commands in flight per worker).
-enum MeshReply<J, O> {
-    Dirty(u64),
-    Jobs(Vec<J>),
-    Outcomes(Vec<O>),
-    Answer(Option<ShardAnswer>),
+    /// Slide boundary: sweep your dirty cells, reply with your shard best.
+    Flush,
 }
 
 /// A worker's channel hung up mid-run, which only a worker panic causes.
@@ -382,9 +285,9 @@ struct EventFanout<'a> {
 impl EventFanout<'_> {
     /// Sends `batch` to every worker as one shared allocation (each worker
     /// holds an `Arc`, not a deep copy) and empties it.
-    fn broadcast<J, O>(
+    fn broadcast(
         &self,
-        txs: &[Sender<MeshMsg<J, O>>],
+        txs: &[Sender<MeshMsg>],
         batch: &mut EventBatch,
         seq: u64,
     ) -> Result<(), WorkerGone> {
@@ -419,40 +322,29 @@ impl EventFanout<'_> {
 /// in the same logical time as the driver's.
 fn mesh_worker_loop<W: MeshWorker>(
     mut worker: W,
-    rx: Receiver<MeshMsg<W::Job, W::Outcome>>,
-    tx: Sender<MeshReply<W::Job, W::Outcome>>,
+    rx: Receiver<MeshMsg>,
+    tx: Sender<ShardFlush>,
     flight: Flight,
     mut flush_seq: u64,
 ) -> ShardWorkerStats {
     while let Ok(msg) = recv_command(&rx) {
-        let reply = match msg {
+        match msg {
             MeshMsg::Events(events) => {
                 for ev in events.iter() {
                     worker.on_event(ev);
                 }
-                continue;
             }
-            MeshMsg::FlushBegin => {
+            MeshMsg::Flush => {
                 flight.record(TraceEvent::FlushStart { seq: flush_seq });
-                MeshReply::Dirty(worker.dirty_count())
-            }
-            MeshMsg::Export(k) => MeshReply::Jobs(worker.export_jobs(k)),
-            MeshMsg::Sweep(stolen) => {
-                let outcomes = worker.run_jobs(stolen);
-                worker.sweep_kept();
-                MeshReply::Outcomes(outcomes)
-            }
-            MeshMsg::Install(outcomes) => {
-                let best = worker.install_and_best(outcomes);
+                let reply = worker.flush();
                 flight.record(TraceEvent::FlushEnd {
                     seq: flush_seq,
-                    answers: best.is_some() as u64,
+                    answers: reply.best.is_some() as u64,
                 });
                 flush_seq += 1;
-                MeshReply::Answer(best)
+                tx.send(reply).expect("driver alive");
             }
-        };
-        tx.send(reply).expect("driver alive");
+        }
     }
     worker.stats()
 }
@@ -465,10 +357,9 @@ pub struct EpochStats {
     pub shards: usize,
     /// Flushes executed in this epoch.
     pub slides: u64,
-    /// Cells that changed hands via stealing in this epoch.
-    pub stolen: u64,
-    /// Driver-accounted sweeps each shard *ran* (kept + stolen), indexed by
-    /// shard — the sweep critical path of this epoch is the max entry.
+    /// Sweeps each shard ran (the sum of the dirty counts its worker
+    /// reported), indexed by shard — the sweep critical path of this epoch
+    /// is the max entry.
     pub shard_sweeps: Vec<u64>,
     /// Per-shard lifetime counters for this epoch's workers.
     pub shard_stats: Vec<ShardWorkerStats>,
@@ -485,7 +376,9 @@ pub struct ElasticReport {
     pub slides: u64,
     /// Total dirty-cell sweeps across all shards, flushes and epochs.
     pub sweeps: u64,
-    /// Total cells that changed hands via work stealing.
+    /// Always 0: a dirty cell is swept by the shard that owns it. Kept
+    /// only because `bench/src/layers.rs` reads it and `bench/` is frozen
+    /// outside benchmark PRs — delete it with the next one.
     pub stolen: u64,
     /// Live reshards performed (each doubles the shard count).
     pub reshards: u64,
@@ -505,20 +398,6 @@ pub struct ElasticReport {
     pub final_answer: Option<RegionAnswer>,
 }
 
-impl ElasticReport {
-    /// The sweep critical path: the largest per-shard sweep count any
-    /// single worker ran in any epoch. Stealing and splitting push this
-    /// toward `sweeps / shards`; without them a skewed stream pins it at
-    /// `sweeps`.
-    pub fn max_shard_sweeps(&self) -> u64 {
-        self.epochs
-            .iter()
-            .flat_map(|e| e.shard_sweeps.iter().copied())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// How one epoch ended.
 enum EpochEnd {
     /// Stream exhausted and terminal flush done.
@@ -527,97 +406,27 @@ enum EpochEnd {
     Reshard(usize),
 }
 
-/// One flush handshake across the whole mesh. The caller has already
-/// broadcast any buffered events. Returns the merged answer and the
-/// pre-steal dirty counts (for the balancer), and accounts stealing into
-/// `shard_sweeps` / `stolen`.
-fn mesh_flush<J, O>(
-    txs: &[Sender<MeshMsg<J, O>>],
-    reply_rxs: &[Receiver<MeshReply<J, O>>],
+/// One flush across the whole mesh: one command to and one reply from
+/// every worker. The caller has already broadcast any buffered events.
+/// Returns the merged answer and the per-shard dirty counts (the sweeps
+/// each shard just ran — the balancer's signal).
+fn mesh_flush(
+    txs: &[Sender<MeshMsg>],
+    reply_rxs: &[Receiver<ShardFlush>],
     region: RegionSize,
-    shard_sweeps: &mut [u64],
-    stolen_total: &mut u64,
     flight: &Flight,
     seq: u64,
 ) -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
-    let n = txs.len();
     flight.record(TraceEvent::FlushStart { seq });
-    // Phase 1: dirty counts.
     for tx in txs {
-        tx.send(MeshMsg::FlushBegin)?;
+        tx.send(MeshMsg::Flush)?;
     }
-    let mut dirty: Vec<u64> = Vec::with_capacity(n);
-    for rx in reply_rxs {
-        match rx.recv()? {
-            MeshReply::Dirty(c) => dirty.push(c),
-            _ => unreachable!("protocol: FlushBegin answers with Dirty"),
-        }
-    }
-
-    // Phase 2: plan + export.
-    let plan = steal_plan(&dirty);
-    let mut stolen_for: Vec<Vec<J>> = (0..n).map(|_| Vec::new()).collect();
-    if let Some(plan) = &plan {
-        let mut jobs_by_donor: Vec<VecDeque<J>> = (0..n).map(|_| VecDeque::new()).collect();
-        for (d, &k) in plan.exports.iter().enumerate() {
-            if k > 0 {
-                txs[d].send(MeshMsg::Export(k))?;
-            }
-        }
-        for (d, &k) in plan.exports.iter().enumerate() {
-            if k > 0 {
-                match reply_rxs[d].recv()? {
-                    MeshReply::Jobs(jobs) => {
-                        debug_assert_eq!(jobs.len(), k);
-                        jobs_by_donor[d] = jobs.into();
-                    }
-                    _ => unreachable!("protocol: Export answers with Jobs"),
-                }
-            }
-        }
-        for (thief, runs) in plan.assign.iter().enumerate() {
-            for &(donor, count) in runs {
-                stolen_for[thief].extend(jobs_by_donor[donor].drain(..count));
-            }
-        }
-        *stolen_total += plan.stolen as u64;
-        flight.record(TraceEvent::StealPlan {
-            seq,
-            moved: plan.stolen as u64,
-        });
-    }
-
-    // Phase 3: everyone sweeps — stolen jobs first, then kept cells.
-    for (w, (tx, stolen)) in txs.iter().zip(stolen_for).enumerate() {
-        let kept = dirty[w] - plan.as_ref().map_or(0, |p| p.exports[w] as u64);
-        shard_sweeps[w] += kept + stolen.len() as u64;
-        tx.send(MeshMsg::Sweep(stolen))?;
-    }
-
-    // Phase 4: route outcomes home and install. A thief's outcomes come
-    // back in job order, i.e. in the order of its `(donor, count)` runs.
-    let mut to_install: Vec<Vec<O>> = (0..n).map(|_| Vec::new()).collect();
-    for (thief, rx) in reply_rxs.iter().enumerate() {
-        match rx.recv()? {
-            MeshReply::Outcomes(outcomes) => {
-                let mut outcomes = outcomes.into_iter();
-                for &(donor, count) in plan.iter().flat_map(|p| &p.assign[thief]) {
-                    to_install[donor].extend(outcomes.by_ref().take(count));
-                }
-                debug_assert!(outcomes.next().is_none(), "one outcome per stolen job");
-            }
-            _ => unreachable!("protocol: Sweep answers with Outcomes"),
-        }
-    }
-    for (tx, outs) in txs.iter().zip(to_install) {
-        tx.send(MeshMsg::Install(outs))?;
-    }
+    let mut dirty = Vec::with_capacity(txs.len());
     let mut best: Option<ShardAnswer> = None;
     for rx in reply_rxs {
-        match rx.recv()? {
-            MeshReply::Answer(ans) => keep_best(&mut best, ans),
-            _ => unreachable!("protocol: Install answers with Answer"),
-        }
+        let reply = rx.recv()?;
+        dirty.push(reply.dirty);
+        keep_best(&mut best, reply.best);
     }
     let merged = best.map(|b| b.answer(region));
     flight.record(TraceEvent::FlushEnd {
@@ -629,16 +438,15 @@ fn mesh_flush<J, O>(
 
 /// Drives `source` into a [`MeshIngest`] detector with one worker thread
 /// per shard, refreshing the merged continuous answer once per
-/// `slide_objects` arrivals (plus the terminal drain flush), stealing
-/// sweeps at every flush and doubling the shard count live whenever the
-/// balancer detects persistent skew.
+/// `slide_objects` arrivals (plus the terminal drain flush) and doubling
+/// the shard count live whenever the balancer detects persistent skew.
 ///
 /// The calling thread expands window transitions, broadcasts event batches
 /// and merges flush answers; ingest and dirty-cell sweeps run on the shard
 /// workers. The per-flush answers (and the detector's final state and
 /// stats) are bit-identical to [`crate::parallel::drive_incremental`] at
-/// the same slide size, for any steal schedule and any reshard history —
-/// see the module docs for why. A `policy` whose `max_shards` equals the
+/// the same slide size, for any shard count and any reshard history — see
+/// the module docs for why. A `policy` whose `max_shards` equals the
 /// detector's shard count runs a fixed-width mesh.
 ///
 /// # Panics
@@ -692,14 +500,13 @@ pub fn drive_elastic_with_sink<D: MeshIngest>(
 /// [`drive_elastic_with_sink`] with registry probes: driver counters under
 /// `elastic/*`, per-epoch per-shard counters
 /// (`elastic/epoch=E/shard=S/sweeps`, `…/cell_touches`), a driver flight
-/// ring that traces every flush, steal plan and reshard epoch in logical
-/// time plus one ring per worker per epoch (`elastic/epoch=E/shard=S`), a
+/// ring that traces every flush and reshard epoch in logical time plus one
+/// ring per worker per epoch (`elastic/epoch=E/shard=S`), a
 /// mesh-backpressure watchdog that notes slow channel sends and dumps the
-/// rings, and a panic-time ring dump. Stolen-cell counts and reshard
-/// decisions are already deterministic (see the module docs), so the trace
-/// dump is identical run-to-run; a disabled `obs` compiles the probes down
-/// to a branch on `None` and the answers are bitwise identical either way
-/// (proptested).
+/// rings, and a panic-time ring dump. Reshard decisions are deterministic
+/// (see the module docs), so the trace dump is identical run-to-run; a
+/// disabled `obs` compiles the probes down to a branch on `None` and the
+/// answers are bitwise identical either way (proptested).
 ///
 /// # Panics
 ///
@@ -746,8 +553,8 @@ pub fn drive_elastic_observed<D: MeshIngest>(
             let mut reply_rxs = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
             for (shard, worker) in workers.into_iter().enumerate() {
-                let (tx, rx) = bounded::<MeshMsg<D::Job, D::Outcome>>(16);
-                let (rtx, rrx) = bounded::<MeshReply<D::Job, D::Outcome>>(1);
+                let (tx, rx) = bounded::<MeshMsg>(16);
+                let (rtx, rrx) = bounded::<ShardFlush>(1);
                 txs.push(tx);
                 reply_rxs.push(rrx);
                 let flight = obs.flight(&format!("elastic/epoch={}/shard={shard}", epochs.len()));
@@ -756,25 +563,19 @@ pub fn drive_elastic_observed<D: MeshIngest>(
             }
 
             let mut shard_sweeps = vec![0u64; n];
-            let mut epoch_stolen = 0u64;
             let mut epoch_slides = 0u64;
             let mut end = EpochEnd::Done;
-            // Broadcasts the buffered events, runs one flush handshake and
+            // Broadcasts the buffered events, runs one mesh flush and
             // delivers its answer; returns that answer and the dirty counts.
             let mut flush = |batch: &mut EventBatch,
                              answers: &mut AnswerLog<Option<RegionAnswer>>,
                              slides: &mut u64|
              -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
                 fanout.broadcast(&txs, batch, *slides)?;
-                let (ans, dirty) = mesh_flush(
-                    &txs,
-                    &reply_rxs,
-                    region,
-                    &mut shard_sweeps,
-                    &mut epoch_stolen,
-                    &driver_flight,
-                    *slides,
-                )?;
+                let (ans, dirty) = mesh_flush(&txs, &reply_rxs, region, &driver_flight, *slides)?;
+                for (total, swept) in shard_sweeps.iter_mut().zip(&dirty) {
+                    *total += swept;
+                }
                 answers.offer(ans, sink);
                 *slides += 1;
                 epoch_slides += 1;
@@ -816,7 +617,6 @@ pub fn drive_elastic_observed<D: MeshIngest>(
             let epoch = EpochStats {
                 shards: n,
                 slides: epoch_slides,
-                stolen: epoch_stolen,
                 shard_sweeps,
                 shard_stats,
             };
@@ -840,7 +640,6 @@ pub fn drive_elastic_observed<D: MeshIngest>(
 
     let final_shards = epochs.last().expect("at least one epoch").shards;
     let reshards = epochs.len() as u64 - 1;
-    let stolen: u64 = epochs.iter().map(|e| e.stolen).sum();
     let run = ShardRunStats {
         events: fanout.events.get(),
         new_events: objects,
@@ -855,20 +654,16 @@ pub fn drive_elastic_observed<D: MeshIngest>(
         // Published after the join from the authoritative per-worker stats,
         // so registry totals equal the report exactly (conservation
         // proptested in `tests/observe_differential.rs`); the per-epoch
-        // breakdown exposes the stealing/resharding story the flat report
-        // sums away.
+        // breakdown exposes the resharding story the flat report sums away.
         obs.counter("elastic/objects").add(objects);
         obs.counter("elastic/events").add(run.events);
         obs.counter("elastic/slides").add(slides);
         obs.counter("elastic/sweeps").add(run.searches);
-        obs.counter("elastic/stolen").add(stolen);
         obs.counter("elastic/reshards").add(reshards);
         obs.gauge("elastic/final_shards").set(final_shards as i64);
         for (e, ep) in epochs.iter().enumerate() {
             obs.counter(&format!("elastic/epoch={e}/slides"))
                 .add(ep.slides);
-            obs.counter(&format!("elastic/epoch={e}/stolen"))
-                .add(ep.stolen);
             for (s, (sw, st)) in ep.shard_sweeps.iter().zip(&ep.shard_stats).enumerate() {
                 obs.counter(&format!("elastic/epoch={e}/shard={s}/sweeps"))
                     .add(*sw);
@@ -883,7 +678,7 @@ pub fn drive_elastic_observed<D: MeshIngest>(
         events: run.events,
         slides,
         sweeps: run.searches,
-        stolen,
+        stolen: 0,
         reshards,
         final_shards,
         epochs,
@@ -982,40 +777,6 @@ mod tests {
             .map(|s| s.cell_touches)
             .sum();
         assert!(touches > 0);
-    }
-
-    #[test]
-    fn steal_plan_balances_to_fair_share() {
-        let plan = steal_plan(&[10, 0]).expect("skewed counts plan");
-        assert_eq!(plan.exports, vec![5, 0]);
-        assert_eq!(plan.assign[1], vec![(0, 5)]);
-        assert_eq!(plan.stolen, 5);
-
-        let plan = steal_plan(&[9, 1, 2, 0]).expect("skewed counts plan");
-        // fair = ceil(12/4) = 3
-        assert_eq!(plan.exports, vec![6, 0, 0, 0]);
-        assert_eq!(plan.assign[1], vec![(0, 2)]);
-        assert_eq!(plan.assign[2], vec![(0, 1)]);
-        assert_eq!(plan.assign[3], vec![(0, 3)]);
-        assert_eq!(plan.stolen, 6);
-    }
-
-    #[test]
-    fn steal_plan_none_when_balanced_or_degenerate() {
-        assert!(steal_plan(&[3, 3, 3, 3]).is_none());
-        assert!(steal_plan(&[0, 0]).is_none());
-        assert!(steal_plan(&[7]).is_none());
-        // Within one of fair: nothing exceeds ceil-mean.
-        assert!(steal_plan(&[2, 1, 2, 1]).is_none());
-    }
-
-    #[test]
-    fn steal_plan_multi_donor_fills_in_index_order() {
-        let plan = steal_plan(&[6, 6, 0, 0]).expect("two donors");
-        // fair = 3: donors 0 and 1 export 3 each; thieves 2 and 3 take 3.
-        assert_eq!(plan.exports, vec![3, 3, 0, 0]);
-        assert_eq!(plan.assign[2], vec![(0, 3)]);
-        assert_eq!(plan.assign[3], vec![(1, 3)]);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! * [`parallel`] — fan-out drivers: several detectors over the same event
 //!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
 //!   incremental detectors ([`drive_incremental`]).
-//! * [`runtime`] — the common [`QueryRuntime`] state machine every
-//!   slide-batched driver wraps: a [`QueryCore`] (detector face) bound to a
+//! * [`runtime`] — the [`QueryRuntime`] state machine [`drive_slides`] and
+//!   [`drive_incremental`] wrap: a [`QueryCore`] (detector face) bound to a
 //!   [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
-//!   drain / terminal-flush contract in one place.
+//!   drain / terminal-flush contract (its module docs list the loops that
+//!   still carry their own copy).
 //! * [`answers`] — ack-released answer retention ([`AnswerLog`],
 //!   [`AnswerSink`]): the bounded replacement for the grow-forever
 //!   `answers: Vec` report pattern.
@@ -35,10 +36,10 @@
 //!   ([`drive_autopilot`]).
 //! * [`elastic`] — the shard mesh ([`drive_elastic`]): the driver thread
 //!   expands window transitions once and broadcasts event batches;
-//!   per-shard workers ingest and sweep their own cells, with
-//!   work-stealing sweeps at every flush, a [`ShardBalancer`] watching
-//!   per-flush skew, and live resharding that doubles the shard count at a
-//!   slide boundary — all bit-identical to the sequential drivers.
+//!   per-shard workers ingest and sweep their own cells, with a
+//!   [`ShardBalancer`] watching per-flush skew and live resharding that
+//!   doubles the shard count at a slide boundary — all bit-identical to the
+//!   sequential drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

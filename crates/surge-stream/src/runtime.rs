@@ -1,19 +1,29 @@
-//! The single-query runtime every slide-batched driver is a thin wrapper
-//! over.
+//! The single-query slide-cadence state machine, and the contract every
+//! slide-batched driver follows.
 //!
-//! Before this module, each driver (`drive_slides`, `drive_incremental`,
-//! the checkpoint runner, the autopilot loop) re-implemented the same
-//! state machine: push an object through a window engine, deliver the
-//! expanded events to a detector, flush at every `slide_objects`-th
-//! arrival, and end with the canonical drain + terminal flush. Those loops
-//! had to stay bit-identical to each other by discipline alone.
+//! A slide-batched driver pushes an object through a window engine,
+//! delivers the expanded events to a detector, flushes at every
+//! `slide_objects`-th arrival, and ends with the canonical drain + terminal
+//! flush: `in_slide → partial flush → drain → terminal flush`.
 //!
-//! [`QueryRuntime`] *is* that state machine, once: a [`QueryCore`] (the
-//! detector face: consume events, flush answers) bound to a
-//! [`SlidingWindowEngine`] (owned, or borrowed from the caller) at a slide
-//! cadence. The single-query drivers wrap it; the multi-query serving layer
-//! (`surge-serve`) runs one core per deduped detector group over shared
-//! engines. The flush contract is unchanged and proptested against the
+//! [`QueryRuntime`] is that state machine: a [`QueryCore`] (the detector
+//! face: consume events, flush answers) bound to a [`SlidingWindowEngine`]
+//! (owned, or borrowed from the caller) at a slide cadence. `drive_slides`
+//! and `drive_incremental` are thin wrappers over it. It is **not** yet the
+//! only copy — four more loops carry the same cadence by hand and stay
+//! bit-identical to it by differential tests alone:
+//!
+//! * the checkpoint `Runner` (`surge-checkpoint` `driver.rs`: `ingest` /
+//!   `run`), which interleaves WAL appends and snapshots;
+//! * `surge-serve`'s `Lane` (`push` / `finish` "mirror" this module for
+//!   every detector group at once);
+//! * [`drive_autopilot`](crate::autopilot::drive_autopilot), which times
+//!   each flush and may switch tiers between slides;
+//! * [`drive_elastic`](crate::elastic::drive_elastic), whose flush is a
+//!   mesh round trip and whose epochs end at slide boundaries.
+//!
+//! Five copies of one contract; folding them into this one is ROADMAP's
+//! "One pipeline, one report". The flush contract is proptested against the
 //! historical loops: the answer sequence is
 //! `[slide answers..., terminal answer]`, with a flush for the trailing
 //! partial slide before the drain.

@@ -157,7 +157,7 @@ proptest! {
     }
 
     /// `drive_elastic`: bitwise answers observed vs not across arbitrary
-    /// steal/reshard histories, with epoch-labelled registry counters
+    /// reshard histories, with epoch-labelled registry counters
     /// conserved against the report, and the per-shard sweep counters
     /// summing to the *sequential* driver's job count.
     #[test]
@@ -201,7 +201,6 @@ proptest! {
         }
         assert_answer_bits(&off.final_answer, &on.final_answer, "elastic terminal");
         prop_assert_eq!(off.sweeps, on.sweeps);
-        prop_assert_eq!(off.stolen, on.stolen);
         prop_assert_eq!(off.reshards, on.reshards);
         prop_assert_eq!(off.final_shards, on.final_shards);
         prop_assert_eq!(off_det.stats(), on_det.stats());
@@ -211,7 +210,6 @@ proptest! {
         prop_assert_eq!(snap.counter("elastic/events"), Some(on.events));
         prop_assert_eq!(snap.counter("elastic/slides"), Some(on.slides));
         prop_assert_eq!(snap.counter("elastic/sweeps"), Some(on.sweeps));
-        prop_assert_eq!(snap.counter("elastic/stolen"), Some(on.stolen));
         prop_assert_eq!(snap.counter("elastic/reshards"), Some(on.reshards));
         prop_assert_eq!(
             snap.gauge("elastic/final_shards"),
@@ -222,7 +220,7 @@ proptest! {
             p.starts_with("elastic/epoch=") && p.ends_with("/sweeps")
         });
         prop_assert_eq!(epoch_sweeps, on.sweeps, "epoch sweeps partition the total");
-        // Sharding, stealing and resharding move sweeps; they never invent any.
+        // Sharding and resharding move sweeps; they never invent any.
         prop_assert_eq!(epoch_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
         let touches = snap.sum_counters(|p| {
             p.starts_with("elastic/epoch=") && p.ends_with("/cell_touches")
@@ -233,10 +231,6 @@ proptest! {
             .flat_map(|e| e.shard_stats.iter().map(|s| s.cell_touches))
             .sum();
         prop_assert_eq!(touches, report_touches, "per-shard touches match the report");
-        let epoch_stolen = snap.sum_counters(|p| {
-            p.starts_with("elastic/epoch=") && p.ends_with("/stolen")
-        });
-        prop_assert_eq!(epoch_stolen, on.stolen, "epoch steals partition the total");
         let epoch_slides = snap.sum_counters(|p| {
             p.starts_with("elastic/epoch=") && p.ends_with("/slides")
         });

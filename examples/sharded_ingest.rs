@@ -7,13 +7,11 @@
 //! 2. the shard mesh (`drive_elastic`) — the detector splits into
 //!    per-shard workers (spatial-hash sharding of the cell map), events are
 //!    broadcast to every worker over channels, both ingest *and* sweeps run
-//!    shard-parallel, overloaded shards hand sweeps to idle ones at every
-//!    flush, and persistent skew doubles the shard count mid-run.
+//!    shard-parallel, and persistent skew doubles the shard count mid-run.
 //!
-//! The two must agree bit-for-bit at every slide boundary — sharding,
-//! stealing and resharding are wall-clock optimizations, never semantic
-//! ones — and the example verifies exactly that before printing per-shard
-//! load statistics.
+//! The two must agree bit-for-bit at every slide boundary — sharding and
+//! resharding are wall-clock optimizations, never semantic ones — and the
+//! example verifies exactly that before printing per-shard load statistics.
 //!
 //! Run with `cargo run --release --example sharded_ingest`.
 
@@ -86,8 +84,8 @@ fn main() {
 
     println!("== shard mesh vs sequential incremental ==");
     println!(
-        "objects {}  events {}  slides {}  sweeps {}  stolen {}",
-        report.objects, report.events, report.slides, report.sweeps, report.stolen
+        "objects {}  events {}  slides {}  sweeps {}",
+        report.objects, report.events, report.slides, report.sweeps
     );
     println!(
         "sequential: {:>8.1} ms   ({:.0} obj/s)",
