@@ -1,17 +1,20 @@
 //! The checkpointing driver and the recovery entry point.
 //!
-//! [`run_checkpointed`] is the durable face of the slide-batched drivers:
-//! it appends every arrival to the WAL *before* the window engine sees it,
-//! flushes the detector once per slide (exactly `drive_incremental`'s
-//! cadence, so answers are bit-comparable), and every
-//! [`CheckpointPolicy::snapshot_every_slides`] slides writes an atomic
-//! logical snapshot and garbage-collects covered WAL segments.
+//! [`run_checkpointed`] is the durable face of the slide-batched drivers: a
+//! [`QueryRuntime`] over the spec's detector — so the flush cadence is
+//! `drive_incremental`'s and the answers are bit-comparable — that appends
+//! every arrival to the WAL *before* the window engine sees it, syncs the
+//! WAL after each flush and before the flush's answers leave the process,
+//! and every [`CheckpointPolicy::snapshot_every_slides`] slides writes an
+//! atomic logical snapshot and garbage-collects covered WAL segments.
 //!
 //! [`recover`] is the other half: it loads the newest valid snapshot
 //! (skipping corrupt ones), rebuilds the engine and detector from logical
-//! state, replays the WAL tail through the identical loop, then continues
-//! with the live source — producing the answer sequence the uninterrupted
-//! run would have produced, **bit for bit** (proptested in
+//! state, resumes the runtime in the snapshot's slide phase (mid-slide,
+//! past the partial-slide flush, or finished — derived from the snapshot's
+//! counters), replays the WAL tail through the identical loop, then
+//! continues with the live source — producing the answer sequence the
+//! uninterrupted run would have produced, **bit for bit** (proptested in
 //! `tests/crash_recovery.rs` across cut points, shard counts and sweep
 //! modes).
 //!
@@ -32,8 +35,8 @@ use surge_exact::{BaseDetector, CellCspot};
 use surge_io::{BlobStore, FsStore, IoError};
 use surge_observe::{Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
-    AnswerLog, AnswerSink, AutopilotDetector, EventBatch, FlushOutcome, LatencyHistogram,
-    LatencySummary, QueryCore, RetainAll, ShardBalancer, SlidingWindowEngine,
+    AnswerLog, AnswerSink, AutopilotDetector, FlushOutcome, LatencyHistogram, LatencySummary,
+    Phase, QueryCore, QueryRuntime, RetainAll, ShardBalancer, SlidingWindowEngine,
 };
 use surge_topk::KCellCspot;
 
@@ -218,9 +221,9 @@ impl CheckpointReport {
 /// [`DetectorSpec`], so every driver loop — the checkpoint runner and the
 /// multi-query serving layer — is a single implementation.
 ///
-/// Implements [`surge_stream::QueryCore`], which is how `surge-serve`
-/// drives one of these per deduped detector group over a shared window
-/// engine at the exact per-slide cadence the checkpoint runner uses.
+/// Implements [`surge_stream::QueryCore`]: the checkpoint runner is a
+/// [`QueryRuntime`] over one of these, and a `surge-serve` lane fans its
+/// events out to one per deduped detector group.
 pub enum SpecDetector {
     /// CCS / B-CCS ([`surge_exact::CellCspot`]).
     Cell(CellCspot),
@@ -258,6 +261,11 @@ impl SpecDetector {
             } else {
                 BaseDetector::new(query)
             }),
+            DetectorSpec::TopK { k: 0 } => {
+                return Err(CheckpointError::Config(
+                    "DetectorSpec::TopK needs k ≥ 1".into(),
+                ))
+            }
             DetectorSpec::TopK { k } => SpecDetector::TopK(KCellCspot::new(query, k)),
             DetectorSpec::Gaps { shards } => {
                 SpecDetector::Gaps(GapSurge::with_shards(query, shards))
@@ -285,76 +293,6 @@ impl SpecDetector {
                 ))
             }
         })
-    }
-
-    /// Consumes one window-transition event.
-    pub fn on_event(&mut self, ev: &Event) {
-        match self {
-            SpecDetector::Cell(d) => d.on_event(ev),
-            SpecDetector::Base(d) => BurstDetector::on_event(d, ev),
-            SpecDetector::TopK(d) => TopKDetector::on_event(d, ev),
-            SpecDetector::Gaps(d) => BurstDetector::on_event(d, ev),
-            SpecDetector::Mgaps(d) => BurstDetector::on_event(d.as_mut(), ev),
-            SpecDetector::Autopilot(d) => BurstDetector::on_event(d.as_mut(), ev),
-            SpecDetector::Elastic(d, _) => d.on_event(ev),
-        }
-    }
-
-    /// The per-slide flush, matching each detector family's canonical
-    /// cadence: CCS sweeps its dirty cells in place and then reads the
-    /// all-fresh answer (bit-identical to `drive_incremental`), Base,
-    /// top-k and the grid detectors answer directly. The elastic variant
-    /// additionally feeds the flush-boundary dirty counts to its balancer
-    /// and reshards in place *after* the answer is taken — the balancer
-    /// decision is a pure function of those counters, so a crash-replayed
-    /// run re-triggers the same reshard at the same flush.
-    pub fn flush(&mut self, threads: usize) -> Vec<RegionAnswer> {
-        self.flush_outcome(threads).answers
-    }
-
-    /// [`flush`](Self::flush) with the swept-cell count, shared with the
-    /// [`QueryCore`] face.
-    pub fn flush_outcome(&mut self, threads: usize) -> FlushOutcome {
-        match self {
-            SpecDetector::Cell(d) => {
-                let swept = d.sweep_dirty(threads);
-                FlushOutcome {
-                    answers: d.current().into_iter().collect(),
-                    swept,
-                }
-            }
-            SpecDetector::Elastic(d, balancer) => {
-                // The load signal must be read before the sweep clears the
-                // dirty set.
-                let dirty = d.dirty_counts();
-                let swept = d.sweep_dirty(threads);
-                let answers = d.current().into_iter().collect();
-                if let Some(to) = balancer.observe(&dirty) {
-                    d.reshard(to);
-                }
-                FlushOutcome { answers, swept }
-            }
-            SpecDetector::Base(d) => FlushOutcome {
-                answers: d.current().into_iter().collect(),
-                swept: 0,
-            },
-            SpecDetector::TopK(d) => FlushOutcome {
-                answers: d.current_topk(),
-                swept: 0,
-            },
-            SpecDetector::Gaps(d) => FlushOutcome {
-                answers: d.current().into_iter().collect(),
-                swept: 0,
-            },
-            SpecDetector::Mgaps(d) => FlushOutcome {
-                answers: d.current().into_iter().collect(),
-                swept: 0,
-            },
-            SpecDetector::Autopilot(d) => FlushOutcome {
-                answers: d.current().into_iter().collect(),
-                swept: 0,
-            },
-        }
     }
 
     /// Elastic-mesh runtime state for the snapshot's MESH section — `Some`
@@ -428,33 +366,72 @@ impl SpecDetector {
 }
 
 impl QueryCore for SpecDetector {
-    fn on_event(&mut self, event: &Event) {
-        SpecDetector::on_event(self, event);
+    fn on_events(&mut self, events: &[Event]) {
+        for ev in events {
+            match self {
+                SpecDetector::Cell(d) => d.on_event(ev),
+                SpecDetector::Base(d) => BurstDetector::on_event(d, ev),
+                SpecDetector::TopK(d) => TopKDetector::on_event(d, ev),
+                SpecDetector::Gaps(d) => BurstDetector::on_event(d, ev),
+                SpecDetector::Mgaps(d) => BurstDetector::on_event(d.as_mut(), ev),
+                SpecDetector::Autopilot(d) => BurstDetector::on_event(d.as_mut(), ev),
+                SpecDetector::Elastic(d, _) => d.on_event(ev),
+            }
+        }
     }
 
-    fn flush(&mut self, threads: usize) -> FlushOutcome {
-        SpecDetector::flush_outcome(self, threads)
-    }
-
-    fn stats(&self) -> DetectorStats {
-        SpecDetector::stats(self)
+    /// The per-slide flush, matching each detector family's canonical
+    /// cadence: CCS sweeps its dirty cells in place and then reads the
+    /// all-fresh answer (bit-identical to `drive_incremental`), Base,
+    /// top-k and the grid detectors answer directly. The elastic variant
+    /// additionally feeds the flush-boundary dirty counts to its balancer
+    /// and reshards in place *after* the answer is taken — the balancer
+    /// decision is a pure function of those counters, so a crash-replayed
+    /// run re-triggers the same reshard at the same flush.
+    fn flush(&mut self, _seq: u64, threads: usize) -> FlushOutcome {
+        let (answer, swept) = match self {
+            SpecDetector::TopK(d) => {
+                return FlushOutcome {
+                    answers: d.current_topk(),
+                    swept: 0,
+                }
+            }
+            SpecDetector::Cell(d) => {
+                let swept = d.sweep_dirty(threads);
+                (d.current(), swept)
+            }
+            SpecDetector::Elastic(d, balancer) => {
+                // The load signal must be read before the sweep clears the
+                // dirty set.
+                let dirty = d.dirty_counts();
+                let swept = d.sweep_dirty(threads);
+                let answer = d.current();
+                if let Some(to) = balancer.observe(&dirty) {
+                    d.reshard(to);
+                }
+                (answer, swept)
+            }
+            SpecDetector::Base(d) => (d.current(), 0),
+            SpecDetector::Gaps(d) => (d.current(), 0),
+            SpecDetector::Mgaps(d) => (d.current(), 0),
+            SpecDetector::Autopilot(d) => (d.current(), 0),
+        };
+        FlushOutcome {
+            answers: answer.into_iter().collect(),
+            swept,
+        }
     }
 }
 
-/// The run loop shared by fresh runs and recovery.
+/// The run loop shared by fresh runs and recovery: a [`QueryRuntime`] over
+/// the spec's detector, plus the durability work done after every flush.
 struct Runner<'s> {
     cfg: CheckpointConfig,
     dir: CheckpointDir,
-    detector: SpecDetector,
-    engine: SlidingWindowEngine,
+    rt: QueryRuntime<SpecDetector>,
     wal: WalWriter,
-    batch: EventBatch,
     answers: AnswerLog<Vec<RegionAnswer>>,
     sink: &'s mut dyn AnswerSink<Vec<RegionAnswer>>,
-    objects: u64,
-    slides: u64,
-    events: u64,
-    in_slide: usize,
     snapshot_seq: u64,
     snapshots_written: u64,
     wal_appends: u64,
@@ -491,36 +468,29 @@ impl RunnerProbes {
 }
 
 impl Runner<'_> {
-    fn apply_events(&mut self) {
-        for ev in self.batch.iter() {
-            self.detector.on_event(ev);
-        }
-        self.events += self.batch.len() as u64;
-    }
-
-    /// One flush: sweep + answer, then maybe a snapshot. The WAL is synced
-    /// at every flush per the [`SyncPolicy`] (group commit — see the `wal`
-    /// module docs).
-    fn flush(&mut self) -> Result<(), CheckpointError> {
+    /// The durability work after one flush, in order: sync the WAL per the
+    /// [`SyncPolicy`] (group commit — see the `wal` module docs), deliver
+    /// the answers, let the autopilot observe the slide, maybe snapshot.
+    /// The sync follows the detector's in-memory flush but precedes
+    /// everything visible outside the process.
+    fn after_flush(&mut self, answers: Vec<RegionAnswer>) -> Result<(), CheckpointError> {
         match self.cfg.policy.sync {
             SyncPolicy::FsyncPerSlide => self.wal.sync_durable()?,
             SyncPolicy::OsFlush | SyncPolicy::FsyncPerSnapshot => self.wal.sync()?,
         }
-        let flush_answers = self.detector.flush(self.cfg.threads);
-        self.answers.offer(flush_answers, &mut *self.sink);
-        self.slides += 1;
+        self.answers.offer(answers, &mut *self.sink);
         // The autopilot observes its SLO signals at the same point
         // `drive_autopilot` does: after the slide's answer is taken, before
         // the snapshot — so a snapshot captures the post-transition tier
         // and replay reproduces the same transition sequence.
-        if let SpecDetector::Autopilot(d) = &mut self.detector {
+        if let (SpecDetector::Autopilot(d), engine) = self.rt.parts_mut() {
             let dt = self.slide_t0.elapsed();
             let latency_us = (dt.as_nanos() / 1_000).min(u64::MAX as u128) as u64;
-            d.note_slide(latency_us, &self.engine);
+            d.note_slide(latency_us, engine);
         }
         self.slide_t0 = Instant::now();
         let every = self.cfg.policy.snapshot_every_slides;
-        if every > 0 && self.slides.is_multiple_of(every) {
+        if every > 0 && self.rt.counters().slides.is_multiple_of(every) {
             self.snapshot()?;
         }
         Ok(())
@@ -539,21 +509,22 @@ impl Runner<'_> {
             self.wal.sync_durable()?;
         }
         self.snapshot_seq += 1;
+        let counters = self.rt.counters();
         let state = CheckpointState {
             meta: CheckpointMeta {
-                objects_ingested: self.objects,
-                slides_done: self.slides,
+                objects_ingested: counters.objects,
+                slides_done: counters.slides,
                 slide_objects: self.cfg.slide_objects as u64,
                 threads: self.cfg.threads as u64,
                 snapshot_seq: self.snapshot_seq,
             },
             spec: self.cfg.spec,
             query: self.cfg.query,
-            engine: self.engine.checkpoint(),
-            detector: self.detector.capture(),
+            engine: self.rt.engine().checkpoint(),
+            detector: self.rt.core().capture(),
             answers_released: self.answers.released(),
             answers: self.answers.retained().to_vec(),
-            mesh: self.detector.mesh_state(),
+            mesh: self.rt.core().mesh_state(),
         };
         let path = self.dir.write_snapshot(&state)?;
         self.snapshots_written += 1;
@@ -568,7 +539,7 @@ impl Runner<'_> {
             // lives in the `checkpoint/stall_ns` histogram above.
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             self.probes.flight.record(TraceEvent::SnapshotStall {
-                slide: self.slides,
+                slide: self.rt.counters().slides,
                 bytes,
                 sync_policy: self.cfg.policy.sync.name(),
             });
@@ -577,17 +548,23 @@ impl Runner<'_> {
     }
 
     fn ingest(&mut self, obj: SpatialObject, durable: bool) -> Result<(), CheckpointError> {
-        // Validate *before* the WAL append: an out-of-order arrival must be
-        // rejected as bad input, not made durable — a poisoned log would
-        // make every future recovery fail. (The engine clock is the push
-        // floor: `push` asserts `created >= max(last_created, now)` and
-        // `now` always dominates.)
-        if obj.created < self.engine.now() {
+        // Validate *before* the WAL append: bad input must be rejected, not
+        // made durable — a poisoned log would make every future recovery
+        // fail. A run past its end of stream takes no arrival, and an
+        // out-of-order one is refused (the engine clock is the push floor:
+        // `push` asserts `created >= max(last_created, now)` and `now`
+        // always dominates).
+        if !matches!(self.rt.phase(), Phase::Open { .. }) {
             return Err(CheckpointError::Config(format!(
-                "stream must be timestamp-ordered: object {} at {} predates the engine clock {}",
-                obj.id,
-                obj.created,
-                self.engine.now()
+                "object {} arrived after the run's end of stream",
+                obj.id
+            )));
+        }
+        let now = self.rt.engine().now();
+        if obj.created < now {
+            return Err(CheckpointError::Config(format!(
+                "stream must be timestamp-ordered: object {} at {} predates the engine clock {now}",
+                obj.id, obj.created
             )));
         }
         if durable {
@@ -601,14 +578,8 @@ impl Runner<'_> {
                     .record(TraceEvent::WalRotation { segment: segments });
             }
         }
-        self.batch.clear();
-        self.engine.push_into(obj, &mut self.batch);
-        self.apply_events();
-        self.objects += 1;
-        self.in_slide += 1;
-        if self.in_slide >= self.cfg.slide_objects {
-            self.in_slide = 0;
-            self.flush()?;
+        if let Some(answers) = self.rt.push(obj) {
+            self.after_flush(answers)?;
         }
         Ok(())
     }
@@ -625,36 +596,33 @@ impl Runner<'_> {
             self.ingest(obj, true)?;
         }
         match tail {
-            Tail::Crash => {
-                self.wal.sync()?;
-            }
+            Tail::Crash => self.wal.sync()?,
             Tail::Finish => {
-                if self.in_slide > 0 {
-                    self.flush()?;
+                while let Some(answers) = self.rt.finish_step() {
+                    self.after_flush(answers)?;
                 }
-                self.batch.clear();
-                self.engine.finish_into(&mut self.batch);
-                self.apply_events();
-                self.flush()?;
             }
         }
-        let final_tier = match &self.detector {
+        let counters = *self.rt.counters();
+        let detector = self.rt.core();
+        let final_tier = match detector {
             SpecDetector::Autopilot(d) => Some(d.tier().index() as u8),
             _ => None,
         };
         if self.probes.obs.is_enabled() {
             let obs = &self.probes.obs;
-            obs.counter("checkpoint/objects").add(self.objects);
-            obs.counter("checkpoint/slides").add(self.slides);
-            obs.counter("checkpoint/events").add(self.events);
+            obs.counter("checkpoint/objects").add(counters.objects);
+            obs.counter("checkpoint/slides").add(counters.slides);
+            obs.counter("checkpoint/events").add(counters.events);
             obs.counter("checkpoint/snapshots_written")
                 .add(self.snapshots_written);
             obs.counter("checkpoint/wal_appends").add(self.wal_appends);
         }
         Ok(CheckpointReport {
-            objects: self.objects,
-            slides: self.slides,
-            events: self.events,
+            objects: counters.objects,
+            slides: counters.slides,
+            events: counters.events,
+            stats: detector.stats(),
             answers: self.answers,
             snapshots_written: self.snapshots_written,
             wal_appends: self.wal_appends,
@@ -663,7 +631,6 @@ impl Runner<'_> {
             replayed_from_wal,
             wal_truncated_bytes,
             final_tier,
-            stats: self.detector.stats(),
         })
     }
 }
@@ -781,6 +748,7 @@ fn run_checkpointed_inner(
     obs: &Observe,
 ) -> Result<CheckpointReport, CheckpointError> {
     check_cfg(cfg)?;
+    let detector = SpecDetector::build(&cfg.spec, cfg.query)?;
     let dir = CheckpointDir::create(dir)?;
     let has_wal = std::fs::read_dir(dir.wal_dir())
         .map(|mut d| d.next().is_some())
@@ -794,16 +762,10 @@ fn run_checkpointed_inner(
     let runner = Runner {
         cfg: *cfg,
         dir,
-        detector: SpecDetector::build(&cfg.spec, cfg.query)?,
-        engine: SlidingWindowEngine::new(cfg.windows),
+        rt: QueryRuntime::new(detector, cfg.windows, cfg.slide_objects, cfg.threads),
         wal,
-        batch: EventBatch::new(),
         answers: AnswerLog::new(),
         sink,
-        objects: 0,
-        slides: 0,
-        events: 0,
-        in_slide: 0,
         snapshot_seq: 0,
         snapshots_written: 0,
         wal_appends: 0,
@@ -847,11 +809,11 @@ pub fn recover_with_sink(
     sink: &mut dyn AnswerSink<Vec<RegionAnswer>>,
 ) -> Result<CheckpointReport, CheckpointError> {
     check_cfg(cfg)?;
+    let mut detector = SpecDetector::build(&cfg.spec, cfg.query)?;
     let dir = CheckpointDir::create(dir)?;
     let snapshot = dir.latest_snapshot()?;
     let wal_rec = Wal::recover(dir.wal_dir())?;
 
-    let mut detector = SpecDetector::build(&cfg.spec, cfg.query)?;
     let mut engine = SlidingWindowEngine::new(cfg.windows);
     let mut answers = AnswerLog::new();
     let mut objects = 0u64;
@@ -916,22 +878,24 @@ pub fn recover_with_sink(
         cfg.policy.wal_segment_objects,
     )?;
 
+    // The slide phase — mid-slide, past the partial flush, or finished —
+    // is derived from the snapshot's counters, so a run captured at its
+    // partial or terminal flush does not repeat it.
+    let rt = QueryRuntime::resume(
+        detector,
+        engine,
+        cfg.slide_objects,
+        cfg.threads,
+        objects,
+        slides,
+    )?;
     let mut runner = Runner {
         cfg: *cfg,
         dir,
-        detector,
-        engine,
+        rt,
         wal,
-        batch: EventBatch::new(),
         answers,
         sink,
-        objects,
-        slides,
-        events: 0,
-        // Snapshots normally land at slide boundaries, but a terminal
-        // flush can snapshot mid-slide; the slide phase is derivable
-        // either way.
-        in_slide: (objects % cfg.slide_objects as u64) as usize,
         snapshot_seq,
         snapshots_written: 0,
         wal_appends: 0,
@@ -945,7 +909,7 @@ pub fn recover_with_sink(
         runner.ingest(obj, false)?;
     }
     // Skip the source prefix the durable state already covers, then go live.
-    let covered = runner.objects;
+    let covered = runner.rt.counters().objects;
     runner.run(
         source.skip(covered as usize),
         tail,

@@ -41,8 +41,9 @@
 //! [`WalWriter::append`] buffers; [`WalWriter::sync`] flushes to the OS and
 //! [`WalWriter::sync_durable`] additionally forces the bytes to stable
 //! storage (`fdatasync`). The checkpointing driver syncs at every slide
-//! boundary (group commit) per its [`SyncPolicy`](crate::SyncPolicy), so a
-//! hard kill loses at most the current slide's tail — and because recovery
+//! boundary (group commit) per its [`SyncPolicy`](crate::SyncPolicy), after
+//! the detector's flush and before its answers leave the process, so a hard
+//! kill loses at most the current slide's tail — and because recovery
 //! resumes the *source* stream from the last durable record, a lost tail
 //! costs replay work, never correctness.
 //!

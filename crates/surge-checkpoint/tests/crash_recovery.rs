@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use surge_checkpoint::{
-    recover, run_checkpointed, CheckpointConfig, CheckpointPolicy, CheckpointReport, DetectorSpec,
-    SyncPolicy, Tail,
+    recover, run_checkpointed, CheckpointConfig, CheckpointError, CheckpointPolicy,
+    CheckpointReport, DetectorSpec, SyncPolicy, Tail,
 };
 use surge_core::{RegionAnswer, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot, SweepMode};
@@ -432,5 +432,91 @@ fn wal_and_snapshot_gc_respect_retention() {
     assert_eq!(report.pause.count, report.snapshots_written);
     assert!(report.pause.max_us > 0.0);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash right after the newest snapshot of a *finished* run: recovery
+/// must resume in the slide phase the snapshot was taken in — past the
+/// partial-slide flush, or past the terminal flush — and emit exactly the
+/// uninterrupted run's answers, without repeating a flush.
+fn recovery_after_finish_repeats_no_flush(n: usize, flushes: usize) {
+    let stream = surge_testkit::clustered_stream(n, 4, 6, 0xFEED);
+    let spec = DetectorSpec::Cell {
+        bound: BoundMode::Combined,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    };
+    let config = cfg(spec, WindowConfig::equal(170));
+    let dir = fresh_dir(&format!("finished-{n}"));
+    let full = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish).unwrap();
+    assert_eq!(full.answers.retained().len(), flushes);
+
+    let resumed = recover(&config, &dir, stream.iter().copied(), Tail::Finish).unwrap();
+    assert_eq!(
+        resumed.resumed_at,
+        Some(n as u64),
+        "resumed from the last snapshot"
+    );
+    assert_eq!(resumed.slides, full.slides);
+    assert_answers_bitwise(
+        full.answers.retained(),
+        resumed.answers.retained(),
+        &format!("finished-{n}"),
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 16 + 5 objects: the snapshot lands on the partial-slide flush (the
+/// second), so recovery owes only the drain and the terminal flush.
+#[test]
+fn recovery_from_the_partial_flush_snapshot_repeats_no_flush() {
+    recovery_after_finish_repeats_no_flush(21, 3);
+}
+
+/// 16 + 16 + 5 objects: the snapshot lands on the terminal flush (the
+/// fourth), so recovery owes nothing.
+#[test]
+fn recovery_from_the_terminal_flush_snapshot_repeats_no_flush() {
+    recovery_after_finish_repeats_no_flush(37, 4);
+}
+
+/// A run resumed past its end of stream takes no further arrival.
+#[test]
+fn a_finished_run_rejects_further_arrivals() {
+    let stream = surge_testkit::clustered_stream(37, 4, 6, 0xFEED);
+    let spec = DetectorSpec::Cell {
+        bound: BoundMode::Combined,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    };
+    let config = cfg(spec, WindowConfig::equal(170));
+    let dir = fresh_dir("finished-more");
+    run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish).unwrap();
+    let longer = surge_testkit::clustered_stream(60, 4, 6, 0xFEED);
+    let err = recover(&config, &dir, longer.iter().copied(), Tail::Finish)
+        .expect_err("the run already finished");
+    assert!(matches!(err, CheckpointError::Config(_)), "{err}");
+    assert!(err.to_string().contains("end of stream"), "{err}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `TopK { k: 0 }` is a configuration error, not a panic, on both entry
+/// points.
+#[test]
+fn top_k_zero_is_a_config_error() {
+    let config = cfg(DetectorSpec::TopK { k: 0 }, WindowConfig::equal(170));
+    let stream = surge_testkit::clustered_stream(20, 3, 9, 3);
+    let dir = fresh_dir("topk0-run");
+    let err = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish)
+        .expect_err("k = 0 is rejected");
+    assert!(matches!(err, CheckpointError::Config(_)), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = fresh_dir("topk0-recover");
+    let err = recover(&config, &dir, stream.iter().copied(), Tail::Finish)
+        .expect_err("k = 0 is rejected");
+    assert!(matches!(err, CheckpointError::Config(_)), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,10 @@
 //! * **Lanes** — queries whose window configuration matches share one
 //!   [`SlidingWindowEngine`]: every arrival is expanded into the canonical
 //!   `New`/`Grown`/`Expired` transition stream once per lane and broadcast
-//!   to every detector riding it.
+//!   to every detector riding it. A lane *is* a [`QueryRuntime`] whose core
+//!   is the lane's detector groups, so it flushes on exactly the slide
+//!   cadence of a dedicated run, and its slide phase survives
+//!   [`SurgeServer::capture`] / [`SurgeServer::restore`].
 //! * **Groups** — queries that are outright identical (bitwise, via
 //!   [`QueryKey`]) *and* ask for the same detector flavor share a single
 //!   detector; their subscriptions fan out of one answer computation.
@@ -46,9 +49,9 @@ use surge_checkpoint::{
     DetectorSpec, MeshState, ServeGroupState, ServeLaneState, ServeMeta, ServeState, ServeSubState,
     SpecDetector,
 };
-use surge_core::{QueryKey, QueryKeyError, RegionAnswer, SpatialObject, SurgeQuery, WindowConfig};
+use surge_core::{Event, QueryKey, QueryKeyError, RegionAnswer, SpatialObject, SurgeQuery};
 use surge_observe::{Counter, Flight, Observe, RegistrySnapshot, TraceDump, TraceEvent};
-use surge_stream::{AnswerLog, EventBatch, SlidingWindowEngine};
+use surge_stream::{AnswerLog, FlushOutcome, Phase, QueryCore, QueryRuntime, SlidingWindowEngine};
 
 /// Opaque subscription handle issued by [`SurgeServer::subscribe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -163,25 +166,12 @@ struct Group {
     subs: Vec<Sub>,
 }
 
-impl Group {
-    fn flush_to_subs(&mut self, threads: usize) -> u64 {
-        let outcome = self.detector.flush(threads);
-        let produced = outcome.len() as u64;
-        // Last subscriber takes the vector itself; earlier ones clone.
-        let (last, rest) = self.subs.split_last_mut().expect("groups are never empty");
-        for sub in rest {
-            sub.log.push(outcome.clone());
-        }
-        last.log.push(outcome);
-        produced
-    }
-}
-
 /// The server's observability handles: registry counters for the shared
 /// ingest, occupancy gauges synced on every subscribe/unsubscribe, and a
 /// flight ring tracing lane flushes in logical time. All no-ops until
 /// [`SurgeServer::observe`] attaches an enabled [`Observe`]; the answer
-/// streams are bitwise identical either way.
+/// streams are bitwise identical either way. Every lane holds a clone.
+#[derive(Clone)]
 struct ServeProbes {
     obs: Observe,
     objects: Counter,
@@ -198,88 +188,49 @@ impl ServeProbes {
             flight: obs.flight("serve/ingest"),
         }
     }
-
-    fn off() -> Self {
-        Self::new(&Observe::off())
-    }
 }
 
-/// One shared ingest lane: a window engine at the server's slide cadence
-/// plus the detector groups riding it.
+/// One shared ingest lane: the detector groups riding one window engine,
+/// as the [`QueryCore`] of the lane's [`QueryRuntime`]. Each arrival's
+/// events fan out to every group, and a flush flushes each group into its
+/// subscriptions' channels.
 struct Lane {
     /// Server-level object count when the lane was created; the lane only
     /// saw the stream suffix from here, so a subscription can only join it
     /// while `objects_ingested == start_objects`.
     start_objects: u64,
-    in_slide: usize,
-    slides: u64,
-    engine: SlidingWindowEngine,
     groups: Vec<Group>,
-    batch: EventBatch,
+    probes: ServeProbes,
 }
 
-impl Lane {
-    fn windows(&self) -> WindowConfig {
-        self.engine.windows()
-    }
-
-    /// Mirrors `QueryRuntime::push` for every group at once: expand the
-    /// arrival once, deliver the events to each detector, flush everyone
-    /// when the slide completes.
-    fn push(
-        &mut self,
-        object: SpatialObject,
-        slide_objects: usize,
-        threads: usize,
-        probes: &ServeProbes,
-    ) {
-        self.batch.clear();
-        self.engine.push_into(object, &mut self.batch);
+impl QueryCore for Lane {
+    fn on_events(&mut self, events: &[Event]) {
         for group in &mut self.groups {
-            for ev in self.batch.iter() {
-                group.detector.on_event(ev);
-            }
-            group.events += self.batch.len() as u64;
-        }
-        self.in_slide += 1;
-        if self.in_slide >= slide_objects {
-            self.in_slide = 0;
-            self.flush(threads, probes);
+            group.detector.on_events(events);
+            group.events += events.len() as u64;
         }
     }
 
-    /// Mirrors `QueryRuntime::finish`: partial-slide flush, engine drain,
-    /// terminal flush.
-    fn finish(&mut self, threads: usize, probes: &ServeProbes) {
-        if self.in_slide > 0 {
-            self.in_slide = 0;
-            self.flush(threads, probes);
-        }
-        self.batch.clear();
-        self.engine.finish_into(&mut self.batch);
-        for group in &mut self.groups {
-            for ev in self.batch.iter() {
-                group.detector.on_event(ev);
-            }
-            group.events += self.batch.len() as u64;
-        }
-        self.flush(threads, probes);
-    }
-
-    fn flush(&mut self, threads: usize, probes: &ServeProbes) {
-        probes
-            .flight
-            .record(TraceEvent::FlushStart { seq: self.slides });
+    fn flush(&mut self, seq: u64, threads: usize) -> FlushOutcome {
+        self.probes.flight.record(TraceEvent::FlushStart { seq });
         let mut produced = 0u64;
         for group in &mut self.groups {
-            produced += group.flush_to_subs(threads);
+            let answers = group.detector.flush(seq, threads).answers;
+            produced += answers.len() as u64;
+            // Last subscriber takes the vector itself; earlier ones clone.
+            let (last, rest) = group.subs.split_last_mut().expect("groups are never empty");
+            for sub in rest {
+                sub.log.push(answers.clone());
+            }
+            last.log.push(answers);
         }
-        probes.flight.record(TraceEvent::FlushEnd {
-            seq: self.slides,
+        self.probes.flight.record(TraceEvent::FlushEnd {
+            seq,
             answers: produced,
         });
-        probes.slides.inc();
-        self.slides += 1;
+        self.probes.slides.inc();
+        // The answers went to the subscriptions' channels.
+        FlushOutcome::default()
     }
 }
 
@@ -292,7 +243,7 @@ pub struct SurgeServer {
     next_sub_id: u64,
     snapshot_seq: u64,
     finished: bool,
-    lanes: Vec<Lane>,
+    lanes: Vec<QueryRuntime<Lane>>,
     probes: ServeProbes,
 }
 
@@ -314,7 +265,7 @@ impl SurgeServer {
             snapshot_seq: 0,
             finished: false,
             lanes: Vec::new(),
-            probes: ServeProbes::off(),
+            probes: ServeProbes::new(&Observe::off()),
         }
     }
 
@@ -326,6 +277,9 @@ impl SurgeServer {
     /// on or off — the serving layer's non-invasiveness contract.
     pub fn observe(&mut self, obs: &Observe) {
         self.probes = ServeProbes::new(obs);
+        for lane in &mut self.lanes {
+            lane.core_mut().probes = self.probes.clone();
+        }
         self.sync_occupancy();
     }
 
@@ -388,6 +342,9 @@ impl SurgeServer {
                      flavor directly",
                 ))
             }
+            DetectorSpec::TopK { k: 0 } => {
+                return Err(ServeError::UnsupportedSpec("TopK needs k ≥ 1"))
+            }
             _ => {}
         }
         let detector =
@@ -404,28 +361,28 @@ impl SurgeServer {
         let lane = match self
             .lanes
             .iter_mut()
-            .find(|l| l.windows() == windows && l.start_objects == start)
+            .find(|l| l.engine().windows() == windows && l.core().start_objects == start)
         {
             Some(lane) => lane,
             None => {
-                self.lanes.push(Lane {
+                let lane = Lane {
                     start_objects: start,
-                    in_slide: 0,
-                    slides: 0,
-                    engine: SlidingWindowEngine::new(windows),
                     groups: Vec::new(),
-                    batch: EventBatch::new(),
-                });
+                    probes: self.probes.clone(),
+                };
+                self.lanes.push(QueryRuntime::new(
+                    lane,
+                    windows,
+                    self.cfg.slide_objects,
+                    self.cfg.threads,
+                ));
                 self.lanes.last_mut().expect("just pushed")
             }
         };
-        match lane
-            .groups
-            .iter_mut()
-            .find(|g| g.key == key && g.spec == spec)
-        {
+        let groups = &mut lane.core_mut().groups;
+        match groups.iter_mut().find(|g| g.key == key && g.spec == spec) {
             Some(group) => group.subs.push(sub),
-            None => lane.groups.push(Group {
+            None => groups.push(Group {
                 key,
                 query,
                 spec,
@@ -443,11 +400,12 @@ impl SurgeServer {
     /// shared detector; the last group out of a lane removes the lane.
     pub fn unsubscribe(&mut self, sub: SubId) -> Result<AnswerLog<Vec<RegionAnswer>>, ServeError> {
         for lane in &mut self.lanes {
-            for group in &mut lane.groups {
+            let groups = &mut lane.core_mut().groups;
+            for group in groups.iter_mut() {
                 if let Some(pos) = group.subs.iter().position(|s| s.id == sub) {
                     let removed = group.subs.remove(pos);
-                    lane.groups.retain(|g| !g.subs.is_empty());
-                    self.lanes.retain(|l| !l.groups.is_empty());
+                    groups.retain(|g| !g.subs.is_empty());
+                    self.lanes.retain(|l| !l.core().groups.is_empty());
                     self.sync_occupancy();
                     return Ok(removed.log);
                 }
@@ -468,12 +426,8 @@ impl SurgeServer {
         self.objects_ingested += 1;
         self.probes.objects.inc();
         for lane in &mut self.lanes {
-            lane.push(
-                object,
-                self.cfg.slide_objects,
-                self.cfg.threads,
-                &self.probes,
-            );
+            // A completed slide's answers went to the channels already.
+            lane.push(object);
         }
     }
 
@@ -486,7 +440,7 @@ impl SurgeServer {
         }
         self.finished = true;
         for lane in &mut self.lanes {
-            lane.finish(self.cfg.threads, &self.probes);
+            while lane.finish_step().is_some() {}
         }
     }
 
@@ -498,7 +452,7 @@ impl SurgeServer {
     /// answer stream.
     pub fn mesh_state(&self, sub: SubId) -> Result<Option<MeshState>, ServeError> {
         for lane in &self.lanes {
-            for group in &lane.groups {
+            for group in &lane.core().groups {
                 if group.subs.iter().any(|s| s.id == sub) {
                     return Ok(group.detector.mesh_state());
                 }
@@ -538,11 +492,11 @@ impl SurgeServer {
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             lanes: self.lanes.len(),
-            groups: self.lanes.iter().map(|l| l.groups.len()).sum(),
+            groups: self.lanes.iter().map(|l| l.core().groups.len()).sum(),
             subscriptions: self
                 .lanes
                 .iter()
-                .flat_map(|l| &l.groups)
+                .flat_map(|l| &l.core().groups)
                 .map(|g| g.subs.len())
                 .sum(),
         }
@@ -577,11 +531,12 @@ impl SurgeServer {
                 .lanes
                 .iter()
                 .map(|lane| ServeLaneState {
-                    start_objects: lane.start_objects,
-                    in_slide: lane.in_slide as u64,
-                    slides: lane.slides,
-                    engine: lane.engine.checkpoint(),
+                    start_objects: lane.core().start_objects,
+                    in_slide: lane.in_slide() as u64,
+                    slides: lane.counters().slides,
+                    engine: lane.engine().checkpoint(),
                     groups: lane
+                        .core()
                         .groups
                         .iter()
                         .map(|g| ServeGroupState {
@@ -608,21 +563,22 @@ impl SurgeServer {
 
     /// Rebuilds a live server from a captured registry. Every engine,
     /// shared detector and answer channel resumes exactly where the
-    /// capture left it.
+    /// capture left it, and each lane resumes its slide phase — a server
+    /// captured after [`finish`](Self::finish) restores finished. (A
+    /// finished server without lanes has no phase to resume from and
+    /// restores open.)
     pub fn restore(state: &ServeState) -> Result<Self, ServeError> {
         let meta = &state.meta;
         if meta.slide_objects == 0 {
             return Err(ServeError::Corrupt("slide_objects must be positive".into()));
         }
+        let cfg = ServeConfig {
+            slide_objects: meta.slide_objects as usize,
+            threads: (meta.threads as usize).max(1),
+        };
         let mut lanes = Vec::with_capacity(state.lanes.len());
         let mut max_sub = None::<u64>;
         for ls in &state.lanes {
-            if ls.in_slide >= meta.slide_objects {
-                return Err(ServeError::Corrupt(format!(
-                    "lane in_slide {} not below slide_objects {}",
-                    ls.in_slide, meta.slide_objects
-                )));
-            }
             if ls.start_objects > meta.objects_ingested {
                 return Err(ServeError::Corrupt(format!(
                     "lane starts at {} but the server only ingested {}",
@@ -676,34 +632,56 @@ impl SurgeServer {
                     subs,
                 });
             }
-            lanes.push(Lane {
+            let lane = Lane {
                 start_objects: ls.start_objects,
-                in_slide: ls.in_slide as usize,
-                slides: ls.slides,
-                engine,
                 groups,
-                batch: EventBatch::new(),
-            });
+                probes: ServeProbes::new(&Observe::off()),
+            };
+            let lane = QueryRuntime::resume(
+                lane,
+                engine,
+                cfg.slide_objects,
+                cfg.threads,
+                meta.objects_ingested - ls.start_objects,
+                ls.slides,
+            )
+            .map_err(|e| ServeError::Corrupt(format!("lane: {e}")))?;
+            if lane.in_slide() as u64 != ls.in_slide {
+                return Err(ServeError::Corrupt(format!(
+                    "lane in_slide {} disagrees with its counters, which put it at {}",
+                    ls.in_slide,
+                    lane.in_slide()
+                )));
+            }
+            lanes.push(lane);
+        }
+        // `finish` runs every lane to its terminal flush, and nothing
+        // captures a server between two lanes' flushes.
+        let finished = lanes.first().is_some_and(|l| l.phase() == Phase::Finished);
+        if lanes
+            .iter()
+            .any(|l| matches!(l.phase(), Phase::Open { .. }) == finished)
+        {
+            return Err(ServeError::Corrupt(
+                "lanes must be all open or all finished".into(),
+            ));
         }
         let floor = max_sub.map_or(0, |m| m + 1);
         Ok(SurgeServer {
-            cfg: ServeConfig {
-                slide_objects: meta.slide_objects as usize,
-                threads: (meta.threads as usize).max(1),
-            },
+            cfg,
             objects_ingested: meta.objects_ingested,
             next_sub_id: meta.next_sub_id.max(floor),
             snapshot_seq: meta.snapshot_seq + 1,
-            finished: false,
+            finished,
             lanes,
-            probes: ServeProbes::off(),
+            probes: ServeProbes::new(&Observe::off()),
         })
     }
 
     fn find(&self, sub: SubId) -> Result<&Sub, ServeError> {
         self.lanes
             .iter()
-            .flat_map(|l| &l.groups)
+            .flat_map(|l| &l.core().groups)
             .flat_map(|g| &g.subs)
             .find(|s| s.id == sub)
             .ok_or(ServeError::UnknownSubscription(sub))
@@ -712,7 +690,7 @@ impl SurgeServer {
     fn find_mut(&mut self, sub: SubId) -> Result<&mut Sub, ServeError> {
         self.lanes
             .iter_mut()
-            .flat_map(|l| &mut l.groups)
+            .flat_map(|l| &mut l.core_mut().groups)
             .flat_map(|g| &mut g.subs)
             .find(|s| s.id == sub)
             .ok_or(ServeError::UnknownSubscription(sub))
@@ -722,7 +700,7 @@ impl SurgeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surge_core::RegionSize;
+    use surge_core::{RegionSize, WindowConfig};
 
     fn query(alpha: f64) -> SurgeQuery {
         SurgeQuery::whole_space(RegionSize::new(1.5, 1.5), WindowConfig::new(120, 60), alpha)

@@ -199,3 +199,59 @@ fn corrupt_states_are_rejected() {
     bad.lanes[0].start_objects = good.meta.objects_ingested + 1;
     assert!(SurgeServer::restore(&bad).is_err());
 }
+
+/// A server captured after `finish` restores finished: its `finish` is a
+/// no-op and the channels keep exactly the live server's flushes.
+#[test]
+fn finished_server_restores_finished() {
+    let mut live = SurgeServer::new(ServeConfig::sequential(16));
+    let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(170), 0.5);
+    let sub = live.subscribe(query, cell_spec()).unwrap();
+    for obj in clustered_stream(21, 4, 6, 0xFEED) {
+        live.ingest(obj);
+    }
+    live.finish();
+    assert_eq!(live.answers(sub).unwrap().next_seq(), 3);
+
+    let mut restored = SurgeServer::restore(&live.capture()).expect("registry restores");
+    assert!(restored.is_finished());
+    restored.finish();
+    assert_eq!(restored.answers(sub).unwrap().next_seq(), 3);
+    assert_channels_bitwise(&live, &restored, &[sub]);
+}
+
+/// Lanes whose counters no run reaches, or that disagree on whether the
+/// stream finished, are rejected.
+#[test]
+fn impossible_lane_phases_are_rejected() {
+    let mut live = SurgeServer::new(ServeConfig::sequential(8));
+    populate(&mut live);
+    for obj in clustered_stream(20, 3, 9, 1) {
+        live.ingest(obj);
+    }
+    let open = live.capture();
+    live.finish();
+    let finished = live.capture();
+
+    // Three flushes more than 20 arrivals at 8 per slide can have run.
+    let mut bad = open.clone();
+    bad.lanes[0].slides += 3;
+    assert!(SurgeServer::restore(&bad).is_err());
+
+    // One lane finished, the other still open.
+    let mut bad = finished.clone();
+    bad.lanes[1] = open.lanes[1].clone();
+    assert!(SurgeServer::restore(&bad).is_err());
+}
+
+/// `TopK { k: 0 }` is refused at subscription, before anything is built.
+#[test]
+fn top_k_zero_is_unsupported() {
+    let mut server = SurgeServer::new(ServeConfig::sequential(8));
+    let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(170), 0.5);
+    assert!(matches!(
+        server.subscribe(query, DetectorSpec::TopK { k: 0 }),
+        Err(ServeError::UnsupportedSpec(_))
+    ));
+    assert_eq!(server.stats().lanes, 0, "nothing was built");
+}

@@ -31,11 +31,12 @@ use surge_core::{
     RegionAnswer, RestoreError, SpatialObject, SurgeQuery,
 };
 use surge_exact::{BoundMode, CellCspot};
-use surge_observe::{Flight, Observe, TraceEvent};
+use surge_observe::{Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
 use crate::metrics::{LatencyHistogram, LatencySummary};
-use crate::window::{EventBatch, SlidingWindowEngine};
+use crate::runtime::{FlushOutcome, QueryCore, QueryRuntime};
+use crate::window::SlidingWindowEngine;
 
 /// One level of the degradation lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -560,15 +561,35 @@ impl AutopilotReport {
     }
 }
 
+/// The [`QueryCore`] face of an autopilot: its flush is the active tier's
+/// answer.
+struct AutopilotCore<'a>(&'a mut AutopilotDetector);
+
+impl QueryCore for AutopilotCore<'_> {
+    fn on_events(&mut self, events: &[Event]) {
+        for ev in events {
+            self.0.on_event(ev);
+        }
+    }
+
+    fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+        FlushOutcome {
+            answers: self.0.current().into_iter().collect(),
+            swept: 0,
+        }
+    }
+}
+
 /// Replays `source` into an [`AutopilotDetector`] in slides of
 /// `slide_objects` arrivals, timing each slide (ingest + flush) and feeding
 /// the controller after every flush.
 ///
-/// Slide semantics match the sequential `drive_slides` loop exactly: a
-/// flush at every full slide, one for the trailing partial slide, and a
-/// terminal drain + flush after the source is exhausted — the engine access
-/// the controller needs is why the loop lives here rather than on the
-/// shared `slide_loop` helper.
+/// The cadence is [`QueryRuntime`]'s — a flush at every full slide, one for
+/// the trailing partial slide, and a terminal drain + flush — so the slide
+/// boundaries are exactly `drive_slides`'. After each flush the driver
+/// stamps the answer with the tier that produced it, records the slide's
+/// latency and hands it to [`AutopilotDetector::note_slide`] together with
+/// the runtime's engine, which a tier switch bootstraps from.
 pub fn drive_autopilot(
     detector: &mut AutopilotDetector,
     engine: &mut SlidingWindowEngine,
@@ -618,111 +639,72 @@ pub fn drive_autopilot_observed(
     sink: &mut impl AnswerSink<(Option<RegionAnswer>, AnswerQuality)>,
     obs: &Observe,
 ) -> AutopilotReport {
-    assert!(slide_objects > 0, "slide must contain at least one object");
-    struct Acc {
-        slides: u64,
-        answers: AnswerLog<(Option<RegionAnswer>, AnswerQuality)>,
-        slide_latency: LatencyHistogram,
-        tier_latency: [LatencyHistogram; 3],
-        transitions: u64,
-        slide_t0: Instant,
-        flight: Flight,
-    }
-    fn flush_slide(
-        acc: &mut Acc,
-        detector: &mut AutopilotDetector,
-        engine: &SlidingWindowEngine,
-        sink: &mut impl AnswerSink<(Option<RegionAnswer>, AnswerQuality)>,
-    ) {
-        let tier = detector.tier();
-        let ans = detector.current();
-        acc.answers.offer((ans, detector.quality()), sink);
-        let dt = acc.slide_t0.elapsed();
-        acc.slide_latency.record(dt);
-        acc.tier_latency[tier.index()].record(dt);
+    let _panic_dump = obs.panic_dump_guard("drive_autopilot");
+    let flight = obs.flight("autopilot/driver");
+    let mut answers = AnswerLog::new();
+    let mut slide_latency = LatencyHistogram::new();
+    let mut tier_latency: [LatencyHistogram; 3] = std::array::from_fn(|_| LatencyHistogram::new());
+    let mut transitions = 0u64;
+    let mut slide_t0 = Instant::now();
+    let mut rt = QueryRuntime::over(AutopilotCore(detector), engine, slide_objects, 1);
+    let mut after_flush = |rt: &mut QueryRuntime<AutopilotCore, _>, flushed: Vec<RegionAnswer>| {
+        let seq = rt.counters().slides - 1;
+        let (AutopilotCore(detector), engine) = rt.parts_mut();
+        let quality = detector.quality();
+        answers.offer((flushed.first().copied(), quality), sink);
+        let dt = slide_t0.elapsed();
+        slide_latency.record(dt);
+        tier_latency[quality.tier.index()].record(dt);
         let latency_us = (dt.as_nanos() / 1_000).min(u64::MAX as u128) as u64;
         if let Some((from, to)) = detector.note_slide(latency_us, engine) {
-            acc.transitions += 1;
-            acc.flight.record(TraceEvent::TierSwitch {
-                seq: acc.slides,
+            transitions += 1;
+            flight.record(TraceEvent::TierSwitch {
+                seq,
                 from: from.name(),
                 to: to.name(),
             });
         }
-        acc.slides += 1;
-        acc.slide_t0 = Instant::now();
-    }
-
-    let enabled = obs.is_enabled();
-    let _panic_dump = obs.panic_dump_guard("drive_autopilot");
-    let mut objects = 0u64;
-    let mut events = 0u64;
-    let mut batch = EventBatch::new();
-    let mut in_slide = 0usize;
-    let mut acc = Acc {
-        slides: 0,
-        answers: AnswerLog::new(),
-        slide_latency: LatencyHistogram::new(),
-        tier_latency: std::array::from_fn(|_| LatencyHistogram::new()),
-        transitions: 0,
-        slide_t0: Instant::now(),
-        flight: obs.flight("autopilot/driver"),
+        slide_t0 = Instant::now();
     };
-
     for obj in source {
-        batch.clear();
-        engine.push_into(obj, &mut batch);
-        for ev in batch.iter() {
-            detector.on_event(ev);
-        }
-        events += batch.len() as u64;
-        objects += 1;
-        in_slide += 1;
-        if in_slide >= slide_objects {
-            flush_slide(&mut acc, detector, engine, sink);
-            in_slide = 0;
+        if let Some(flushed) = rt.push(obj) {
+            after_flush(&mut rt, flushed);
         }
     }
-    if in_slide > 0 {
-        flush_slide(&mut acc, detector, engine, sink);
+    while let Some(flushed) = rt.finish_step() {
+        after_flush(&mut rt, flushed);
     }
-    // Terminal drain + flush, mirroring `slide_loop`.
-    batch.clear();
-    engine.finish_into(&mut batch);
-    for ev in batch.iter() {
-        detector.on_event(ev);
-    }
-    events += batch.len() as u64;
-    flush_slide(&mut acc, detector, engine, sink);
+    let counters = *rt.counters();
+    let AutopilotCore(detector) = rt.into_core();
 
     let slides_in_tier = detector.controller().slides_in_tier();
-    if enabled {
-        obs.counter("autopilot/objects").add(objects);
-        obs.counter("autopilot/events").add(events);
-        obs.counter("autopilot/slides").add(acc.slides);
-        obs.counter("autopilot/transitions").add(acc.transitions);
+    if obs.is_enabled() {
+        obs.counter("autopilot/objects").add(counters.objects);
+        obs.counter("autopilot/events").add(counters.events);
+        obs.counter("autopilot/slides").add(counters.slides);
+        obs.counter("autopilot/transitions").add(transitions);
         obs.gauge("autopilot/final_tier")
             .set(detector.tier().index() as i64);
         obs.histogram("autopilot/slide_latency_ns")
-            .merge(&acc.slide_latency);
+            .merge(&slide_latency);
         for (i, &slides) in slides_in_tier.iter().enumerate() {
             let name = Tier::from_index(i).expect("three tiers").name();
             obs.counter(&format!("autopilot/tier={name}/slides"))
                 .add(slides);
             obs.histogram(&format!("autopilot/tier={name}/latency_ns"))
-                .merge(&acc.tier_latency[i]);
+                .merge(&tier_latency[i]);
         }
     }
 
     AutopilotReport {
-        objects,
-        events,
-        slides: acc.slides,
-        answers: acc.answers,
-        slide_latency: acc.slide_latency,
-        tier_latency: acc.tier_latency,
-        slides_in_tier: detector.controller().slides_in_tier(),
-        transitions: acc.transitions,
+        objects: counters.objects,
+        events: counters.events,
+        slides: counters.slides,
+        answers,
+        slide_latency,
+        tier_latency,
+        slides_in_tier,
+        transitions,
         final_tier: detector.tier(),
         stats: detector.stats(),
     }
@@ -731,6 +713,7 @@ pub fn drive_autopilot_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::EventBatch;
     use surge_core::{Point, RegionSize, WindowConfig};
 
     fn query() -> SurgeQuery {
@@ -854,29 +837,25 @@ mod tests {
         let report = drive_autopilot(&mut auto, &mut e1, objs.into_iter(), 50);
         // Replay the same stream through a bare exact detector with the same
         // slide boundaries and compare per-slide answers bit for bit.
+        struct Exact(CellCspot);
+        impl QueryCore for Exact {
+            fn on_events(&mut self, events: &[Event]) {
+                for ev in events {
+                    self.0.on_event(ev);
+                }
+            }
+            fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+                FlushOutcome {
+                    answers: self.0.current().into_iter().collect(),
+                    swept: 0,
+                }
+            }
+        }
         let mut exact_answers = Vec::new();
-        let mut exact2 = CellCspot::new(q);
-        let mut e3 = SlidingWindowEngine::new(q.windows);
-        let mut batch = EventBatch::new();
-        let mut in_slide = 0;
-        for obj in stream(300, 7) {
-            batch.clear();
-            e3.push_into(obj, &mut batch);
-            for ev in batch.iter() {
-                exact2.on_event(ev);
-            }
-            in_slide += 1;
-            if in_slide == 50 {
-                exact_answers.push(exact2.current());
-                in_slide = 0;
-            }
-        }
-        batch.clear();
-        e3.finish_into(&mut batch);
-        for ev in batch.iter() {
-            exact2.on_event(ev);
-        }
-        exact_answers.push(exact2.current());
+        QueryRuntime::new(Exact(CellCspot::new(q)), q.windows, 50, 1)
+            .run(stream(300, 7).into_iter(), |_, a| {
+                exact_answers.push(a.first().copied())
+            });
         assert_eq!(report.answers.len(), exact_answers.len());
         for ((got, quality), want) in report.answers.iter().zip(&exact_answers) {
             assert_eq!(quality.tier, Tier::Exact);

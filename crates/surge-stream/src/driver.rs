@@ -250,20 +250,19 @@ pub fn drive_slides_observed<D: BurstDetector + ?Sized>(
         tracker: DirtyCellTracker,
     }
     impl<D: BurstDetector + ?Sized> QueryCore for SlideCore<'_, D> {
-        fn on_event(&mut self, event: &Event) {
-            self.tracker.note(event);
-            self.detector.on_event(event);
+        fn on_events(&mut self, events: &[Event]) {
+            for ev in events {
+                self.tracker.note(ev);
+                self.detector.on_event(ev);
+            }
         }
-        fn flush(&mut self, _threads: usize) -> FlushOutcome {
+        fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
             let dirty = self.tracker.drain().len() as u64;
             let answers = self.detector.current().into_iter().collect();
             FlushOutcome {
                 answers,
                 swept: dirty,
             }
-        }
-        fn stats(&self) -> DetectorStats {
-            self.detector.stats()
         }
     }
 

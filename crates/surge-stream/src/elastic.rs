@@ -4,9 +4,10 @@
 //! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
 //! but applies every event on the calling thread. [`drive_elastic`] moves
 //! *application* to per-shard ingest workers ([`MeshIngest`]): the driver
-//! thread owns the one [`SlidingWindowEngine`], expands each arrival into
-//! the canonical `Grown`/`Expired`/`New` sequence (O(1) per object — paper
-//! §IV-C) and broadcasts the events in shared `Arc<[Event]>` batches; every
+//! thread's [`QueryRuntime`] expands each arrival through the one
+//! [`SlidingWindowEngine`] into the canonical `Grown`/`Expired`/`New`
+//! sequence (O(1) per object — paper §IV-C), and its core broadcasts the
+//! events in shared `Arc<[Event]>` batches; every
 //! worker sees every event, in stream order, and applies the ones that
 //! touch its own cells. Per-cell event order is therefore exactly the
 //! sequential drivers' — shard count and thread interleaving change
@@ -44,9 +45,10 @@
 //!    workers' channels, joins them, re-homes every cell under the new
 //!    `shard_of_cell` mapping via the detector's checkpoint path
 //!    ([`MeshIngest::reshard`]) and resumes the stream where it left
-//!    off. The window engine lives on the driver thread and simply carries
-//!    over; shard count is purely structural, so the answer stream
-//!    continues bit-identically — doubling the mesh without a restart.
+//!    off through [`QueryRuntime::resume`], as crash recovery does. The
+//!    window engine simply carries over; shard count is purely structural,
+//!    so the answer stream continues bit-identically — doubling the mesh
+//!    without a restart.
 //!
 //! A worker that panics hangs up its channels; the driver's next send or
 //! receive on them fails, it stops, joins the mesh and re-raises the
@@ -67,7 +69,8 @@ use surge_core::{
 use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::window::{EventBatch, SlidingWindowEngine};
+use crate::runtime::{FlushOutcome, QueryCore, QueryRuntime};
+use crate::window::SlidingWindowEngine;
 
 /// Events are broadcast to shard workers once this many are buffered (and
 /// at every flush), amortizing channel overhead.
@@ -203,8 +206,8 @@ enum MeshMsg {
     Flush,
 }
 
-/// A worker's channel hung up mid-run, which only a worker panic causes.
-/// The driver stops and hands this to [`join_workers`].
+/// A worker's channel hung up mid-run, which only a worker panic causes;
+/// [`MeshCore::worker_gone`] re-raises that panic.
 struct WorkerGone;
 
 impl<T> From<SendError<T>> for WorkerGone {
@@ -239,10 +242,7 @@ fn recv_command<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
 /// Joins every worker (the caller has dropped their command senders) and
 /// re-raises the first worker panic with its own payload, so a failed
 /// worker surfaces as that one error.
-fn join_workers<T>(
-    handles: Vec<ScopedJoinHandle<'_, T>>,
-    driven: Result<(), WorkerGone>,
-) -> Vec<T> {
+fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut joined = Vec::with_capacity(handles.len());
     let mut panic = None;
     for h in handles {
@@ -256,65 +256,7 @@ fn join_workers<T>(
     if let Some(payload) = panic {
         std::panic::resume_unwind(payload);
     }
-    assert!(driven.is_ok(), "a shard worker hung up without panicking");
     joined
-}
-
-/// Folds one shard's flush answer into the running best. Deterministic
-/// merge: shard bests are keyed by `(score, bound, cell)`, a total order
-/// independent of thread timing and shard count.
-fn keep_best(best: &mut Option<ShardAnswer>, candidate: Option<ShardAnswer>) {
-    if let Some(a) = candidate {
-        if best.is_none_or(|b| a.merge_key() > b.merge_key()) {
-            *best = Some(a);
-        }
-    }
-}
-
-/// The driver's event fan-out: shares each expanded batch with every
-/// worker, counts what it sent, and — when observability is on — runs the
-/// reporting-only backpressure watchdog around each blocking send.
-struct EventFanout<'a> {
-    obs: &'a Observe,
-    flight: &'a Flight,
-    watchdog_fired: Cell<bool>,
-    /// Events broadcast so far.
-    events: Cell<u64>,
-}
-
-impl EventFanout<'_> {
-    /// Sends `batch` to every worker as one shared allocation (each worker
-    /// holds an `Arc`, not a deep copy) and empties it.
-    fn broadcast(
-        &self,
-        txs: &[Sender<MeshMsg>],
-        batch: &mut EventBatch,
-        seq: u64,
-    ) -> Result<(), WorkerGone> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.events.set(self.events.get() + batch.len() as u64);
-        let shared: Arc<[Event]> = Arc::from(batch.as_slice());
-        batch.clear();
-        for (shard, tx) in txs.iter().enumerate() {
-            // A slow send is noted in the driver ring and the rings are
-            // dumped once per run; the send itself is the same blocking
-            // call either way.
-            let start = self.obs.is_enabled().then(Instant::now);
-            tx.send(MeshMsg::Events(Arc::clone(&shared)))?;
-            if start.is_some_and(|s| s.elapsed() >= WATCHDOG_SEND) {
-                self.flight.record(TraceEvent::Backpressure {
-                    seq,
-                    shard: shard as u32,
-                });
-                if !self.watchdog_fired.replace(true) {
-                    eprintln!("{}", self.obs.trace_dump());
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One worker's command loop. `flush_seq` is the run-wide sequence number
@@ -398,42 +340,116 @@ pub struct ElasticReport {
     pub final_answer: Option<RegionAnswer>,
 }
 
-/// How one epoch ended.
-enum EpochEnd {
-    /// Stream exhausted and terminal flush done.
-    Done,
-    /// Balancer recommended this new shard count at a slide boundary.
-    Reshard(usize),
+/// One mesh epoch as the [`QueryCore`] of the run's [`QueryRuntime`]: the
+/// runtime's expanded events are buffered and broadcast to every worker in
+/// shared batches of [`BATCH`], and a flush is one `Flush` command to and one
+/// reply from every worker, merged by [`ShardAnswer::merge_key`].
+struct MeshCore<'a, 's> {
+    txs: Vec<Sender<MeshMsg>>,
+    reply_rxs: Vec<Receiver<ShardFlush>>,
+    handles: Vec<ScopedJoinHandle<'s, ShardWorkerStats>>,
+    obs: &'a Observe,
+    /// The driver's flight ring, tracing every flush.
+    flight: &'a Flight,
+    /// Set once the backpressure watchdog dumped the rings (once per run).
+    watchdog_fired: &'a Cell<bool>,
+    region: RegionSize,
+    batch: Vec<Event>,
+    /// The flush the buffered events belong to.
+    seq: u64,
+    /// The last flush's per-shard dirty counts — the balancer's signal.
+    dirty: Vec<u64>,
+    /// Per-shard sweeps this epoch (the sum of the dirty counts).
+    shard_sweeps: Vec<u64>,
 }
 
-/// One flush across the whole mesh: one command to and one reply from
-/// every worker. The caller has already broadcast any buffered events.
-/// Returns the merged answer and the per-shard dirty counts (the sweeps
-/// each shard just ran — the balancer's signal).
-fn mesh_flush(
-    txs: &[Sender<MeshMsg>],
-    reply_rxs: &[Receiver<ShardFlush>],
-    region: RegionSize,
-    flight: &Flight,
-    seq: u64,
-) -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
-    flight.record(TraceEvent::FlushStart { seq });
-    for tx in txs {
-        tx.send(MeshMsg::Flush)?;
+impl MeshCore<'_, '_> {
+    /// A worker hung up, which only its panic causes: closes every
+    /// channel, joins the mesh and re-raises that panic — no peer is left
+    /// waiting.
+    fn worker_gone(&mut self) -> ! {
+        self.txs.clear();
+        join_workers(std::mem::take(&mut self.handles));
+        panic!("a shard worker hung up without panicking");
     }
-    let mut dirty = Vec::with_capacity(txs.len());
-    let mut best: Option<ShardAnswer> = None;
-    for rx in reply_rxs {
-        let reply = rx.recv()?;
-        dirty.push(reply.dirty);
-        keep_best(&mut best, reply.best);
+
+    /// Sends the buffered events to every worker as one shared allocation
+    /// (each worker holds an `Arc`, not a deep copy).
+    fn broadcast(&mut self) -> Result<(), WorkerGone> {
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let shared: Arc<[Event]> = Arc::from(self.batch.as_slice());
+        self.batch.clear();
+        for (shard, tx) in self.txs.iter().enumerate() {
+            // A slow send is noted in the driver ring and the rings are
+            // dumped once per run; the send itself is the same blocking
+            // call either way.
+            let start = self.obs.is_enabled().then(Instant::now);
+            tx.send(MeshMsg::Events(Arc::clone(&shared)))?;
+            if start.is_some_and(|s| s.elapsed() >= WATCHDOG_SEND) {
+                self.flight.record(TraceEvent::Backpressure {
+                    seq: self.seq,
+                    shard: shard as u32,
+                });
+                if !self.watchdog_fired.replace(true) {
+                    eprintln!("{}", self.obs.trace_dump());
+                }
+            }
+        }
+        Ok(())
     }
-    let merged = best.map(|b| b.answer(region));
-    flight.record(TraceEvent::FlushEnd {
-        seq,
-        answers: merged.is_some() as u64,
-    });
-    Ok((merged, dirty))
+
+    fn mesh_flush(&mut self, seq: u64) -> Result<FlushOutcome, WorkerGone> {
+        self.broadcast()?;
+        self.flight.record(TraceEvent::FlushStart { seq });
+        for tx in &self.txs {
+            tx.send(MeshMsg::Flush)?;
+        }
+        self.dirty.clear();
+        let mut best: Option<ShardAnswer> = None;
+        for rx in &self.reply_rxs {
+            let reply = rx.recv()?;
+            self.dirty.push(reply.dirty);
+            // Shard bests merge by `(score, bound, cell)`: a total order,
+            // independent of thread timing and shard count.
+            if reply
+                .best
+                .is_some_and(|a| best.is_none_or(|b| a.merge_key() > b.merge_key()))
+            {
+                best = reply.best;
+            }
+        }
+        for (total, swept) in self.shard_sweeps.iter_mut().zip(&self.dirty) {
+            *total += swept;
+        }
+        let merged = best.map(|b| b.answer(self.region));
+        self.flight.record(TraceEvent::FlushEnd {
+            seq,
+            answers: merged.is_some() as u64,
+        });
+        Ok(FlushOutcome {
+            answers: merged.into_iter().collect(),
+            swept: self.dirty.iter().sum(),
+        })
+    }
+}
+
+impl QueryCore for MeshCore<'_, '_> {
+    fn on_events(&mut self, events: &[Event]) {
+        self.batch.extend_from_slice(events);
+        if self.batch.len() >= BATCH && self.broadcast().is_err() {
+            self.worker_gone();
+        }
+    }
+
+    fn flush(&mut self, seq: u64, _threads: usize) -> FlushOutcome {
+        let flushed = self
+            .mesh_flush(seq)
+            .unwrap_or_else(|WorkerGone| self.worker_gone());
+        self.seq = seq + 1;
+        flushed
+    }
 }
 
 /// Drives `source` into a [`MeshIngest`] detector with one worker thread
@@ -522,21 +538,16 @@ pub fn drive_elastic_observed<D: MeshIngest>(
 ) -> ElasticReport {
     assert!(slide_objects > 0, "slide must contain at least one object");
     let driver_flight = obs.flight("elastic/driver");
+    let watchdog_fired = Cell::new(false);
     let _panic_dump = obs.panic_dump_guard("drive_elastic");
-    let fanout = EventFanout {
-        obs,
-        flight: &driver_flight,
-        watchdog_fired: Cell::new(false),
-        events: Cell::new(0),
-    };
     let region = detector.region_size();
     let mut source = source.fuse();
     // The one window engine, on the driver thread for the whole run: a
     // reshard rebuilds the workers around it.
     let mut engine = SlidingWindowEngine::new(windows);
-    let mut batch = EventBatch::with_capacity(BATCH);
     let mut balancer = ShardBalancer::new(policy);
     let mut objects = 0u64;
+    let mut events = 0u64;
     let mut slides = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
     // The terminal flush's answer, tracked independently of retention: an
@@ -546,7 +557,9 @@ pub fn drive_elastic_observed<D: MeshIngest>(
     let mut epochs: Vec<EpochStats> = Vec::new();
 
     loop {
-        let (end, epoch) = thread::scope(|scope| {
+        // `Some(width)` when the balancer ends the epoch at a slide
+        // boundary; `None` once the stream is done.
+        let (reshard, epoch) = thread::scope(|scope| {
             let workers = detector.ingest_workers();
             let n = workers.len();
             let mut txs = Vec::with_capacity(n);
@@ -561,73 +574,70 @@ pub fn drive_elastic_observed<D: MeshIngest>(
                 handles
                     .push(scope.spawn(move || mesh_worker_loop(worker, rx, rtx, flight, slides)));
             }
-
-            let mut shard_sweeps = vec![0u64; n];
-            let mut epoch_slides = 0u64;
-            let mut end = EpochEnd::Done;
-            // Broadcasts the buffered events, runs one mesh flush and
-            // delivers its answer; returns that answer and the dirty counts.
-            let mut flush = |batch: &mut EventBatch,
-                             answers: &mut AnswerLog<Option<RegionAnswer>>,
-                             slides: &mut u64|
-             -> Result<(Option<RegionAnswer>, Vec<u64>), WorkerGone> {
-                fanout.broadcast(&txs, batch, *slides)?;
-                let (ans, dirty) = mesh_flush(&txs, &reply_rxs, region, &driver_flight, *slides)?;
-                for (total, swept) in shard_sweeps.iter_mut().zip(&dirty) {
-                    *total += swept;
-                }
-                answers.offer(ans, sink);
-                *slides += 1;
-                epoch_slides += 1;
-                Ok((ans, dirty))
+            let core = MeshCore {
+                txs,
+                reply_rxs,
+                handles,
+                obs,
+                flight: &driver_flight,
+                watchdog_fired: &watchdog_fired,
+                region,
+                batch: Vec::with_capacity(BATCH),
+                seq: slides,
+                dirty: Vec::with_capacity(n),
+                shard_sweeps: vec![0; n],
             };
-
-            let driven = (|| {
-                let mut in_slide = 0usize;
-                for obj in source.by_ref() {
-                    engine.push_into(obj, &mut batch);
-                    if batch.len() >= BATCH {
-                        fanout.broadcast(&txs, &mut batch, slides)?;
-                    }
-                    objects += 1;
-                    in_slide += 1;
-                    if in_slide >= slide_objects {
-                        let (_, dirty) = flush(&mut batch, &mut answers, &mut slides)?;
-                        in_slide = 0;
-                        if let Some(to) = balancer.observe(&dirty) {
-                            end = EpochEnd::Reshard(to);
-                            return Ok(());
-                        }
+            // Every epoch resumes the run at the slide boundary the last one
+            // stopped at, through the same path crash recovery uses.
+            let mut rt = QueryRuntime::resume(core, &mut engine, slide_objects, 1, objects, slides)
+                .expect("an epoch starts at a flushed slide boundary");
+            let mut reshard = None;
+            for obj in source.by_ref() {
+                if let Some(flushed) = rt.push(obj) {
+                    answers.offer(flushed.first().copied(), sink);
+                    reshard = balancer.observe(&rt.core().dirty);
+                    if reshard.is_some() {
+                        break;
                     }
                 }
-                // Stream exhausted: partial slide, then the terminal drain
-                // flush, mirroring the sequential slide loop (no balancing
-                // on the tail — there is nothing left to balance for).
-                if in_slide > 0 {
-                    flush(&mut batch, &mut answers, &mut slides)?;
+            }
+            if reshard.is_none() {
+                // Stream exhausted: the partial slide and the terminal drain
+                // flush (no balancing on the tail — there is nothing left to
+                // balance for).
+                while let Some(flushed) = rt.finish_step() {
+                    final_answer = flushed.first().copied();
+                    answers.offer(final_answer, sink);
                 }
-                engine.finish_into(&mut batch);
-                final_answer = flush(&mut batch, &mut answers, &mut slides)?.0;
-                Ok(())
-            })();
+            }
+            let counters = *rt.counters();
+            let epoch_slides = counters.slides - slides;
+            (objects, slides) = (counters.objects, counters.slides);
+            events += counters.events;
             // The epoch always ends at a completed flush, so every worker
             // is idle; closing the channels ends their loops.
+            let MeshCore {
+                txs,
+                handles,
+                shard_sweeps,
+                ..
+            } = rt.into_core();
             drop(txs);
-            let shard_stats = join_workers(handles, driven);
+            let shard_stats = join_workers(handles);
             let epoch = EpochStats {
                 shards: n,
                 slides: epoch_slides,
                 shard_sweeps,
                 shard_stats,
             };
-            (end, epoch)
+            (reshard, epoch)
         });
 
         let from = epoch.shards;
         epochs.push(epoch);
-        match end {
-            EpochEnd::Done => break,
-            EpochEnd::Reshard(to) => {
+        match reshard {
+            None => break,
+            Some(to) => {
                 driver_flight.record(TraceEvent::ReshardEpoch {
                     epoch: epochs.len() as u64,
                     from: from as u32,
@@ -641,7 +651,7 @@ pub fn drive_elastic_observed<D: MeshIngest>(
     let final_shards = epochs.last().expect("at least one epoch").shards;
     let reshards = epochs.len() as u64 - 1;
     let run = ShardRunStats {
-        events: fanout.events.get(),
+        events,
         new_events: objects,
         searches: epochs
             .iter()

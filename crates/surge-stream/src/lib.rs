@@ -19,11 +19,10 @@
 //! * [`parallel`] — fan-out drivers: several detectors over the same event
 //!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
 //!   incremental detectors ([`drive_incremental`]).
-//! * [`runtime`] — the [`QueryRuntime`] state machine [`drive_slides`] and
-//!   [`drive_incremental`] wrap: a [`QueryCore`] (detector face) bound to a
-//!   [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
-//!   drain / terminal-flush contract (its module docs list the loops that
-//!   still carry their own copy).
+//! * [`runtime`] — the [`QueryRuntime`] slide state machine every
+//!   slide-batched driver runs on: a [`QueryCore`] (detector face) bound to
+//!   a [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
+//!   drain / terminal-flush contract and its resumable [`Phase`].
 //! * [`answers`] — ack-released answer retention ([`AnswerLog`],
 //!   [`AnswerSink`]): the bounded replacement for the grow-forever
 //!   `answers: Vec` report pattern.
@@ -73,6 +72,6 @@ pub use parallel::{
     drive_incremental, drive_incremental_observed, drive_incremental_with_sink, drive_parallel,
     IncrementalReport, ParallelReport,
 };
-pub use runtime::{FlushOutcome, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
+pub use runtime::{FlushOutcome, Phase, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
 pub use text::{GeoMessage, KeywordQuery, TextStreamGenerator, Topic, TopicBurst, Vocabulary};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

@@ -209,18 +209,17 @@ struct IncrementalCore<'a, D: ?Sized> {
 }
 
 impl<D: IncrementalDetector + ?Sized> QueryCore for IncrementalCore<'_, D> {
-    fn on_event(&mut self, event: &Event) {
-        self.detector.on_event(event);
+    fn on_events(&mut self, events: &[Event]) {
+        for ev in events {
+            self.detector.on_event(ev);
+        }
     }
-    fn flush(&mut self, threads: usize) -> FlushOutcome {
+    fn flush(&mut self, _seq: u64, threads: usize) -> FlushOutcome {
         let swept = self.detector.sweep_dirty(threads);
         FlushOutcome {
             answers: self.detector.current().into_iter().collect(),
             swept,
         }
-    }
-    fn stats(&self) -> DetectorStats {
-        self.detector.stats()
     }
 }
 
@@ -282,7 +281,7 @@ where
         answers.offer(flushed.first().copied(), sink);
     });
     let counters = *rt.counters();
-    let stats = rt.core().stats();
+    let stats = rt.core().detector.stats();
     if obs.is_enabled() {
         let cache = rt.core().detector.sweep_cache_stats();
         obs.counter("incremental/searches").add(stats.searches);

@@ -1,36 +1,31 @@
-//! The single-query slide-cadence state machine, and the contract every
-//! slide-batched driver follows.
+//! The slide-cadence state machine every slide-batched driver runs on.
 //!
-//! A slide-batched driver pushes an object through a window engine,
-//! delivers the expanded events to a detector, flushes at every
-//! `slide_objects`-th arrival, and ends with the canonical drain + terminal
-//! flush: `in_slide → partial flush → drain → terminal flush`.
+//! A continuous query refreshes its answer once every `slide_objects`
+//! arrivals; at end of stream it flushes the trailing partial slide (if
+//! any), drains the engine (`SlidingWindowEngine::finish`) and runs one
+//! terminal flush: the answers are `[slides..., partial?, terminal]`.
+//! [`QueryRuntime`] is the only code that knows that cadence, and it tracks
+//! where a run is in it as a [`Phase`]: `Open { in_slide }`, then
+//! `PartialFlushed` if a slide was open, then `Finished`.
 //!
-//! [`QueryRuntime`] is that state machine: a [`QueryCore`] (the detector
-//! face: consume events, flush answers) bound to a [`SlidingWindowEngine`]
-//! (owned, or borrowed from the caller) at a slide cadence. `drive_slides`
-//! and `drive_incremental` are thin wrappers over it. It is **not** yet the
-//! only copy — four more loops carry the same cadence by hand and stay
-//! bit-identical to it by differential tests alone:
+//! [`push`](QueryRuntime::push) returns the flush an arrival completes and
+//! [`finish_step`](QueryRuntime::finish_step) yields the end-of-stream
+//! flushes one at a time, so each caller — `drive_slides`,
+//! `drive_incremental`, `drive_autopilot`, every `drive_elastic` epoch, the
+//! checkpoint runner, every `surge-serve` lane — does its own post-flush
+//! work and error handling between flushes, with the core and the engine in
+//! reach ([`parts_mut`](QueryRuntime::parts_mut)).
 //!
-//! * the checkpoint `Runner` (`surge-checkpoint` `driver.rs`: `ingest` /
-//!   `run`), which interleaves WAL appends and snapshots;
-//! * `surge-serve`'s `Lane` (`push` / `finish` "mirror" this module for
-//!   every detector group at once);
-//! * [`drive_autopilot`](crate::autopilot::drive_autopilot), which times
-//!   each flush and may switch tiers between slides;
-//! * [`drive_elastic`](crate::elastic::drive_elastic), whose flush is a
-//!   mesh round trip and whose epochs end at slide boundaries.
-//!
-//! Five copies of one contract; folding them into this one is ROADMAP's
-//! "One pipeline, one report". The flush contract is proptested against the
-//! historical loops: the answer sequence is
-//! `[slide answers..., terminal answer]`, with a flush for the trailing
-//! partial slide before the drain.
+//! **Resume.** The phase is a pure function of three counters every snapshot
+//! already stores — objects pushed, flushes run, slide size — so
+//! [`resume`](QueryRuntime::resume), the one path checkpoint recovery,
+//! `SurgeServer::restore` and each new mesh epoch take, derives it: a run
+//! captured after its partial or terminal flush does not repeat it, and a
+//! combination no run reaches is a [`RestoreError`].
 
 use std::borrow::BorrowMut;
 
-use surge_core::{DetectorStats, Event, RegionAnswer, SpatialObject, WindowConfig};
+use surge_core::{Event, RegionAnswer, RestoreError, SpatialObject, WindowConfig};
 use surge_observe::{Counter, Flight, Observe, TraceEvent};
 
 use crate::window::{EventBatch, SlidingWindowEngine};
@@ -55,17 +50,53 @@ pub struct FlushOutcome {
 /// directly. A core must be deterministic in the event sequence: the
 /// runtime guarantees the sequence, the core guarantees the answer.
 pub trait QueryCore {
-    /// Consumes one window-transition event.
-    fn on_event(&mut self, event: &Event);
-    /// Flush boundary: settle deferred maintenance (with up to `threads`
-    /// workers) and report the current answers.
-    fn flush(&mut self, threads: usize) -> FlushOutcome;
-    /// Detector counters.
-    fn stats(&self) -> DetectorStats;
+    /// Consumes the window-transition events one arrival (or the end-of-
+    /// stream drain) caused, in stream order.
+    fn on_events(&mut self, events: &[Event]);
+    /// Flush boundary number `seq` (dense, 0-based over the whole run):
+    /// settle deferred maintenance (with up to `threads` workers) and report
+    /// the current answers.
+    fn flush(&mut self, seq: u64, threads: usize) -> FlushOutcome;
+}
+
+/// Where a [`QueryRuntime`] is in the slide cadence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Accepting arrivals; `in_slide` of them are in the open slide.
+    Open {
+        /// Arrivals in the currently open slide (`< slide_objects`).
+        in_slide: usize,
+    },
+    /// End of stream: the trailing partial slide has been flushed; the
+    /// drain and the terminal flush remain.
+    PartialFlushed,
+    /// The terminal flush has run.
+    Finished,
+}
+
+impl Phase {
+    /// The phase a run is in after pushing `objects` arrivals and running
+    /// `flushes` flushes at `slide_objects` arrivals per slide, or `None`
+    /// when no run reaches that combination.
+    fn derive(objects: u64, flushes: u64, slide_objects: usize) -> Option<Phase> {
+        let slide = slide_objects as u64;
+        let in_slide = objects.checked_rem(slide)?;
+        // Flushes beyond the full slides: none while open, then the partial
+        // flush (only if a slide was open), then the terminal flush.
+        match (flushes.checked_sub(objects / slide)?, in_slide) {
+            (0, _) => Some(Phase::Open {
+                in_slide: in_slide as usize,
+            }),
+            (1, 0) | (2, 1..) => Some(Phase::Finished),
+            (1, _) => Some(Phase::PartialFlushed),
+            _ => None,
+        }
+    }
 }
 
 /// Progress counters of a [`QueryRuntime`], matching the fields the
-/// driver reports always exposed.
+/// driver reports always exposed (a resumed runtime counts on from its
+/// `objects` and `slides`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
     /// Objects pushed.
@@ -109,11 +140,8 @@ impl RuntimeProbes {
 }
 
 /// One continuous query's execution state: a [`QueryCore`] fed by a
-/// [`SlidingWindowEngine`] (owned or `&mut`) at a fixed slide cadence.
-///
-/// Every flush invokes the caller's `on_flush(seq, answers)` with a dense
-/// 0-based flush sequence number — the hook answer channels
-/// ([`crate::answers::AnswerLog`]) attach to.
+/// [`SlidingWindowEngine`] (owned or `&mut`) at a fixed slide cadence, and
+/// the [`Phase`] of that cadence.
 #[derive(Debug)]
 pub struct QueryRuntime<C: QueryCore, E: BorrowMut<SlidingWindowEngine> = SlidingWindowEngine> {
     core: C,
@@ -121,7 +149,7 @@ pub struct QueryRuntime<C: QueryCore, E: BorrowMut<SlidingWindowEngine> = Slidin
     slide_objects: usize,
     threads: usize,
     batch: EventBatch,
-    in_slide: usize,
+    phase: Phase,
     counters: RuntimeCounters,
     probes: RuntimeProbes,
 }
@@ -143,24 +171,47 @@ impl<C: QueryCore> QueryRuntime<C> {
 }
 
 impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
-    /// A runtime over an existing engine (possibly mid-stream — the
-    /// restore path and the borrowed-engine drivers).
+    /// A fresh run over an existing engine (the borrowed-engine drivers).
     ///
     /// # Panics
     ///
     /// Panics if `slide_objects` is 0.
     pub fn over(core: C, engine: E, slide_objects: usize, threads: usize) -> Self {
-        assert!(slide_objects > 0, "slide must contain at least one object");
-        QueryRuntime {
+        // A fresh run is open; only a zero slide has no phase.
+        Self::resume(core, engine, slide_objects, threads, 0, 0)
+            .expect("slide must contain at least one object")
+    }
+
+    /// Resumes a run that has pushed `objects` arrivals and run `flushes`
+    /// flushes, with `core` and `engine` restored to that point; a
+    /// [`RestoreError`] when no run at `slide_objects` reaches them.
+    pub fn resume(
+        core: C,
+        engine: E,
+        slide_objects: usize,
+        threads: usize,
+        objects: u64,
+        flushes: u64,
+    ) -> Result<Self, RestoreError> {
+        let phase = Phase::derive(objects, flushes, slide_objects).ok_or_else(|| {
+            RestoreError::new(format!(
+                "{flushes} flushes after {objects} objects at {slide_objects} per slide"
+            ))
+        })?;
+        Ok(QueryRuntime {
             core,
             engine,
             slide_objects,
             threads,
             batch: EventBatch::new(),
-            in_slide: 0,
-            counters: RuntimeCounters::default(),
+            phase,
+            counters: RuntimeCounters {
+                objects,
+                slides: flushes,
+                ..RuntimeCounters::default()
+            },
             probes: RuntimeProbes::default(),
-        }
+        })
     }
 
     /// Attaches registry probes under `scope` (see [`RuntimeProbes::new`]).
@@ -169,64 +220,76 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
         self.probes = RuntimeProbes::new(obs, scope);
     }
 
-    /// Pushes one arrival; flushes through `on_flush` if it completes a
-    /// slide.
-    pub fn push(
-        &mut self,
-        object: SpatialObject,
-        on_flush: &mut impl FnMut(u64, Vec<RegionAnswer>),
-    ) {
-        self.batch.clear();
-        self.engine.borrow_mut().push_into(object, &mut self.batch);
-        for ev in self.batch.iter() {
-            self.core.on_event(ev);
-        }
-        self.counters.events += self.batch.len() as u64;
+    /// Pushes one arrival; returns the answers of the flush it completes,
+    /// if it completes a slide.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the runtime is [`Phase::Open`] — once end of stream
+    /// began, no arrival fits the cadence — and on an out-of-order arrival
+    /// (the engine's check).
+    pub fn push(&mut self, object: SpatialObject) -> Option<Vec<RegionAnswer>> {
+        let Phase::Open { in_slide } = self.phase else {
+            panic!("QueryRuntime::push after end of stream ({:?})", self.phase);
+        };
+        self.deliver(|engine, batch| engine.push_into(object, batch));
         self.counters.objects += 1;
-        self.probes.events.add(self.batch.len() as u64);
         self.probes.objects.inc();
-        self.in_slide += 1;
-        if self.in_slide >= self.slide_objects {
-            self.in_slide = 0;
-            self.flush_now(on_flush);
+        let in_slide = (in_slide + 1) % self.slide_objects;
+        self.phase = Phase::Open { in_slide };
+        (in_slide == 0).then(|| self.flush_now())
+    }
+
+    /// Advances end of stream by one flush and returns its answers: the
+    /// trailing partial slide's flush (if a slide is open and non-empty),
+    /// then the engine drain + terminal flush, then `None` once
+    /// [`Phase::Finished`].
+    pub fn finish_step(&mut self) -> Option<Vec<RegionAnswer>> {
+        match self.phase {
+            Phase::Open { in_slide } if in_slide > 0 => {
+                self.phase = Phase::PartialFlushed;
+                Some(self.flush_now())
+            }
+            Phase::Open { .. } | Phase::PartialFlushed => {
+                self.deliver(|engine, batch| engine.finish_into(batch));
+                self.phase = Phase::Finished;
+                Some(self.flush_now())
+            }
+            Phase::Finished => None,
         }
     }
 
-    /// End of stream: flushes the trailing partial slide (if any), drains
-    /// the engine tail, and runs the terminal flush — the shared
-    /// end-of-stream contract of every replay driver.
-    pub fn finish(&mut self, on_flush: &mut impl FnMut(u64, Vec<RegionAnswer>)) {
-        if self.in_slide > 0 {
-            self.in_slide = 0;
-            self.flush_now(on_flush);
-        }
-        self.batch.clear();
-        self.engine.borrow_mut().finish_into(&mut self.batch);
-        for ev in self.batch.iter() {
-            self.core.on_event(ev);
-        }
-        self.counters.events += self.batch.len() as u64;
-        self.probes.events.add(self.batch.len() as u64);
-        self.flush_now(on_flush);
-    }
-
-    /// Runs a whole source to completion: push every object, then
-    /// [`finish`](Self::finish).
+    /// Runs a whole source to completion: push every object, then step
+    /// end of stream to [`Phase::Finished`], handing every flush to
+    /// `on_flush(seq, answers)` with its dense 0-based sequence number.
     pub fn run(
         &mut self,
         source: impl Iterator<Item = SpatialObject>,
         mut on_flush: impl FnMut(u64, Vec<RegionAnswer>),
     ) {
         for obj in source {
-            self.push(obj, &mut on_flush);
+            if let Some(answers) = self.push(obj) {
+                on_flush(self.counters.slides - 1, answers);
+            }
         }
-        self.finish(&mut on_flush);
+        while let Some(answers) = self.finish_step() {
+            on_flush(self.counters.slides - 1, answers);
+        }
     }
 
-    fn flush_now(&mut self, on_flush: &mut impl FnMut(u64, Vec<RegionAnswer>)) {
+    /// Fills the batch from the engine and hands every event to the core.
+    fn deliver(&mut self, expand: impl FnOnce(&mut SlidingWindowEngine, &mut EventBatch)) {
+        self.batch.clear();
+        expand(self.engine.borrow_mut(), &mut self.batch);
+        self.core.on_events(self.batch.as_slice());
+        self.counters.events += self.batch.len() as u64;
+        self.probes.events.add(self.batch.len() as u64);
+    }
+
+    fn flush_now(&mut self) -> Vec<RegionAnswer> {
         let seq = self.counters.slides;
         self.probes.flight.record(TraceEvent::FlushStart { seq });
-        let outcome = self.core.flush(self.threads);
+        let outcome = self.core.flush(seq, self.threads);
         self.counters.slides += 1;
         self.counters.jobs += outcome.swept;
         self.counters.max_jobs_per_slide = self.counters.max_jobs_per_slide.max(outcome.swept);
@@ -236,7 +299,7 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
             seq,
             answers: outcome.answers.len() as u64,
         });
-        on_flush(seq, outcome.answers);
+        outcome.answers
     }
 
     /// Progress counters so far.
@@ -244,9 +307,17 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
         &self.counters
     }
 
-    /// Arrivals in the currently open slide.
+    /// Where the run is in the slide cadence.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Arrivals in the currently open slide (0 once end of stream began).
     pub fn in_slide(&self) -> usize {
-        self.in_slide
+        match self.phase {
+            Phase::Open { in_slide } => in_slide,
+            Phase::PartialFlushed | Phase::Finished => 0,
+        }
     }
 
     /// The core.
@@ -264,6 +335,12 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
         self.engine.borrow()
     }
 
+    /// The core, mutably, beside the engine — for post-flush work that
+    /// reads the windows (the autopilot's warm hand-off).
+    pub fn parts_mut(&mut self) -> (&mut C, &SlidingWindowEngine) {
+        (&mut self.core, self.engine.borrow())
+    }
+
     /// Consumes the runtime, returning the core.
     pub fn into_core(self) -> C {
         self.core
@@ -276,20 +353,20 @@ mod tests {
     use surge_core::{EventKind, Point, RegionSize};
 
     /// Counts events and flushes; answers with the running weight sum.
+    #[derive(Default)]
     struct SumCore {
         sum: f64,
-        events: u64,
         flushes: u64,
     }
 
     impl QueryCore for SumCore {
-        fn on_event(&mut self, event: &Event) {
-            self.events += 1;
-            if event.kind == EventKind::New {
-                self.sum += event.object.weight;
+        fn on_events(&mut self, events: &[Event]) {
+            for ev in events.iter().filter(|ev| ev.kind == EventKind::New) {
+                self.sum += ev.object.weight;
             }
         }
-        fn flush(&mut self, _threads: usize) -> FlushOutcome {
+        fn flush(&mut self, seq: u64, _threads: usize) -> FlushOutcome {
+            assert_eq!(seq, self.flushes, "flush seqs are dense");
             self.flushes += 1;
             FlushOutcome {
                 answers: vec![RegionAnswer::from_point(
@@ -298,12 +375,6 @@ mod tests {
                     self.sum,
                 )],
                 swept: 1,
-            }
-        }
-        fn stats(&self) -> DetectorStats {
-            DetectorStats {
-                events: self.events,
-                ..Default::default()
             }
         }
     }
@@ -316,12 +387,7 @@ mod tests {
 
     #[test]
     fn runtime_matches_the_historical_slide_loop_shape() {
-        let core = SumCore {
-            sum: 0.0,
-            events: 0,
-            flushes: 0,
-        };
-        let mut rt = QueryRuntime::new(core, WindowConfig::equal(100), 10, 1);
+        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 10, 1);
         let mut seqs = Vec::new();
         rt.run(stream(25).into_iter(), |seq, answers| {
             assert_eq!(answers.len(), 1);
@@ -337,16 +403,12 @@ mod tests {
         // Every object completes its New/Grown/Expired lifecycle.
         assert_eq!(c.events, 75);
         assert_eq!(rt.core().flushes, 4);
+        assert_eq!(rt.phase(), Phase::Finished);
     }
 
     #[test]
     fn exact_slide_boundary_has_no_partial_flush() {
-        let core = SumCore {
-            sum: 0.0,
-            events: 0,
-            flushes: 0,
-        };
-        let mut rt = QueryRuntime::new(core, WindowConfig::equal(100), 5, 1);
+        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 5, 1);
         let mut flushes = 0u64;
         rt.run(stream(10).into_iter(), |_, _| flushes += 1);
         // Two full slides + terminal only — no empty partial flush.
@@ -356,15 +418,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one object")]
     fn zero_slide_rejected() {
-        let _ = QueryRuntime::new(
-            SumCore {
-                sum: 0.0,
-                events: 0,
-                flushes: 0,
-            },
-            WindowConfig::equal(100),
-            0,
-            1,
-        );
+        let _ = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 0, 1);
     }
 }
