@@ -1319,13 +1319,6 @@ pub struct PersistentBenchRow {
     pub rebuilt_leaves: u64,
     /// Full rebuilds executed.
     pub full_rebuilds: u64,
-    /// Searches answered from the epoch-keyed result cache (0 in rebuild
-    /// mode; 0 on exactly-once streams, where every window event mutates a
-    /// touched cell's clip set).
-    pub epoch_hits: u64,
-    /// Searches that replayed a retained kinetic y-order plan instead of
-    /// re-deriving it (0 in rebuild mode).
-    pub plan_reuses: u64,
     /// Wall-clock milliseconds for the run (informative only on a 1-CPU
     /// container).
     pub elapsed_ms: f64,
@@ -1343,8 +1336,8 @@ pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
 
     // Tighter cadence than the throughput benches: continuous monitoring
     // sweeps after every few arrivals, which is the regime cross-sweep
-    // persistence targets (fewer mutations per inter-sweep window, so
-    // kinetic plans and incremental structures amortize across searches).
+    // persistence targets (fewer mutations per inter-sweep window, so the
+    // incremental structures amortize across searches).
     let slide = 32;
     let taxi_windows = Dataset::Taxi.spec().default_windows;
     let taxi_objects = objects_for(Dataset::Taxi, taxi_windows, cfg.objects, cfg.max_objects);
@@ -1421,118 +1414,12 @@ pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
                 churn_ops: sweep.churn_ops,
                 rebuilt_leaves: sweep.rebuilt_leaves,
                 full_rebuilds: sweep.full_rebuilds,
-                epoch_hits: sweep.epoch_hits,
-                plan_reuses: sweep.plan_reuses,
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
                 speedup: rebuild_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
             });
         }
     }
-    rows.extend(redelivery_bench(cfg, slide));
     rows
-}
-
-/// The at-least-once workload the epoch cache exists for: after every sweep
-/// the batch just processed is redelivered in full (a crash/retry replay)
-/// and the detector swept again. The pending-delta journal cancels each
-/// duplicate back to the anchored epoch, so persistent mode answers the
-/// replay sweeps from the cell result cache while rebuild mode re-sweeps —
-/// with per-sweep bit-identity asserted across the modes throughout.
-fn redelivery_bench(cfg: &ExpConfig, slide: usize) -> Vec<PersistentBenchRow> {
-    use surge_core::{Event, IncrementalDetector, RegionAnswer};
-    use surge_stream::EventBatch;
-
-    let windows = WindowConfig::equal(60_000);
-    let query = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, DEFAULT_ALPHA);
-    let stream = uniform_stream(cfg.objects.clamp(4_000, 50_000), cfg.seed);
-
-    let drive = |sweep_mode: SweepMode| {
-        let mut det = CellCspot::with_sweep_mode(query, BoundMode::Combined, sweep_mode, 1);
-        let mut engine = SlidingWindowEngine::new(windows);
-        let mut batch = EventBatch::new();
-        let mut window: Vec<Event> = Vec::new();
-        let mut answers: Vec<Option<RegionAnswer>> = Vec::new();
-        let t0 = std::time::Instant::now();
-        for (i, obj) in stream.iter().copied().enumerate() {
-            engine.push_into(obj, &mut batch);
-            for ev in batch.as_slice() {
-                window.push(*ev);
-                det.on_event(ev);
-            }
-            batch.clear();
-            if (i + 1) % slide == 0 {
-                det.sweep_dirty(1);
-                answers.push(det.current());
-                for ev in &window {
-                    det.on_event(ev);
-                }
-                det.sweep_dirty(1);
-                answers.push(det.current());
-                window.clear();
-            }
-        }
-        let elapsed = t0.elapsed();
-        (answers, elapsed, det.sweep_stats())
-    };
-
-    // Best of three, for the same reason the main workloads take the best of
-    // five: container noise exceeds the effect size.
-    let drive_best = |sweep_mode: SweepMode| {
-        let mut best = drive(sweep_mode);
-        for _ in 0..2 {
-            let run = drive(sweep_mode);
-            if run.1 < best.1 {
-                best = run;
-            }
-        }
-        best
-    };
-    let (rebuild_answers, rebuild_elapsed, rebuild_sweep) = drive_best(SweepMode::Rebuild);
-    let (persistent_answers, persistent_elapsed, persistent_sweep) =
-        drive_best(SweepMode::Persistent);
-
-    // Bit-identity gate: live and replay sweeps alike must agree.
-    assert_eq!(persistent_answers.len(), rebuild_answers.len());
-    for (i, (a, b)) in persistent_answers
-        .iter()
-        .zip(rebuild_answers.iter())
-        .enumerate()
-    {
-        match (a, b) {
-            (Some(x), Some(y)) => assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "redelivery-bench divergence at sweep {i}"
-            ),
-            (None, None) => {}
-            other => panic!("redelivery-bench divergence at sweep {i}: {other:?}"),
-        }
-    }
-    assert!(
-        persistent_sweep.epoch_hits > 0,
-        "replayed batches must hit the epoch cache"
-    );
-
-    let objects = stream.len() as u64;
-    [
-        ("rebuild", rebuild_elapsed, rebuild_sweep),
-        ("persistent", persistent_elapsed, persistent_sweep),
-    ]
-    .into_iter()
-    .map(|(mode, elapsed, sweep)| PersistentBenchRow {
-        workload: "redeliver",
-        mode,
-        objects,
-        searches: sweep.searches,
-        churn_ops: sweep.churn_ops,
-        rebuilt_leaves: sweep.rebuilt_leaves,
-        full_rebuilds: sweep.full_rebuilds,
-        epoch_hits: sweep.epoch_hits,
-        plan_reuses: sweep.plan_reuses,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        speedup: rebuild_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-    })
-    .collect()
 }
 
 /// Asserts two per-slide answer streams are bit-identical.
@@ -2451,11 +2338,9 @@ mod tests {
     #[test]
     fn persistent_bench_reports_both_modes_and_less_rebuild_work() {
         let rows = persistent_bench(&tiny());
-        // Three workloads (uniform, taxi, redeliver) x {rebuild, persistent};
-        // bit-identity is asserted inside the runner before any row is
-        // emitted, and the redeliver runner additionally asserts the
-        // persistent mode answers replayed batches from the epoch cache.
-        assert_eq!(rows.len(), 6);
+        // Two workloads (uniform, taxi) x {rebuild, persistent}; bit-identity
+        // is asserted inside the runner before any row is emitted.
+        assert_eq!(rows.len(), 4);
         for chunk in rows.chunks(2) {
             let (rebuild, persistent) = (&chunk[0], &chunk[1]);
             assert_eq!(rebuild.mode, "rebuild");
@@ -2468,9 +2353,6 @@ mod tests {
             assert_eq!(rebuild.searches, persistent.searches);
             assert_eq!(rebuild.churn_ops, 0);
             assert_eq!(rebuild.full_rebuilds, rebuild.searches);
-            // Epoch hits and plan reuses are persistent-mode concepts.
-            assert_eq!(rebuild.epoch_hits, 0);
-            assert_eq!(rebuild.plan_reuses, 0);
             assert!(
                 persistent.rebuilt_leaves < rebuild.rebuilt_leaves,
                 "{}: persistent rebuilt {} leaves vs rebuild {}",
@@ -2479,11 +2361,6 @@ mod tests {
                 rebuild.rebuilt_leaves
             );
         }
-        let redeliver = rows
-            .iter()
-            .find(|r| r.workload == "redeliver" && r.mode == "persistent")
-            .expect("redeliver persistent row");
-        assert!(redeliver.epoch_hits > 0);
     }
 
     #[test]

@@ -252,21 +252,18 @@ pub fn sweep_bench(rows: &[crate::experiments::SweepBenchRow]) -> String {
 /// informative only on a 1-CPU container.
 pub fn persistent_bench(rows: &[crate::experiments::PersistentBenchRow]) -> String {
     let mut out = format!(
-        "\n== Cell sweeps: persistent cross-sweep state vs rebuild-per-search ==\n{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>10} {:>10} {:>12} {:>9}\n",
-        "workload", "mode", "searches", "churn", "rebuilt-lvs", "rebuilds", "epoch-hit", "plan-reuse",
-        "elapsed(ms)", "speedup"
+        "\n== Cell sweeps: persistent cross-sweep state vs rebuild-per-search ==\n{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>12} {:>9}\n",
+        "workload", "mode", "searches", "churn", "rebuilt-lvs", "rebuilds", "elapsed(ms)", "speedup"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>10} {:>10} {:>12.1} {:>8.2}x\n",
+            "{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>12.1} {:>8.2}x\n",
             r.workload,
             r.mode,
             r.searches,
             r.churn_ops,
             r.rebuilt_leaves,
             r.full_rebuilds,
-            r.epoch_hits,
-            r.plan_reuses,
             r.elapsed_ms,
             r.speedup
         ));
@@ -303,7 +300,7 @@ pub fn sweep_bench_json(
     out.push_str("  ],\n  \"persistent\": [\n");
     for (i, r) in persistent.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"objects\": {}, \"searches\": {}, \"churn_ops\": {}, \"rebuilt_leaves\": {}, \"full_rebuilds\": {}, \"epoch_hits\": {}, \"plan_reuses\": {}, \"elapsed_ms\": {:.1}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"objects\": {}, \"searches\": {}, \"churn_ops\": {}, \"rebuilt_leaves\": {}, \"full_rebuilds\": {}, \"elapsed_ms\": {:.1}, \"speedup\": {:.3}}}{}\n",
             r.workload,
             r.mode,
             r.objects,
@@ -311,8 +308,6 @@ pub fn sweep_bench_json(
             r.churn_ops,
             r.rebuilt_leaves,
             r.full_rebuilds,
-            r.epoch_hits,
-            r.plan_reuses,
             r.elapsed_ms,
             r.speedup,
             if i + 1 < persistent.len() { "," } else { "" }
@@ -829,8 +824,6 @@ mod tests {
                 full_rebuilds: 40,
                 elapsed_ms: 12.0,
                 speedup: 1.0,
-                epoch_hits: 0,
-                plan_reuses: 0,
             },
             crate::experiments::PersistentBenchRow {
                 workload: "uniform",
@@ -842,8 +835,6 @@ mod tests {
                 full_rebuilds: 3,
                 elapsed_ms: 8.0,
                 speedup: 1.5,
-                epoch_hits: 5,
-                plan_reuses: 12,
             },
         ];
         let json = sweep_bench_json(&rows, &prows);

@@ -56,22 +56,18 @@ pub trait BurstDetector {
     }
 }
 
-/// Hot-path reuse counters a detector's persistent sweep layer may expose:
-/// how often a dirty cell's search was answered from its epoch cache
-/// without touching the tree, and how often a retained kinetic y-sweep
-/// plan was replayed instead of re-deriving the sweep inputs. Detectors
-/// without a persistent sweep layer report all zeros.
+/// Legacy sweep-reuse counters. No detector caches sweep results or replays
+/// sweep plans any more, so every field is always zero; delete in the next
+/// benchmark PR (the benchmark harness still reads them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepCacheStats {
-    /// Searches answered from the epoch cache (churn epoch unchanged since
-    /// the cached outcome — no tree work at all).
+    /// Always zero.
     pub epoch_hits: u64,
-    /// Searches that had to sweep: cold cache or the epoch advanced.
+    /// Always zero.
     pub epoch_misses: u64,
-    /// Kinetic y-sweep plans compiled from scratch.
+    /// Always zero.
     pub plan_builds: u64,
-    /// Sweeps that replayed a retained plan instead of re-sorting and
-    /// re-clipping the cell's rectangles.
+    /// Always zero.
     pub plan_reuses: u64,
 }
 
@@ -97,10 +93,8 @@ pub trait IncrementalDetector: BurstDetector {
         1
     }
 
-    /// Cumulative hot-path reuse counters of the persistent sweep layer
-    /// backing [`sweep_dirty`](Self::sweep_dirty) (epoch-cache hits/misses,
-    /// kinetic plan builds/reuses). The default reports all zeros, which is
-    /// correct for detectors that rebuild their sweeps per search.
+    /// Legacy [`SweepCacheStats`]: always zero; delete in the next benchmark
+    /// PR (the benchmark harness still reads it).
     fn sweep_cache_stats(&self) -> SweepCacheStats {
         SweepCacheStats::default()
     }

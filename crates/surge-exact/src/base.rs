@@ -47,12 +47,6 @@ struct BaseCell {
     us_weight: f64,
     /// Pruned mode only: contents changed since `best` was computed.
     stale: bool,
-    /// Epoch-keyed search cache: the last `best`, tagged with the sweep's
-    /// churn epoch when it was computed. A re-search with an unchanged
-    /// epoch (clip-miss touches only) returns this without sweeping — the
-    /// clipped rect set is identical, so the sweep is a pure replay.
-    /// Deliberately not checkpointed: restore starts cold.
-    cached: Option<(u64, Option<(Point, f64)>)>,
 }
 
 /// The Base detector: exhaustive per-event cell searches, no pruning — or,
@@ -112,23 +106,9 @@ impl BaseDetector {
                 (old_key, None)
             } else {
                 // In-place persistent sweep: the cell's coordinate maps and
-                // orders are already current (events maintained them). An
-                // unchanged churn epoch means the clipped rect set is
-                // byte-identical since the cached search, so that outcome
-                // is bitwise what a re-sweep would return.
+                // orders are already current (events maintained them).
                 let best = if cell.domain.is_some() {
-                    match cell.cached {
-                        Some((epoch, b)) if epoch == cell.sweep.epoch() => {
-                            cell.sweep.note_epoch_hit();
-                            b
-                        }
-                        _ => {
-                            cell.sweep.note_epoch_miss();
-                            let b = cell.sweep.search().map(|r| (r.point, r.score));
-                            cell.cached = Some((cell.sweep.epoch(), b));
-                            b
-                        }
-                    }
+                    cell.sweep.search().map(|r| (r.point, r.score))
                 } else {
                     None
                 };
@@ -324,7 +304,6 @@ impl CheckpointableDetector for BaseDetector {
                 domain,
                 us_weight: us,
                 stale,
-                cached: None,
             });
             self.ranked.insert((key, cp.id));
         }
@@ -362,7 +341,6 @@ impl BurstDetector for BaseDetector {
                 domain,
                 us_weight: 0.0,
                 stale: false,
-                cached: None,
             });
             match event.kind {
                 EventKind::New => {

@@ -34,7 +34,7 @@ use surge_core::{
     CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec,
     IncrementalDetector, MeshIngest, MeshWorker, Point, Rect, RectState, RegionAnswer, RegionSize,
     RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, ShardedCellStore,
-    SurgeQuery, SweepCacheStats, TotalF64, WindowKind,
+    SurgeQuery, TotalF64, WindowKind,
 };
 
 use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats};
@@ -96,14 +96,6 @@ struct Cell {
     heap_key: TotalF64,
     /// Intersection of the cell extent with the query's point domain.
     domain: Option<Rect>,
-    /// Epoch-keyed sweep-result cache: the last outcome, tagged with the
-    /// sweep's churn epoch when it was computed. While the epoch is
-    /// unchanged a re-search would be bitwise identical (the clipped
-    /// rectangle set is the same), so a dirty-adjacent cell — stale because
-    /// a touch changed its *bounds* but missed its domain — skips the tree
-    /// entirely. Deliberately not checkpointed: restore starts empty and
-    /// the first search refills it.
-    cached: Option<(u64, Option<SweepResult>)>,
 }
 
 /// The immutable per-query context every shard shares: all `Copy`, handed to
@@ -184,7 +176,6 @@ fn apply_event_to_cell(
             },
             heap_key: TotalF64(f64::NEG_INFINITY),
             domain,
-            cached: None,
         });
         let covers = |cand: &Candidate| g.rect.contains(cand.point);
 
@@ -331,32 +322,13 @@ fn install_result_into(
 
 /// Sweeps one cell in place via its persistent cross-sweep state and
 /// returns the outcome to install, or `None` when the cell is missing or
-/// infeasible. In [`SweepMode::Rebuild`] the persistent state re-sorts
-/// everything per search, reproducing the pre-persistence cost profile with
-/// bit-identical results.
-///
-/// In [`SweepMode::Persistent`] the cell's epoch cache short-circuits the
-/// sweep: when the sweep's churn epoch is unchanged since the last search,
-/// the clipped rect set is identical, so the cached outcome is bitwise what
-/// a re-search would return. The cache is never consulted in Rebuild mode,
-/// which keeps that mode a faithful always-sweep differential reference.
+/// infeasible. Every call runs one SL-CSPOT sweep; in [`SweepMode::Rebuild`]
+/// the persistent state re-sorts everything first, reproducing the
+/// pre-persistence cost profile with bit-identical results.
 fn sweep_cell(cells: &mut HashMap<CellId, Cell>, id: CellId) -> Option<Option<SweepResult>> {
     let cell = cells.get_mut(&id)?;
     cell.domain?;
-    if cell.sweep.mode() == SweepMode::Persistent {
-        if let Some((epoch, outcome)) = cell.cached {
-            if epoch == cell.sweep.epoch() {
-                cell.sweep.note_epoch_hit();
-                return Some(outcome);
-            }
-        }
-        cell.sweep.note_epoch_miss();
-        let outcome = cell.sweep.search();
-        cell.cached = Some((cell.sweep.epoch(), outcome));
-        Some(outcome)
-    } else {
-        Some(cell.sweep.search())
-    }
+    Some(cell.sweep.search())
 }
 
 /// The dirty (stale, feasible) cells of one shard, in ascending id order.
@@ -737,7 +709,6 @@ impl CheckpointableDetector for CellCspot {
                 cand,
                 heap_key: TotalF64(f64::NEG_INFINITY),
                 domain,
-                cached: None,
             };
             // The live invariant: infeasible cells sink; feasible ones sit
             // under their bound key. Derived, not captured — the key is a
@@ -762,16 +733,6 @@ impl CheckpointableDetector for CellCspot {
 impl IncrementalDetector for CellCspot {
     fn shard_count(&self) -> usize {
         self.store.shard_count()
-    }
-
-    fn sweep_cache_stats(&self) -> SweepCacheStats {
-        let s = self.sweep_stats();
-        SweepCacheStats {
-            epoch_hits: s.epoch_hits,
-            epoch_misses: s.epoch_misses,
-            plan_builds: s.plan_builds,
-            plan_reuses: s.plan_reuses,
-        }
     }
 
     /// In-place dirty sweeps over the persistent per-cell state, fanned out

@@ -1,22 +1,22 @@
 //! Persistent cross-sweep cell state: SL-CSPOT inputs that survive events.
 //!
-//! Every search in PRs 1–3 rebuilt a cell's sweep from its full rectangle
+//! A from-scratch search rebuilds a cell's sweep from its full rectangle
 //! set: re-clip, re-sort the edge coordinates, re-derive the evaluation
 //! positions and leaf ranges, re-sort the enter/exit orders — `O(n log n)`
 //! comparison work per search even when only one rectangle changed since the
-//! previous one. [`PersistentCellSweep`] keeps that derived state **across
-//! events**: the `New`/`Grown`/`Expired` transitions the window engines emit
-//! are applied to the persistent structures directly
+//! previous one. [`PersistentCellSweep`] keeps the sorted part of that state
+//! **across events**: the `New`/`Grown`/`Expired` transitions the window
+//! engines emit are applied to the persistent structures directly
 //! ([`insert`](PersistentCellSweep::insert) /
 //! [`grow`](PersistentCellSweep::grow) /
-//! [`remove`](PersistentCellSweep::remove)), so the per-search rebuild cost
+//! [`remove`](PersistentCellSweep::remove)), so the sorting cost of a search
 //! becomes proportional to the *churn* since the last search, not the cell
 //! population.
 //!
 //! # What persists
 //!
 //! * the cell's rectangles, id-ordered (a sorted `Vec`, not a hash map — the
-//!   deterministic order every sweep needs is now free);
+//!   deterministic order every sweep needs is free);
 //! * the **event-coordinate map**: refcounted, totally-ordered x/y edge
 //!   multisets of the domain-clipped rectangles, plus the derived evaluation
 //!   positions (edges + open-interval midpoints);
@@ -28,14 +28,19 @@
 //!   [`MaxAddTree::remove_leaf`](crate::segtree::MaxAddTree::remove_leaf)
 //!   leaf edits (full reset only when the power-of-two layout changes).
 //!
+//! Every search then takes one path: derive the per-search scratch (clipped
+//! rectangles, leaf ranges, order indices) from those structures in linear
+//! time, re-zero and size-sync the tree, and run one
+//! [`sweep_core`](crate::sweep) descent.
+//!
 //! # The rebuild threshold
 //!
 //! Incremental maintenance of a sorted list is an `O(n)` splice per edit;
 //! under heavy churn (a mass expiry draining half the cell) doing many of
 //! those loses to one `O(n log n)` re-sort. When the churn accumulated since
-//! the structures were last valid exceeds
-//! [`rebuild_threshold`](PersistentCellSweep::set_rebuild_threshold) × the
-//! current leaf count, the sweep stops patching, marks the derived state
+//! the structures were last valid exceeds a budget — half the current leaf
+//! count, capped at [`CHURN_OPS_PER_LOG2`] × `log₂ leaves` and floored at
+//! [`MIN_CHURN_BUDGET`] — the sweep stops patching, marks the derived state
 //! stale, applies subsequent transitions to the rectangle list only (O(log n)
 //! membership ops), and re-sorts everything once at the next search — a
 //! counted *full rebuild*. [`SweepMode::Rebuild`] pins that fallback on
@@ -56,10 +61,10 @@
 
 use std::cmp::Ordering;
 
-use surge_core::{BurstParams, ObjectId, Point, Rect, TotalF64, WindowKind};
+use surge_core::{BurstParams, ObjectId, Rect, TotalF64, WindowKind};
 
 use crate::segtree::BurstSegTree;
-use crate::sweep::{score_at_point, sweep_core, SweepRect, SweepResult};
+use crate::sweep::{sweep_core, SweepRect, SweepResult};
 
 /// How a detector runs its per-cell searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -78,8 +83,7 @@ pub enum SweepMode {
 /// many — see [`SweepPool::retired_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Searches answered (executed sweeps plus epoch-cache hits — a hit
-    /// answers a search without running one, see `epoch_hits`).
+    /// Searches answered; each one runs exactly one sweep.
     pub searches: u64,
     /// Incremental edits applied to the persistent structures (edge
     /// refcount changes, order splices, tree leaf edits).
@@ -89,20 +93,6 @@ pub struct SweepStats {
     pub rebuilt_leaves: u64,
     /// Full rebuilds executed.
     pub full_rebuilds: u64,
-    /// Searches answered from a cell's epoch-keyed result cache without
-    /// touching the tree (the churn epoch was unchanged since the cached
-    /// sweep).
-    pub epoch_hits: u64,
-    /// Cache-capable searches that had to sweep (epoch advanced or nothing
-    /// was cached yet).
-    pub epoch_misses: u64,
-    /// Kinetic sweep plans compiled (the y-event order and per-position
-    /// tree deltas had to be re-derived from the rectangle set).
-    pub plan_builds: u64,
-    /// Searches that replayed a retained kinetic plan — reusing the
-    /// previous sweep's y-event order instead of re-running the descent
-    /// bookkeeping.
-    pub plan_reuses: u64,
 }
 
 impl SweepStats {
@@ -112,10 +102,6 @@ impl SweepStats {
         self.churn_ops += other.churn_ops;
         self.rebuilt_leaves += other.rebuilt_leaves;
         self.full_rebuilds += other.full_rebuilds;
-        self.epoch_hits += other.epoch_hits;
-        self.epoch_misses += other.epoch_misses;
-        self.plan_builds += other.plan_builds;
-        self.plan_reuses += other.plan_reuses;
     }
 }
 
@@ -136,79 +122,24 @@ fn order_cmp(a: &(TotalF64, ObjectId), b: &(TotalF64, ObjectId)) -> Ordering {
     b.0.cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
-/// Minimum pending-churn budget before the rebuild threshold can trip —
-/// regardless of how small the threshold fraction is — so tiny cells don't
-/// rebuild on every other event. Public so tests forcing threshold
-/// crossings can compute how much churn guarantees one.
+/// Pending churn, as a fraction of the leaf count, above which incremental
+/// maintenance gives way to a full re-sort at the next search.
+const REBUILD_FRACTION: f64 = 0.5;
+
+/// Minimum pending-churn budget before the rebuild threshold can trip, so
+/// tiny cells don't rebuild on every other event. Public so tests forcing
+/// threshold crossings can compute how much churn guarantees one: before a
+/// sweep's first search its leaf count is 0, so its budget is exactly this.
 pub const MIN_CHURN_BUDGET: usize = 32;
 
 /// Cost-model cap on the churn budget: each incremental edit splices an
 /// `O(leaves)` sorted list, while the rebuild fallback re-sorts once at
 /// `O(leaves · log leaves)` — so past roughly this many pending edits *per
 /// `log₂(leaves)`* the splices cost more than the one re-sort they avoid.
-/// Large cells previously got a budget linear in their leaf count
-/// (`rebuild_threshold × leaves`), which let quadratic splice work
-/// accumulate; the budget is now the minimum of that linear term and this
-/// crossover cap. Thresholds only move cost, never results: the incremental
-/// and rebuilt structures are bitwise identical by construction.
+/// The budget is the minimum of the linear [`REBUILD_FRACTION`] term and
+/// this crossover cap. Thresholds only move cost, never results: the
+/// incremental and rebuilt structures are bitwise identical by construction.
 pub const CHURN_OPS_PER_LOG2: usize = 24;
-
-/// One pre-compiled tree update of a kinetic sweep plan: rectangle `i`
-/// enters (`sign = 1.0`) or leaves (`sign = -1.0`) the descending sweep
-/// front over leaf range `[lo, hi]`. Replaying these through
-/// [`BurstSegTree::apply`] performs bit-for-bit the adds `sweep_core` would.
-#[derive(Debug, Clone, Copy)]
-struct PlanOp {
-    lo: usize,
-    hi: usize,
-    weight: f64,
-    kind: WindowKind,
-    sign: f64,
-}
-
-/// One y position of a kinetic plan at which the tree top can change: the
-/// ops in `plan_ops[start..end]` apply here (enters before exits, exactly
-/// the `sweep_core` order). Positions with no ops are omitted — between ops
-/// the tree is constant and the best-update comparison is strict, so they
-/// can never improve the running best.
-#[derive(Debug, Clone, Copy)]
-struct PlanPos {
-    y: f64,
-    start: usize,
-    end: usize,
-}
-
-/// Sentinel for a rectangle whose exit op never fires (its bottom edge is
-/// the lowest evaluation position, and exits require `y0 > y`).
-const NO_OP: usize = usize::MAX;
-
-/// Everything the sweep can observe about one clipped entry: object id,
-/// clip coordinate bits, weight bits, window kind. Two sweep states whose
-/// `(id → ContentKey)` maps are equal produce bitwise identical searches —
-/// every derived structure (clip scratch, edge multisets, enter/exit
-/// orders, kinetic plan) is a deterministic function of exactly this map.
-/// The id participates because same-coordinate ties in the enter/exit
-/// orders break by id, and reordering rectangles with different weights
-/// reorders floating-point accumulation.
-type ContentKey = (ObjectId, u64, u64, u64, u64, u64, WindowKind);
-
-/// Cap on distinct in-flight journal keys; beyond this the journal stops
-/// tracking (revert detection is abandoned until the next search anchors a
-/// fresh baseline). Keeps the per-mutation scan O(1) in practice.
-const PENDING_CAP: usize = 16;
-
-#[inline]
-fn content_key(id: ObjectId, clip: &Rect, rect: &SweepRect) -> ContentKey {
-    (
-        id,
-        clip.x0.to_bits(),
-        clip.y0.to_bits(),
-        clip.x1.to_bits(),
-        clip.y1.to_bits(),
-        rect.weight.to_bits(),
-        rect.kind,
-    )
-}
 
 /// Per-cell sweep state that persists across window-transition events.
 ///
@@ -219,8 +150,6 @@ pub struct PersistentCellSweep {
     domain: Option<Rect>,
     params: BurstParams,
     mode: SweepMode,
-    /// Rebuild when pending churn exceeds this fraction of the leaf count.
-    rebuild_threshold: f64,
 
     /// Resident rectangles, sorted by object id.
     entries: Vec<Entry>,
@@ -246,46 +175,14 @@ pub struct PersistentCellSweep {
     /// Incremental edits since the structures were last known-valid.
     churn_pending: usize,
 
-    // Per-search scratch, reused across searches. While `plan_valid` these
-    // double as retained kinetic-plan state (see below).
+    // Per-search scratch, re-derived by every search; kept only so its
+    // allocations are reused.
     clipped: Vec<SweepRect>,
     clip_ids: Vec<ObjectId>,
     ranges: Vec<(usize, usize)>,
     enter_idx: Vec<usize>,
     exit_idx: Vec<usize>,
     tree: BurstSegTree,
-
-    /// Kinetic sweep plan: the pre-compiled op schedule of the descent
-    /// (every tree update, grouped by y position), valid while the clipped
-    /// rectangle set and the coordinate maps are unchanged since it was
-    /// compiled. A `Grown` transition patches the resident ops in place —
-    /// growth changes no coordinate, so the y-event order is reusable.
-    plan_ops: Vec<PlanOp>,
-    /// The y positions at which `plan_ops` apply, descending.
-    plan_pos: Vec<PlanPos>,
-    /// Per clipped-rectangle op locations `(enter, exit)` into `plan_ops`
-    /// (`exit` may be [`NO_OP`]) — the grow-patch index.
-    plan_slots: Vec<(usize, usize)>,
-    /// Whether the plan (and the scratch vectors it shares) mirror the
-    /// current clipped set and coordinates.
-    plan_valid: bool,
-
-    /// Monotone mutation counter: advanced by every mutation that changes
-    /// the clipped rectangle set. The public [`epoch`](Self::epoch) derives
-    /// the *content* epoch from this plus the pending journal below.
-    epoch: u64,
-    /// [`epoch`](Self::epoch)'s value when the journal was last anchored
-    /// (at a search).
-    anchor_epoch: u64,
-    /// Exact signed [`ContentKey`] deltas since the anchor. Empty ⇔ the
-    /// clipped content is bit-identical to the anchored state, so mutation
-    /// sequences that cancel out (idempotent re-delivery of a `New` or
-    /// `Grown`, remove-then-reinsert of an identical entry) revert the
-    /// content epoch and let cached results keep serving.
-    pending: Vec<(ContentKey, i64)>,
-    /// The journal overflowed [`PENDING_CAP`]: revert detection is off
-    /// until the next search re-anchors.
-    pending_overflow: bool,
 
     stats: SweepStats,
 }
@@ -299,7 +196,6 @@ impl PersistentCellSweep {
             domain,
             params,
             mode,
-            rebuild_threshold: 0.5,
             entries: Vec::new(),
             x_edges: Vec::new(),
             y_edges: Vec::new(),
@@ -316,14 +212,6 @@ impl PersistentCellSweep {
             enter_idx: Vec::new(),
             exit_idx: Vec::new(),
             tree: BurstSegTree::new(0, &params),
-            plan_ops: Vec::new(),
-            plan_pos: Vec::new(),
-            plan_slots: Vec::new(),
-            plan_valid: false,
-            epoch: 0,
-            anchor_epoch: 0,
-            pending: Vec::new(),
-            pending_overflow: false,
             stats: SweepStats::default(),
         }
     }
@@ -345,82 +233,6 @@ impl PersistentCellSweep {
         self.coords_valid = true;
         self.needs_rebuild = mode == SweepMode::Rebuild;
         self.churn_pending = 0;
-        self.plan_valid = false;
-        self.epoch = 0;
-        self.anchor_epoch = 0;
-        self.pending.clear();
-        self.pending_overflow = false;
-    }
-
-    /// The search mode this sweep runs under.
-    #[inline]
-    pub fn mode(&self) -> SweepMode {
-        self.mode
-    }
-
-    /// The content epoch: two searches at the same epoch (same domain,
-    /// same parameters) return bitwise identical results, so callers may
-    /// cache a result keyed on this and skip the sweep entirely while it
-    /// holds.
-    ///
-    /// Mutations that change the clipped rectangle set advance it; a touch
-    /// that misses the domain (clip `None`) changes bounds but not the
-    /// sweep, and leaves it unchanged. Mutation sequences whose exact
-    /// signed content deltas cancel — idempotent re-delivery of a `New`
-    /// (replace by an identical entry) or a `Grown` (already past), or
-    /// remove-then-reinsert of an identical entry — *revert* it to the
-    /// last anchored value: the journal proves the `(id → content)` map is
-    /// bit-identical to the state the cached result was computed from, so
-    /// re-sweeping would reproduce it exactly.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        if self.pending.is_empty() && !self.pending_overflow {
-            self.anchor_epoch
-        } else {
-            self.epoch
-        }
-    }
-
-    /// Folds one signed content delta into the pending journal.
-    fn note_content_delta(&mut self, key: ContentKey, sign: i64) {
-        if self.pending_overflow {
-            return;
-        }
-        if let Some(i) = self.pending.iter().position(|(k, _)| *k == key) {
-            self.pending[i].1 += sign;
-            if self.pending[i].1 == 0 {
-                self.pending.swap_remove(i);
-            }
-        } else if self.pending.len() == PENDING_CAP {
-            self.pending_overflow = true;
-            self.pending.clear();
-        } else {
-            self.pending.push((key, sign));
-        }
-    }
-
-    /// Records a search answered from an epoch-keyed cache (counted as a
-    /// search so cache-on and always-sweep runs report comparable totals).
-    #[inline]
-    pub fn note_epoch_hit(&mut self) {
-        self.stats.searches += 1;
-        self.stats.epoch_hits += 1;
-    }
-
-    /// Records a cache-capable search that had to sweep.
-    #[inline]
-    pub fn note_epoch_miss(&mut self) {
-        self.stats.epoch_misses += 1;
-    }
-
-    /// Overrides the rebuild-threshold fraction (pending churn / leaf
-    /// count above which incremental maintenance gives way to a full
-    /// re-sort at the next search). The budget is floored at
-    /// [`MIN_CHURN_BUDGET`] regardless of the fraction, so `0.0` forces a
-    /// rebuild once pending churn exceeds that minimum (tests use it to
-    /// pin the fallback path).
-    pub fn set_rebuild_threshold(&mut self, fraction: f64) {
-        self.rebuild_threshold = fraction.max(0.0);
     }
 
     /// This sweep's lifetime counters.
@@ -479,13 +291,12 @@ impl PersistentCellSweep {
         self.churn_pending += ops;
         self.stats.churn_ops += ops as u64;
         let leaves = self.xs.len() + self.ys.len();
-        // Churn-adaptive budget: the linear `threshold × leaves` term capped
-        // at the splice-vs-rebuild cost crossover (each pending edit splices
-        // an O(leaves) list; one rebuild re-sorts at O(leaves·log leaves)),
-        // floored at MIN_CHURN_BUDGET so tiny cells never thrash. Small
-        // cells behave exactly as before; big cells stop accumulating
-        // quadratic splice work.
-        let linear = (self.rebuild_threshold * leaves as f64) as usize;
+        // Churn-adaptive budget: the linear `REBUILD_FRACTION × leaves` term
+        // capped at the splice-vs-rebuild cost crossover (each pending edit
+        // splices an O(leaves) list; one rebuild re-sorts at
+        // O(leaves·log leaves)), floored at MIN_CHURN_BUDGET so tiny cells
+        // never thrash.
+        let linear = (REBUILD_FRACTION * leaves as f64) as usize;
         let log2 = usize::BITS - leaves.max(1).leading_zeros();
         let crossover = CHURN_OPS_PER_LOG2 * log2 as usize;
         let budget = MIN_CHURN_BUDGET.max(linear.min(crossover));
@@ -496,102 +307,39 @@ impl PersistentCellSweep {
     }
 
     /// Applies a `New` transition: object `id` enters with `rect` (current
-    /// window). An existing entry with the same id is replaced.
+    /// window). An existing entry with the same id is replaced — ids recur
+    /// on duplicate delivery (at-least-once streams re-send `New`), and the
+    /// edge refcounts and orders must not corrupt.
     pub fn insert(&mut self, id: ObjectId, rect: Rect, weight: f64) {
-        let sweep = SweepRect {
-            rect,
-            weight,
-            kind: WindowKind::Current,
+        let entry = Entry {
+            id,
+            rect: SweepRect {
+                rect,
+                weight,
+                kind: WindowKind::Current,
+            },
+            clip: self.domain.and_then(|d| rect.intersection(&d)),
         };
-        let clip = self.domain.and_then(|d| rect.intersection(&d));
         match self.entries.binary_search_by_key(&id, |e| e.id) {
             Ok(i) => {
-                // Replace: ids recur on duplicate delivery (at-least-once
-                // streams re-send `New`); the refcounts must not corrupt
-                // and an identical re-insert must journal to net zero.
-                let old = self.entries[i];
-                if old.clip.is_some() || clip.is_some() {
-                    self.note_clipped_mutation();
-                }
-                if let Some(c) = old.clip {
-                    self.note_content_delta(content_key(id, &c, &old.rect), -1);
-                }
-                if let Some(c) = clip {
-                    self.note_content_delta(content_key(id, &c, &sweep), 1);
-                }
                 self.detach_entry(i);
-                self.entries[i] = Entry {
-                    id,
-                    rect: sweep,
-                    clip,
-                };
-                self.attach_clip(id, clip);
+                self.entries[i] = entry;
             }
-            Err(i) => {
-                if let Some(c) = clip {
-                    self.note_clipped_mutation();
-                    self.note_content_delta(content_key(id, &c, &sweep), 1);
-                }
-                self.entries.insert(
-                    i,
-                    Entry {
-                        id,
-                        rect: sweep,
-                        clip,
-                    },
-                );
-                self.attach_clip(id, clip);
-            }
+            Err(i) => self.entries.insert(i, entry),
         }
-    }
-
-    /// The clipped rectangle set changed: the sweep answer may change (the
-    /// epoch advances) and any compiled plan no longer mirrors the scene.
-    #[inline]
-    fn note_clipped_mutation(&mut self) {
-        self.epoch += 1;
-        self.plan_valid = false;
+        self.attach_clip(id, entry.clip);
     }
 
     /// Applies a `Grown` transition: the object's rectangle moves to the
     /// past window. Returns whether the object was resident. No structural
-    /// churn — the coordinate map and orders are kind-agnostic, and a
-    /// retained kinetic plan survives: growth changes no coordinate, so the
-    /// y-event order is untouched and only the rectangle's resident ops
-    /// need their window kind flipped in place.
+    /// churn — the coordinate map and orders are kind-agnostic.
     pub fn grow(&mut self, id: ObjectId) -> bool {
         match self.entries.binary_search_by_key(&id, |e| e.id) {
             Ok(i) => {
-                let old = self.entries[i];
                 self.entries[i].rect.kind = WindowKind::Past;
-                if let Some(c) = old.clip {
-                    self.epoch += 1;
-                    // A duplicate grow (already past) journals to net zero
-                    // and the content epoch stays reverted.
-                    self.note_content_delta(content_key(id, &c, &old.rect), -1);
-                    self.note_content_delta(content_key(id, &c, &self.entries[i].rect), 1);
-                    if self.plan_valid {
-                        self.patch_plan_kind(id);
-                    }
-                }
                 true
             }
             Err(_) => false,
-        }
-    }
-
-    /// Flips a clipped rectangle's window kind inside the retained plan:
-    /// the scratch clip (the final re-score input) and its enter/exit ops.
-    fn patch_plan_kind(&mut self, id: ObjectId) {
-        let j = self
-            .clip_ids
-            .binary_search(&id)
-            .expect("clipped entry must be in the plan");
-        self.clipped[j].kind = WindowKind::Past;
-        let (enter_op, exit_op) = self.plan_slots[j];
-        self.plan_ops[enter_op].kind = WindowKind::Past;
-        if exit_op != NO_OP {
-            self.plan_ops[exit_op].kind = WindowKind::Past;
         }
     }
 
@@ -599,11 +347,6 @@ impl PersistentCellSweep {
     /// returns it (`None` when the object was not resident).
     pub fn remove(&mut self, id: ObjectId) -> Option<SweepRect> {
         let i = self.entries.binary_search_by_key(&id, |e| e.id).ok()?;
-        if let Some(c) = self.entries[i].clip {
-            self.note_clipped_mutation();
-            let e = self.entries[i];
-            self.note_content_delta(content_key(id, &c, &e.rect), -1);
-        }
         self.detach_entry(i);
         let e = self.entries.remove(i);
         Some(e.rect)
@@ -717,7 +460,6 @@ impl PersistentCellSweep {
         self.enter.sort_by(order_cmp);
         self.exit.sort_by(order_cmp);
         self.coords_valid = false;
-        self.plan_valid = false;
         self.churn_pending = 0;
         self.needs_rebuild = self.mode == SweepMode::Rebuild;
         self.stats.full_rebuilds += 1;
@@ -743,14 +485,11 @@ impl PersistentCellSweep {
             }
         }
         self.coords_valid = true;
-        // Leaf ranges and plan ops index into `xs`, which just shifted.
-        self.plan_valid = false;
     }
 
-    /// Rebuilds the per-search scratch (clipped rects, leaf ranges,
-    /// enter/exit index orders) from the maintained structures — the
-    /// `O(R log R)` derivation every search used to pay; now paid only when
-    /// no valid kinetic plan is retained.
+    /// Derives the per-search scratch (clipped rects, leaf ranges,
+    /// enter/exit index orders) from the maintained structures: linear
+    /// passes plus binary-search lookups, no comparison sorting.
     fn rebuild_scratch(&mut self) {
         self.clipped.clear();
         self.clip_ids.clear();
@@ -789,186 +528,49 @@ impl PersistentCellSweep {
             .extend(self.exit.iter().map(|&(_, id)| idx_of(id)));
     }
 
-    /// Compiles the kinetic plan from the freshly rebuilt scratch *while
-    /// sweeping it*: the `sweep_core` descent's enter/exit scheduling runs
-    /// once, and each tree update is recorded into the plan and applied to
-    /// the (zeroed, size-synced) tree in the same step, with the
-    /// per-position maxima feeding the running best. One pass instead of
-    /// compile-then-replay — bitwise identical to both, since the ops, the
-    /// order they apply in, and the best-update comparisons are the same.
-    fn compile_and_replay(&mut self) -> Option<SweepResult> {
-        debug_assert_eq!(self.tree.len(), self.xs.len());
-        self.plan_ops.clear();
-        self.plan_pos.clear();
-        self.plan_slots.clear();
-        self.plan_slots.resize(self.clipped.len(), (NO_OP, NO_OP));
-        let mut next_enter = 0usize;
-        let mut next_exit = 0usize;
-        let mut best: Option<(TotalF64, usize, f64)> = None;
-        for &y in self.ys.iter().rev() {
-            let start = self.plan_ops.len();
-            while next_enter < self.enter_idx.len()
-                && self.clipped[self.enter_idx[next_enter]].rect.y1 >= y
-            {
-                let i = self.enter_idx[next_enter];
-                let (lo, hi) = self.ranges[i];
-                self.plan_slots[i].0 = self.plan_ops.len();
-                let op = PlanOp {
-                    lo,
-                    hi,
-                    weight: self.clipped[i].weight,
-                    kind: self.clipped[i].kind,
-                    sign: 1.0,
-                };
-                self.tree.apply(op.lo, op.hi, op.weight, op.kind, op.sign);
-                self.plan_ops.push(op);
-                next_enter += 1;
-            }
-            while next_exit < self.exit_idx.len()
-                && self.clipped[self.exit_idx[next_exit]].rect.y0 > y
-            {
-                let i = self.exit_idx[next_exit];
-                let (lo, hi) = self.ranges[i];
-                self.plan_slots[i].1 = self.plan_ops.len();
-                let op = PlanOp {
-                    lo,
-                    hi,
-                    weight: self.clipped[i].weight,
-                    kind: self.clipped[i].kind,
-                    sign: -1.0,
-                };
-                self.tree.apply(op.lo, op.hi, op.weight, op.kind, op.sign);
-                self.plan_ops.push(op);
-                next_exit += 1;
-            }
-            if self.plan_ops.len() > start {
-                self.plan_pos.push(PlanPos {
-                    y,
-                    start,
-                    end: self.plan_ops.len(),
-                });
-                let (m, leaf) = self.tree.top();
-                let key = TotalF64(m);
-                if best.is_none_or(|(b, _, _)| key > b) {
-                    best = Some((key, leaf, y));
-                }
-            }
-        }
-        debug_assert_eq!(next_enter, self.enter_idx.len(), "unscheduled enter");
-        self.plan_valid = true;
-        let (_, leaf, y) = best?;
-        let point = Point::new(self.xs[leaf], y);
-        // Exact re-evaluation at the winning point, as in `sweep_core`.
-        Some(score_at_point(&self.clipped, point, &self.params))
-    }
-
-    /// Replays the retained plan over the zeroed, size-synced tree.
-    ///
-    /// Bitwise identical to `sweep_core` on the same scratch: the ops carry
-    /// the exact `(lo, hi, weight, kind, sign)` arguments the descent would
-    /// pass to [`BurstSegTree::apply`], in the same order; the tree top only
-    /// changes where ops apply, and `sweep_core`'s best-update comparison is
-    /// strictly-greater (first attainment wins), so evaluating `top()` at op
-    /// positions alone selects the same `(score key, leaf, y)` — the first
-    /// descending position always schedules at least one enter (the topmost
-    /// y1 edge), so the running best starts at the same place too.
-    fn replay_plan(&mut self) -> Option<SweepResult> {
-        debug_assert_eq!(self.tree.len(), self.xs.len());
-        let mut best: Option<(TotalF64, usize, f64)> = None;
-        for p in &self.plan_pos {
-            for op in &self.plan_ops[p.start..p.end] {
-                self.tree.apply(op.lo, op.hi, op.weight, op.kind, op.sign);
-            }
-            let (m, leaf) = self.tree.top();
-            let key = TotalF64(m);
-            if best.is_none_or(|(b, _, _)| key > b) {
-                best = Some((key, leaf, p.y));
-            }
-        }
-        let (_, leaf, y) = best?;
-        let point = Point::new(self.xs[leaf], y);
-        // Exact re-evaluation at the winning point, as in `sweep_core`.
-        Some(score_at_point(&self.clipped, point, &self.params))
-    }
-
     /// Runs SL-CSPOT over the resident rectangles, restricted to the cell
     /// domain. Returns `None` when the domain is infeasible or no rectangle
     /// intersects it — exactly the [`crate::sweep::sl_cspot`] contract, and
     /// bitwise its result (see the module docs).
     pub fn search(&mut self) -> Option<SweepResult> {
         self.stats.searches += 1;
-        // Anchor the content journal: the result this search produces is
-        // the cached baseline the journal's revert detection refers to.
-        self.anchor_epoch = self.epoch;
-        self.pending.clear();
-        self.pending_overflow = false;
         self.domain?;
         if self.needs_rebuild {
             self.rebuild_all();
-            if !self.coords_valid {
-                self.regen_coords();
-            }
+            self.regen_coords();
             self.stats.rebuilt_leaves += (self.xs.len() + self.ys.len()) as u64;
         } else if !self.coords_valid {
             self.regen_coords();
         }
-
-        if self.mode == SweepMode::Rebuild {
-            // Pre-persistence behaviour: re-derive the scratch and rebuild
-            // the trees outright, every search.
-            self.rebuild_scratch();
-            if self.clipped.is_empty() {
-                return None;
-            }
-            self.tree.reset(self.xs.len(), &self.params);
-            return sweep_core(
-                &self.clipped,
-                &self.xs,
-                &self.ys,
-                &self.ranges,
-                &self.enter_idx,
-                &self.exit_idx,
-                &mut self.tree,
-                &self.params,
-            );
-        }
-
-        // Persistent path: replay the retained plan, or record a fresh one
-        // while sweeping. Recording costs one `sweep_core`-shaped pass —
-        // not compile *then* replay — and every search until the next
-        // clipped mutation then replays for free.
-        let reuse = self.plan_valid;
-        if reuse {
-            self.stats.plan_reuses += 1;
-        } else {
-            self.rebuild_scratch();
-            self.stats.plan_builds += 1;
-        }
+        self.rebuild_scratch();
         if self.clipped.is_empty() {
-            if !reuse {
-                // Retain the (empty) plan so later searches still reuse it.
-                self.plan_ops.clear();
-                self.plan_pos.clear();
-                self.plan_slots.clear();
-                self.plan_valid = true;
-            }
             return None;
         }
-        // Re-zero in place, then repair size drift with incremental leaf
-        // edits (a full reset only when the power-of-two layout changed).
-        // Bitwise identical to `reset` — proptested in
-        // `segtree_differential::clear_and_sync_is_bitwise_reset`.
-        self.tree.clear_values();
-        self.stats.churn_ops += {
-            let before = self.tree.leaf_churn();
-            self.tree.sync_len(self.xs.len(), &self.params);
-            self.tree.leaf_churn() - before
-        };
-        if reuse {
-            self.replay_plan()
+        if self.mode == SweepMode::Rebuild {
+            // Pre-persistence behaviour: rebuild the trees outright.
+            self.tree.reset(self.xs.len(), &self.params);
         } else {
-            self.compile_and_replay()
+            // Re-zero in place, then repair size drift with incremental leaf
+            // edits (a full reset only when the power-of-two layout
+            // changed). Bitwise identical to `reset` — proptested in
+            // `segtree_differential::clear_and_sync_is_bitwise_reset`.
+            self.tree.clear_values();
+            self.stats.churn_ops += {
+                let before = self.tree.leaf_churn();
+                self.tree.sync_len(self.xs.len(), &self.params);
+                self.tree.leaf_churn() - before
+            };
         }
+        sweep_core(
+            &self.clipped,
+            &self.xs,
+            &self.ys,
+            &self.ranges,
+            &self.enter_idx,
+            &self.exit_idx,
+            &mut self.tree,
+            &self.params,
+        )
     }
 }
 
@@ -1094,21 +696,28 @@ mod tests {
         assert_eq!(p.len(), 1);
     }
 
+    /// Before a sweep's first search its leaf count is 0, so its churn
+    /// budget is exactly `MIN_CHURN_BUDGET` — an effectively zero
+    /// threshold. Each in-domain insert churns 6 entries (4 edge refs + 2
+    /// order splices): `MIN_CHURN_BUDGET / 6` inserts stay under the
+    /// budget, one more must trip a full rebuild at the next search.
     #[test]
     fn zero_threshold_forces_full_rebuilds() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
-        p.set_rebuild_threshold(0.0);
         let mut arena = SweepArena::new();
-        for i in 0..MIN_CHURN_BUDGET as u64 + 8 {
-            p.insert(
-                i,
-                Rect::new(0.1 * i as f64, 0.2, 0.1 * i as f64 + 1.0, 2.0),
-                1.0,
-            );
+        let under = (MIN_CHURN_BUDGET / 6) as u64;
+        for (n, rebuilt) in [(under, false), (under + 1, true)] {
+            let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
+            for i in 0..n {
+                p.insert(
+                    i,
+                    Rect::new(0.1 * i as f64, 0.2, 0.1 * i as f64 + 1.0, 2.0),
+                    1.0,
+                );
+            }
+            assert_matches_rebuild(&mut p, &mut arena);
+            assert_eq!(p.stats().full_rebuilds >= 1, rebuilt, "{n} inserts");
+            assert_eq!(p.stats().rebuilt_leaves > 0, rebuilt, "{n} inserts");
         }
-        assert_matches_rebuild(&mut p, &mut arena);
-        assert!(p.stats().full_rebuilds >= 1);
-        assert!(p.stats().rebuilt_leaves > 0);
     }
 
     #[test]
@@ -1123,93 +732,31 @@ mod tests {
         assert_eq!(s.churn_ops, 0, "rebuild mode must not patch incrementally");
     }
 
+    /// Idempotent re-delivery (at-least-once streams): a duplicate `New`
+    /// (replace by an identical entry), a duplicate `Grown` (already past)
+    /// and a remove-then-reinsert of an identical entry all leave the cell
+    /// sweeping bitwise like a from-scratch rebuild.
     #[test]
-    fn plan_reuse_and_grow_patch() {
+    fn idempotent_redelivery_matches_rebuild() {
         let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
         let mut arena = SweepArena::new();
-        p.insert(0, Rect::new(1.0, 1.0, 3.0, 3.0), 2.0);
-        p.insert(1, Rect::new(2.0, 0.5, 4.0, 5.0), 1.0);
-        let e0 = p.epoch();
-        assert_matches_rebuild(&mut p, &mut arena); // compiles the plan
-        assert_matches_rebuild(&mut p, &mut arena); // replays it
-        let s = p.stats();
-        assert_eq!(s.plan_builds, 1, "second search must reuse the plan");
-        assert_eq!(s.plan_reuses, 1);
-        assert_eq!(p.epoch(), e0, "searches must not advance the epoch");
-
-        // Growth patches the plan in place: no recompile, same answer as a
-        // from-scratch rebuild, and the epoch advances (the answer changed).
-        assert!(p.grow(0));
-        assert!(p.epoch() > e0);
-        assert_matches_rebuild(&mut p, &mut arena);
-        let s = p.stats();
-        assert_eq!(s.plan_builds, 1, "grow must not recompile the plan");
-        assert_eq!(s.plan_reuses, 2);
-
-        // A structural mutation invalidates it.
-        p.insert(2, Rect::new(0.0, 0.0, 1.5, 1.5), 3.0);
-        assert_matches_rebuild(&mut p, &mut arena);
-        assert_eq!(p.stats().plan_builds, 2);
-    }
-
-    #[test]
-    fn epoch_tracks_clipped_mutations_only() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
-        let e0 = p.epoch();
-        // Out-of-domain rect: counted, but the sweep answer cannot change.
-        p.insert(0, Rect::new(20.0, 20.0, 25.0, 25.0), 3.0);
-        assert!(p.grow(0));
-        assert_eq!(p.epoch(), e0, "clip-miss touches must not advance epoch");
-        assert!(p.remove(0).is_some());
-        assert_eq!(p.epoch(), e0);
-        // In-domain mutations each advance it while content differs from
-        // the anchor...
-        p.insert(1, Rect::new(1.0, 1.0, 2.0, 2.0), 1.0);
-        let e1 = p.epoch();
-        assert!(e1 > e0);
-        assert!(p.grow(1));
-        let e2 = p.epoch();
-        assert!(e2 > e1);
-        // ...but the full insert→grow→remove cycle is net zero: the cell
-        // is bit-identical to its anchored (empty) state again.
-        assert!(p.remove(1).is_some());
-        assert_eq!(p.epoch(), e0, "net-zero churn must revert the epoch");
-    }
-
-    /// Idempotent re-delivery (at-least-once streams): re-applying a `New`
-    /// or `Grown` that is already reflected in the cell journals to net
-    /// zero, so the content epoch reverts to the last search's anchor and
-    /// epoch-keyed caches keep serving. Genuinely new churn still advances
-    /// it.
-    #[test]
-    fn epoch_reverts_on_idempotent_redelivery() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
         let rect = Rect::new(1.0, 1.0, 2.0, 2.0);
         p.insert(1, rect, 1.0);
         p.insert(2, Rect::new(0.5, 0.5, 3.0, 3.0), 2.0);
         assert!(p.grow(2));
-        let _ = p.search();
-        let anchored = p.epoch();
-
-        // Duplicate New: replace by an identical entry.
-        p.insert(1, rect, 1.0);
-        assert_eq!(p.epoch(), anchored, "identical re-insert must revert");
-        // Duplicate Grown: the entry is already past.
-        assert!(p.grow(2));
-        assert_eq!(p.epoch(), anchored, "duplicate grow must revert");
-        // Remove + identical re-insert: also net zero.
-        assert!(p.remove(1).is_some());
-        assert!(p.epoch() > anchored);
-        p.insert(1, rect, 1.0);
-        assert_eq!(p.epoch(), anchored, "remove/re-insert must revert");
-        // And the cached-result contract holds: a re-search at the reverted
-        // epoch is bitwise the anchored search.
-        let mut arena = SweepArena::new();
         assert_matches_rebuild(&mut p, &mut arena);
 
-        // Genuinely new content does advance the epoch.
-        p.insert(3, Rect::new(2.0, 2.0, 4.0, 4.0), 1.0);
-        assert!(p.epoch() > anchored);
+        p.insert(1, rect, 1.0);
+        assert_eq!(p.len(), 2, "duplicate New must replace, not add");
+        assert_matches_rebuild(&mut p, &mut arena);
+        assert!(p.grow(2));
+        assert_matches_rebuild(&mut p, &mut arena);
+        assert!(p.remove(1).is_some());
+        p.insert(1, rect, 1.0);
+        assert_matches_rebuild(&mut p, &mut arena);
+        // A duplicate New of a grown entry resets it to the current window.
+        p.insert(2, Rect::new(0.5, 0.5, 3.0, 3.0), 2.0);
+        assert_matches_rebuild(&mut p, &mut arena);
     }
 
     #[test]

@@ -2,15 +2,22 @@
 //! [`PersistentCellSweep`] driven by long random event streams must match
 //! the rebuild-per-search reference ([`sl_cspot_rebuild`]) **bitwise** —
 //! score, point, and raw window sums — at every checkpoint, including
-//! forced `rebuild_threshold` crossings, cell eviction + re-dirty through a
-//! pool, and the `finish()` tail drain of full detector runs.
+//! forced rebuild-threshold crossings, cell eviction + re-dirty through a
+//! pool, duplicate delivery, and the `finish()` tail drain of full detector
+//! runs.
 
 use proptest::prelude::*;
-use surge_core::{BurstDetector, Rect, RegionSize, SurgeQuery, WindowConfig};
+use surge_core::{
+    BurstDetector, IncrementalDetector, Point, Rect, RegionSize, SpatialObject, SurgeQuery,
+    WindowConfig,
+};
 use surge_exact::{
     sl_cspot_rebuild, BoundMode, CellCspot, PersistentCellSweep, SweepArena, SweepMode, SweepPool,
+    MIN_CHURN_BUDGET,
 };
-use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy, SlidingWindowEngine};
+use surge_stream::{
+    drive_elastic, drive_incremental, BalancerPolicy, EventBatch, SlidingWindowEngine,
+};
 use surge_testkit::{arb_lattice_stream, arb_window_config};
 
 fn params(alpha_pct: u32) -> surge_core::BurstParams {
@@ -119,29 +126,34 @@ proptest! {
         apply_ops(&mut p, &mut arena, &ops, alpha_pct, 7);
     }
 
-    /// Forced `rebuild_threshold` crossings: a zero threshold trips the
-    /// fallback on any churn, a tiny positive one flips between the
-    /// incremental and rebuild regimes mid-stream. Results must stay
-    /// bitwise identical either way.
+    /// Forced rebuild-threshold crossings through churn. A sweep's budget
+    /// before its first search is exactly `MIN_CHURN_BUDGET` (its leaf count
+    /// is 0), so a preload of more than `MIN_CHURN_BUDGET / 6` in-domain
+    /// inserts (6 churn ops each: 4 edge refs + 2 order splices) must trip
+    /// a full rebuild at the first search; sparse checkpoints then let the
+    /// random stream cross the threshold again mid-stream. Results must
+    /// stay bitwise identical either way.
     #[test]
     fn threshold_crossings_stay_bitwise(
         ops in arb_ops(120),
         alpha_pct in 0u32..100,
-        thresh_pct in 0u32..20,
+        preload in 0u64..12,
+        check_every in 1usize..24,
     ) {
         let mut p =
             PersistentCellSweep::new(Some(DOMAIN), params(alpha_pct), SweepMode::Persistent);
-        p.set_rebuild_threshold(thresh_pct as f64 / 100.0);
         let mut arena = SweepArena::new();
-        let structural = apply_ops(&mut p, &mut arena, &ops, alpha_pct, 5);
-        // Every insert/remove in this generator is in-domain and churns 6
-        // maintained entries (4 edge refs + 2 order splices). The budget is
-        // floored at MIN_CHURN_BUDGET even for a zero threshold, so a
-        // crossing — and hence a full rebuild at the closing search — is
-        // only *guaranteed* once structural churn exceeds that floor.
-        if thresh_pct == 0 && structural * 6 > surge_exact::MIN_CHURN_BUDGET {
-            prop_assert!(p.stats().full_rebuilds >= 1, "zero threshold never rebuilt");
+        for i in 0..preload {
+            // Ids above anything `apply_ops` assigns; all inside DOMAIN.
+            let x0 = i as f64 * 0.5 - 1.0;
+            let rect = Rect::new(x0, -1.0, x0 + 1.5, 1.0 + i as f64 * 0.25);
+            p.insert(1 << 32 | i, rect, 1.0 + (i % 2) as f64);
         }
+        check_bitwise(&mut p, &mut arena, alpha_pct);
+        if preload as usize * 6 > MIN_CHURN_BUDGET {
+            prop_assert!(p.stats().full_rebuilds >= 1, "preload never rebuilt");
+        }
+        apply_ops(&mut p, &mut arena, &ops, alpha_pct, check_every);
     }
 
     /// Cell eviction and re-dirty through a pool: drain the cell, retire
@@ -334,6 +346,79 @@ fn base_and_ccs_agree_with_persistent_sweeps() {
             (Some(x), Some(y)) => assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0), "{x} vs {y}"),
             (None, None) => {}
             other => panic!("{other:?}"),
+        }
+    }
+}
+
+/// At-least-once delivery: after each sweep, the batch of window events just
+/// processed is replayed in full (a crash/retry of an acked-but-unconfirmed
+/// batch) and both detectors sweep again. Duplicate `New` replaces an entry
+/// by an identical one and duplicate `Grown` re-marks an already-past entry,
+/// so the persistent detector must keep answering bitwise like the rebuild
+/// reference.
+#[test]
+fn redelivered_batch_matches_rebuild() {
+    let windows = WindowConfig::equal(300);
+    let q = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, 0.4);
+    let mut pers = CellCspot::with_sweep_mode(q, BoundMode::Combined, SweepMode::Persistent, 4);
+    let mut reb = CellCspot::with_sweep_mode(q, BoundMode::Combined, SweepMode::Rebuild, 4);
+
+    let mut seed = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+
+    let mut engine = SlidingWindowEngine::new(windows);
+    let mut batch = EventBatch::new();
+    let mut window = Vec::new();
+    let mut sweeps = 0u32;
+    for i in 0..1500u64 {
+        let r = next();
+        let obj = SpatialObject::new(
+            i,
+            1.0 + (r % 4) as f64,
+            Point::new(((r >> 8) % 16) as f64 * 0.5, ((r >> 16) % 12) as f64 * 0.5),
+            (i / 3) * 20,
+        );
+        engine.push_into(obj, &mut batch);
+        for ev in batch.as_slice() {
+            window.push(*ev);
+            pers.on_event(ev);
+            reb.on_event(ev);
+        }
+        batch.clear();
+        if (i + 1) % 32 == 0 {
+            for replay in [false, true] {
+                if replay {
+                    // Redeliver the batch that was just processed and swept.
+                    for ev in &window {
+                        pers.on_event(ev);
+                        reb.on_event(ev);
+                    }
+                }
+                pers.sweep_dirty(1);
+                reb.sweep_dirty(1);
+                sweeps += 1;
+                match (pers.current(), reb.current()) {
+                    (Some(x), Some(y)) => {
+                        assert_eq!(
+                            x.score.to_bits(),
+                            y.score.to_bits(),
+                            "sweep {sweeps}: {} vs {}",
+                            x.score,
+                            y.score
+                        );
+                        assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
+                        assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
+                    }
+                    (None, None) => {}
+                    other => panic!("sweep {sweeps}: {other:?}"),
+                }
+            }
+            window.clear();
         }
     }
 }

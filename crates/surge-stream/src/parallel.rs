@@ -251,11 +251,9 @@ where
 
 /// [`drive_incremental_with_sink`] with registry probes: runtime counters
 /// under `incremental/*` (via [`QueryRuntime::observe`]) plus, after the
-/// run, the detector's counters and its sweep-cache accounting
-/// (`incremental/sweep_cache/epoch_hits` etc.) — whose invariant
-/// `epoch_hits + epoch_misses == searches` the accounting proptests check
-/// against the registry. No-op under [`surge_observe::Observe::off`];
-/// answers are bitwise identical either way (proptested).
+/// run, the detector's search count (`incremental/searches`). No-op under
+/// [`surge_observe::Observe::off`]; answers are bitwise identical either
+/// way (proptested).
 ///
 /// # Panics
 ///
@@ -283,16 +281,7 @@ where
     let counters = *rt.counters();
     let stats = rt.core().detector.stats();
     if obs.is_enabled() {
-        let cache = rt.core().detector.sweep_cache_stats();
         obs.counter("incremental/searches").add(stats.searches);
-        obs.counter("incremental/sweep_cache/epoch_hits")
-            .add(cache.epoch_hits);
-        obs.counter("incremental/sweep_cache/epoch_misses")
-            .add(cache.epoch_misses);
-        obs.counter("incremental/sweep_cache/plan_builds")
-            .add(cache.plan_builds);
-        obs.counter("incremental/sweep_cache/plan_reuses")
-            .add(cache.plan_reuses);
     }
     IncrementalReport {
         objects: counters.objects,

@@ -109,10 +109,8 @@ proptest! {
         prop_assert_eq!(snap.counter("driver/slides/jobs"), Some(on.dirty_cells));
     }
 
-    /// `drive_incremental`: bitwise per-slide answers, registry totals
-    /// conserved, and the sweep-cache accounting invariant
-    /// `epoch_hits + epoch_misses == searches` read back *from the
-    /// registry* (satellite: SweepCacheStats wiring).
+    /// `drive_incremental`: bitwise per-slide answers and registry totals
+    /// conserved against the report.
     #[test]
     fn drive_incremental_is_unperturbed_and_conserved(
         objs in arb_lattice_stream(200),
@@ -146,14 +144,6 @@ proptest! {
         prop_assert_eq!(snap.counter("incremental/slides"), Some(on.slides));
         prop_assert_eq!(snap.counter("incremental/jobs"), Some(on.jobs));
         prop_assert_eq!(snap.counter("incremental/searches"), Some(on.stats.searches));
-        // The epoch cache serves every search from either a hit or a miss.
-        let hits = snap.counter("incremental/sweep_cache/epoch_hits").unwrap();
-        let misses = snap.counter("incremental/sweep_cache/epoch_misses").unwrap();
-        prop_assert_eq!(hits + misses, on.stats.searches, "epoch cache accounting");
-        // A plan is either built or reused, once per cache miss.
-        let builds = snap.counter("incremental/sweep_cache/plan_builds").unwrap();
-        let reuses = snap.counter("incremental/sweep_cache/plan_reuses").unwrap();
-        prop_assert_eq!(builds + reuses, misses, "plan accounting");
     }
 
     /// `drive_elastic`: bitwise answers observed vs not across arbitrary
