@@ -103,7 +103,7 @@ proptest! {
         let windows = WindowConfig::equal(window_len);
         let q = query(windows, alpha);
         let mut seq = GapSurge::new(q);
-        let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide, 2);
+        let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide);
         let mut sharded = GapSurge::with_shards(q, shards);
         let got = drive_elastic(&mut sharded, windows, objects.iter().copied(), slide, BalancerPolicy::default());
         assert_bitwise(base.answers.retained(), got.answers.retained(), &format!("GAPS @{shards} shards"));
@@ -121,7 +121,7 @@ proptest! {
         let windows = WindowConfig::equal(window_len);
         let q = query(windows, alpha);
         let mut seq = MgapSurge::new(q);
-        let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide, 2);
+        let base = drive_incremental(&mut seq, windows, objects.iter().copied(), slide);
         let mut sharded = MgapSurge::with_shards(q, shards);
         let got = drive_elastic(&mut sharded, windows, objects.iter().copied(), slide, BalancerPolicy::default());
         assert_bitwise(base.answers.retained(), got.answers.retained(), &format!("MGAPS @{shards} shards"));

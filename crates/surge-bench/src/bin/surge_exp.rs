@@ -31,8 +31,8 @@
 //!                          dedicated runs (bit-identity asserted first),
 //!                          dedup hit-rate and per-query answer
 //!                          throughput; writes BENCH_serve.json
-//!   observe-bench          observability overhead: every threaded driver
-//!                          with the surge-observe layer off vs on
+//!   observe-bench          observability overhead: the slide-batched
+//!                          drivers with the surge-observe layer off vs on
 //!                          (bit-identity and registry conservation
 //!                          asserted first, overhead column, registry
 //!                          export embedded); writes BENCH_observe.json
@@ -212,8 +212,8 @@ fn run_serve_bench(cfg: &ExpConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the observability-overhead experiment (every threaded driver with
-/// the surge-observe layer off vs on), printing the table and writing
+/// Runs the observability-overhead experiment (the slide-batched drivers
+/// with the surge-observe layer off vs on), printing the table and writing
 /// `BENCH_observe.json` to the working directory. Bit-identity of the
 /// observed runs and conservation of the registry totals against the
 /// legacy report counters are asserted inside the experiment before

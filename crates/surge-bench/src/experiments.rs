@@ -1370,7 +1370,7 @@ pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
             for _ in 0..5 {
                 let mut det = CellCspot::with_sweep_mode(query, BoundMode::Combined, sweep_mode, 1);
                 let t0 = std::time::Instant::now();
-                let report = drive_incremental(&mut det, windows, stream.iter().copied(), slide, 1);
+                let report = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
                 let elapsed = t0.elapsed();
                 if best.as_ref().is_none_or(|(_, b, _)| elapsed < *b) {
                     best = Some((report, elapsed, det.sweep_stats()));
@@ -1542,14 +1542,14 @@ pub fn checkpoint_bench(cfg: &ExpConfig) -> Vec<CheckpointBenchRow> {
         let mut det =
             CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, DEFAULT_SHARDS);
         let t0 = std::time::Instant::now();
-        let baseline = drive_incremental(&mut det, windows, stream.iter().copied(), slide, 1);
+        let baseline = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
         let baseline_elapsed = t0.elapsed();
 
         // Replay-from-zero: what the restart costs without checkpoints.
         let mut det =
             CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, DEFAULT_SHARDS);
         let t0 = std::time::Instant::now();
-        let _ = drive_incremental(&mut det, windows, stream.iter().copied(), slide, 1);
+        let _ = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
         let replay_elapsed = t0.elapsed();
 
         for sync in [
@@ -1722,7 +1722,7 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
         let t0 = std::time::Instant::now();
         for query in &queries {
             let det = SpecDetector::build(&spec, *query).expect("servable spec");
-            let mut rt = QueryRuntime::new(det, windows, slide, 1);
+            let mut rt = QueryRuntime::new(det, windows, slide);
             let mut answers = Vec::new();
             rt.run(stream.iter().copied(), |_seq, a| answers.push(a));
             dedicated.push(answers);
@@ -1730,10 +1730,7 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
         let independent_elapsed = t0.elapsed();
 
         // The shared server: register everything, ingest once.
-        let mut server = SurgeServer::new(ServeConfig {
-            slide_objects: slide,
-            threads: 1,
-        });
+        let mut server = SurgeServer::new(ServeConfig::sequential(slide));
         let subs: Vec<_> = queries
             .iter()
             .map(|query| server.subscribe(*query, spec).expect("servable"))
@@ -2041,7 +2038,7 @@ pub struct ObserveBenchRow {
     pub overhead_pct: f64,
 }
 
-/// Times every threaded driver family with observability off vs on
+/// Times the slide-batched driver families with observability off vs on
 /// (`surge_exp observe-bench` → `BENCH_observe.json`) — **after** asserting
 /// the two runs' per-slide answers are bit-identical and the enabled run's
 /// registry totals are conserved against the legacy report counters.
@@ -2092,7 +2089,6 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
                     windows,
                     stream.iter().copied(),
                     slide,
-                    2,
                     &mut RetainAll,
                     obs,
                 );

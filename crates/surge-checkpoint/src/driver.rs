@@ -36,11 +36,11 @@ use surge_io::{BlobStore, FsStore, IoError};
 use surge_observe::{Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
     AnswerLog, AnswerSink, AutopilotDetector, FlushOutcome, LatencyHistogram, LatencySummary,
-    Phase, QueryCore, QueryRuntime, RetainAll, ShardBalancer, SlidingWindowEngine,
+    Phase, QueryCore, QueryRuntime, RetainAll, SlidingWindowEngine,
 };
 use surge_topk::KCellCspot;
 
-use crate::state::{CheckpointMeta, CheckpointState, DetectorSpec, MeshState};
+use crate::state::{CheckpointMeta, CheckpointState, DetectorSpec};
 use crate::store::CheckpointDir;
 use crate::wal::{Wal, WalWriter};
 
@@ -114,7 +114,9 @@ pub struct CheckpointConfig {
     pub spec: DetectorSpec,
     /// Arrivals per slide.
     pub slide_objects: usize,
-    /// Sweep worker threads per flush.
+    /// Ignored: sequential; the parallel path is
+    /// `surge_stream::drive_elastic`; delete in the next benchmark PR (the
+    /// benchmark harness still sets it).
     pub threads: usize,
     /// Durability policy.
     pub policy: CheckpointPolicy,
@@ -237,11 +239,6 @@ pub enum SpecDetector {
     Mgaps(Box<MgapSurge>),
     /// The overload autopilot ([`surge_stream::AutopilotDetector`]).
     Autopilot(Box<AutopilotDetector>),
-    /// CCS under the elastic shard balancer: each flush feeds the
-    /// per-shard dirty counts into the [`ShardBalancer`] and reshards the
-    /// cell store in place when it recommends a split. The live shard
-    /// count and balancer history travel in the snapshot's MESH section.
-    Elastic(CellCspot, ShardBalancer),
 }
 
 impl SpecDetector {
@@ -276,15 +273,6 @@ impl SpecDetector {
             DetectorSpec::Autopilot { shards, policy } => SpecDetector::Autopilot(Box::new(
                 AutopilotDetector::with_shards(query, policy, shards),
             )),
-            DetectorSpec::Elastic {
-                bound,
-                sweep,
-                shards,
-                policy,
-            } => SpecDetector::Elastic(
-                CellCspot::with_sweep_mode(query, bound, sweep, shards),
-                ShardBalancer::new(policy),
-            ),
             DetectorSpec::Serve => {
                 return Err(CheckpointError::Config(
                     "DetectorSpec::Serve is a registry marker, not a detector; \
@@ -293,36 +281,6 @@ impl SpecDetector {
                 ))
             }
         })
-    }
-
-    /// Elastic-mesh runtime state for the snapshot's MESH section — `Some`
-    /// exactly for the [`SpecDetector::Elastic`] variant.
-    pub fn mesh_state(&self) -> Option<MeshState> {
-        match self {
-            SpecDetector::Elastic(d, b) => Some(MeshState {
-                shards: d.shard_count() as u64,
-                streak: b.streak(),
-                reshards: b.reshards(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Applies recovered MESH state: reshards the cell store to the
-    /// snapshot's live count and restores the balancer mid-streak. Must be
-    /// called after [`restore`](Self::restore).
-    pub fn apply_mesh(&mut self, mesh: &MeshState) -> Result<(), CheckpointError> {
-        match self {
-            SpecDetector::Elastic(d, b) => {
-                d.reshard(mesh.shards as usize);
-                let policy = b.policy();
-                *b = ShardBalancer::from_parts(policy, mesh.streak, mesh.reshards);
-                Ok(())
-            }
-            _ => Err(CheckpointError::Config(
-                "snapshot carries MESH state but the configured spec is not Elastic".into(),
-            )),
-        }
     }
 
     /// Captures the detector's logical state for a snapshot.
@@ -334,7 +292,6 @@ impl SpecDetector {
             SpecDetector::Gaps(d) => d.capture_state(),
             SpecDetector::Mgaps(d) => d.capture_state(),
             SpecDetector::Autopilot(d) => d.capture_state(),
-            SpecDetector::Elastic(d, _) => d.capture_state(),
         }
     }
 
@@ -347,7 +304,6 @@ impl SpecDetector {
             SpecDetector::Gaps(d) => d.restore_state(state),
             SpecDetector::Mgaps(d) => d.restore_state(state),
             SpecDetector::Autopilot(d) => d.restore_state(state),
-            SpecDetector::Elastic(d, _) => d.restore_state(state),
         }
     }
 
@@ -360,7 +316,6 @@ impl SpecDetector {
             SpecDetector::Gaps(d) => BurstDetector::stats(d),
             SpecDetector::Mgaps(d) => BurstDetector::stats(d.as_ref()),
             SpecDetector::Autopilot(d) => BurstDetector::stats(d.as_ref()),
-            SpecDetector::Elastic(d, _) => d.stats(),
         }
     }
 }
@@ -375,7 +330,6 @@ impl QueryCore for SpecDetector {
                 SpecDetector::Gaps(d) => BurstDetector::on_event(d, ev),
                 SpecDetector::Mgaps(d) => BurstDetector::on_event(d.as_mut(), ev),
                 SpecDetector::Autopilot(d) => BurstDetector::on_event(d.as_mut(), ev),
-                SpecDetector::Elastic(d, _) => d.on_event(ev),
             }
         }
     }
@@ -383,12 +337,8 @@ impl QueryCore for SpecDetector {
     /// The per-slide flush, matching each detector family's canonical
     /// cadence: CCS sweeps its dirty cells in place and then reads the
     /// all-fresh answer (bit-identical to `drive_incremental`), Base,
-    /// top-k and the grid detectors answer directly. The elastic variant
-    /// additionally feeds the flush-boundary dirty counts to its balancer
-    /// and reshards in place *after* the answer is taken — the balancer
-    /// decision is a pure function of those counters, so a crash-replayed
-    /// run re-triggers the same reshard at the same flush.
-    fn flush(&mut self, _seq: u64, threads: usize) -> FlushOutcome {
+    /// top-k and the grid detectors answer directly.
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
         let (answer, swept) = match self {
             SpecDetector::TopK(d) => {
                 return FlushOutcome {
@@ -397,19 +347,8 @@ impl QueryCore for SpecDetector {
                 }
             }
             SpecDetector::Cell(d) => {
-                let swept = d.sweep_dirty(threads);
+                let swept = d.sweep_dirty(1);
                 (d.current(), swept)
-            }
-            SpecDetector::Elastic(d, balancer) => {
-                // The load signal must be read before the sweep clears the
-                // dirty set.
-                let dirty = d.dirty_counts();
-                let swept = d.sweep_dirty(threads);
-                let answer = d.current();
-                if let Some(to) = balancer.observe(&dirty) {
-                    d.reshard(to);
-                }
-                (answer, swept)
             }
             SpecDetector::Base(d) => (d.current(), 0),
             SpecDetector::Gaps(d) => (d.current(), 0),
@@ -515,7 +454,6 @@ impl Runner<'_> {
                 objects_ingested: counters.objects,
                 slides_done: counters.slides,
                 slide_objects: self.cfg.slide_objects as u64,
-                threads: self.cfg.threads as u64,
                 snapshot_seq: self.snapshot_seq,
             },
             spec: self.cfg.spec,
@@ -524,7 +462,6 @@ impl Runner<'_> {
             detector: self.rt.core().capture(),
             answers_released: self.answers.released(),
             answers: self.answers.retained().to_vec(),
-            mesh: self.rt.core().mesh_state(),
         };
         let path = self.dir.write_snapshot(&state)?;
         self.snapshots_written += 1;
@@ -762,7 +699,7 @@ fn run_checkpointed_inner(
     let runner = Runner {
         cfg: *cfg,
         dir,
-        rt: QueryRuntime::new(detector, cfg.windows, cfg.slide_objects, cfg.threads),
+        rt: QueryRuntime::new(detector, cfg.windows, cfg.slide_objects),
         wal,
         answers: AnswerLog::new(),
         sink,
@@ -846,12 +783,6 @@ pub fn recover_with_sink(
             )));
         }
         detector.restore(&state.detector)?;
-        // A resharded mesh resumes at its live width, mid-streak: the
-        // restored cells are re-homed under the snapshot's shard count and
-        // the balancer continues exactly where the crashed run left it.
-        if let Some(mesh) = &state.mesh {
-            detector.apply_mesh(mesh)?;
-        }
         engine = SlidingWindowEngine::from_state(&state.engine)?;
         answers = AnswerLog::from_parts(state.answers_released, state.answers);
         objects = state.meta.objects_ingested;
@@ -881,14 +812,7 @@ pub fn recover_with_sink(
     // The slide phase — mid-slide, past the partial flush, or finished —
     // is derived from the snapshot's counters, so a run captured at its
     // partial or terminal flush does not repeat it.
-    let rt = QueryRuntime::resume(
-        detector,
-        engine,
-        cfg.slide_objects,
-        cfg.threads,
-        objects,
-        slides,
-    )?;
+    let rt = QueryRuntime::resume(detector, engine, cfg.slide_objects, objects, slides)?;
     let mut runner = Runner {
         cfg: *cfg,
         dir,

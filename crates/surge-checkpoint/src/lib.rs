@@ -61,6 +61,6 @@ pub use driver::{
     CheckpointPolicy, CheckpointReport, SpecDetector, SyncPolicy, Tail,
 };
 pub use serve::{ServeGroupState, ServeLaneState, ServeMeta, ServeState, ServeSubState};
-pub use state::{CheckpointMeta, CheckpointState, DetectorSpec, MeshState};
+pub use state::{CheckpointMeta, CheckpointState, DetectorSpec};
 pub use store::CheckpointDir;
 pub use wal::{Wal, WalRecovery, WalWriter, WAL_MAGIC};

@@ -12,7 +12,7 @@
 //!
 //! The snapshot container reuses the `surge-io` section format with two
 //! serve-specific sections ([`tags::SERVE_META`] and
-//! [`tags::SERVE_REGISTRY`](crate::state::tags::SERVE_REGISTRY)), and the
+//! [`tags::SERVE_REGISTRY`]), and the
 //! registry section composes the exact same `put_*`/`get_*` codecs the
 //! single-query sections use — engine residency, detector state and answer
 //! windows serialize byte-compatibly in both worlds.
@@ -21,8 +21,8 @@ use surge_core::{DetectorState, EngineState, RegionAnswer, SurgeQuery};
 use surge_io::{IoError, PayloadReader, PayloadWriter, Snapshot};
 
 use crate::state::{
-    get_answers, get_detector, get_engine, get_mesh, get_spec, inv, put_answers, put_detector,
-    put_engine, put_mesh, put_spec, tags, DetectorSpec, MeshState,
+    get_answers, get_detector, get_engine, get_spec, inv, put_answers, put_detector, put_engine,
+    put_spec, tags, DetectorSpec,
 };
 
 /// Cadence and id counters of a serving registry.
@@ -32,8 +32,6 @@ pub struct ServeMeta {
     pub objects_ingested: u64,
     /// Arrivals per slide (shared by every lane).
     pub slide_objects: u64,
-    /// Sweep worker threads per flush.
-    pub threads: u64,
     /// The next subscription id the server will hand out.
     pub next_sub_id: u64,
     /// Monotonic snapshot sequence number.
@@ -62,10 +60,6 @@ pub struct ServeGroupState {
     pub spec: DetectorSpec,
     /// The shared detector's logical state.
     pub detector: DetectorState,
-    /// Elastic-mesh runtime state — `Some` exactly for
-    /// [`DetectorSpec::Elastic`] groups, whose live shard count and
-    /// balancer streak are not derivable from the detector state alone.
-    pub mesh: Option<MeshState>,
     /// Window-transition events the group has consumed.
     pub events: u64,
     /// The group's subscriptions (at least one; an empty group is removed).
@@ -103,7 +97,6 @@ fn encode_serve_meta(m: &ServeMeta) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.u64(m.objects_ingested);
     w.u64(m.slide_objects);
-    w.u64(m.threads);
     w.u64(m.next_sub_id);
     w.u64(m.snapshot_seq);
     w.finish()
@@ -114,7 +107,6 @@ fn decode_serve_meta(buf: &[u8]) -> Result<ServeMeta, IoError> {
     let m = ServeMeta {
         objects_ingested: r.u64("serve.objects_ingested")?,
         slide_objects: r.u64("serve.slide_objects")?,
-        threads: r.u64("serve.threads")?,
         next_sub_id: r.u64("serve.next_sub_id")?,
         snapshot_seq: r.u64("serve.snapshot_seq")?,
     };
@@ -137,7 +129,6 @@ fn encode_registry(lanes: &[ServeLaneState]) -> Vec<u8> {
         for g in &lane.groups {
             put_spec(&mut w, &g.query, &g.spec);
             put_detector(&mut w, &g.detector);
-            put_mesh(&mut w, g.mesh.as_ref());
             w.u64(g.events);
             w.u64(g.subs.len() as u64);
             for sub in &g.subs {
@@ -166,12 +157,6 @@ fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
                 return Err(inv("serve group: nested Serve spec"));
             }
             let detector = get_detector(&mut r)?;
-            let mesh = get_mesh(&mut r)?;
-            if mesh.is_some() != matches!(spec, DetectorSpec::Elastic { .. }) {
-                return Err(inv(
-                    "serve group: MESH state present iff the spec is Elastic — mismatch",
-                ));
-            }
             let events = r.u64("group.events")?;
             let n_subs = r.u64("group.subs")?;
             if n_subs == 0 {
@@ -191,7 +176,6 @@ fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
                 query,
                 spec,
                 detector,
-                mesh,
                 events,
                 subs,
             });

@@ -21,7 +21,7 @@ use surge_core::{
 };
 use surge_exact::{BoundMode, SweepMode};
 use surge_io::{IoError, PayloadReader, PayloadWriter, Snapshot};
-use surge_stream::{BalancerPolicy, SloPolicy};
+use surge_stream::SloPolicy;
 
 /// Section tags of the checkpoint snapshot format.
 pub mod tags {
@@ -39,9 +39,6 @@ pub mod tags {
     pub const SERVE_META: u32 = 6;
     /// The full serving registry: lanes, detector groups, subscriptions.
     pub const SERVE_REGISTRY: u32 = 7;
-    /// Elastic-mesh runtime state: current shard count and balancer
-    /// history. Present only for [`super::DetectorSpec::Elastic`] runs.
-    pub const MESH: u32 = 8;
 }
 
 /// Which detector a checkpointed run drives, with its construction
@@ -92,35 +89,6 @@ pub enum DetectorSpec {
     /// detector section is empty and the real state lives in the serve
     /// sections. Not constructible by the single-query driver.
     Serve,
-    /// [`surge_exact::CellCspot`] under the elastic shard balancer: the
-    /// checkpointed twin of `surge-stream`'s `drive_elastic`. `shards` is
-    /// the *initial* count — the live count is runtime state and travels
-    /// in the snapshot's MESH section, so a recovered run resumes at the
-    /// resharded width while the spec equality check keeps working.
-    Elastic {
-        /// Bound mode (Combined = CCS, StaticOnly = B-CCS).
-        bound: BoundMode,
-        /// Per-cell sweep mode.
-        sweep: SweepMode,
-        /// Cell-store shard count the run *starts* at.
-        shards: usize,
-        /// When the balancer recommends doubling the mesh.
-        policy: BalancerPolicy,
-    },
-}
-
-/// Elastic-mesh runtime state carried in the snapshot's MESH section: the
-/// live shard count plus the balancer's history, so a recovered run
-/// resumes the resharded mesh mid-streak and replayed flushes re-trigger
-/// the exact same split decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeshState {
-    /// The cell store's shard count when the snapshot was taken.
-    pub shards: u64,
-    /// The balancer's consecutive-skewed-flush streak.
-    pub streak: u32,
-    /// Splits performed so far.
-    pub reshards: u32,
 }
 
 /// Run cadence and durability bookkeeping carried in every snapshot.
@@ -133,8 +101,6 @@ pub struct CheckpointMeta {
     pub slides_done: u64,
     /// Arrivals per slide.
     pub slide_objects: u64,
-    /// Sweep worker threads per flush.
-    pub threads: u64,
     /// Monotonic snapshot sequence number.
     pub snapshot_seq: u64,
 }
@@ -160,10 +126,6 @@ pub struct CheckpointState {
     /// single-region detectors, up to k for top-k), covering flush seqs
     /// `answers_released..answers_released + answers.len()`.
     pub answers: Vec<Vec<RegionAnswer>>,
-    /// Elastic-mesh runtime state — `Some` exactly for
-    /// [`DetectorSpec::Elastic`] runs (the spec records the initial shard
-    /// count; this records the live one plus the balancer history).
-    pub mesh: Option<MeshState>,
 }
 
 pub(crate) fn inv(msg: impl std::fmt::Display) -> IoError {
@@ -248,7 +210,6 @@ fn encode_meta(m: &CheckpointMeta) -> Vec<u8> {
     w.u64(m.objects_ingested);
     w.u64(m.slides_done);
     w.u64(m.slide_objects);
-    w.u64(m.threads);
     w.u64(m.snapshot_seq);
     w.finish()
 }
@@ -259,7 +220,6 @@ fn decode_meta(buf: &[u8]) -> Result<CheckpointMeta, IoError> {
         objects_ingested: r.u64("meta.objects_ingested")?,
         slides_done: r.u64("meta.slides_done")?,
         slide_objects: r.u64("meta.slide_objects")?,
-        threads: r.u64("meta.threads")?,
         snapshot_seq: r.u64("meta.snapshot_seq")?,
     };
     if m.slide_objects == 0 {
@@ -325,27 +285,6 @@ pub(crate) fn put_spec(w: &mut PayloadWriter, query: &SurgeQuery, spec: &Detecto
             w.u32(policy.drain_percent);
         }
         DetectorSpec::Serve => w.u8(6),
-        DetectorSpec::Elastic {
-            bound,
-            sweep,
-            shards,
-            policy,
-        } => {
-            w.u8(7);
-            w.u8(match bound {
-                BoundMode::Combined => 0,
-                BoundMode::StaticOnly => 1,
-            });
-            w.u8(match sweep {
-                SweepMode::Persistent => 0,
-                SweepMode::Rebuild => 1,
-            });
-            w.u64(*shards as u64);
-            w.u32(policy.skew_percent);
-            w.u32(policy.patience);
-            w.u64(policy.max_shards as u64);
-            w.u64(policy.min_load);
-        }
     }
 }
 
@@ -428,34 +367,6 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
             DetectorSpec::Autopilot { shards, policy }
         }
         6 => DetectorSpec::Serve,
-        7 => {
-            let bound = match r.u8("spec.bound")? {
-                0 => BoundMode::Combined,
-                1 => BoundMode::StaticOnly,
-                other => return Err(inv(format!("unknown bound-mode code {other}"))),
-            };
-            let sweep = match r.u8("spec.sweep")? {
-                0 => SweepMode::Persistent,
-                1 => SweepMode::Rebuild,
-                other => return Err(inv(format!("unknown sweep-mode code {other}"))),
-            };
-            let shards = r.u64("spec.shards")? as usize;
-            let policy = BalancerPolicy {
-                skew_percent: r.u32("spec.policy.skew_percent")?,
-                patience: r.u32("spec.policy.patience")?,
-                max_shards: r.u64("spec.policy.max_shards")? as usize,
-                min_load: r.u64("spec.policy.min_load")?,
-            };
-            if policy.max_shards == 0 {
-                return Err(inv("spec: balancer max_shards must be positive"));
-            }
-            DetectorSpec::Elastic {
-                bound,
-                sweep,
-                shards,
-                policy,
-            }
-        }
         other => return Err(inv(format!("unknown detector-spec code {other}"))),
     };
     Ok((query, spec))
@@ -821,68 +732,6 @@ pub(crate) fn get_answers(
     Ok((released, answers))
 }
 
-/// Inline (presence-flagged) mesh codec for registry payloads, where a
-/// [`MeshState`] rides per detector group rather than as its own section.
-pub(crate) fn put_mesh(w: &mut PayloadWriter, mesh: Option<&MeshState>) {
-    match mesh {
-        Some(m) => {
-            w.u8(1);
-            w.u64(m.shards);
-            w.u32(m.streak);
-            w.u32(m.reshards);
-        }
-        None => w.u8(0),
-    }
-}
-
-pub(crate) fn get_mesh(r: &mut PayloadReader<'_>) -> Result<Option<MeshState>, IoError> {
-    match r.u8("mesh.present")? {
-        0 => Ok(None),
-        1 => {
-            let shards = r.u64("mesh.shards")?;
-            let streak = r.u32("mesh.streak")?;
-            let reshards = r.u32("mesh.reshards")?;
-            if shards == 0 || !shards.is_power_of_two() {
-                return Err(inv(format!(
-                    "mesh: shard count {shards} is not a positive power of two"
-                )));
-            }
-            Ok(Some(MeshState {
-                shards,
-                streak,
-                reshards,
-            }))
-        }
-        other => Err(inv(format!("mesh: bad presence flag {other}"))),
-    }
-}
-
-pub(crate) fn encode_mesh(m: &MeshState) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(m.shards);
-    w.u32(m.streak);
-    w.u32(m.reshards);
-    w.finish()
-}
-
-pub(crate) fn decode_mesh(buf: &[u8]) -> Result<MeshState, IoError> {
-    let mut r = PayloadReader::new(buf);
-    let shards = r.u64("mesh.shards")?;
-    let streak = r.u32("mesh.streak")?;
-    let reshards = r.u32("mesh.reshards")?;
-    if shards == 0 || !shards.is_power_of_two() {
-        return Err(inv(format!(
-            "mesh: shard count {shards} is not a positive power of two"
-        )));
-    }
-    r.expect_exhausted("mesh")?;
-    Ok(MeshState {
-        shards,
-        streak,
-        reshards,
-    })
-}
-
 impl CheckpointState {
     /// Serializes into the snapshot section container.
     pub fn to_snapshot(&self) -> Snapshot {
@@ -895,9 +744,6 @@ impl CheckpointState {
             tags::ANSWERS,
             encode_answers(self.answers_released, &self.answers),
         );
-        if let Some(mesh) = &self.mesh {
-            s.push_section(tags::MESH, encode_mesh(mesh));
-        }
         s
     }
 
@@ -913,15 +759,6 @@ impl CheckpointState {
         let detector = decode_detector(section(tags::DETECTOR, "DETECTOR")?)?;
         let (answers_released, answers) =
             decode_answers(section(tags::ANSWERS, "ANSWERS")?, &query)?;
-        let mesh = match snap.section(tags::MESH) {
-            Some(buf) => Some(decode_mesh(buf)?),
-            None => None,
-        };
-        if mesh.is_some() != matches!(spec, DetectorSpec::Elastic { .. }) {
-            return Err(inv(
-                "snapshot MESH section present iff the spec is Elastic — mismatch",
-            ));
-        }
         Ok(CheckpointState {
             meta,
             spec,
@@ -930,7 +767,6 @@ impl CheckpointState {
             detector,
             answers_released,
             answers,
-            mesh,
         })
     }
 }

@@ -36,7 +36,7 @@ fn cfg(spec: DetectorSpec, windows: WindowConfig) -> CheckpointConfig {
         windows,
         spec,
         slide_objects: 16,
-        threads: 2,
+        threads: 1,
         policy: CheckpointPolicy {
             snapshot_every_slides: 2,
             wal_segment_objects: 23,

@@ -39,7 +39,7 @@ fn cfg(spec: DetectorSpec, windows: WindowConfig) -> CheckpointConfig {
         windows,
         spec,
         slide_objects: 16,
-        threads: 2,
+        threads: 1,
         policy: CheckpointPolicy {
             snapshot_every_slides: 2,
             wal_segment_objects: 23,
@@ -123,7 +123,6 @@ proptest! {
             windows,
             stream.iter().copied(),
             16,
-            1,
         );
 
         for shards in [1usize, 2, 8] {

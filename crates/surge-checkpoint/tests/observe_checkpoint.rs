@@ -44,7 +44,7 @@ fn cfg(windows: WindowConfig, sync: SyncPolicy) -> CheckpointConfig {
             shards: 2,
         },
         slide_objects: 16,
-        threads: 2,
+        threads: 1,
         policy: CheckpointPolicy {
             snapshot_every_slides: 2,
             wal_segment_objects: 23,

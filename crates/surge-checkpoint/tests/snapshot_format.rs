@@ -116,10 +116,11 @@ fn corrupt_crc_and_version_are_precise_errors() {
         Err(IoError::Invariant(_))
     ));
 
-    // A future version — and version 1, whose ENGINE and SERVE_REGISTRY
-    // sections carried lane fields this layout no longer has — is a
-    // BadHeader, not a misparse.
-    for version in [0xFEu8, 1] {
+    // A future version — and versions 1 and 2: version 1's ENGINE and
+    // SERVE_REGISTRY sections carried lane fields this layout no longer has,
+    // version 2's META, SERVE_META and serve groups carried thread and mesh
+    // fields — is a BadHeader, not a misparse.
+    for version in [0xFEu8, 1, 2] {
         let mut versioned = bytes.clone();
         versioned[8] = version;
         let n = versioned.len();

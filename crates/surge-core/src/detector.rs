@@ -78,13 +78,15 @@ pub struct SweepCacheStats {
 /// [`BurstDetector::current`] search stale cells lazily one by one.
 ///
 /// Sweeping must produce state identical to letting `current()` run the
-/// searches itself — parallelism may only change wall-clock time.
+/// searches itself.
 pub trait IncrementalDetector: BurstDetector {
-    /// Sweeps every dirty cell **in place**, fanning out across up to
-    /// `threads` workers (a hint; honoring it is optional), and returns the
-    /// number of cells swept. After it returns, [`BurstDetector::current`]
-    /// finds every cell fresh. Per-cell work is independent, so results
-    /// must be bit-identical for any `threads`.
+    /// Sweeps every dirty cell **in place** and returns the number of cells
+    /// swept. After it returns, [`BurstDetector::current`] finds every cell
+    /// fresh.
+    ///
+    /// `threads` is ignored: sequential; the parallel path is
+    /// `drive_elastic`; delete in the next benchmark PR (the benchmark
+    /// harness still passes it).
     fn sweep_dirty(&mut self, threads: usize) -> u64;
 
     /// Number of cell shards this detector partitions its state into.

@@ -331,25 +331,20 @@ fn sweep_cell(cells: &mut HashMap<CellId, Cell>, id: CellId) -> Option<Option<Sw
     Some(cell.sweep.search())
 }
 
-/// The dirty (stale, feasible) cells of one shard, in ascending id order.
-fn dirty_ids(cells: &HashMap<CellId, Cell>) -> Vec<CellId> {
+/// Sweeps every dirty (stale, feasible) cell of one shard in place
+/// (persistent state), in ascending id order, and installs the outcomes.
+/// Returns the number of cells swept.
+fn sweep_shard_dirty(
+    cells: &mut HashMap<CellId, Cell>,
+    queue: &mut ShardQueue,
+    ctx: &ShardCtx,
+) -> u64 {
     let mut ids: Vec<CellId> = cells
         .iter()
         .filter(|(_, c)| matches!(c.cand, CandState::Stale) && c.domain.is_some())
         .map(|(id, _)| *id)
         .collect();
     ids.sort_unstable();
-    ids
-}
-
-/// Sweeps every dirty cell of one shard in place (persistent state) and
-/// installs the outcomes. Returns the number of cells swept.
-fn sweep_shard_dirty(
-    cells: &mut HashMap<CellId, Cell>,
-    queue: &mut ShardQueue,
-    ctx: &ShardCtx,
-) -> u64 {
-    let ids = dirty_ids(cells);
     for &id in &ids {
         let outcome = sweep_cell(cells, id).expect("dirty cell is present and feasible");
         install_result_into(cells, queue, ctx, id, outcome);
@@ -541,14 +536,6 @@ impl CellCspot {
             .count()
     }
 
-    /// Per-shard dirty (stale, feasible) cell counts — the load signal an
-    /// elastic mesh's balancer watches for persistent skew.
-    pub fn dirty_counts(&self) -> Vec<u64> {
-        (0..self.store.shard_count())
-            .map(|s| dirty_ids(self.store.shard(s)).len() as u64)
-            .collect()
-    }
-
     /// Re-homes every cell under `shard_of_cell(id, shards)` (rounded up to
     /// a power of two) by capturing the detector's machine-independent
     /// logical state and restoring it into a fresh store at the new count —
@@ -735,51 +722,20 @@ impl IncrementalDetector for CellCspot {
         self.store.shard_count()
     }
 
-    /// In-place dirty sweeps over the persistent per-cell state, fanned out
-    /// one scoped worker per shard chunk. Cells are independent and each
-    /// shard's `(cells, queue)` pair is owned exclusively by one worker, so
-    /// results and stats are bit-identical to the rebuild-per-search
-    /// reference (a [`SweepMode::Rebuild`] detector) for any thread count.
-    ///
-    /// Parallelism is bounded by the shard count (a shard's queue is
-    /// mutated during install, so a shard cannot be split across workers
-    /// in place) — `threads > shard_count` adds nothing. Construct the
-    /// detector with at least as many shards as sweep threads
-    /// ([`CellCspot::with_shards`]; the default is
-    /// [`DEFAULT_SHARDS`] = 8) to keep wide hosts saturated.
-    fn sweep_dirty(&mut self, threads: usize) -> u64 {
+    /// In-place dirty sweeps over the persistent per-cell state, one shard
+    /// after another. Results and stats are bit-identical to the
+    /// rebuild-per-search reference (a [`SweepMode::Rebuild`] detector).
+    /// `_threads` is ignored: the sweep is sequential, and the parallel path
+    /// is `drive_elastic`.
+    fn sweep_dirty(&mut self, _threads: usize) -> u64 {
         let ctx = self.ctx;
-        let mut work: Vec<(&mut HashMap<CellId, Cell>, &mut ShardQueue)> = self
+        let swept: u64 = self
             .store
             .shards_mut()
             .iter_mut()
             .zip(self.queues.iter_mut())
-            .collect();
-        let threads = threads.clamp(1, work.len().max(1));
-        let swept: u64 = if threads <= 1 {
-            work.iter_mut()
-                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
-                .sum()
-        } else {
-            let chunk = work.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .chunks_mut(chunk)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
-                                .sum::<u64>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard sweep worker panicked"))
-                    .sum()
-            })
-        };
+            .map(|(cells, queue)| sweep_shard_dirty(cells, queue, &ctx))
+            .sum();
         self.stats.searches += swept;
         swept
     }

@@ -24,7 +24,8 @@
 //!   descending, ties by object id) as incrementally maintained sorted
 //!   lists;
 //! * the two-form [`BurstSegTree`], re-zeroed in place after each sweep and
-//!   size-synced with the incremental [`MaxAddTree::insert_leaf`] /
+//!   size-synced with the incremental
+//!   [`MaxAddTree::insert_leaf`](crate::segtree::MaxAddTree::insert_leaf) /
 //!   [`MaxAddTree::remove_leaf`](crate::segtree::MaxAddTree::remove_leaf)
 //!   leaf edits (full reset only when the power-of-two layout changes).
 //!
@@ -136,7 +137,7 @@ pub const MIN_CHURN_BUDGET: usize = 32;
 /// `O(leaves)` sorted list, while the rebuild fallback re-sorts once at
 /// `O(leaves · log leaves)` — so past roughly this many pending edits *per
 /// `log₂(leaves)`* the splices cost more than the one re-sort they avoid.
-/// The budget is the minimum of the linear [`REBUILD_FRACTION`] term and
+/// The budget is the minimum of the linear term (half the leaf count) and
 /// this crossover cap. Thresholds only move cost, never results: the
 /// incremental and rebuilt structures are bitwise identical by construction.
 pub const CHURN_OPS_PER_LOG2: usize = 24;

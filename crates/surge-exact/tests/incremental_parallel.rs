@@ -1,9 +1,9 @@
 //! End-to-end equivalence of the incremental dirty-cell path: driving
-//! Cell-CSPOT through `drive_incremental` (in-place parallel sweeps of the
-//! dirty cells) must produce exactly the state and answers of the plain
-//! sequential driver, for any thread count — parallelism may only change
-//! wall-clock time. The rebuild-per-search reference (a `SweepMode::Rebuild`
-//! detector swept with `sweep_dirty(1)`) is held to the same bar.
+//! Cell-CSPOT through `drive_incremental` (in-place sweeps of the dirty
+//! cells, shard by shard) must produce exactly the state and answers of the
+//! plain lazy driver, for any shard count — sharding is structural only.
+//! The rebuild-per-search reference (a `SweepMode::Rebuild` detector swept
+//! with `sweep_dirty`) is held to the same bar.
 
 use surge_core::{
     BurstDetector, IncrementalDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
@@ -47,15 +47,10 @@ fn parallel_dirty_sweeps_match_sequential_answers() {
         }
         let want = seq.current().map(|a| a.score);
 
-        for threads in [1, 4] {
-            let mut par = CellCspot::new(query(alpha));
-            let report = drive_incremental(
-                &mut par,
-                WindowConfig::equal(500),
-                objs.iter().copied(),
-                64,
-                threads,
-            );
+        for shards in [1, 4] {
+            let mut par = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
+            let report =
+                drive_incremental(&mut par, WindowConfig::equal(500), objs.iter().copied(), 64);
             // The last pre-drain flush sits exactly at stream end — it must
             // match the lazy sequential answer there. (The driver then
             // drains the tail windows, so the detector's *final* state sees
@@ -65,10 +60,10 @@ fn parallel_dirty_sweeps_match_sequential_answers() {
             match (want, got) {
                 (Some(w), Some(g)) => assert!(
                     (w - g).abs() < 1e-12,
-                    "alpha {alpha} threads {threads}: {w} vs {g}"
+                    "alpha {alpha} shards {shards}: {w} vs {g}"
                 ),
                 (None, None) => {}
-                other => panic!("alpha {alpha} threads {threads}: {other:?}"),
+                other => panic!("alpha {alpha} shards {shards}: {other:?}"),
             }
             assert_eq!(report.objects, objs.len() as u64);
             assert!(report.slides >= (objs.len() / 64) as u64);
@@ -91,7 +86,7 @@ fn parallel_dirty_sweeps_match_sequential_answers() {
             assert_eq!(
                 drained.current().map(|a| a.score.to_bits()),
                 report.answers.last().unwrap().map(|a| a.score.to_bits()),
-                "alpha {alpha} threads {threads}: post-drain divergence"
+                "alpha {alpha} shards {shards}: post-drain divergence"
             );
         }
     }

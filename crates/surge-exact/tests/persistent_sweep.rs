@@ -194,10 +194,10 @@ proptest! {
         let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
         let mut pers = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, 4);
-        let pers_report = drive_incremental(&mut pers, windows, objs.iter().copied(), slide, 1);
+        let pers_report = drive_incremental(&mut pers, windows, objs.iter().copied(), slide);
 
         let mut reb = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 4);
-        let reb_report = drive_incremental(&mut reb, windows, objs.iter().copied(), slide, 1);
+        let reb_report = drive_incremental(&mut reb, windows, objs.iter().copied(), slide);
 
         prop_assert_eq!(pers_report.answers.len(), reb_report.answers.len());
         for (i, (a, b)) in pers_report
@@ -247,7 +247,7 @@ proptest! {
         let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
         let mut reb = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 1);
-        let seq = drive_incremental(&mut reb, windows, objs.iter().copied(), 32, 1);
+        let seq = drive_incremental(&mut reb, windows, objs.iter().copied(), 32);
 
         let shards = 1usize << shard_pow;
         let mut pers =

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    : 8 bytes = b"SURGSNP1"
-//! version  : u32     = 1
+//! version  : u32     = SNAPSHOT_VERSION (3)
 //! sections : u32     = section count
 //! section  : sections ×
 //!     tag     : u32   (consumer-defined meaning)
@@ -36,7 +36,7 @@ use crate::error::{IoError, Result};
 /// Magic bytes identifying the snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SURGSNP1";
 /// Container version this module reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// An in-memory snapshot: an ordered list of `(tag, payload)` sections.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,7 +105,7 @@ impl Snapshot {
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != SNAPSHOT_VERSION {
             return Err(IoError::BadHeader {
-                expected: "snapshot version 2",
+                expected: "snapshot version 3",
                 found: format!("version {version}"),
             });
         }

@@ -34,19 +34,13 @@
 //! disturbing lane mates. `tests/multi_query.rs` proptests the claim,
 //! including mid-stream churn, and `tests/serve_recovery.rs` proves a
 //! crashed server with live subscriptions recovers all of them
-//! bit-identically via [`ServeState`](surge_checkpoint::ServeState).
-//!
-//! [`DetectorSpec::Elastic`] groups carry their own sweep mesh whose
-//! balancer splits hot shards from flush-boundary load —
-//! `tests/reshard_live.rs` proves it under live subscriptions, and the
-//! group's [`MeshState`](surge_checkpoint::MeshState) travels through
-//! [`ServeState`] so a recovered server resumes at the live width.
+//! bit-identically via [`ServeState`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use surge_checkpoint::{
-    DetectorSpec, MeshState, ServeGroupState, ServeLaneState, ServeMeta, ServeState, ServeSubState,
+    DetectorSpec, ServeGroupState, ServeLaneState, ServeMeta, ServeState, ServeSubState,
     SpecDetector,
 };
 use surge_core::{Event, QueryKey, QueryKeyError, RegionAnswer, SpatialObject, SurgeQuery};
@@ -112,17 +106,12 @@ impl From<QueryKeyError> for ServeError {
 pub struct ServeConfig {
     /// Arrivals per slide (the flush cadence of every lane).
     pub slide_objects: usize,
-    /// Sweep worker threads per flush.
-    pub threads: usize,
 }
 
 impl ServeConfig {
-    /// A single-threaded configuration.
+    /// A configuration flushing every `slide_objects` arrivals.
     pub fn sequential(slide_objects: usize) -> Self {
-        ServeConfig {
-            slide_objects,
-            threads: 1,
-        }
+        ServeConfig { slide_objects }
     }
 }
 
@@ -211,11 +200,11 @@ impl QueryCore for Lane {
         }
     }
 
-    fn flush(&mut self, seq: u64, threads: usize) -> FlushOutcome {
+    fn flush(&mut self, seq: u64) -> FlushOutcome {
         self.probes.flight.record(TraceEvent::FlushStart { seq });
         let mut produced = 0u64;
         for group in &mut self.groups {
-            let answers = group.detector.flush(seq, threads).answers;
+            let answers = group.detector.flush(seq).answers;
             produced += answers.len() as u64;
             // Last subscriber takes the vector itself; earlier ones clone.
             let (last, rest) = group.subs.split_last_mut().expect("groups are never empty");
@@ -370,12 +359,8 @@ impl SurgeServer {
                     groups: Vec::new(),
                     probes: self.probes.clone(),
                 };
-                self.lanes.push(QueryRuntime::new(
-                    lane,
-                    windows,
-                    self.cfg.slide_objects,
-                    self.cfg.threads,
-                ));
+                self.lanes
+                    .push(QueryRuntime::new(lane, windows, self.cfg.slide_objects));
                 self.lanes.last_mut().expect("just pushed")
             }
         };
@@ -444,23 +429,6 @@ impl SurgeServer {
         }
     }
 
-    /// The elastic-mesh state of the detector group serving `sub` —
-    /// `None` unless the group's flavor is [`DetectorSpec::Elastic`].
-    /// Elastic groups rebalance themselves: every flush feeds the shared
-    /// detector's balancer, so a skewed stream splits that group's sweep
-    /// mesh mid-run while every subscription keeps its bit-identical
-    /// answer stream.
-    pub fn mesh_state(&self, sub: SubId) -> Result<Option<MeshState>, ServeError> {
-        for lane in &self.lanes {
-            for group in &lane.core().groups {
-                if group.subs.iter().any(|s| s.id == sub) {
-                    return Ok(group.detector.mesh_state());
-                }
-            }
-        }
-        Err(ServeError::UnknownSubscription(sub))
-    }
-
     /// A subscription's answer channel: flush answers at dense 0-based
     /// seqs, `released..next_seq` retained until acked.
     pub fn answers(&self, sub: SubId) -> Result<&AnswerLog<Vec<RegionAnswer>>, ServeError> {
@@ -523,7 +491,6 @@ impl SurgeServer {
             meta: ServeMeta {
                 objects_ingested: self.objects_ingested,
                 slide_objects: self.cfg.slide_objects as u64,
-                threads: self.cfg.threads as u64,
                 next_sub_id: self.next_sub_id,
                 snapshot_seq: seq,
             },
@@ -543,7 +510,6 @@ impl SurgeServer {
                             query: g.query,
                             spec: g.spec,
                             detector: g.detector.capture(),
-                            mesh: g.detector.mesh_state(),
                             events: g.events,
                             subs: g
                                 .subs
@@ -572,10 +538,7 @@ impl SurgeServer {
         if meta.slide_objects == 0 {
             return Err(ServeError::Corrupt("slide_objects must be positive".into()));
         }
-        let cfg = ServeConfig {
-            slide_objects: meta.slide_objects as usize,
-            threads: (meta.threads as usize).max(1),
-        };
+        let cfg = ServeConfig::sequential(meta.slide_objects as usize);
         let mut lanes = Vec::with_capacity(state.lanes.len());
         let mut max_sub = None::<u64>;
         for ls in &state.lanes {
@@ -607,11 +570,6 @@ impl SurgeServer {
                 detector
                     .restore(&gs.detector)
                     .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-                if let Some(mesh) = &gs.mesh {
-                    detector
-                        .apply_mesh(mesh)
-                        .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-                }
                 let subs = gs
                     .subs
                     .iter()
@@ -641,7 +599,6 @@ impl SurgeServer {
                 lane,
                 engine,
                 cfg.slide_objects,
-                cfg.threads,
                 meta.objects_ingested - ls.start_objects,
                 ls.slides,
             )

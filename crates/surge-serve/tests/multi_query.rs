@@ -18,10 +18,9 @@ fn independent_run(
     spec: DetectorSpec,
     objs: &[SpatialObject],
     slide: usize,
-    threads: usize,
 ) -> Vec<Vec<RegionAnswer>> {
     let det = SpecDetector::build(&spec, query).expect("servable spec");
-    let mut rt = QueryRuntime::new(det, query.windows, slide, threads);
+    let mut rt = QueryRuntime::new(det, query.windows, slide);
     let mut answers = Vec::new();
     rt.run(objs.iter().copied(), |_seq, a| answers.push(a));
     answers
@@ -48,7 +47,6 @@ fn assert_flushes_bitwise(got: &[Vec<RegionAnswer>], want: &[Vec<RegionAnswer>],
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_sub(
     server: &SurgeServer,
     sub: SubId,
@@ -56,10 +54,9 @@ fn check_sub(
     spec: DetectorSpec,
     suffix: &[SpatialObject],
     slide: usize,
-    threads: usize,
     label: &str,
 ) {
-    let want = independent_run(query, spec, suffix, slide, threads);
+    let want = independent_run(query, spec, suffix, slide);
     let log = server.answers(sub).expect("live subscription");
     assert_eq!(log.released(), 0, "{label}: nothing was acked");
     assert_flushes_bitwise(log.retained(), &want, label);
@@ -87,7 +84,6 @@ proptest! {
         tick in 5u64..50,
         win in 60u64..320,
         slide in 1usize..24,
-        threads in 1usize..4,
     ) {
         let objs = ticked_stream(raw, per_tick, tick);
         let w1 = WindowConfig::equal(win);
@@ -106,7 +102,7 @@ proptest! {
             (q5, DetectorSpec::Mgaps { shards: 1 }),
         ];
 
-        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads });
+        let mut server = SurgeServer::new(ServeConfig::sequential(slide));
         let subs: Vec<SubId> = panel
             .iter()
             .map(|(q, s)| server.subscribe(*q, *s).unwrap())
@@ -123,7 +119,7 @@ proptest! {
         server.finish();
 
         for (i, ((q, s), sub)) in panel.iter().zip(&subs).enumerate() {
-            check_sub(&server, *sub, *q, *s, &objs, slide, threads, &format!("panel[{i}]"));
+            check_sub(&server, *sub, *q, *s, &objs, slide, &format!("panel[{i}]"));
         }
 
         // The deduped pair shares one detector but both channels carry the
@@ -133,7 +129,7 @@ proptest! {
 
         // Exact flavor vs the dedicated incremental driver.
         let mut det = CellCspot::with_sweep_mode(q1, BoundMode::Combined, SweepMode::Persistent, 1);
-        let rep = drive_incremental(&mut det, w1, objs.iter().copied(), slide, threads);
+        let rep = drive_incremental(&mut det, w1, objs.iter().copied(), slide);
         let served = server.answers(subs[0]).unwrap();
         prop_assert_eq!(served.len(), rep.answers.len());
         for (got, want) in served.iter().zip(rep.answers.iter()) {
@@ -166,14 +162,13 @@ proptest! {
         let objs = ticked_stream(raw, per_tick, tick);
         let cut = objs.len() * cut_pct / 100;
         let (prefix, suffix) = objs.split_at(cut);
-        let threads = 2;
         let w = WindowConfig::equal(win);
 
         let qa = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), w, 0.4);
         let qb = SurgeQuery::whole_space(RegionSize::new(1.2, 0.7), w, 0.6);
         let qc = SurgeQuery::whole_space(RegionSize::new(0.8, 0.8), w, 0.5);
 
-        let mut server = SurgeServer::new(ServeConfig { slide_objects: slide, threads });
+        let mut server = SurgeServer::new(ServeConfig::sequential(slide));
         let a = server.subscribe(qa, cell_spec()).unwrap();
         let b = server.subscribe(qb, DetectorSpec::Base { pruned: false }).unwrap();
 
@@ -185,7 +180,7 @@ proptest! {
         // slides delivered so far — a prefix of the dedicated run.
         let b_log = server.unsubscribe(b).unwrap();
         prop_assert_eq!(b_log.len(), cut / slide);
-        let b_ref = independent_run(qb, DetectorSpec::Base { pruned: false }, &objs, slide, threads);
+        let b_ref = independent_run(qb, DetectorSpec::Base { pruned: false }, &objs, slide);
         assert_flushes_bitwise(b_log.retained(), &b_ref[..b_log.len()], "deregistered prefix");
 
         // Register C (plus a dedup twin) and a late duplicate of A.
@@ -204,9 +199,9 @@ proptest! {
         }
         server.finish();
 
-        check_sub(&server, a, qa, cell_spec(), &objs, slide, threads, "A (full stream)");
-        check_sub(&server, c, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, threads, "C (suffix)");
-        check_sub(&server, c2, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, threads, "C twin");
-        check_sub(&server, a_late, qa, cell_spec(), suffix, slide, threads, "late A (suffix)");
+        check_sub(&server, a, qa, cell_spec(), &objs, slide, "A (full stream)");
+        check_sub(&server, c, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, "C (suffix)");
+        check_sub(&server, c2, qc, DetectorSpec::TopK { k: 2 }, suffix, slide, "C twin");
+        check_sub(&server, a_late, qa, cell_spec(), suffix, slide, "late A (suffix)");
     }
 }

@@ -40,10 +40,7 @@ fn observed_server_is_bit_identical_and_conserved() {
     let w2 = WindowConfig::new(260, 90);
     let q1 = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), w1, 0.4);
     let q2 = SurgeQuery::whole_space(RegionSize::new(1.2, 0.8), w2, 0.6);
-    let cfg = ServeConfig {
-        slide_objects: 16,
-        threads: 2,
-    };
+    let cfg = ServeConfig { slide_objects: 16 };
 
     let run = |obs: Option<&Observe>| {
         let mut server = SurgeServer::new(cfg);
@@ -140,10 +137,7 @@ fn occupancy_gauges_track_churn() {
     let q1 = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), w1, 0.4);
     let q2 = SurgeQuery::whole_space(RegionSize::new(1.2, 0.8), w2, 0.6);
     let obs = Observe::enabled();
-    let mut server = SurgeServer::new(ServeConfig {
-        slide_objects: 8,
-        threads: 1,
-    });
+    let mut server = SurgeServer::new(ServeConfig { slide_objects: 8 });
     server.observe(&obs);
 
     let a = server.subscribe(q1, cell_spec()).unwrap();

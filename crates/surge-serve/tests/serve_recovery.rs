@@ -63,7 +63,6 @@ fn live_registry_recovers_bit_identically() {
 
     let mut live = SurgeServer::new(ServeConfig {
         slide_objects: 7, // 150 % 7 != 0: the crash lands mid-slide
-        threads: 2,
     });
     let subs = populate(&mut live);
     assert_eq!(live.stats().subscriptions, 5);
@@ -139,10 +138,7 @@ fn recovery_mid_churn_preserves_late_lanes() {
     let stream = clustered_stream(220, 3, 11, 7);
     let (prefix, suffix) = stream.split_at(100);
 
-    let mut live = SurgeServer::new(ServeConfig {
-        slide_objects: 6,
-        threads: 1,
-    });
+    let mut live = SurgeServer::new(ServeConfig { slide_objects: 6 });
     let subs = populate(&mut live);
     for obj in prefix {
         live.ingest(*obj);

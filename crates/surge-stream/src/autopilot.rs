@@ -572,7 +572,7 @@ impl QueryCore for AutopilotCore<'_> {
         }
     }
 
-    fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
         FlushOutcome {
             answers: self.0.current().into_iter().collect(),
             swept: 0,
@@ -646,7 +646,7 @@ pub fn drive_autopilot_observed(
     let mut tier_latency: [LatencyHistogram; 3] = std::array::from_fn(|_| LatencyHistogram::new());
     let mut transitions = 0u64;
     let mut slide_t0 = Instant::now();
-    let mut rt = QueryRuntime::over(AutopilotCore(detector), engine, slide_objects, 1);
+    let mut rt = QueryRuntime::over(AutopilotCore(detector), engine, slide_objects);
     let mut after_flush = |rt: &mut QueryRuntime<AutopilotCore, _>, flushed: Vec<RegionAnswer>| {
         let seq = rt.counters().slides - 1;
         let (AutopilotCore(detector), engine) = rt.parts_mut();
@@ -844,7 +844,7 @@ mod tests {
                     self.0.on_event(ev);
                 }
             }
-            fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+            fn flush(&mut self, _seq: u64) -> FlushOutcome {
                 FlushOutcome {
                     answers: self.0.current().into_iter().collect(),
                     swept: 0,
@@ -852,7 +852,7 @@ mod tests {
             }
         }
         let mut exact_answers = Vec::new();
-        QueryRuntime::new(Exact(CellCspot::new(q)), q.windows, 50, 1)
+        QueryRuntime::new(Exact(CellCspot::new(q)), q.windows, 50)
             .run(stream(300, 7).into_iter(), |_, a| {
                 exact_answers.push(a.first().copied())
             });

@@ -98,6 +98,49 @@ pub fn drive<D: BurstDetector + ?Sized>(
     engine: &mut SlidingWindowEngine,
     source: impl Iterator<Item = SpatialObject>,
 ) -> RunStats {
+    let run = replay(engine, source, |events| {
+        for ev in events {
+            detector.on_event(ev);
+        }
+        let _ = detector.current();
+    });
+    RunStats {
+        detector: detector.stats(),
+        name: detector.name(),
+        ..run
+    }
+}
+
+/// [`drive`] for a top-k detector: the same per-object refresh
+/// (`current_topk()`) and the same terminal drain.
+pub fn drive_topk<D: TopKDetector + ?Sized>(
+    detector: &mut D,
+    engine: &mut SlidingWindowEngine,
+    source: impl Iterator<Item = SpatialObject>,
+) -> RunStats {
+    let run = replay(engine, source, |events| {
+        for ev in events {
+            detector.on_event(ev);
+        }
+        let _ = detector.current_topk();
+    });
+    RunStats {
+        detector: detector.stats(),
+        name: detector.name(),
+        ..run
+    }
+}
+
+/// The per-object replay loop behind [`drive`] and [`drive_topk`]: expands
+/// each arrival into one reused [`EventBatch`], hands it to `refresh`
+/// (apply the events, refresh the answer) under the clock, and ends with
+/// the terminal drain through the same `refresh`. The returned stats carry
+/// no detector counters or name; the callers fill them in.
+fn replay(
+    engine: &mut SlidingWindowEngine,
+    source: impl Iterator<Item = SpatialObject>,
+    mut refresh: impl FnMut(&[Event]),
+) -> RunStats {
     let mut warmup_objects = 0u64;
     let mut objects = 0u64;
     let mut events = 0u64;
@@ -116,10 +159,7 @@ pub fn drive<D: BurstDetector + ?Sized>(
         let t0 = Instant::now();
         batch.clear();
         engine.push_into(obj, &mut batch);
-        for ev in batch.iter() {
-            detector.on_event(ev);
-        }
-        let _ = detector.current();
+        refresh(batch.as_slice());
         let dt = t0.elapsed();
         if stable {
             elapsed += dt;
@@ -138,10 +178,7 @@ pub fn drive<D: BurstDetector + ?Sized>(
     let t0 = Instant::now();
     batch.clear();
     engine.finish_into(&mut batch);
-    for ev in batch.iter() {
-        detector.on_event(ev);
-    }
-    let _ = detector.current();
+    refresh(batch.as_slice());
     let dt = t0.elapsed();
     if was_stable {
         elapsed += dt;
@@ -158,8 +195,8 @@ pub fn drive<D: BurstDetector + ?Sized>(
         warmup_elapsed,
         stream_span_ms: span_end.saturating_sub(span_start.unwrap_or(span_end)),
         full_span_ms: full_end.saturating_sub(full_start.unwrap_or(full_end)),
-        detector: detector.stats(),
-        name: detector.name(),
+        detector: DetectorStats::default(),
+        name: "",
     }
 }
 
@@ -256,7 +293,7 @@ pub fn drive_slides_observed<D: BurstDetector + ?Sized>(
                 self.detector.on_event(ev);
             }
         }
-        fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+        fn flush(&mut self, _seq: u64) -> FlushOutcome {
             let dirty = self.tracker.drain().len() as u64;
             let answers = self.detector.current().into_iter().collect();
             FlushOutcome {
@@ -271,7 +308,7 @@ pub fn drive_slides_observed<D: BurstDetector + ?Sized>(
         detector,
         tracker: DirtyCellTracker::new(region),
     };
-    let mut rt = QueryRuntime::over(core, engine, slide_objects, 1);
+    let mut rt = QueryRuntime::over(core, engine, slide_objects);
     rt.observe(obs, "driver/slides");
     rt.run(source, |_, _| {});
     let counters = *rt.counters();
@@ -285,58 +322,6 @@ pub fn drive_slides_observed<D: BurstDetector + ?Sized>(
         elapsed: t0.elapsed(),
         detector: core.detector.stats(),
         name: core.detector.name(),
-    }
-}
-
-/// Replays `source` through `engine` into a top-k detector.
-pub fn drive_topk<D: TopKDetector + ?Sized>(
-    detector: &mut D,
-    engine: &mut SlidingWindowEngine,
-    source: impl Iterator<Item = SpatialObject>,
-) -> RunStats {
-    let mut warmup_objects = 0u64;
-    let mut objects = 0u64;
-    let mut events = 0u64;
-    let mut elapsed = WallDuration::ZERO;
-    let mut warmup_elapsed = WallDuration::ZERO;
-    let mut span_start: Option<u64> = None;
-    let mut span_end = 0u64;
-    let mut full_start: Option<u64> = None;
-    let mut full_end = 0u64;
-
-    for obj in source {
-        let stable = engine.is_stable();
-        full_start.get_or_insert(obj.created);
-        full_end = obj.created;
-        let t0 = Instant::now();
-        let evs = engine.push(obj);
-        for ev in &evs {
-            detector.on_event(ev);
-        }
-        let _ = detector.current_topk();
-        let dt = t0.elapsed();
-        if stable {
-            elapsed += dt;
-            events += evs.len() as u64;
-            objects += 1;
-            span_start.get_or_insert(obj.created);
-            span_end = obj.created;
-        } else {
-            warmup_elapsed += dt;
-            warmup_objects += 1;
-        }
-    }
-
-    RunStats {
-        objects,
-        warmup_objects,
-        events,
-        elapsed,
-        warmup_elapsed,
-        stream_span_ms: span_end.saturating_sub(span_start.unwrap_or(span_end)),
-        full_span_ms: full_end.saturating_sub(full_start.unwrap_or(full_end)),
-        detector: detector.stats(),
-        name: detector.name(),
     }
 }
 
@@ -471,6 +456,51 @@ mod tests {
         assert_eq!(det.growns, 25);
         assert_eq!(det.expireds, 25);
         assert_eq!(stats.events, 75);
+    }
+
+    /// A top-k detector that just counts events and refreshes.
+    #[derive(Default)]
+    struct TopKCounter {
+        news: u64,
+        growns: u64,
+        expireds: u64,
+        refreshes: u64,
+    }
+
+    impl TopKDetector for TopKCounter {
+        fn on_event(&mut self, event: &Event) {
+            match event.kind {
+                EventKind::New => self.news += 1,
+                EventKind::Grown => self.growns += 1,
+                EventKind::Expired => self.expireds += 1,
+            }
+        }
+        fn current_topk(&mut self) -> Vec<RegionAnswer> {
+            self.refreshes += 1;
+            Vec::new()
+        }
+        fn k(&self) -> usize {
+            3
+        }
+        fn name(&self) -> &'static str {
+            "topk-counter"
+        }
+    }
+
+    #[test]
+    fn drive_topk_drains_tail_windows() {
+        let mut det = TopKCounter::default();
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        let stats = drive_topk(&mut det, &mut eng, stream(50, 10).into_iter());
+        // The terminal drain empties both windows: every object completed
+        // its full lifecycle through the detector.
+        assert_eq!(eng.current_len(), 0);
+        assert_eq!(eng.past_len(), 0);
+        assert_eq!((det.news, det.growns, det.expireds), (50, 50, 50));
+        // One refresh per object plus the terminal one.
+        assert_eq!(det.refreshes, 51);
+        assert_eq!(stats.objects + stats.warmup_objects, 50);
+        assert_eq!(stats.name, "topk-counter");
     }
 
     #[test]

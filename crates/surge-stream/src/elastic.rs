@@ -1,9 +1,10 @@
 //! The shard mesh: parallel ingest *and* dirty-cell sweeps on one worker
 //! per shard, with skew detection and live resharding — all bit-identically.
+//! It is the only way an exact detector runs in parallel.
 //!
-//! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
-//! but applies every event on the calling thread. [`drive_elastic`] moves
-//! *application* to per-shard ingest workers ([`MeshIngest`]): the driver
+//! [`crate::parallel::drive_incremental`] applies every event and sweeps
+//! every dirty cell on the calling thread. [`drive_elastic`] moves both to
+//! per-shard ingest workers ([`MeshIngest`]): the driver
 //! thread's [`QueryRuntime`] expands each arrival through the one
 //! [`SlidingWindowEngine`] into the canonical `Grown`/`Expired`/`New`
 //! sequence (O(1) per object — paper §IV-C), and its core broadcasts the
@@ -38,8 +39,8 @@
 //!    [`BalancerPolicy::patience`] consecutive flushes, it recommends
 //!    doubling the shard count (never past [`BalancerPolicy::max_shards`] —
 //!    set it to the starting width for a fixed-width mesh). The decision is
-//!    a pure function of the flush-boundary counters, so a crash-replayed
-//!    run re-triggers the same reshard at the same flush.
+//!    a pure function of the flush-boundary counters, so every run of the
+//!    same stream reshards at the same flush.
 //! 2. **Live resharding.** The driver runs the mesh in *epochs*: on a
 //!    balancer recommendation (always at a slide boundary) it closes the
 //!    workers' channels, joins them, re-homes every cell under the new
@@ -122,49 +123,19 @@ impl Default for BalancerPolicy {
 /// doubling the shard count.
 ///
 /// Fed once per flush with the per-shard dirty-cell counts (the sweep load
-/// about to run). The decision is a deterministic function of these
-/// flush-boundary counters — every driver (mesh, checkpoint runner, served
-/// group) reshards the same stream at the same flush, and crash recovery
-/// replays the same counters and re-triggers the same reshard.
+/// the flush ran). The decision is a deterministic function of these
+/// flush-boundary counters, so the same stream reshards at the same flush
+/// on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardBalancer {
     policy: BalancerPolicy,
     streak: u32,
-    reshards: u32,
 }
 
 impl ShardBalancer {
     /// A balancer with the given policy and no history.
     pub fn new(policy: BalancerPolicy) -> Self {
-        ShardBalancer {
-            policy,
-            streak: 0,
-            reshards: 0,
-        }
-    }
-
-    /// Restores a balancer mid-streak (checkpoint recovery).
-    pub fn from_parts(policy: BalancerPolicy, streak: u32, reshards: u32) -> Self {
-        ShardBalancer {
-            policy,
-            streak,
-            reshards,
-        }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> BalancerPolicy {
-        self.policy
-    }
-
-    /// Skewed flushes in a row so far.
-    pub fn streak(&self) -> u32 {
-        self.streak
-    }
-
-    /// Splits recommended over this balancer's lifetime.
-    pub fn reshards(&self) -> u32 {
-        self.reshards
+        ShardBalancer { policy, streak: 0 }
     }
 
     /// Observes one flush: `dirty[s]` is shard `s`'s dirty-cell count
@@ -188,7 +159,6 @@ impl ShardBalancer {
         }
         if self.streak >= self.policy.patience && shards * 2 <= self.policy.max_shards {
             self.streak = 0;
-            self.reshards += 1;
             Some(shards * 2)
         } else {
             None
@@ -443,7 +413,7 @@ impl QueryCore for MeshCore<'_, '_> {
         }
     }
 
-    fn flush(&mut self, seq: u64, _threads: usize) -> FlushOutcome {
+    fn flush(&mut self, seq: u64) -> FlushOutcome {
         let flushed = self
             .mesh_flush(seq)
             .unwrap_or_else(|WorkerGone| self.worker_gone());
@@ -589,7 +559,7 @@ pub fn drive_elastic_observed<D: MeshIngest>(
             };
             // Every epoch resumes the run at the slide boundary the last one
             // stopped at, through the same path crash recovery uses.
-            let mut rt = QueryRuntime::resume(core, &mut engine, slide_objects, 1, objects, slides)
+            let mut rt = QueryRuntime::resume(core, &mut engine, slide_objects, objects, slides)
                 .expect("an epoch starts at a flushed slide boundary");
             let mut reshard = None;
             for obj in source.by_ref() {
@@ -801,8 +771,10 @@ mod tests {
         assert_eq!(b.observe(&skewed), None);
         assert_eq!(b.observe(&skewed), None);
         assert_eq!(b.observe(&skewed), Some(4));
-        assert_eq!(b.reshards(), 1);
-        assert_eq!(b.streak(), 0);
+        // The split resets the streak: a full patience of skew again.
+        assert_eq!(b.observe(&skewed), None);
+        assert_eq!(b.observe(&skewed), None);
+        assert_eq!(b.observe(&skewed), Some(4));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! * [`driver`] — replay loops feeding a source through the engine into a
 //!   detector: per-object timing for the evaluation harness, plus the
 //!   slide-batched [`drive_slides`] with dirty-cell accounting.
-//! * [`parallel`] — fan-out drivers: several detectors over the same event
-//!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
-//!   incremental detectors ([`drive_incremental`]).
+//! * [`parallel`] — several detectors over the same event stream on worker
+//!   threads ([`drive_parallel`]), and the sequential slide-batched driver
+//!   for incremental detectors ([`drive_incremental`]), which sweeps each
+//!   slide's dirty cells in place.
 //! * [`runtime`] — the [`QueryRuntime`] slide state machine every
 //!   slide-batched driver runs on: a [`QueryCore`] (detector face) bound to
 //!   a [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
@@ -38,7 +39,7 @@
 //!   per-shard workers ingest and sweep their own cells, with a
 //!   [`ShardBalancer`] watching per-flush skew and live resharding that
 //!   doubles the shard count at a slide boundary — all bit-identical to the
-//!   sequential drivers.
+//!   sequential drivers. The only way an exact detector runs in parallel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,22 +1,16 @@
-//! Parallel execution: detector fan-out and dirty-cell sweep fan-out.
-//!
-//! Two independent parallelism axes live here:
+//! Detector fan-out and the slide-batched incremental driver.
 //!
 //! * [`drive_parallel`] — comparing detectors (the core of the paper's
 //!   evaluation) means feeding the *same* event stream to several of them.
 //!   The stream is expanded once and fanned out to one worker thread per
-//!   detector over bounded channels.
-//! * [`drive_incremental`] — *within* one exact detector, a window slide
-//!   leaves a set of dirty cells whose SL-CSPOT searches are independent
-//!   per-cell work ([`IncrementalDetector`]). `drive_incremental` sweeps
-//!   them **in place** via [`IncrementalDetector::sweep_dirty`]: detectors
-//!   with persistent per-cell sweep state fan one scoped worker per shard
-//!   chunk over their own `(cells, queue)` pairs, mutating the persistent
-//!   structures where they live instead of cloning rectangles into
-//!   throwaway jobs.
-//!
-//! In both cases results are bit-for-bit identical to a sequential run —
-//! parallelism only changes wall-clock time.
+//!   detector over bounded channels; results are bit-for-bit identical to
+//!   a sequential run.
+//! * [`drive_incremental`] — one exact detector, refreshed once per slide:
+//!   each flush sweeps the slide's dirty cells **in place** via
+//!   [`IncrementalDetector::sweep_dirty`] on the calling thread, mutating
+//!   the persistent per-cell structures where they live. The parallel
+//!   face of the same cadence is the shard mesh, `crate::elastic`'s
+//!   `drive_elastic`, whose answers are bit-identical to this driver's.
 
 use std::thread;
 
@@ -165,8 +159,7 @@ pub struct IncrementalReport {
 }
 
 /// Drives `source` into an [`IncrementalDetector`], refreshing the
-/// continuous answer once per *slide* of `slide_objects` arrivals and
-/// fanning each slide's dirty-cell searches across `threads` workers.
+/// continuous answer once per *slide* of `slide_objects` arrivals.
 ///
 /// Instead of letting `current()` search stale cells lazily one-by-one, each
 /// slide boundary sweeps every dirty cell **in place** via
@@ -186,18 +179,17 @@ pub fn drive_incremental<D>(
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    threads: usize,
 ) -> IncrementalReport
 where
     D: IncrementalDetector,
 {
-    drive_incremental_with_sink(
+    drive_incremental_observed(
         detector,
         windows,
         source,
         slide_objects,
-        threads,
         &mut RetainAll,
+        &surge_observe::Observe::off(),
     )
 }
 
@@ -214,8 +206,8 @@ impl<D: IncrementalDetector + ?Sized> QueryCore for IncrementalCore<'_, D> {
             self.detector.on_event(ev);
         }
     }
-    fn flush(&mut self, _seq: u64, threads: usize) -> FlushOutcome {
-        let swept = self.detector.sweep_dirty(threads);
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
+        let swept = self.detector.sweep_dirty(1);
         FlushOutcome {
             answers: self.detector.current().into_iter().collect(),
             swept,
@@ -227,12 +219,15 @@ impl<D: IncrementalDetector + ?Sized> QueryCore for IncrementalCore<'_, D> {
 /// answer is delivered through `sink`, and answers the sink acks are
 /// released from `IncrementalReport::answers` instead of retained — the
 /// bounded-retention path long-running services use.
+///
+/// `_threads` is ignored: sequential; the parallel path is `drive_elastic`;
+/// delete in the next benchmark PR (the benchmark harness still passes it).
 pub fn drive_incremental_with_sink<D>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    threads: usize,
+    _threads: usize,
     sink: &mut impl AnswerSink<Option<RegionAnswer>>,
 ) -> IncrementalReport
 where
@@ -243,7 +238,6 @@ where
         windows,
         source,
         slide_objects,
-        threads,
         sink,
         &surge_observe::Observe::off(),
     )
@@ -258,13 +252,11 @@ where
 /// # Panics
 ///
 /// Panics if `slide_objects` is 0.
-#[allow(clippy::too_many_arguments)]
 pub fn drive_incremental_observed<D>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    threads: usize,
     sink: &mut impl AnswerSink<Option<RegionAnswer>>,
     obs: &surge_observe::Observe,
 ) -> IncrementalReport
@@ -272,7 +264,7 @@ where
     D: IncrementalDetector,
 {
     let core = IncrementalCore { detector };
-    let mut rt = QueryRuntime::new(core, windows, slide_objects, threads);
+    let mut rt = QueryRuntime::new(core, windows, slide_objects);
     rt.observe(obs, "incremental");
     let mut answers = AnswerLog::new();
     rt.run(source, |_, flushed: Vec<RegionAnswer>| {
@@ -464,7 +456,6 @@ mod tests {
             WindowConfig::equal(1_000),
             stream(100).into_iter(),
             10,
-            4,
         );
         assert_eq!(report.objects, 100);
         // 10 stream slides plus the terminal drain flush.
@@ -490,7 +481,6 @@ mod tests {
             WindowConfig::equal(1_000),
             stream(25).into_iter(),
             10,
-            2,
         );
         assert_eq!(report.slides, 4); // 10 + 10 + 5, then the terminal drain
         assert_eq!(report.max_jobs_per_slide, 1);

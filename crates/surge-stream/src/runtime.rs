@@ -54,9 +54,8 @@ pub trait QueryCore {
     /// stream drain) caused, in stream order.
     fn on_events(&mut self, events: &[Event]);
     /// Flush boundary number `seq` (dense, 0-based over the whole run):
-    /// settle deferred maintenance (with up to `threads` workers) and report
-    /// the current answers.
-    fn flush(&mut self, seq: u64, threads: usize) -> FlushOutcome;
+    /// settle deferred maintenance and report the current answers.
+    fn flush(&mut self, seq: u64) -> FlushOutcome;
 }
 
 /// Where a [`QueryRuntime`] is in the slide cadence.
@@ -147,7 +146,6 @@ pub struct QueryRuntime<C: QueryCore, E: BorrowMut<SlidingWindowEngine> = Slidin
     core: C,
     engine: E,
     slide_objects: usize,
-    threads: usize,
     batch: EventBatch,
     phase: Phase,
     counters: RuntimeCounters,
@@ -160,13 +158,8 @@ impl<C: QueryCore> QueryRuntime<C> {
     /// # Panics
     ///
     /// Panics if `slide_objects` is 0.
-    pub fn new(core: C, windows: WindowConfig, slide_objects: usize, threads: usize) -> Self {
-        Self::over(
-            core,
-            SlidingWindowEngine::new(windows),
-            slide_objects,
-            threads,
-        )
+    pub fn new(core: C, windows: WindowConfig, slide_objects: usize) -> Self {
+        Self::over(core, SlidingWindowEngine::new(windows), slide_objects)
     }
 }
 
@@ -176,9 +169,9 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
     /// # Panics
     ///
     /// Panics if `slide_objects` is 0.
-    pub fn over(core: C, engine: E, slide_objects: usize, threads: usize) -> Self {
+    pub fn over(core: C, engine: E, slide_objects: usize) -> Self {
         // A fresh run is open; only a zero slide has no phase.
-        Self::resume(core, engine, slide_objects, threads, 0, 0)
+        Self::resume(core, engine, slide_objects, 0, 0)
             .expect("slide must contain at least one object")
     }
 
@@ -189,7 +182,6 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
         core: C,
         engine: E,
         slide_objects: usize,
-        threads: usize,
         objects: u64,
         flushes: u64,
     ) -> Result<Self, RestoreError> {
@@ -202,7 +194,6 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
             core,
             engine,
             slide_objects,
-            threads,
             batch: EventBatch::new(),
             phase,
             counters: RuntimeCounters {
@@ -289,7 +280,7 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
     fn flush_now(&mut self) -> Vec<RegionAnswer> {
         let seq = self.counters.slides;
         self.probes.flight.record(TraceEvent::FlushStart { seq });
-        let outcome = self.core.flush(seq, self.threads);
+        let outcome = self.core.flush(seq);
         self.counters.slides += 1;
         self.counters.jobs += outcome.swept;
         self.counters.max_jobs_per_slide = self.counters.max_jobs_per_slide.max(outcome.swept);
@@ -365,7 +356,7 @@ mod tests {
                 self.sum += ev.object.weight;
             }
         }
-        fn flush(&mut self, seq: u64, _threads: usize) -> FlushOutcome {
+        fn flush(&mut self, seq: u64) -> FlushOutcome {
             assert_eq!(seq, self.flushes, "flush seqs are dense");
             self.flushes += 1;
             FlushOutcome {
@@ -387,7 +378,7 @@ mod tests {
 
     #[test]
     fn runtime_matches_the_historical_slide_loop_shape() {
-        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 10, 1);
+        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 10);
         let mut seqs = Vec::new();
         rt.run(stream(25).into_iter(), |seq, answers| {
             assert_eq!(answers.len(), 1);
@@ -408,7 +399,7 @@ mod tests {
 
     #[test]
     fn exact_slide_boundary_has_no_partial_flush() {
-        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 5, 1);
+        let mut rt = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 5);
         let mut flushes = 0u64;
         rt.run(stream(10).into_iter(), |_, _| flushes += 1);
         // Two full slides + terminal only — no empty partial flush.
@@ -418,6 +409,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one object")]
     fn zero_slide_rejected() {
-        let _ = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 0, 1);
+        let _ = QueryRuntime::new(SumCore::default(), WindowConfig::equal(100), 0);
     }
 }

@@ -19,7 +19,9 @@ use surge_exact::{BoundMode, CellCspot};
 use surge_stream::{
     drive_elastic, drive_incremental, BalancerPolicy, ElasticReport, SlidingWindowEngine,
 };
-use surge_testkit::{arb_lattice_stream, tie_timestamps_reverse_ids, uniform_stream};
+use surge_testkit::{
+    arb_lattice_stream, clustered_stream, tie_timestamps_reverse_ids, uniform_stream,
+};
 
 fn query(alpha: f64) -> SurgeQuery {
     SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(300), alpha)
@@ -147,19 +149,33 @@ fn assert_counter_sanity(name: &str, elastic: &ElasticReport, seq_jobs: u64) {
     assert_eq!(elastic.epochs.len() as u64, elastic.reshards + 1, "{name}");
 }
 
-/// The all-one-hotspot workload: bitwise identity vs the incremental
-/// driver, with splitting live.
+/// Skewed workloads: bitwise identity vs the incremental driver, with
+/// splitting live. The all-one-hotspot stream under the split-happy policy
+/// at three alphas, plus a three-cluster stream under a realistic policy
+/// (skew 25 %, noise floor 4) that must still split.
 #[test]
 fn skewed_workload_matches_incremental_bitwise() {
-    for alpha in [0.0, 0.5, 0.9] {
-        let objs = one_hotspot_stream(900);
-        let windows = WindowConfig::equal(300);
+    let realistic = BalancerPolicy {
+        skew_percent: 25,
+        patience: 2,
+        max_shards: 8,
+        min_load: 4,
+    };
+    let cases = [
+        (one_hotspot_stream(900), 0.0, 300, 48, aggressive()),
+        (one_hotspot_stream(900), 0.5, 300, 48, aggressive()),
+        (one_hotspot_stream(900), 0.9, 300, 48, aggressive()),
+        (clustered_stream(30 * 16, 3, 5, 11), 0.5, 170, 16, realistic),
+    ];
+    for (objs, alpha, window, slide, policy) in cases {
+        let windows = WindowConfig::equal(window);
+        let q = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
-        let mut seq = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
-        let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 48, 1);
+        let mut seq = CellCspot::with_shards(q, BoundMode::Combined, 1);
+        let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide);
 
-        let mut ela = CellCspot::with_shards(query(alpha), BoundMode::Combined, 2);
-        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 48, aggressive());
+        let mut ela = CellCspot::with_shards(q, BoundMode::Combined, 2);
+        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide, policy);
 
         assert_eq!(report.objects, objs.len() as u64);
         assert_eq!(report.slides, seq_report.slides);
@@ -194,7 +210,7 @@ fn moving_hotspot_matches_incremental_bitwise() {
     let windows = WindowConfig::equal(300);
 
     let mut seq = CellCspot::with_shards(query(0.6), BoundMode::Combined, 1);
-    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 64, 1);
+    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 64);
 
     let mut ela = CellCspot::with_shards(query(0.6), BoundMode::Combined, 2);
     let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 64, aggressive());
@@ -214,7 +230,7 @@ fn fixed_width_mesh_on_one_hotspot_is_bit_identical() {
     let windows = WindowConfig::equal(300);
 
     let mut seq = CellCspot::with_shards(query(0.5), BoundMode::Combined, 1);
-    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 32, 1);
+    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 32);
 
     for shards in [2usize, 4, 8] {
         let fixed = BalancerPolicy {
@@ -243,10 +259,10 @@ fn integer_weight_ties_break_identically_across_drivers() {
     let q = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, 0.5);
 
     let mut seq = CellCspot::with_shards(q, BoundMode::Combined, 1);
-    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 32, 1);
+    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 32);
 
     let mut seq2 = CellCspot::with_shards(q, BoundMode::Combined, 2);
-    let seq2_report = drive_incremental(&mut seq2, windows, objs.iter().copied(), 32, 2);
+    let seq2_report = drive_incremental(&mut seq2, windows, objs.iter().copied(), 32);
     assert_eq!(seq2_report.answers.len(), seq_report.answers.len());
 
     let policy = BalancerPolicy {
@@ -296,7 +312,7 @@ proptest! {
         };
 
         let mut unsharded = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
-        let seq = drive_incremental(&mut unsharded, windows, objs.iter().copied(), slide, 1);
+        let seq = drive_incremental(&mut unsharded, windows, objs.iter().copied(), slide);
 
         let mut ela = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
         let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide, policy);

@@ -116,19 +116,18 @@ proptest! {
         objs in arb_lattice_stream(200),
         alpha_pct in 0u32..100,
         slide_pow in 2u32..6,
-        threads in 1usize..4,
     ) {
         let alpha = alpha_pct as f64 / 100.0;
         let slide = 1usize << slide_pow;
         let windows = WindowConfig::equal(300);
 
         let mut off_det = CellCspot::new(query(alpha));
-        let off = drive_incremental(&mut off_det, windows, objs.iter().copied(), slide, threads);
+        let off = drive_incremental(&mut off_det, windows, objs.iter().copied(), slide);
 
         let obs = Observe::enabled();
         let mut on_det = CellCspot::new(query(alpha));
         let on = drive_incremental_observed(
-            &mut on_det, windows, objs.iter().copied(), slide, threads, &mut RetainAll, &obs,
+            &mut on_det, windows, objs.iter().copied(), slide, &mut RetainAll, &obs,
         );
 
         prop_assert_eq!(off.answers.len(), on.answers.len());
@@ -170,7 +169,7 @@ proptest! {
         };
 
         let mut seq_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
-        let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide, 1);
+        let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide);
 
         let mut off_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
         let off = drive_elastic_observed(

@@ -29,7 +29,6 @@ fn reference_incremental(
     windows: WindowConfig,
     objs: &[SpatialObject],
     slide_objects: usize,
-    threads: usize,
 ) -> (Vec<Option<RegionAnswer>>, u64, u64, u64) {
     let mut engine = SlidingWindowEngine::new(windows);
     let mut batch = EventBatch::new();
@@ -37,7 +36,7 @@ fn reference_incremental(
     let (mut events, mut slides, mut jobs) = (0u64, 0u64, 0u64);
     let mut in_slide = 0usize;
     let mut flush = |det: &mut CellCspot, slides: &mut u64, jobs: &mut u64| {
-        *jobs += det.sweep_dirty(threads);
+        *jobs += det.sweep_dirty(1);
         *slides += 1;
         answers.push(det.current());
     };
@@ -96,7 +95,7 @@ proptest! {
 
     /// The runtime-backed `drive_incremental` is bit-identical to the
     /// historical inline loop — answers, counters and detector state —
-    /// across slide sizes, thread counts and window shapes.
+    /// across slide sizes and window shapes.
     #[test]
     fn drive_incremental_matches_the_historical_loop(
         raw in prop::collection::vec((0u32..18, 0u32..12, 0u32..8), 8..180),
@@ -104,7 +103,6 @@ proptest! {
         tick in 5u64..60,
         win in 40u64..400,
         slide in 1usize..40,
-        threads in 1usize..5,
         alpha_pct in 0u32..100,
     ) {
         let objs = ticked_stream(raw, per_tick, tick);
@@ -113,10 +111,10 @@ proptest! {
 
         let mut reference = CellCspot::with_shards(q, BoundMode::Combined, 1);
         let (ref_answers, ref_events, ref_slides, ref_jobs) =
-            reference_incremental(&mut reference, windows, &objs, slide, threads);
+            reference_incremental(&mut reference, windows, &objs, slide);
 
         let mut det = CellCspot::with_shards(q, BoundMode::Combined, 1);
-        let report = drive_incremental(&mut det, windows, objs.iter().copied(), slide, threads);
+        let report = drive_incremental(&mut det, windows, objs.iter().copied(), slide);
 
         prop_assert_eq!(report.objects, objs.len() as u64);
         prop_assert_eq!(report.events, ref_events);

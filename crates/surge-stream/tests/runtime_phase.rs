@@ -19,7 +19,7 @@ impl QueryCore for SumCore {
             self.sum += ev.object.weight;
         }
     }
-    fn flush(&mut self, _seq: u64, _threads: usize) -> FlushOutcome {
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
         FlushOutcome {
             answers: vec![RegionAnswer::from_point(
                 Point::new(0.0, 0.0),
@@ -44,14 +44,14 @@ fn windows() -> WindowConfig {
 /// The phase a fresh engine resumes in at `(objects, flushes)`, slide 16.
 fn phase_at(objects: u64, flushes: u64) -> Option<Phase> {
     let engine = SlidingWindowEngine::new(windows());
-    QueryRuntime::resume(SumCore::default(), engine, 16, 1, objects, flushes)
+    QueryRuntime::resume(SumCore::default(), engine, 16, objects, flushes)
         .ok()
         .map(|rt| rt.phase())
 }
 
 #[test]
 fn finish_steps_through_the_phases_once() {
-    let mut rt = QueryRuntime::new(SumCore::default(), windows(), 4, 1);
+    let mut rt = QueryRuntime::new(SumCore::default(), windows(), 4);
     for obj in stream(6) {
         rt.push(obj);
     }
@@ -87,12 +87,12 @@ fn phase_is_derived_from_the_counters() {
 fn resume_continues_the_cadence_without_repeating_a_flush() {
     let objs = stream(23);
     let mut full = Vec::new();
-    QueryRuntime::new(SumCore::default(), windows(), 8, 1)
+    QueryRuntime::new(SumCore::default(), windows(), 8)
         .run(objs.iter().copied(), |_, a| full.push(a[0].score));
     assert_eq!(full.len(), 4);
     // Cut after `pushed` arrivals and `steps` end-of-stream steps.
     for (pushed, steps) in [(0, 0), (9, 0), (16, 0), (23, 0), (23, 1), (23, 2)] {
-        let mut rt = QueryRuntime::new(SumCore::default(), windows(), 8, 1);
+        let mut rt = QueryRuntime::new(SumCore::default(), windows(), 8);
         let mut got = Vec::new();
         for obj in &objs[..pushed] {
             got.extend(rt.push(*obj).map(|a| a[0].score));
@@ -102,7 +102,7 @@ fn resume_continues_the_cadence_without_repeating_a_flush() {
         }
         let c = *rt.counters();
         let engine = SlidingWindowEngine::from_state(&rt.engine().checkpoint()).unwrap();
-        let mut resumed = QueryRuntime::resume(rt.into_core(), engine, 8, 1, c.objects, c.slides)
+        let mut resumed = QueryRuntime::resume(rt.into_core(), engine, 8, c.objects, c.slides)
             .expect("a reachable phase");
         resumed.run(objs[pushed..].iter().copied(), |_, a| got.push(a[0].score));
         assert_eq!(got, full, "cut at {pushed} objects + {steps} steps");
@@ -112,7 +112,7 @@ fn resume_continues_the_cadence_without_repeating_a_flush() {
 #[test]
 fn impossible_resume_points_are_typed_errors() {
     let resume = |engine, slide, objects, flushes| {
-        QueryRuntime::resume(SumCore::default(), engine, slide, 1, objects, flushes).map(|_| ())
+        QueryRuntime::resume(SumCore::default(), engine, slide, objects, flushes).map(|_| ())
     };
     assert!(resume(SlidingWindowEngine::new(windows()), 8, 16, 5).is_err());
     assert!(resume(SlidingWindowEngine::new(windows()), 8, 16, 1).is_err());
@@ -122,7 +122,7 @@ fn impossible_resume_points_are_typed_errors() {
 #[test]
 #[should_panic(expected = "after end of stream")]
 fn push_after_finish_is_rejected() {
-    let mut rt = QueryRuntime::new(SumCore::default(), windows(), 4, 1);
+    let mut rt = QueryRuntime::new(SumCore::default(), windows(), 4);
     rt.finish_step();
     rt.push(stream(1)[0]);
 }

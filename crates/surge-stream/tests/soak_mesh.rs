@@ -30,7 +30,7 @@ fn soak_100k_mesh_bit_identity_and_churn_bounds() {
 
     // Rebuild-mode sequential baseline: the pre-persistence cost profile.
     let mut rebuild = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 1);
-    let base = drive_incremental(&mut rebuild, windows, objs.iter().copied(), slide, 1);
+    let base = drive_incremental(&mut rebuild, windows, objs.iter().copied(), slide);
     let base_sweep = rebuild.sweep_stats();
     assert_eq!(base.objects, objs.len() as u64);
     assert!(

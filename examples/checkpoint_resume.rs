@@ -60,7 +60,7 @@ fn main() {
             shards: 4,
         },
         slide_objects: 256,
-        threads: 4,
+        threads: 1,
         policy: CheckpointPolicy {
             snapshot_every_slides: 8,
             wal_segment_objects: 4_096,

@@ -6,8 +6,8 @@
 //! 1. the per-object driver (`drive`) — refreshes the answer every object;
 //! 2. the slide-batched driver (`drive_slides`) — refreshes once per slide
 //!    and reports how many grid cells each slide actually dirtied;
-//! 3. the parallel incremental driver (`drive_incremental`) — snapshots the
-//!    dirty cells per slide and fans their sweeps across worker threads.
+//! 3. the incremental driver (`drive_incremental`) — sweeps every dirty
+//!    cell in place once per slide, then reads the all-fresh answer.
 //!
 //! Run with `cargo run --release --example incremental_dirty_cells`.
 
@@ -73,15 +73,15 @@ fn main() {
         sstats.dirty_per_slide()
     );
 
-    // 3. Parallel dirty-cell sweeps.
-    let mut par = surge::exact::CellCspot::new(query);
+    // 3. Eager in-place dirty-cell sweeps.
+    let mut eager = surge::exact::CellCspot::new(query);
     let t0 = std::time::Instant::now();
-    let report = drive_incremental(&mut par, windows, objs.iter().copied(), 256, 4);
-    let t_par = t0.elapsed();
-    let s3 = par.current().map(|a| a.score).unwrap_or(0.0);
+    let report = drive_incremental(&mut eager, windows, objs.iter().copied(), 256);
+    let t_eager = t0.elapsed();
+    let s3 = eager.current().map(|a| a.score).unwrap_or(0.0);
     println!(
-        "parallel   : score {:.6}  searches {:>6}  wall {:>7.1?}  ({} slides, max {} jobs/slide, 4 threads)",
-        s3, report.stats.searches, t_par, report.slides, report.max_jobs_per_slide
+        "incremental: score {:.6}  searches {:>6}  wall {:>7.1?}  ({} slides, max {} jobs/slide)",
+        s3, report.stats.searches, t_eager, report.slides, report.max_jobs_per_slide
     );
 
     assert!((s1 - s2).abs() < 1e-12 && (s1 - s3).abs() < 1e-12);

@@ -60,10 +60,7 @@ fn main() {
     let hot = SurgeQuery::whole_space(RegionSize::new(1.2, 1.2), windows, 0.4);
     let wide = SurgeQuery::whole_space(RegionSize::new(2.0, 1.0), windows, 0.65);
 
-    let mut server = SurgeServer::new(ServeConfig {
-        slide_objects: 64,
-        threads: 2,
-    });
+    let mut server = SurgeServer::new(ServeConfig { slide_objects: 64 });
 
     // A dashboard and an alerting service watch the *same* query: one
     // detector serves both channels.

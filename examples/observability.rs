@@ -110,10 +110,7 @@ fn main() {
     );
 
     // ---- 3. Live serving stats on the same handle ----
-    let mut server = SurgeServer::new(ServeConfig {
-        slide_objects: 64,
-        threads: 2,
-    });
+    let mut server = SurgeServer::new(ServeConfig { slide_objects: 64 });
     server.observe(&obs);
     let exact = DetectorSpec::Cell {
         bound: BoundMode::Combined,

@@ -52,7 +52,7 @@ fn main() {
     // 1. Sequential reference: unsharded store, single-threaded ingest.
     let mut seq = CellCspot::with_shards(query, BoundMode::Combined, 1);
     let t0 = std::time::Instant::now();
-    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide, 1);
+    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide);
     let seq_elapsed = t0.elapsed();
 
     // 2. The mesh: 8 shard workers ingest and sweep concurrently. Capping
