@@ -5,25 +5,54 @@
 //! `drive_incremental`'s and the answers are bit-comparable — that appends
 //! every arrival to the WAL *before* the window engine sees it, syncs the
 //! WAL after each flush and before the flush's answers leave the process,
-//! and every [`CheckpointPolicy::snapshot_every_slides`] slides writes an
-//! atomic logical snapshot and garbage-collects covered WAL segments.
+//! and every [`CheckpointPolicy::snapshot_every_slides`] slides takes a
+//! logical snapshot.
+//!
+//! # Snapshots: the runner thread and the writer
+//!
+//! A snapshot is split at the capture. The ingest (runner) thread does, in
+//! order:
+//!
+//! 1. under [`SyncPolicy::FsyncPerSnapshot`], `fdatasync` the WAL;
+//! 2. join the previous writer job if it is still running — its capture is
+//!    dropped here, its encode buffer kept for reuse, its error surfaced;
+//! 3. capture the [`CheckpointState`];
+//! 4. hand capture and buffer to a new writer job, one `std::thread`.
+//!
+//! The writer job then, in order, encodes the snapshot into the reused
+//! buffer ([`CheckpointState::encode_into`], CRC-32 footer included),
+//! writes `snap-*.tmp`, fsyncs it, renames it into place, fsyncs the
+//! directory, retires old snapshots and garbage-collects the WAL segments
+//! the oldest retained snapshot covers ([`crate::wal::gc`]). At most one job
+//! is in flight; the file is byte-identical to
+//! `CheckpointState::to_snapshot().encode()`.
+//!
+//! A writer failure surfaces as [`CheckpointError::Io`] at the next join:
+//! the next snapshot, or the end of the run — [`Tail::Finish`] and
+//! [`Tail::Crash`] both join. Every other exit (an error returned early, a
+//! panic) joins too, through a drop guard, so once a run returns no writer
+//! touches its directory. A failed job never renames, retires or collects,
+//! so the previous snapshot and the WAL behind it stay the recovery anchor.
+//!
+//! # Recovery
 //!
 //! [`recover`] is the other half: it loads the newest valid snapshot
-//! (skipping corrupt ones), rebuilds the engine and detector from logical
-//! state, resumes the runtime in the snapshot's slide phase (mid-slide,
-//! past the partial-slide flush, or finished — derived from the snapshot's
-//! counters), replays the WAL tail through the identical loop, then
-//! continues with the live source — producing the answer sequence the
-//! uninterrupted run would have produced, **bit for bit** (proptested in
-//! `tests/crash_recovery.rs` across cut points, shard counts and sweep
-//! modes).
+//! (skipping corrupt ones and stray `.tmp` files), rebuilds the engine and
+//! detector from logical state, resumes the runtime in the snapshot's slide
+//! phase (mid-slide, past the partial-slide flush, or finished — derived
+//! from the snapshot's counters), replays the WAL tail through the
+//! identical loop, then continues with the live source — producing the
+//! answer sequence the uninterrupted run would have produced, **bit for
+//! bit** (proptested in `tests/crash_recovery.rs` across cut points, shard
+//! counts and sweep modes).
 //!
-//! Snapshot pauses are recorded in a
-//! [`surge_stream::LatencyHistogram`]; the report surfaces the
-//! p50/p99/max snapshot-stall columns the benches print.
+//! The runner thread's share of each snapshot (steps 1–4) is recorded in a
+//! [`surge_stream::LatencyHistogram`]; the report surfaces the p50/p99/max
+//! snapshot-stall columns the benches print.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use surge_approx::{GapSurge, MgapSurge};
 use surge_core::{
@@ -42,7 +71,7 @@ use surge_topk::KCellCspot;
 
 use crate::state::{CheckpointMeta, CheckpointState, DetectorSpec};
 use crate::store::CheckpointDir;
-use crate::wal::{Wal, WalWriter};
+use crate::wal::{self, Wal, WalWriter};
 
 /// How aggressively the WAL is forced to stable storage.
 ///
@@ -128,10 +157,12 @@ pub enum Tail {
     /// Drain the window tails and run the terminal flush (the normal
     /// end-of-stream contract shared with every replay driver).
     Finish,
-    /// Stop dead after the last object — no drain, no flush, WAL synced.
-    /// This simulates a crash for the recovery tests; a real crash differs
-    /// only in possibly losing the unsynced WAL tail, which recovery
-    /// re-reads from the source instead.
+    /// Stop dead after the last object — no drain, no flush, WAL synced,
+    /// the in-flight snapshot writer joined (so every snapshot handed off
+    /// is on disk, or its error is returned). This simulates a crash for
+    /// the recovery tests; a real crash differs only in possibly losing the
+    /// unsynced WAL tail, which recovery re-reads from the source instead,
+    /// and the snapshot in flight, whose predecessor stays the anchor.
     Crash,
 }
 
@@ -192,7 +223,10 @@ pub struct CheckpointReport {
     pub snapshots_written: u64,
     /// Objects appended to the WAL during this run.
     pub wal_appends: u64,
-    /// Snapshot-stall latencies (capture + encode + atomic write).
+    /// Snapshot stalls: the time each snapshot holds the ingest thread —
+    /// joining the previous writer job, capturing, handing off (plus the
+    /// WAL `fdatasync` under [`SyncPolicy::FsyncPerSnapshot`]). Encoding
+    /// and file I/O run on the background writer and are not included.
     pub pause: LatencySummary,
     /// For a recovered run: the object index execution resumed from (the
     /// snapshot's position). `None` for a fresh run.
@@ -366,9 +400,9 @@ impl QueryCore for SpecDetector {
 /// the spec's detector, plus the durability work done after every flush.
 struct Runner<'s> {
     cfg: CheckpointConfig,
-    dir: CheckpointDir,
     rt: QueryRuntime<SpecDetector>,
     wal: WalWriter,
+    writer: SnapshotWriter,
     answers: AnswerLog<Vec<RegionAnswer>>,
     sink: &'s mut dyn AnswerSink<Vec<RegionAnswer>>,
     snapshot_seq: u64,
@@ -384,13 +418,17 @@ struct Runner<'s> {
 
 /// The checkpoint runner's observability handles: a flight ring attributing
 /// every snapshot stall to `(slide, bytes, sync_policy)` and every WAL
-/// rotation to its segment, plus the `checkpoint/stall_ns` histogram the
-/// stalls land in. Wall-clock stall durations go to the histogram only; the
-/// trace events carry logical time, so a dump is deterministic run-to-run.
+/// rotation to its segment, the `checkpoint/stall_ns` histogram of the
+/// runner thread's share of each snapshot, and the
+/// `checkpoint/snapshot_write_ns` histogram of the writer's encode-to-GC
+/// time — how far durability trails the capture. Wall-clock durations go
+/// to the histograms only; the trace events carry logical time, so a dump
+/// is deterministic run-to-run.
 struct RunnerProbes {
     obs: Observe,
     flight: Flight,
     stall_ns: Histogram,
+    write_ns: Histogram,
     /// WAL segments seen opened so far (rotation edge detector).
     wal_segments: u64,
 }
@@ -401,9 +439,113 @@ impl RunnerProbes {
             obs: obs.clone(),
             flight: obs.flight("checkpoint/runner"),
             stall_ns: obs.histogram("checkpoint/stall_ns"),
+            write_ns: obs.histogram("checkpoint/snapshot_write_ns"),
             wal_segments: 0,
         }
     }
+}
+
+/// What a writer job hands back through its `JoinHandle`: the capture it
+/// encoded, the encode buffer, and the outcome — the writer's wall-clock
+/// time on success.
+type WriterJob = JoinHandle<(CheckpointState, Vec<u8>, Result<Duration, IoError>)>;
+
+/// A snapshot the writer finished.
+struct Written {
+    /// The slide the snapshot was captured at.
+    slide: u64,
+    /// The encoded file's length.
+    bytes: u64,
+    /// Encode through WAL GC, on the writer thread.
+    write_time: Duration,
+}
+
+/// The background half of every snapshot: at most one writer job in
+/// flight, plus the encode buffer the jobs pass back and forth. Dropping it
+/// joins the job, so every exit from a run — return, `?`, unwind — waits
+/// for the writer before the directory is handed back.
+struct SnapshotWriter {
+    dir: CheckpointDir,
+    keep: usize,
+    job: Option<WriterJob>,
+    buf: Vec<u8>,
+}
+
+impl SnapshotWriter {
+    fn new(dir: CheckpointDir, keep: usize) -> Self {
+        SnapshotWriter {
+            dir,
+            keep,
+            job: None,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Waits for the job in flight, if any. The capture is dropped here, on
+    /// the calling (ingest) thread that allocated it — freeing it on the
+    /// writer would contend with the ingest thread's allocator and shows up
+    /// in the answer-latency tail — and the buffer is kept for the next
+    /// job.
+    fn join(&mut self) -> Result<Option<Written>, IoError> {
+        let Some(job) = self.job.take() else {
+            return Ok(None);
+        };
+        let (state, buf, outcome) = job
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let written = Written {
+            slide: state.meta.slides_done,
+            bytes: buf.len() as u64,
+            write_time: outcome?,
+        };
+        drop(state);
+        self.buf = buf;
+        Ok(Some(written))
+    }
+
+    /// Hands `state` to a new writer job. The caller has joined the
+    /// previous one.
+    fn spawn(&mut self, state: CheckpointState) -> Result<(), IoError> {
+        debug_assert!(self.job.is_none(), "one writer job at a time");
+        let dir = self.dir.clone();
+        let keep = self.keep;
+        let buf = std::mem::take(&mut self.buf);
+        let job = std::thread::Builder::new()
+            .name("surge-snapshot".into())
+            .spawn(move || {
+                let t0 = Instant::now();
+                let bytes = state.encode_into(buf);
+                let outcome = write_and_collect(&dir, keep, &state, &bytes);
+                (state, bytes, outcome.map(|()| t0.elapsed()))
+            })?;
+        self.job = Some(job);
+        Ok(())
+    }
+}
+
+impl Drop for SnapshotWriter {
+    fn drop(&mut self) {
+        if let Some(job) = self.job.take() {
+            // The run is already ending with an error or a panic; the
+            // writer's own outcome cannot be reported past it.
+            let _ = job.join();
+        }
+    }
+}
+
+/// The writer job after the encode: write the file durably, then retire
+/// old snapshots and collect the WAL segments the oldest retained one
+/// covers — only once the new file and its rename are on stable storage.
+fn write_and_collect(
+    dir: &CheckpointDir,
+    keep: usize,
+    state: &CheckpointState,
+    bytes: &[u8],
+) -> Result<(), IoError> {
+    dir.write_snapshot(&state.meta, bytes)?;
+    let retained_floor = dir.retire_snapshots(keep)?;
+    wal::gc(&dir.wal_dir(), retained_floor.unwrap_or(0))?;
+    Ok(())
 }
 
 impl Runner<'_> {
@@ -435,10 +577,10 @@ impl Runner<'_> {
         Ok(())
     }
 
-    /// Captures, encodes and atomically writes one snapshot, retiring old
-    /// snapshots and covered WAL segments per policy. The wall-clock cost
-    /// — the stream stall a synchronous checkpoint causes — lands in the
-    /// pause histogram.
+    /// The runner thread's share of one snapshot: sync the WAL per policy,
+    /// join the previous writer job, capture, hand off to a new job (see
+    /// the module docs). Its wall-clock cost — the stream stall — lands in
+    /// the pause histogram.
     fn snapshot(&mut self) -> Result<(), CheckpointError> {
         let t0 = Instant::now();
         // Under FsyncPerSnapshot, the WAL records this snapshot does not
@@ -447,6 +589,8 @@ impl Runner<'_> {
         if self.cfg.policy.sync == SyncPolicy::FsyncPerSnapshot {
             self.wal.sync_durable()?;
         }
+        // Join before capturing, so two captures never coexist.
+        self.join_writer()?;
         self.snapshot_seq += 1;
         let counters = self.rt.counters();
         let state = CheckpointState {
@@ -463,24 +607,30 @@ impl Runner<'_> {
             answers_released: self.answers.released(),
             answers: self.answers.retained().to_vec(),
         };
-        let path = self.dir.write_snapshot(&state)?;
-        self.snapshots_written += 1;
-        let retained_floor = self.dir.retire_snapshots(self.cfg.policy.keep_snapshots)?;
-        self.wal.gc(retained_floor.unwrap_or(0))?;
+        self.writer.spawn(state)?;
         let stall = t0.elapsed();
         self.pause.record(stall);
         self.probes.stall_ns.record(stall);
-        if self.probes.flight.is_enabled() {
-            // Stall *identity* is logical — (slide, bytes, sync policy) —
-            // so the trace dump is deterministic; the wall-clock duration
-            // lives in the `checkpoint/stall_ns` histogram above.
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            self.probes.flight.record(TraceEvent::SnapshotStall {
-                slide: self.rt.counters().slides,
-                bytes,
-                sync_policy: self.cfg.policy.sync.name(),
-            });
-        }
+        Ok(())
+    }
+
+    /// Joins the writer job in flight, if any: surfaces its error, or
+    /// counts its snapshot and attributes it in the probes.
+    fn join_writer(&mut self) -> Result<(), CheckpointError> {
+        let Some(written) = self.writer.join()? else {
+            return Ok(());
+        };
+        self.snapshots_written += 1;
+        self.probes.write_ns.record(written.write_time);
+        // Stall *identity* is logical — (slide, bytes, sync policy) — and
+        // recorded at a logical point (the next snapshot or the end of the
+        // run), so the trace dump is deterministic; wall-clock durations
+        // live in the histograms.
+        self.probes.flight.record(TraceEvent::SnapshotStall {
+            slide: written.slide,
+            bytes: written.bytes,
+            sync_policy: self.cfg.policy.sync.name(),
+        });
         Ok(())
     }
 
@@ -540,6 +690,9 @@ impl Runner<'_> {
                 }
             }
         }
+        // Both tails wait for the last snapshot: the run's outcome includes
+        // the writer's.
+        self.join_writer()?;
         let counters = *self.rt.counters();
         let detector = self.rt.core();
         let final_tier = match detector {
@@ -607,7 +760,9 @@ pub fn run_checkpointed(
 }
 
 /// [`run_checkpointed`] with registry probes: counters under
-/// `checkpoint/*`, the `checkpoint/stall_ns` snapshot-stall histogram, and
+/// `checkpoint/*`, the `checkpoint/stall_ns` histogram (each snapshot's
+/// time on the ingest thread), the `checkpoint/snapshot_write_ns`
+/// histogram (each snapshot's encode-to-GC time on the writer), and
 /// a `checkpoint/runner` flight ring attributing every snapshot stall to
 /// `(slide, bytes, sync_policy)` and every WAL rotation to its segment —
 /// all no-ops under [`Observe::off`], with bitwise-identical answers either
@@ -698,9 +853,9 @@ fn run_checkpointed_inner(
     let wal = WalWriter::open_with_store(dir.wal_dir(), 0, cfg.policy.wal_segment_objects, store)?;
     let runner = Runner {
         cfg: *cfg,
-        dir,
         rt: QueryRuntime::new(detector, cfg.windows, cfg.slide_objects),
         wal,
+        writer: SnapshotWriter::new(dir, cfg.policy.keep_snapshots),
         answers: AnswerLog::new(),
         sink,
         snapshot_seq: 0,
@@ -815,9 +970,9 @@ pub fn recover_with_sink(
     let rt = QueryRuntime::resume(detector, engine, cfg.slide_objects, objects, slides)?;
     let mut runner = Runner {
         cfg: *cfg,
-        dir,
         rt,
         wal,
+        writer: SnapshotWriter::new(dir, cfg.policy.keep_snapshots),
         answers,
         sink,
         snapshot_seq,

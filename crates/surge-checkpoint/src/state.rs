@@ -20,7 +20,7 @@ use surge_core::{
     WindowKind,
 };
 use surge_exact::{BoundMode, SweepMode};
-use surge_io::{IoError, PayloadReader, PayloadWriter, Snapshot};
+use surge_io::{IoError, PayloadReader, PayloadWriter, SectionWriter, Snapshot};
 use surge_stream::SloPolicy;
 
 /// Section tags of the checkpoint snapshot format.
@@ -205,13 +205,11 @@ fn code_kind(code: u8) -> Result<WindowKind, IoError> {
 
 // --- sections -------------------------------------------------------------
 
-fn encode_meta(m: &CheckpointMeta) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
+fn put_meta(w: &mut PayloadWriter, m: &CheckpointMeta) {
     w.u64(m.objects_ingested);
     w.u64(m.slides_done);
     w.u64(m.slide_objects);
     w.u64(m.snapshot_seq);
-    w.finish()
 }
 
 fn decode_meta(buf: &[u8]) -> Result<CheckpointMeta, IoError> {
@@ -227,12 +225,6 @@ fn decode_meta(buf: &[u8]) -> Result<CheckpointMeta, IoError> {
     }
     r.expect_exhausted("meta")?;
     Ok(m)
-}
-
-pub(crate) fn encode_spec(query: &SurgeQuery, spec: &DetectorSpec) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    put_spec(&mut w, query, spec);
-    w.finish()
 }
 
 pub(crate) fn put_spec(w: &mut PayloadWriter, query: &SurgeQuery, spec: &DetectorSpec) {
@@ -372,12 +364,6 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
     Ok((query, spec))
 }
 
-pub(crate) fn encode_engine(e: &EngineState) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    put_engine(&mut w, e);
-    w.finish()
-}
-
 pub(crate) fn put_engine(w: &mut PayloadWriter, e: &EngineState) {
     put_windows(w, &e.windows);
     w.u64(e.now);
@@ -469,12 +455,6 @@ fn get_cand(r: &mut PayloadReader<'_>, what: &str) -> Result<CandidateState, IoE
         3 => Ok(CandidateState::Absent),
         other => Err(inv(format!("{what}: unknown candidate code {other}"))),
     }
-}
-
-pub(crate) fn encode_detector(d: &DetectorState) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    put_detector(&mut w, d);
-    w.finish()
 }
 
 pub(crate) fn put_detector(w: &mut PayloadWriter, d: &DetectorState) {
@@ -681,12 +661,6 @@ pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, I
     })
 }
 
-pub(crate) fn encode_answers(released: u64, answers: &[Vec<RegionAnswer>]) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    put_answers(&mut w, released, answers);
-    w.finish()
-}
-
 pub(crate) fn put_answers(w: &mut PayloadWriter, released: u64, answers: &[Vec<RegionAnswer>]) {
     w.u64(released);
     w.u64(answers.len() as u64);
@@ -733,18 +707,37 @@ pub(crate) fn get_answers(
 }
 
 impl CheckpointState {
+    /// Hands each section's tag and payload encoder to `section`, in file
+    /// order — the one definition of the layout both encoders share.
+    fn for_each_section(&self, mut section: impl FnMut(u32, &dyn Fn(&mut PayloadWriter))) {
+        section(tags::META, &|w| put_meta(w, &self.meta));
+        section(tags::SPEC, &|w| put_spec(w, &self.query, &self.spec));
+        section(tags::ENGINE, &|w| put_engine(w, &self.engine));
+        section(tags::DETECTOR, &|w| put_detector(w, &self.detector));
+        section(tags::ANSWERS, &|w| {
+            put_answers(w, self.answers_released, &self.answers)
+        });
+    }
+
     /// Serializes into the snapshot section container.
     pub fn to_snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
-        s.push_section(tags::META, encode_meta(&self.meta));
-        s.push_section(tags::SPEC, encode_spec(&self.query, &self.spec));
-        s.push_section(tags::ENGINE, encode_engine(&self.engine));
-        s.push_section(tags::DETECTOR, encode_detector(&self.detector));
-        s.push_section(
-            tags::ANSWERS,
-            encode_answers(self.answers_released, &self.answers),
-        );
+        self.for_each_section(|tag, put| {
+            let mut w = PayloadWriter::new();
+            put(&mut w);
+            s.push_section(tag, w.finish());
+        });
         s
+    }
+
+    /// Encodes the snapshot file straight into `buf` (cleared first, its
+    /// capacity kept): the bytes of `self.to_snapshot().encode()` without
+    /// the per-section copies. The checkpoint writer reuses one buffer
+    /// across snapshots this way.
+    pub fn encode_into(&self, buf: Vec<u8>) -> Vec<u8> {
+        let mut w = SectionWriter::new(buf);
+        self.for_each_section(|tag, put| w.section(tag, put));
+        w.finish()
     }
 
     /// Decodes from a snapshot container, validating every section.

@@ -11,7 +11,9 @@
 //! Snapshot names carry `(sequence, objects_ingested)` so retention and
 //! WAL garbage collection are directory listings — no manifest file to
 //! keep consistent. Snapshots are written atomically
-//! ([`surge_io::write_snapshot_atomic`]); [`CheckpointDir::latest_snapshot`]
+//! ([`surge_io::write_snapshot_atomic`]: temporary file, fsync, rename,
+//! directory fsync), so a crash mid-write leaves at most a stray
+//! `snap-*.tmp` that no listing here parses; [`CheckpointDir::latest_snapshot`]
 //! walks newest-first and **skips corrupt files** (logging them into the
 //! return value is the caller's concern; recovery must survive a bad
 //! newest snapshot by falling back to the previous one).
@@ -20,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use surge_io::{read_snapshot_from, write_snapshot_atomic, IoError, Result};
 
-use crate::state::CheckpointState;
+use crate::state::{CheckpointMeta, CheckpointState};
 
 /// A checkpoint directory handle.
 #[derive(Debug, Clone)]
@@ -70,13 +72,16 @@ impl CheckpointDir {
         Ok(snaps)
     }
 
-    /// Writes `state` as the next snapshot file, atomically.
-    pub fn write_snapshot(&self, state: &CheckpointState) -> Result<PathBuf> {
+    /// Atomically writes `bytes` — a snapshot encoded by
+    /// [`CheckpointState::encode_into`] — as the snapshot file `meta`
+    /// names, directory sync included, so the file is durable before the
+    /// caller retires what older snapshots needed.
+    pub fn write_snapshot(&self, meta: &CheckpointMeta, bytes: &[u8]) -> Result<PathBuf> {
         let path = self.root.join(format!(
             "snap-{:010}-{:012}.snap",
-            state.meta.snapshot_seq, state.meta.objects_ingested
+            meta.snapshot_seq, meta.objects_ingested
         ));
-        write_snapshot_atomic(&path, &state.to_snapshot())?;
+        write_snapshot_atomic(&path, bytes)?;
         Ok(path)
     }
 

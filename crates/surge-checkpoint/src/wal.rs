@@ -22,8 +22,8 @@
 //! The 40-byte payload is exactly `surge-io`'s binary object record
 //! ([`surge_io::encode_record`]); the CRC framing is
 //! [`surge_io::frame_record`]. Segments are named by their first index so
-//! garbage collection — dropping segments fully covered by the oldest
-//! retained snapshot — is a directory listing, no index file.
+//! garbage collection ([`gc`]) — dropping segments fully covered by the
+//! oldest retained snapshot — is a directory listing, no index file.
 //!
 //! # Torn tails
 //!
@@ -218,26 +218,33 @@ impl WalWriter {
         }
         Ok(())
     }
+}
 
-    /// Deletes every segment whose records all have index `< upto` — the
-    /// segments fully covered by the oldest retained snapshot. The active
-    /// segment is never deleted.
-    pub fn gc(&mut self, upto: u64) -> Result<u64> {
-        let segments = list_segments(&self.dir)?;
-        let mut removed = 0u64;
-        for (i, (_first, path)) in segments.iter().enumerate() {
-            // A segment's records end where the next segment starts; the
-            // last listed segment is (or was) the active tail — keep it.
-            let Some((next_first, _)) = segments.get(i + 1) else {
-                break;
-            };
-            if *next_first <= upto {
-                std::fs::remove_file(path)?;
-                removed += 1;
-            }
+/// Deletes every segment in the WAL directory `dir` whose records all have
+/// index `< upto` — the segments fully covered by the oldest retained
+/// snapshot — and returns how many it removed. The newest listed segment is
+/// never deleted.
+///
+/// A free function on the directory, not a [`WalWriter`] method: the
+/// checkpoint driver runs it on its background snapshot writer while the
+/// ingest thread keeps appending and rotating. That is safe because a
+/// segment is only removed when a successor is listed — so it was sealed
+/// before the listing — and rotation only ever adds segments above it.
+pub fn gc(dir: &Path, upto: u64) -> Result<u64> {
+    let segments = list_segments(dir)?;
+    let mut removed = 0u64;
+    for (i, (_first, path)) in segments.iter().enumerate() {
+        // A segment's records end where the next segment starts; the
+        // last listed segment is (or was) the active tail — keep it.
+        let Some((next_first, _)) = segments.get(i + 1) else {
+            break;
+        };
+        if *next_first <= upto {
+            std::fs::remove_file(path)?;
+            removed += 1;
         }
-        Ok(removed)
     }
+    Ok(removed)
 }
 
 /// What [`Wal::recover`] found.
@@ -473,7 +480,7 @@ mod tests {
         w.sync().unwrap();
         // Segments: [0,2) [2,4) [4,6) [6,..). A snapshot at index 5 covers
         // the first two entirely, not the third.
-        let removed = w.gc(5).unwrap();
+        let removed = gc(&dir, 5).unwrap();
         assert_eq!(removed, 2);
         let rec = Wal::recover(&dir).unwrap();
         assert_eq!(rec.start_index, 4);

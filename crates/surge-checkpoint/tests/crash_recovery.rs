@@ -7,13 +7,13 @@
 //! Streams come from `surge-testkit`'s collision-heavy generators (the
 //! workspace rule: differential code draws from the shared toolkit).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use surge_checkpoint::{
-    recover, run_checkpointed, CheckpointConfig, CheckpointError, CheckpointPolicy,
-    CheckpointReport, DetectorSpec, SyncPolicy, Tail,
+    recover, run_checkpointed, CheckpointConfig, CheckpointDir, CheckpointError, CheckpointPolicy,
+    CheckpointReport, DetectorSpec, SyncPolicy, Tail, Wal,
 };
 use surge_core::{RegionAnswer, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot, SweepMode};
@@ -63,6 +63,18 @@ fn assert_answers_bitwise(a: &[Vec<RegionAnswer>], b: &[Vec<RegionAnswer>], ctx:
             assert_eq!(p.point.y.to_bits(), q.point.y.to_bits(), "{ctx}: flush {i}");
         }
     }
+}
+
+/// The files directly in `dir` with extension `ext`, sorted.
+fn files_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .collect();
+    files.sort();
+    files
 }
 
 /// Runs the crash-and-recover cycle for one config and compares against an
@@ -517,5 +529,127 @@ fn top_k_zero_is_a_config_error() {
     let err = recover(&config, &dir, stream.iter().copied(), Tail::Finish)
         .expect_err("k = 0 is rejected");
     assert!(matches!(err, CheckpointError::Config(_)), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CCS spec the writer-lifecycle tests run: slides of 16 objects and a
+/// snapshot every 2 slides put snapshot `n` at `32 n` objects.
+fn lifecycle_spec() -> DetectorSpec {
+    DetectorSpec::Cell {
+        bound: BoundMode::Combined,
+        sweep: SweepMode::Persistent,
+        shards: 2,
+    }
+}
+
+/// A snapshot write that fails on the background writer — here a directory
+/// squatting on the second snapshot's temporary path — surfaces as
+/// `CheckpointError::Io` instead of hanging the run, and never collects the
+/// WAL the surviving snapshot needs: once the squatter is gone, recovery is
+/// bit-identical to an uninterrupted run.
+#[test]
+fn failed_snapshot_write_surfaces_and_keeps_the_wal() {
+    let stream = surge_testkit::clustered_stream(120, 4, 9, 31);
+    let mut config = cfg(lifecycle_spec(), WindowConfig::equal(300));
+    // One retained snapshot: the second would collect the WAL up to 64.
+    config.policy.keep_snapshots = 1;
+
+    let full_dir = fresh_dir("squat-full");
+    let full = run_checkpointed(&config, &full_dir, stream.iter().copied(), Tail::Finish).unwrap();
+
+    let dir = fresh_dir("squat");
+    let squatter = dir.join("snap-0000000002-000000000064.tmp");
+    std::fs::create_dir_all(&squatter).unwrap();
+    let err = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish)
+        .expect_err("the second snapshot cannot be written");
+    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+
+    let snaps = files_with_extension(&dir, "snap");
+    assert_eq!(
+        snaps,
+        vec![dir.join("snap-0000000001-000000000032.snap")],
+        "only the first snapshot landed"
+    );
+    let wal = Wal::recover(dir.join("wal")).unwrap();
+    assert!(
+        wal.start_index <= 32,
+        "WAL collected past the surviving snapshot: starts at {}",
+        wal.start_index
+    );
+
+    std::fs::remove_dir(&squatter).unwrap();
+    let resumed = recover(&config, &dir, stream.iter().copied(), Tail::Finish).unwrap();
+    assert_eq!(resumed.resumed_at, Some(32));
+    assert_answers_bitwise(full.answers.retained(), resumed.answers.retained(), "squat");
+    assert_eq!(resumed.stats, full.stats);
+
+    std::fs::remove_dir_all(&full_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run that fails one object after handing a snapshot to the writer
+/// still waits for it: no `.tmp` is left behind and the newest `.snap`
+/// decodes to the state captured at the hand-off.
+#[test]
+fn a_run_that_errors_after_a_snapshot_leaves_it_complete() {
+    let config = cfg(lifecycle_spec(), WindowConfig::equal(200));
+    let mut stream = surge_testkit::clustered_stream(40, 3, 9, 17);
+    // The arrival right after the snapshot at 32 objects regresses the
+    // clock and fails the run.
+    stream[32].created = 0;
+    let dir = fresh_dir("err-after-snap");
+    let err = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish)
+        .expect_err("out-of-order arrival must be rejected");
+    assert!(err.to_string().contains("timestamp-ordered"), "{err}");
+
+    assert_eq!(files_with_extension(&dir, "tmp"), Vec::<PathBuf>::new());
+    let (path, state) = CheckpointDir::create(&dir)
+        .unwrap()
+        .latest_snapshot()
+        .unwrap()
+        .expect("the handed-off snapshot is on disk");
+    assert_eq!(path, dir.join("snap-0000000001-000000000032.snap"));
+    assert_eq!(state.meta.objects_ingested, 32);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash between the writer's fsync and its rename leaves a `snap-*.tmp`
+/// beside the valid snapshots — simulated here as a truncated one.
+/// Recovery ignores it and resumes bit-identically, and the recovered
+/// run's write of that snapshot replaces it.
+#[test]
+fn stray_snapshot_tmp_is_ignored_and_replaced() {
+    let stream = surge_testkit::clustered_stream(160, 4, 9, 53);
+    let mut config = cfg(lifecycle_spec(), WindowConfig::equal(300));
+    config.policy.keep_snapshots = 8;
+
+    let full_dir = fresh_dir("stray-full");
+    let full = run_checkpointed(&config, &full_dir, stream.iter().copied(), Tail::Finish).unwrap();
+
+    let dir = fresh_dir("stray");
+    let crashed =
+        run_checkpointed(&config, &dir, stream.iter().take(100).copied(), Tail::Crash).unwrap();
+    assert_eq!(crashed.snapshots_written, 3);
+    let newest = std::fs::read(dir.join("snap-0000000003-000000000096.snap")).unwrap();
+    let stray = dir.join("snap-0000000004-000000000128.tmp");
+    std::fs::write(&stray, &newest[..newest.len() / 2]).unwrap();
+
+    let resumed = recover(&config, &dir, stream.iter().copied(), Tail::Finish).unwrap();
+    assert_eq!(
+        resumed.resumed_at,
+        Some(96),
+        "the stray file is not a snapshot"
+    );
+    assert_answers_bitwise(full.answers.retained(), resumed.answers.retained(), "stray");
+    assert!(!stray.exists(), "the next write replaced the stray file");
+    let replaced = std::fs::read(dir.join("snap-0000000004-000000000128.snap")).unwrap();
+    let expected = std::fs::read(full_dir.join("snap-0000000004-000000000128.snap")).unwrap();
+    assert_eq!(
+        replaced, expected,
+        "the replacement is the uninterrupted run's snapshot"
+    );
+
+    std::fs::remove_dir_all(&full_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }

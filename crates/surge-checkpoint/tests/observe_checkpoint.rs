@@ -4,8 +4,9 @@
 //! side effects (snapshots written, WAL appends), the registry totals must
 //! be conserved against the [`CheckpointReport`], and every snapshot stall
 //! must be attributed in the flight ring as a logical
-//! `(slide, bytes, sync_policy)` event alongside its wall-clock sample in
-//! the `checkpoint/stall_ns` histogram.
+//! `(slide, bytes, sync_policy)` event alongside its wall-clock samples in
+//! the `checkpoint/stall_ns` (ingest thread) and
+//! `checkpoint/snapshot_write_ns` (background writer) histograms.
 //!
 //! The trace dump carries only logical time, so two observed runs over the
 //! same stream produce the same dump — asserted here including the WAL
@@ -119,6 +120,10 @@ proptest! {
         // snapshot, stamped with the policy in force.
         let stalls = snap.histogram("checkpoint/stall_ns").map_or(0, |h| h.summary.count);
         prop_assert_eq!(stalls, on.snapshots_written, "one stall sample per snapshot");
+        let writes = snap
+            .histogram("checkpoint/snapshot_write_ns")
+            .map_or(0, |h| h.summary.count);
+        prop_assert_eq!(writes, on.snapshots_written, "one writer sample per snapshot");
         let dump = obs.trace_dump();
         let mut stall_events = 0u64;
         let mut rotations = 0u64;

@@ -71,6 +71,19 @@ proptest! {
         prop_assert_eq!(rewritten, bytes);
     }
 
+    /// The streaming encoder the snapshot writer uses produces exactly the
+    /// section container's bytes — into a fresh buffer or into a dirty one
+    /// reused from a larger snapshot.
+    #[test]
+    fn streaming_encoder_matches_the_section_container(stream in arb_lattice_stream(40)) {
+        let bytes = real_snapshot_bytes(&stream, "stream-enc");
+        let state = CheckpointState::from_snapshot(&Snapshot::decode(&bytes).unwrap()).unwrap();
+        let container = state.to_snapshot().encode();
+        prop_assert_eq!(&state.encode_into(Vec::new()), &container);
+        let dirty = vec![0xA5u8; container.len() * 2 + 17];
+        prop_assert_eq!(&state.encode_into(dirty), &container);
+    }
+
     /// Every truncation of a real snapshot file is rejected with a precise
     /// `IoError` — never a panic, never a partial state.
     #[test]

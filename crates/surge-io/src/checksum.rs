@@ -3,16 +3,23 @@
 //! The checkpoint subsystem (snapshot sections, WAL records) needs a cheap
 //! integrity check that distinguishes "file ends mid-record" (a torn tail to
 //! truncate) from "file is silently corrupt" (an error to surface). The
-//! offline build has no external crates, so the standard table-driven
-//! CRC-32 lives here: the same polynomial (0xEDB88320, reflected) as zlib,
-//! so files can be cross-checked with any standard tool.
+//! offline build has no external crates, so the CRC-32 lives here: the same
+//! polynomial (0xEDB88320, reflected) as zlib, so files can be cross-checked
+//! with any standard tool.
+//!
+//! The kernel is slicing-by-8: eight 256-entry tables fold eight input bytes
+//! per step instead of one, about 4× faster than the byte-at-a-time loop on
+//! a megabyte snapshot, with identical values (the tests keep the byte-wise
+//! loop as the reference).
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// The 256-entry lookup table, computed at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables, computed at compile time. `TABLES[0]` is the
+/// classic byte-wise table; `TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -25,10 +32,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// A streaming CRC-32 state.
@@ -51,9 +68,25 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// The checksum of everything fed so far.
@@ -73,12 +106,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time reference the slicing kernel must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(n: usize, mut seed: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed >> 24) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn matches_known_vectors() {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        for v in [&b"123456789"[..], b"", b"a"] {
+            assert_eq!(crc32(v), crc32_bytewise(v));
+        }
+    }
+
+    #[test]
+    fn slicing_equals_bytewise_at_every_length_and_offset() {
+        let data = noise(1024 + 8, 0x9E37_79B9_7F4A_7C15);
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -89,6 +157,27 @@ mod tests {
             c.update(chunk);
         }
         assert_eq!(c.finish(), crc32(data));
+
+        // Every single split point of a 300-byte buffer, then three-way
+        // splits at pseudo-random points: the state between `update`
+        // calls carries across slicing-word boundaries.
+        let data = noise(300, 7);
+        let whole = crc32_bytewise(&data);
+        for cut in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..cut]);
+            c.update(&data[cut..]);
+            assert_eq!(c.finish(), whole, "split at {cut}");
+        }
+        for (i, pair) in noise(512, 99).chunks_exact(2).enumerate() {
+            let (a, b) = (pair[0] as usize, pair[1] as usize + 1);
+            let (a, b) = (a.min(b), a.max(b).min(data.len()));
+            let mut c = Crc32::new();
+            for part in [&data[..a], &data[a..b], &data[b..]] {
+                c.update(part);
+            }
+            assert_eq!(c.finish(), whole, "split {i} at {a}, {b}");
+        }
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub use fault::{BlobFile, BlobStore, FailingStore, FaultPlan, FsStore};
 pub use geojson::{feature_collection, write_feature_collection_to, LabelledAnswer};
 pub use snapshot::{
     frame_record, read_framed_record, read_snapshot_from, write_snapshot_atomic, FramedRecord,
-    PayloadReader, PayloadWriter, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    PayloadReader, PayloadWriter, SectionWriter, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -21,10 +21,11 @@
 //! and the CRC footer — a truncated or bit-flipped snapshot yields a
 //! precise [`IoError`], never a panic or a silently partial state.
 //!
-//! [`write_snapshot_atomic`] writes through a temporary sibling file and
-//! renames it into place, so a crash mid-write can never leave a torn
-//! snapshot under the final name — recovery either sees the complete new
-//! snapshot or the previous one.
+//! [`SectionWriter`] streams the container into one reusable buffer;
+//! [`write_snapshot_atomic`] writes through a temporary sibling file,
+//! renames it into place and syncs the directory, so a crash mid-write can
+//! never leave a torn snapshot under the final name — recovery either sees
+//! the complete new snapshot or the previous one.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -69,21 +70,15 @@ impl Snapshot {
         &self.sections
     }
 
-    /// Serializes the container (header, sections, CRC footer).
+    /// Serializes the container (header, sections, CRC footer) through a
+    /// [`SectionWriter`].
     pub fn encode(&self) -> Vec<u8> {
         let payload: usize = self.sections.iter().map(|(_, p)| p.len() + 12).sum();
-        let mut out = Vec::with_capacity(16 + payload + 4);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let mut w = SectionWriter::new(Vec::with_capacity(16 + payload + 4));
         for (tag, p) in &self.sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            out.extend_from_slice(p);
+            w.section(*tag, |w| w.buf.extend_from_slice(p));
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.finish()
     }
 
     /// Decodes a serialized container, validating magic, version, section
@@ -159,19 +154,74 @@ pub fn read_snapshot_from(path: impl AsRef<Path>) -> Result<Snapshot> {
     Snapshot::decode(&bytes)
 }
 
-/// Writes a snapshot atomically: the bytes go to `<path>.tmp`, are synced
-/// to disk, and the temporary is renamed over `path`. A crash at any point
-/// leaves either the previous file or the complete new one.
-pub fn write_snapshot_atomic(path: impl AsRef<Path>, snapshot: &Snapshot) -> Result<()> {
+/// Streams a snapshot container into one buffer: the header first, each
+/// section framed in place as its payload is written, the section count and
+/// CRC footer last. [`Snapshot::encode`] is built on it, so the framing
+/// exists once; a consumer with its own section encoders serializes
+/// straight into the buffer without materializing per-section payloads —
+/// and can hand the same buffer back to [`SectionWriter::new`] for the next
+/// snapshot.
+#[derive(Debug)]
+pub struct SectionWriter {
+    w: PayloadWriter,
+    sections: u32,
+}
+
+impl SectionWriter {
+    /// Starts a container in `buf`, clearing it but keeping its capacity.
+    pub fn new(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        // The section count, patched by `finish`.
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        SectionWriter {
+            w: PayloadWriter { buf },
+            sections: 0,
+        }
+    }
+
+    /// Appends one section whose payload `body` writes.
+    pub fn section(&mut self, tag: u32, body: impl FnOnce(&mut PayloadWriter)) {
+        self.w.u32(tag);
+        let len_at = self.w.buf.len();
+        self.w.u64(0);
+        body(&mut self.w);
+        let len = (self.w.buf.len() - len_at - 8) as u64;
+        self.w.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        self.sections += 1;
+    }
+
+    /// Patches the section count and appends the CRC footer.
+    pub fn finish(self) -> Vec<u8> {
+        let mut buf = self.w.buf;
+        buf[12..16].copy_from_slice(&self.sections.to_le_bytes());
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+}
+
+/// Writes an encoded snapshot atomically: the bytes go to `<path>.tmp`, are
+/// synced to disk, the temporary is renamed over `path`, and the directory
+/// is synced so the rename itself survives power loss. A crash at any point
+/// leaves either the previous file or the complete new one — and once this
+/// returns, the new file is durable, so the caller may delete what older
+/// snapshots needed.
+pub fn write_snapshot_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
     let path = path.as_ref();
     let tmp = path.with_extension("tmp");
-    let bytes = snapshot.encode();
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -390,6 +440,28 @@ mod tests {
     }
 
     #[test]
+    fn section_writer_streams_the_container_into_a_reused_buffer() {
+        let s = sample();
+        // A dirty, oversized buffer from an earlier snapshot: cleared, not
+        // appended to.
+        let mut w = SectionWriter::new(vec![0xEE; 4096]);
+        for (tag, payload) in s.sections() {
+            w.section(*tag, |w| {
+                for &b in payload {
+                    w.u8(b);
+                }
+            });
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes, s.encode());
+        assert_eq!(Snapshot::decode(&bytes).unwrap(), s);
+
+        let empty = SectionWriter::new(bytes).finish();
+        assert_eq!(empty, Snapshot::new().encode());
+        assert_eq!(Snapshot::decode(&empty).unwrap(), Snapshot::new());
+    }
+
+    #[test]
     fn payload_reader_roundtrips_and_reports_truncation() {
         let s = sample();
         let mut r = PayloadReader::new(s.section(1).unwrap());
@@ -456,7 +528,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.snap");
         let s = sample();
-        write_snapshot_atomic(&path, &s).unwrap();
+        write_snapshot_atomic(&path, &s.encode()).unwrap();
         assert_eq!(read_snapshot_from(&path).unwrap(), s);
         assert!(!path.with_extension("tmp").exists());
         std::fs::remove_file(&path).ok();
