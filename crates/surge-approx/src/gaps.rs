@@ -22,9 +22,9 @@
 use std::collections::{BTreeSet, HashMap};
 
 use surge_core::{
-    shard_of_cell, BurstDetector, BurstParams, CellId, CheckpointableDetector, DetectorState,
-    DetectorStats, Event, EventKind, GridCellState, GridSpec, IncrementalDetector, MeshIngest,
-    MeshWorker, Point, RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardFlush,
+    shard_of_cell, BurstDetector, BurstParams, CellId, CellTable, CheckpointableDetector,
+    DetectorState, DetectorStats, Event, EventKind, GridCellState, GridSpec, IncrementalDetector,
+    MeshIngest, MeshWorker, Point, RegionAnswer, RegionSize, RestoreError, ShardAnswer, ShardFlush,
     ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
 };
 
@@ -425,7 +425,7 @@ impl CheckpointableDetector for GapSurge {
         DetectorState {
             name: self.name().to_string(),
             levels: 1,
-            cells: Vec::new(),
+            cells: CellTable::new(),
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells,

@@ -15,9 +15,10 @@
 //! winner the sequential scan does, bit for bit).
 
 use surge_core::{
-    BurstDetector, CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind,
-    GridSpec, IncrementalDetector, MeshIngest, MeshWorker, Rect, RegionAnswer, RegionSize,
-    RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, SurgeQuery, TotalF64,
+    BurstDetector, CellTable, CheckpointableDetector, DetectorState, DetectorStats, Event,
+    EventKind, GridSpec, IncrementalDetector, MeshIngest, MeshWorker, Rect, RegionAnswer,
+    RegionSize, RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, SurgeQuery,
+    TotalF64,
 };
 
 use crate::gaps::{GapMeshWorker, GapSurge};
@@ -232,7 +233,7 @@ impl CheckpointableDetector for MgapSurge {
         DetectorState {
             name: self.name().to_string(),
             levels: 4,
-            cells: Vec::new(),
+            cells: CellTable::new(),
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells,

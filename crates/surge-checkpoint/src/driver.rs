@@ -62,7 +62,7 @@ use surge_core::{
 };
 use surge_exact::{BaseDetector, CellCspot};
 use surge_io::{BlobStore, FsStore, IoError};
-use surge_observe::{Flight, Histogram, Observe, TraceEvent};
+use surge_observe::{Counter, Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
     AnswerLog, AnswerSink, AutopilotDetector, FlushOutcome, LatencyHistogram, LatencySummary,
     Phase, QueryCore, QueryRuntime, RetainAll, SlidingWindowEngine,
@@ -419,16 +419,21 @@ struct Runner<'s> {
 /// The checkpoint runner's observability handles: a flight ring attributing
 /// every snapshot stall to `(slide, bytes, sync_policy)` and every WAL
 /// rotation to its segment, the `checkpoint/stall_ns` histogram of the
-/// runner thread's share of each snapshot, and the
+/// runner thread's share of each snapshot, the `checkpoint/capture_ns`
+/// histogram of the capture alone within it, the
 /// `checkpoint/snapshot_write_ns` histogram of the writer's encode-to-GC
-/// time — how far durability trails the capture. Wall-clock durations go
-/// to the histograms only; the trace events carry logical time, so a dump
-/// is deterministic run-to-run.
+/// time — how far durability trails the capture — and the
+/// `checkpoint/snapshot_bytes` counter of written snapshot bytes.
+/// Wall-clock durations go to the histograms only; the trace events and
+/// the byte counter carry logical quantities, so they are deterministic
+/// run-to-run.
 struct RunnerProbes {
     obs: Observe,
     flight: Flight,
     stall_ns: Histogram,
+    capture_ns: Histogram,
     write_ns: Histogram,
+    snapshot_bytes: Counter,
     /// WAL segments seen opened so far (rotation edge detector).
     wal_segments: u64,
 }
@@ -439,7 +444,9 @@ impl RunnerProbes {
             obs: obs.clone(),
             flight: obs.flight("checkpoint/runner"),
             stall_ns: obs.histogram("checkpoint/stall_ns"),
+            capture_ns: obs.histogram("checkpoint/capture_ns"),
             write_ns: obs.histogram("checkpoint/snapshot_write_ns"),
+            snapshot_bytes: obs.counter("checkpoint/snapshot_bytes"),
             wal_segments: 0,
         }
     }
@@ -482,10 +489,11 @@ impl SnapshotWriter {
     }
 
     /// Waits for the job in flight, if any. The capture is dropped here, on
-    /// the calling (ingest) thread that allocated it — freeing it on the
-    /// writer would contend with the ingest thread's allocator and shows up
-    /// in the answer-latency tail — and the buffer is kept for the next
-    /// job.
+    /// the calling (ingest) thread, so two captures never coexist. The drop
+    /// is cheap: the detector state is one flat cell table, a fixed handful
+    /// of buffers whatever the cell count (plus the engine residency and
+    /// one buffer per retained flush), so freeing it takes microseconds.
+    /// The encode buffer is kept for the next job.
     fn join(&mut self) -> Result<Option<Written>, IoError> {
         let Some(job) = self.job.take() else {
             return Ok(None);
@@ -592,6 +600,7 @@ impl Runner<'_> {
         // Join before capturing, so two captures never coexist.
         self.join_writer()?;
         self.snapshot_seq += 1;
+        let capture_t0 = Instant::now();
         let counters = self.rt.counters();
         let state = CheckpointState {
             meta: CheckpointMeta {
@@ -607,6 +616,7 @@ impl Runner<'_> {
             answers_released: self.answers.released(),
             answers: self.answers.retained().to_vec(),
         };
+        self.probes.capture_ns.record(capture_t0.elapsed());
         self.writer.spawn(state)?;
         let stall = t0.elapsed();
         self.pause.record(stall);
@@ -622,6 +632,7 @@ impl Runner<'_> {
         };
         self.snapshots_written += 1;
         self.probes.write_ns.record(written.write_time);
+        self.probes.snapshot_bytes.add(written.bytes);
         // Stall *identity* is logical — (slide, bytes, sync policy) — and
         // recorded at a logical point (the next snapshot or the end of the
         // run), so the trace dump is deterministic; wall-clock durations

@@ -21,8 +21,8 @@ use surge_core::{DetectorState, EngineState, RegionAnswer, SurgeQuery};
 use surge_io::{IoError, PayloadReader, PayloadWriter, Snapshot};
 
 use crate::state::{
-    get_answers, get_detector, get_engine, get_spec, inv, put_answers, put_detector, put_engine,
-    put_spec, tags, DetectorSpec,
+    capacity_hint, get_answers, get_detector, get_engine, get_spec, inv, put_answers, put_detector,
+    put_engine, put_spec, tags, DetectorSpec,
 };
 
 /// Cadence and id counters of a serving registry.
@@ -143,14 +143,14 @@ fn encode_registry(lanes: &[ServeLaneState]) -> Vec<u8> {
 fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
     let mut r = PayloadReader::new(buf);
     let n_lanes = r.u64("serve.lanes")?;
-    let mut lanes = Vec::with_capacity(n_lanes.min(1 << 16) as usize);
+    let mut lanes = Vec::with_capacity(capacity_hint(&r, n_lanes, 8));
     for _ in 0..n_lanes {
         let start_objects = r.u64("lane.start_objects")?;
         let in_slide = r.u64("lane.in_slide")?;
         let slides = r.u64("lane.slides")?;
         let engine = get_engine(&mut r)?;
         let n_groups = r.u64("lane.groups")?;
-        let mut groups = Vec::with_capacity(n_groups.min(1 << 16) as usize);
+        let mut groups = Vec::with_capacity(capacity_hint(&r, n_groups, 8));
         for _ in 0..n_groups {
             let (query, spec) = get_spec(&mut r)?;
             if spec == DetectorSpec::Serve {
@@ -162,7 +162,8 @@ fn decode_registry(buf: &[u8]) -> Result<Vec<ServeLaneState>, IoError> {
             if n_subs == 0 {
                 return Err(inv("serve group: a group must have subscribers"));
             }
-            let mut subs = Vec::with_capacity(n_subs.min(1 << 16) as usize);
+            // id, released cursor, retained count.
+            let mut subs = Vec::with_capacity(capacity_hint(&r, n_subs, 24));
             for _ in 0..n_subs {
                 let id = r.u64("sub.id")?;
                 let (released, retained) = get_answers(&mut r, &query)?;

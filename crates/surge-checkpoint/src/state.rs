@@ -15,7 +15,7 @@
 //! [`IoError`]s for every truncation and corruption.
 
 use surge_core::{
-    CandidateState, CellState, ControllerState, DetectorState, DetectorStats, EngineState,
+    CandidateState, CellTable, ControllerState, DetectorState, DetectorStats, EngineState,
     GridCellState, Point, Rect, RectState, RegionAnswer, SpatialObject, SurgeQuery, WindowConfig,
     WindowKind,
 };
@@ -130,6 +130,43 @@ pub struct CheckpointState {
 
 pub(crate) fn inv(msg: impl std::fmt::Display) -> IoError {
     IoError::Invariant(msg.to_string())
+}
+
+/// Encoded size of a [`RectState`]: id, rectangle, weight, kind, level.
+const RECT_STATE_BYTES: usize = 8 + 32 + 8 + 1 + 4;
+/// Encoded size of a resident object: id, weight, position, timestamp.
+const OBJECT_BYTES: usize = 8 + 8 + 16 + 8;
+/// The smallest encoded cell row: its id plus four empty column counts.
+const CELL_MIN_BYTES: usize = 16 + 4 * 8;
+/// The smallest encoded per-level entry of a cell row: a `us` value and a
+/// one-byte candidate (Base rows carry no `ud`).
+const LEVEL_MIN_BYTES: usize = 8 + 1;
+
+/// A capacity hint for `n` records of at least `min_bytes` each: never more
+/// than the rest of the payload can hold, so a corrupt count cannot
+/// reserve memory the payload does not back.
+pub(crate) fn capacity_hint(r: &PayloadReader<'_>, n: u64, min_bytes: usize) -> usize {
+    n.min((r.remaining() / min_bytes) as u64) as usize
+}
+
+/// Errors unless `key` lies strictly above the previous one, then records
+/// it: the canonical order every capture writes. Restore would otherwise
+/// accept a reordered or duplicated entry and silently rebuild a different
+/// state — a cell's sweep overwrites a repeated rectangle id in place.
+fn ascending<K: PartialOrd + Copy + std::fmt::Debug>(
+    last: &mut Option<K>,
+    key: K,
+    what: &str,
+) -> Result<(), IoError> {
+    if let Some(prev) = *last {
+        if prev >= key {
+            return Err(inv(format!(
+                "{what} {key:?} out of order: not strictly above {prev:?}"
+            )));
+        }
+    }
+    *last = Some(key);
+    Ok(())
 }
 
 // --- scalar helpers -------------------------------------------------------
@@ -392,7 +429,7 @@ pub(crate) fn get_engine(r: &mut PayloadReader<'_>) -> Result<EngineState, IoErr
     let mut lists = Vec::with_capacity(2);
     for what in ["engine.current", "engine.past"] {
         let n = r.u64(what)?;
-        let mut objs = Vec::with_capacity(n.min(1 << 24) as usize);
+        let mut objs = Vec::with_capacity(capacity_hint(r, n, OBJECT_BYTES));
         for _ in 0..n {
             objs.push(get_object(r, what)?);
         }
@@ -469,21 +506,21 @@ pub(crate) fn put_detector(w: &mut PayloadWriter, d: &DetectorState) {
         put_rect_state(w, r);
     }
     w.u64(d.cells.len() as u64);
-    for c in &d.cells {
+    for c in d.cells.iter() {
         w.i64(c.id.0);
         w.i64(c.id.1);
         w.u64(c.rects.len() as u64);
-        for r in &c.rects {
+        for r in c.rects {
             put_rect_state(w, r);
         }
-        for floats in [&c.us, &c.ud] {
+        for floats in [c.us, c.ud] {
             w.u64(floats.len() as u64);
             for &f in floats.iter() {
                 w.f64(f);
             }
         }
         w.u64(c.cand.len() as u64);
-        for cand in &c.cand {
+        for cand in c.cand {
             put_cand(w, cand);
         }
     }
@@ -535,6 +572,48 @@ pub(crate) fn decode_detector(buf: &[u8]) -> Result<DetectorState, IoError> {
     Ok(detector)
 }
 
+/// Decodes the cell rows straight into one [`CellTable`], sized up front
+/// from the payload so the decode allocates a fixed number of buffers
+/// whatever the cell count. Rejects rows out of ascending cell-id order
+/// and rectangles out of ascending object-id order within a row.
+fn get_cells(r: &mut PayloadReader<'_>, levels: u32) -> Result<CellTable, IoError> {
+    let n_cells = r.u64("detector.cells")?;
+    let cells_hint = capacity_hint(r, n_cells, CELL_MIN_BYTES);
+    let levels_hint = (levels as usize).min(r.remaining() / LEVEL_MIN_BYTES / cells_hint.max(1));
+    // What the rows' fixed parts leave over bounds the rectangles.
+    let rects_hint = match cells_hint {
+        0 => 0,
+        _ => {
+            r.remaining()
+                .saturating_sub(cells_hint * (CELL_MIN_BYTES + levels_hint * LEVEL_MIN_BYTES))
+                / RECT_STATE_BYTES
+        }
+    };
+    let mut cells = CellTable::with_capacity(cells_hint, rects_hint, levels_hint);
+    let mut last_cell = None;
+    for _ in 0..n_cells {
+        let id = (r.i64("cell.id")?, r.i64("cell.id")?);
+        ascending(&mut last_cell, id, "cell")?;
+        let mut last_rect = None;
+        for _ in 0..r.u64("cell.rects")? {
+            let rect = get_rect_state(r, "cell.rect")?;
+            ascending(&mut last_rect, rect.id, "cell rect")?;
+            cells.push_rect(rect);
+        }
+        for _ in 0..r.u64("cell.us")? {
+            cells.push_us(r.f64("cell.us")?);
+        }
+        for _ in 0..r.u64("cell.ud")? {
+            cells.push_ud(r.f64("cell.ud")?);
+        }
+        for _ in 0..r.u64("cell.cand")? {
+            cells.push_cand(get_cand(r, "cell.cand")?);
+        }
+        cells.end_cell(id);
+    }
+    Ok(cells)
+}
+
 pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, IoError> {
     let name = r.str("detector.name")?;
     let levels = r.u32("detector.levels")?;
@@ -545,45 +624,16 @@ pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, I
         events_triggering_search: r.u64("detector.stats")?,
     };
     let n_rects = r.u64("detector.rects")?;
-    let mut rects = Vec::with_capacity(n_rects.min(1 << 24) as usize);
+    let mut rects = Vec::with_capacity(capacity_hint(r, n_rects, RECT_STATE_BYTES));
+    let mut last_rect = None;
     for _ in 0..n_rects {
-        rects.push(get_rect_state(r, "detector.rect")?);
+        let rect = get_rect_state(r, "detector.rect")?;
+        ascending(&mut last_rect, rect.id, "detector rect")?;
+        rects.push(rect);
     }
-    let n_cells = r.u64("detector.cells")?;
-    let mut cells = Vec::with_capacity(n_cells.min(1 << 24) as usize);
-    for _ in 0..n_cells {
-        let id = (r.i64("cell.id")?, r.i64("cell.id")?);
-        let n = r.u64("cell.rects")?;
-        let mut cr = Vec::with_capacity(n.min(1 << 24) as usize);
-        for _ in 0..n {
-            cr.push(get_rect_state(r, "cell.rect")?);
-        }
-        let mut floats = Vec::with_capacity(2);
-        for what in ["cell.us", "cell.ud"] {
-            let n = r.u64(what)?;
-            let mut v = Vec::with_capacity(n.min(1 << 20) as usize);
-            for _ in 0..n {
-                v.push(r.f64(what)?);
-            }
-            floats.push(v);
-        }
-        let ud = floats.pop().expect("two");
-        let us = floats.pop().expect("two");
-        let n = r.u64("cell.cand")?;
-        let mut cand = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            cand.push(get_cand(r, "cell.cand")?);
-        }
-        cells.push(CellState {
-            id,
-            rects: cr,
-            us,
-            ud,
-            cand,
-        });
-    }
+    let cells = get_cells(r, levels)?;
     let n_inc = r.u64("detector.incumbents")?;
-    let mut incumbents = Vec::with_capacity(n_inc.min(1 << 20) as usize);
+    let mut incumbents = Vec::with_capacity(capacity_hint(r, n_inc, 1));
     for _ in 0..n_inc {
         incumbents.push(match r.u8("incumbent")? {
             0 => None,
@@ -595,10 +645,12 @@ pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, I
         });
     }
     let n_grid = r.u64("detector.grid_cells")?;
-    let mut grid_cells = Vec::with_capacity(n_grid.min(1 << 24) as usize);
+    let mut grid_cells = Vec::with_capacity(capacity_hint(r, n_grid, 4 + 16 + 8 + 8 + 4));
+    let mut last_grid_cell = None;
     for _ in 0..n_grid {
         let grid = r.u32("grid_cell.grid")?;
         let id = (r.i64("grid_cell.id")?, r.i64("grid_cell.id")?);
+        ascending(&mut last_grid_cell, (grid, id), "grid cell")?;
         let wc = r.f64("grid_cell.wc")?;
         let wp = r.f64("grid_cell.wp")?;
         let count = r.u32("grid_cell.count")?;
@@ -690,10 +742,10 @@ pub(crate) fn get_answers(
 ) -> Result<(u64, Vec<Vec<RegionAnswer>>), IoError> {
     let released = r.u64("answers.released")?;
     let n = r.u64("answers")?;
-    let mut answers = Vec::with_capacity(n.min(1 << 24) as usize);
+    let mut answers = Vec::with_capacity(capacity_hint(r, n, 8));
     for _ in 0..n {
         let m = r.u64("answers.flush")?;
-        let mut flush = Vec::with_capacity(m.min(1 << 16) as usize);
+        let mut flush = Vec::with_capacity(capacity_hint(r, m, 24));
         for _ in 0..m {
             let p = Point::new(r.f64("answer")?, r.f64("answer")?);
             let score = r.f64("answer")?;

@@ -5,8 +5,10 @@
 //! be conserved against the [`CheckpointReport`], and every snapshot stall
 //! must be attributed in the flight ring as a logical
 //! `(slide, bytes, sync_policy)` event alongside its wall-clock samples in
-//! the `checkpoint/stall_ns` (ingest thread) and
-//! `checkpoint/snapshot_write_ns` (background writer) histograms.
+//! the `checkpoint/stall_ns` (ingest thread), `checkpoint/capture_ns` (the
+//! capture within it) and `checkpoint/snapshot_write_ns` (background
+//! writer) histograms; the `checkpoint/snapshot_bytes` counter sums the
+//! bytes those events attribute.
 //!
 //! The trace dump carries only logical time, so two observed runs over the
 //! same stream produce the same dump — asserted here including the WAL
@@ -124,14 +126,18 @@ proptest! {
             .histogram("checkpoint/snapshot_write_ns")
             .map_or(0, |h| h.summary.count);
         prop_assert_eq!(writes, on.snapshots_written, "one writer sample per snapshot");
+        let captures = snap.histogram("checkpoint/capture_ns").map_or(0, |h| h.summary.count);
+        prop_assert_eq!(captures, on.snapshots_written, "one capture sample per snapshot");
         let dump = obs.trace_dump();
         let mut stall_events = 0u64;
+        let mut stall_bytes = 0u64;
         let mut rotations = 0u64;
         for w in &dump.workers {
             for ev in &w.events {
                 match ev {
                     TraceEvent::SnapshotStall { slide, bytes, sync_policy } => {
                         stall_events += 1;
+                        stall_bytes += bytes;
                         prop_assert!(*bytes > 0, "snapshot stall with empty snapshot file");
                         prop_assert!(*slide <= on.slides);
                         prop_assert_eq!(*sync_policy, config.policy.sync.name());
@@ -145,6 +151,11 @@ proptest! {
             }
         }
         prop_assert_eq!(stall_events, on.snapshots_written, "stall events == snapshots");
+        prop_assert_eq!(
+            snap.counter("checkpoint/snapshot_bytes").unwrap_or(0),
+            stall_bytes,
+            "snapshot bytes counter == bytes the stall events attribute"
+        );
         // The writer opens a segment every `wal_segment_objects` appends.
         let expected_segments = on.wal_appends.div_ceil(config.policy.wal_segment_objects);
         prop_assert_eq!(rotations, expected_segments, "rotation trail == segments opened");

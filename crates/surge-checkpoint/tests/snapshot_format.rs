@@ -1,39 +1,83 @@
 //! Snapshot-file format properties: write → read → re-write is
-//! byte-identical, corrupt CRCs/versions are rejected with precise
-//! `IoError`s, and every truncation point fails loudly.
+//! byte-identical for every detector family and for a serving registry,
+//! real snapshot files are pinned to golden CRC-32s, corrupt
+//! CRCs/versions are rejected with precise `IoError`s, and every
+//! truncation point fails loudly.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use surge_checkpoint::{
     run_checkpointed, CheckpointConfig, CheckpointPolicy, CheckpointState, DetectorSpec,
-    SyncPolicy, Tail,
+    ServeState, SyncPolicy, Tail,
 };
-use surge_core::{RegionSize, SurgeQuery, WindowConfig};
+use surge_core::{CellTable, RectState, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, SweepMode};
 use surge_io::{IoError, Snapshot};
+use surge_serve::{ServeConfig, SurgeServer};
+use surge_stream::SloPolicy;
 use surge_testkit::arb_lattice_stream;
 
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "surge-snapfmt-{tag}-{}-{}",
-        std::process::id(),
-        std::thread::current().name().unwrap_or("t").len()
-    ));
+    let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("surge-snapfmt-{tag}-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Produces a real snapshot file by running the checkpointed driver, and
-/// returns its raw bytes.
-fn real_snapshot_bytes(stream: &[surge_core::SpatialObject], tag: &str) -> Vec<u8> {
+fn cell_spec() -> DetectorSpec {
+    DetectorSpec::Cell {
+        bound: BoundMode::Combined,
+        sweep: SweepMode::Persistent,
+        shards: 4,
+    }
+}
+
+/// Every detector spec `run_checkpointed` accepts, with a label for
+/// failure messages.
+fn every_spec() -> Vec<(&'static str, DetectorSpec)> {
+    let cell = |bound, sweep| DetectorSpec::Cell {
+        bound,
+        sweep,
+        shards: 4,
+    };
+    vec![
+        ("cell", cell(BoundMode::Combined, SweepMode::Persistent)),
+        (
+            "cell-rebuild",
+            cell(BoundMode::Combined, SweepMode::Rebuild),
+        ),
+        ("bccs", cell(BoundMode::StaticOnly, SweepMode::Persistent)),
+        (
+            "bccs-rebuild",
+            cell(BoundMode::StaticOnly, SweepMode::Rebuild),
+        ),
+        ("base", DetectorSpec::Base { pruned: false }),
+        ("base-pruned", DetectorSpec::Base { pruned: true }),
+        ("topk3", DetectorSpec::TopK { k: 3 }),
+        ("gaps", DetectorSpec::Gaps { shards: 2 }),
+        ("mgaps", DetectorSpec::Mgaps { shards: 2 }),
+        (
+            "autopilot",
+            DetectorSpec::Autopilot {
+                shards: 2,
+                policy: SloPolicy::disabled(),
+            },
+        ),
+    ]
+}
+
+/// Produces a real snapshot file by running the checkpointed driver over
+/// `spec`, and returns its raw bytes.
+fn real_snapshot_bytes(stream: &[SpatialObject], tag: &str, spec: DetectorSpec) -> Vec<u8> {
     let windows = WindowConfig::equal(160);
     let config = CheckpointConfig {
         query: SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, 0.3),
         windows,
-        spec: DetectorSpec::Cell {
-            bound: BoundMode::Combined,
-            sweep: SweepMode::Persistent,
-            shards: 4,
-        },
+        spec,
         slide_objects: 8,
         threads: 1,
         policy: CheckpointPolicy {
@@ -57,38 +101,77 @@ fn real_snapshot_bytes(stream: &[surge_core::SpatialObject], tag: &str) -> Vec<u
     bytes
 }
 
+/// The encoded snapshot of a serving registry after `stream`: two lanes,
+/// a deduped exact pair, and one group of every other family.
+fn serve_snapshot_bytes(stream: &[SpatialObject]) -> Vec<u8> {
+    let w1 = WindowConfig::new(160, 80);
+    let w2 = WindowConfig::new(120, 60);
+    let q1 = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), w1, 0.3);
+    let q2 = SurgeQuery::whole_space(RegionSize::new(1.5, 0.8), w2, 0.6);
+    let mut server = SurgeServer::new(ServeConfig::sequential(7));
+    for (query, spec) in [
+        (q1, cell_spec()),
+        (q1, cell_spec()),
+        (q2, DetectorSpec::Base { pruned: true }),
+        (q1, DetectorSpec::TopK { k: 3 }),
+        (q2, DetectorSpec::Gaps { shards: 2 }),
+        (q1, DetectorSpec::Mgaps { shards: 2 }),
+    ] {
+        server.subscribe(query, spec).expect("subscribe");
+    }
+    for obj in stream {
+        server.ingest(*obj);
+    }
+    server.capture().to_snapshot().encode()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Decode → re-encode reproduces the file byte for byte: the capture
-    /// order is canonical and every float travels as raw bits.
+    /// Decode → re-encode reproduces the file byte for byte, for every
+    /// detector family: the capture order is canonical and every float
+    /// travels as raw bits.
     #[test]
     fn snapshot_rewrite_is_byte_identical(stream in arb_lattice_stream(40)) {
-        let bytes = real_snapshot_bytes(&stream, "rewrite");
-        let snap = Snapshot::decode(&bytes).unwrap();
-        let state = CheckpointState::from_snapshot(&snap).unwrap();
-        let rewritten = state.to_snapshot().encode();
-        prop_assert_eq!(rewritten, bytes);
+        for (label, spec) in every_spec() {
+            let bytes = real_snapshot_bytes(&stream, "rewrite", spec);
+            let snap = Snapshot::decode(&bytes).unwrap();
+            let state = CheckpointState::from_snapshot(&snap).unwrap();
+            let rewritten = state.to_snapshot().encode();
+            prop_assert!(rewritten == bytes, "{}: rewrite changed the file", label);
+        }
+    }
+
+    /// The same for a serving registry, whose registry section composes
+    /// the single-query codecs.
+    #[test]
+    fn serve_snapshot_rewrite_is_byte_identical(stream in arb_lattice_stream(40)) {
+        let bytes = serve_snapshot_bytes(&stream);
+        let state = ServeState::from_snapshot(&Snapshot::decode(&bytes).unwrap()).unwrap();
+        prop_assert_eq!(state.to_snapshot().encode(), bytes);
     }
 
     /// The streaming encoder the snapshot writer uses produces exactly the
     /// section container's bytes — into a fresh buffer or into a dirty one
-    /// reused from a larger snapshot.
+    /// reused from a larger snapshot — for every detector family.
     #[test]
     fn streaming_encoder_matches_the_section_container(stream in arb_lattice_stream(40)) {
-        let bytes = real_snapshot_bytes(&stream, "stream-enc");
-        let state = CheckpointState::from_snapshot(&Snapshot::decode(&bytes).unwrap()).unwrap();
-        let container = state.to_snapshot().encode();
-        prop_assert_eq!(&state.encode_into(Vec::new()), &container);
-        let dirty = vec![0xA5u8; container.len() * 2 + 17];
-        prop_assert_eq!(&state.encode_into(dirty), &container);
+        for (label, spec) in every_spec() {
+            let bytes = real_snapshot_bytes(&stream, "stream-enc", spec);
+            let state =
+                CheckpointState::from_snapshot(&Snapshot::decode(&bytes).unwrap()).unwrap();
+            let container = state.to_snapshot().encode();
+            prop_assert!(state.encode_into(Vec::new()) == container, "{}: fresh buffer", label);
+            let dirty = vec![0xA5u8; container.len() * 2 + 17];
+            prop_assert!(state.encode_into(dirty) == container, "{}: reused buffer", label);
+        }
     }
 
     /// Every truncation of a real snapshot file is rejected with a precise
     /// `IoError` — never a panic, never a partial state.
     #[test]
     fn every_truncation_is_rejected(stream in arb_lattice_stream(24)) {
-        let bytes = real_snapshot_bytes(&stream, "trunc");
+        let bytes = real_snapshot_bytes(&stream, "trunc", cell_spec());
         // Every byte-level cut of the container fails its framing/CRC…
         for cut in (0..bytes.len()).step_by(7) {
             prop_assert!(Snapshot::decode(&bytes[..cut]).is_err(), "cut {}", cut);
@@ -119,7 +202,7 @@ proptest! {
 #[test]
 fn corrupt_crc_and_version_are_precise_errors() {
     let stream = surge_testkit::clustered_stream(48, 3, 7, 3);
-    let bytes = real_snapshot_bytes(&stream, "corrupt");
+    let bytes = real_snapshot_bytes(&stream, "corrupt", cell_spec());
 
     // Any payload bit flip trips the CRC.
     let mut flipped = bytes.clone();
@@ -157,7 +240,7 @@ fn corrupt_crc_and_version_are_precise_errors() {
 #[test]
 fn semantic_corruption_is_rejected_by_the_state_decoder() {
     let stream = surge_testkit::clustered_stream(48, 3, 7, 9);
-    let bytes = real_snapshot_bytes(&stream, "semantic");
+    let bytes = real_snapshot_bytes(&stream, "semantic", cell_spec());
     let snap = Snapshot::decode(&bytes).unwrap();
     let state = CheckpointState::from_snapshot(&snap).unwrap();
 
@@ -174,4 +257,145 @@ fn semantic_corruption_is_rejected_by_the_state_decoder() {
     // The snapshot round-trips through the typed state too.
     let again = CheckpointState::from_snapshot(&state.to_snapshot()).unwrap();
     assert_eq!(again, state);
+}
+
+/// Golden CRC-32s of real snapshot files, one per detector spec plus a
+/// serving registry, over a fixed stream. The capture representation may
+/// change; the bytes it encodes to may not — a mismatch here is a format
+/// change, which needs a `SNAPSHOT_VERSION` bump.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // Recorded with per-cell `Vec` captures, before the cell table: the
+    // table changed the in-memory layout only, never the file.
+    const PINNED: [(&str, u32); 11] = [
+        ("cell", 0xbbdd2e1b),
+        ("cell-rebuild", 0x8798143f),
+        ("bccs", 0x7f32d3e1),
+        ("bccs-rebuild", 0x48d6d7b0),
+        ("base", 0x718b2696),
+        ("base-pruned", 0x6b9bfe03),
+        ("topk3", 0x82eae163),
+        ("gaps", 0xd84d9eee),
+        ("mgaps", 0x9f0bda1f),
+        ("autopilot", 0x0284ad24),
+        ("serve", 0xd6287a78),
+    ];
+    // The container's own footer: CRC-32 over every byte before it (the
+    // CRC of a whole file, footer included, is the constant CRC residue).
+    let crc = |bytes: &[u8]| surge_io::crc32(&bytes[..bytes.len() - 4]);
+    let stream = surge_testkit::clustered_stream(96, 3, 7, 42);
+    let mut got: Vec<(&str, u32)> = every_spec()
+        .into_iter()
+        .map(|(label, spec)| {
+            let bytes = real_snapshot_bytes(&stream, "pinned", spec);
+            (label, crc(&bytes))
+        })
+        .collect();
+    got.push(("serve", crc(&serve_snapshot_bytes(&stream))));
+    let mismatches: Vec<String> = PINNED
+        .iter()
+        .zip(&got)
+        .filter(|(want, have)| want != have)
+        .map(|(_, (label, crc))| format!("(\"{label}\", 0x{crc:08x})"))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "snapshot bytes changed: {}",
+        mismatches.join(", ")
+    );
+}
+
+/// Rebuilds `table` with its rows in `order` (row indices, repeats
+/// allowed), letting `edit` rewrite each row's rectangles.
+fn rebuild_table(
+    table: &CellTable,
+    order: &[usize],
+    mut edit: impl FnMut(&mut Vec<RectState>),
+) -> CellTable {
+    let rows: Vec<_> = table.iter().collect();
+    let mut out = CellTable::new();
+    for &i in order {
+        let row = rows[i];
+        let mut rects = row.rects.to_vec();
+        edit(&mut rects);
+        out.push_cell(
+            row.id,
+            rects,
+            row.us.iter().copied(),
+            row.ud.iter().copied(),
+            row.cand.iter().copied(),
+        );
+    }
+    out
+}
+
+/// Encodes `state` into a file (the encoder recomputes the CRC, so only
+/// the state decoder can object) and decodes it again.
+fn reencode(state: &CheckpointState) -> Result<CheckpointState, IoError> {
+    let bytes = state.to_snapshot().encode();
+    CheckpointState::from_snapshot(&Snapshot::decode(&bytes).expect("CRC-valid container"))
+}
+
+/// A CRC-valid file whose detector section breaks the canonical order is
+/// refused: restore would otherwise rebuild a different state without
+/// complaint (a cell's sweep overwrites a repeated rectangle id in place).
+#[test]
+fn out_of_canonical_order_detector_state_is_rejected() {
+    let stream = surge_testkit::clustered_stream(48, 3, 7, 9);
+    let decode = |spec| {
+        let bytes = real_snapshot_bytes(&stream, "order", spec);
+        CheckpointState::from_snapshot(&Snapshot::decode(&bytes).unwrap()).unwrap()
+    };
+    let rejected = |state: &CheckpointState, case: &str| {
+        let got = reencode(state);
+        assert!(
+            matches!(got, Err(IoError::Invariant(_))),
+            "{case}: {:?}",
+            got.map(|_| ())
+        );
+    };
+
+    let cell = decode(cell_spec());
+    let table = &cell.detector.cells;
+    let n = table.len();
+    assert!(n >= 2, "the stream must populate several cells");
+    let wide = table
+        .iter()
+        .position(|row| row.rects.len() >= 2)
+        .expect("a cell with two rectangles");
+    // The untouched state survives the same path.
+    assert_eq!(reencode(&cell).unwrap(), cell);
+
+    let mut bad = cell.clone();
+    bad.detector.cells = rebuild_table(table, &[1, 0], |_| {});
+    rejected(&bad, "cells out of id order");
+    let mut bad = cell.clone();
+    bad.detector.cells = rebuild_table(table, &[0, 0], |_| {});
+    rejected(&bad, "duplicated cell");
+    let mut bad = cell.clone();
+    bad.detector.cells = rebuild_table(table, &[wide], |rects| rects.reverse());
+    rejected(&bad, "cell rectangles out of id order");
+    let mut bad = cell.clone();
+    bad.detector.cells = rebuild_table(table, &[wide], |rects| rects.insert(1, rects[0]));
+    rejected(&bad, "duplicated cell rectangle");
+
+    let mut topk = decode(DetectorSpec::TopK { k: 3 });
+    assert!(topk.detector.rects.len() >= 2);
+    topk.detector.rects.swap(0, 1);
+    rejected(&topk, "top-k rectangles out of id order");
+
+    for spec in [
+        DetectorSpec::Gaps { shards: 2 },
+        DetectorSpec::Mgaps { shards: 2 },
+    ] {
+        let grid = decode(spec);
+        assert!(grid.detector.grid_cells.len() >= 2);
+        let mut bad = grid.clone();
+        bad.detector.grid_cells.swap(0, 1);
+        rejected(&bad, "grid cells out of (grid, id) order");
+        let mut bad = grid.clone();
+        let first = bad.detector.grid_cells[0];
+        bad.detector.grid_cells.insert(0, first);
+        rejected(&bad, "duplicated grid cell");
+    }
 }

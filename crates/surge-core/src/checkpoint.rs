@@ -19,6 +19,16 @@
 //! weight sums maintained incrementally under Lemma 4, dynamic bounds,
 //! per-cell static-bound accumulators — is captured verbatim, bit for bit.
 //!
+//! The per-cell part of a [`DetectorState`] is one column-major
+//! [`CellTable`]: cell ids plus a compressed-sparse-row column each for
+//! rectangles, static bounds, dynamic bounds and candidates. A capture is
+//! taken on the ingest thread while the stream waits, so its cost matters:
+//! the table costs a fixed number of allocations whatever the cell count,
+//! and as few frees to drop. Rows are in ascending cell-id order and
+//! each row's rectangles in ascending object-id order — the canonical order
+//! that keeps snapshot files byte-stable and that snapshot decoding
+//! enforces.
+//!
 //! The serialization of this model (checksummed sections, CRC footer,
 //! atomic write) lives in `surge-io`/`surge-checkpoint`; this module is
 //! only the in-memory contract, so detector crates can implement
@@ -99,24 +109,175 @@ pub enum CandidateState {
     Absent,
 }
 
-/// The logical state of one grid cell, across the detector's cSPOT levels
-/// (`len == 1` for single-region detectors, `k` for top-k).
+/// One column of a [`CellTable`] in compressed-sparse-row form: every
+/// row's values back to back, plus each row's end offset into them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellState {
+struct Column<T> {
+    values: Vec<T>,
+    ends: Vec<u32>,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column::with_capacity(0, 0)
+    }
+}
+
+impl<T> Column<T> {
+    fn with_capacity(rows: usize, values: usize) -> Self {
+        Column {
+            values: Vec::with_capacity(values),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    fn close_row(&mut self) {
+        let end = u32::try_from(self.values.len()).expect("cell table column exceeds u32 offsets");
+        self.ends.push(end);
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.values[start..self.ends[i] as usize]
+    }
+}
+
+/// The per-cell logical state of a detector, one row per grid cell, stored
+/// column-major: the cell ids, plus one compressed-sparse-row column each
+/// for the resident rectangles, the static-bound accumulators, the dynamic
+/// bounds and the candidates. Rows vary in width per column — Base records
+/// no dynamic bound, top-k records k levels and keeps its rectangles in
+/// [`DetectorState::rects`] — so every column keeps its own row offsets.
+///
+/// A capture therefore costs a fixed number of allocations whatever the
+/// cell count, and dropping it is a handful of frees — it runs on the
+/// ingest thread while the stream waits.
+///
+/// Rows are appended in one of two ways: whole, with
+/// [`push_cell`](Self::push_cell), or value by value (a decoder reading a
+/// file) with [`push_rect`](Self::push_rect), [`push_us`](Self::push_us),
+/// [`push_ud`](Self::push_ud) and [`push_cand`](Self::push_cand), closed by
+/// [`end_cell`](Self::end_cell). [`iter`](Self::iter) reads the rows back
+/// as [`CellView`]s. The table stores rows in push order; captures push
+/// them in ascending cell-id order, the order snapshot decoding enforces.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CellTable {
+    ids: Vec<CellId>,
+    rects: Column<RectState>,
+    us: Column<f64>,
+    ud: Column<f64>,
+    cand: Column<CandidateState>,
+}
+
+/// One row of a [`CellTable`]: a grid cell's state across the detector's
+/// cSPOT levels (one level for single-region detectors, k for top-k).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellView<'a> {
     /// The cell's grid coordinates.
     pub id: CellId,
     /// Resident rectangles in ascending object-id order. Top-k detectors
-    /// keep their rectangles globally (see [`DetectorState::rects`]) and
-    /// leave this empty.
-    pub rects: Vec<RectState>,
+    /// keep their rectangles globally (see [`DetectorState::rects`]), so
+    /// their rows leave this empty.
+    pub rects: &'a [RectState],
     /// Per-level unnormalized static-bound accumulators (Definition 7),
     /// captured bit-for-bit.
-    pub us: Vec<f64>,
+    pub us: &'a [f64],
     /// Per-level dynamic bounds in score units (Eqn. 3; ∞ until first
-    /// searched), captured bit-for-bit.
-    pub ud: Vec<f64>,
+    /// searched), captured bit-for-bit. Empty for Base, which keeps none.
+    pub ud: &'a [f64],
     /// Per-level candidate states.
-    pub cand: Vec<CandidateState>,
+    pub cand: &'a [CandidateState],
+}
+
+impl CellTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        CellTable::default()
+    }
+
+    /// An empty table with room for `cells` rows holding `rects`
+    /// rectangles in total and `levels` values per row in each per-level
+    /// column, so filling it to that size allocates nothing more.
+    pub fn with_capacity(cells: usize, rects: usize, levels: usize) -> Self {
+        let per_level = cells.saturating_mul(levels);
+        CellTable {
+            ids: Vec::with_capacity(cells),
+            rects: Column::with_capacity(cells, rects),
+            us: Column::with_capacity(cells, per_level),
+            ud: Column::with_capacity(cells, per_level),
+            cand: Column::with_capacity(cells, per_level),
+        }
+    }
+
+    /// Appends a whole row.
+    pub fn push_cell(
+        &mut self,
+        id: CellId,
+        rects: impl IntoIterator<Item = RectState>,
+        us: impl IntoIterator<Item = f64>,
+        ud: impl IntoIterator<Item = f64>,
+        cand: impl IntoIterator<Item = CandidateState>,
+    ) {
+        self.rects.values.extend(rects);
+        self.us.values.extend(us);
+        self.ud.values.extend(ud);
+        self.cand.values.extend(cand);
+        self.end_cell(id);
+    }
+
+    /// Appends a rectangle to the open row.
+    pub fn push_rect(&mut self, rect: RectState) {
+        self.rects.values.push(rect);
+    }
+
+    /// Appends a static-bound accumulator to the open row.
+    pub fn push_us(&mut self, us: f64) {
+        self.us.values.push(us);
+    }
+
+    /// Appends a dynamic bound to the open row.
+    pub fn push_ud(&mut self, ud: f64) {
+        self.ud.values.push(ud);
+    }
+
+    /// Appends a candidate to the open row.
+    pub fn push_cand(&mut self, cand: CandidateState) {
+        self.cand.values.push(cand);
+    }
+
+    /// Closes the open row as cell `id`'s: every value pushed since the
+    /// previous row was closed belongs to it.
+    pub fn end_cell(&mut self, id: CellId) {
+        self.ids.push(id);
+        self.rects.close_row();
+        self.us.close_row();
+        self.ud.close_row();
+        self.cand.close_row();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The rows in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CellView<'_>> + '_ {
+        self.ids.iter().enumerate().map(|(i, &id)| CellView {
+            id,
+            rects: self.rects.row(i),
+            us: self.us.row(i),
+            ud: self.ud.row(i),
+            cand: self.cand.row(i),
+        })
+    }
 }
 
 /// The logical state of one counting-grid cell of an approximate detector
@@ -171,11 +332,11 @@ pub struct DetectorState {
     pub name: String,
     /// Number of cSPOT levels (1 for single-region detectors, k for top-k).
     pub levels: u32,
-    /// Per-cell state, in ascending cell-id order.
-    pub cells: Vec<CellState>,
-    /// The global rectangle set with visibility levels (top-k detectors
-    /// only; empty for cell-local detectors, whose rectangles live in
-    /// [`CellState::rects`]).
+    /// Per-cell state, one row per cell in ascending cell-id order.
+    pub cells: CellTable,
+    /// The global rectangle set with visibility levels, in ascending
+    /// object-id order (top-k detectors only; empty for cell-local
+    /// detectors, whose rectangles live in [`CellView::rects`]).
     pub rects: Vec<RectState>,
     /// The current incumbent answers, best first: the top-k bursty points
     /// with their scores. Single-region detectors leave this empty (their
@@ -255,6 +416,59 @@ mod tests {
         assert_eq!(a, a);
         assert_ne!(a, CandidateState::Stale);
         assert_ne!(CandidateState::Absent, CandidateState::Stale);
+    }
+
+    #[test]
+    fn cell_table_rows_keep_their_own_widths_per_column() {
+        let rect = |id| RectState {
+            id,
+            rect: Rect::new(0.0, 0.0, 1.0, 1.0),
+            weight: 1.0,
+            kind: WindowKind::Current,
+            level: 0,
+        };
+        let mut whole = CellTable::with_capacity(3, 3, 1);
+        whole.push_cell(
+            (0, 0),
+            [rect(1), rect(2)],
+            [3.0],
+            [],
+            [CandidateState::Stale],
+        );
+        whole.push_cell((0, 1), [], [1.0, 2.0], [0.5, 0.25], []);
+        whole.push_cell((2, 0), [rect(7)], [], [], [CandidateState::Absent]);
+
+        // The same rows appended value by value.
+        let mut streamed = CellTable::new();
+        streamed.push_rect(rect(1));
+        streamed.push_rect(rect(2));
+        streamed.push_us(3.0);
+        streamed.push_cand(CandidateState::Stale);
+        streamed.end_cell((0, 0));
+        streamed.push_us(1.0);
+        streamed.push_us(2.0);
+        streamed.push_ud(0.5);
+        streamed.push_ud(0.25);
+        streamed.end_cell((0, 1));
+        streamed.push_rect(rect(7));
+        streamed.push_cand(CandidateState::Absent);
+        streamed.end_cell((2, 0));
+        assert_eq!(streamed, whole);
+
+        assert_eq!(whole.len(), 3);
+        assert!(!whole.is_empty() && CellTable::new().is_empty());
+        let rows: Vec<CellView<'_>> = whole.iter().collect();
+        assert_eq!(rows[0].id, (0, 0));
+        assert_eq!(rows[0].rects, &[rect(1), rect(2)]);
+        assert_eq!((rows[0].us, rows[0].ud), (&[3.0][..], &[][..]));
+        assert_eq!(rows[1].rects, &[]);
+        assert_eq!(
+            (rows[1].us, rows[1].ud),
+            (&[1.0, 2.0][..], &[0.5, 0.25][..])
+        );
+        assert_eq!(rows[1].cand, &[]);
+        assert_eq!(rows[2].rects, &[rect(7)]);
+        assert_eq!(rows[2].cand, &[CandidateState::Absent]);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod store;
 pub mod time;
 
 pub use checkpoint::{
-    CandidateState, CellState, CheckpointableDetector, ControllerState, DetectorState, EngineState,
-    GridCellState, RectState, RestoreError,
+    CandidateState, CellTable, CellView, CheckpointableDetector, ControllerState, DetectorState,
+    EngineState, GridCellState, RectState, RestoreError,
 };
 pub use detector::{
     BurstDetector, DetectorStats, IncrementalDetector, MeshIngest, MeshWorker, ShardAnswer,

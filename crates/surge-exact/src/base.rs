@@ -20,11 +20,12 @@
 use std::collections::BTreeSet;
 
 use surge_core::{
-    object_to_rect, BurstDetector, BurstParams, CandidateState, CellId, CellState, CellStore,
+    object_to_rect, BurstDetector, BurstParams, CandidateState, CellId, CellStore, CellTable,
     CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec, Point, Rect,
-    RectState, RegionAnswer, RestoreError, ShardedCellStore, SurgeQuery, TotalF64, WindowKind,
+    RegionAnswer, RestoreError, ShardedCellStore, SurgeQuery, TotalF64, WindowKind,
 };
 
+use crate::cell::sorted_cells;
 use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool};
 
 #[derive(Debug)]
@@ -176,8 +177,9 @@ impl BaseDetector {
 /// derive them.
 impl CheckpointableDetector for BaseDetector {
     fn capture_state(&self) -> DetectorState {
-        let mut cells: Vec<CellState> = Vec::with_capacity(self.cell_count());
-        self.cells.for_each(|id, cell| {
+        let (refs, rects) = sorted_cells(self.cells.shards(), |c: &BaseCell| c.sweep.len());
+        let mut cells = CellTable::with_capacity(refs.len(), rects, 1);
+        for (id, cell) in refs {
             let cand = if cell.stale {
                 CandidateState::Stale
             } else if cell.domain.is_none() {
@@ -192,25 +194,8 @@ impl CheckpointableDetector for BaseDetector {
                     None => CandidateState::Absent,
                 }
             };
-            cells.push(CellState {
-                id,
-                rects: cell
-                    .sweep
-                    .entries()
-                    .map(|(oid, r)| RectState {
-                        id: oid,
-                        rect: r.rect,
-                        weight: r.weight,
-                        kind: r.kind,
-                        level: 0,
-                    })
-                    .collect(),
-                us: vec![cell.us_weight],
-                ud: Vec::new(),
-                cand: vec![cand],
-            });
-        });
-        cells.sort_unstable_by_key(|c| c.id);
+            cells.push_cell(id, cell.sweep.rect_states(), [cell.us_weight], [], [cand]);
+        }
         DetectorState {
             name: self.name().to_string(),
             levels: 1,
@@ -242,7 +227,7 @@ impl CheckpointableDetector for BaseDetector {
                 self.name()
             )));
         }
-        for cp in &state.cells {
+        for cp in state.cells.iter() {
             let (Some(&us), Some(&cand)) = (cp.us.first(), cp.cand.first()) else {
                 return Err(RestoreError::new(format!(
                     "cell {:?} is missing level-0 state",
@@ -257,7 +242,7 @@ impl CheckpointableDetector for BaseDetector {
             let mut sweep =
                 self.pool
                     .take(domain, self.params, crate::psweep::SweepMode::Persistent);
-            for r in &cp.rects {
+            for r in cp.rects {
                 sweep.insert(r.id, r.rect, r.weight);
                 if r.kind == WindowKind::Past {
                     sweep.grow(r.id);

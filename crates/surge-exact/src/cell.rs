@@ -30,9 +30,9 @@
 use std::collections::{BTreeSet, HashMap};
 
 use surge_core::{
-    object_to_rect, shard_of_cell, BurstDetector, BurstParams, CandidateState, CellId, CellState,
+    object_to_rect, shard_of_cell, BurstDetector, BurstParams, CandidateState, CellId, CellTable,
     CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec,
-    IncrementalDetector, MeshIngest, MeshWorker, Point, Rect, RectState, RegionAnswer, RegionSize,
+    IncrementalDetector, MeshIngest, MeshWorker, Point, Rect, RegionAnswer, RegionSize,
     RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, ShardedCellStore,
     SurgeQuery, TotalF64, WindowKind,
 };
@@ -571,6 +571,25 @@ impl CellCspot {
     }
 }
 
+/// Every cell of `shards` as `(id, &cell)` in ascending id order — the row
+/// order of a capture's cell table — plus the total of `rects` over them,
+/// so the caller can size the table before filling it.
+pub(crate) fn sorted_cells<C>(
+    shards: &[HashMap<CellId, C>],
+    rects: impl Fn(&C) -> usize,
+) -> (Vec<(CellId, &C)>, usize) {
+    let mut refs = Vec::with_capacity(shards.iter().map(HashMap::len).sum());
+    let mut total = 0;
+    for shard in shards {
+        for (&id, cell) in shard {
+            total += rects(cell);
+            refs.push((id, cell));
+        }
+    }
+    refs.sort_unstable_by_key(|&(id, _)| id);
+    (refs, total)
+}
+
 /// Checkpoint capture/restore (see `surge_core::checkpoint`): the logical
 /// per-cell state is the rectangle set plus the floating-point accumulators
 /// whose bits depend on event history (`us_weight`, `ud`, Lemma-4 candidate
@@ -580,37 +599,26 @@ impl CellCspot {
 /// uninterrupted run bit for bit.
 impl CheckpointableDetector for CellCspot {
     fn capture_state(&self) -> DetectorState {
-        let mut cells: Vec<CellState> = Vec::with_capacity(self.cell_count());
-        for shard in self.store.shards() {
-            for (&id, cell) in shard {
-                cells.push(CellState {
-                    id,
-                    rects: cell
-                        .sweep
-                        .entries()
-                        .map(|(oid, r)| RectState {
-                            id: oid,
-                            rect: r.rect,
-                            weight: r.weight,
-                            kind: r.kind,
-                            level: 0,
-                        })
-                        .collect(),
-                    us: vec![cell.us_weight],
-                    ud: vec![cell.ud],
-                    cand: vec![match cell.cand {
-                        CandState::Stale => CandidateState::Stale,
-                        CandState::Infeasible => CandidateState::Infeasible,
-                        CandState::Valid(c) => CandidateState::Valid {
-                            point: c.point,
-                            wc: c.wc,
-                            wp: c.wp,
-                        },
-                    }],
-                });
-            }
+        let (refs, rects) = sorted_cells(self.store.shards(), |c: &Cell| c.sweep.len());
+        let mut cells = CellTable::with_capacity(refs.len(), rects, 1);
+        for (id, cell) in refs {
+            let cand = match cell.cand {
+                CandState::Stale => CandidateState::Stale,
+                CandState::Infeasible => CandidateState::Infeasible,
+                CandState::Valid(c) => CandidateState::Valid {
+                    point: c.point,
+                    wc: c.wc,
+                    wp: c.wp,
+                },
+            };
+            cells.push_cell(
+                id,
+                cell.sweep.rect_states(),
+                [cell.us_weight],
+                [cell.ud],
+                [cand],
+            );
         }
-        cells.sort_unstable_by_key(|c| c.id);
         DetectorState {
             name: self.name().to_string(),
             levels: 1,
@@ -643,7 +651,7 @@ impl CheckpointableDetector for CellCspot {
             )));
         }
         let ctx = self.ctx;
-        for cp in &state.cells {
+        for cp in state.cells.iter() {
             let (Some(&us), Some(&ud), Some(&cand)) =
                 (cp.us.first(), cp.ud.first(), cp.cand.first())
             else {
@@ -665,7 +673,7 @@ impl CheckpointableDetector for CellCspot {
                 .point_domain()
                 .and_then(|d| d.intersection(&cell_rect));
             let mut sweep = self.pools[s].take(domain, ctx.params, ctx.sweep_mode);
-            for r in &cp.rects {
+            for r in cp.rects {
                 sweep.insert(r.id, r.rect, r.weight);
                 if r.kind == WindowKind::Past {
                     sweep.grow(r.id);
@@ -1270,8 +1278,14 @@ mod tests {
         assert!(fresh.restore_state(&bad).is_err());
         // Duplicate cell entries.
         let mut bad = state.clone();
-        let dup = bad.cells[0].clone();
-        bad.cells.push(dup);
+        let dup = state.cells.iter().next().expect("one cell");
+        bad.cells.push_cell(
+            dup.id,
+            dup.rects.iter().copied(),
+            dup.us.iter().copied(),
+            dup.ud.iter().copied(),
+            dup.cand.iter().copied(),
+        );
         let mut fresh = CellCspot::new(query(0.5));
         assert!(fresh.restore_state(&bad).is_err());
     }

@@ -62,7 +62,7 @@
 
 use std::cmp::Ordering;
 
-use surge_core::{BurstParams, ObjectId, Rect, TotalF64, WindowKind};
+use surge_core::{BurstParams, ObjectId, Rect, RectState, TotalF64, WindowKind};
 
 use crate::segtree::BurstSegTree;
 use crate::sweep::{sweep_core, SweepRect, SweepResult};
@@ -272,13 +272,20 @@ impl PersistentCellSweep {
     }
 
     /// The resident rectangles with their object ids, in ascending id order
-    /// — the logical state a checkpoint captures. Re-inserting these into a
-    /// fresh sweep (via [`insert`](Self::insert) then
-    /// [`grow`](Self::grow) for past-window entries) reproduces a state
-    /// whose searches are bit-identical to this one's: every derived
-    /// structure is defined by a total order over exactly this set.
-    pub fn entries(&self) -> impl Iterator<Item = (ObjectId, SweepRect)> + '_ {
-        self.entries.iter().map(|e| (e.id, e.rect))
+    /// — the logical state a checkpoint captures (at level 0: single-region
+    /// detectors have no levels). Re-inserting these into a fresh sweep
+    /// (via [`insert`](Self::insert) then [`grow`](Self::grow) for
+    /// past-window entries) reproduces a state whose searches are
+    /// bit-identical to this one's: every derived structure is defined by a
+    /// total order over exactly this set.
+    pub fn rect_states(&self) -> impl Iterator<Item = RectState> + '_ {
+        self.entries.iter().map(|e| RectState {
+            id: e.id,
+            rect: e.rect.rect,
+            weight: e.rect.weight,
+            kind: e.rect.kind,
+            level: 0,
+        })
     }
 
     /// Whether the incrementally maintained structures are live (false once

@@ -342,9 +342,15 @@ impl<'a> PayloadReader<'a> {
         })
     }
 
+    /// Bytes left to read. Decoders bound capacity hints by it, so a
+    /// corrupt count cannot reserve memory the payload does not back.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.off
+    }
+
     /// Whether the cursor consumed the whole payload.
     pub fn is_exhausted(&self) -> bool {
-        self.off == self.buf.len()
+        self.remaining() == 0
     }
 
     /// Errors unless the payload was fully consumed (catches encoder/decoder
@@ -355,7 +361,7 @@ impl<'a> PayloadReader<'a> {
         } else {
             Err(IoError::Invariant(format!(
                 "{what}: {} trailing bytes in section payload",
-                self.buf.len() - self.off
+                self.remaining()
             )))
         }
     }

@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use surge_core::{
-    object_to_rect, BurstParams, CandidateState, CellId, CellState, CheckpointableDetector,
+    object_to_rect, BurstParams, CandidateState, CellId, CellTable, CheckpointableDetector,
     DetectorState, DetectorStats, Event, EventKind, GridSpec, ObjectId, Point, Rect, RectState,
     RegionAnswer, RestoreError, SurgeQuery, TopKDetector, TotalF64, WindowKind,
 };
@@ -405,22 +405,27 @@ impl KCellCspot {
     }
 
     /// The ids of rectangles covering `p` (all of them are members of the
-    /// cell canonically containing `p`).
+    /// cell canonically containing `p`), in ascending id order: the caller
+    /// applies level changes in this order, and each one adds into the
+    /// per-level float accumulators, so hash-set order would make the bound
+    /// bits differ from run to run.
     fn covering(&self, p: Point) -> Vec<ObjectId> {
         let cid = self.grid.cell_of(p);
-        match self.cells.get(&cid) {
-            Some(cell) => cell
-                .members
-                .iter()
-                .filter(|rid| {
-                    self.rects
-                        .get(rid)
-                        .is_some_and(|r| r.sweep.rect.contains(p))
-                })
-                .copied()
-                .collect(),
-            None => Vec::new(),
-        }
+        let Some(cell) = self.cells.get(&cid) else {
+            return Vec::new();
+        };
+        let mut ids: Vec<ObjectId> = cell
+            .members
+            .iter()
+            .filter(|rid| {
+                self.rects
+                    .get(rid)
+                    .is_some_and(|r| r.sweep.rect.contains(p))
+            })
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Re-runs the greedy selection for all k levels, updating rectangle
@@ -493,30 +498,26 @@ impl CheckpointableDetector for KCellCspot {
             })
             .collect();
         rects.sort_unstable_by_key(|r| r.id);
-        let mut cells: Vec<CellState> = self
-            .cells
-            .iter()
-            .map(|(&id, cell)| CellState {
+        let mut refs: Vec<(CellId, &KCell)> = self.cells.iter().map(|(&id, c)| (id, c)).collect();
+        refs.sort_unstable_by_key(|&(id, _)| id);
+        let mut cells = CellTable::with_capacity(refs.len(), 0, self.k);
+        for (id, cell) in refs {
+            cells.push_cell(
                 id,
-                rects: Vec::new(),
-                us: cell.us.clone(),
-                ud: cell.ud.clone(),
-                cand: cell
-                    .cand
-                    .iter()
-                    .map(|c| match c {
-                        KState::Stale => CandidateState::Stale,
-                        KState::Infeasible => CandidateState::Infeasible,
-                        KState::Valid(c) => CandidateState::Valid {
-                            point: c.point,
-                            wc: c.wc,
-                            wp: c.wp,
-                        },
-                    })
-                    .collect(),
-            })
-            .collect();
-        cells.sort_unstable_by_key(|c| c.id);
+                [],
+                cell.us.iter().copied(),
+                cell.ud.iter().copied(),
+                cell.cand.iter().map(|c| match c {
+                    KState::Stale => CandidateState::Stale,
+                    KState::Infeasible => CandidateState::Infeasible,
+                    KState::Valid(c) => CandidateState::Valid {
+                        point: c.point,
+                        wc: c.wc,
+                        wp: c.wp,
+                    },
+                }),
+            );
+        }
         DetectorState {
             name: self.name().to_string(),
             levels: self.k as u32,
@@ -560,7 +561,7 @@ impl CheckpointableDetector for KCellCspot {
             )));
         }
         let k = self.k;
-        for cp in &state.cells {
+        for cp in state.cells.iter() {
             if cp.us.len() != k || cp.ud.len() != k || cp.cand.len() != k {
                 return Err(RestoreError::new(format!(
                     "cell {:?}: per-level vectors must have length k={k}",
@@ -590,8 +591,8 @@ impl CheckpointableDetector for KCellCspot {
                 cp.id,
                 KCell {
                     members: HashSet::new(),
-                    us: cp.us.clone(),
-                    ud: cp.ud.clone(),
+                    us: cp.us.to_vec(),
+                    ud: cp.ud.to_vec(),
                     cand,
                     keys: vec![TotalF64(f64::NEG_INFINITY); k],
                     domain,
