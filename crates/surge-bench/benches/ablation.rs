@@ -7,19 +7,15 @@
 //!   grid-cell factor (the paper fixes 10q; this shows the choice matters).
 //! * `ablation_sweep` — the generic SL-CSPOT sweep vs the `O(n log n)`
 //!   segment-tree MaxRS sweep on the α = 0 special case.
-//! * `ablation_roadnet_segment` — road-network detector cost vs segment
-//!   length (finer segments = more candidates, colder per-segment state).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use surge_baseline::Ag2;
 use surge_bench::experiments::{run_algo, Algo, DEFAULT_ALPHA};
 use surge_core::{
-    BurstDetector, BurstParams, Point, Rect, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
-    WindowKind,
+    BurstDetector, BurstParams, Rect, RegionSize, SurgeQuery, WindowConfig, WindowKind,
 };
 use surge_exact::{maxrs_sweep, sl_cspot, SweepRect};
-use surge_roadnet::{grid_city, GridCityConfig, NetGapSurge};
 use surge_stream::{Dataset, SlidingWindowEngine, StreamGenerator};
 
 const OBJECTS: usize = 2_500;
@@ -114,51 +110,10 @@ fn bench_sweep_variants(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_roadnet_segment_len(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_roadnet_segment");
-    g.sample_size(10);
-    let city = grid_city(&GridCityConfig {
-        nx: 14,
-        ny: 14,
-        spacing: 100.0,
-        jitter: 0.1,
-        drop_fraction: 0.1,
-        seed: 7,
-    });
-    let windows = WindowConfig::equal(30_000);
-    let params = BurstParams::new(DEFAULT_ALPHA, windows);
-    let stream: Vec<SpatialObject> = (0..6_000u64)
-        .map(|i| {
-            SpatialObject::new(
-                i,
-                1.0 + (i % 5) as f64,
-                Point::new((i * 131 % 1_300) as f64, (i * 71 % 1_300) as f64),
-                i * 40,
-            )
-        })
-        .collect();
-    for seg_len in [25.0f64, 50.0, 100.0, 200.0] {
-        g.bench_with_input(BenchmarkId::from_parameter(seg_len), &seg_len, |b, &l| {
-            b.iter(|| {
-                let mut det = NetGapSurge::new(city.clone(), l, params, 80.0);
-                let mut engine = SlidingWindowEngine::new(windows);
-                for obj in stream.iter().copied() {
-                    for ev in engine.push(obj) {
-                        det.on_event(&ev);
-                    }
-                }
-                det.current().map(|a| a.score).unwrap_or(0.0)
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_bound_ablation,
     bench_ag2_cell_factor,
-    bench_sweep_variants,
-    bench_roadnet_segment_len
+    bench_sweep_variants
 );
 criterion_main!(benches);

@@ -15,7 +15,6 @@
 //!   fig9   [--axis A]      Fig. 9    top-k runtime (A = window | k)
 //!   case-study             §VII-G    burst localization
 //!   latency                extension: per-event tail-latency table
-//!   roadnet                extension: road-network segment-length sweep
 //!   sweep-bench            naive vs segment-tree sweep, flat vs recursive
 //!                          segment tree, persistent vs rebuild cell
 //!                          sweeps; writes BENCH_sweep.json
@@ -150,7 +149,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|roadnet|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
         .to_string()
@@ -310,7 +309,6 @@ fn run(args: &Args) -> Result<(), String> {
                 print::latency(d.spec().name, &experiments::latency_table(d, cfg))
             );
         }
-        "roadnet" => print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg))),
         "sweep-bench" => run_sweep_bench(cfg)?,
         "checkpoint-bench" => run_checkpoint_bench(cfg)?,
         "degrade-bench" => run_degrade_bench(cfg)?,
@@ -374,7 +372,6 @@ fn run(args: &Args) -> Result<(), String> {
                 "{}",
                 print::latency(d.spec().name, &experiments::latency_table(d, cfg))
             );
-            print!("{}", print::roadnet(&experiments::roadnet_sweep(cfg)));
             run_sweep_bench(cfg)?;
             run_checkpoint_bench(cfg)?;
             run_degrade_bench(cfg)?;

@@ -966,96 +966,6 @@ pub fn latency_table(dataset: Dataset, cfg: &ExpConfig) -> Vec<LatencyRow> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Road-network extension experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the road-network segment-length sweep.
-#[derive(Debug, Clone)]
-pub struct RoadnetRow {
-    /// Segment length `L` (meters of road per candidate region).
-    pub segment_len: f64,
-    /// Number of candidate segments induced on the network.
-    pub segments: u32,
-    /// Mean processing time per object, microseconds.
-    pub time_per_object_us: f64,
-    /// Fraction of in-burst checkpoints where the detected segment midpoint
-    /// lies within 150 m of the injected rush center.
-    pub hit_rate: f64,
-}
-
-/// The road-network experiment: a jittered grid city, a rush injected on one
-/// street, and `NetGapSurge` swept over segment lengths. Finer segments cost
-/// more bookkeeping but localize more sharply — until they fragment the rush
-/// across segments and the score (and hit rate) drops.
-pub fn roadnet_sweep(cfg: &ExpConfig) -> Vec<RoadnetRow> {
-    use surge_roadnet::{grid_city, GridCityConfig, NetGapSurge};
-
-    let city = grid_city(&GridCityConfig {
-        nx: 12,
-        ny: 12,
-        spacing: 100.0,
-        jitter: 0.1,
-        drop_fraction: 0.1,
-        seed: cfg.seed,
-    });
-    let windows = WindowConfig::equal(30_000);
-    let params = surge_core::BurstParams::new(DEFAULT_ALPHA, windows);
-    let rush = surge_core::Point::new(600.0, 500.0);
-    let n = cfg.objects.clamp(2_000, 200_000);
-
-    // Deterministic stream: uniform background, rush in the middle third.
-    let span: u64 = 300_000;
-    let step = span / n as u64;
-    let stream: Vec<SpatialObject> = (0..n as u64)
-        .map(|i| {
-            let t = i * step.max(1);
-            let rushing = (span / 3..2 * span / 3).contains(&t) && i % 2 == 0;
-            let pos = if rushing {
-                surge_core::Point::new(
-                    rush.x + ((i * 29) % 60) as f64 - 30.0,
-                    rush.y + ((i * 13) % 14) as f64 - 7.0,
-                )
-            } else {
-                surge_core::Point::new(((i * 547) % 1_100) as f64, ((i * 389) % 1_100) as f64)
-            };
-            SpatialObject::new(i, 1.0 + (i % 4) as f64, pos, t)
-        })
-        .collect();
-
-    [25.0f64, 50.0, 100.0, 200.0]
-        .iter()
-        .map(|&seg_len| {
-            let mut det = NetGapSurge::new(city.clone(), seg_len, params, 80.0);
-            let segments = det.segmentation().segment_count();
-            let mut engine = SlidingWindowEngine::new(windows);
-            let mut hits = 0usize;
-            let mut total = 0usize;
-            let t0 = std::time::Instant::now();
-            for obj in stream.iter().copied() {
-                let t = obj.created;
-                for ev in engine.push(obj) {
-                    det.on_event(&ev);
-                }
-                if (span / 3 + windows.current_len..2 * span / 3).contains(&t) && total < 500 {
-                    if let Some(a) = det.current() {
-                        total += 1;
-                        let d2 = (a.midpoint.x - rush.x).powi(2) + (a.midpoint.y - rush.y).powi(2);
-                        hits += (d2 < 150.0f64.powi(2)) as usize;
-                    }
-                }
-            }
-            let elapsed = t0.elapsed();
-            RoadnetRow {
-                segment_len: seg_len,
-                segments,
-                time_per_object_us: elapsed.as_secs_f64() * 1e6 / n as f64,
-                hit_rate: hits as f64 / total.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
 /// One row of the sweep micro-benchmark: naive vs segment-tree SL-CSPOT on
 /// identical scenes of `n` rectangles, plus the flat-vs-recursive segment
 /// tree comparison at the same `n`.
@@ -2300,21 +2210,6 @@ mod tests {
             assert!(r.summary.count > 0, "{} recorded no samples", r.algo);
             assert!(r.summary.max_us >= r.summary.p50_us);
         }
-    }
-
-    #[test]
-    fn roadnet_sweep_reports_all_lengths() {
-        let rows = roadnet_sweep(&tiny());
-        assert_eq!(rows.len(), 4);
-        // Finer segmentation induces more candidate segments.
-        for w in rows.windows(2) {
-            assert!(w[0].segments >= w[1].segments);
-        }
-        // At sane segment lengths the rush street is found most of the time.
-        assert!(
-            rows.iter().any(|r| r.hit_rate > 0.6),
-            "no segment length localizes the rush: {rows:?}"
-        );
     }
 
     #[test]

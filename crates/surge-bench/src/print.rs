@@ -204,24 +204,6 @@ pub fn latency(dataset: &str, rows: &[crate::experiments::LatencyRow]) -> String
     out
 }
 
-/// Road-network segment-length sweep (extension).
-pub fn roadnet(rows: &[crate::experiments::RoadnetRow]) -> String {
-    let mut out = format!(
-        "\n== Road-network SURGE: segment-length sweep ==\n{:<10} {:>10} {:>14} {:>10}\n",
-        "L (m)", "segments", "us/object", "hit rate"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>14.3} {:>9.1}%\n",
-            r.segment_len,
-            r.segments,
-            r.time_per_object_us,
-            r.hit_rate * 100.0
-        ));
-    }
-    out
-}
-
 /// Sweep micro-benchmark: naive vs segment-tree SL-CSPOT.
 pub fn sweep_bench(rows: &[crate::experiments::SweepBenchRow]) -> String {
     let mut out = format!(
@@ -868,19 +850,6 @@ mod tests {
         let text = latency("Taxi", &rows);
         assert!(text.contains("CCS"));
         assert!(text.contains("p99"));
-    }
-
-    #[test]
-    fn roadnet_table_renders() {
-        let rows = vec![crate::experiments::RoadnetRow {
-            segment_len: 50.0,
-            segments: 1_000,
-            time_per_object_us: 2.5,
-            hit_rate: 0.91,
-        }];
-        let text = roadnet(&rows);
-        assert!(text.contains("50"));
-        assert!(text.contains("91.0%"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Real city road graphs (OpenStreetMap extracts) are not bundled with the
 //! repository; this module generates Manhattan-style grid cities with
 //! jittered junctions and randomly dropped street segments, which reproduces
-//! the structural properties the detectors care about: bounded node degree,
+//! the structural properties of a street map: bounded node degree,
 //! roughly uniform segment lengths, and planar embedding. Generation is
 //! deterministic in the seed.
 

@@ -1,48 +1,23 @@
 //! # surge-roadnet
 //!
-//! Road-network extension of the SURGE system — the future-work direction the
-//! paper names in its conclusion ("we intend to explore the SURGE problem in
-//! the context of road network", §VIII).
+//! Road-network substrate for the SURGE system — the groundwork for the
+//! future-work direction the paper names in its conclusion ("we intend to
+//! explore the SURGE problem in the context of road network", §VIII). No
+//! detector runs on it; the crate holds the graph layer only:
 //!
-//! On a road network, a "region" is a stretch of road rather than a planar
-//! rectangle: an Uber driver cares about a hot street, not a hot rectangle
-//! that is mostly buildings. This crate provides:
-//!
-//! * [`graph`] — the road-network substrate: an undirected planar graph with
-//!   validated construction ([`RoadNetworkBuilder`]) and on-network positions
-//!   ([`EdgePos`]).
+//! * [`graph`] — an undirected planar graph with validated construction
+//!   ([`RoadNetworkBuilder`]) and on-network positions ([`EdgePos`]).
 //! * [`generator`] — deterministic synthetic city generation
 //!   ([`grid_city`]): jittered Manhattan grids with dropped segments.
-//! * [`snap`] — bucketed nearest-edge snapping of free planar objects onto
-//!   the network ([`EdgeIndex`]).
 //! * [`path`] — truncated Dijkstra and network distances.
-//! * [`segment`] — fixed-length edge segmentation: the network analog of the
-//!   planar cell grid ([`Segmentation`]).
-//! * [`detector`] — [`NetGapSurge`], the network analog of GAP-SURGE
-//!   (`O(log n)` per event), and [`NetBallOracle`], a brute-force
-//!   network-ball reference used to validate result quality.
-//! * [`multiseg`] — [`NetMgapSurge`], the network analog of MGAP-SURGE:
-//!   two half-piece-shifted segmentations, best answer wins.
-//!
-//! Detectors consume the same `New`/`Grown`/`Expired` event stream as the
-//! planar algorithms, so the sliding-window engine from `surge-stream` drives
-//! both without modification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod detector;
 pub mod generator;
 pub mod graph;
-pub mod multiseg;
 pub mod path;
-pub mod segment;
-pub mod snap;
 
-pub use detector::{BallAnswer, NetAnswer, NetBallOracle, NetGapSurge};
 pub use generator::{grid_city, GridCityConfig};
 pub use graph::{Edge, EdgeId, EdgePos, GraphError, Node, NodeId, RoadNetwork, RoadNetworkBuilder};
-pub use multiseg::NetMgapSurge;
 pub use path::{dijkstra_from_node, dijkstra_from_pos, network_distance};
-pub use segment::{SegmentId, Segmentation};
-pub use snap::{snap_bruteforce, EdgeIndex, Snap};

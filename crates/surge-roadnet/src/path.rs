@@ -1,8 +1,7 @@
 //! Shortest-path primitives over the road network.
 //!
-//! The network-ball detector scores "all objects within network distance `r`
-//! of a center"; that needs truncated single-source Dijkstra from nodes and
-//! from arbitrary edge positions.
+//! Truncated single-source Dijkstra from nodes and from arbitrary edge
+//! positions, and the point-to-point network distance built on it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,12 +1,9 @@
-//! Property tests for the road-network substrate: snapping correctness,
-//! metric axioms for the network distance, segmentation tiling, and mass
-//! conservation in the segment detector.
+//! Property tests for the road-network substrate: the metric axioms of the
+//! truncated Dijkstra and of the network distance.
 
 use proptest::prelude::*;
-use surge_core::{BurstParams, Event, Point, SpatialObject, WindowConfig};
 use surge_roadnet::{
-    dijkstra_from_node, grid_city, network_distance, snap_bruteforce, EdgeIndex, EdgePos,
-    GridCityConfig, NetGapSurge, NetMgapSurge, RoadNetwork, Segmentation,
+    dijkstra_from_node, grid_city, network_distance, EdgePos, GridCityConfig, RoadNetwork,
 };
 
 fn arb_city() -> impl Strategy<Value = RoadNetwork> {
@@ -26,26 +23,6 @@ fn arb_city() -> impl Strategy<Value = RoadNetwork> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The bucketed edge index and the brute-force scan agree on the snap
-    /// distance for arbitrary probes.
-    #[test]
-    fn snap_index_matches_bruteforce(
-        city in arb_city(),
-        px in -100.0..500.0f64,
-        py in -100.0..500.0f64,
-    ) {
-        let idx = EdgeIndex::build(&city).unwrap();
-        let p = Point::new(px, py);
-        let fast = idx.snap(&city, p);
-        let slow = snap_bruteforce(&city, p).unwrap();
-        prop_assert!(
-            (fast.distance - slow.distance).abs() <= 1e-9,
-            "index {} vs brute {}",
-            fast.distance,
-            slow.distance
-        );
-    }
 
     /// Truncated Dijkstra with an infinite radius satisfies the triangle
     /// inequality through any intermediate node.
@@ -76,102 +53,5 @@ proptest! {
         let ba = network_distance(&city, b, a, f64::INFINITY);
         prop_assert!((ab - ba).abs() <= 1e-9, "{ab} vs {ba}");
         prop_assert!(ab >= 0.0);
-    }
-
-    /// Segmentation tiles every edge exactly and `segment_of` is consistent
-    /// with the spans.
-    #[test]
-    fn segmentation_tiles_and_locates(
-        city in arb_city(),
-        target in 5.0..120.0f64,
-        frac in 0.0..=1.0f64,
-    ) {
-        let seg = Segmentation::new(&city, target);
-        let mut total = 0u32;
-        for (eid, e) in city.edges().iter().enumerate() {
-            let eid = eid as u32;
-            let n = seg.segments_on_edge(eid);
-            total += n;
-            let mut end = 0.0;
-            for index in 0..n {
-                let id = surge_roadnet::SegmentId { edge: eid, index };
-                let (s0, s1) = seg.segment_span(&city, id);
-                prop_assert!((s0 - end).abs() < 1e-9);
-                prop_assert!(seg.segment_len(&city, id) <= target + 1e-9);
-                end = s1;
-            }
-            prop_assert!((end - e.length).abs() < 1e-9);
-            // A probe at `frac` of the edge lands in the segment whose span
-            // contains it.
-            let pos = EdgePos { edge: eid, offset: frac * e.length };
-            let found = seg.segment_of(&city, pos);
-            let (s0, s1) = seg.segment_span(&city, found);
-            prop_assert!(pos.offset >= s0 - 1e-9 && pos.offset <= s1 + 1e-9);
-        }
-        prop_assert_eq!(total, seg.segment_count());
-    }
-
-    /// The multi-segmentation detector never reports a worse score than the
-    /// single-segmentation detector on identical event streams.
-    #[test]
-    fn multiseg_never_worse_than_single(
-        city in arb_city(),
-        arrivals in prop::collection::vec(
-            (0.0..400.0f64, 0.0..400.0f64, 1.0..20.0f64),
-            1..30
-        ),
-    ) {
-        let params = BurstParams::new(0.5, WindowConfig::equal(1_000));
-        let mut single = NetGapSurge::new(city.clone(), 40.0, params, 1e9);
-        let mut multi = NetMgapSurge::new(city, 40.0, params, 1e9);
-        for (i, &(x, y, w)) in arrivals.iter().enumerate() {
-            let e = Event::new_arrival(SpatialObject::new(i as u64, w, Point::new(x, y), 0));
-            single.on_event(&e);
-            multi.on_event(&e);
-        }
-        let s = single.current().map(|a| a.score).unwrap_or(0.0);
-        let m = multi.current().map(|a| a.score).unwrap_or(0.0);
-        prop_assert!(m >= s - 1e-9 * s.max(1.0), "multi {m} < single {s}");
-    }
-
-    /// Mass conservation in the segment detector: after arbitrary event
-    /// sequences, the recomputed best score is consistent with the heap, and
-    /// fully expiring all objects returns the detector to empty.
-    #[test]
-    fn detector_mass_conservation(
-        city in arb_city(),
-        arrivals in prop::collection::vec(
-            (0.0..400.0f64, 0.0..400.0f64, 1.0..20.0f64),
-            1..40
-        ),
-        grow_mask in any::<u64>(),
-    ) {
-        let params = BurstParams::new(0.5, WindowConfig::equal(1_000));
-        let mut det = NetGapSurge::new(city, 40.0, params, 1e9);
-        let mut events: Vec<Event> = Vec::new();
-        for (i, &(x, y, w)) in arrivals.iter().enumerate() {
-            let o = SpatialObject::new(i as u64, w, Point::new(x, y), 0);
-            events.push(Event::new_arrival(o));
-            if grow_mask >> (i % 64) & 1 == 1 {
-                events.push(Event::grown(o, 0));
-            }
-        }
-        for e in &events {
-            det.on_event(e);
-        }
-        let heap = det.current().map(|a| a.score).unwrap_or(0.0);
-        let table = det.recompute_best().map(|(_, s)| s).unwrap_or(0.0);
-        prop_assert!((heap - table).abs() <= 1e-9 * heap.abs().max(1.0));
-
-        // Retire everything: grow the still-current objects, then expire all.
-        for (i, &(x, y, w)) in arrivals.iter().enumerate() {
-            let o = SpatialObject::new(i as u64, w, Point::new(x, y), 0);
-            if grow_mask >> (i % 64) & 1 == 0 {
-                det.on_event(&Event::grown(o, 1));
-            }
-            det.on_event(&Event::expired(o, 2));
-        }
-        prop_assert_eq!(det.recompute_best(), None);
-        prop_assert!(det.current().is_none());
     }
 }

@@ -11,8 +11,6 @@
 //!   Gaussian hot-spots and burst injection.
 //! * [`datasets`] — presets matching Table I of the paper (object counts,
 //!   arrival rates, spatial extents).
-//! * [`text`] — geo-textual message substrate with keyword-relevance
-//!   weighting (the paper's Example 1 pipeline).
 //! * [`driver`] — replay loops feeding a source through the engine into a
 //!   detector: per-object timing for the evaluation harness, plus the
 //!   slide-batched [`drive_slides`] with dirty-cell accounting.
@@ -53,7 +51,6 @@ pub mod generator;
 pub mod metrics;
 pub mod parallel;
 pub mod runtime;
-pub mod text;
 pub mod window;
 
 pub use answers::{Ack, AnswerLog, AnswerSink, RetainAll};
@@ -74,5 +71,4 @@ pub use parallel::{
     IncrementalReport, ParallelReport,
 };
 pub use runtime::{FlushOutcome, Phase, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
-pub use text::{GeoMessage, KeywordQuery, TextStreamGenerator, Topic, TopicBurst, Vocabulary};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

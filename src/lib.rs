@@ -61,8 +61,6 @@
 //!   shared ingest + window engine, bitwise-identical queries deduped onto
 //!   one detector, per-subscription ack-released answer channels, and
 //!   whole-registry crash recovery.
-//! * [`roadnet`] — the road-network extension (the paper's stated future
-//!   work): graph substrate, synthetic cities, and network detectors.
 //!
 //! Pick [`exact::CellCspot`] when exactness matters (it is fast at realistic
 //! rates), [`approx::MgapSurge`] when sustained millions-of-objects-per-day
@@ -78,7 +76,6 @@ pub use surge_core as core;
 pub use surge_exact as exact;
 pub use surge_io as io;
 pub use surge_observe as observe;
-pub use surge_roadnet as roadnet;
 pub use surge_serve as serve;
 pub use surge_stream as stream;
 pub use surge_topk as topk;
@@ -102,16 +99,12 @@ pub mod prelude {
         read_events_from, read_objects_from, write_events_to, write_objects_to, LabelledAnswer,
     };
     pub use surge_observe::{Observe, RegistrySnapshot, TraceDump, TraceEvent};
-    pub use surge_roadnet::{
-        grid_city, GridCityConfig, NetBallOracle, NetGapSurge, NetMgapSurge, RoadNetwork,
-    };
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
         drive, drive_autopilot, drive_elastic, drive_incremental, drive_parallel, drive_slides,
         drive_topk, AnswerQuality, AutopilotDetector, AutopilotReport, BalancerPolicy, BurstSpec,
-        Dataset, DirtyCellTracker, ElasticReport, EventBatch, GeoMessage, Hotspot, KeywordQuery,
-        LatencyHistogram, SlidingWindowEngine, SloPolicy, StreamGenerator, TextStreamGenerator,
-        Tier, Topic, TopicBurst, Vocabulary, WorkloadConfig,
+        Dataset, DirtyCellTracker, ElasticReport, EventBatch, Hotspot, LatencyHistogram,
+        SlidingWindowEngine, SloPolicy, StreamGenerator, Tier, WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 }

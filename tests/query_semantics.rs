@@ -72,6 +72,21 @@ fn alpha_steers_every_detector_between_volume_and_burstiness() {
             "{name}: α=0.9 should pick the fresh burst, got {:?}",
             high.region
         );
+        // Volume is weight, not arrival count: reweighted (as keyword
+        // relevance would), the burst's fewer arrivals outweigh the cluster.
+        let heavy_burst: Vec<SpatialObject> = stream
+            .iter()
+            .map(|o| SpatialObject {
+                weight: if o.pos.x > 5.0 { 4.0 } else { o.weight },
+                ..*o
+            })
+            .collect();
+        let heavy = run_detector(make(query_low).as_mut(), &heavy_burst).unwrap();
+        assert!(
+            heavy.region.contains(Point::new(8.0, 8.0)),
+            "{name}: α=0 should pick the heavier burst, got {:?}",
+            heavy.region
+        );
     }
 }
 
