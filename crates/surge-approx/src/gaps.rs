@@ -10,8 +10,8 @@
 //! `α`; we follow Definition 1 (the burst score with `α`), which is what the
 //! approximation guarantee (Theorem 3) and the experiments use.
 //!
-//! Since the overload-autopilot work the detector is a first-class citizen
-//! of the production pipeline: its cells partition into `2^k` shards by the
+//! The detector is a first-class citizen of the production pipeline: its
+//! cells partition into `2^k` shards by the
 //! same deterministic spatial hash the exact detectors use
 //! (`shard_of_cell`), so it runs on the shard mesh (`drive_elastic`) with one
 //! [`GapMeshWorker`] per shard, runs under `drive_incremental` (events keep
@@ -429,7 +429,6 @@ impl CheckpointableDetector for GapSurge {
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells,
-            controller: None,
             stats: self.stats,
         }
     }

@@ -12,8 +12,7 @@
 //! [`surge_core::BurstDetector`], the shard mesh ([`surge_core::MeshIngest`],
 //! including live resharding), the (trivially empty) incremental-sweep
 //! contract, and bit-identical checkpoint capture/restore
-//! — so they can stand in for the exact detector anywhere in the pipeline,
-//! including under the overload autopilot in `surge-stream`.
+//! — so they can stand in for the exact detector anywhere in the pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -237,7 +237,6 @@ impl CheckpointableDetector for MgapSurge {
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells,
-            controller: None,
             stats: self.stats(),
         }
     }

@@ -22,10 +22,6 @@
 //!                          recovery vs replay-from-zero (bit-identity
 //!                          asserted first), one row per WAL fsync
 //!                          policy; writes BENCH_checkpoint.json
-//!   degrade-bench          flash-crowd overload: exact-only vs the
-//!                          degradation autopilot (SLO, bound, and
-//!                          return-to-exact contracts asserted); writes
-//!                          BENCH_degrade.json
 //!   serve-bench            multi-query serving: one shared server vs N
 //!                          dedicated runs (bit-identity asserted first),
 //!                          dedup hit-rate and per-query answer
@@ -149,7 +145,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|sweep-bench|checkpoint-bench|degrade-bench|serve-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|sweep-bench|checkpoint-bench|serve-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
         .to_string()
@@ -177,20 +173,6 @@ fn run_checkpoint_bench(cfg: &ExpConfig) -> Result<(), String> {
     print!("{}", print::checkpoint_bench(&rows));
     let json = print::checkpoint_bench_json(&rows);
     let path = "BENCH_checkpoint.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the overload-degradation experiment (flash crowd, exact-only vs
-/// autopilot), printing the table and writing `BENCH_degrade.json` to the
-/// working directory. The SLO/bound/recovery contract assertions run
-/// inside the experiment itself, so a successful exit is the smoke check.
-fn run_degrade_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::degrade_bench(cfg);
-    print!("{}", print::degrade_bench(&rows));
-    let json = print::degrade_bench_json(&rows);
-    let path = "BENCH_degrade.json";
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("# wrote {path}");
     Ok(())
@@ -311,7 +293,6 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "sweep-bench" => run_sweep_bench(cfg)?,
         "checkpoint-bench" => run_checkpoint_bench(cfg)?,
-        "degrade-bench" => run_degrade_bench(cfg)?,
         "serve-bench" => run_serve_bench(cfg)?,
         "observe-bench" => run_observe_bench(cfg)?,
         "all" => {
@@ -374,7 +355,6 @@ fn run(args: &Args) -> Result<(), String> {
             );
             run_sweep_bench(cfg)?;
             run_checkpoint_bench(cfg)?;
-            run_degrade_bench(cfg)?;
             run_serve_bench(cfg)?;
             run_observe_bench(cfg)?;
         }

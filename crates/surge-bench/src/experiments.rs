@@ -1703,220 +1703,6 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Overload-degradation (autopilot) experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the overload-degradation experiment: one run of the flash-
-/// crowd stream, either pinned to the exact tier or under the autopilot.
-#[derive(Debug, Clone, Copy)]
-pub struct DegradeBenchRow {
-    /// `"exact-only"` or `"autopilot"`.
-    pub mode: &'static str,
-    /// Objects driven through the pipeline.
-    pub objects: u64,
-    /// Slides executed (including the terminal flush).
-    pub slides: u64,
-    /// The per-slide latency SLO in microseconds, derived from the
-    /// exact-only run (geometric mean of its p50 and p99).
-    pub slo_budget_us: u64,
-    /// Median slide latency in microseconds.
-    pub p50_us: f64,
-    /// p99 slide latency in microseconds.
-    pub p99_us: f64,
-    /// Worst slide latency in microseconds.
-    pub max_us: f64,
-    /// Whether the run's p99 stayed within the SLO budget.
-    pub within_slo: bool,
-    /// Non-empty answers produced per tier (exact, MGAPS, GAPS).
-    pub answers_in_tier: [u64; 3],
-    /// Slides served per tier (exact, MGAPS, GAPS).
-    pub slides_in_tier: [u64; 3],
-    /// Wall-clock milliseconds spent per tier (exact, MGAPS, GAPS).
-    pub time_in_tier_ms: [f64; 3],
-    /// Tier transitions performed.
-    pub transitions: u64,
-    /// The tier active when the run ended.
-    pub final_tier: &'static str,
-    /// Answers compared offline against the exact per-slide optimum.
-    pub answers_checked: u64,
-    /// Answers whose score fell below their stamped
-    /// `error_bound × OPT` guarantee (must be 0).
-    pub bound_violations: u64,
-}
-
-/// Runs the flash-crowd overload scenario twice (`surge_exp degrade-bench`
-/// → `BENCH_degrade.json`): once pinned to the exact tier to measure the
-/// blowout and derive a per-slide latency SLO that the crowd demonstrably
-/// breaks, then once under the [`surge_stream::AutopilotDetector`] with
-/// that SLO plus a deterministic residency ceiling.
-///
-/// Three contract assertions run inline before any row is reported:
-///
-/// 1. every autopilot answer satisfies its stamped quality bound against
-///    the exact per-slide optimum replayed offline (`score ≥ error_bound ×
-///    OPT`, Theorems 3–4),
-/// 2. the autopilot's slide-latency p99 stays within the SLO the
-///    exact-only run exceeds, and
-/// 3. the controller walks back to the exact tier once the crowd passes.
-pub fn degrade_bench(cfg: &ExpConfig) -> Vec<DegradeBenchRow> {
-    use surge_core::RegionAnswer;
-    use surge_stream::{
-        drive_autopilot, AnswerQuality, AutopilotDetector, AutopilotReport, SloPolicy, Tier,
-    };
-
-    // Stream shape: quiet half, flash crowd for a quarter, quiet tail.
-    // Background arrivals advance 5 ms, crowd arrivals 1 ms, so the
-    // 2 500 ms window holds ~500 residents when quiet and up to ~2 500
-    // while the crowd passes — a deterministic 5× overload on top of the
-    // wall-clock pressure the dense cluster puts on the exact sweep.
-    let n = (cfg.objects * 3).clamp(12_000, 120_000);
-    let crowd_start = n / 2;
-    let crowd_len = n / 4;
-    let slide = (n / 400).max(1);
-    let stream = surge_testkit::flash_crowd_stream(n, crowd_start, crowd_len, 5, 1, cfg.seed);
-    let windows = WindowConfig::equal(2_500);
-    let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, DEFAULT_ALPHA);
-
-    // Exact-only baseline: the autopilot with every signal disabled stays
-    // pinned to the exact tier but shares the slide loop, so latencies and
-    // per-slide answers are directly comparable.
-    let mut exact = AutopilotDetector::new(query, SloPolicy::disabled());
-    let mut engine = SlidingWindowEngine::new(windows);
-    let exact_report = drive_autopilot(&mut exact, &mut engine, stream.iter().copied(), slide);
-    let exact_latency = exact_report.latency_summary();
-
-    // Derive the SLO between the quiet-phase typical slide (p50) and the
-    // crowd-phase tail (p99): the exact-only run must exceed it, a healthy
-    // detector must clear it.
-    let budget_us = (exact_latency.p50_us.max(1.0) * exact_latency.p99_us.max(1.0))
-        .sqrt()
-        .ceil() as u64;
-    assert!(
-        exact_latency.p99_us > budget_us as f64,
-        "the flash crowd must push the exact-only p99 ({:.0}us) over the derived \
-         SLO ({budget_us}us); the crowd phase did not overload the exact tier",
-        exact_latency.p99_us
-    );
-
-    // Degrade on the *first* over-SLO slide: while the crowd ramps, slide
-    // latency hovers around the budget, so a 2-streak would keep resetting
-    // and let over-budget slides pile into the p99 before tripping. The
-    // long cooldown + upgrade streak matter on the way back: a degraded
-    // tier masks the latency signal, so until the crowd's residency climbs
-    // past the drain point the controller would otherwise probe-upgrade
-    // into the crowd and eat an over-budget exact slide per probe. The
-    // residency ceiling (900; the quiet phase sits at ~500) is the
-    // deterministic backstop, and its 70% drain point (630) re-arms the
-    // upgrade path once the crowd has expired from the window.
-    let policy = SloPolicy {
-        slide_latency_budget_us: budget_us,
-        max_residents: 900,
-        degrade_after: 1,
-        upgrade_after: 6,
-        cooldown_slides: 8,
-        drain_percent: 70,
-    };
-    let mut auto = AutopilotDetector::new(query, policy);
-    let mut engine = SlidingWindowEngine::new(windows);
-    let auto_report = drive_autopilot(&mut auto, &mut engine, stream.iter().copied(), slide);
-    let auto_latency = auto_report.latency_summary();
-
-    // Wall-clock contract assertions below can only be diagnosed with the
-    // per-tier latency split; `DEGRADE_DEBUG=1` dumps it before they run.
-    if std::env::var("DEGRADE_DEBUG").is_ok() {
-        eprintln!("exact  : {exact_latency}");
-        eprintln!("auto   : {auto_latency}");
-        for (i, h) in auto_report.tier_latency.iter().enumerate() {
-            eprintln!("tier {i}: {}", h.summary());
-        }
-        eprintln!(
-            "slides_in_tier={:?} transitions={} final={:?} budget={budget_us}",
-            auto_report.slides_in_tier, auto_report.transitions, auto_report.final_tier
-        );
-    }
-    assert!(
-        auto_latency.p99_us <= budget_us as f64,
-        "autopilot p99 ({:.0}us) must stay within the SLO ({budget_us}us) the \
-         exact-only run exceeds",
-        auto_latency.p99_us
-    );
-    assert_eq!(
-        auto_report.final_tier,
-        Tier::Exact,
-        "the controller must walk back to the exact tier after the crowd passes"
-    );
-    assert!(
-        auto_report.transitions >= 2,
-        "the crowd must force at least one degrade + one recovery transition"
-    );
-
-    // Offline bound verification: every autopilot answer against the exact
-    // per-slide optimum from the baseline run (same slide partitioning).
-    // The epsilon absorbs summation-order float drift between the grid
-    // accumulators and the exact sweep.
-    let mut answers_checked = 0u64;
-    let mut bound_violations = 0u64;
-    for ((ans, quality), (opt, _)) in auto_report.answers.iter().zip(exact_report.answers.iter()) {
-        let Some(opt) = opt else { continue };
-        if opt.score <= SCORE_EPS {
-            continue;
-        }
-        answers_checked += 1;
-        let floor = quality.error_bound * opt.score - (1e-9 + opt.score.abs() * 1e-6);
-        match ans {
-            None => bound_violations += 1,
-            Some(a) if a.score < floor => bound_violations += 1,
-            Some(_) => {}
-        }
-    }
-    assert_eq!(
-        bound_violations, 0,
-        "every stamped error bound must hold offline ({bound_violations}/{answers_checked} \
-         answers below error_bound x OPT)"
-    );
-
-    fn answers_in_tier(answers: &[(Option<RegionAnswer>, AnswerQuality)]) -> [u64; 3] {
-        let mut counts = [0u64; 3];
-        for (ans, quality) in answers {
-            if ans.is_some() {
-                counts[quality.tier.index()] += 1;
-            }
-        }
-        counts
-    }
-    fn time_in_tier_ms(report: &AutopilotReport) -> [f64; 3] {
-        std::array::from_fn(|i| {
-            let h = &report.tier_latency[i];
-            h.mean_ns() * h.count() as f64 / 1e6
-        })
-    }
-    let row = |mode: &'static str, report: &AutopilotReport, checked: u64, violations: u64| {
-        let latency = report.latency_summary();
-        DegradeBenchRow {
-            mode,
-            objects: report.objects,
-            slides: report.slides,
-            slo_budget_us: budget_us,
-            p50_us: latency.p50_us,
-            p99_us: latency.p99_us,
-            max_us: latency.max_us,
-            within_slo: latency.p99_us <= budget_us as f64,
-            answers_in_tier: answers_in_tier(report.answers.retained()),
-            slides_in_tier: report.slides_in_tier,
-            time_in_tier_ms: time_in_tier_ms(report),
-            transitions: report.transitions,
-            final_tier: report.final_tier.name(),
-            answers_checked: checked,
-            bound_violations: violations,
-        }
-    };
-    vec![
-        row("exact-only", &exact_report, 0, 0),
-        row("autopilot", &auto_report, answers_checked, bound_violations),
-    ]
-}
-
-// ---------------------------------------------------------------------------
 // Observability-overhead experiment
 // ---------------------------------------------------------------------------
 

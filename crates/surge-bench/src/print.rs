@@ -623,146 +623,6 @@ mod checkpoint_tests {
     }
 }
 
-/// The overload-degradation experiment as a console table: slide-latency
-/// percentiles against the derived SLO, time/answers per tier, transition
-/// count, and the offline bound-verification tally.
-pub fn degrade_bench(rows: &[crate::experiments::DegradeBenchRow]) -> String {
-    let mut out = format!(
-        "\n== Overload autopilot: flash crowd, exact-only vs degradation controller ==\n{:<11} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>4} {:>22} {:>22} {:>6} {:>6} {:>12}\n",
-        "mode",
-        "objects",
-        "slides",
-        "slo(us)",
-        "p50(us)",
-        "p99(us)",
-        "max(us)",
-        "slo?",
-        "slides e/m/g",
-        "time(ms) e/m/g",
-        "trans",
-        "final",
-        "bounds"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<11} {:>8} {:>7} {:>9} {:>9.0} {:>9.0} {:>9.0} {:>4} {:>22} {:>22} {:>6} {:>6} {:>12}\n",
-            r.mode,
-            r.objects,
-            r.slides,
-            r.slo_budget_us,
-            r.p50_us,
-            r.p99_us,
-            r.max_us,
-            if r.within_slo { "ok" } else { "OVER" },
-            format!(
-                "{}/{}/{}",
-                r.slides_in_tier[0], r.slides_in_tier[1], r.slides_in_tier[2]
-            ),
-            format!(
-                "{:.0}/{:.0}/{:.0}",
-                r.time_in_tier_ms[0], r.time_in_tier_ms[1], r.time_in_tier_ms[2]
-            ),
-            r.transitions,
-            r.final_tier,
-            format!("{}/{} viol", r.bound_violations, r.answers_checked),
-        ));
-    }
-    out
-}
-
-/// The overload-degradation experiment as a `BENCH_degrade.json` document
-/// (hand-rolled: the offline build has no serde).
-pub fn degrade_bench_json(rows: &[crate::experiments::DegradeBenchRow]) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = format!(
-        "{{\n  \"benchmark\": \"degrade_autopilot\",\n  \"cpus\": {cpus},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"objects\": {}, \"slides\": {}, \"slo_budget_us\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \"within_slo\": {}, \"answers_in_tier\": [{}, {}, {}], \"slides_in_tier\": [{}, {}, {}], \"time_in_tier_ms\": [{:.3}, {:.3}, {:.3}], \"transitions\": {}, \"final_tier\": \"{}\", \"answers_checked\": {}, \"bound_violations\": {}}}{}\n",
-            r.mode,
-            r.objects,
-            r.slides,
-            r.slo_budget_us,
-            r.p50_us,
-            r.p99_us,
-            r.max_us,
-            r.within_slo,
-            r.answers_in_tier[0],
-            r.answers_in_tier[1],
-            r.answers_in_tier[2],
-            r.slides_in_tier[0],
-            r.slides_in_tier[1],
-            r.slides_in_tier[2],
-            r.time_in_tier_ms[0],
-            r.time_in_tier_ms[1],
-            r.time_in_tier_ms[2],
-            r.transitions,
-            r.final_tier,
-            r.answers_checked,
-            r.bound_violations,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod degrade_tests {
-    use super::*;
-
-    #[test]
-    fn degrade_bench_json_is_wellformed() {
-        let rows = vec![
-            crate::experiments::DegradeBenchRow {
-                mode: "exact-only",
-                objects: 60_000,
-                slides: 401,
-                slo_budget_us: 900,
-                p50_us: 300.0,
-                p99_us: 2_700.0,
-                max_us: 4_000.0,
-                within_slo: false,
-                answers_in_tier: [401, 0, 0],
-                slides_in_tier: [401, 0, 0],
-                time_in_tier_ms: [350.0, 0.0, 0.0],
-                transitions: 0,
-                final_tier: "exact",
-                answers_checked: 0,
-                bound_violations: 0,
-            },
-            crate::experiments::DegradeBenchRow {
-                mode: "autopilot",
-                objects: 60_000,
-                slides: 401,
-                slo_budget_us: 900,
-                p50_us: 290.0,
-                p99_us: 600.0,
-                max_us: 820.0,
-                within_slo: true,
-                answers_in_tier: [297, 8, 96],
-                slides_in_tier: [297, 8, 96],
-                time_in_tier_ms: [120.0, 2.0, 10.0],
-                transitions: 4,
-                final_tier: "exact",
-                answers_checked: 380,
-                bound_violations: 0,
-            },
-        ];
-        let json = degrade_bench_json(&rows);
-        assert!(json.contains("\"benchmark\": \"degrade_autopilot\""));
-        assert!(json.contains("\"within_slo\": false"));
-        assert!(json.contains("\"within_slo\": true"));
-        assert!(json.contains("\"final_tier\": \"exact\""));
-        assert!(!json.contains("},\n  ]"));
-        let table = degrade_bench(&rows);
-        assert!(table.contains("autopilot"));
-        assert!(table.contains("OVER"));
-        assert!(table.contains("ok"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

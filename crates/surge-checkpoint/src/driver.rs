@@ -64,8 +64,8 @@ use surge_exact::{BaseDetector, CellCspot};
 use surge_io::{BlobStore, FsStore, IoError};
 use surge_observe::{Counter, Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
-    AnswerLog, AnswerSink, AutopilotDetector, FlushOutcome, LatencyHistogram, LatencySummary,
-    Phase, QueryCore, QueryRuntime, RetainAll, SlidingWindowEngine,
+    AnswerLog, AnswerSink, FlushOutcome, LatencyHistogram, LatencySummary, Phase, QueryCore,
+    QueryRuntime, RetainAll, SlidingWindowEngine,
 };
 use surge_topk::KCellCspot;
 
@@ -235,9 +235,6 @@ pub struct CheckpointReport {
     pub replayed_from_wal: u64,
     /// Bytes truncated off a torn WAL tail during recovery.
     pub wal_truncated_bytes: u64,
-    /// For an autopilot run: the tier index the controller ended in
-    /// (0 = exact, 1 = MGAPS, 2 = GAPS). `None` for every other detector.
-    pub final_tier: Option<u8>,
     /// Final detector counters.
     pub stats: DetectorStats,
 }
@@ -271,16 +268,18 @@ pub enum SpecDetector {
     Gaps(GapSurge),
     /// MGAP-SURGE ([`surge_approx::MgapSurge`]).
     Mgaps(Box<MgapSurge>),
-    /// The overload autopilot ([`surge_stream::AutopilotDetector`]).
-    Autopilot(Box<AutopilotDetector>),
 }
 
 impl SpecDetector {
     /// Builds an empty detector for `spec` over `query`.
     ///
     /// [`DetectorSpec::Serve`] is rejected: a serve registry is not a
-    /// single detector — build a `surge-serve` server instead.
+    /// single detector — build a `surge-serve` server instead. So is a
+    /// spec with a [`DetectorSpec::parameter_error`].
     pub fn build(spec: &DetectorSpec, query: SurgeQuery) -> Result<SpecDetector, CheckpointError> {
+        if let Some(why) = spec.parameter_error() {
+            return Err(CheckpointError::Config(why.into()));
+        }
         Ok(match *spec {
             DetectorSpec::Cell {
                 bound,
@@ -292,11 +291,6 @@ impl SpecDetector {
             } else {
                 BaseDetector::new(query)
             }),
-            DetectorSpec::TopK { k: 0 } => {
-                return Err(CheckpointError::Config(
-                    "DetectorSpec::TopK needs k ≥ 1".into(),
-                ))
-            }
             DetectorSpec::TopK { k } => SpecDetector::TopK(KCellCspot::new(query, k)),
             DetectorSpec::Gaps { shards } => {
                 SpecDetector::Gaps(GapSurge::with_shards(query, shards))
@@ -304,9 +298,6 @@ impl SpecDetector {
             DetectorSpec::Mgaps { shards } => {
                 SpecDetector::Mgaps(Box::new(MgapSurge::with_shards(query, shards)))
             }
-            DetectorSpec::Autopilot { shards, policy } => SpecDetector::Autopilot(Box::new(
-                AutopilotDetector::with_shards(query, policy, shards),
-            )),
             DetectorSpec::Serve => {
                 return Err(CheckpointError::Config(
                     "DetectorSpec::Serve is a registry marker, not a detector; \
@@ -325,7 +316,6 @@ impl SpecDetector {
             SpecDetector::TopK(d) => d.capture_state(),
             SpecDetector::Gaps(d) => d.capture_state(),
             SpecDetector::Mgaps(d) => d.capture_state(),
-            SpecDetector::Autopilot(d) => d.capture_state(),
         }
     }
 
@@ -337,7 +327,6 @@ impl SpecDetector {
             SpecDetector::TopK(d) => d.restore_state(state),
             SpecDetector::Gaps(d) => d.restore_state(state),
             SpecDetector::Mgaps(d) => d.restore_state(state),
-            SpecDetector::Autopilot(d) => d.restore_state(state),
         }
     }
 
@@ -349,7 +338,6 @@ impl SpecDetector {
             SpecDetector::TopK(d) => TopKDetector::stats(d),
             SpecDetector::Gaps(d) => BurstDetector::stats(d),
             SpecDetector::Mgaps(d) => BurstDetector::stats(d.as_ref()),
-            SpecDetector::Autopilot(d) => BurstDetector::stats(d.as_ref()),
         }
     }
 }
@@ -363,7 +351,6 @@ impl QueryCore for SpecDetector {
                 SpecDetector::TopK(d) => TopKDetector::on_event(d, ev),
                 SpecDetector::Gaps(d) => BurstDetector::on_event(d, ev),
                 SpecDetector::Mgaps(d) => BurstDetector::on_event(d.as_mut(), ev),
-                SpecDetector::Autopilot(d) => BurstDetector::on_event(d.as_mut(), ev),
             }
         }
     }
@@ -387,7 +374,6 @@ impl QueryCore for SpecDetector {
             SpecDetector::Base(d) => (d.current(), 0),
             SpecDetector::Gaps(d) => (d.current(), 0),
             SpecDetector::Mgaps(d) => (d.current(), 0),
-            SpecDetector::Autopilot(d) => (d.current(), 0),
         };
         FlushOutcome {
             answers: answer.into_iter().collect(),
@@ -409,9 +395,6 @@ struct Runner<'s> {
     snapshots_written: u64,
     wal_appends: u64,
     pause: LatencyHistogram,
-    /// When the current slide started (last flush end) — feeds the
-    /// autopilot's slide-latency signal.
-    slide_t0: Instant,
     /// Registry/flight probes; all no-ops under `Observe::off()`.
     probes: RunnerProbes,
 }
@@ -559,7 +542,7 @@ fn write_and_collect(
 impl Runner<'_> {
     /// The durability work after one flush, in order: sync the WAL per the
     /// [`SyncPolicy`] (group commit — see the `wal` module docs), deliver
-    /// the answers, let the autopilot observe the slide, maybe snapshot.
+    /// the answers, maybe snapshot.
     /// The sync follows the detector's in-memory flush but precedes
     /// everything visible outside the process.
     fn after_flush(&mut self, answers: Vec<RegionAnswer>) -> Result<(), CheckpointError> {
@@ -568,16 +551,6 @@ impl Runner<'_> {
             SyncPolicy::OsFlush | SyncPolicy::FsyncPerSnapshot => self.wal.sync()?,
         }
         self.answers.offer(answers, &mut *self.sink);
-        // The autopilot observes its SLO signals at the same point
-        // `drive_autopilot` does: after the slide's answer is taken, before
-        // the snapshot — so a snapshot captures the post-transition tier
-        // and replay reproduces the same transition sequence.
-        if let (SpecDetector::Autopilot(d), engine) = self.rt.parts_mut() {
-            let dt = self.slide_t0.elapsed();
-            let latency_us = (dt.as_nanos() / 1_000).min(u64::MAX as u128) as u64;
-            d.note_slide(latency_us, engine);
-        }
-        self.slide_t0 = Instant::now();
         let every = self.cfg.policy.snapshot_every_slides;
         if every > 0 && self.rt.counters().slides.is_multiple_of(every) {
             self.snapshot()?;
@@ -706,10 +679,6 @@ impl Runner<'_> {
         self.join_writer()?;
         let counters = *self.rt.counters();
         let detector = self.rt.core();
-        let final_tier = match detector {
-            SpecDetector::Autopilot(d) => Some(d.tier().index() as u8),
-            _ => None,
-        };
         if self.probes.obs.is_enabled() {
             let obs = &self.probes.obs;
             obs.counter("checkpoint/objects").add(counters.objects);
@@ -731,7 +700,6 @@ impl Runner<'_> {
             resumed_at,
             replayed_from_wal,
             wal_truncated_bytes,
-            final_tier,
         })
     }
 }
@@ -873,7 +841,6 @@ fn run_checkpointed_inner(
         snapshots_written: 0,
         wal_appends: 0,
         pause: LatencyHistogram::new(),
-        slide_t0: Instant::now(),
         probes: RunnerProbes::new(obs),
     };
     runner.run(source, tail, None, 0, 0)
@@ -990,7 +957,6 @@ pub fn recover_with_sink(
         snapshots_written: 0,
         wal_appends: 0,
         pause: LatencyHistogram::new(),
-        slide_t0: Instant::now(),
         probes: RunnerProbes::new(&Observe::off()),
     };
 

@@ -15,13 +15,11 @@
 //! [`IoError`]s for every truncation and corruption.
 
 use surge_core::{
-    CandidateState, CellTable, ControllerState, DetectorState, DetectorStats, EngineState,
-    GridCellState, Point, Rect, RectState, RegionAnswer, SpatialObject, SurgeQuery, WindowConfig,
-    WindowKind,
+    CandidateState, CellTable, DetectorState, DetectorStats, EngineState, GridCellState, Point,
+    Rect, RectState, RegionAnswer, SpatialObject, SurgeQuery, WindowConfig, WindowKind,
 };
 use surge_exact::{BoundMode, SweepMode};
 use surge_io::{IoError, PayloadReader, PayloadWriter, SectionWriter, Snapshot};
-use surge_stream::SloPolicy;
 
 /// Section tags of the checkpoint snapshot format.
 pub mod tags {
@@ -77,18 +75,27 @@ pub enum DetectorSpec {
         /// Ingest shard count per grid (power of two).
         shards: usize,
     },
-    /// [`surge_stream::AutopilotDetector`] — the overload autopilot over
-    /// the exact ⇄ MGAPS ⇄ GAPS tier lattice.
-    Autopilot {
-        /// Ingest shard count handed to each tier detector.
-        shards: usize,
-        /// The degradation SLO.
-        policy: SloPolicy,
-    },
     /// A multi-query serving registry (`surge-serve`): the snapshot's
     /// detector section is empty and the real state lives in the serve
     /// sections. Not constructible by the single-query driver.
     Serve,
+}
+
+impl DetectorSpec {
+    /// Why no detector can be built with this spec's parameters — a top-k
+    /// `k` of 0, or a grid-detector shard count that is not a power of
+    /// two — or `None` when one can.
+    pub fn parameter_error(&self) -> Option<&'static str> {
+        match *self {
+            DetectorSpec::TopK { k: 0 } => Some("TopK needs k ≥ 1"),
+            DetectorSpec::Gaps { shards } | DetectorSpec::Mgaps { shards }
+                if !shards.is_power_of_two() =>
+            {
+                Some("Gaps and Mgaps need a power-of-two shard count")
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Run cadence and durability bookkeeping carried in every snapshot.
@@ -303,16 +310,6 @@ pub(crate) fn put_spec(w: &mut PayloadWriter, query: &SurgeQuery, spec: &Detecto
             w.u8(4);
             w.u64(*shards as u64);
         }
-        DetectorSpec::Autopilot { shards, policy } => {
-            w.u8(5);
-            w.u64(*shards as u64);
-            w.u64(policy.slide_latency_budget_us);
-            w.u64(policy.max_residents);
-            w.u32(policy.degrade_after);
-            w.u32(policy.upgrade_after);
-            w.u32(policy.cooldown_slides);
-            w.u32(policy.drain_percent);
-        }
         DetectorSpec::Serve => w.u8(6),
     }
 }
@@ -360,13 +357,7 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
             pruned: r.u8("spec.pruned")? != 0,
         },
         2 => DetectorSpec::TopK {
-            k: {
-                let k = r.u64("spec.k")? as usize;
-                if k == 0 {
-                    return Err(inv("spec: k must be positive"));
-                }
-                k
-            },
+            k: r.u64("spec.k")? as usize,
         },
         3 => DetectorSpec::Gaps {
             shards: r.u64("spec.shards")? as usize,
@@ -374,30 +365,12 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
         4 => DetectorSpec::Mgaps {
             shards: r.u64("spec.shards")? as usize,
         },
-        5 => {
-            let shards = r.u64("spec.shards")? as usize;
-            let policy = SloPolicy {
-                slide_latency_budget_us: r.u64("spec.policy.latency")?,
-                max_residents: r.u64("spec.policy.residents")?,
-                degrade_after: r.u32("spec.policy.degrade_after")?,
-                upgrade_after: r.u32("spec.policy.upgrade_after")?,
-                cooldown_slides: r.u32("spec.policy.cooldown")?,
-                drain_percent: r.u32("spec.policy.drain")?,
-            };
-            if policy.drain_percent > 100 {
-                return Err(inv(format!(
-                    "spec: drain_percent {} above 100",
-                    policy.drain_percent
-                )));
-            }
-            if policy.degrade_after == 0 || policy.upgrade_after == 0 {
-                return Err(inv("spec: degrade/upgrade streaks must be positive"));
-            }
-            DetectorSpec::Autopilot { shards, policy }
-        }
         6 => DetectorSpec::Serve,
         other => return Err(inv(format!("unknown detector-spec code {other}"))),
     };
+    if let Some(why) = spec.parameter_error() {
+        return Err(inv(format!("spec: {why}")));
+    }
     Ok((query, spec))
 }
 
@@ -545,24 +518,6 @@ pub(crate) fn put_detector(w: &mut PayloadWriter, d: &DetectorState) {
         w.f64(g.wp);
         w.u32(g.count);
     }
-    match &d.controller {
-        Some(c) => {
-            w.u8(1);
-            w.u8(c.tier);
-            w.u32(c.over);
-            w.u32(c.under);
-            w.u32(c.cooldown);
-            w.u64(c.transitions);
-            for &s in &c.slides_in_tier {
-                w.u64(s);
-            }
-            w.u64(c.base_stats.events);
-            w.u64(c.base_stats.new_events);
-            w.u64(c.base_stats.searches);
-            w.u64(c.base_stats.events_triggering_search);
-        }
-        None => w.u8(0),
-    }
 }
 
 pub(crate) fn decode_detector(buf: &[u8]) -> Result<DetectorState, IoError> {
@@ -668,39 +623,6 @@ pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, I
             count,
         });
     }
-    let controller = match r.u8("detector.controller")? {
-        0 => None,
-        1 => {
-            let tier = r.u8("controller.tier")?;
-            if tier > 2 {
-                return Err(inv(format!("controller: unknown tier code {tier}")));
-            }
-            let over = r.u32("controller.over")?;
-            let under = r.u32("controller.under")?;
-            let cooldown = r.u32("controller.cooldown")?;
-            let transitions = r.u64("controller.transitions")?;
-            let mut slides_in_tier = [0u64; 3];
-            for s in &mut slides_in_tier {
-                *s = r.u64("controller.slides_in_tier")?;
-            }
-            let base_stats = DetectorStats {
-                events: r.u64("controller.base_stats")?,
-                new_events: r.u64("controller.base_stats")?,
-                searches: r.u64("controller.base_stats")?,
-                events_triggering_search: r.u64("controller.base_stats")?,
-            };
-            Some(ControllerState {
-                tier,
-                over,
-                under,
-                cooldown,
-                transitions,
-                slides_in_tier,
-                base_stats,
-            })
-        }
-        other => return Err(inv(format!("bad controller flag {other}"))),
-    };
     Ok(DetectorState {
         name,
         levels,
@@ -708,7 +630,6 @@ pub(crate) fn get_detector(r: &mut PayloadReader<'_>) -> Result<DetectorState, I
         rects,
         incumbents,
         grid_cells,
-        controller,
         stats,
     })
 }

@@ -513,23 +513,29 @@ fn a_finished_run_rejects_further_arrivals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `TopK { k: 0 }` is a configuration error, not a panic, on both entry
-/// points.
+/// `TopK { k: 0 }` and a grid detector whose shard count is not a power
+/// of two are configuration errors, not panics, on both entry points.
 #[test]
 fn top_k_zero_is_a_config_error() {
-    let config = cfg(DetectorSpec::TopK { k: 0 }, WindowConfig::equal(170));
     let stream = surge_testkit::clustered_stream(20, 3, 9, 3);
-    let dir = fresh_dir("topk0-run");
-    let err = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish)
-        .expect_err("k = 0 is rejected");
-    assert!(matches!(err, CheckpointError::Config(_)), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
+    for spec in [
+        DetectorSpec::TopK { k: 0 },
+        DetectorSpec::Gaps { shards: 3 },
+        DetectorSpec::Mgaps { shards: 0 },
+    ] {
+        let config = cfg(spec, WindowConfig::equal(170));
+        let dir = fresh_dir("bad-spec-run");
+        let err = run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Finish)
+            .expect_err("the spec is rejected");
+        assert!(matches!(err, CheckpointError::Config(_)), "{spec:?}: {err}");
+        std::fs::remove_dir_all(&dir).ok();
 
-    let dir = fresh_dir("topk0-recover");
-    let err = recover(&config, &dir, stream.iter().copied(), Tail::Finish)
-        .expect_err("k = 0 is rejected");
-    assert!(matches!(err, CheckpointError::Config(_)), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
+        let dir = fresh_dir("bad-spec-recover");
+        let err = recover(&config, &dir, stream.iter().copied(), Tail::Finish)
+            .expect_err("the spec is rejected");
+        assert!(matches!(err, CheckpointError::Config(_)), "{spec:?}: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The CCS spec the writer-lifecycle tests run: slides of 16 objects and a

@@ -15,7 +15,6 @@ use surge_core::{CellTable, RectState, RegionSize, SpatialObject, SurgeQuery, Wi
 use surge_exact::{BoundMode, SweepMode};
 use surge_io::{IoError, Snapshot};
 use surge_serve::{ServeConfig, SurgeServer};
-use surge_stream::SloPolicy;
 use surge_testkit::arb_lattice_stream;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -60,13 +59,6 @@ fn every_spec() -> Vec<(&'static str, DetectorSpec)> {
         ("topk3", DetectorSpec::TopK { k: 3 }),
         ("gaps", DetectorSpec::Gaps { shards: 2 }),
         ("mgaps", DetectorSpec::Mgaps { shards: 2 }),
-        (
-            "autopilot",
-            DetectorSpec::Autopilot {
-                shards: 2,
-                policy: SloPolicy::disabled(),
-            },
-        ),
     ]
 }
 
@@ -212,11 +204,12 @@ fn corrupt_crc_and_version_are_precise_errors() {
         Err(IoError::Invariant(_))
     ));
 
-    // A future version — and versions 1 and 2: version 1's ENGINE and
+    // A future version — and versions 1 to 3: version 1's ENGINE and
     // SERVE_REGISTRY sections carried lane fields this layout no longer has,
     // version 2's META, SERVE_META and serve groups carried thread and mesh
-    // fields — is a BadHeader, not a misparse.
-    for version in [0xFEu8, 1, 2] {
+    // fields, version 3's DETECTOR section carried a controller flag byte —
+    // is a BadHeader, not a misparse.
+    for version in [0xFEu8, 1, 2, 3] {
         let mut versioned = bytes.clone();
         versioned[8] = version;
         let n = versioned.len();
@@ -254,6 +247,23 @@ fn semantic_corruption_is_rejected_by_the_state_decoder() {
         Err(IoError::Invariant(_))
     ));
 
+    // A spec no detector can be built with.
+    for spec in [
+        DetectorSpec::TopK { k: 0 },
+        DetectorSpec::Gaps { shards: 3 },
+        DetectorSpec::Mgaps { shards: 0 },
+    ] {
+        let mut bad = state.clone();
+        bad.spec = spec;
+        assert!(
+            matches!(
+                CheckpointState::from_snapshot(&bad.to_snapshot()),
+                Err(IoError::Invariant(_))
+            ),
+            "{spec:?}"
+        );
+    }
+
     // The snapshot round-trips through the typed state too.
     let again = CheckpointState::from_snapshot(&state.to_snapshot()).unwrap();
     assert_eq!(again, state);
@@ -265,20 +275,20 @@ fn semantic_corruption_is_rejected_by_the_state_decoder() {
 /// change, which needs a `SNAPSHOT_VERSION` bump.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    // Recorded with per-cell `Vec` captures, before the cell table: the
-    // table changed the in-memory layout only, never the file.
-    const PINNED: [(&str, u32); 11] = [
-        ("cell", 0xbbdd2e1b),
-        ("cell-rebuild", 0x8798143f),
-        ("bccs", 0x7f32d3e1),
-        ("bccs-rebuild", 0x48d6d7b0),
-        ("base", 0x718b2696),
-        ("base-pruned", 0x6b9bfe03),
-        ("topk3", 0x82eae163),
-        ("gaps", 0xd84d9eee),
-        ("mgaps", 0x9f0bda1f),
-        ("autopilot", 0x0284ad24),
-        ("serve", 0xd6287a78),
+    // Recorded at snapshot version 4. The version-3 pins, recorded before
+    // the cell table changed the in-memory capture layout (never the file),
+    // held through that change.
+    const PINNED: [(&str, u32); 10] = [
+        ("cell", 0x7b1eb7ce),
+        ("cell-rebuild", 0x3dc042ea),
+        ("bccs", 0x9c18d7ae),
+        ("bccs-rebuild", 0xa0277645),
+        ("base", 0xb1d6ab75),
+        ("base-pruned", 0x02bc542d),
+        ("topk3", 0xa2ae71fa),
+        ("gaps", 0x9ab832e8),
+        ("mgaps", 0xec36225b),
+        ("serve", 0x1d5c1759),
     ];
     // The container's own footer: CRC-32 over every byte before it (the
     // CRC of a whole file, footer included, is the constant CRC residue).

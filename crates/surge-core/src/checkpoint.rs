@@ -299,29 +299,6 @@ pub struct GridCellState {
     pub count: u32,
 }
 
-/// The logical state of the overload autopilot's degradation controller:
-/// the active tier plus the hysteresis counters, so a crash mid-degradation
-/// restores the controller exactly where it was (same tier, same pending
-/// escalation/drain progress).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControllerState {
-    /// The active tier (0 = exact, 1 = MGAPS, 2 = GAPS).
-    pub tier: u8,
-    /// Consecutive over-SLO slides observed so far.
-    pub over: u32,
-    /// Consecutive drained slides observed so far.
-    pub under: u32,
-    /// Slides remaining before another transition is allowed.
-    pub cooldown: u32,
-    /// Total tier transitions performed.
-    pub transitions: u64,
-    /// Slides spent in each tier (exact, MGAPS, GAPS).
-    pub slides_in_tier: [u64; 3],
-    /// Detector counters accumulated by tiers that were since torn down
-    /// (the active tier's live counters are added on top).
-    pub base_stats: DetectorStats,
-}
-
 /// The logical state of a detector: everything needed to rebuild it so that
 /// its future answers (and the searches behind them) are bit-identical to
 /// the uninterrupted run.
@@ -345,8 +322,6 @@ pub struct DetectorState {
     /// Counting-grid cells (approximate detectors only; empty for exact
     /// detectors), in ascending `(grid, id)` order.
     pub grid_cells: Vec<GridCellState>,
-    /// Degradation-controller state (autopilot detectors only).
-    pub controller: Option<ControllerState>,
     /// Instrumentation counters, restored so post-recovery stats continue
     /// the uninterrupted sequence.
     pub stats: DetectorStats,

@@ -47,8 +47,8 @@ pub mod store;
 pub mod time;
 
 pub use checkpoint::{
-    CandidateState, CellTable, CellView, CheckpointableDetector, ControllerState, DetectorState,
-    EngineState, GridCellState, RectState, RestoreError,
+    CandidateState, CellTable, CellView, CheckpointableDetector, DetectorState, EngineState,
+    GridCellState, RectState, RestoreError,
 };
 pub use detector::{
     BurstDetector, DetectorStats, IncrementalDetector, MeshIngest, MeshWorker, ShardAnswer,
@@ -61,6 +61,6 @@ pub use object::{ObjectId, RectObject, SpatialObject, WindowKind};
 pub use ordered::TotalF64;
 pub use query::{QueryKey, QueryKeyError, RegionAnswer, RegionSize, SurgeQuery};
 pub use reduction::{object_to_rect, region_for_point};
-pub use score::{burst_score, BurstParams, ScorePair, SCORE_EPS};
+pub use score::{burst_score, BurstParams, SCORE_EPS};
 pub use store::{shard_of_cell, CellStore, ShardedCellStore};
 pub use time::{Duration, Timestamp, WindowConfig};

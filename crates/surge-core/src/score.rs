@@ -75,23 +75,6 @@ impl BurstParams {
     }
 }
 
-/// A pair of normalized window scores for one region/point.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ScorePair {
-    /// `f(·, W_c)` — normalized current-window score.
-    pub fc: f64,
-    /// `f(·, W_p)` — normalized past-window score.
-    pub fp: f64,
-}
-
-impl ScorePair {
-    /// Evaluates the burst score for this pair.
-    #[inline]
-    pub fn burst(&self, alpha: f64) -> f64 {
-        burst_score(self.fc, self.fp, alpha)
-    }
-}
-
 /// Evaluates `α · max(fc − fp, 0) + (1 − α) · fc`.
 #[inline]
 pub fn burst_score(fc: f64, fp: f64, alpha: f64) -> f64 {
@@ -144,12 +127,6 @@ mod tests {
     fn grid_ratio() {
         let p = BurstParams::new(0.2, WindowConfig::equal(10));
         assert!((p.grid_approx_ratio() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn score_pair_burst() {
-        let sp = ScorePair { fc: 4.0, fp: 1.0 };
-        assert!((sp.burst(0.5) - (0.5 * 3.0 + 0.5 * 4.0)).abs() < 1e-12);
     }
 
     #[test]

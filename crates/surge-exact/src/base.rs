@@ -203,7 +203,6 @@ impl CheckpointableDetector for BaseDetector {
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells: Vec::new(),
-            controller: None,
             stats: self.stats,
         }
     }

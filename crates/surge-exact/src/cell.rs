@@ -626,7 +626,6 @@ impl CheckpointableDetector for CellCspot {
             rects: Vec::new(),
             incumbents: Vec::new(),
             grid_cells: Vec::new(),
-            controller: None,
             stats: self.stats,
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    : 8 bytes = b"SURGSNP1"
-//! version  : u32     = SNAPSHOT_VERSION (3)
+//! version  : u32     = SNAPSHOT_VERSION
 //! sections : u32     = section count
 //! section  : sections ×
 //!     tag     : u32   (consumer-defined meaning)
@@ -37,7 +37,7 @@ use crate::error::{IoError, Result};
 /// Magic bytes identifying the snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SURGSNP1";
 /// Container version this module reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// An in-memory snapshot: an ordered list of `(tag, payload)` sections.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -100,8 +100,8 @@ impl Snapshot {
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != SNAPSHOT_VERSION {
             return Err(IoError::BadHeader {
-                expected: "snapshot version 3",
-                found: format!("version {version}"),
+                expected: "the snapshot version this build reads",
+                found: format!("version {version}, not {SNAPSHOT_VERSION}"),
             });
         }
         if bytes.len() < 20 {
@@ -516,16 +516,19 @@ mod tests {
 
     #[test]
     fn wrong_version_is_a_bad_header() {
-        let mut bytes = sample().encode();
-        bytes[8] = 9; // version field
-                      // Patch the CRC so the version check (not the CRC) fires.
-        let n = bytes.len();
-        let crc = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(IoError::BadHeader { .. })
-        ));
+        // A future version, and the previous one (whose files must not be
+        // parsed with this version's section layouts).
+        for version in [9, SNAPSHOT_VERSION - 1] {
+            let mut bytes = sample().encode();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Patch the CRC so the version check (not the CRC) fires.
+            let n = bytes.len();
+            let crc = crc32(&bytes[..n - 4]);
+            bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            let err = Snapshot::decode(&bytes).expect_err("wrong version decoded");
+            assert!(matches!(err, IoError::BadHeader { .. }), "{err}");
+            assert!(err.to_string().contains(&format!("not {SNAPSHOT_VERSION}")));
+        }
     }
 
     #[test]

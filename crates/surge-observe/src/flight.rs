@@ -34,15 +34,6 @@ pub enum TraceEvent {
         /// Shard count after.
         to: u32,
     },
-    /// The degradation autopilot switched tiers.
-    TierSwitch {
-        /// Slide at which the switch took effect.
-        seq: u64,
-        /// Tier before (static name).
-        from: &'static str,
-        /// Tier after (static name).
-        to: &'static str,
-    },
     /// The checkpoint runner stalled the hot path to encode a snapshot.
     SnapshotStall {
         /// Slide at which the snapshot was cut.
@@ -76,9 +67,6 @@ impl std::fmt::Display for TraceEvent {
             }
             TraceEvent::ReshardEpoch { epoch, from, to } => {
                 write!(f, "reshard_epoch epoch={epoch} from={from} to={to}")
-            }
-            TraceEvent::TierSwitch { seq, from, to } => {
-                write!(f, "tier_switch seq={seq} from={from} to={to}")
             }
             TraceEvent::SnapshotStall {
                 slide,
@@ -277,12 +265,6 @@ mod tests {
                 to: 4,
             }
             .to_string(),
-            TraceEvent::TierSwitch {
-                seq: 9,
-                from: "exact",
-                to: "mgaps",
-            }
-            .to_string(),
             TraceEvent::SnapshotStall {
                 slide: 4,
                 bytes: 1024,
@@ -293,11 +275,10 @@ mod tests {
         ];
         assert_eq!(texts[0], "flush_start seq=7");
         assert_eq!(texts[1], "reshard_epoch epoch=1 from=2 to=4");
-        assert_eq!(texts[2], "tier_switch seq=9 from=exact to=mgaps");
         assert_eq!(
-            texts[3],
+            texts[2],
             "snapshot_stall slide=4 bytes=1024 sync_policy=os_flush"
         );
-        assert_eq!(texts[4], "backpressure seq=2 shard=1");
+        assert_eq!(texts[3], "backpressure seq=2 shard=1");
     }
 }

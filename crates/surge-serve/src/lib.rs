@@ -69,9 +69,8 @@ impl std::fmt::Display for SubId {
 pub enum ServeError {
     /// The query has a NaN parameter and therefore no dedup identity.
     Query(QueryKeyError),
-    /// The detector flavor cannot be served (e.g. `Serve` itself, or the
-    /// wall-clock-driven `Autopilot`, whose tier switches are not a pure
-    /// function of the event stream and would break dedup bit-identity).
+    /// The detector spec cannot be served: `Serve` itself, or parameters
+    /// its detector cannot be built with.
     UnsupportedSpec(&'static str),
     /// No live subscription has this id.
     UnknownSubscription(SubId),
@@ -318,23 +317,13 @@ impl SurgeServer {
             return Err(ServeError::Finished);
         }
         let key = QueryKey::new(&query)?;
-        match spec {
-            DetectorSpec::Serve => {
-                return Err(ServeError::UnsupportedSpec(
-                    "Serve is the registry marker, not a detector flavor",
-                ))
-            }
-            DetectorSpec::Autopilot { .. } => {
-                return Err(ServeError::UnsupportedSpec(
-                    "Autopilot degrades on wall-clock latency, which is not a pure \
-                     function of the event stream; subscribe the exact or approximate \
-                     flavor directly",
-                ))
-            }
-            DetectorSpec::TopK { k: 0 } => {
-                return Err(ServeError::UnsupportedSpec("TopK needs k ≥ 1"))
-            }
-            _ => {}
+        if spec == DetectorSpec::Serve {
+            return Err(ServeError::UnsupportedSpec(
+                "Serve is the registry marker, not a detector flavor",
+            ));
+        }
+        if let Some(why) = spec.parameter_error() {
+            return Err(ServeError::UnsupportedSpec(why));
         }
         let detector =
             SpecDetector::build(&spec, query).map_err(|e| ServeError::Corrupt(e.to_string()))?;
@@ -555,10 +544,7 @@ impl SurgeServer {
                 if gs.subs.is_empty() {
                     return Err(ServeError::Corrupt("group without subscribers".into()));
                 }
-                if matches!(
-                    gs.spec,
-                    DetectorSpec::Serve | DetectorSpec::Autopilot { .. }
-                ) {
+                if gs.spec == DetectorSpec::Serve {
                     return Err(ServeError::Corrupt(format!(
                         "registry contains an unservable {:?} group",
                         gs.spec

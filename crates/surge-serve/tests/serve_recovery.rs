@@ -240,14 +240,24 @@ fn impossible_lane_phases_are_rejected() {
     assert!(SurgeServer::restore(&bad).is_err());
 }
 
-/// `TopK { k: 0 }` is refused at subscription, before anything is built.
+/// `TopK { k: 0 }` and a grid detector whose shard count is not a power
+/// of two are refused at subscription, before anything is built.
 #[test]
 fn top_k_zero_is_unsupported() {
     let mut server = SurgeServer::new(ServeConfig::sequential(8));
     let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(170), 0.5);
-    assert!(matches!(
-        server.subscribe(query, DetectorSpec::TopK { k: 0 }),
-        Err(ServeError::UnsupportedSpec(_))
-    ));
+    for spec in [
+        DetectorSpec::TopK { k: 0 },
+        DetectorSpec::Gaps { shards: 3 },
+        DetectorSpec::Mgaps { shards: 0 },
+    ] {
+        assert!(
+            matches!(
+                server.subscribe(query, spec),
+                Err(ServeError::UnsupportedSpec(_))
+            ),
+            "{spec:?}"
+        );
+    }
     assert_eq!(server.stats().lanes, 0, "nothing was built");
 }

@@ -27,11 +27,6 @@
 //!   `answers: Vec` report pattern.
 //! * [`metrics`] — log-bucketed latency histogram for tail-latency
 //!   reporting.
-//! * [`autopilot`] — the overload autopilot: a [`DegradationController`]
-//!   walks the detector across the exact ⇄ MGAPS ⇄ GAPS tier lattice under
-//!   a latency/residency SLO with hysteresis, warm hand-offs from the live
-//!   windows, and per-answer [`AnswerQuality`] stamps
-//!   ([`drive_autopilot`]).
 //! * [`elastic`] — the shard mesh ([`drive_elastic`]): the driver thread
 //!   expands window transitions once and broadcasts event batches;
 //!   per-shard workers ingest and sweep their own cells, with a
@@ -43,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod answers;
-pub mod autopilot;
 pub mod datasets;
 pub mod driver;
 pub mod elastic;
@@ -54,10 +48,6 @@ pub mod runtime;
 pub mod window;
 
 pub use answers::{Ack, AnswerLog, AnswerSink, RetainAll};
-pub use autopilot::{
-    drive_autopilot, drive_autopilot_observed, drive_autopilot_with_sink, AnswerQuality,
-    AutopilotDetector, AutopilotReport, DegradationController, SloPolicy, Tier,
-};
 pub use datasets::{Dataset, DatasetSpec};
 pub use driver::{drive, drive_slides, drive_slides_observed, drive_topk, RunStats, SlideRunStats};
 pub use elastic::{

@@ -11,10 +11,9 @@
 //! [`push`](QueryRuntime::push) returns the flush an arrival completes and
 //! [`finish_step`](QueryRuntime::finish_step) yields the end-of-stream
 //! flushes one at a time, so each caller — `drive_slides`,
-//! `drive_incremental`, `drive_autopilot`, every `drive_elastic` epoch, the
-//! checkpoint runner, every `surge-serve` lane — does its own post-flush
-//! work and error handling between flushes, with the core and the engine in
-//! reach ([`parts_mut`](QueryRuntime::parts_mut)).
+//! `drive_incremental`, every `drive_elastic` epoch, the checkpoint runner,
+//! every `surge-serve` lane — does its own post-flush work and error
+//! handling between flushes.
 //!
 //! **Resume.** The phase is a pure function of three counters every snapshot
 //! already stores — objects pushed, flushes run, slide size — so
@@ -324,12 +323,6 @@ impl<C: QueryCore, E: BorrowMut<SlidingWindowEngine>> QueryRuntime<C, E> {
     /// The engine.
     pub fn engine(&self) -> &SlidingWindowEngine {
         self.engine.borrow()
-    }
-
-    /// The core, mutably, beside the engine — for post-flush work that
-    /// reads the windows (the autopilot's warm hand-off).
-    pub fn parts_mut(&mut self) -> (&mut C, &SlidingWindowEngine) {
-        (&mut self.core, self.engine.borrow())
     }
 
     /// Consumes the runtime, returning the core.

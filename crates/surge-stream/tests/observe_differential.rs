@@ -6,8 +6,8 @@
 //!
 //! This is the central contract of `surge-observe` (see its crate docs):
 //! observability is *reporting only*. The proptests here cover
-//! `drive_slides`, `drive_incremental`, `drive_elastic` and
-//! `drive_autopilot`; `run_checkpointed` has its own differential in
+//! `drive_slides`, `drive_incremental` and `drive_elastic`;
+//! `run_checkpointed` has its own differential in
 //! `surge-checkpoint/tests/observe_checkpoint.rs`. Flight-recorder dumps
 //! are also checked for run-to-run determinism — same stream, same dump,
 //! ring wrap included — which only holds because trace events carry
@@ -20,9 +20,8 @@ use surge_core::{
 use surge_exact::{BoundMode, CellCspot};
 use surge_observe::Observe;
 use surge_stream::{
-    drive_autopilot_observed, drive_autopilot_with_sink, drive_elastic_observed, drive_incremental,
-    drive_incremental_observed, drive_slides, drive_slides_observed, AutopilotDetector,
-    BalancerPolicy, RetainAll, SlidingWindowEngine, SloPolicy,
+    drive_elastic_observed, drive_incremental, drive_incremental_observed, drive_slides,
+    drive_slides_observed, BalancerPolicy, RetainAll, SlidingWindowEngine,
 };
 use surge_testkit::arb_lattice_stream;
 
@@ -225,94 +224,6 @@ proptest! {
         });
         prop_assert_eq!(epoch_slides, on.slides, "epoch slides partition the total");
     }
-}
-
-/// `drive_autopilot` under residency pressure (real tier transitions):
-/// answers and quality stamps bitwise identical observed vs not, tier
-/// counters conserved, and the `TierSwitch` flight trail matches the
-/// report's transition count.
-#[test]
-fn drive_autopilot_is_unperturbed_and_conserved() {
-    // The residency-pressure stream from the autopilot's own tests: the
-    // middle third freezes timestamps so the current window floods.
-    let mut objs = Vec::new();
-    let mut t = 0u64;
-    for i in 0..900u64 {
-        if !(300..600).contains(&i) {
-            t += 20;
-        }
-        objs.push(SpatialObject::new(
-            i,
-            1.0 + (i % 3) as f64,
-            Point::new((i % 37) as f64 * 0.2, (i % 23) as f64 * 0.3),
-            t,
-        ));
-    }
-    let q = query(0.5);
-    let policy = SloPolicy {
-        slide_latency_budget_us: 0,
-        max_residents: 100,
-        degrade_after: 2,
-        upgrade_after: 2,
-        cooldown_slides: 1,
-        drain_percent: 80,
-    };
-
-    let mut off_det = AutopilotDetector::new(q, policy);
-    let mut off_eng = SlidingWindowEngine::new(q.windows);
-    let off = drive_autopilot_with_sink(
-        &mut off_det,
-        &mut off_eng,
-        objs.iter().copied(),
-        30,
-        &mut RetainAll,
-    );
-
-    let obs = Observe::enabled();
-    let mut on_det = AutopilotDetector::new(q, policy);
-    let mut on_eng = SlidingWindowEngine::new(q.windows);
-    let on = drive_autopilot_observed(
-        &mut on_det,
-        &mut on_eng,
-        objs.iter().copied(),
-        30,
-        &mut RetainAll,
-        &obs,
-    );
-
-    assert_eq!(off.answers.len(), on.answers.len());
-    for (i, ((a, qa), (b, qb))) in off.answers.iter().zip(on.answers.iter()).enumerate() {
-        assert_answer_bits(a, b, &format!("autopilot slide {i}"));
-        assert_eq!(qa.tier, qb.tier, "slide {i} quality tier");
-        assert_eq!(
-            qa.error_bound.to_bits(),
-            qb.error_bound.to_bits(),
-            "slide {i} error bound"
-        );
-    }
-    assert_eq!(off.transitions, on.transitions);
-    assert_eq!(off.final_tier, on.final_tier);
-    assert_eq!(off.slides_in_tier, on.slides_in_tier);
-    assert!(on.transitions > 0, "pressure stream never switched tiers");
-
-    // Conservation against the report.
-    let snap = obs.snapshot();
-    assert_eq!(snap.counter("autopilot/objects"), Some(on.objects));
-    assert_eq!(snap.counter("autopilot/events"), Some(on.events));
-    assert_eq!(snap.counter("autopilot/slides"), Some(on.slides));
-    assert_eq!(snap.counter("autopilot/transitions"), Some(on.transitions));
-    let tier_slides =
-        snap.sum_counters(|p| p.starts_with("autopilot/tier=") && p.ends_with("/slides"));
-    assert_eq!(tier_slides, on.slides, "tier slides partition the total");
-    // The flight ring holds exactly the report's transitions, in order.
-    let dump = obs.trace_dump();
-    let switches: Vec<_> = dump
-        .workers
-        .iter()
-        .flat_map(|w| w.events.iter())
-        .filter(|e| matches!(e, surge_observe::TraceEvent::TierSwitch { .. }))
-        .collect();
-    assert_eq!(switches.len() as u64, on.transitions);
 }
 
 /// Flight dumps are deterministic: two observed runs over the same stream

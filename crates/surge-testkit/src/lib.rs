@@ -245,44 +245,6 @@ pub fn uniform_stream(n: usize, seed: u64) -> Vec<SpatialObject> {
         .collect()
 }
 
-/// A flash-crowd stream: `n` objects of uniform background traffic with a
-/// hotspot burst in the middle. Objects `[crowd_start, crowd_start +
-/// crowd_len)` land inside a tight cluster near `(1.0, 1.0)` with
-/// timestamps advancing `crowd_step` ms apart (instead of the background
-/// `step`), so the arrival *rate* spikes while the crowd passes — the
-/// overload scenario the degradation autopilot exists for. Timestamps stay
-/// monotone for any `step`/`crowd_step` pair.
-pub fn flash_crowd_stream(
-    n: usize,
-    crowd_start: usize,
-    crowd_len: usize,
-    step: u64,
-    crowd_step: u64,
-    seed: u64,
-) -> Vec<SpatialObject> {
-    let mut rng = Lcg::new(seed);
-    let crowd_end = crowd_start.saturating_add(crowd_len);
-    let mut t = 0u64;
-    (0..n)
-        .map(|i| {
-            let in_crowd = (crowd_start..crowd_end).contains(&i);
-            let pos = if in_crowd {
-                Point::new(1.0 + rng.unit() * 0.4, 1.0 + rng.unit() * 0.4)
-            } else {
-                Point::new(rng.unit() * 7.5, rng.unit() * 7.5)
-            };
-            let weight = if in_crowd {
-                2.0 + (i % 3) as f64
-            } else {
-                1.0 + (i % 4) as f64
-            };
-            let obj = SpatialObject::new(i as u64, weight, pos, t);
-            t += if in_crowd { crowd_step } else { step };
-            obj
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Window configurations
 // ---------------------------------------------------------------------------
@@ -348,24 +310,6 @@ mod tests {
         // Note: `Lcg` forces the low seed bit, so distinct seeds must differ
         // above bit 0 to yield distinct streams.
         assert_ne!(uniform_stream(50, 42), uniform_stream(50, 44));
-    }
-
-    #[test]
-    fn flash_crowd_stream_is_monotone_and_clustered() {
-        let s = flash_crowd_stream(300, 100, 100, 5, 0, 42);
-        assert_eq!(s.len(), 300);
-        assert!(s.windows(2).all(|w| w[0].created <= w[1].created));
-        for o in &s[100..200] {
-            assert!((1.0..=1.4).contains(&o.pos.x) && (1.0..=1.4).contains(&o.pos.y));
-        }
-        // crowd_step = 0: the crowd arrives in a single instant...
-        assert_eq!(s[100].created, s[199].created);
-        // ...and the background cadence resumes afterwards.
-        assert!(s[299].created > s[100].created);
-        assert_eq!(
-            flash_crowd_stream(300, 100, 100, 5, 0, 42),
-            flash_crowd_stream(300, 100, 100, 5, 0, 42)
-        );
     }
 
     #[test]

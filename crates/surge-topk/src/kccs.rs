@@ -529,7 +529,6 @@ impl CheckpointableDetector for KCellCspot {
                 .map(|b| b.map(|b| (b.point, b.score)))
                 .collect(),
             grid_cells: Vec::new(),
-            controller: None,
             stats: self.stats,
         }
     }

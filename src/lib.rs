@@ -101,10 +101,9 @@ pub mod prelude {
     pub use surge_observe::{Observe, RegistrySnapshot, TraceDump, TraceEvent};
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
-        drive, drive_autopilot, drive_elastic, drive_incremental, drive_parallel, drive_slides,
-        drive_topk, AnswerQuality, AutopilotDetector, AutopilotReport, BalancerPolicy, BurstSpec,
-        Dataset, DirtyCellTracker, ElasticReport, EventBatch, Hotspot, LatencyHistogram,
-        SlidingWindowEngine, SloPolicy, StreamGenerator, Tier, WorkloadConfig,
+        drive, drive_elastic, drive_incremental, drive_parallel, drive_slides, drive_topk,
+        BalancerPolicy, BurstSpec, Dataset, DirtyCellTracker, ElasticReport, EventBatch, Hotspot,
+        LatencyHistogram, SlidingWindowEngine, StreamGenerator, WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 }
