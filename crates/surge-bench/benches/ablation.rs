@@ -15,8 +15,9 @@ use surge_bench::experiments::{run_algo, Algo, DEFAULT_ALPHA};
 use surge_core::{
     BurstDetector, BurstParams, Rect, RegionSize, SurgeQuery, WindowConfig, WindowKind,
 };
-use surge_exact::{maxrs_sweep, sl_cspot, SweepRect};
+use surge_exact::{sl_cspot, SweepRect};
 use surge_stream::{Dataset, SlidingWindowEngine, StreamGenerator};
+use surge_testkit::maxrs_sweep;
 
 const OBJECTS: usize = 2_500;
 const SEED: u64 = 42;

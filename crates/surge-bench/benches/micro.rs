@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use surge_core::{BurstParams, Rect, SpatialObject, WindowConfig, WindowKind};
-use surge_exact::{maxrs_sweep, sl_cspot, sl_cspot_naive, SweepRect};
+use surge_exact::{sl_cspot, SweepRect};
 use surge_stream::{Dataset, SlidingWindowEngine, StreamGenerator};
+use surge_testkit::{maxrs_sweep, sl_cspot_naive};
 
 fn make_rects(n: usize) -> Vec<SweepRect> {
     // Deterministic LCG scene with ~50% overlap density and mixed windows.
@@ -51,8 +52,8 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR's headline comparison: the `O(n log n)` segment-tree sweep vs the
-/// retained `O(n²)` naive sweep on identical scenes. `surge_exp sweep-bench`
+/// The headline comparison: the `O(n log n)` segment-tree sweep vs the
+/// `O(n²)` naive reference sweep (`surge-testkit`) on identical scenes. `surge_exp sweep-bench`
 /// emits the same comparison as `BENCH_sweep.json`.
 fn bench_sweep_segtree_vs_naive(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep");

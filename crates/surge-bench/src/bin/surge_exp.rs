@@ -16,8 +16,10 @@
 //!   case-study             §VII-G    burst localization
 //!   latency                extension: per-event tail-latency table
 //!   sweep-bench            naive vs segment-tree sweep, flat vs recursive
-//!                          segment tree, persistent vs rebuild cell
-//!                          sweeps; writes BENCH_sweep.json
+//!                          and fused vs split segment trees, persistent
+//!                          cell sweeps (bit-identity with a from-scratch
+//!                          reference asserted first); writes
+//!                          BENCH_sweep.json
 //!   checkpoint-bench       checkpointed driver vs in-memory driver +
 //!                          recovery vs replay-from-zero (bit-identity
 //!                          asserted first), one row per WAL fsync
@@ -41,10 +43,6 @@
 //!   --datasets D    comma list of uk,us,taxi              [default all]
 //!   --fast          smoke-scale preset
 //!   --paper         paper-scale preset (1M objects; slow)
-//!   --persistent M  cell-sweep mode for the exact detectors: on (default,
-//!                   persistent cross-sweep state) or off (rebuild per
-//!                   search — the pre-persistence cost profile; answers
-//!                   are bit-identical either way)
 //! ```
 
 use std::process::ExitCode;
@@ -108,31 +106,8 @@ fn parse_args() -> Result<Args, String> {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
             }
-            // The scale presets replace every scale knob but must not
-            // silently undo a `--persistent` toggle given in any order:
-            // sweep mode changes *what* is measured, not how much.
-            "--fast" => {
-                let sweep_mode = cfg.sweep_mode;
-                cfg = ExpConfig::fast();
-                cfg.sweep_mode = sweep_mode;
-            }
-            "--paper" => {
-                let sweep_mode = cfg.sweep_mode;
-                cfg = ExpConfig::paper();
-                cfg.sweep_mode = sweep_mode;
-            }
-            "--persistent" => {
-                cfg.sweep_mode = match args
-                    .next()
-                    .ok_or("--persistent needs on|off")?
-                    .to_lowercase()
-                    .as_str()
-                {
-                    "on" => surge_exact::SweepMode::Persistent,
-                    "off" => surge_exact::SweepMode::Rebuild,
-                    other => return Err(format!("--persistent: expected on|off, got {other}")),
-                }
-            }
+            "--fast" => cfg = ExpConfig::fast(),
+            "--paper" => cfg = ExpConfig::paper(),
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
     }
@@ -147,12 +122,12 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|sweep-bench|checkpoint-bench|serve-bench|observe-bench|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
-     [--datasets uk,us,taxi] [--fast] [--paper] [--persistent on|off]"
+     [--datasets uk,us,taxi] [--fast] [--paper]"
         .to_string()
 }
 
-/// Runs the naive-vs-segtree sweep comparison plus the persistent-vs-
-/// rebuild cell-sweep comparison, printing both tables and writing
+/// Runs the naive-vs-segtree sweep comparison plus the persistent
+/// cell-sweep experiment, printing both tables and writing
 /// `BENCH_sweep.json` to the working directory.
 fn run_sweep_bench(cfg: &ExpConfig) -> Result<(), String> {
     let rows = experiments::sweep_bench(cfg);

@@ -6,15 +6,17 @@
 //! paper's evaluation establishes and what `EXPERIMENTS.md` compares.
 
 use surge_core::{
-    BurstDetector, RegionSize, SpatialObject, SurgeQuery, TopKDetector, WindowConfig, SCORE_EPS,
+    BurstDetector, CheckpointableDetector, IncrementalDetector, RegionSize, SpatialObject,
+    SurgeQuery, TopKDetector, WindowConfig, SCORE_EPS,
 };
 use surge_stream::{
-    drive, drive_topk, BurstSpec, Dataset, RunStats, SlidingWindowEngine, StreamGenerator,
+    drive, drive_topk, BurstSpec, Dataset, FlushOutcome, QueryCore, QueryRuntime, RunStats,
+    SlidingWindowEngine, StreamGenerator,
 };
 
 use surge_approx::{GapSurge, MgapSurge};
 use surge_baseline::Ag2;
-use surge_exact::{BaseDetector, BoundMode, CellCspot, SweepMode, DEFAULT_SHARDS};
+use surge_exact::{BaseDetector, BoundMode, CellCspot, SweepMode, SweepStats, DEFAULT_SHARDS};
 use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 // The canonical generator lives in `surge-testkit`, so the soak and
 // differential tests exercise byte-for-byte the streams `BENCH_*.json` report.
@@ -55,31 +57,11 @@ impl Algo {
     /// The two approximate curves of Fig. 6.
     pub const APPROX_SET: [Algo; 2] = [Algo::Gaps, Algo::Mgaps];
 
-    /// Builds a fresh detector for `query` (persistent cross-sweep state —
-    /// the production configuration).
+    /// Builds a fresh detector for `query`.
     pub fn build(&self, query: SurgeQuery) -> Box<dyn BurstDetector> {
-        self.build_with(query, SweepMode::Persistent)
-    }
-
-    /// Builds a fresh detector with an explicit per-cell sweep mode. The
-    /// mode only affects the exact cell detectors (CCS / B-CCS); answers
-    /// are bit-identical either way — [`SweepMode::Rebuild`] exists so the
-    /// harness can time the pre-persistence cost profile
-    /// (`surge-exp --persistent off`).
-    pub fn build_with(&self, query: SurgeQuery, sweep_mode: SweepMode) -> Box<dyn BurstDetector> {
         match self {
-            Algo::Ccs => Box::new(CellCspot::with_sweep_mode(
-                query,
-                BoundMode::Combined,
-                sweep_mode,
-                DEFAULT_SHARDS,
-            )),
-            Algo::Bccs => Box::new(CellCspot::with_sweep_mode(
-                query,
-                BoundMode::StaticOnly,
-                sweep_mode,
-                DEFAULT_SHARDS,
-            )),
+            Algo::Ccs => Box::new(CellCspot::new(query)),
+            Algo::Bccs => Box::new(CellCspot::with_mode(query, BoundMode::StaticOnly)),
             Algo::Base => Box::new(BaseDetector::new(query)),
             Algo::Ag2 => Box::new(Ag2::new(query)),
             Algo::Gaps => Box::new(GapSurge::new(query)),
@@ -114,10 +96,6 @@ pub struct ExpConfig {
     pub max_objects: usize,
     /// Same cap for the heavy ablations/baselines.
     pub max_heavy_objects: usize,
-    /// Per-cell sweep mode for the exact cell detectors (`surge-exp
-    /// --persistent on|off`). Answers are bit-identical in both modes;
-    /// `Rebuild` times the pre-persistence cost profile.
-    pub sweep_mode: SweepMode,
 }
 
 impl Default for ExpConfig {
@@ -130,7 +108,6 @@ impl Default for ExpConfig {
             quality_stride: 50,
             max_objects: 450_000,
             max_heavy_objects: 30_000,
-            sweep_mode: SweepMode::Persistent,
         }
     }
 }
@@ -147,7 +124,6 @@ impl ExpConfig {
             quality_stride: 25,
             max_objects: 40_000,
             max_heavy_objects: 8_000,
-            sweep_mode: SweepMode::Persistent,
         }
     }
 
@@ -161,7 +137,6 @@ impl ExpConfig {
             quality_stride: 1_000,
             max_objects: 2_000_000,
             max_heavy_objects: 500_000,
-            sweep_mode: SweepMode::Persistent,
         }
     }
 }
@@ -254,33 +229,8 @@ pub fn run_algo(
     objects: usize,
     seed: u64,
 ) -> RunStats {
-    run_algo_with_mode(
-        algo,
-        dataset,
-        windows,
-        rect_scale,
-        alpha,
-        objects,
-        seed,
-        SweepMode::Persistent,
-    )
-}
-
-/// [`run_algo`] with an explicit per-cell sweep mode (the `--persistent`
-/// toggle; only the exact cell detectors are affected).
-#[allow(clippy::too_many_arguments)]
-pub fn run_algo_with_mode(
-    algo: Algo,
-    dataset: Dataset,
-    windows: WindowConfig,
-    rect_scale: f64,
-    alpha: f64,
-    objects: usize,
-    seed: u64,
-    sweep_mode: SweepMode,
-) -> RunStats {
     let query = query_for(dataset, windows, rect_scale, alpha);
-    let mut detector = algo.build_with(query, sweep_mode);
+    let mut detector = algo.build(query);
     let mut engine = SlidingWindowEngine::new(windows);
     let stream = stream_for(dataset, objects, seed);
     drive(detector.as_mut(), &mut engine, stream.into_iter())
@@ -381,7 +331,7 @@ fn runtime_sweep(
                     (cfg.objects, cfg.max_objects)
                 };
                 let objects = objects_for(dataset, windows, measure, cap);
-                let stats = run_algo_with_mode(
+                let stats = run_algo(
                     algo,
                     dataset,
                     windows,
@@ -389,7 +339,6 @@ fn runtime_sweep(
                     DEFAULT_ALPHA,
                     objects,
                     cfg.seed,
-                    cfg.sweep_mode,
                 );
                 let (t, stable) = if stats.objects > 0 {
                     (stats.time_per_object_us(), true)
@@ -446,7 +395,7 @@ pub fn table2(datasets: &[Dataset], cfg: &ExpConfig) -> Vec<Table2Row> {
     for &dataset in datasets {
         for (label, windows) in window_sweep(dataset) {
             let objects = objects_for(dataset, windows, cfg.heavy_objects, cfg.max_heavy_objects);
-            let ccs = run_algo_with_mode(
+            let ccs = run_algo(
                 Algo::Ccs,
                 dataset,
                 windows,
@@ -454,9 +403,8 @@ pub fn table2(datasets: &[Dataset], cfg: &ExpConfig) -> Vec<Table2Row> {
                 DEFAULT_ALPHA,
                 objects,
                 cfg.seed,
-                cfg.sweep_mode,
             );
-            let bccs = run_algo_with_mode(
+            let bccs = run_algo(
                 Algo::Bccs,
                 dataset,
                 windows,
@@ -464,7 +412,6 @@ pub fn table2(datasets: &[Dataset], cfg: &ExpConfig) -> Vec<Table2Row> {
                 DEFAULT_ALPHA,
                 objects,
                 cfg.seed,
-                cfg.sweep_mode,
             );
             out.push(Table2Row {
                 dataset: dataset.to_string(),
@@ -506,16 +453,7 @@ pub fn fig7(cfg: &ExpConfig) -> Vec<AlphaPoint> {
                 (cfg.objects, cfg.max_objects)
             };
             let objects = objects_for(dataset, windows, measure, cap);
-            let stats = run_algo_with_mode(
-                algo,
-                dataset,
-                windows,
-                1.0,
-                alpha,
-                objects,
-                cfg.seed,
-                cfg.sweep_mode,
-            );
+            let stats = run_algo(algo, dataset, windows, 1.0, alpha, objects, cfg.seed);
             let t = if stats.objects > 0 {
                 stats.time_per_object_us()
             } else {
@@ -684,7 +622,7 @@ pub fn fig8(datasets: &[Dataset], cfg: &ExpConfig) -> Vec<ScalePoint> {
                 let workload = dataset
                     .workload(objects, cfg.seed)
                     .stretched_to_rate(rate * 1e6);
-                let mut det = algo.build_with(query, cfg.sweep_mode);
+                let mut det = algo.build(query);
                 let mut engine = SlidingWindowEngine::new(windows);
                 let stream = StreamGenerator::new(workload).generate();
                 let stats = drive(det.as_mut(), &mut engine, stream.into_iter());
@@ -928,8 +866,11 @@ pub struct LatencyRow {
     pub final_score: f64,
 }
 
-/// Runs every single-region algorithm over one stream via the parallel
-/// fan-out driver and reports per-event latency percentiles.
+/// Runs every single-region algorithm over one stream, one after another,
+/// and reports per-event latency percentiles: each window-transition event
+/// is timed with the `current()` refresh that follows it. The tail windows
+/// are not drained, so the final scores (all exact rows must agree) are
+/// taken while the windows still hold objects.
 ///
 /// The paper's figures show means; the tail is where the exact detector's
 /// bimodal cost (bound update vs full cell sweep) becomes visible.
@@ -938,30 +879,26 @@ pub fn latency_table(dataset: Dataset, cfg: &ExpConfig) -> Vec<LatencyRow> {
     let query = query_for(dataset, windows, 1.0, DEFAULT_ALPHA);
     let objects = objects_for(dataset, windows, cfg.heavy_objects, cfg.max_heavy_objects);
     let stream = stream_for(dataset, objects, cfg.seed);
-    let detectors: Vec<Box<dyn BurstDetector + Send>> = vec![
-        Box::new(CellCspot::with_sweep_mode(
-            query,
-            BoundMode::Combined,
-            cfg.sweep_mode,
-            DEFAULT_SHARDS,
-        )),
-        Box::new(CellCspot::with_sweep_mode(
-            query,
-            BoundMode::StaticOnly,
-            cfg.sweep_mode,
-            DEFAULT_SHARDS,
-        )),
-        Box::new(BaseDetector::new(query)),
-        Box::new(Ag2::new(query)),
-        Box::new(GapSurge::new(query)),
-        Box::new(MgapSurge::new(query)),
-    ];
-    surge_stream::drive_parallel(detectors, windows, stream.into_iter())
-        .into_iter()
-        .map(|r| LatencyRow {
-            algo: r.name,
-            summary: r.latency_summary(),
-            final_score: r.final_answer.map(|a| a.score).unwrap_or(0.0),
+    Algo::EXACT_SET
+        .iter()
+        .chain(&Algo::APPROX_SET)
+        .map(|algo| {
+            let mut detector = algo.build(query);
+            let mut engine = SlidingWindowEngine::new(windows);
+            let mut latency = surge_stream::LatencyHistogram::new();
+            for obj in stream.iter().copied() {
+                for ev in engine.push(obj) {
+                    let t0 = std::time::Instant::now();
+                    detector.on_event(&ev);
+                    let _ = detector.current();
+                    latency.record(t0.elapsed());
+                }
+            }
+            LatencyRow {
+                algo: detector.name(),
+                summary: latency.summary(),
+                final_score: detector.current().map(|a| a.score).unwrap_or(0.0),
+            }
         })
         .collect()
 }
@@ -999,7 +936,8 @@ pub struct SweepBenchRow {
 /// on the flat iterative tree vs the retained recursive baseline at `n`
 /// leaves, cross-checking results every round.
 fn tree_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
-    use surge_exact::{MaxAddTree, RecursiveMaxAddTree};
+    use surge_exact::MaxAddTree;
+    use surge_testkit::RecursiveMaxAddTree;
 
     let mut state = seed | 1;
     let mut next = move || {
@@ -1053,7 +991,8 @@ fn tree_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
 /// accumulated maxima bit for bit every round.
 fn burst_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
     use surge_core::{BurstParams, WindowKind};
-    use surge_exact::{BurstSegTree, SplitBurstSegTree};
+    use surge_exact::BurstSegTree;
+    use surge_testkit::SplitBurstSegTree;
 
     let params = BurstParams {
         alpha: DEFAULT_ALPHA,
@@ -1118,14 +1057,15 @@ fn burst_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
 }
 
 /// Times [`surge_exact::sl_cspot`] (segment tree) against
-/// [`surge_exact::sl_cspot_naive`] on identical deterministic scenes at
+/// [`surge_testkit::sl_cspot_naive`] on identical deterministic scenes at
 /// n ∈ {64, 256, 1024, 4096} — the comparison behind the PR-1 `≥ 5×` at
 /// n = 4096 acceptance bar — and the flat vs recursive tree workload at the
 /// same sizes. Scores are cross-checked every round so a regression in
 /// either implementation fails loudly rather than benching garbage.
 pub fn sweep_bench(cfg: &ExpConfig) -> Vec<SweepBenchRow> {
     use surge_core::{BurstParams, Rect, WindowKind};
-    use surge_exact::{sl_cspot, sl_cspot_naive, SweepRect};
+    use surge_exact::{sl_cspot, SweepRect};
+    use surge_testkit::sl_cspot_naive;
 
     let params = BurstParams {
         alpha: DEFAULT_ALPHA,
@@ -1203,44 +1143,74 @@ pub fn sweep_bench(cfg: &ExpConfig) -> Vec<SweepBenchRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent vs rebuild cell sweeps
+// Persistent cell sweeps vs the from-scratch reference
 // ---------------------------------------------------------------------------
 
-/// One row of the persistent-vs-rebuild cell-sweep experiment: the same
-/// incremental workload driven through a `CellCspot` whose per-cell sweeps
-/// either reuse persistent cross-sweep state or rebuild from the rectangle
-/// set on every search.
+/// One row of the persistent cell-sweep experiment: an incremental
+/// workload driven through a `CellCspot` whose per-cell sweeps reuse
+/// persistent cross-sweep state, next to the rebuild work of the
+/// from-scratch reference on the same stream.
 #[derive(Debug, Clone, Copy)]
 pub struct PersistentBenchRow {
     /// Workload label (`"uniform"` or `"taxi"`).
     pub workload: &'static str,
-    /// `"persistent"` or `"rebuild"`.
-    pub mode: &'static str,
     /// Objects driven through the pipeline.
     pub objects: u64,
-    /// Cell searches executed (identical across modes by construction).
+    /// Cell searches executed.
     pub searches: u64,
-    /// Incremental edits applied to persistent structures (0 in rebuild
-    /// mode).
+    /// Incremental edits applied to persistent structures.
     pub churn_ops: u64,
-    /// Evaluation positions written by full rebuilds — the
-    /// hardware-independent work metric: rebuild mode pays this on *every*
-    /// search, the persistent mode only on threshold crossings.
+    /// Evaluation positions written by full rebuilds (threshold crossings
+    /// only) — the hardware-independent work metric.
     pub rebuilt_leaves: u64,
     /// Full rebuilds executed.
     pub full_rebuilds: u64,
-    /// Wall-clock milliseconds for the run (informative only on a 1-CPU
-    /// container).
+    /// Evaluation positions the from-scratch reference rebuilt on the same
+    /// stream: a twin restored from the detector's own capture before every
+    /// flush, so each flush sweeps every dirty cell from rebuilt state.
+    /// (Cells of fewer than six rectangles build by incremental inserts and
+    /// add nothing here, so this undercounts from-scratch work.)
+    pub reference_rebuilt_leaves: u64,
+    /// Wall-clock milliseconds for the persistent run (best of five).
     pub elapsed_ms: f64,
-    /// Rebuild-mode elapsed / this row's elapsed.
-    pub speedup: f64,
 }
 
-/// Runs the persistent-vs-rebuild comparison on the incremental workloads
+/// `drive_incremental`'s flush with a from-scratch detector: right before
+/// each flush the detector is replaced by a twin restored from its own
+/// capture (restore rebuilds every derived structure), and the replaced
+/// detector's sweep counters are folded into `retired`.
+struct RestoredEachFlush {
+    det: CellCspot,
+    retired: SweepStats,
+}
+
+impl QueryCore for RestoredEachFlush {
+    fn on_events(&mut self, events: &[surge_core::Event]) {
+        for ev in events {
+            self.det.on_event(ev);
+        }
+    }
+
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
+        let mut twin = CellCspot::with_shards(*self.det.query(), BoundMode::Combined, 1);
+        twin.restore_state(&self.det.capture_state())
+            .expect("a detector's own capture restores into a same-query twin");
+        self.retired.absorb(&self.det.sweep_stats());
+        self.det = twin;
+        let swept = self.det.sweep_dirty(1);
+        FlushOutcome {
+            answers: self.det.current().into_iter().collect(),
+            swept,
+        }
+    }
+}
+
+/// Runs the persistent cell sweeps on the incremental workloads
 /// (`surge_exp sweep-bench` → the `persistent` section of
-/// `BENCH_sweep.json`), asserting per-slide **bit-identity** between the
-/// two modes before reporting any numbers — benchmarks must not time a
-/// divergent pipeline.
+/// `BENCH_sweep.json`), asserting per-slide **bit-identity** with the
+/// from-scratch reference (a twin restored from the detector's own capture
+/// before every flush) before reporting any numbers — benchmarks must not
+/// time a divergent pipeline.
 pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
     use surge_stream::drive_incremental;
 
@@ -1269,65 +1239,51 @@ pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
 
     let mut rows = Vec::new();
     for (workload, windows, query, stream) in workloads {
-        let mut reports = Vec::new();
-        for (mode, sweep_mode) in [
-            ("rebuild", SweepMode::Rebuild),
-            ("persistent", SweepMode::Persistent),
-        ] {
-            // Best of five: single runs on a shared 1-CPU container are
-            // ±10% noisy, more than the effect under measurement.
-            let mut best: Option<(_, std::time::Duration, _)> = None;
-            for _ in 0..5 {
-                let mut det = CellCspot::with_sweep_mode(query, BoundMode::Combined, sweep_mode, 1);
-                let t0 = std::time::Instant::now();
-                let report = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
-                let elapsed = t0.elapsed();
-                if best.as_ref().is_none_or(|(_, b, _)| elapsed < *b) {
-                    best = Some((report, elapsed, det.sweep_stats()));
-                }
+        // Best of five: single runs on a shared container are ±10% noisy.
+        let mut best: Option<(_, std::time::Duration, _)> = None;
+        for _ in 0..5 {
+            let mut det = CellCspot::with_shards(query, BoundMode::Combined, 1);
+            let t0 = std::time::Instant::now();
+            let report = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
+            let elapsed = t0.elapsed();
+            if best.as_ref().is_none_or(|(_, b, _)| elapsed < *b) {
+                best = Some((report, elapsed, det.sweep_stats()));
             }
-            let (report, elapsed, stats) = best.expect("three runs");
-            reports.push((mode, report, elapsed, stats));
         }
-        let (rebuild_report, rebuild_elapsed) = (&reports[0].1, reports[0].2);
+        let (report, elapsed, sweep) = best.expect("five runs");
 
-        // Bit-identity gate: every slide answer must match across modes.
-        let persistent_report = &reports[1].1;
-        assert_eq!(
-            persistent_report.answers.len(),
-            rebuild_report.answers.len()
+        // Bit-identity gate: every slide answer must match the reference.
+        let mut rt = QueryRuntime::new(
+            RestoredEachFlush {
+                det: CellCspot::with_shards(query, BoundMode::Combined, 1),
+                retired: SweepStats::default(),
+            },
+            windows,
+            slide,
         );
-        for (i, (a, b)) in persistent_report
-            .answers
-            .iter()
-            .zip(rebuild_report.answers.iter())
-            .enumerate()
-        {
-            match (a, b) {
-                (Some(x), Some(y)) => assert_eq!(
-                    x.score.to_bits(),
-                    y.score.to_bits(),
-                    "persistent-bench divergence at {workload}, slide {i}"
-                ),
-                (None, None) => {}
-                other => panic!("persistent-bench divergence at {workload}, slide {i}: {other:?}"),
-            }
-        }
-        assert_eq!(persistent_report.jobs, rebuild_report.jobs);
+        let mut reference = Vec::new();
+        rt.run(stream.iter().copied(), |_, flushed| {
+            reference.push(flushed.first().copied())
+        });
+        assert_slides_bitwise(
+            report.answers.retained(),
+            &reference,
+            &format!("persistent-bench {workload}"),
+        );
+        assert_eq!(report.jobs, rt.counters().jobs);
+        let mut reference_sweep = rt.core().retired;
+        reference_sweep.absorb(&rt.core().det.sweep_stats());
 
-        for (mode, report, elapsed, sweep) in &reports {
-            rows.push(PersistentBenchRow {
-                workload,
-                mode,
-                objects: report.objects,
-                searches: sweep.searches,
-                churn_ops: sweep.churn_ops,
-                rebuilt_leaves: sweep.rebuilt_leaves,
-                full_rebuilds: sweep.full_rebuilds,
-                elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                speedup: rebuild_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-            });
-        }
+        rows.push(PersistentBenchRow {
+            workload,
+            objects: report.objects,
+            searches: sweep.searches,
+            churn_ops: sweep.churn_ops,
+            rebuilt_leaves: sweep.rebuilt_leaves,
+            full_rebuilds: sweep.full_rebuilds,
+            reference_rebuilt_leaves: reference_sweep.rebuilt_leaves,
+            elapsed_ms: elapsed.as_secs_f64() * 1e3,
+        });
     }
     rows
 }
@@ -1439,7 +1395,7 @@ pub fn checkpoint_bench(cfg: &ExpConfig) -> Vec<CheckpointBenchRow> {
     for (workload, windows, query, stream) in workloads {
         let spec = DetectorSpec::Cell {
             bound: BoundMode::Combined,
-            sweep: cfg.sweep_mode,
+            sweep: SweepMode::Persistent,
             shards: DEFAULT_SHARDS,
         };
         let base = std::env::temp_dir().join(format!(
@@ -1449,15 +1405,13 @@ pub fn checkpoint_bench(cfg: &ExpConfig) -> Vec<CheckpointBenchRow> {
         let _ = std::fs::remove_dir_all(&base);
 
         // In-memory baseline (no durability) — shared by every sync tier.
-        let mut det =
-            CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, DEFAULT_SHARDS);
+        let mut det = CellCspot::new(query);
         let t0 = std::time::Instant::now();
         let baseline = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
         let baseline_elapsed = t0.elapsed();
 
         // Replay-from-zero: what the restart costs without checkpoints.
-        let mut det =
-            CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, DEFAULT_SHARDS);
+        let mut det = CellCspot::new(query);
         let t0 = std::time::Instant::now();
         let _ = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
         let replay_elapsed = t0.elapsed();
@@ -1606,7 +1560,7 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
     let stream = uniform_stream(cfg.objects.clamp(4_000, 120_000), cfg.seed);
     let spec = DetectorSpec::Cell {
         bound: BoundMode::Combined,
-        sweep: cfg.sweep_mode,
+        sweep: SweepMode::Persistent,
         shards: DEFAULT_SHARDS,
     };
 
@@ -1774,12 +1728,7 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
         (
             "incremental",
             Box::new(|obs: &Observe| {
-                let mut det = CellCspot::with_sweep_mode(
-                    query,
-                    BoundMode::Combined,
-                    cfg.sweep_mode,
-                    DEFAULT_SHARDS,
-                );
+                let mut det = CellCspot::new(query);
                 let r = drive_incremental_observed(
                     &mut det,
                     windows,
@@ -1794,8 +1743,7 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
         (
             "elastic",
             Box::new(|obs: &Observe| {
-                let mut det =
-                    CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, 2);
+                let mut det = CellCspot::with_shards(query, BoundMode::Combined, 2);
                 let r = drive_elastic_observed(
                     &mut det,
                     windows,
@@ -1900,7 +1848,6 @@ mod tests {
             quality_stride: 20,
             max_objects: 5_000,
             max_heavy_objects: 2_000,
-            sweep_mode: SweepMode::Persistent,
         }
     }
 
@@ -2013,29 +1960,21 @@ mod tests {
     }
 
     #[test]
-    fn persistent_bench_reports_both_modes_and_less_rebuild_work() {
+    fn persistent_bench_matches_the_restored_twin_with_less_rebuild_work() {
         let rows = persistent_bench(&tiny());
-        // Two workloads (uniform, taxi) x {rebuild, persistent}; bit-identity
-        // is asserted inside the runner before any row is emitted.
-        assert_eq!(rows.len(), 4);
-        for chunk in rows.chunks(2) {
-            let (rebuild, persistent) = (&chunk[0], &chunk[1]);
-            assert_eq!(rebuild.mode, "rebuild");
-            assert_eq!(persistent.mode, "persistent");
-            assert_eq!(rebuild.workload, persistent.workload);
-            assert_eq!(rebuild.objects, persistent.objects);
-            // Same searches, different maintenance profile: the rebuild
-            // path re-sorts on every search, the persistent path only on
-            // threshold crossings.
-            assert_eq!(rebuild.searches, persistent.searches);
-            assert_eq!(rebuild.churn_ops, 0);
-            assert_eq!(rebuild.full_rebuilds, rebuild.searches);
+        // Two workloads (uniform, taxi); bit-identity with the from-scratch
+        // reference is asserted inside the runner before any row is emitted.
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
+            assert!(row.searches > 0, "{}", row.workload);
+            // The persistent path rebuilds only on threshold crossings; the
+            // reference rebuilds every dirty cell at every flush.
             assert!(
-                persistent.rebuilt_leaves < rebuild.rebuilt_leaves,
-                "{}: persistent rebuilt {} leaves vs rebuild {}",
-                rebuild.workload,
-                persistent.rebuilt_leaves,
-                rebuild.rebuilt_leaves
+                row.rebuilt_leaves < row.reference_rebuilt_leaves,
+                "{}: persistent rebuilt {} leaves vs reference {}",
+                row.workload,
+                row.rebuilt_leaves,
+                row.reference_rebuilt_leaves
             );
         }
     }

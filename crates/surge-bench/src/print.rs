@@ -229,31 +229,31 @@ pub fn sweep_bench(rows: &[crate::experiments::SweepBenchRow]) -> String {
     out
 }
 
-/// The persistent-vs-rebuild cell-sweep experiment as a console table.
-/// `rebuilt_leaves` is the hardware-independent work metric; wall-clock is
-/// informative only on a 1-CPU container.
+/// The persistent cell-sweep experiment as a console table.
+/// `rebuilt_leaves` is the hardware-independent work metric, next to the
+/// from-scratch reference's; wall-clock is informative only on a 1-CPU
+/// container.
 pub fn persistent_bench(rows: &[crate::experiments::PersistentBenchRow]) -> String {
     let mut out = format!(
-        "\n== Cell sweeps: persistent cross-sweep state vs rebuild-per-search ==\n{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>12} {:>9}\n",
-        "workload", "mode", "searches", "churn", "rebuilt-lvs", "rebuilds", "elapsed(ms)", "speedup"
+        "\n== Cell sweeps: persistent cross-sweep state vs the from-scratch reference ==\n{:<10} {:>9} {:>10} {:>13} {:>10} {:>15} {:>12}\n",
+        "workload", "searches", "churn", "rebuilt-lvs", "rebuilds", "reference-lvs", "elapsed(ms)"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:<12} {:>9} {:>10} {:>13} {:>10} {:>12.1} {:>8.2}x\n",
+            "{:<10} {:>9} {:>10} {:>13} {:>10} {:>15} {:>12.1}\n",
             r.workload,
-            r.mode,
             r.searches,
             r.churn_ops,
             r.rebuilt_leaves,
             r.full_rebuilds,
-            r.elapsed_ms,
-            r.speedup
+            r.reference_rebuilt_leaves,
+            r.elapsed_ms
         ));
     }
     out
 }
 
-/// The sweep micro-benchmark plus the persistent-vs-rebuild comparison as a
+/// The sweep micro-benchmark plus the persistent cell-sweep rows as a
 /// `BENCH_sweep.json` document (hand-rolled: the offline build has no
 /// serde).
 pub fn sweep_bench_json(
@@ -282,16 +282,15 @@ pub fn sweep_bench_json(
     out.push_str("  ],\n  \"persistent\": [\n");
     for (i, r) in persistent.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"objects\": {}, \"searches\": {}, \"churn_ops\": {}, \"rebuilt_leaves\": {}, \"full_rebuilds\": {}, \"elapsed_ms\": {:.1}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"objects\": {}, \"searches\": {}, \"churn_ops\": {}, \"rebuilt_leaves\": {}, \"full_rebuilds\": {}, \"reference_rebuilt_leaves\": {}, \"elapsed_ms\": {:.1}}}{}\n",
             r.workload,
-            r.mode,
             r.objects,
             r.searches,
             r.churn_ops,
             r.rebuilt_leaves,
             r.full_rebuilds,
+            r.reference_rebuilt_leaves,
             r.elapsed_ms,
-            r.speedup,
             if i + 1 < persistent.len() { "," } else { "" }
         ));
     }
@@ -658,25 +657,23 @@ mod tests {
         let prows = vec![
             crate::experiments::PersistentBenchRow {
                 workload: "uniform",
-                mode: "rebuild",
-                objects: 600,
-                searches: 40,
-                churn_ops: 0,
-                rebuilt_leaves: 4_000,
-                full_rebuilds: 40,
-                elapsed_ms: 12.0,
-                speedup: 1.0,
-            },
-            crate::experiments::PersistentBenchRow {
-                workload: "uniform",
-                mode: "persistent",
                 objects: 600,
                 searches: 40,
                 churn_ops: 900,
                 rebuilt_leaves: 300,
                 full_rebuilds: 3,
+                reference_rebuilt_leaves: 4_000,
                 elapsed_ms: 8.0,
-                speedup: 1.5,
+            },
+            crate::experiments::PersistentBenchRow {
+                workload: "taxi",
+                objects: 700,
+                searches: 50,
+                churn_ops: 1_100,
+                rebuilt_leaves: 500,
+                full_rebuilds: 5,
+                reference_rebuilt_leaves: 6_000,
+                elapsed_ms: 9.0,
             },
         ];
         let json = sweep_bench_json(&rows, &prows);
@@ -684,12 +681,11 @@ mod tests {
         assert_eq!(json.matches("\"n\":").count(), 2);
         assert_eq!(json.matches("\"tree_speedup\":").count(), 2);
         assert_eq!(json.matches("\"rebuilt_leaves\":").count(), 2);
-        assert_eq!(json.matches("\"mode\": \"persistent\"").count(), 1);
+        assert_eq!(json.matches("\"reference_rebuilt_leaves\":").count(), 2);
         assert!(sweep_bench(&rows).contains("5.0x"));
         assert!(sweep_bench(&rows).contains("1.50x"));
         let table = persistent_bench(&prows);
-        assert!(table.contains("persistent"));
-        assert!(table.contains("rebuild"));
+        assert!(table.contains("uniform") && table.contains("taxi"));
         assert!(table.contains("4000"));
     }
 

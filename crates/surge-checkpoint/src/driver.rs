@@ -60,7 +60,7 @@ use surge_core::{
     IncrementalDetector, RegionAnswer, RestoreError, SpatialObject, SurgeQuery, TopKDetector,
     WindowConfig,
 };
-use surge_exact::{BaseDetector, CellCspot};
+use surge_exact::{BaseDetector, CellCspot, SweepMode};
 use surge_io::{BlobStore, FsStore, IoError};
 use surge_observe::{Counter, Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
@@ -283,14 +283,10 @@ impl SpecDetector {
         Ok(match *spec {
             DetectorSpec::Cell {
                 bound,
-                sweep,
+                sweep: SweepMode::Persistent,
                 shards,
-            } => SpecDetector::Cell(CellCspot::with_sweep_mode(query, bound, sweep, shards)),
-            DetectorSpec::Base { pruned } => SpecDetector::Base(if pruned {
-                BaseDetector::with_pruning(query)
-            } else {
-                BaseDetector::new(query)
-            }),
+            } => SpecDetector::Cell(CellCspot::with_shards(query, bound, shards)),
+            DetectorSpec::Base => SpecDetector::Base(BaseDetector::new(query)),
             DetectorSpec::TopK { k } => SpecDetector::TopK(KCellCspot::new(query, k)),
             DetectorSpec::Gaps { shards } => {
                 SpecDetector::Gaps(GapSurge::with_shards(query, shards))

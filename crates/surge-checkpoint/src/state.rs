@@ -56,10 +56,7 @@ pub enum DetectorSpec {
         shards: usize,
     },
     /// [`surge_exact::BaseDetector`].
-    Base {
-        /// Whether the incumbent-pruned variant is used.
-        pruned: bool,
-    },
+    Base,
     /// [`surge_topk::KCellCspot`] (continuous top-k).
     TopK {
         /// The configured k.
@@ -290,13 +287,14 @@ pub(crate) fn put_spec(w: &mut PayloadWriter, query: &SurgeQuery, spec: &Detecto
             });
             w.u8(match sweep {
                 SweepMode::Persistent => 0,
-                SweepMode::Rebuild => 1,
             });
             w.u64(*shards as u64);
         }
-        DetectorSpec::Base { pruned } => {
+        DetectorSpec::Base => {
             w.u8(1);
-            w.u8(u8::from(*pruned));
+            // Variant byte: 0 is the only Base variant (the decoder refuses
+            // 1, the deleted incumbent-pruned one).
+            w.u8(0);
         }
         DetectorSpec::TopK { k } => {
             w.u8(2);
@@ -348,13 +346,23 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
             },
             sweep: match r.u8("spec.sweep")? {
                 0 => SweepMode::Persistent,
-                1 => SweepMode::Rebuild,
+                1 => {
+                    return Err(inv(
+                        "sweep-mode code 1 (rebuild per search) is no longer supported",
+                    ))
+                }
                 other => return Err(inv(format!("unknown sweep-mode code {other}"))),
             },
             shards: r.u64("spec.shards")? as usize,
         },
-        1 => DetectorSpec::Base {
-            pruned: r.u8("spec.pruned")? != 0,
+        1 => match r.u8("spec.pruned")? {
+            0 => DetectorSpec::Base,
+            1 => {
+                return Err(inv(
+                    "the incumbent-pruned Base variant (pruned code 1) is no longer supported",
+                ))
+            }
+            other => return Err(inv(format!("unknown Base-variant code {other}"))),
         },
         2 => DetectorSpec::TopK {
             k: r.u64("spec.k")? as usize,

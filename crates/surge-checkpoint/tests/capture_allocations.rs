@@ -118,15 +118,14 @@ fn capture_and_decode_allocations_do_not_grow_with_cells() {
     for (side, cells) in [(16, 250..350), (70, 4_800..5_200)] {
         let events = lattice(side);
         let cell = count(cell_spec, cells.clone(), || {
-            let mut d =
-                CellCspot::with_sweep_mode(query(), BoundMode::Combined, SweepMode::Persistent, 8);
+            let mut d = CellCspot::with_shards(query(), BoundMode::Combined, 8);
             for ev in &events {
                 d.on_event(ev);
             }
             let (state, n) = allocations(|| d.capture_state());
             (d.cell_count(), state, n)
         });
-        let base = count(DetectorSpec::Base { pruned: false }, cells.clone(), || {
+        let base = count(DetectorSpec::Base, cells.clone(), || {
             let mut d = BaseDetector::new(query());
             for ev in &events {
                 BurstDetector::on_event(&mut d, ev);

@@ -1,8 +1,7 @@
 //! Crash-at-any-point differential tests: snapshot + WAL-tail replay must
 //! produce **bit-identical** per-slide and terminal answers to the
-//! uninterrupted run — for arbitrary cut points, at 1/2/8 shards, for both
-//! `SweepMode::Persistent` and `SweepMode::Rebuild`, and for the Base and
-//! top-k detector families.
+//! uninterrupted run — for arbitrary cut points, at 1/2/8 shards, and for
+//! the Base and top-k detector families.
 //!
 //! Streams come from `surge-testkit`'s collision-heavy generators (the
 //! workspace rule: differential code draws from the shared toolkit).
@@ -116,10 +115,9 @@ fn crash_recover_matches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The acceptance matrix: arbitrary cut points × {1, 2, 8} shards ×
-    /// {Persistent, Rebuild} sweeps, answers bit-identical per slide and
-    /// terminally — and identical to `drive_incremental` at the same
-    /// cadence.
+    /// The acceptance matrix: arbitrary cut points × {1, 2, 8} shards,
+    /// answers bit-identical per slide and terminally — and identical to
+    /// `drive_incremental` at the same cadence.
     #[test]
     fn crash_at_any_point_is_bit_identical(
         stream in arb_lattice_stream(60),
@@ -138,35 +136,33 @@ proptest! {
         );
 
         for shards in [1usize, 2, 8] {
-            for sweep in [SweepMode::Persistent, SweepMode::Rebuild] {
-                let spec = DetectorSpec::Cell {
-                    bound: BoundMode::Combined,
-                    sweep,
-                    shards,
-                };
-                let config = cfg(spec, windows);
-                let tag = format!("cell-s{shards}-{sweep:?}-cut{cut}");
-                let resumed = crash_recover_matches(&config, &stream, cut, &tag);
+            let spec = DetectorSpec::Cell {
+                bound: BoundMode::Combined,
+                sweep: SweepMode::Persistent,
+                shards,
+            };
+            let config = cfg(spec, windows);
+            let tag = format!("cell-s{shards}-cut{cut}");
+            let resumed = crash_recover_matches(&config, &stream, cut, &tag);
 
-                // The recovered answer sequence equals the plain driver's.
-                let got = resumed.single_answers();
-                prop_assert_eq!(got.len(), ref_report.answers.len());
-                for (i, (a, b)) in got.iter().zip(ref_report.answers.iter()).enumerate() {
-                    match (a, b) {
-                        (Some(x), Some(y)) => {
-                            prop_assert_eq!(x.score.to_bits(), y.score.to_bits(), "{} slide {}", &tag, i);
-                            prop_assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
-                            prop_assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
-                        }
-                        (None, None) => {}
-                        other => prop_assert!(false, "{} slide {}: {:?}", &tag, i, other),
+            // The recovered answer sequence equals the plain driver's.
+            let got = resumed.single_answers();
+            prop_assert_eq!(got.len(), ref_report.answers.len());
+            for (i, (a, b)) in got.iter().zip(ref_report.answers.iter()).enumerate() {
+                match (a, b) {
+                    (Some(x), Some(y)) => {
+                        prop_assert_eq!(x.score.to_bits(), y.score.to_bits(), "{} slide {}", &tag, i);
+                        prop_assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
+                        prop_assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
                     }
+                    (None, None) => {}
+                    other => prop_assert!(false, "{} slide {}: {:?}", &tag, i, other),
                 }
             }
         }
     }
 
-    /// Base (eager and pruned) and top-k recover bit-identically too.
+    /// Base and top-k recover bit-identically too.
     #[test]
     fn other_detector_families_recover_bit_identically(
         stream in arb_lattice_stream(48),
@@ -175,8 +171,7 @@ proptest! {
         let windows = WindowConfig::new(150, 70);
         let cut = cut_seed % (stream.len() + 1);
         for (spec, tag) in [
-            (DetectorSpec::Base { pruned: false }, "base"),
-            (DetectorSpec::Base { pruned: true }, "base-pruned"),
+            (DetectorSpec::Base, "base"),
             (DetectorSpec::TopK { k: 3 }, "topk3"),
         ] {
             let config = cfg(spec, windows);
@@ -346,7 +341,7 @@ fn recover_rejects_mismatched_config() {
     run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Crash).unwrap();
 
     let mut wrong_spec = config;
-    wrong_spec.spec = DetectorSpec::Base { pruned: false };
+    wrong_spec.spec = DetectorSpec::Base;
     assert!(recover(&wrong_spec, &dir, stream.iter().copied(), Tail::Finish).is_err());
 
     let mut wrong_slide = config;

@@ -38,24 +38,15 @@ fn cell_spec() -> DetectorSpec {
 /// Every detector spec `run_checkpointed` accepts, with a label for
 /// failure messages.
 fn every_spec() -> Vec<(&'static str, DetectorSpec)> {
-    let cell = |bound, sweep| DetectorSpec::Cell {
+    let cell = |bound| DetectorSpec::Cell {
         bound,
-        sweep,
+        sweep: SweepMode::Persistent,
         shards: 4,
     };
     vec![
-        ("cell", cell(BoundMode::Combined, SweepMode::Persistent)),
-        (
-            "cell-rebuild",
-            cell(BoundMode::Combined, SweepMode::Rebuild),
-        ),
-        ("bccs", cell(BoundMode::StaticOnly, SweepMode::Persistent)),
-        (
-            "bccs-rebuild",
-            cell(BoundMode::StaticOnly, SweepMode::Rebuild),
-        ),
-        ("base", DetectorSpec::Base { pruned: false }),
-        ("base-pruned", DetectorSpec::Base { pruned: true }),
+        ("cell", cell(BoundMode::Combined)),
+        ("bccs", cell(BoundMode::StaticOnly)),
+        ("base", DetectorSpec::Base),
         ("topk3", DetectorSpec::TopK { k: 3 }),
         ("gaps", DetectorSpec::Gaps { shards: 2 }),
         ("mgaps", DetectorSpec::Mgaps { shards: 2 }),
@@ -104,7 +95,7 @@ fn serve_snapshot_bytes(stream: &[SpatialObject]) -> Vec<u8> {
     for (query, spec) in [
         (q1, cell_spec()),
         (q1, cell_spec()),
-        (q2, DetectorSpec::Base { pruned: true }),
+        (q2, DetectorSpec::Base),
         (q1, DetectorSpec::TopK { k: 3 }),
         (q2, DetectorSpec::Gaps { shards: 2 }),
         (q1, DetectorSpec::Mgaps { shards: 2 }),
@@ -277,18 +268,18 @@ fn semantic_corruption_is_rejected_by_the_state_decoder() {
 fn snapshot_bytes_are_pinned() {
     // Recorded at snapshot version 4. The version-3 pins, recorded before
     // the cell table changed the in-memory capture layout (never the file),
-    // held through that change.
-    const PINNED: [(&str, u32); 10] = [
+    // held through that change. The serve pin was re-recorded when its
+    // fixture's pruned-Base subscription became an eager Base one (the
+    // pruned variant was deleted); the previous code wrote the same bytes
+    // for the new fixture.
+    const PINNED: [(&str, u32); 7] = [
         ("cell", 0x7b1eb7ce),
-        ("cell-rebuild", 0x3dc042ea),
         ("bccs", 0x9c18d7ae),
-        ("bccs-rebuild", 0xa0277645),
         ("base", 0xb1d6ab75),
-        ("base-pruned", 0x02bc542d),
         ("topk3", 0xa2ae71fa),
         ("gaps", 0x9ab832e8),
         ("mgaps", 0xec36225b),
-        ("serve", 0x1d5c1759),
+        ("serve", 0x4540ab8d),
     ];
     // The container's own footer: CRC-32 over every byte before it (the
     // CRC of a whole file, footer included, is the constant CRC residue).
@@ -313,6 +304,51 @@ fn snapshot_bytes_are_pinned() {
         "snapshot bytes changed: {}",
         mismatches.join(", ")
     );
+}
+
+/// Version-4 snapshots of the deleted variants — a cell detector sweeping
+/// in rebuild-per-search mode (SPEC sweep code 1) and the incumbent-pruned
+/// Base (SPEC pruned code 1) — are refused with `IoError::Invariant`, never
+/// restored as something else. Everything else about the files is valid:
+/// they are real snapshots with one SPEC byte patched and the CRC resealed.
+#[test]
+fn retired_spec_codes_are_refused() {
+    let stream = surge_testkit::clustered_stream(96, 3, 7, 42);
+    let cell = |bound| DetectorSpec::Cell {
+        bound,
+        sweep: SweepMode::Persistent,
+        shards: 4,
+    };
+    // (label, spec, position of the retired code counted from the end of
+    // the SPEC payload): a cell spec ends `sweep: u8, shards: u64`, a Base
+    // spec ends with its variant byte.
+    for (label, spec, from_end) in [
+        ("cell-rebuild", cell(BoundMode::Combined), 9),
+        ("bccs-rebuild", cell(BoundMode::StaticOnly), 9),
+        ("base-pruned", DetectorSpec::Base, 1),
+    ] {
+        let bytes = real_snapshot_bytes(&stream, "retired", spec);
+        let snap = Snapshot::decode(&bytes).unwrap();
+        assert!(CheckpointState::from_snapshot(&snap).is_ok(), "{label}");
+        let mut patched = Snapshot::new();
+        for (tag, payload) in snap.sections() {
+            let mut payload = payload.clone();
+            if *tag == surge_checkpoint::state::tags::SPEC {
+                let at = payload.len() - from_end;
+                assert_eq!(payload[at], 0, "{label}: the live code is 0");
+                payload[at] = 1;
+            }
+            patched.push_section(*tag, payload);
+        }
+        let resealed = Snapshot::decode(&patched.encode()).unwrap();
+        assert!(
+            matches!(
+                CheckpointState::from_snapshot(&resealed),
+                Err(IoError::Invariant(_))
+            ),
+            "{label}: a retired code must be refused"
+        );
+    }
 }
 
 /// Rebuilds `table` with its rows in `order` (row indices, repeats

@@ -6,16 +6,6 @@
 //! best cell candidate, kept in a score-ordered set. This makes `current()`
 //! O(1) but every event pays the full sweep cost, which is what the paper's
 //! Figure 5 shows CCS avoiding.
-//!
-//! [`BaseDetector::with_pruning`] additionally offers an incumbent-pruned
-//! variant: each cell caches its current-weight sum (the Definition-7
-//! static bound, which dominates the burst score of every point in the
-//! cell), touched cells are merely marked stale under that bound, and the
-//! best-first loop in `current()` re-sweeps a stale cell only while its
-//! bound still beats every fresh candidate. Answers are identical to the
-//! eager variant; dominated cells simply never pay for a sweep. The default
-//! [`BaseDetector::new`] keeps the paper's eager semantics so the ablation
-//! numbers stay comparable.
 
 use std::collections::BTreeSet;
 
@@ -26,7 +16,7 @@ use surge_core::{
 };
 
 use crate::cell::sorted_cells;
-use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool};
+use crate::psweep::{PersistentCellSweep, SweepPool};
 
 #[derive(Debug)]
 struct BaseCell {
@@ -39,19 +29,16 @@ struct BaseCell {
     /// cell's domain is empty).
     best: Option<(Point, f64)>,
     /// Key under which this cell sits in the score-ordered set: the exact
-    /// candidate score when fresh, the static upper bound when stale.
+    /// candidate score of its last search.
     score_key: TotalF64,
     domain: Option<Rect>,
     /// Sum of current-window weights — the unnormalized static bound
-    /// (Definition 7): `score ≤ fc ≤ us_weight / |W_c|` everywhere in the
-    /// cell.
+    /// (Definition 7). Base never prunes with it; snapshots carry it in the
+    /// cell table's `us` column, whose bytes the snapshot format pins.
     us_weight: f64,
-    /// Pruned mode only: contents changed since `best` was computed.
-    stale: bool,
 }
 
-/// The Base detector: exhaustive per-event cell searches, no pruning — or,
-/// via [`BaseDetector::with_pruning`], lazy incumbent-pruned searches.
+/// The Base detector: exhaustive per-event cell searches, no pruning.
 #[derive(Debug)]
 pub struct BaseDetector {
     query: SurgeQuery,
@@ -61,7 +48,6 @@ pub struct BaseDetector {
     /// Cells ordered by `score_key`; the maximum is the back.
     ranked: BTreeSet<(TotalF64, CellId)>,
     stats: DetectorStats,
-    pruned: bool,
     /// Free list for retired cells' persistent sweep state (Base ingests
     /// sequentially, so one pool serves every shard).
     pool: SweepPool,
@@ -71,16 +57,6 @@ impl BaseDetector {
     /// Creates a Base detector for `query` (eager per-event searches, the
     /// paper's ablation semantics).
     pub fn new(query: SurgeQuery) -> Self {
-        Self::build(query, false)
-    }
-
-    /// Creates a Base detector that defers cell sweeps until the cell's
-    /// static bound beats the incumbent answer. Same answers, fewer sweeps.
-    pub fn with_pruning(query: SurgeQuery) -> Self {
-        Self::build(query, true)
-    }
-
-    fn build(query: SurgeQuery, pruned: bool) -> Self {
         BaseDetector {
             params: query.burst_params(),
             grid: GridSpec::anchored(query.region.width, query.region.height),
@@ -88,7 +64,6 @@ impl BaseDetector {
             cells: ShardedCellStore::new(crate::cell::DEFAULT_SHARDS),
             ranked: BTreeSet::new(),
             stats: DetectorStats::default(),
-            pruned,
             pool: SweepPool::new(),
         }
     }
@@ -114,7 +89,6 @@ impl BaseDetector {
                     None
                 };
                 cell.best = best;
-                cell.stale = false;
                 let new_key = TotalF64(best.map_or(f64::NEG_INFINITY, |(_, s)| s));
                 cell.score_key = new_key;
                 (old_key, Some(new_key))
@@ -133,56 +107,21 @@ impl BaseDetector {
             }
         }
     }
-
-    /// Pruned mode: re-key an affected cell under its static bound and mark
-    /// it stale; drained cells are dropped outright.
-    fn mark_stale(&mut self, id: CellId) {
-        let Some(cell) = self.cells.get_mut(id) else {
-            return;
-        };
-        let old_key = cell.score_key;
-        if cell.sweep.is_empty() {
-            self.ranked.remove(&(old_key, id));
-            if let Some(cell) = self.cells.remove(id) {
-                self.pool.retire(cell.sweep);
-            }
-            return;
-        }
-        cell.stale = true;
-        // Keys of stale cells must stay upper bounds of their true maximum
-        // burst score; the static bound is one (Definition 7). Infeasible
-        // cells can never answer and sink to the bottom.
-        let bound = if cell.domain.is_some() {
-            cell.us_weight / self.params.current_norm
-        } else {
-            f64::NEG_INFINITY
-        };
-        let new_key = TotalF64(bound);
-        if new_key != old_key {
-            cell.score_key = new_key;
-            self.ranked.remove(&(old_key, id));
-            self.ranked.insert((new_key, id));
-        } else if !self.ranked.contains(&(new_key, id)) {
-            self.ranked.insert((new_key, id));
-        }
-    }
 }
 
 /// Checkpoint capture/restore. Base has no dynamic bounds, so the logical
 /// per-cell state is the rectangle set, the static-bound accumulator, and
-/// the cached best point: `cand[0]` encodes `(stale, best)` — `Stale` for
-/// stale cells, `Valid { point, wc: score, wp: 0 }` for a fresh candidate,
-/// `Absent` for a fresh "nothing in domain" outcome, `Infeasible` for
-/// domain-less cells. Score keys are derived, exactly as the live paths
-/// derive them.
+/// the cached best point: `cand[0]` is `Valid { point, wc: score, wp: 0 }`
+/// for a candidate, `Absent` for a "nothing in domain" outcome and
+/// `Infeasible` for domain-less cells. Every cell is searched on every
+/// event that touches it, so none is ever `Stale`. Score keys are derived,
+/// exactly as the live path derives them.
 impl CheckpointableDetector for BaseDetector {
     fn capture_state(&self) -> DetectorState {
         let (refs, rects) = sorted_cells(self.cells.shards(), |c: &BaseCell| c.sweep.len());
         let mut cells = CellTable::with_capacity(refs.len(), rects, 1);
         for (id, cell) in refs {
-            let cand = if cell.stale {
-                CandidateState::Stale
-            } else if cell.domain.is_none() {
+            let cand = if cell.domain.is_none() {
                 CandidateState::Infeasible
             } else {
                 match cell.best {
@@ -238,9 +177,7 @@ impl CheckpointableDetector for BaseDetector {
                 .query
                 .point_domain()
                 .and_then(|d| d.intersection(&cell_rect));
-            let mut sweep =
-                self.pool
-                    .take(domain, self.params, crate::psweep::SweepMode::Persistent);
+            let mut sweep = self.pool.take(domain, self.params);
             for r in cp.rects {
                 sweep.insert(r.id, r.rect, r.weight);
                 if r.kind == WindowKind::Past {
@@ -253,8 +190,13 @@ impl CheckpointableDetector for BaseDetector {
                     cp.id
                 )));
             }
-            let (best, stale) = match cand {
-                CandidateState::Stale => (None, true),
+            let best = match cand {
+                CandidateState::Stale => {
+                    return Err(RestoreError::new(format!(
+                        "cell {:?}: Base never records Stale candidates",
+                        cp.id
+                    )))
+                }
                 CandidateState::Infeasible => {
                     if domain.is_some() {
                         return Err(RestoreError::new(format!(
@@ -262,22 +204,13 @@ impl CheckpointableDetector for BaseDetector {
                             cp.id
                         )));
                     }
-                    (None, false)
+                    None
                 }
-                CandidateState::Absent => (None, false),
-                CandidateState::Valid { point, wc, .. } => (Some((point, wc)), false),
+                CandidateState::Absent => None,
+                CandidateState::Valid { point, wc, .. } => Some((point, wc)),
             };
-            // Derive the score key exactly as the live paths do: static
-            // bound for stale cells, candidate score for fresh ones.
-            let key = if stale {
-                if domain.is_some() {
-                    TotalF64(us / self.params.current_norm)
-                } else {
-                    TotalF64(f64::NEG_INFINITY)
-                }
-            } else {
-                TotalF64(best.map_or(f64::NEG_INFINITY, |(_, s)| s))
-            };
+            // Derive the score key exactly as the live path does.
+            let key = TotalF64(best.map_or(f64::NEG_INFINITY, |(_, s)| s));
             if self.cells.contains(cp.id) {
                 return Err(RestoreError::new(format!("duplicate cell {:?}", cp.id)));
             }
@@ -287,7 +220,6 @@ impl CheckpointableDetector for BaseDetector {
                 score_key: key,
                 domain,
                 us_weight: us,
-                stale,
             });
             self.ranked.insert((key, cp.id));
         }
@@ -307,7 +239,7 @@ impl BurstDetector for BaseDetector {
         }
         let g = object_to_rect(&event.object, self.query.region);
         // Allocation-free cell enumeration; the grid is `Copy` so the
-        // iterator can be re-run for the research/mark pass below.
+        // iterator can be re-run for the research pass below.
         let grid = self.grid;
         let params = self.params;
         let mut touched = false;
@@ -319,12 +251,11 @@ impl BurstDetector for BaseDetector {
                 .and_then(|d| d.intersection(&cell_rect));
             let pool = &mut self.pool;
             let cell = self.cells.get_or_insert_with(id, || BaseCell {
-                sweep: pool.take(domain, params, SweepMode::Persistent),
+                sweep: pool.take(domain, params),
                 best: None,
                 score_key: TotalF64(f64::NEG_INFINITY),
                 domain,
                 us_weight: 0.0,
-                stale: false,
             });
             match event.kind {
                 EventKind::New => {
@@ -347,54 +278,27 @@ impl BurstDetector for BaseDetector {
             }
             touched = true;
         }
-        if self.pruned {
-            for id in grid.cells_overlapping_iter(&g.rect) {
-                self.mark_stale(id);
+        for id in grid.cells_overlapping_iter(&g.rect) {
+            if self.cells.contains(id) {
+                self.research_cell(id);
             }
-        } else {
-            for id in grid.cells_overlapping_iter(&g.rect) {
-                if self.cells.contains(id) {
-                    self.research_cell(id);
-                }
-            }
-            if touched {
-                self.stats.events_triggering_search += 1;
-            }
+        }
+        if touched {
+            self.stats.events_triggering_search += 1;
         }
     }
 
     fn current(&mut self) -> Option<RegionAnswer> {
-        let searches_before = self.stats.searches;
-        let answer = loop {
-            let Some((key, id)) = self.ranked.iter().next_back().copied() else {
-                break None;
-            };
-            if key.get() == f64::NEG_INFINITY {
-                break None;
-            }
-            let cell = self.cells.get(id)?;
-            if cell.stale {
-                // Best-first: the top key is an upper bound on every cell,
-                // so sweeping the top stale cell either produces the true
-                // answer or sinks it below a fresh incumbent.
-                self.research_cell(id);
-                continue;
-            }
-            let (point, score) = cell.best?;
-            break Some(RegionAnswer::from_point(point, self.query.region, score));
-        };
-        if self.pruned && self.stats.searches > searches_before {
-            self.stats.events_triggering_search += 1;
+        let &(key, id) = self.ranked.iter().next_back()?;
+        if key.get() == f64::NEG_INFINITY {
+            return None;
         }
-        answer
+        let (point, score) = self.cells.get(id)?.best?;
+        Some(RegionAnswer::from_point(point, self.query.region, score))
     }
 
     fn name(&self) -> &'static str {
-        if self.pruned {
-            "Base+prune"
-        } else {
-            "Base"
-        }
+        "Base"
     }
 
     fn stats(&self) -> DetectorStats {
@@ -452,54 +356,58 @@ mod tests {
                 evs
             })
             .collect();
-        for pruned in [false, true] {
-            let build = |q| {
-                if pruned {
-                    BaseDetector::with_pruning(q)
-                } else {
-                    BaseDetector::new(q)
-                }
-            };
-            for cut in [0usize, 40, events.len()] {
-                let mut live = build(query(0.5));
-                for ev in &events[..cut] {
-                    live.on_event(ev);
-                }
-                let state = live.capture_state();
-                let mut resumed = build(query(0.5));
-                resumed.restore_state(&state).unwrap();
-                assert_eq!(resumed.capture_state(), state, "capture is stable");
-                for (i, ev) in events[cut..].iter().enumerate() {
-                    live.on_event(ev);
-                    resumed.on_event(ev);
-                    let (a, b) = (live.current(), resumed.current());
-                    match (a, b) {
-                        (Some(x), Some(y)) => {
-                            assert_eq!(
-                                x.score.to_bits(),
-                                y.score.to_bits(),
-                                "pruned {pruned} cut {cut} ev {i}"
-                            );
-                            assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
-                            assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
-                        }
-                        (None, None) => {}
-                        other => panic!("pruned {pruned} cut {cut} ev {i}: {other:?}"),
-                    }
-                }
-                assert_eq!(resumed.stats(), live.stats());
-                assert_eq!(resumed.cell_count(), live.cell_count());
+        for cut in [0usize, 40, events.len()] {
+            let mut live = BaseDetector::new(query(0.5));
+            for ev in &events[..cut] {
+                live.on_event(ev);
             }
+            let state = live.capture_state();
+            let mut resumed = BaseDetector::new(query(0.5));
+            resumed.restore_state(&state).unwrap();
+            assert_eq!(resumed.capture_state(), state, "capture is stable");
+            for (i, ev) in events[cut..].iter().enumerate() {
+                live.on_event(ev);
+                resumed.on_event(ev);
+                let (a, b) = (live.current(), resumed.current());
+                match (a, b) {
+                    (Some(x), Some(y)) => {
+                        assert_eq!(x.score.to_bits(), y.score.to_bits(), "cut {cut} ev {i}");
+                        assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
+                        assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
+                    }
+                    (None, None) => {}
+                    other => panic!("cut {cut} ev {i}: {other:?}"),
+                }
+            }
+            assert_eq!(resumed.stats(), live.stats());
+            assert_eq!(resumed.cell_count(), live.cell_count());
         }
     }
 
     #[test]
     fn restore_rejects_wrong_variant() {
+        // A CCS capture has Base's shape (one level) but not its name.
+        let mut ccs = crate::CellCspot::new(query(0.5));
+        ccs.on_event(&Event::new_arrival(obj(0, 1.0, 0.0, 0.0, 0)));
+        let state = ccs.capture_state();
+        let mut base = BaseDetector::new(query(0.5));
+        assert!(base.restore_state(&state).is_err());
+        // A Stale candidate is a state eager Base never reaches.
         let mut eager = BaseDetector::new(query(0.5));
         eager.on_event(&Event::new_arrival(obj(0, 1.0, 0.0, 0.0, 0)));
-        let state = eager.capture_state();
-        let mut pruned = BaseDetector::with_pruning(query(0.5));
-        assert!(pruned.restore_state(&state).is_err());
+        let mut stale = eager.capture_state();
+        let row = stale.cells.iter().next().expect("one cell");
+        let mut cells = surge_core::CellTable::new();
+        cells.push_cell(
+            row.id,
+            row.rects.iter().copied(),
+            row.us.iter().copied(),
+            [],
+            [CandidateState::Stale],
+        );
+        stale.cells = cells;
+        let mut base = BaseDetector::new(query(0.5));
+        assert!(base.restore_state(&stale).is_err());
     }
 
     #[test]
@@ -532,99 +440,5 @@ mod tests {
         d.on_event(&Event::expired(o, 2_000));
         assert!(d.current().is_none());
         assert_eq!(d.cell_count(), 0);
-    }
-
-    #[test]
-    fn pruned_variant_matches_eager_answers() {
-        let mut eager = BaseDetector::new(query(0.5));
-        let mut pruned = BaseDetector::with_pruning(query(0.5));
-        let objs = [
-            obj(0, 3.0, 1.0, 1.0, 0),
-            obj(1, 2.0, 1.3, 1.2, 100),
-            obj(2, 5.0, 8.0, 8.0, 200),
-            obj(3, 1.0, 1.1, 0.9, 300),
-            obj(4, 4.0, 8.2, 8.1, 400),
-        ];
-        for (i, o) in objs.iter().enumerate() {
-            eager.on_event(&Event::new_arrival(*o));
-            pruned.on_event(&Event::new_arrival(*o));
-            if i == 2 {
-                eager.on_event(&Event::grown(objs[0], 1_000));
-                pruned.on_event(&Event::grown(objs[0], 1_000));
-            }
-            let a = eager.current().map(|r| r.score);
-            let b = pruned.current().map(|r| r.score);
-            match (a, b) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-12, "step {i}: {x} vs {y}"),
-                (None, None) => {}
-                other => panic!("step {i}: {other:?}"),
-            }
-        }
-        // Expire everything through both: answers must stay aligned.
-        for o in &objs {
-            eager.on_event(&Event::grown(*o, 1_000));
-            pruned.on_event(&Event::grown(*o, 1_000));
-        }
-        for o in &objs {
-            eager.on_event(&Event::expired(*o, 2_000));
-            pruned.on_event(&Event::expired(*o, 2_000));
-        }
-        assert!(eager.current().is_none());
-        assert!(pruned.current().is_none());
-    }
-
-    #[test]
-    fn pruning_skips_dominated_cells() {
-        let mut d = BaseDetector::with_pruning(query(0.0));
-        // Establish a strong incumbent.
-        for i in 0..5 {
-            d.on_event(&Event::new_arrival(obj(
-                i,
-                10.0,
-                1.0 + 0.01 * i as f64,
-                1.0,
-                0,
-            )));
-        }
-        let _ = d.current();
-        let after_setup = d.stats().searches;
-        // Weak far-away objects: bound 1/1000 each, incumbent 50/1000 —
-        // their cells must never be swept.
-        for i in 5..25 {
-            d.on_event(&Event::new_arrival(obj(
-                i,
-                1.0,
-                100.0 + i as f64 * 5.0,
-                100.0,
-                10,
-            )));
-            let _ = d.current();
-        }
-        assert_eq!(
-            d.stats().searches,
-            after_setup,
-            "dominated cells were swept"
-        );
-        // And an eager Base on the same stream sweeps every touched cell.
-        let mut eager = BaseDetector::new(query(0.0));
-        for i in 0..5 {
-            eager.on_event(&Event::new_arrival(obj(
-                i,
-                10.0,
-                1.0 + 0.01 * i as f64,
-                1.0,
-                0,
-            )));
-        }
-        for i in 5..25 {
-            eager.on_event(&Event::new_arrival(obj(
-                i,
-                1.0,
-                100.0 + i as f64 * 5.0,
-                100.0,
-                10,
-            )));
-        }
-        assert!(eager.stats().searches > d.stats().searches);
     }
 }

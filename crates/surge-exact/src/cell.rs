@@ -37,7 +37,7 @@ use surge_core::{
     SurgeQuery, TotalF64, WindowKind,
 };
 
-use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats};
+use crate::psweep::{PersistentCellSweep, SweepPool, SweepStats};
 use crate::sweep::{SweepRect, SweepResult};
 
 /// Default shard count for the cell store (power of two; purely structural —
@@ -106,7 +106,6 @@ struct ShardCtx {
     params: BurstParams,
     grid: GridSpec,
     mode: BoundMode,
-    sweep_mode: SweepMode,
 }
 
 /// One shard's mutable state: its slice of the cell universe plus the
@@ -166,7 +165,7 @@ fn apply_event_to_cell(
 
     let (old_key, disposition) = {
         let cell = cells.entry(id).or_insert_with(|| Cell {
-            sweep: pool.take(domain, params, ctx.sweep_mode),
+            sweep: pool.take(domain, params),
             us_weight: 0.0,
             ud: f64::INFINITY,
             cand: if domain.is_none() {
@@ -322,9 +321,7 @@ fn install_result_into(
 
 /// Sweeps one cell in place via its persistent cross-sweep state and
 /// returns the outcome to install, or `None` when the cell is missing or
-/// infeasible. Every call runs one SL-CSPOT sweep; in [`SweepMode::Rebuild`]
-/// the persistent state re-sorts everything first, reproducing the
-/// pre-persistence cost profile with bit-identical results.
+/// infeasible. Every call runs one SL-CSPOT sweep.
 fn sweep_cell(cells: &mut HashMap<CellId, Cell>, id: CellId) -> Option<Option<SweepResult>> {
     let cell = cells.get_mut(&id)?;
     cell.domain?;
@@ -437,20 +434,6 @@ impl CellCspot {
     /// power of two). Sharding is structural: any count produces identical
     /// answers and stats; it bounds only how far ingest can fan out.
     pub fn with_shards(query: SurgeQuery, mode: BoundMode, shards: usize) -> Self {
-        Self::with_sweep_mode(query, mode, SweepMode::Persistent, shards)
-    }
-
-    /// Creates a detector with an explicit per-cell sweep mode.
-    /// [`SweepMode::Rebuild`] re-sorts every cell's sweep inputs on every
-    /// search (the pre-persistence behaviour) — retained for differential
-    /// testing and the `sweep-bench` baseline; answers are bit-identical in
-    /// both modes.
-    pub fn with_sweep_mode(
-        query: SurgeQuery,
-        mode: BoundMode,
-        sweep_mode: SweepMode,
-        shards: usize,
-    ) -> Self {
         let store: ShardedCellStore<Cell> = ShardedCellStore::new(shards);
         let n = store.shard_count();
         CellCspot {
@@ -459,7 +442,6 @@ impl CellCspot {
                 grid: GridSpec::anchored(query.region.width, query.region.height),
                 query,
                 mode,
-                sweep_mode,
             },
             store,
             queues: (0..n).map(|_| BTreeSet::new()).collect(),
@@ -470,10 +452,7 @@ impl CellCspot {
     }
 
     /// Aggregated persistent-sweep counters: every live cell's plus every
-    /// retired cell's (pooled per shard). The differential between
-    /// [`SweepMode::Persistent`] and [`SweepMode::Rebuild`] runs shows up
-    /// here as `rebuilt_leaves` dropping from ~leaves-per-search to
-    /// threshold-crossings only.
+    /// retired cell's (pooled per shard).
     pub fn sweep_stats(&self) -> SweepStats {
         let mut total = SweepStats::default();
         for pool in &self.pools {
@@ -548,8 +527,7 @@ impl CellCspot {
         }
         let state = self.capture_state();
         let searches_at_last_current = self.searches_at_last_current;
-        let mut fresh =
-            CellCspot::with_sweep_mode(self.ctx.query, self.ctx.mode, self.ctx.sweep_mode, shards);
+        let mut fresh = CellCspot::with_shards(self.ctx.query, self.ctx.mode, shards);
         fresh
             .restore_state(&state)
             .expect("a detector's own capture restores into a same-query twin");
@@ -671,7 +649,7 @@ impl CheckpointableDetector for CellCspot {
                 .query
                 .point_domain()
                 .and_then(|d| d.intersection(&cell_rect));
-            let mut sweep = self.pools[s].take(domain, ctx.params, ctx.sweep_mode);
+            let mut sweep = self.pools[s].take(domain, ctx.params);
             for r in cp.rects {
                 sweep.insert(r.id, r.rect, r.weight);
                 if r.kind == WindowKind::Past {
@@ -730,8 +708,9 @@ impl IncrementalDetector for CellCspot {
     }
 
     /// In-place dirty sweeps over the persistent per-cell state, one shard
-    /// after another. Results and stats are bit-identical to the
-    /// rebuild-per-search reference (a [`SweepMode::Rebuild`] detector).
+    /// after another. Results and stats are bit-identical to sweeping a
+    /// twin restored from this detector's capture, whose sweep state is
+    /// rebuilt from scratch.
     /// `_threads` is ignored: the sweep is sequential, and the parallel path
     /// is `drive_elastic`.
     fn sweep_dirty(&mut self, _threads: usize) -> u64 {
@@ -1219,19 +1198,15 @@ mod tests {
             })
             .collect();
 
-        for (mode, sweep_mode) in [
-            (BoundMode::Combined, SweepMode::Persistent),
-            (BoundMode::Combined, SweepMode::Rebuild),
-            (BoundMode::StaticOnly, SweepMode::Persistent),
-        ] {
+        for mode in [BoundMode::Combined, BoundMode::StaticOnly] {
             for cut in [0usize, 1, 57, 120, events.len()] {
-                let mut live = CellCspot::with_sweep_mode(query(0.5), mode, sweep_mode, 4);
+                let mut live = CellCspot::with_shards(query(0.5), mode, 4);
                 for ev in &events[..cut] {
                     live.on_event(ev);
                     let _ = live.current();
                 }
                 let state = live.capture_state();
-                let mut resumed = CellCspot::with_sweep_mode(query(0.5), mode, sweep_mode, 4);
+                let mut resumed = CellCspot::with_shards(query(0.5), mode, 4);
                 resumed.restore_state(&state).unwrap();
                 assert_eq!(resumed.capture_state(), state, "capture is stable");
 
@@ -1319,14 +1294,17 @@ mod tests {
             })
             .collect();
 
-        let mut seq =
-            CellCspot::with_sweep_mode(query(0.5), BoundMode::Combined, SweepMode::Rebuild, 4);
+        let mut live = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
         for ev in &events {
-            seq.on_event(ev);
+            live.on_event(ev);
         }
-        // The flush contract compares against the *all-fresh* state of the
-        // rebuild-per-search reference (sweep → current), the exact cadence
-        // the mesh driver runs at.
+        // The flush contract compares against the *all-fresh* state of a
+        // from-scratch reference (sweep → current), the exact cadence the
+        // mesh driver runs at: a twin restored from the sequential
+        // detector's capture, so every sweep state it searches is rebuilt
+        // from the cell's rectangles.
+        let mut seq = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
+        seq.restore_state(&live.capture_state()).unwrap();
         seq.sweep_dirty(1);
         let want = seq.current();
 

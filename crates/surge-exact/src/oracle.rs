@@ -2,11 +2,10 @@
 //! by tests and by the approximation-ratio experiments (Tables III and IV).
 
 use surge_core::{
-    object_to_rect, BurstParams, Rect, RegionAnswer, RegionSize, SpatialObject, SurgeQuery,
-    WindowKind,
+    object_to_rect, BurstParams, Rect, RegionAnswer, SpatialObject, SurgeQuery, WindowKind,
 };
 
-use crate::sweep::{score_at_point, sl_cspot, SweepRect};
+use crate::sweep::{sl_cspot, SweepRect};
 
 /// Converts window snapshots into tagged sweep rectangles for a query size,
 /// filtering by the preferred area.
@@ -32,7 +31,7 @@ pub fn snapshot_rects(
 }
 
 /// The exact bursty region for a snapshot, computed by one global sweep over
-/// all rectangles — O(n²) and stateless, the ground truth for every detector.
+/// all rectangles — stateless, the ground truth for every detector.
 pub fn snapshot_bursty_region(
     current: &[SpatialObject],
     past: &[SpatialObject],
@@ -102,30 +101,13 @@ pub fn snapshot_topk(
     out
 }
 
-/// Re-scores a point against a snapshot (both windows), for verifying
-/// detector answers.
-pub fn verify_point_score(
-    current: &[SpatialObject],
-    past: &[SpatialObject],
-    query: &SurgeQuery,
-    point: surge_core::Point,
-) -> f64 {
-    let rects = snapshot_rects(current, past, query);
-    score_at_point(&rects, point, &query.burst_params()).score
-}
-
-/// Helper for tests: the paper's `q` region for a unit square workspace.
-pub fn unit_region() -> RegionSize {
-    RegionSize::new(1.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surge_core::{Point, WindowConfig};
+    use surge_core::{Point, RegionSize, WindowConfig};
 
     fn query(alpha: f64) -> SurgeQuery {
-        SurgeQuery::whole_space(unit_region(), WindowConfig::equal(1_000), alpha)
+        SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(1_000), alpha)
     }
 
     fn obj(id: u64, w: f64, x: f64, y: f64) -> SpatialObject {
@@ -193,17 +175,5 @@ mod tests {
         for w in top.windows(2) {
             assert!(w[0].score >= w[1].score - 1e-12);
         }
-    }
-
-    #[test]
-    fn verify_point_score_matches_region_score() {
-        let q = query(0.5);
-        let current = [obj(0, 3.0, 1.0, 1.0)];
-        let past = [obj(1, 1.0, 1.2, 1.2)];
-        let p = Point::new(1.5, 1.5);
-        let via_point = verify_point_score(&current, &past, &q, p);
-        let region = surge_core::region_for_point(p, q.region);
-        let via_region = score_of_region(&current, &past, &region, &q.burst_params());
-        assert!((via_point - via_region).abs() < 1e-12);
     }
 }

@@ -44,21 +44,19 @@
 //! [`MIN_CHURN_BUDGET`] — the sweep stops patching, marks the derived state
 //! stale, applies subsequent transitions to the rectangle list only (O(log n)
 //! membership ops), and re-sorts everything once at the next search — a
-//! counted *full rebuild*. [`SweepMode::Rebuild`] pins that fallback on
-//! permanently, which is exactly the pre-persistence behaviour: it survives
-//! as the differential-testing reference (see
-//! [`sl_cspot_rebuild`](crate::sweep::sl_cspot_rebuild)) and the baseline
-//! column of `surge_exp sweep-bench`.
+//! counted *full rebuild*.
 //!
 //! # Bit-identity
 //!
-//! Persistent and rebuild searches route through the same
+//! Persistent searches and from-scratch sweeps
+//! ([`sl_cspot_with`](crate::sweep::sl_cspot_with)) route through the same
 //! [`sweep_core`](crate::sweep) loop, and every maintained structure is
 //! defined by a *total order* (coordinates under `f64::total_cmp`, orders
 //! under `(edge, object id)`), so the incremental state equals the from-
 //! scratch state exactly — results are bitwise identical, argmax and window
 //! sums included. `surge-exact/tests/persistent_sweep.rs` proptests that
-//! contract, including forced threshold crossings and pool reuse.
+//! contract against a fresh sweep of [`PersistentCellSweep::full_rects`],
+//! including forced threshold crossings and pool reuse.
 
 use std::cmp::Ordering;
 
@@ -67,17 +65,16 @@ use surge_core::{BurstParams, ObjectId, Rect, RectState, TotalF64, WindowKind};
 use crate::segtree::BurstSegTree;
 use crate::sweep::{sweep_core, SweepRect, SweepResult};
 
-/// How a detector runs its per-cell searches.
+/// How a detector runs its per-cell searches. One value: every search runs
+/// on the cell's persistent cross-sweep state. The type stays because
+/// checkpoint specs (`surge_checkpoint::DetectorSpec::Cell`) carry it and
+/// the snapshot format keeps its byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
     /// Persistent cross-sweep state: searches reuse incrementally maintained
-    /// coordinate maps and orders (the production path).
+    /// coordinate maps and orders.
     #[default]
     Persistent,
-    /// Rebuild everything from the rectangle set on every search — the
-    /// pre-persistence behaviour, retained for differential testing and as
-    /// the `sweep-bench` baseline.
-    Rebuild,
 }
 
 /// Lifetime counters of one [`PersistentCellSweep`] (or an aggregate over
@@ -89,8 +86,8 @@ pub struct SweepStats {
     /// Incremental edits applied to the persistent structures (edge
     /// refcount changes, order splices, tree leaf edits).
     pub churn_ops: u64,
-    /// Evaluation positions written by full rebuilds (threshold crossings,
-    /// first builds, and — in [`SweepMode::Rebuild`] — every search).
+    /// Evaluation positions written by full rebuilds (threshold crossings
+    /// and first builds).
     pub rebuilt_leaves: u64,
     /// Full rebuilds executed.
     pub full_rebuilds: u64,
@@ -150,7 +147,6 @@ pub const CHURN_OPS_PER_LOG2: usize = 24;
 pub struct PersistentCellSweep {
     domain: Option<Rect>,
     params: BurstParams,
-    mode: SweepMode,
 
     /// Resident rectangles, sorted by object id.
     entries: Vec<Entry>,
@@ -169,9 +165,8 @@ pub struct PersistentCellSweep {
     ys: Vec<f64>,
     /// Whether `xs`/`ys` match `x_edges`/`y_edges`.
     coords_valid: bool,
-    /// Set when the threshold tripped (or mode is `Rebuild`): the edge and
-    /// order lists are stale and the next search re-sorts them from
-    /// `entries`.
+    /// Set when the threshold tripped: the edge and order lists are stale
+    /// and the next search re-sorts them from `entries`.
     needs_rebuild: bool,
     /// Incremental edits since the structures were last known-valid.
     churn_pending: usize,
@@ -192,11 +187,10 @@ impl PersistentCellSweep {
     /// A fresh, empty sweep for a cell with the given point `domain`
     /// (`None` = infeasible: rectangles are tracked, searches return
     /// `None`).
-    pub fn new(domain: Option<Rect>, params: BurstParams, mode: SweepMode) -> Self {
+    pub fn new(domain: Option<Rect>, params: BurstParams) -> Self {
         PersistentCellSweep {
             domain,
             params,
-            mode,
             entries: Vec::new(),
             x_edges: Vec::new(),
             y_edges: Vec::new(),
@@ -205,7 +199,7 @@ impl PersistentCellSweep {
             xs: Vec::new(),
             ys: Vec::new(),
             coords_valid: true,
-            needs_rebuild: mode == SweepMode::Rebuild,
+            needs_rebuild: false,
             churn_pending: 0,
             clipped: Vec::new(),
             clip_ids: Vec::new(),
@@ -220,10 +214,9 @@ impl PersistentCellSweep {
     /// Re-initializes for a new cell, keeping every allocation (the pool
     /// path). Counters are **not** cleared — [`SweepPool::retire`] folds
     /// them into the pool aggregate first via [`take_stats`](Self::take_stats).
-    pub fn reset(&mut self, domain: Option<Rect>, params: BurstParams, mode: SweepMode) {
+    pub fn reset(&mut self, domain: Option<Rect>, params: BurstParams) {
         self.domain = domain;
         self.params = params;
-        self.mode = mode;
         self.entries.clear();
         self.x_edges.clear();
         self.y_edges.clear();
@@ -232,7 +225,7 @@ impl PersistentCellSweep {
         self.xs.clear();
         self.ys.clear();
         self.coords_valid = true;
-        self.needs_rebuild = mode == SweepMode::Rebuild;
+        self.needs_rebuild = false;
         self.churn_pending = 0;
     }
 
@@ -265,8 +258,8 @@ impl PersistentCellSweep {
     }
 
     /// The resident rectangles in id order — the input differential tests
-    /// hand to the rebuild reference
-    /// ([`sl_cspot_rebuild`](crate::sweep::sl_cspot_rebuild)).
+    /// hand to a from-scratch sweep
+    /// ([`sl_cspot_with`](crate::sweep::sl_cspot_with)).
     pub fn full_rects(&self) -> Vec<SweepRect> {
         self.entries.iter().map(|e| e.rect).collect()
     }
@@ -289,10 +282,10 @@ impl PersistentCellSweep {
     }
 
     /// Whether the incrementally maintained structures are live (false once
-    /// the threshold tripped or in [`SweepMode::Rebuild`]).
+    /// the threshold tripped).
     #[inline]
     fn live(&self) -> bool {
-        !self.needs_rebuild && self.mode == SweepMode::Persistent
+        !self.needs_rebuild
     }
 
     fn note_churn(&mut self, ops: usize) {
@@ -439,7 +432,7 @@ impl PersistentCellSweep {
     }
 
     /// Re-sorts every maintained structure from the rectangle list — the
-    /// threshold fallback, and the whole story in [`SweepMode::Rebuild`].
+    /// threshold fallback.
     fn rebuild_all(&mut self) {
         self.x_edges.clear();
         self.y_edges.clear();
@@ -469,7 +462,7 @@ impl PersistentCellSweep {
         self.exit.sort_by(order_cmp);
         self.coords_valid = false;
         self.churn_pending = 0;
-        self.needs_rebuild = self.mode == SweepMode::Rebuild;
+        self.needs_rebuild = false;
         self.stats.full_rebuilds += 1;
     }
 
@@ -554,21 +547,16 @@ impl PersistentCellSweep {
         if self.clipped.is_empty() {
             return None;
         }
-        if self.mode == SweepMode::Rebuild {
-            // Pre-persistence behaviour: rebuild the trees outright.
-            self.tree.reset(self.xs.len(), &self.params);
-        } else {
-            // Re-zero in place, then repair size drift with incremental leaf
-            // edits (a full reset only when the power-of-two layout
-            // changed). Bitwise identical to `reset` — proptested in
-            // `segtree_differential::clear_and_sync_is_bitwise_reset`.
-            self.tree.clear_values();
-            self.stats.churn_ops += {
-                let before = self.tree.leaf_churn();
-                self.tree.sync_len(self.xs.len(), &self.params);
-                self.tree.leaf_churn() - before
-            };
-        }
+        // Re-zero in place, then repair size drift with incremental leaf
+        // edits (a full reset only when the power-of-two layout changed).
+        // Bitwise identical to `reset` — proptested in
+        // `segtree_differential::clear_and_sync_is_bitwise_reset`.
+        self.tree.clear_values();
+        self.stats.churn_ops += {
+            let before = self.tree.leaf_churn();
+            self.tree.sync_len(self.xs.len(), &self.params);
+            self.tree.leaf_churn() - before
+        };
         sweep_core(
             &self.clipped,
             &self.xs,
@@ -600,18 +588,13 @@ impl SweepPool {
 
     /// A sweep for a new cell: reuses a retired allocation when one is
     /// available.
-    pub fn take(
-        &mut self,
-        domain: Option<Rect>,
-        params: BurstParams,
-        mode: SweepMode,
-    ) -> PersistentCellSweep {
+    pub fn take(&mut self, domain: Option<Rect>, params: BurstParams) -> PersistentCellSweep {
         match self.free.pop() {
             Some(mut s) => {
-                s.reset(domain, params, mode);
+                s.reset(domain, params);
                 s
             }
-            None => PersistentCellSweep::new(domain, params, mode),
+            None => PersistentCellSweep::new(domain, params),
         }
     }
 
@@ -631,7 +614,7 @@ impl SweepPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sl_cspot_rebuild, SweepArena};
+    use crate::sweep::{sl_cspot_with, SweepArena};
 
     fn params() -> BurstParams {
         BurstParams {
@@ -648,9 +631,11 @@ mod tests {
         y1: 10.0,
     };
 
+    /// The persistent search must equal a from-scratch sweep of the same
+    /// resident rectangles bit for bit.
     fn assert_matches_rebuild(p: &mut PersistentCellSweep, arena: &mut SweepArena) {
         let rects = p.full_rects();
-        let want = sl_cspot_rebuild(arena, &rects, &DOMAIN, &params());
+        let want = sl_cspot_with(arena, &rects, &DOMAIN, &params());
         let got = p.search();
         match (got, want) {
             (Some(a), Some(b)) => {
@@ -667,7 +652,7 @@ mod tests {
 
     #[test]
     fn insert_grow_remove_lifecycle_matches_rebuild() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
+        let mut p = PersistentCellSweep::new(Some(DOMAIN), params());
         let mut arena = SweepArena::new();
         assert_eq!(p.search(), None);
         p.insert(0, Rect::new(1.0, 1.0, 3.0, 3.0), 2.0);
@@ -687,7 +672,7 @@ mod tests {
 
     #[test]
     fn out_of_domain_rect_counts_but_never_sweeps() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
+        let mut p = PersistentCellSweep::new(Some(DOMAIN), params());
         p.insert(0, Rect::new(20.0, 20.0, 25.0, 25.0), 3.0);
         assert_eq!(p.len(), 1);
         assert_eq!(p.search(), None);
@@ -698,7 +683,7 @@ mod tests {
 
     #[test]
     fn infeasible_domain_always_none() {
-        let mut p = PersistentCellSweep::new(None, params(), SweepMode::Persistent);
+        let mut p = PersistentCellSweep::new(None, params());
         p.insert(0, Rect::new(1.0, 1.0, 2.0, 2.0), 1.0);
         assert_eq!(p.search(), None);
         assert_eq!(p.len(), 1);
@@ -714,7 +699,7 @@ mod tests {
         let mut arena = SweepArena::new();
         let under = (MIN_CHURN_BUDGET / 6) as u64;
         for (n, rebuilt) in [(under, false), (under + 1, true)] {
-            let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
+            let mut p = PersistentCellSweep::new(Some(DOMAIN), params());
             for i in 0..n {
                 p.insert(
                     i,
@@ -728,25 +713,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rebuild_mode_rebuilds_every_search() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Rebuild);
-        let mut arena = SweepArena::new();
-        p.insert(0, Rect::new(1.0, 1.0, 2.0, 2.0), 1.0);
-        assert_matches_rebuild(&mut p, &mut arena);
-        assert_matches_rebuild(&mut p, &mut arena);
-        let s = p.stats();
-        assert_eq!(s.full_rebuilds, 2);
-        assert_eq!(s.churn_ops, 0, "rebuild mode must not patch incrementally");
-    }
-
     /// Idempotent re-delivery (at-least-once streams): a duplicate `New`
     /// (replace by an identical entry), a duplicate `Grown` (already past)
     /// and a remove-then-reinsert of an identical entry all leave the cell
     /// sweeping bitwise like a from-scratch rebuild.
     #[test]
     fn idempotent_redelivery_matches_rebuild() {
-        let mut p = PersistentCellSweep::new(Some(DOMAIN), params(), SweepMode::Persistent);
+        let mut p = PersistentCellSweep::new(Some(DOMAIN), params());
         let mut arena = SweepArena::new();
         let rect = Rect::new(1.0, 1.0, 2.0, 2.0);
         p.insert(1, rect, 1.0);
@@ -770,12 +743,12 @@ mod tests {
     #[test]
     fn pool_reuse_is_invisible() {
         let mut pool = SweepPool::new();
-        let mut a = pool.take(Some(DOMAIN), params(), SweepMode::Persistent);
+        let mut a = pool.take(Some(DOMAIN), params());
         a.insert(0, Rect::new(1.0, 1.0, 2.0, 2.0), 1.0);
         let _ = a.search();
         pool.retire(a);
         assert_eq!(pool.retired_stats().searches, 1);
-        let mut b = pool.take(Some(DOMAIN), params(), SweepMode::Persistent);
+        let mut b = pool.take(Some(DOMAIN), params());
         assert!(b.is_empty());
         let mut arena = SweepArena::new();
         b.insert(5, Rect::new(0.0, 0.0, 4.0, 4.0), 2.0);

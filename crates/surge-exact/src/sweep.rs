@@ -11,16 +11,12 @@
 //! so it suffices to examine every edge coordinate **and** one
 //! representative (the midpoint) of every open interval between neighbours.
 //!
-//! Two implementations share that evaluation grid:
-//!
-//! * [`sl_cspot`] — the production sweep. It decomposes the burst score into
-//!   a pointwise max of two linear forms and maintains each with a
-//!   lazily-propagated max segment tree over the x-leaves
-//!   ([`crate::segtree`]), applying every rectangle as one `O(log n)` range
-//!   add/remove per y-event: `O(n log n)` total, exact for every `α`.
-//! * [`sl_cspot_naive`] — the paper's direct `O(n²)` midpoint enumeration,
-//!   retained as the differential-testing reference and for the
-//!   `sweep_naive` micro-benchmarks.
+//! [`sl_cspot`] decomposes the burst score into a pointwise max of two
+//! linear forms and maintains each with a lazily-propagated max segment
+//! tree over the x-leaves ([`crate::segtree`]), applying every rectangle as
+//! one `O(log n)` range add/remove per y-event: `O(n log n)` total, exact
+//! for every `α`. The paper's direct `O(n²)` midpoint enumeration lives in
+//! `surge-testkit` as the differential-testing reference.
 
 use surge_core::{BurstParams, Point, Rect, TotalF64, WindowKind};
 
@@ -126,29 +122,6 @@ fn eval_positions_into(edges: &mut Vec<f64>, out: &mut Vec<f64>) {
     }
 }
 
-/// Builds the evaluation coordinates for one axis (allocating variant, used
-/// by the naive reference sweep).
-fn eval_positions(mut edges: Vec<f64>) -> Vec<f64> {
-    let mut out = Vec::new();
-    eval_positions_into(&mut edges, &mut out);
-    out
-}
-
-/// Clips `rects` to `area`, dropping the ones that miss it.
-fn clip_rects(rects: &[SweepRect], area: &Rect) -> Vec<SweepRect> {
-    let mut clipped: Vec<SweepRect> = Vec::with_capacity(rects.len());
-    for r in rects {
-        if let Some(c) = r.rect.intersection(area) {
-            clipped.push(SweepRect {
-                rect: c,
-                weight: r.weight,
-                kind: r.kind,
-            });
-        }
-    }
-    clipped
-}
-
 /// Finds a point with the maximum burst score among `rects`, restricted to
 /// the closed `area`. Returns `None` iff no rectangle intersects `area`
 /// (every point then scores 0 and no point is distinguished).
@@ -230,11 +203,10 @@ pub fn sl_cspot_with(
     sweep_core(clipped, xs, ys, ranges, enter, exit, tree, params)
 }
 
-/// The sweep loop shared by the rebuild-per-search path ([`sl_cspot_with`])
-/// and the persistent cross-sweep path
-/// ([`crate::psweep::PersistentCellSweep`]): both build the identical inputs
-/// and route through this one function, so their results are bit-identical
-/// by construction.
+/// The sweep loop shared by the from-scratch path ([`sl_cspot_with`]) and
+/// the persistent cross-sweep path ([`crate::psweep::PersistentCellSweep`]):
+/// both build the identical inputs and route through this one function, so
+/// their results are bit-identical by construction.
 ///
 /// Inputs:
 /// * `clipped` — the rectangles already clipped to the search area, in a
@@ -288,121 +260,6 @@ pub(crate) fn sweep_core(
     // carry rounding from interleaved adds/removes; the coverage pattern it
     // identified is what matters, the score is recomputed from scratch.
     Some(score_at_point(clipped, point, params))
-}
-
-/// The explicit rebuild-per-search reference: clips, sorts and indexes the
-/// scene from scratch on every call, exactly as every sweep did before the
-/// persistent cross-sweep path existed. It is the differential-testing
-/// anchor for [`crate::psweep::PersistentCellSweep`] (and what
-/// [`crate::SweepMode::Rebuild`] routes detector searches through).
-/// Identical to [`sl_cspot_with`] — the alias exists so call sites that
-/// *mean* "rebuild everything" say so.
-#[inline]
-pub fn sl_cspot_rebuild(
-    arena: &mut SweepArena,
-    rects: &[SweepRect],
-    area: &Rect,
-    params: &BurstParams,
-) -> Option<SweepResult> {
-    sl_cspot_with(arena, rects, area, params)
-}
-
-/// The paper's direct `O(n²)` sweep: evaluates the burst score at every
-/// slab×interval evaluation position. Retained as the reference
-/// implementation for differential tests and benchmarks; production call
-/// sites use the `O(n log n)` [`sl_cspot`].
-pub fn sl_cspot_naive(
-    rects: &[SweepRect],
-    area: &Rect,
-    params: &BurstParams,
-) -> Option<SweepResult> {
-    let clipped = clip_rects(rects, area);
-    if clipped.is_empty() {
-        return None;
-    }
-
-    // X axis: evaluation positions and, per rectangle, the covered index
-    // range (inclusive). Positions include each rectangle's own edges, so
-    // binary search by total order is exact.
-    let xs = eval_positions(
-        clipped
-            .iter()
-            .flat_map(|r| [r.rect.x0, r.rect.x1])
-            .collect(),
-    );
-    let x_index = |v: f64| -> usize {
-        xs.binary_search_by(|p| p.total_cmp(&v))
-            .expect("rect edge must be an evaluation position")
-    };
-    let ranges: Vec<(usize, usize)> = clipped
-        .iter()
-        .map(|r| (x_index(r.rect.x0), x_index(r.rect.x1)))
-        .collect();
-
-    // Y axis: evaluation positions, descending.
-    let mut ys = eval_positions(
-        clipped
-            .iter()
-            .flat_map(|r| [r.rect.y0, r.rect.y1])
-            .collect(),
-    );
-    ys.reverse();
-
-    // Enter order: by top edge descending; exit order: by bottom edge
-    // descending. A rectangle is active at evaluation height `y` iff
-    // `y0 ≤ y ≤ y1`.
-    let mut enter: Vec<usize> = (0..clipped.len()).collect();
-    enter.sort_by(|&a, &b| clipped[b].rect.y1.total_cmp(&clipped[a].rect.y1));
-    let mut exit: Vec<usize> = (0..clipped.len()).collect();
-    exit.sort_by(|&a, &b| clipped[b].rect.y0.total_cmp(&clipped[a].rect.y0));
-
-    let mut acc_wc = vec![0.0f64; xs.len()];
-    let mut acc_wp = vec![0.0f64; xs.len()];
-    let apply = |acc_wc: &mut [f64], acc_wp: &mut [f64], idx: usize, sign: f64| {
-        let (lo, hi) = ranges[idx];
-        let w = clipped[idx].weight * sign;
-        match clipped[idx].kind {
-            WindowKind::Current => {
-                for a in &mut acc_wc[lo..=hi] {
-                    *a += w;
-                }
-            }
-            WindowKind::Past => {
-                for a in &mut acc_wp[lo..=hi] {
-                    *a += w;
-                }
-            }
-        }
-    };
-
-    let mut next_enter = 0usize;
-    let mut next_exit = 0usize;
-    let mut best: Option<(TotalF64, Point, f64, f64)> = None;
-
-    for &y in &ys {
-        while next_enter < enter.len() && clipped[enter[next_enter]].rect.y1 >= y {
-            apply(&mut acc_wc, &mut acc_wp, enter[next_enter], 1.0);
-            next_enter += 1;
-        }
-        while next_exit < exit.len() && clipped[exit[next_exit]].rect.y0 > y {
-            apply(&mut acc_wc, &mut acc_wp, exit[next_exit], -1.0);
-            next_exit += 1;
-        }
-        for (i, &x) in xs.iter().enumerate() {
-            let score = params.score_weights(acc_wc[i], acc_wp[i]);
-            let key = TotalF64(score);
-            if best.is_none_or(|(b, _, _, _)| key > b) {
-                best = Some((key, Point::new(x, y), acc_wc[i], acc_wp[i]));
-            }
-        }
-    }
-
-    best.map(|(score, point, wc, wp)| SweepResult {
-        point,
-        score: score.get(),
-        wc,
-        wp,
-    })
 }
 
 /// Exhaustively scores `point` against a rectangle set — the O(n) reference
@@ -497,14 +354,12 @@ mod tests {
     #[test]
     fn empty_input_returns_none() {
         assert_eq!(sl_cspot(&[], &AREA, &params(0.5)), None);
-        assert_eq!(sl_cspot_naive(&[], &AREA, &params(0.5)), None);
     }
 
     #[test]
     fn rect_outside_area_returns_none() {
         let r = cur(200.0, 200.0, 201.0, 201.0, 1.0);
         assert_eq!(sl_cspot(&[r], &AREA, &params(0.5)), None);
-        assert_eq!(sl_cspot_naive(&[r], &AREA, &params(0.5)), None);
     }
 
     #[test]
@@ -676,9 +531,6 @@ mod tests {
                 // The returned point's score must equal the reported score.
                 let check = score_at_point(&rects, got.point, &p);
                 assert!((check.score - got.score).abs() < 1e-9);
-                // And the naive reference agrees.
-                let naive = sl_cspot_naive(&rects, &AREA, &p).unwrap();
-                assert!((naive.score - got.score).abs() < 1e-9);
             }
         }
     }
@@ -695,12 +547,9 @@ mod tests {
         for alpha in [0.0, 0.5] {
             let p = params(alpha);
             let fast = sl_cspot(&rects, &AREA, &p).unwrap();
-            let naive = sl_cspot_naive(&rects, &AREA, &p).unwrap();
-            assert!((fast.score - naive.score).abs() < 1e-12);
+            let want = brute_force(&rects, &AREA, &p);
+            assert!((fast.score - want).abs() < 1e-12);
         }
-        let p = params(0.0);
-        let m = crate::maxrs::maxrs_sweep(&rects, &AREA, &p).unwrap();
-        assert!((m.score - 3.0).abs() < 1e-12);
     }
 
     #[test]

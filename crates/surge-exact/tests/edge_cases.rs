@@ -224,3 +224,28 @@ fn equal_timestamps_entire_stream() {
         .collect();
     assert_all_exact_match(query(0.5), &objs);
 }
+
+/// A NaN weight used to reach the sweep, where it poisoned the tree's
+/// maxima until the argmax indexed past the last leaf (`index out of
+/// bounds` inside SL-CSPOT). The window engine now refuses it at ingest,
+/// naming the object, before any detector sees an event of it.
+#[test]
+#[should_panic(expected = "object 7: weight NaN must be finite and non-negative")]
+fn nan_weight_fails_at_ingest_not_in_the_sweep() {
+    let q = query(0.5);
+    let mut det = CellCspot::new(q);
+    let mut engine = SlidingWindowEngine::new(q.windows);
+    for i in 0..50u64 {
+        // A literal: `SpatialObject::new` debug-asserts the weight itself.
+        let obj = SpatialObject {
+            id: i,
+            weight: if i == 7 { f64::NAN } else { 1.0 },
+            pos: Point::new((i % 5) as f64 * 0.5, (i % 3) as f64 * 0.5),
+            created: i * 10,
+        };
+        for ev in engine.push(obj) {
+            det.on_event(&ev);
+        }
+        let _ = det.current();
+    }
+}

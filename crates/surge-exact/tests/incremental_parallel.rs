@@ -2,13 +2,15 @@
 //! Cell-CSPOT through `drive_incremental` (in-place sweeps of the dirty
 //! cells, shard by shard) must produce exactly the state and answers of the
 //! plain lazy driver, for any shard count — sharding is structural only.
-//! The rebuild-per-search reference (a `SweepMode::Rebuild` detector swept
-//! with `sweep_dirty`) is held to the same bar.
+//! The from-scratch reference (a twin restored from the detector's own
+//! capture right before each `sweep_dirty`, so every sweep runs on state
+//! rebuilt from the cell's rectangles) is held to the same bar.
 
 use surge_core::{
-    BurstDetector, IncrementalDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig,
+    BurstDetector, CheckpointableDetector, IncrementalDetector, Point, RegionSize, SpatialObject,
+    SurgeQuery, WindowConfig,
 };
-use surge_exact::{BoundMode, CellCspot, SweepMode, DEFAULT_SHARDS};
+use surge_exact::{BoundMode, CellCspot};
 use surge_stream::{drive_incremental, SlidingWindowEngine};
 use surge_testkit::clustered_stream;
 
@@ -21,15 +23,14 @@ fn stream(n: usize) -> Vec<SpatialObject> {
     clustered_stream(n, 5, 7, 0xA5A5_5A5A_1234_5678)
 }
 
-/// A detector on the rebuild-per-search reference path: every sweep
-/// re-sorts the cell's rectangles and runs `sl_cspot_rebuild`.
-fn reference(alpha: f64) -> CellCspot {
-    CellCspot::with_sweep_mode(
-        query(alpha),
-        BoundMode::Combined,
-        SweepMode::Rebuild,
-        DEFAULT_SHARDS,
-    )
+/// A twin restored from `live`'s own capture: every derived structure —
+/// persistent sweep state, shard queues, heap keys — is rebuilt from
+/// scratch, so the twin's sweeps are the from-scratch reference.
+fn restored(live: &CellCspot) -> CellCspot {
+    let mut twin = CellCspot::with_shards(*live.query(), BoundMode::Combined, live.shard_count());
+    twin.restore_state(&live.capture_state())
+        .expect("a detector's own capture restores into a same-query twin");
+    twin
 }
 
 #[test]
@@ -95,11 +96,11 @@ fn parallel_dirty_sweeps_match_sequential_answers() {
 #[test]
 fn snapshot_install_equals_lazy_search() {
     // Apply the same events to two detectors; resolve one lazily via
-    // current(), the other eagerly via the reference's sweep_dirty. Scores
-    // and dirty-cell bookkeeping must agree.
+    // current(), the other eagerly via sweep_dirty on a from-scratch
+    // restore of itself. Scores and dirty-cell bookkeeping must agree.
     let objs = stream(400);
     let mut lazy = CellCspot::new(query(0.5));
-    let mut eager = reference(0.5);
+    let mut eager = CellCspot::new(query(0.5));
     let mut engine_a = SlidingWindowEngine::new(WindowConfig::equal(500));
     let mut engine_b = SlidingWindowEngine::new(WindowConfig::equal(500));
     for (i, obj) in objs.iter().enumerate() {
@@ -110,6 +111,7 @@ fn snapshot_install_equals_lazy_search() {
             eager.on_event(&ev);
         }
         if i % 50 == 49 {
+            eager = restored(&eager);
             eager.sweep_dirty(1);
             assert_eq!(eager.dirty_cell_count(), 0);
 
@@ -132,7 +134,7 @@ fn snapshot_install_equals_lazy_search() {
 
 #[test]
 fn snapshot_of_clean_detector_is_empty() {
-    let mut d = reference(0.5);
+    let mut d = CellCspot::new(query(0.5));
     assert_eq!(d.sweep_dirty(1), 0);
     let mut engine = SlidingWindowEngine::new(WindowConfig::equal(500));
     for ev in engine.push(SpatialObject::new(0, 1.0, Point::new(0.5, 0.5), 0)) {

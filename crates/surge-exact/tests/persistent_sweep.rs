@@ -1,22 +1,31 @@
 //! Differential property tests for the persistent cross-sweep cell state:
-//! [`PersistentCellSweep`] driven by long random event streams must match
-//! the rebuild-per-search reference ([`sl_cspot_rebuild`]) **bitwise** —
-//! score, point, and raw window sums — at every checkpoint, including
-//! forced rebuild-threshold crossings, cell eviction + re-dirty through a
-//! pool, duplicate delivery, and the `finish()` tail drain of full detector
-//! runs.
+//! persistent state must be history-independent, so it must answer
+//! **bitwise** — score, point, and raw window sums — like state rebuilt
+//! from scratch out of the same logical contents.
+//!
+//! * Per cell, [`PersistentCellSweep`] driven by long random event streams
+//!   is checked against a fresh sweep ([`sl_cspot_with`]) of its
+//!   [`full_rects`](PersistentCellSweep::full_rects) at every checkpoint,
+//!   including forced rebuild-threshold crossings and cell eviction +
+//!   re-dirty through a pool.
+//! * Per detector, a live `CellCspot` is checked against a twin restored
+//!   from its own `capture_state()`: restore rebuilds every derived
+//!   structure from scratch, so a twin restored right before a flush sweeps
+//!   every dirty cell from scratch — across duplicate delivery, the lazy
+//!   per-event path, the mesh and the `finish()` tail drain of full runs.
 
 use proptest::prelude::*;
 use surge_core::{
-    BurstDetector, IncrementalDetector, Point, Rect, RegionSize, SpatialObject, SurgeQuery,
-    WindowConfig,
+    BurstDetector, CheckpointableDetector, Event, IncrementalDetector, Point, Rect, RegionAnswer,
+    RegionSize, SpatialObject, SurgeQuery, WindowConfig,
 };
 use surge_exact::{
-    sl_cspot_rebuild, BoundMode, CellCspot, PersistentCellSweep, SweepArena, SweepMode, SweepPool,
+    sl_cspot_with, BoundMode, CellCspot, PersistentCellSweep, SweepArena, SweepPool,
     MIN_CHURN_BUDGET,
 };
 use surge_stream::{
-    drive_elastic, drive_incremental, BalancerPolicy, EventBatch, SlidingWindowEngine,
+    drive_elastic, drive_incremental, BalancerPolicy, EventBatch, FlushOutcome, QueryCore,
+    QueryRuntime, SlidingWindowEngine,
 };
 use surge_testkit::{arb_lattice_stream, arb_window_config};
 
@@ -35,11 +44,11 @@ const DOMAIN: Rect = Rect {
     y1: 8.0,
 };
 
-/// One persistent-vs-rebuild checkpoint: both sweeps over the same resident
-/// set must agree bit for bit.
+/// One persistent-vs-fresh checkpoint: the persistent search and a fresh
+/// sweep of the same resident set must agree bit for bit.
 fn check_bitwise(p: &mut PersistentCellSweep, arena: &mut SweepArena, alpha_pct: u32) {
     let rects = p.full_rects();
-    let want = sl_cspot_rebuild(arena, &rects, &DOMAIN, &params(alpha_pct));
+    let want = sl_cspot_with(arena, &rects, &DOMAIN, &params(alpha_pct));
     let got = p.search();
     match (got, want) {
         (Some(a), Some(b)) => {
@@ -50,8 +59,64 @@ fn check_bitwise(p: &mut PersistentCellSweep, arena: &mut SweepArena, alpha_pct:
             assert_eq!(a.wp.to_bits(), b.wp.to_bits(), "wp");
         }
         (None, None) => {}
-        other => panic!("persistent vs rebuild Some/None: {other:?}"),
+        other => panic!("persistent vs fresh Some/None: {other:?}"),
     }
+}
+
+/// A twin restored from `live`'s own capture: every derived structure —
+/// persistent sweep state, shard queues, heap keys — is rebuilt from
+/// scratch out of the captured rectangles and accumulators.
+fn restored(live: &CellCspot) -> CellCspot {
+    let mut twin = CellCspot::with_shards(*live.query(), BoundMode::Combined, live.shard_count());
+    twin.restore_state(&live.capture_state())
+        .expect("a detector's own capture restores into a same-query twin");
+    twin
+}
+
+/// The slide driver's core with a from-scratch flush: right before each
+/// flush the detector is replaced by a twin restored from its own capture,
+/// so every dirty cell is swept from rebuilt state.
+struct RestoredEachFlush {
+    det: CellCspot,
+}
+
+impl QueryCore for RestoredEachFlush {
+    fn on_events(&mut self, events: &[Event]) {
+        for ev in events {
+            self.det.on_event(ev);
+        }
+    }
+
+    fn flush(&mut self, _seq: u64) -> FlushOutcome {
+        self.det = restored(&self.det);
+        let swept = self.det.sweep_dirty(1);
+        FlushOutcome {
+            answers: self.det.current().into_iter().collect(),
+            swept,
+        }
+    }
+}
+
+/// The from-scratch reference run at `drive_incremental`'s cadence: the
+/// answer of every flush (terminal drain included), the swept-cell total
+/// and the final detector.
+fn drive_restored(
+    query: SurgeQuery,
+    shards: usize,
+    objs: &[SpatialObject],
+    slide: usize,
+) -> (Vec<Option<RegionAnswer>>, u64, CellCspot) {
+    let core = RestoredEachFlush {
+        det: CellCspot::with_shards(query, BoundMode::Combined, shards),
+    };
+    let mut rt = QueryRuntime::new(core, query.windows, slide);
+    let mut answers = Vec::new();
+    rt.run(objs.iter().copied(), |_, flushed| {
+        answers.push(flushed.first().copied())
+    });
+    let jobs = rt.counters().jobs;
+    let RestoredEachFlush { det } = rt.into_core();
+    (answers, jobs, det)
 }
 
 /// Event-stream operations against one cell: insert / grow / remove drawn
@@ -121,7 +186,7 @@ proptest! {
         alpha_pct in 0u32..100,
     ) {
         let mut p =
-            PersistentCellSweep::new(Some(DOMAIN), params(alpha_pct), SweepMode::Persistent);
+            PersistentCellSweep::new(Some(DOMAIN), params(alpha_pct));
         let mut arena = SweepArena::new();
         apply_ops(&mut p, &mut arena, &ops, alpha_pct, 7);
     }
@@ -141,7 +206,7 @@ proptest! {
         check_every in 1usize..24,
     ) {
         let mut p =
-            PersistentCellSweep::new(Some(DOMAIN), params(alpha_pct), SweepMode::Persistent);
+            PersistentCellSweep::new(Some(DOMAIN), params(alpha_pct));
         let mut arena = SweepArena::new();
         for i in 0..preload {
             // Ids above anything `apply_ops` assigns; all inside DOMAIN.
@@ -167,7 +232,7 @@ proptest! {
         let mut pool = SweepPool::new();
         let mut arena = SweepArena::new();
         for ops in rounds {
-            let mut p = pool.take(Some(DOMAIN), params(alpha_pct), SweepMode::Persistent);
+            let mut p = pool.take(Some(DOMAIN), params(alpha_pct));
             prop_assert!(p.is_empty(), "pool leaked state into a fresh cell");
             apply_ops(&mut p, &mut arena, &ops, alpha_pct, 6);
             pool.retire(p);
@@ -175,13 +240,12 @@ proptest! {
         prop_assert!(pool.retired_stats().searches > 0);
     }
 
-    /// Detector level, end to end: a persistent-mode `CellCspot` and a
-    /// rebuild-mode one driven through `drive_incremental` (which ends with
-    /// the `finish()` tail drain) must report bitwise identical answers at
-    /// every slide *and* at the terminal flush, with identical search
-    /// counts — and the persistent run must do its coordinate work
-    /// incrementally (fewer rebuilt evaluation positions than the rebuild
-    /// run).
+    /// Detector level, end to end: a live `CellCspot` driven through
+    /// `drive_incremental` (which ends with the `finish()` tail drain) and
+    /// the from-scratch reference run (a twin restored from its own capture
+    /// before every flush) must report bitwise identical answers at every
+    /// slide *and* at the terminal flush, with identical swept-cell totals
+    /// and detector counters.
     #[test]
     fn detector_persistent_vs_rebuild_bitwise_per_slide(
         objs in arb_lattice_stream(220),
@@ -193,19 +257,13 @@ proptest! {
         let slide = 1usize << slide_pow;
         let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
-        let mut pers = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, 4);
+        let mut pers = CellCspot::with_shards(query, BoundMode::Combined, 4);
         let pers_report = drive_incremental(&mut pers, windows, objs.iter().copied(), slide);
 
-        let mut reb = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 4);
-        let reb_report = drive_incremental(&mut reb, windows, objs.iter().copied(), slide);
+        let (reb_answers, reb_jobs, reb) = drive_restored(query, 4, &objs, slide);
 
-        prop_assert_eq!(pers_report.answers.len(), reb_report.answers.len());
-        for (i, (a, b)) in pers_report
-            .answers
-            .iter()
-            .zip(reb_report.answers.iter())
-            .enumerate()
-        {
+        prop_assert_eq!(pers_report.answers.len(), reb_answers.len());
+        for (i, (a, b)) in pers_report.answers.iter().zip(reb_answers.iter()).enumerate() {
             match (a, b) {
                 (Some(x), Some(y)) => {
                     prop_assert_eq!(
@@ -220,22 +278,14 @@ proptest! {
                 other => panic!("slide {i}: {other:?}"),
             }
         }
-        prop_assert_eq!(pers_report.jobs, reb_report.jobs);
+        prop_assert_eq!(pers_report.jobs, reb_jobs);
         prop_assert_eq!(pers.stats(), reb.stats());
-        let (ps, rs) = (pers.sweep_stats(), reb.sweep_stats());
-        prop_assert_eq!(ps.searches, rs.searches);
-        if rs.rebuilt_leaves > 0 {
-            prop_assert!(
-                ps.rebuilt_leaves <= rs.rebuilt_leaves,
-                "persistent rebuilt {} leaves, rebuild path {}",
-                ps.rebuilt_leaves, rs.rebuilt_leaves
-            );
-        }
+        prop_assert_eq!(pers.cell_count(), reb.cell_count());
     }
 
     /// The mesh driver on a persistent detector still bit-matches the
-    /// rebuild-mode incremental driver — persistence composes with shard
-    /// workers and the terminal drain.
+    /// from-scratch reference run at the incremental driver's cadence —
+    /// persistence composes with shard workers and the terminal drain.
     #[test]
     fn mesh_persistent_matches_rebuild_incremental(
         objs in arb_lattice_stream(160),
@@ -246,17 +296,15 @@ proptest! {
         let windows = WindowConfig::equal(300);
         let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
-        let mut reb = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 1);
-        let seq = drive_incremental(&mut reb, windows, objs.iter().copied(), 32);
+        let (seq_answers, seq_jobs, _) = drive_restored(query, 1, &objs, 32);
 
         let shards = 1usize << shard_pow;
-        let mut pers =
-            CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, shards);
+        let mut pers = CellCspot::with_shards(query, BoundMode::Combined, shards);
         let fixed = BalancerPolicy { max_shards: shards, ..BalancerPolicy::default() };
         let par = drive_elastic(&mut pers, windows, objs.iter().copied(), 32, fixed);
 
-        prop_assert_eq!(par.answers.len(), seq.answers.len());
-        for (i, (a, b)) in par.answers.iter().zip(seq.answers.iter()).enumerate() {
+        prop_assert_eq!(par.answers.len(), seq_answers.len());
+        for (i, (a, b)) in par.answers.iter().zip(seq_answers.iter()).enumerate() {
             match (a, b) {
                 (Some(x), Some(y)) => {
                     prop_assert_eq!(x.score.to_bits(), y.score.to_bits(), "slide {}", i);
@@ -267,57 +315,48 @@ proptest! {
                 other => panic!("slide {i}: {other:?}"),
             }
         }
-        prop_assert_eq!(par.sweeps, seq.jobs);
+        prop_assert_eq!(par.sweeps, seq_jobs);
     }
 }
 
 /// The lazy per-object path (`current()` after every event) also matches
-/// the rebuild detector bitwise — searches happen at different cadences
-/// than the slide drivers, exercising candidate caching between sweeps.
+/// the from-scratch reference bitwise: before every `current()` a twin is
+/// restored from the live detector's capture and must search the same
+/// cells to the same answer — searches happen at different cadences than
+/// the slide drivers, exercising candidate caching between sweeps.
 #[test]
 fn lazy_per_event_path_matches_rebuild() {
     let objs = surge_testkit::clustered_stream(600, 4, 9, 0xBEEF_CAFE);
     for alpha in [0.0, 0.5, 0.9] {
         let windows = WindowConfig::equal(250);
         let query = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
-        let mut pers =
-            CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, 8);
-        let mut reb = CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Rebuild, 8);
-        let mut engine_a = SlidingWindowEngine::new(windows);
-        let mut engine_b = SlidingWindowEngine::new(windows);
-        for obj in objs.iter().copied() {
-            for ev in engine_a.push(obj) {
-                pers.on_event(&ev);
-            }
-            for ev in engine_b.push(obj) {
-                reb.on_event(&ev);
-            }
-            let a = pers.current();
-            let b = reb.current();
-            match (a, b) {
+        let mut pers = CellCspot::with_shards(query, BoundMode::Combined, 8);
+        let mut engine = SlidingWindowEngine::new(windows);
+        let check = |pers: &mut CellCspot, ctx: &str| {
+            let mut twin = restored(pers);
+            match (pers.current(), twin.current()) {
                 (Some(x), Some(y)) => {
-                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "alpha {alpha}");
-                    assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
-                    assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{ctx}");
+                    assert_eq!(x.point.x.to_bits(), y.point.x.to_bits(), "{ctx}");
+                    assert_eq!(x.point.y.to_bits(), y.point.y.to_bits(), "{ctx}");
                 }
                 (None, None) => {}
-                other => panic!("alpha {alpha}: {other:?}"),
+                other => panic!("{ctx}: {other:?}"),
             }
+            assert_eq!(pers.stats(), twin.stats(), "{ctx}");
+            assert_eq!(pers.cell_count(), twin.cell_count(), "{ctx}");
+        };
+        for obj in objs.iter().copied() {
+            for ev in engine.push(obj) {
+                pers.on_event(&ev);
+            }
+            check(&mut pers, &format!("alpha {alpha} object {}", obj.id));
         }
-        // Tail drain: both detectors end with empty windows and agree.
-        for ev in engine_a.finish() {
+        // Tail drain: the detector ends with empty windows and no cells.
+        for ev in engine.finish() {
             pers.on_event(&ev);
         }
-        for ev in engine_b.finish() {
-            reb.on_event(&ev);
-        }
-        assert_eq!(
-            pers.current().map(|r| r.score.to_bits()),
-            reb.current().map(|r| r.score.to_bits()),
-            "alpha {alpha}: post-drain divergence"
-        );
-        assert_eq!(pers.stats(), reb.stats(), "alpha {alpha}");
-        assert_eq!(pers.cell_count(), reb.cell_count());
+        check(&mut pers, &format!("alpha {alpha} post-drain"));
         assert_eq!(pers.cell_count(), 0, "drained run must evict every cell");
     }
 }
@@ -352,16 +391,16 @@ fn base_and_ccs_agree_with_persistent_sweeps() {
 
 /// At-least-once delivery: after each sweep, the batch of window events just
 /// processed is replayed in full (a crash/retry of an acked-but-unconfirmed
-/// batch) and both detectors sweep again. Duplicate `New` replaces an entry
+/// batch) and the detector sweeps again. Duplicate `New` replaces an entry
 /// by an identical one and duplicate `Grown` re-marks an already-past entry,
-/// so the persistent detector must keep answering bitwise like the rebuild
-/// reference.
+/// so before every sweep the persistent detector must answer bitwise like a
+/// twin restored from its own capture, whose sweep state is rebuilt from
+/// scratch.
 #[test]
 fn redelivered_batch_matches_rebuild() {
     let windows = WindowConfig::equal(300);
     let q = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, 0.4);
-    let mut pers = CellCspot::with_sweep_mode(q, BoundMode::Combined, SweepMode::Persistent, 4);
-    let mut reb = CellCspot::with_sweep_mode(q, BoundMode::Combined, SweepMode::Rebuild, 4);
+    let mut pers = CellCspot::with_shards(q, BoundMode::Combined, 4);
 
     let mut seed = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
@@ -387,7 +426,6 @@ fn redelivered_batch_matches_rebuild() {
         for ev in batch.as_slice() {
             window.push(*ev);
             pers.on_event(ev);
-            reb.on_event(ev);
         }
         batch.clear();
         if (i + 1) % 32 == 0 {
@@ -396,11 +434,10 @@ fn redelivered_batch_matches_rebuild() {
                     // Redeliver the batch that was just processed and swept.
                     for ev in &window {
                         pers.on_event(ev);
-                        reb.on_event(ev);
                     }
                 }
-                pers.sweep_dirty(1);
-                reb.sweep_dirty(1);
+                let mut reb = restored(&pers);
+                assert_eq!(pers.sweep_dirty(1), reb.sweep_dirty(1), "sweep {sweeps}");
                 sweeps += 1;
                 match (pers.current(), reb.current()) {
                     (Some(x), Some(y)) => {

@@ -1,5 +1,6 @@
 //! Differential tests: the production `O(n log n)` segment-tree sweep
-//! against the retained naive `O(n²)` midpoint-enumeration sweep, over
+//! against the naive `O(n²)` midpoint-enumeration reference sweep
+//! (`surge_testkit::sl_cspot_naive`), over
 //! randomized rectangle sets — current + past mixes, degenerate and
 //! edge-aligned rectangles, varying α and window normalizers.
 //!
@@ -9,8 +10,8 @@
 
 use proptest::prelude::*;
 use surge_core::{BurstParams, Point, Rect, WindowKind};
-use surge_exact::{score_at_point, sl_cspot, sl_cspot_naive, SweepRect};
-use surge_testkit::arb_scene;
+use surge_exact::{score_at_point, sl_cspot, SweepRect};
+use surge_testkit::{arb_scene, sl_cspot_naive};
 
 const AREA: Rect = Rect {
     x0: -50.0,
@@ -182,9 +183,8 @@ fn segtree_matches_naive_on_adversarial_scenes() {
 // Flat vs recursive segment tree
 // ---------------------------------------------------------------------------
 
-use surge_exact::{
-    sl_cspot_with, BurstSegTree, MaxAddTree, RecursiveMaxAddTree, SplitBurstSegTree, SweepArena,
-};
+use surge_exact::{sl_cspot_with, BurstSegTree, MaxAddTree, SweepArena};
+use surge_testkit::{RecursiveMaxAddTree, SplitBurstSegTree};
 
 // ---------------------------------------------------------------------------
 // Fused SoA lanes vs split per-form trees

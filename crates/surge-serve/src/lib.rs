@@ -650,7 +650,7 @@ mod tests {
     }
 
     fn base_spec() -> DetectorSpec {
-        DetectorSpec::Base { pruned: false }
+        DetectorSpec::Base
     }
 
     fn stream(n: usize) -> Vec<SpatialObject> {

@@ -96,7 +96,7 @@ proptest! {
         let panel: Vec<(SurgeQuery, DetectorSpec)> = vec![
             (q1, cell_spec()),
             (q1, cell_spec()), // bitwise duplicate: shares the group
-            (q3, DetectorSpec::Base { pruned: true }),
+            (q3, DetectorSpec::Base),
             (q1, DetectorSpec::TopK { k: 3 }), // same query, new flavor: own group, same lane
             (q5, DetectorSpec::Gaps { shards: 2 }),
             (q5, DetectorSpec::Mgaps { shards: 1 }),
@@ -128,7 +128,7 @@ proptest! {
         assert_flushes_bitwise(a.retained(), b.retained(), "dedup twins");
 
         // Exact flavor vs the dedicated incremental driver.
-        let mut det = CellCspot::with_sweep_mode(q1, BoundMode::Combined, SweepMode::Persistent, 1);
+        let mut det = CellCspot::with_shards(q1, BoundMode::Combined, 1);
         let rep = drive_incremental(&mut det, w1, objs.iter().copied(), slide);
         let served = server.answers(subs[0]).unwrap();
         prop_assert_eq!(served.len(), rep.answers.len());
@@ -170,7 +170,7 @@ proptest! {
 
         let mut server = SurgeServer::new(ServeConfig::sequential(slide));
         let a = server.subscribe(qa, cell_spec()).unwrap();
-        let b = server.subscribe(qb, DetectorSpec::Base { pruned: false }).unwrap();
+        let b = server.subscribe(qb, DetectorSpec::Base).unwrap();
 
         for obj in prefix {
             server.ingest(*obj);
@@ -180,7 +180,7 @@ proptest! {
         // slides delivered so far — a prefix of the dedicated run.
         let b_log = server.unsubscribe(b).unwrap();
         prop_assert_eq!(b_log.len(), cut / slide);
-        let b_ref = independent_run(qb, DetectorSpec::Base { pruned: false }, &objs, slide);
+        let b_ref = independent_run(qb, DetectorSpec::Base, &objs, slide);
         assert_flushes_bitwise(b_log.retained(), &b_ref[..b_log.len()], "deregistered prefix");
 
         // Register C (plus a dedup twin) and a late duplicate of A.

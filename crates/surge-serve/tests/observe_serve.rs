@@ -50,9 +50,7 @@ fn observed_server_is_bit_identical_and_conserved() {
         let subs = [
             server.subscribe(q1, cell_spec()).unwrap(),
             server.subscribe(q1, DetectorSpec::TopK { k: 2 }).unwrap(),
-            server
-                .subscribe(q2, DetectorSpec::Base { pruned: true })
-                .unwrap(),
+            server.subscribe(q2, DetectorSpec::Base).unwrap(),
         ];
         for obj in &objs {
             server.ingest(*obj);

@@ -46,9 +46,7 @@ fn populate(server: &mut SurgeServer) -> Vec<SubId> {
     vec![
         server.subscribe(q1, cell_spec()).unwrap(),
         server.subscribe(q1, cell_spec()).unwrap(), // dedup twin
-        server
-            .subscribe(q2, DetectorSpec::Base { pruned: true })
-            .unwrap(),
+        server.subscribe(q2, DetectorSpec::Base).unwrap(),
         server.subscribe(q1, DetectorSpec::TopK { k: 3 }).unwrap(),
         server
             .subscribe(q3, DetectorSpec::Gaps { shards: 2 })
@@ -99,7 +97,7 @@ fn live_registry_recovers_bit_identically() {
     let extra = recovered
         .subscribe(
             SurgeQuery::whole_space(RegionSize::new(1.1, 1.1), WindowConfig::new(280, 140), 0.5),
-            DetectorSpec::Base { pruned: false },
+            DetectorSpec::Base,
         )
         .unwrap();
     assert!(
@@ -125,7 +123,7 @@ fn live_registry_recovers_bit_identically() {
                     WindowConfig::new(280, 140),
                     0.5
                 ),
-                DetectorSpec::Base { pruned: false },
+                DetectorSpec::Base,
             )
             .unwrap_err(),
         ServeError::Finished,

@@ -14,10 +14,9 @@
 //! * [`driver`] — replay loops feeding a source through the engine into a
 //!   detector: per-object timing for the evaluation harness, plus the
 //!   slide-batched [`drive_slides`] with dirty-cell accounting.
-//! * [`parallel`] — several detectors over the same event stream on worker
-//!   threads ([`drive_parallel`]), and the sequential slide-batched driver
-//!   for incremental detectors ([`drive_incremental`]), which sweeps each
-//!   slide's dirty cells in place.
+//! * [`parallel`] — the sequential slide-batched driver for incremental
+//!   detectors ([`drive_incremental`]), which sweeps each slide's dirty
+//!   cells in place; its parallel face is the mesh below.
 //! * [`runtime`] — the [`QueryRuntime`] slide state machine every
 //!   slide-batched driver runs on: a [`QueryCore`] (detector face) bound to
 //!   a [`SlidingWindowEngine`] at a slide cadence, with the canonical flush /
@@ -57,8 +56,7 @@ pub use elastic::{
 pub use generator::{BurstSpec, Hotspot, StreamGenerator, WorkloadConfig};
 pub use metrics::{LatencyHistogram, LatencySummary};
 pub use parallel::{
-    drive_incremental, drive_incremental_observed, drive_incremental_with_sink, drive_parallel,
-    IncrementalReport, ParallelReport,
+    drive_incremental, drive_incremental_observed, drive_incremental_with_sink, IncrementalReport,
 };
 pub use runtime::{FlushOutcome, Phase, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

@@ -1,140 +1,17 @@
-//! Detector fan-out and the slide-batched incremental driver.
-//!
-//! * [`drive_parallel`] — comparing detectors (the core of the paper's
-//!   evaluation) means feeding the *same* event stream to several of them.
-//!   The stream is expanded once and fanned out to one worker thread per
-//!   detector over bounded channels; results are bit-for-bit identical to
-//!   a sequential run.
-//! * [`drive_incremental`] — one exact detector, refreshed once per slide:
-//!   each flush sweeps the slide's dirty cells **in place** via
-//!   [`IncrementalDetector::sweep_dirty`] on the calling thread, mutating
-//!   the persistent per-cell structures where they live. The parallel
-//!   face of the same cadence is the shard mesh, `crate::elastic`'s
-//!   `drive_elastic`, whose answers are bit-identical to this driver's.
-
-use std::thread;
-
-use crossbeam_channel::{bounded, Receiver, Sender};
+//! The slide-batched incremental driver: [`drive_incremental`] refreshes
+//! one exact detector once per slide — each flush sweeps the slide's dirty
+//! cells **in place** via [`IncrementalDetector::sweep_dirty`] on the
+//! calling thread, mutating the persistent per-cell structures where they
+//! live. The parallel face of the same cadence is the shard mesh,
+//! `crate::elastic`'s `drive_elastic`, whose answers are bit-identical to
+//! this driver's.
 
 use surge_core::{
-    BurstDetector, DetectorStats, Event, IncrementalDetector, RegionAnswer, SpatialObject,
-    WindowConfig,
+    DetectorStats, Event, IncrementalDetector, RegionAnswer, SpatialObject, WindowConfig,
 };
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::metrics::{LatencyHistogram, LatencySummary};
 use crate::runtime::{FlushOutcome, QueryCore, QueryRuntime};
-use crate::window::{EventBatch, SlidingWindowEngine};
-
-/// Events are shipped to workers in fixed-size batches to amortize channel
-/// overhead.
-const BATCH: usize = 256;
-
-/// Per-detector outcome of a parallel run.
-#[derive(Debug)]
-pub struct ParallelReport {
-    /// Detector name.
-    pub name: &'static str,
-    /// The detector's final answer after the whole stream.
-    pub final_answer: Option<RegionAnswer>,
-    /// Per-event processing-latency histogram (includes the `current()`
-    /// refresh after each event, as in the sequential driver).
-    pub latency: LatencyHistogram,
-    /// Detector counters.
-    pub stats: DetectorStats,
-    /// Number of events the worker processed.
-    pub events: u64,
-}
-
-impl ParallelReport {
-    /// The headline latency percentiles.
-    pub fn latency_summary(&self) -> LatencySummary {
-        self.latency.summary()
-    }
-}
-
-fn worker(mut detector: Box<dyn BurstDetector + Send>, rx: Receiver<Vec<Event>>) -> ParallelReport {
-    let mut latency = LatencyHistogram::new();
-    let mut events = 0u64;
-    for batch in rx.iter() {
-        for ev in &batch {
-            let t0 = std::time::Instant::now();
-            detector.on_event(ev);
-            let _ = detector.current();
-            latency.record(t0.elapsed());
-            events += 1;
-        }
-    }
-    ParallelReport {
-        name: detector.name(),
-        final_answer: detector.current(),
-        stats: detector.stats(),
-        latency,
-        events,
-    }
-}
-
-/// Expands `source` through one sliding-window engine and feeds the resulting
-/// event stream to every detector on its own thread.
-///
-/// Returns one report per detector, in input order.
-///
-/// Unlike the replay drivers (`drive`, `drive_slides`, `drive_incremental`,
-/// `drive_elastic`), this harness deliberately does **not** drain the tail
-/// windows: its purpose is comparing detectors on identical input, and the
-/// `final_answer` agreement check (all exact detectors must report the same
-/// score) is only meaningful while the windows still hold objects.
-///
-/// # Panics
-///
-/// Panics if `detectors` is empty, or propagates a worker panic.
-pub fn drive_parallel(
-    detectors: Vec<Box<dyn BurstDetector + Send>>,
-    windows: WindowConfig,
-    source: impl Iterator<Item = SpatialObject>,
-) -> Vec<ParallelReport> {
-    assert!(!detectors.is_empty(), "need at least one detector");
-    let n = detectors.len();
-    let mut senders: Vec<Sender<Vec<Event>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<Vec<Event>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded(16);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (det, rx) in detectors.into_iter().zip(receivers) {
-            handles.push(scope.spawn(move || worker(det, rx)));
-        }
-
-        let mut engine = SlidingWindowEngine::new(windows);
-        // One reused expansion buffer: event expansion allocates nothing in
-        // steady state; only the per-worker batch clones are allocated.
-        let mut batch = EventBatch::with_capacity(BATCH);
-        for obj in source {
-            engine.push_into(obj, &mut batch);
-            if batch.len() >= BATCH {
-                for tx in &senders {
-                    tx.send(batch.as_slice().to_vec()).expect("worker alive");
-                }
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            for tx in &senders {
-                tx.send(batch.as_slice().to_vec()).expect("worker alive");
-            }
-        }
-        drop(senders); // close channels: workers drain and finish
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
 
 /// Per-slide counters of an incremental run.
 #[derive(Debug, Clone, Default)]
@@ -289,40 +166,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surge_core::{EventKind, Point};
-
-    /// Sums weights in the current window; answer encodes the sum.
-    struct WeightSum {
-        current: f64,
-        seen: u64,
-    }
-
-    impl BurstDetector for WeightSum {
-        fn on_event(&mut self, event: &Event) {
-            self.seen += 1;
-            match event.kind {
-                EventKind::New => self.current += event.object.weight,
-                EventKind::Grown => self.current -= event.object.weight,
-                EventKind::Expired => {}
-            }
-        }
-        fn current(&mut self) -> Option<RegionAnswer> {
-            Some(RegionAnswer::from_point(
-                Point::new(0.0, 0.0),
-                surge_core::RegionSize::new(1.0, 1.0),
-                self.current,
-            ))
-        }
-        fn name(&self) -> &'static str {
-            "weight-sum"
-        }
-        fn stats(&self) -> DetectorStats {
-            DetectorStats {
-                events: self.seen,
-                ..Default::default()
-            }
-        }
-    }
+    use surge_core::{BurstDetector, EventKind, Point};
 
     fn stream(n: usize) -> Vec<SpatialObject> {
         (0..n)
@@ -335,69 +179,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let objs = stream(5_000);
-        let windows = WindowConfig::equal(1_000);
-
-        // Sequential reference.
-        let mut seq = WeightSum {
-            current: 0.0,
-            seen: 0,
-        };
-        let mut engine = SlidingWindowEngine::new(windows);
-        for obj in objs.iter().copied() {
-            for ev in engine.push(obj) {
-                seq.on_event(&ev);
-            }
-        }
-        let want = seq.current().unwrap().score;
-
-        let dets: Vec<Box<dyn BurstDetector + Send>> = vec![
-            Box::new(WeightSum {
-                current: 0.0,
-                seen: 0,
-            }),
-            Box::new(WeightSum {
-                current: 0.0,
-                seen: 0,
-            }),
-            Box::new(WeightSum {
-                current: 0.0,
-                seen: 0,
-            }),
-        ];
-        let reports = drive_parallel(dets, windows, objs.into_iter());
-        assert_eq!(reports.len(), 3);
-        for r in &reports {
-            assert_eq!(r.final_answer.unwrap().score.to_bits(), want.to_bits());
-            assert_eq!(r.events, seq.seen);
-            assert_eq!(r.stats.events, seq.seen);
-            assert!(r.latency.count() > 0);
-        }
-    }
-
-    #[test]
-    fn latency_summary_is_populated() {
-        let reports = drive_parallel(
-            vec![Box::new(WeightSum {
-                current: 0.0,
-                seen: 0,
-            })],
-            WindowConfig::equal(100),
-            stream(500).into_iter(),
-        );
-        let s = reports[0].latency_summary();
-        assert!(s.count > 0);
-        assert!(s.max_us >= s.p50_us);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one detector")]
-    fn empty_detector_list_rejected() {
-        let _ = drive_parallel(vec![], WindowConfig::equal(100), stream(1).into_iter());
     }
 
     /// Toy incremental detector: one deferred "search" per dirty flush.
@@ -488,14 +269,18 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_reports() {
-        let reports = drive_parallel(
-            vec![Box::new(WeightSum {
-                current: 0.0,
-                seen: 0,
-            })],
-            WindowConfig::equal(100),
-            std::iter::empty(),
-        );
-        assert_eq!(reports[0].events, 0);
+        let mut det = ToyIncremental {
+            current: 0.0,
+            dirty: false,
+            refreshed: 0,
+            seen: 0,
+        };
+        let report = drive_incremental(&mut det, WindowConfig::equal(100), std::iter::empty(), 10);
+        // No slide ever opened: only the terminal flush runs.
+        assert_eq!(report.objects, 0);
+        assert_eq!(report.events, 0);
+        assert_eq!(report.slides, 1);
+        assert_eq!(report.jobs, 0);
+        assert_eq!(report.answers.len(), 1);
     }
 }

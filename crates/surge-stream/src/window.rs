@@ -242,6 +242,13 @@ impl SlidingWindowEngine {
     /// [`advance_to`](Self::advance_to) can move past the last arrival).
     /// Without the clock check, an object older than `now` would emit its
     /// `New` *after* transitions that logically postdate it.
+    ///
+    /// Panics if the object's position is not finite, or its weight is not
+    /// finite and non-negative (the message names the object id). Such an
+    /// object has no burst score: a NaN weight poisons the sweep tree's
+    /// maxima (its argmax can land past the last leaf and panic), an
+    /// infinite one makes every score infinite, and a negative one breaks
+    /// the upper bounds the exact detectors prune with.
     pub fn push(&mut self, object: SpatialObject) -> Vec<Event> {
         let mut events = Vec::new();
         self.push_raw(object, &mut events);
@@ -249,7 +256,13 @@ impl SlidingWindowEngine {
     }
 
     /// [`push`](Self::push) into a reused buffer: appends the caused events
-    /// to `out` without allocating. Same panics as `push`.
+    /// to `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`push`](Self::push): on an out-of-order timestamp, a
+    /// non-finite position, or a weight that is not finite and
+    /// non-negative.
     pub fn push_into(&mut self, object: SpatialObject, out: &mut EventBatch) {
         self.push_raw(object, out.vec_mut());
     }
@@ -261,6 +274,19 @@ impl SlidingWindowEngine {
             "stream must be timestamp-ordered: got {} after the engine observed {}",
             object.created,
             floor
+        );
+        assert!(
+            object.pos.x.is_finite() && object.pos.y.is_finite(),
+            "object {}: position ({}, {}) must be finite",
+            object.id,
+            object.pos.x,
+            object.pos.y
+        );
+        assert!(
+            object.weight.is_finite() && object.weight >= 0.0,
+            "object {}: weight {} must be finite and non-negative",
+            object.id,
+            object.weight
         );
         self.last_created = object.created;
         self.advance_raw(object.created, out);
@@ -519,6 +545,61 @@ mod tests {
         let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
         eng.push(obj(0, 100));
         eng.push(obj(1, 50));
+    }
+
+    /// A literal, not `SpatialObject::new`, whose `debug_assert!` would
+    /// reject a negative weight before the engine sees it.
+    fn obj_with(id: u64, weight: f64, x: f64, y: f64) -> SpatialObject {
+        SpatialObject {
+            id,
+            weight,
+            pos: Point::new(x, y),
+            created: 0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "object 3: weight NaN must be finite")]
+    fn nan_weight_rejected() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        eng.push(obj_with(3, f64::NAN, 0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "object 4: weight inf must be finite")]
+    fn infinite_weight_rejected() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        eng.push(obj_with(4, f64::INFINITY, 0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "object 5: weight -3 must be finite and non-negative")]
+    fn negative_weight_rejected() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        eng.push(obj_with(5, -3.0, 0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "object 6: position (NaN, 0) must be finite")]
+    fn nan_position_rejected() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        let mut batch = EventBatch::new();
+        eng.push_into(obj_with(6, 1.0, f64::NAN, 0.0), &mut batch);
+    }
+
+    #[test]
+    #[should_panic(expected = "object 7: position (0, -inf) must be finite")]
+    fn infinite_position_rejected() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        eng.push(obj_with(7, 1.0, 0.0, f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn zero_weight_and_extreme_finite_values_are_accepted() {
+        let mut eng = SlidingWindowEngine::new(WindowConfig::equal(100));
+        assert_eq!(eng.push(obj_with(0, 0.0, 0.0, 0.0)).len(), 1);
+        assert_eq!(eng.push(obj_with(1, -0.0, 1e300, -1e300)).len(), 1);
+        assert_eq!(eng.current_len(), 2);
     }
 
     #[test]

@@ -4,11 +4,21 @@
 //! stream/scene/window generators and proptest strategies, extracted from
 //! the per-crate test files that had been copy-pasting them since PR 1.
 //!
-//! The guarantee that makes every optimization PR in this repo trustworthy
-//! is *bitwise differential testing* against a retained naive path — flat vs
-//! recursive segment trees, segtree vs naive sweeps, persistent vs rebuild
-//! cell state, sharded vs sequential drivers. Those comparisons are only
-//! as strong as their inputs, so the generators here are deliberately *collision-heavy*: coordinates snap
+//! The guarantee that makes every optimization in this repo trustworthy is
+//! *bitwise differential testing* against a reference — flat vs recursive
+//! segment trees, segtree vs naive sweeps, persistent cell state vs a
+//! fresh or restored rebuild of it, sharded vs sequential drivers. The
+//! implementations that exist only to be compared against live here, not
+//! in the production crates:
+//!
+//! * [`sweep`] — [`sl_cspot_naive`], the paper's direct `O(n²)` sweep;
+//! * [`segtree`] — [`RecursiveMaxAddTree`] and [`SplitBurstSegTree`], the
+//!   references for the flat and fused-lane trees of
+//!   [`surge_exact::segtree`];
+//! * [`maxrs`] — [`maxrs_sweep`], the α = 0 (classic MaxRS) sweep.
+//!
+//! Those comparisons are only as strong as their inputs, so the generators
+//! here are deliberately *collision-heavy*: coordinates snap
 //! to coarse lattices (shared edges, corner touches and exact overlaps are
 //! common, not measure-zero), weights are small integers (exact float ties),
 //! timestamps can repeat within a tick, and window configurations include
@@ -19,10 +29,22 @@
 //! on it. Test targets reach it through dev-dependencies (cargo permits
 //! dev-only cycles back to the crates it builds on), and `surge-bench` —
 //! the experiment harness — uses it directly so benchmark workloads and
-//! test workloads are byte-for-byte the same streams.
+//! test workloads are byte-for-byte the same streams. A test comparing a
+//! `surge-exact` type with a reference here belongs in this crate's unit
+//! tests or in an integration test, never in a `#[cfg(test)]` module of
+//! `surge-exact/src`: through the dev-only cycle that module sees a second
+//! copy of `surge-exact`, whose types do not match this crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod maxrs;
+pub mod segtree;
+pub mod sweep;
+
+pub use maxrs::maxrs_sweep;
+pub use segtree::{RecursiveMaxAddTree, SplitBurstSegTree};
+pub use sweep::sl_cspot_naive;
 
 use proptest::prelude::*;
 use surge_core::{Point, Rect, SpatialObject, WindowConfig, WindowKind};

@@ -4,19 +4,18 @@
 //! classic **maximizing range sum** objective (Nandy & Bhattacharya 1995;
 //! Choi et al. 2012): past-window rectangles contribute nothing and the
 //! score is a pure sum of covered current weights. Sums are decomposable, so
-//! the interval maximum can be maintained by the shared lazy segment tree
-//! ([`crate::segtree::MaxAddTree`]) over a single linear form, skipping the
+//! the interval maximum can be maintained by the lazy segment tree
+//! ([`surge_exact::MaxAddTree`]) over a single linear form, skipping the
 //! general sweep's second tree and midpoint machinery.
 //!
-//! This module exists as a documented optimization/ablation: detectors stay
-//! on the general sweep (correct for every α), while the
-//! `maxrs_vs_general` bench quantifies what specializing the α = 0 path
-//! buys. Property tests pin this sweep to `sl_cspot` at α = 0.
+//! No detector runs it: detectors stay on the general sweep (correct for
+//! every α). It is the α = 0 reference the tests below pin to `sl_cspot`,
+//! and the `maxrs_vs_general` bench quantifies what specializing the α = 0
+//! path would buy.
 
 use surge_core::{BurstParams, Point, Rect, WindowKind};
 
-use crate::segtree::MaxAddTree;
-use crate::sweep::{SweepRect, SweepResult};
+use surge_exact::{MaxAddTree, SweepRect, SweepResult};
 
 /// Finds a point maximizing the current-window weight sum (the α = 0 burst
 /// score) among `rects` clipped to `area`. Past-window rectangles are
@@ -91,7 +90,7 @@ pub fn maxrs_sweep(rects: &[SweepRect], area: &Rect, params: &BurstParams) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sl_cspot;
+    use surge_exact::sl_cspot;
 
     fn params() -> BurstParams {
         BurstParams {
@@ -207,6 +206,23 @@ mod tests {
         let r = maxrs_sweep(&rects, &area, &params()).unwrap();
         assert_eq!(r.score, 1.0);
         assert!(area.contains(r.point));
+    }
+
+    #[test]
+    fn negative_zero_edges_do_not_panic() {
+        // -0.0 and +0.0 are equal under `==` but distinct under `total_cmp`;
+        // a dedup/search mismatch used to panic the index lookup.
+        let rects = [
+            cur(-0.0, -0.0, 1.0, 1.0, 1.0),
+            cur(0.0, 0.0, 2.0, 1.0, 2.0),
+            SweepRect {
+                rect: Rect::new(-0.0, 0.0, 1.0, 2.0),
+                weight: 1.0,
+                kind: WindowKind::Past,
+            },
+        ];
+        let m = maxrs_sweep(&rects, &AREA, &params()).unwrap();
+        assert!((m.score - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,9 +69,7 @@ fn main() {
     // Same query, top-3 view: shares the lane, runs its own detector.
     let top3 = server.subscribe(hot, DetectorSpec::TopK { k: 3 }).unwrap();
     // Different parameters entirely: still the same shared ingest.
-    let audit = server
-        .subscribe(wide, DetectorSpec::Base { pruned: true })
-        .unwrap();
+    let audit = server.subscribe(wide, DetectorSpec::Base).unwrap();
 
     let stats = server.stats();
     println!(
