@@ -8,11 +8,11 @@
 //! * [`mgaps`] — MGAP-SURGE (Algorithm 5): four half-cell-shifted GAP-SURGE
 //!   instances; reports the best of the four.
 //!
-//! Both detectors implement the full production surface: sequential
-//! [`surge_core::BurstDetector`], the shard mesh ([`surge_core::MeshIngest`],
-//! including live resharding), the (trivially empty) incremental-sweep
-//! contract, and bit-identical checkpoint capture/restore
-//! — so they can stand in for the exact detector anywhere in the pipeline.
+//! Both detectors implement sequential [`surge_core::BurstDetector`] and
+//! bit-identical checkpoint capture/restore, so they run under the
+//! sequential drivers, the checkpoint runner and the serving layer. They
+//! have no shard mesh: an event updates one cell per grid in O(log n), so
+//! there is no per-slide sweep to spread across workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,5 +20,5 @@
 pub mod gaps;
 pub mod mgaps;
 
-pub use gaps::{GapMeshWorker, GapSurge};
-pub use mgaps::{MgapMeshWorker, MgapSurge};
+pub use gaps::GapSurge;
+pub use mgaps::MgapSurge;

@@ -7,26 +7,20 @@
 //! keeping the same O(log n) update cost and the same `(1−α)/4` worst-case
 //! guarantee (Theorem 4).
 //!
-//! Like [`GapSurge`], the detector participates in the shard-mesh and
-//! checkpoint pipelines. Each [`MgapMeshWorker`] owns shard *s* of all four
-//! grids; ties between grids are broken toward the lower-numbered grid on
-//! every path (the worker encodes the grid's priority in the
-//! [`ShardAnswer`] `bound` field so the merged maximum picks the same
-//! winner the sequential scan does, bit for bit).
+//! Like [`GapSurge`], the detector runs on the sequential drivers and
+//! checkpoints its four grids under one state. Ties between grids are
+//! broken toward the lower-numbered grid.
 
 use surge_core::{
     BurstDetector, CellTable, CheckpointableDetector, DetectorState, DetectorStats, Event,
-    EventKind, GridSpec, IncrementalDetector, MeshIngest, MeshWorker, Rect, RegionAnswer,
-    RegionSize, RestoreError, ShardAnswer, ShardFlush, ShardRunStats, ShardWorkerStats, SurgeQuery,
-    TotalF64,
+    EventKind, GridSpec, Rect, RegionAnswer, RestoreError, SurgeQuery, TotalF64,
 };
 
-use crate::gaps::{GapMeshWorker, GapSurge};
+use crate::gaps::GapSurge;
 
 /// The multi-grid approximate detector (MGAPS).
 #[derive(Debug)]
 pub struct MgapSurge {
-    query: SurgeQuery,
     grids: [GapSurge; 4],
     stats_events: u64,
     stats_new: u64,
@@ -35,17 +29,9 @@ pub struct MgapSurge {
 impl MgapSurge {
     /// Creates the four shifted GAPS instances for `query`.
     pub fn new(query: SurgeQuery) -> Self {
-        Self::with_shards(query, 1)
-    }
-
-    /// Creates the four shifted GAPS instances, each with `shards` cell
-    /// shards (a power of two). Shard count is structural only: answers are
-    /// bit-identical for every shard count.
-    pub fn with_shards(query: SurgeQuery, shards: usize) -> Self {
         let specs = GridSpec::mgap_grids(query.region.width, query.region.height);
         MgapSurge {
-            query,
-            grids: specs.map(|g| GapSurge::with_grid_shards(query, g, shards)),
+            grids: specs.map(|g| GapSurge::with_grid(query, g)),
             stats_events: 0,
             stats_new: 0,
         }
@@ -100,8 +86,7 @@ impl BurstDetector for MgapSurge {
         for g in &mut self.grids {
             if let Some(ans) = g.current() {
                 // Strict > with a total order: on equal score bits the
-                // earlier grid wins, matching the merged shard answers'
-                // grid-priority bound.
+                // earlier grid wins.
                 if best
                     .as_ref()
                     .is_none_or(|b| TotalF64(ans.score) > TotalF64(b.score))
@@ -127,108 +112,11 @@ impl BurstDetector for MgapSurge {
     }
 }
 
-/// MGAPS under the incremental driver: as with GAPS, every cell is kept
-/// fresh by the events themselves, so there is nothing to sweep.
-impl IncrementalDetector for MgapSurge {
-    fn shard_count(&self) -> usize {
-        IncrementalDetector::shard_count(&self.grids[0])
-    }
-
-    fn sweep_dirty(&mut self, _threads: usize) -> u64 {
-        0
-    }
-}
-
-/// Shard *s* of all four grids under one ingest handle. Flush reports the
-/// best of the four shard-local bests; `bound` carries the grid priority
-/// (grid 0 → 3.0 … grid 3 → 0.0) so the cross-shard `(score, bound, cell)`
-/// maximum breaks score ties toward the lower-numbered grid — exactly the
-/// sequential [`MgapSurge::current`] tie-break.
-#[derive(Debug)]
-pub struct MgapMeshWorker<'a> {
-    inner: [GapMeshWorker<'a>; 4],
-}
-
-impl MeshWorker for MgapMeshWorker<'_> {
-    fn on_event(&mut self, event: &Event) {
-        for w in &mut self.inner {
-            w.on_event(event);
-        }
-    }
-
-    fn flush(&mut self) -> ShardFlush {
-        let mut best: Option<ShardAnswer> = None;
-        for (gi, w) in self.inner.iter_mut().enumerate() {
-            if let Some(a) = w.flush().best {
-                let prioritized = ShardAnswer {
-                    bound: (3 - gi) as f64,
-                    ..a
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| prioritized.merge_key() > b.merge_key())
-                {
-                    best = Some(prioritized);
-                }
-            }
-        }
-        ShardFlush { dirty: 0, best }
-    }
-
-    fn stats(&self) -> ShardWorkerStats {
-        let mut out = ShardWorkerStats::default();
-        for w in &self.inner {
-            let s = w.stats();
-            out.cell_touches += s.cell_touches;
-            out.sweeps += s.sweeps;
-        }
-        out
-    }
-}
-
-impl MeshIngest for MgapSurge {
-    type Worker<'a> = MgapMeshWorker<'a>;
-
-    fn ingest_workers(&mut self) -> Vec<MgapMeshWorker<'_>> {
-        let mut per_grid: Vec<_> = self
-            .grids
-            .iter_mut()
-            .map(|g| g.ingest_workers().into_iter())
-            .collect();
-        let shard_count = per_grid[0].len();
-        (0..shard_count)
-            .map(|_| MgapMeshWorker {
-                inner: std::array::from_fn(|gi| {
-                    per_grid[gi].next().expect("grids share a shard count")
-                }),
-            })
-            .collect()
-    }
-
-    fn absorb_shard_run(&mut self, run: ShardRunStats) {
-        self.stats_events += run.events;
-        self.stats_new += run.new_events;
-    }
-
-    fn region_size(&self) -> RegionSize {
-        self.query.region
-    }
-
-    fn reshard(&mut self, shards: usize) {
-        let state = self.capture_state();
-        let mut fresh = MgapSurge::with_shards(self.query, shards.next_power_of_two());
-        fresh
-            .restore_state(&state)
-            .expect("a detector's own capture restores into a same-query twin");
-        *self = fresh;
-    }
-}
-
 impl CheckpointableDetector for MgapSurge {
     fn capture_state(&self) -> DetectorState {
         let mut grid_cells = Vec::with_capacity(self.cell_count());
         for (gi, g) in self.grids.iter().enumerate() {
-            crate::gaps::capture_grid_cells(&mut grid_cells, gi as u32, g.shards());
+            g.capture_cells(&mut grid_cells, gi as u32);
         }
         DetectorState {
             name: self.name().to_string(),
@@ -260,9 +148,7 @@ impl CheckpointableDetector for MgapSurge {
             while at < state.grid_cells.len() && state.grid_cells[at].grid == gi {
                 at += 1;
             }
-            let g = &mut self.grids[gi as usize];
-            let params = *g.params();
-            crate::gaps::restore_grid_cells(g.shards_mut(), &params, &state.grid_cells[start..at])?;
+            self.grids[gi as usize].restore_cells(&state.grid_cells[start..at])?;
         }
         if at != state.grid_cells.len() {
             return Err(RestoreError::new(format!(
@@ -365,8 +251,7 @@ mod tests {
         }
     }
 
-    /// Equal-score ties across grids resolve to the same grid on the
-    /// sequential path and through the grid-priority bound.
+    /// Equal-score ties across grids resolve to the lowest-numbered grid.
     #[test]
     fn score_ties_prefer_lower_grid() {
         let mut d = MgapSurge::new(query(0.0));
@@ -379,11 +264,11 @@ mod tests {
     }
 
     /// Capture → restore into a fresh detector → identical answers and
-    /// identical re-capture, across shard counts.
+    /// identical re-capture.
     #[test]
     fn checkpoint_roundtrip_is_bit_identical() {
         let q = query(0.6);
-        let mut d = MgapSurge::with_shards(q, 2);
+        let mut d = MgapSurge::new(q);
         let mut t = 0;
         for i in 0..96u64 {
             t += i % 4;
@@ -397,7 +282,7 @@ mod tests {
         }
         let state = d.capture_state();
         assert!(state.grid_cells.iter().any(|c| c.grid == 3));
-        let mut restored = MgapSurge::with_shards(q, 4);
+        let mut restored = MgapSurge::new(q);
         restored.restore_state(&state).unwrap();
         assert_eq!(restored.capture_state(), state);
         let (a, b) = (d.current().unwrap(), restored.current().unwrap());

@@ -936,8 +936,7 @@ pub struct SweepBenchRow {
 /// on the flat iterative tree vs the retained recursive baseline at `n`
 /// leaves, cross-checking results every round.
 fn tree_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
-    use surge_exact::MaxAddTree;
-    use surge_testkit::RecursiveMaxAddTree;
+    use surge_testkit::{MaxAddTree, RecursiveMaxAddTree};
 
     let mut state = seed | 1;
     let mut next = move || {
@@ -1701,20 +1700,12 @@ pub struct ObserveBenchRow {
 pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::RegistrySnapshot) {
     use surge_core::RegionAnswer;
     use surge_observe::Observe;
-    use surge_stream::{
-        drive_elastic_observed, drive_incremental_observed, BalancerPolicy, RetainAll,
-    };
+    use surge_stream::{drive_elastic_observed, drive_incremental_observed, RetainAll};
 
     let slide = 256;
     let windows = WindowConfig::equal(60_000);
     let query = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, DEFAULT_ALPHA);
     let stream = uniform_stream(cfg.objects.clamp(2_000, 50_000), cfg.seed);
-    let policy = BalancerPolicy {
-        skew_percent: 25,
-        patience: 2,
-        max_shards: 8,
-        min_load: 4,
-    };
     const TRIALS: usize = 7;
 
     // The registry all enabled runs share: each driver publishes under its
@@ -1749,7 +1740,6 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
                     windows,
                     stream.iter().copied(),
                     slide,
-                    policy,
                     &mut RetainAll,
                     obs,
                 );

@@ -288,12 +288,8 @@ impl SpecDetector {
             } => SpecDetector::Cell(CellCspot::with_shards(query, bound, shards)),
             DetectorSpec::Base => SpecDetector::Base(BaseDetector::new(query)),
             DetectorSpec::TopK { k } => SpecDetector::TopK(KCellCspot::new(query, k)),
-            DetectorSpec::Gaps { shards } => {
-                SpecDetector::Gaps(GapSurge::with_shards(query, shards))
-            }
-            DetectorSpec::Mgaps { shards } => {
-                SpecDetector::Mgaps(Box::new(MgapSurge::with_shards(query, shards)))
-            }
+            DetectorSpec::Gaps { .. } => SpecDetector::Gaps(GapSurge::new(query)),
+            DetectorSpec::Mgaps { .. } => SpecDetector::Mgaps(Box::new(MgapSurge::new(query))),
             DetectorSpec::Serve => {
                 return Err(CheckpointError::Config(
                     "DetectorSpec::Serve is a registry marker, not a detector; \

@@ -64,12 +64,14 @@ pub enum DetectorSpec {
     },
     /// [`surge_approx::GapSurge`] (GAP-SURGE).
     Gaps {
-        /// Ingest shard count (power of two).
+        /// Must be 1: GAPS has no shards. The field stays because
+        /// `bench/src/sut.rs` writes it; drop it with the next benchmark
+        /// change.
         shards: usize,
     },
     /// [`surge_approx::MgapSurge`] (MGAP-SURGE).
     Mgaps {
-        /// Ingest shard count per grid (power of two).
+        /// Must be 1, as for [`DetectorSpec::Gaps`].
         shards: usize,
     },
     /// A multi-query serving registry (`surge-serve`): the snapshot's
@@ -80,15 +82,13 @@ pub enum DetectorSpec {
 
 impl DetectorSpec {
     /// Why no detector can be built with this spec's parameters — a top-k
-    /// `k` of 0, or a grid-detector shard count that is not a power of
-    /// two — or `None` when one can.
+    /// `k` of 0, or a grid-detector shard count other than 1 — or `None`
+    /// when one can.
     pub fn parameter_error(&self) -> Option<&'static str> {
         match *self {
             DetectorSpec::TopK { k: 0 } => Some("TopK needs k ≥ 1"),
-            DetectorSpec::Gaps { shards } | DetectorSpec::Mgaps { shards }
-                if !shards.is_power_of_two() =>
-            {
-                Some("Gaps and Mgaps need a power-of-two shard count")
+            DetectorSpec::Gaps { shards } | DetectorSpec::Mgaps { shards } if shards != 1 => {
+                Some("Gaps and Mgaps take shards: 1 only")
             }
             _ => None,
         }

@@ -199,9 +199,6 @@ impl MeshIngest for AlwaysAnswer {
     fn region_size(&self) -> RegionSize {
         RegionSize::new(1.5, 1.5)
     }
-    fn reshard(&mut self, _shards: usize) {
-        unreachable!("one worker with no dirty cells never trips the balancer")
-    }
 }
 
 /// The mesh report's terminal answer is tracked independently of answer
@@ -220,7 +217,6 @@ fn terminal_answer_survives_a_fully_acked_consumer() {
         WindowConfig::new(240, 120),
         stream.iter().copied(),
         8,
-        BalancerPolicy::default(),
     );
     let want = full
         .answers

@@ -508,8 +508,8 @@ fn a_finished_run_rejects_further_arrivals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `TopK { k: 0 }` and a grid detector whose shard count is not a power
-/// of two are configuration errors, not panics, on both entry points.
+/// `TopK { k: 0 }` and a grid detector with any shard count but 1 are
+/// configuration errors, not panics, on both entry points.
 #[test]
 fn top_k_zero_is_a_config_error() {
     let stream = surge_testkit::clustered_stream(20, 3, 9, 3);
@@ -517,6 +517,8 @@ fn top_k_zero_is_a_config_error() {
         DetectorSpec::TopK { k: 0 },
         DetectorSpec::Gaps { shards: 3 },
         DetectorSpec::Mgaps { shards: 0 },
+        DetectorSpec::Gaps { shards: 2 },
+        DetectorSpec::Mgaps { shards: 4 },
     ] {
         let config = cfg(spec, WindowConfig::equal(170));
         let dir = fresh_dir("bad-spec-run");

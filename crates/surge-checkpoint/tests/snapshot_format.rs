@@ -48,8 +48,8 @@ fn every_spec() -> Vec<(&'static str, DetectorSpec)> {
         ("bccs", cell(BoundMode::StaticOnly)),
         ("base", DetectorSpec::Base),
         ("topk3", DetectorSpec::TopK { k: 3 }),
-        ("gaps", DetectorSpec::Gaps { shards: 2 }),
-        ("mgaps", DetectorSpec::Mgaps { shards: 2 }),
+        ("gaps", DetectorSpec::Gaps { shards: 1 }),
+        ("mgaps", DetectorSpec::Mgaps { shards: 1 }),
     ]
 }
 
@@ -97,8 +97,8 @@ fn serve_snapshot_bytes(stream: &[SpatialObject]) -> Vec<u8> {
         (q1, cell_spec()),
         (q2, DetectorSpec::Base),
         (q1, DetectorSpec::TopK { k: 3 }),
-        (q2, DetectorSpec::Gaps { shards: 2 }),
-        (q1, DetectorSpec::Mgaps { shards: 2 }),
+        (q2, DetectorSpec::Gaps { shards: 1 }),
+        (q1, DetectorSpec::Mgaps { shards: 1 }),
     ] {
         server.subscribe(query, spec).expect("subscribe");
     }
@@ -243,6 +243,8 @@ fn semantic_corruption_is_rejected_by_the_state_decoder() {
         DetectorSpec::TopK { k: 0 },
         DetectorSpec::Gaps { shards: 3 },
         DetectorSpec::Mgaps { shards: 0 },
+        DetectorSpec::Gaps { shards: 2 },
+        DetectorSpec::Mgaps { shards: 4 },
     ] {
         let mut bad = state.clone();
         bad.spec = spec;
@@ -271,15 +273,18 @@ fn snapshot_bytes_are_pinned() {
     // held through that change. The serve pin was re-recorded when its
     // fixture's pruned-Base subscription became an eager Base one (the
     // pruned variant was deleted); the previous code wrote the same bytes
-    // for the new fixture.
+    // for the new fixture. The gaps, mgaps and serve pins were re-recorded
+    // when their GAPS/MGAPS fixtures moved from `shards: 2` to `shards: 1`
+    // (the only count accepted since the sharded grids were deleted); the
+    // previous code wrote the same bytes for the new fixtures.
     const PINNED: [(&str, u32); 7] = [
         ("cell", 0x7b1eb7ce),
         ("bccs", 0x9c18d7ae),
         ("base", 0xb1d6ab75),
         ("topk3", 0xa2ae71fa),
-        ("gaps", 0x9ab832e8),
-        ("mgaps", 0xec36225b),
-        ("serve", 0x4540ab8d),
+        ("gaps", 0x92cc851d),
+        ("mgaps", 0x589022bc),
+        ("serve", 0x1361f930),
     ];
     // The container's own footer: CRC-32 over every byte before it (the
     // CRC of a whole file, footer included, is the constant CRC residue).
@@ -307,10 +312,11 @@ fn snapshot_bytes_are_pinned() {
 }
 
 /// Version-4 snapshots of the deleted variants — a cell detector sweeping
-/// in rebuild-per-search mode (SPEC sweep code 1) and the incumbent-pruned
-/// Base (SPEC pruned code 1) — are refused with `IoError::Invariant`, never
-/// restored as something else. Everything else about the files is valid:
-/// they are real snapshots with one SPEC byte patched and the CRC resealed.
+/// in rebuild-per-search mode (SPEC sweep code 1), the incumbent-pruned
+/// Base (SPEC pruned code 1) and a sharded GAPS (SPEC shard count 2) — are
+/// refused with `IoError::Invariant`, never restored as something else.
+/// Everything else about the files is valid: they are real snapshots with
+/// one SPEC byte patched and the CRC resealed.
 #[test]
 fn retired_spec_codes_are_refused() {
     let stream = surge_testkit::clustered_stream(96, 3, 7, 42);
@@ -319,13 +325,15 @@ fn retired_spec_codes_are_refused() {
         sweep: SweepMode::Persistent,
         shards: 4,
     };
-    // (label, spec, position of the retired code counted from the end of
-    // the SPEC payload): a cell spec ends `sweep: u8, shards: u64`, a Base
-    // spec ends with its variant byte.
-    for (label, spec, from_end) in [
-        ("cell-rebuild", cell(BoundMode::Combined), 9),
-        ("bccs-rebuild", cell(BoundMode::StaticOnly), 9),
-        ("base-pruned", DetectorSpec::Base, 1),
+    // (label, spec, position of the patched byte counted from the end of
+    // the SPEC payload, its live value, the retired value): a cell spec
+    // ends `sweep: u8, shards: u64`, a Base spec ends with its variant byte,
+    // a GAPS spec ends with its little-endian `shards: u64`.
+    for (label, spec, from_end, live, retired) in [
+        ("cell-rebuild", cell(BoundMode::Combined), 9, 0, 1),
+        ("bccs-rebuild", cell(BoundMode::StaticOnly), 9, 0, 1),
+        ("base-pruned", DetectorSpec::Base, 1, 0, 1),
+        ("gaps-sharded", DetectorSpec::Gaps { shards: 1 }, 8, 1, 2),
     ] {
         let bytes = real_snapshot_bytes(&stream, "retired", spec);
         let snap = Snapshot::decode(&bytes).unwrap();
@@ -335,8 +343,8 @@ fn retired_spec_codes_are_refused() {
             let mut payload = payload.clone();
             if *tag == surge_checkpoint::state::tags::SPEC {
                 let at = payload.len() - from_end;
-                assert_eq!(payload[at], 0, "{label}: the live code is 0");
-                payload[at] = 1;
+                assert_eq!(payload[at], live, "{label}: the live code");
+                payload[at] = retired;
             }
             patched.push_section(*tag, payload);
         }
@@ -431,8 +439,8 @@ fn out_of_canonical_order_detector_state_is_rejected() {
     rejected(&topk, "top-k rectangles out of id order");
 
     for spec in [
-        DetectorSpec::Gaps { shards: 2 },
-        DetectorSpec::Mgaps { shards: 2 },
+        DetectorSpec::Gaps { shards: 1 },
+        DetectorSpec::Mgaps { shards: 1 },
     ] {
         let grid = decode(spec);
         assert!(grid.detector.grid_cells.len() >= 2);

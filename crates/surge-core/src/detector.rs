@@ -89,12 +89,6 @@ pub trait IncrementalDetector: BurstDetector {
     /// harness still passes it).
     fn sweep_dirty(&mut self, threads: usize) -> u64;
 
-    /// Number of cell shards this detector partitions its state into.
-    /// Unsharded detectors report 1.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
     /// Legacy [`SweepCacheStats`]: always zero; delete in the next benchmark
     /// PR (the benchmark harness still reads it).
     fn sweep_cache_stats(&self) -> SweepCacheStats {
@@ -167,7 +161,7 @@ pub struct ShardRunStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardFlush {
     /// Dirty cells the shard held when the flush began — all of them swept
-    /// by it. The balancer's load signal and the driver's sweep tally.
+    /// by it. The driver's per-shard sweep tally.
     pub dirty: u64,
     /// The shard's best candidate with every cell fresh (`None` when the
     /// shard holds no scoring cell).
@@ -178,7 +172,7 @@ pub struct ShardFlush {
 /// cells and sweeps them at slide boundaries. Obtained from
 /// [`MeshIngest::ingest_workers`]; the handles borrow the detector's shards
 /// disjointly, so each can live on its own thread for the duration of a
-/// mesh epoch. A dirty cell is always swept by the shard that owns it.
+/// mesh run. A dirty cell is always swept by the shard that owns it.
 pub trait MeshWorker {
     /// Applies one event to the cells of this shard (cells owned by other
     /// shards are skipped). Every worker must see every event, in stream
@@ -188,8 +182,6 @@ pub trait MeshWorker {
     /// Sweeps every dirty cell of this shard in place, counting each in
     /// this worker's `sweeps`, and reports how many there were plus the
     /// shard's best candidate. Afterwards every cell in the shard is fresh.
-    /// A detector whose events keep every cell fresh (GAPS, MGAPS) reports
-    /// `dirty: 0`.
     fn flush(&mut self) -> ShardFlush;
 
     /// This worker's lifetime counters.
@@ -202,13 +194,10 @@ pub trait MeshWorker {
 /// every worker observes the full event stream in order (applying only its
 /// own cells), and flush answers merged by [`ShardAnswer::merge_key`] are
 /// bit-identical to the sequential detector's answer at the same stream
-/// position — for any shard count.
-///
-/// The mesh is *elastic*: [`reshard`](Self::reshard) re-homes every cell
-/// under a new shard count by capturing the detector's logical state and
-/// restoring it into a fresh store — the same machine-independent path
-/// checkpointing uses, so the answer stream after a reshard is
-/// bit-identical to a detector built at the new count from the start.
+/// position — for any shard count. The mesh runs at the detector's own
+/// shard count for the whole run. `CellCspot` is the one production
+/// implementation: the approximate detectors keep every cell fresh per
+/// event in O(log n), so a mesh would have nothing to spread.
 pub trait MeshIngest: BurstDetector {
     /// The per-shard handle type (borrows the detector mutably).
     type Worker<'a>: MeshWorker + Send
@@ -216,7 +205,7 @@ pub trait MeshIngest: BurstDetector {
         Self: 'a;
 
     /// Splits the detector into one ingest worker per shard; the length is
-    /// the mesh's current shard count.
+    /// the mesh's width.
     fn ingest_workers(&mut self) -> Vec<Self::Worker<'_>>;
 
     /// Folds a completed mesh run's counters back into
@@ -226,11 +215,6 @@ pub trait MeshIngest: BurstDetector {
     /// The query-region size (needed to turn merged [`ShardAnswer`]s into
     /// [`RegionAnswer`]s while the workers still borrow the detector).
     fn region_size(&self) -> RegionSize;
-
-    /// Re-homes every cell under `shard_of_cell(id, shards)`. `shards` is
-    /// rounded up to a power of two. Must be called only between flushes
-    /// (dirty marks survive via the captured per-cell state).
-    fn reshard(&mut self, shards: usize);
 }
 
 /// A continuous top-k bursty-region detector (paper §VI).

@@ -515,26 +515,6 @@ impl CellCspot {
             .count()
     }
 
-    /// Re-homes every cell under `shard_of_cell(id, shards)` (rounded up to
-    /// a power of two) by capturing the detector's machine-independent
-    /// logical state and restoring it into a fresh store at the new count —
-    /// the exact checkpoint path, so everything derived (persistent sweeps,
-    /// shard queues, heap keys) rebuilds deterministically and answers
-    /// continue bit-identically. Stats are preserved verbatim.
-    pub fn reshard(&mut self, shards: usize) {
-        if ShardedCellStore::<Cell>::new(shards).shard_count() == self.store.shard_count() {
-            return;
-        }
-        let state = self.capture_state();
-        let searches_at_last_current = self.searches_at_last_current;
-        let mut fresh = CellCspot::with_shards(self.ctx.query, self.ctx.mode, shards);
-        fresh
-            .restore_state(&state)
-            .expect("a detector's own capture restores into a same-query twin");
-        fresh.searches_at_last_current = searches_at_last_current;
-        *self = fresh;
-    }
-
     /// The queue entry strictly below `cursor` in the global descending
     /// `(bound, cell)` order, merged across the shard queues.
     fn next_entry_below(&self, cursor: Option<(TotalF64, CellId)>) -> Option<(TotalF64, CellId)> {
@@ -703,10 +683,6 @@ impl CheckpointableDetector for CellCspot {
 }
 
 impl IncrementalDetector for CellCspot {
-    fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-
     /// In-place dirty sweeps over the persistent per-cell state, one shard
     /// after another. Results and stats are bit-identical to sweeping a
     /// twin restored from this detector's capture, whose sweep state is
@@ -728,7 +704,7 @@ impl IncrementalDetector for CellCspot {
 }
 
 /// One shard's exclusive ingest handle (see [`MeshIngest`]): owns the
-/// shard's cell map and queue for the lifetime of a mesh epoch, applies the
+/// shard's cell map and queue for the lifetime of a mesh run, applies the
 /// event stream to its own cells, sweeps its dirty cells at flush
 /// boundaries and reports the shard-local best candidate.
 #[derive(Debug)]
@@ -804,10 +780,6 @@ impl MeshIngest for CellCspot {
 
     fn region_size(&self) -> RegionSize {
         self.ctx.query.region
-    }
-
-    fn reshard(&mut self, shards: usize) {
-        CellCspot::reshard(self, shards);
     }
 }
 

@@ -5,7 +5,7 @@
 //! * [`sweep`] — SL-CSPOT (Algorithm 1), the sweep-line bursty-point search
 //!   on a snapshot of rectangle objects: the `O(n log n)` segment-tree
 //!   sweep [`sl_cspot`].
-//! * [`segtree`] — the flat, arena-friendly lazy max segment trees behind
+//! * [`segtree`] — the flat, arena-friendly lazy max segment tree behind
 //!   the sweep, including the two-linear-form decomposition that makes
 //!   range-add max exact for the non-monotone burst score.
 //! * [`psweep`] — the per-cell SL-CSPOT state that persists across events,
@@ -22,8 +22,8 @@
 //!   experiments.
 //!
 //! The implementations that exist only to be compared against — the
-//! `O(n²)` sweep, the recursive and split reference trees and the α = 0
-//! MaxRS sweep — live in the `surge-testkit` crate.
+//! `O(n²)` sweep, the single-form, recursive and split reference trees and
+//! the α = 0 MaxRS sweep — live in the `surge-testkit` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +39,5 @@ pub use base::BaseDetector;
 pub use cell::{BoundMode, CellCspot, CellMeshWorker, DEFAULT_SHARDS};
 pub use oracle::{score_of_region, snapshot_bursty_region, snapshot_rects, snapshot_topk};
 pub use psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats, MIN_CHURN_BUDGET};
-pub use segtree::{BurstSegTree, MaxAddTree};
+pub use segtree::BurstSegTree;
 pub use sweep::{score_at_point, sl_cspot, sl_cspot_with, SweepArena, SweepRect, SweepResult};

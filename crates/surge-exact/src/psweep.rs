@@ -24,10 +24,9 @@
 //!   descending, ties by object id) as incrementally maintained sorted
 //!   lists;
 //! * the two-form [`BurstSegTree`], re-zeroed in place after each sweep and
-//!   size-synced with the incremental
-//!   [`MaxAddTree::insert_leaf`](crate::segtree::MaxAddTree::insert_leaf) /
-//!   [`MaxAddTree::remove_leaf`](crate::segtree::MaxAddTree::remove_leaf)
-//!   leaf edits (full reset only when the power-of-two layout changes).
+//!   size-synced with incremental end-of-layout leaf edits
+//!   ([`BurstSegTree::sync_len`](crate::segtree::BurstSegTree::sync_len);
+//!   full reset only when the power-of-two layout changes).
 //!
 //! Every search then takes one path: derive the per-search scratch (clipped
 //! rectangles, leaf ranges, order indices) from those structures in linear

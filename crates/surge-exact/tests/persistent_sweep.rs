@@ -24,8 +24,8 @@ use surge_exact::{
     MIN_CHURN_BUDGET,
 };
 use surge_stream::{
-    drive_elastic, drive_incremental, BalancerPolicy, EventBatch, FlushOutcome, QueryCore,
-    QueryRuntime, SlidingWindowEngine,
+    drive_elastic, drive_incremental, EventBatch, FlushOutcome, QueryCore, QueryRuntime,
+    SlidingWindowEngine,
 };
 use surge_testkit::{arb_lattice_stream, arb_window_config};
 
@@ -300,8 +300,7 @@ proptest! {
 
         let shards = 1usize << shard_pow;
         let mut pers = CellCspot::with_shards(query, BoundMode::Combined, shards);
-        let fixed = BalancerPolicy { max_shards: shards, ..BalancerPolicy::default() };
-        let par = drive_elastic(&mut pers, windows, objs.iter().copied(), 32, fixed);
+        let par = drive_elastic(&mut pers, windows, objs.iter().copied(), 32);
 
         prop_assert_eq!(par.answers.len(), seq_answers.len());
         for (i, (a, b)) in par.answers.iter().zip(seq_answers.iter()).enumerate() {

@@ -183,8 +183,8 @@ fn segtree_matches_naive_on_adversarial_scenes() {
 // Flat vs recursive segment tree
 // ---------------------------------------------------------------------------
 
-use surge_exact::{sl_cspot_with, BurstSegTree, MaxAddTree, SweepArena};
-use surge_testkit::{RecursiveMaxAddTree, SplitBurstSegTree};
+use surge_exact::{sl_cspot_with, BurstSegTree, SweepArena};
+use surge_testkit::{MaxAddTree, RecursiveMaxAddTree, SplitBurstSegTree};
 
 // ---------------------------------------------------------------------------
 // Fused SoA lanes vs split per-form trees

@@ -4,7 +4,7 @@
 //! The recorder answers the crash-time question "what was the mesh doing?"
 //! without perturbing the run: recording is a couple of stores into a
 //! pre-sized ring, and every event field is logical (slide/flush sequence
-//! numbers, epoch indices, byte counts, policy names) — never wall clock —
+//! numbers, byte counts, policy names) — never wall clock —
 //! so two runs over the same stream produce **bitwise-identical dumps**,
 //! ring wrap included. Wall-clock durations belong in the registry's
 //! latency histograms, not here.
@@ -24,15 +24,6 @@ pub enum TraceEvent {
         seq: u64,
         /// Answers the flush produced.
         answers: u64,
-    },
-    /// The elastic mesh resharded at an epoch boundary.
-    ReshardEpoch {
-        /// Epoch index (0-based) that ended with this reshard.
-        epoch: u64,
-        /// Shard count before.
-        from: u32,
-        /// Shard count after.
-        to: u32,
     },
     /// The checkpoint runner stalled the hot path to encode a snapshot.
     SnapshotStall {
@@ -64,9 +55,6 @@ impl std::fmt::Display for TraceEvent {
             TraceEvent::FlushStart { seq } => write!(f, "flush_start seq={seq}"),
             TraceEvent::FlushEnd { seq, answers } => {
                 write!(f, "flush_end seq={seq} answers={answers}")
-            }
-            TraceEvent::ReshardEpoch { epoch, from, to } => {
-                write!(f, "reshard_epoch epoch={epoch} from={from} to={to}")
             }
             TraceEvent::SnapshotStall {
                 slide,
@@ -259,12 +247,6 @@ mod tests {
     fn events_render_stable_text() {
         let texts = [
             TraceEvent::FlushStart { seq: 7 }.to_string(),
-            TraceEvent::ReshardEpoch {
-                epoch: 1,
-                from: 2,
-                to: 4,
-            }
-            .to_string(),
             TraceEvent::SnapshotStall {
                 slide: 4,
                 bytes: 1024,
@@ -274,11 +256,10 @@ mod tests {
             TraceEvent::Backpressure { seq: 2, shard: 1 }.to_string(),
         ];
         assert_eq!(texts[0], "flush_start seq=7");
-        assert_eq!(texts[1], "reshard_epoch epoch=1 from=2 to=4");
         assert_eq!(
-            texts[2],
+            texts[1],
             "snapshot_stall slide=4 bytes=1024 sync_policy=os_flush"
         );
-        assert_eq!(texts[3], "backpressure seq=2 shard=1");
+        assert_eq!(texts[2], "backpressure seq=2 shard=1");
     }
 }

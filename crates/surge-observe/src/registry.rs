@@ -385,7 +385,7 @@ impl RegistrySnapshot {
     }
 
     /// Sum of every counter whose path satisfies `pred` (the conservation
-    /// checks sum label families, e.g. every `elastic/epoch=*/shard=*/sweeps`).
+    /// checks sum label families, e.g. every `elastic/shard=*/sweeps`).
     pub fn sum_counters(&self, mut pred: impl FnMut(&str) -> bool) -> u64 {
         self.counters
             .iter()

@@ -98,7 +98,7 @@ proptest! {
             (q1, cell_spec()), // bitwise duplicate: shares the group
             (q3, DetectorSpec::Base),
             (q1, DetectorSpec::TopK { k: 3 }), // same query, new flavor: own group, same lane
-            (q5, DetectorSpec::Gaps { shards: 2 }),
+            (q5, DetectorSpec::Gaps { shards: 1 }),
             (q5, DetectorSpec::Mgaps { shards: 1 }),
         ];
 

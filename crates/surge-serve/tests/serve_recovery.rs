@@ -49,7 +49,7 @@ fn populate(server: &mut SurgeServer) -> Vec<SubId> {
         server.subscribe(q2, DetectorSpec::Base).unwrap(),
         server.subscribe(q1, DetectorSpec::TopK { k: 3 }).unwrap(),
         server
-            .subscribe(q3, DetectorSpec::Gaps { shards: 2 })
+            .subscribe(q3, DetectorSpec::Gaps { shards: 1 })
             .unwrap(),
     ]
 }
@@ -238,8 +238,8 @@ fn impossible_lane_phases_are_rejected() {
     assert!(SurgeServer::restore(&bad).is_err());
 }
 
-/// `TopK { k: 0 }` and a grid detector whose shard count is not a power
-/// of two are refused at subscription, before anything is built.
+/// `TopK { k: 0 }` and a grid detector with any shard count but 1 are
+/// refused at subscription, before anything is built.
 #[test]
 fn top_k_zero_is_unsupported() {
     let mut server = SurgeServer::new(ServeConfig::sequential(8));
@@ -248,6 +248,8 @@ fn top_k_zero_is_unsupported() {
         DetectorSpec::TopK { k: 0 },
         DetectorSpec::Gaps { shards: 3 },
         DetectorSpec::Mgaps { shards: 0 },
+        DetectorSpec::Gaps { shards: 2 },
+        DetectorSpec::Mgaps { shards: 4 },
     ] {
         assert!(
             matches!(

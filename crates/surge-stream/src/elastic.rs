@@ -1,17 +1,17 @@
 //! The shard mesh: parallel ingest *and* dirty-cell sweeps on one worker
-//! per shard, with skew detection and live resharding — all bit-identically.
-//! It is the only way an exact detector runs in parallel.
+//! per shard of the detector, bit-identically. It is the only way an exact
+//! detector runs in parallel.
 //!
 //! [`crate::parallel::drive_incremental`] applies every event and sweeps
 //! every dirty cell on the calling thread. [`drive_elastic`] moves both to
-//! per-shard ingest workers ([`MeshIngest`]): the driver
-//! thread's [`QueryRuntime`] expands each arrival through the one
-//! [`SlidingWindowEngine`] into the canonical `Grown`/`Expired`/`New`
-//! sequence (O(1) per object — paper §IV-C), and its core broadcasts the
-//! events in shared `Arc<[Event]>` batches; every
-//! worker sees every event, in stream order, and applies the ones that
-//! touch its own cells. Per-cell event order is therefore exactly the
-//! sequential drivers' — shard count and thread interleaving change
+//! per-shard ingest workers ([`MeshIngest`]): the driver thread's
+//! [`QueryRuntime`] expands each arrival through its one
+//! [`SlidingWindowEngine`](crate::window::SlidingWindowEngine) into the
+//! canonical `Grown`/`Expired`/`New` sequence (O(1) per object — paper
+//! §IV-C), and its core broadcasts the events in shared `Arc<[Event]>`
+//! batches; every worker sees every event, in stream order, and applies the
+//! ones that touch its own cells. Per-cell event order is therefore exactly
+//! the sequential drivers' — shard count and thread interleaving change
 //! wall-clock time only.
 //!
 //! At each slide boundary the driver sends every worker one `Flush`
@@ -26,36 +26,17 @@
 //! worker means at most one outstanding command each, so the bounded
 //! channels cannot deadlock regardless of capacity.
 //!
-//! A dirty cell is always swept by the shard that owns it, so a fixed
-//! ownership would let one hot shard own a whole flush's sweep load: a
-//! persistently skewed workload (every object homed to one anchor cell)
-//! serializes the mesh no matter how many workers it has. The mesh is
-//! therefore elastic in two compounding steps, each gated on bitwise
-//! differentials (`tests/elastic_differential.rs`) before any timing:
-//!
-//! 1. **Skew detection.** A [`ShardBalancer`] reads each flush's per-shard
-//!    dirty-cell counts as the load signal; when the maximum exceeds the
-//!    mean by [`BalancerPolicy::skew_percent`] for
-//!    [`BalancerPolicy::patience`] consecutive flushes, it recommends
-//!    doubling the shard count (never past [`BalancerPolicy::max_shards`] —
-//!    set it to the starting width for a fixed-width mesh). The decision is
-//!    a pure function of the flush-boundary counters, so every run of the
-//!    same stream reshards at the same flush.
-//! 2. **Live resharding.** The driver runs the mesh in *epochs*: on a
-//!    balancer recommendation (always at a slide boundary) it closes the
-//!    workers' channels, joins them, re-homes every cell under the new
-//!    `shard_of_cell` mapping via the detector's checkpoint path
-//!    ([`MeshIngest::reshard`]) and resumes the stream where it left
-//!    off through [`QueryRuntime::resume`], as crash recovery does. The
-//!    window engine simply carries over; shard count is purely structural,
-//!    so the answer stream continues bit-identically — doubling the mesh
-//!    without a restart.
+//! The mesh is **fixed-width**: one worker per shard of the detector's own
+//! cell store (`CellCspot::with_shards`), spawned once inside one
+//! `thread::scope` and joined when the stream ends. A dirty cell is always
+//! swept by the shard that owns it, so a stream whose dirty cells all hash
+//! to one shard runs that flush's sweeps on one worker; the width is the
+//! caller's choice and never changes mid-run.
 //!
 //! A worker that panics hangs up its channels; the driver's next send or
 //! receive on them fails, it stops, joins the mesh and re-raises the
 //! worker's own panic — no peer is left waiting.
 
-use std::cell::Cell;
 use std::sync::mpsc::{RecvError, SendError, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, ScopedJoinHandle};
@@ -71,7 +52,6 @@ use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
 use crate::runtime::{FlushOutcome, QueryCore, QueryRuntime};
-use crate::window::SlidingWindowEngine;
 
 /// Events are broadcast to shard workers once this many are buffered (and
 /// at every flush), amortizing channel overhead.
@@ -92,19 +72,19 @@ const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
 /// CHANGES.md, PR 20).
 const WORKER_POLL: WallDuration = WallDuration::from_micros(100);
 
-/// When the [`ShardBalancer`] recommends splitting the mesh.
+/// Retired skew-balancer settings: the mesh runs at the detector's own
+/// width and reads no field of this struct. It stays only because the
+/// benchmark harness (`bench/src/sut.rs`) passes one to
+/// [`drive_elastic_with_sink`] — delete it with the next benchmark change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BalancerPolicy {
-    /// A flush is *skewed* when the maximum per-shard load exceeds the mean
-    /// by this percentage (100 = twice the mean).
+    /// Unused.
     pub skew_percent: u32,
-    /// Consecutive skewed flushes required before recommending a split
-    /// (transient hotspots don't deserve a reshard).
+    /// Unused.
     pub patience: u32,
-    /// Never grow beyond this many shards (rounded up to a power of two by
-    /// the store).
+    /// Unused.
     pub max_shards: usize,
-    /// Ignore flushes whose total load is below this noise floor.
+    /// Unused.
     pub min_load: u64,
 }
 
@@ -115,53 +95,6 @@ impl Default for BalancerPolicy {
             patience: 4,
             max_shards: 64,
             min_load: 8,
-        }
-    }
-}
-
-/// Detects persistent load skew across the shard mesh and recommends
-/// doubling the shard count.
-///
-/// Fed once per flush with the per-shard dirty-cell counts (the sweep load
-/// the flush ran). The decision is a deterministic function of these
-/// flush-boundary counters, so the same stream reshards at the same flush
-/// on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardBalancer {
-    policy: BalancerPolicy,
-    streak: u32,
-}
-
-impl ShardBalancer {
-    /// A balancer with the given policy and no history.
-    pub fn new(policy: BalancerPolicy) -> Self {
-        ShardBalancer { policy, streak: 0 }
-    }
-
-    /// Observes one flush: `dirty[s]` is shard `s`'s dirty-cell count
-    /// before its sweep. Returns the recommended new shard count, or `None`
-    /// to keep running.
-    pub fn observe(&mut self, dirty: &[u64]) -> Option<usize> {
-        let shards = dirty.len();
-        let total: u64 = dirty.iter().sum();
-        if total < self.policy.min_load {
-            self.streak = 0;
-            return None;
-        }
-        let max = dirty.iter().copied().max().unwrap_or(0);
-        // max > mean * (1 + skew/100), in integers:
-        let skewed = (max as u128) * 100 * (shards as u128)
-            > (total as u128) * (100 + self.policy.skew_percent as u128);
-        if skewed {
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-        }
-        if self.streak >= self.policy.patience && shards * 2 <= self.policy.max_shards {
-            self.streak = 0;
-            Some(shards * 2)
-        } else {
-            None
         }
     }
 }
@@ -229,16 +162,15 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
     joined
 }
 
-/// One worker's command loop. `flush_seq` is the run-wide sequence number
-/// of the epoch's first flush, so the worker's flight ring traces flushes
-/// in the same logical time as the driver's.
+/// One worker's command loop. Its flight ring numbers flushes from 0, in
+/// the same logical time as the driver's.
 fn mesh_worker_loop<W: MeshWorker>(
     mut worker: W,
     rx: Receiver<MeshMsg>,
     tx: Sender<ShardFlush>,
     flight: Flight,
-    mut flush_seq: u64,
 ) -> ShardWorkerStats {
+    let mut flush_seq = 0;
     while let Ok(msg) = recv_command(&rx) {
         match msg {
             MeshMsg::Events(events) => {
@@ -261,19 +193,13 @@ fn mesh_worker_loop<W: MeshWorker>(
     worker.stats()
 }
 
-/// Counters of one mesh epoch (the stretch between two reshards, or the
-/// whole run when none happen).
+/// Per-shard counters of a mesh run, indexed by shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Shard count of this epoch.
-    pub shards: usize,
-    /// Flushes executed in this epoch.
-    pub slides: u64,
     /// Sweeps each shard ran (the sum of the dirty counts its worker
-    /// reported), indexed by shard — the sweep critical path of this epoch
-    /// is the max entry.
+    /// reported) — the sweep critical path of the run is the max entry.
     pub shard_sweeps: Vec<u64>,
-    /// Per-shard lifetime counters for this epoch's workers.
+    /// Per-shard lifetime counters of the workers.
     pub shard_stats: Vec<ShardWorkerStats>,
 }
 
@@ -282,21 +208,23 @@ pub struct EpochStats {
 pub struct ElasticReport {
     /// Objects processed.
     pub objects: u64,
-    /// Window-transition events expanded and broadcast across all epochs.
+    /// Window-transition events expanded and broadcast.
     pub events: u64,
-    /// Flushes executed across all epochs (stream slides + terminal drain).
+    /// Flushes executed (stream slides + terminal drain).
     pub slides: u64,
-    /// Total dirty-cell sweeps across all shards, flushes and epochs.
+    /// Total dirty-cell sweeps across all shards and flushes.
     pub sweeps: u64,
-    /// Always 0: a dirty cell is swept by the shard that owns it. Kept
-    /// only because `bench/src/layers.rs` reads it and `bench/` is frozen
-    /// outside benchmark PRs — delete it with the next one.
+    /// Always 0: a dirty cell is swept by the shard that owns it.
     pub stolen: u64,
-    /// Live reshards performed (each doubles the shard count).
+    /// Always 0: the mesh keeps its width for the whole run.
     pub reshards: u64,
-    /// Shard count when the run finished.
+    /// The mesh width: the detector's shard count.
     pub final_shards: usize,
-    /// Per-epoch counters, in epoch order (always at least one).
+    /// The run's per-shard counters: always exactly one entry.
+    ///
+    /// `stolen`, `reshards`, `final_shards` and the one-entry `epochs` are
+    /// the shape `bench/src/layers.rs` reads; collapse them with the next
+    /// benchmark change.
     pub epochs: Vec<EpochStats>,
     /// The merged answer at every flush boundary, in flush order —
     /// bit-identical to `drive_incremental`'s per-slide answers. Retains
@@ -310,7 +238,7 @@ pub struct ElasticReport {
     pub final_answer: Option<RegionAnswer>,
 }
 
-/// One mesh epoch as the [`QueryCore`] of the run's [`QueryRuntime`]: the
+/// The mesh as the [`QueryCore`] of the run's [`QueryRuntime`]: the
 /// runtime's expanded events are buffered and broadcast to every worker in
 /// shared batches of [`BATCH`], and a flush is one `Flush` command to and one
 /// reply from every worker, merged by [`ShardAnswer::merge_key`].
@@ -322,14 +250,12 @@ struct MeshCore<'a, 's> {
     /// The driver's flight ring, tracing every flush.
     flight: &'a Flight,
     /// Set once the backpressure watchdog dumped the rings (once per run).
-    watchdog_fired: &'a Cell<bool>,
+    watchdog_fired: bool,
     region: RegionSize,
     batch: Vec<Event>,
     /// The flush the buffered events belong to.
     seq: u64,
-    /// The last flush's per-shard dirty counts — the balancer's signal.
-    dirty: Vec<u64>,
-    /// Per-shard sweeps this epoch (the sum of the dirty counts).
+    /// Per-shard sweeps so far (the sum of the dirty counts).
     shard_sweeps: Vec<u64>,
 }
 
@@ -362,7 +288,7 @@ impl MeshCore<'_, '_> {
                     seq: self.seq,
                     shard: shard as u32,
                 });
-                if !self.watchdog_fired.replace(true) {
+                if !std::mem::replace(&mut self.watchdog_fired, true) {
                     eprintln!("{}", self.obs.trace_dump());
                 }
             }
@@ -376,11 +302,12 @@ impl MeshCore<'_, '_> {
         for tx in &self.txs {
             tx.send(MeshMsg::Flush)?;
         }
-        self.dirty.clear();
+        let mut swept = 0;
         let mut best: Option<ShardAnswer> = None;
-        for rx in &self.reply_rxs {
+        for (rx, total) in self.reply_rxs.iter().zip(&mut self.shard_sweeps) {
             let reply = rx.recv()?;
-            self.dirty.push(reply.dirty);
+            *total += reply.dirty;
+            swept += reply.dirty;
             // Shard bests merge by `(score, bound, cell)`: a total order,
             // independent of thread timing and shard count.
             if reply
@@ -390,9 +317,6 @@ impl MeshCore<'_, '_> {
                 best = reply.best;
             }
         }
-        for (total, swept) in self.shard_sweeps.iter_mut().zip(&self.dirty) {
-            *total += swept;
-        }
         let merged = best.map(|b| b.answer(self.region));
         self.flight.record(TraceEvent::FlushEnd {
             seq,
@@ -400,7 +324,7 @@ impl MeshCore<'_, '_> {
         });
         Ok(FlushOutcome {
             answers: merged.into_iter().collect(),
-            swept: self.dirty.iter().sum(),
+            swept,
         })
     }
 }
@@ -424,16 +348,13 @@ impl QueryCore for MeshCore<'_, '_> {
 
 /// Drives `source` into a [`MeshIngest`] detector with one worker thread
 /// per shard, refreshing the merged continuous answer once per
-/// `slide_objects` arrivals (plus the terminal drain flush) and doubling
-/// the shard count live whenever the balancer detects persistent skew.
+/// `slide_objects` arrivals (plus the terminal drain flush).
 ///
 /// The calling thread expands window transitions, broadcasts event batches
 /// and merges flush answers; ingest and dirty-cell sweeps run on the shard
 /// workers. The per-flush answers (and the detector's final state and
 /// stats) are bit-identical to [`crate::parallel::drive_incremental`] at
-/// the same slide size, for any shard count and any reshard history — see
-/// the module docs for why. A `policy` whose `max_shards` equals the
-/// detector's shard count runs a fixed-width mesh.
+/// the same slide size, for any shard count — see the module docs for why.
 ///
 /// # Panics
 ///
@@ -445,21 +366,21 @@ pub fn drive_elastic<D: MeshIngest>(
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    policy: BalancerPolicy,
 ) -> ElasticReport {
-    drive_elastic_with_sink(
+    drive_elastic_observed(
         detector,
         windows,
         source,
         slide_objects,
-        policy,
         &mut RetainAll,
+        &Observe::off(),
     )
 }
 
 /// [`drive_elastic`] with an explicit answer consumer: every merged flush
 /// answer is delivered through `sink` on the driver thread, and acked
 /// answers are released from `ElasticReport::answers` instead of retained.
+/// `_policy` is ignored (see [`BalancerPolicy`]).
 ///
 /// # Panics
 ///
@@ -469,7 +390,7 @@ pub fn drive_elastic_with_sink<D: MeshIngest>(
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    policy: BalancerPolicy,
+    _policy: BalancerPolicy,
     sink: &mut impl AnswerSink<Option<RegionAnswer>>,
 ) -> ElasticReport {
     drive_elastic_observed(
@@ -477,22 +398,19 @@ pub fn drive_elastic_with_sink<D: MeshIngest>(
         windows,
         source,
         slide_objects,
-        policy,
         sink,
         &Observe::off(),
     )
 }
 
 /// [`drive_elastic_with_sink`] with registry probes: driver counters under
-/// `elastic/*`, per-epoch per-shard counters
-/// (`elastic/epoch=E/shard=S/sweeps`, `…/cell_touches`), a driver flight
-/// ring that traces every flush and reshard epoch in logical time plus one
-/// ring per worker per epoch (`elastic/epoch=E/shard=S`), a
+/// `elastic/*`, per-shard counters (`elastic/shard=S/sweeps`,
+/// `…/cell_touches`), a driver flight ring that traces every flush in
+/// logical time plus one ring per worker (`elastic/shard=S`), a
 /// mesh-backpressure watchdog that notes slow channel sends and dumps the
-/// rings, and a panic-time ring dump. Reshard decisions are deterministic
-/// (see the module docs), so the trace dump is identical run-to-run; a
-/// disabled `obs` compiles the probes down to a branch on `None` and the
-/// answers are bitwise identical either way (proptested).
+/// rings, and a panic-time ring dump. The trace dump is identical
+/// run-to-run; a disabled `obs` compiles the probes down to a branch on
+/// `None` and the answers are bitwise identical either way (proptested).
 ///
 /// # Panics
 ///
@@ -502,166 +420,106 @@ pub fn drive_elastic_observed<D: MeshIngest>(
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
     slide_objects: usize,
-    policy: BalancerPolicy,
     sink: &mut impl AnswerSink<Option<RegionAnswer>>,
     obs: &Observe,
 ) -> ElasticReport {
     assert!(slide_objects > 0, "slide must contain at least one object");
     let driver_flight = obs.flight("elastic/driver");
-    let watchdog_fired = Cell::new(false);
     let _panic_dump = obs.panic_dump_guard("drive_elastic");
     let region = detector.region_size();
-    let mut source = source.fuse();
-    // The one window engine, on the driver thread for the whole run: a
-    // reshard rebuilds the workers around it.
-    let mut engine = SlidingWindowEngine::new(windows);
-    let mut balancer = ShardBalancer::new(policy);
-    let mut objects = 0u64;
-    let mut events = 0u64;
-    let mut slides = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
     // The terminal flush's answer, tracked independently of retention: an
     // acking sink may release every flush from `answers`, and the report
     // must still state the terminal answer.
     let mut final_answer: Option<RegionAnswer> = None;
-    let mut epochs: Vec<EpochStats> = Vec::new();
 
-    loop {
-        // `Some(width)` when the balancer ends the epoch at a slide
-        // boundary; `None` once the stream is done.
-        let (reshard, epoch) = thread::scope(|scope| {
-            let workers = detector.ingest_workers();
-            let n = workers.len();
-            let mut txs = Vec::with_capacity(n);
-            let mut reply_rxs = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (shard, worker) in workers.into_iter().enumerate() {
-                let (tx, rx) = bounded::<MeshMsg>(16);
-                let (rtx, rrx) = bounded::<ShardFlush>(1);
-                txs.push(tx);
-                reply_rxs.push(rrx);
-                let flight = obs.flight(&format!("elastic/epoch={}/shard={shard}", epochs.len()));
-                handles
-                    .push(scope.spawn(move || mesh_worker_loop(worker, rx, rtx, flight, slides)));
-            }
-            let core = MeshCore {
-                txs,
-                reply_rxs,
-                handles,
-                obs,
-                flight: &driver_flight,
-                watchdog_fired: &watchdog_fired,
-                region,
-                batch: Vec::with_capacity(BATCH),
-                seq: slides,
-                dirty: Vec::with_capacity(n),
-                shard_sweeps: vec![0; n],
-            };
-            // Every epoch resumes the run at the slide boundary the last one
-            // stopped at, through the same path crash recovery uses.
-            let mut rt = QueryRuntime::resume(core, &mut engine, slide_objects, objects, slides)
-                .expect("an epoch starts at a flushed slide boundary");
-            let mut reshard = None;
-            for obj in source.by_ref() {
-                if let Some(flushed) = rt.push(obj) {
-                    answers.offer(flushed.first().copied(), sink);
-                    reshard = balancer.observe(&rt.core().dirty);
-                    if reshard.is_some() {
-                        break;
-                    }
-                }
-            }
-            if reshard.is_none() {
-                // Stream exhausted: the partial slide and the terminal drain
-                // flush (no balancing on the tail — there is nothing left to
-                // balance for).
-                while let Some(flushed) = rt.finish_step() {
-                    final_answer = flushed.first().copied();
-                    answers.offer(final_answer, sink);
-                }
-            }
-            let counters = *rt.counters();
-            let epoch_slides = counters.slides - slides;
-            (objects, slides) = (counters.objects, counters.slides);
-            events += counters.events;
-            // The epoch always ends at a completed flush, so every worker
-            // is idle; closing the channels ends their loops.
-            let MeshCore {
-                txs,
-                handles,
-                shard_sweeps,
-                ..
-            } = rt.into_core();
-            drop(txs);
-            let shard_stats = join_workers(handles);
-            let epoch = EpochStats {
-                shards: n,
-                slides: epoch_slides,
+    let (counters, shards) = thread::scope(|scope| {
+        let workers = detector.ingest_workers();
+        let n = workers.len();
+        let mut txs = Vec::with_capacity(n);
+        let mut reply_rxs = Vec::with_capacity(n);
+        let mut handles = Vec::with_capacity(n);
+        for (shard, worker) in workers.into_iter().enumerate() {
+            let (tx, rx) = bounded::<MeshMsg>(16);
+            let (rtx, rrx) = bounded::<ShardFlush>(1);
+            txs.push(tx);
+            reply_rxs.push(rrx);
+            let flight = obs.flight(&format!("elastic/shard={shard}"));
+            handles.push(scope.spawn(move || mesh_worker_loop(worker, rx, rtx, flight)));
+        }
+        let core = MeshCore {
+            txs,
+            reply_rxs,
+            handles,
+            obs,
+            flight: &driver_flight,
+            watchdog_fired: false,
+            region,
+            batch: Vec::with_capacity(BATCH),
+            seq: 0,
+            shard_sweeps: vec![0; n],
+        };
+        let mut rt = QueryRuntime::new(core, windows, slide_objects);
+        rt.run(source, |_, flushed| {
+            final_answer = flushed.first().copied();
+            answers.offer(final_answer, sink);
+        });
+        let counters = *rt.counters();
+        // The run ends at a completed flush, so every worker is idle;
+        // closing the channels ends their loops.
+        let MeshCore {
+            txs,
+            handles,
+            shard_sweeps,
+            ..
+        } = rt.into_core();
+        drop(txs);
+        let shard_stats = join_workers(handles);
+        (
+            counters,
+            EpochStats {
                 shard_sweeps,
                 shard_stats,
-            };
-            (reshard, epoch)
-        });
+            },
+        )
+    });
 
-        let from = epoch.shards;
-        epochs.push(epoch);
-        match reshard {
-            None => break,
-            Some(to) => {
-                driver_flight.record(TraceEvent::ReshardEpoch {
-                    epoch: epochs.len() as u64,
-                    from: from as u32,
-                    to: to as u32,
-                });
-                detector.reshard(to);
-            }
-        }
-    }
-
-    let final_shards = epochs.last().expect("at least one epoch").shards;
-    let reshards = epochs.len() as u64 - 1;
     let run = ShardRunStats {
-        events,
-        new_events: objects,
-        searches: epochs
-            .iter()
-            .flat_map(|e| e.shard_stats.iter().map(|s| s.sweeps))
-            .sum(),
+        events: counters.events,
+        new_events: counters.objects,
+        searches: shards.shard_stats.iter().map(|s| s.sweeps).sum(),
     };
     detector.absorb_shard_run(run);
 
     if obs.is_enabled() {
         // Published after the join from the authoritative per-worker stats,
         // so registry totals equal the report exactly (conservation
-        // proptested in `tests/observe_differential.rs`); the per-epoch
-        // breakdown exposes the resharding story the flat report sums away.
-        obs.counter("elastic/objects").add(objects);
+        // proptested in `tests/observe_differential.rs`).
+        obs.counter("elastic/objects").add(counters.objects);
         obs.counter("elastic/events").add(run.events);
-        obs.counter("elastic/slides").add(slides);
+        obs.counter("elastic/slides").add(counters.slides);
         obs.counter("elastic/sweeps").add(run.searches);
-        obs.counter("elastic/reshards").add(reshards);
-        obs.gauge("elastic/final_shards").set(final_shards as i64);
-        for (e, ep) in epochs.iter().enumerate() {
-            obs.counter(&format!("elastic/epoch={e}/slides"))
-                .add(ep.slides);
-            for (s, (sw, st)) in ep.shard_sweeps.iter().zip(&ep.shard_stats).enumerate() {
-                obs.counter(&format!("elastic/epoch={e}/shard={s}/sweeps"))
-                    .add(*sw);
-                obs.counter(&format!("elastic/epoch={e}/shard={s}/cell_touches"))
-                    .add(st.cell_touches);
-            }
+        for (s, (sw, st)) in shards
+            .shard_sweeps
+            .iter()
+            .zip(&shards.shard_stats)
+            .enumerate()
+        {
+            obs.counter(&format!("elastic/shard={s}/sweeps")).add(*sw);
+            obs.counter(&format!("elastic/shard={s}/cell_touches"))
+                .add(st.cell_touches);
         }
     }
 
     ElasticReport {
-        objects,
+        objects: counters.objects,
         events: run.events,
-        slides,
+        slides: counters.slides,
         sweeps: run.searches,
         stolen: 0,
-        reshards,
-        final_shards,
-        epochs,
+        reshards: 0,
+        final_shards: shards.shard_sweeps.len(),
+        epochs: vec![shards],
         answers,
         final_answer,
     }
@@ -687,13 +545,7 @@ mod tests {
             SpatialObject::new(2, 1.0, Point::new(0.9, 0.9), 150), // late
         ];
         let mut d = CellCspot::with_shards(query(), BoundMode::Combined, shards);
-        drive_elastic(
-            &mut d,
-            WindowConfig::equal(400),
-            objs.into_iter(),
-            8,
-            BalancerPolicy::default(),
-        );
+        drive_elastic(&mut d, WindowConfig::equal(400), objs.into_iter(), 8);
     }
 
     #[test]
@@ -717,13 +569,7 @@ mod tests {
     #[test]
     fn empty_stream_yields_only_the_terminal_flush() {
         let mut d = CellCspot::new(query());
-        let report = drive_elastic(
-            &mut d,
-            WindowConfig::equal(400),
-            std::iter::empty(),
-            32,
-            BalancerPolicy::default(),
-        );
+        let report = drive_elastic(&mut d, WindowConfig::equal(400), std::iter::empty(), 32);
         assert_eq!(report.objects, 0);
         assert_eq!(report.slides, 1);
         assert_eq!(report.answers.len(), 1);
@@ -741,7 +587,6 @@ mod tests {
             // Four clusters, timestamps 6 apart: ~67 objects per window.
             surge_testkit::clustered_stream(70, 4, 6, 0xFEED).into_iter(),
             32,
-            BalancerPolicy::default(),
         );
         assert_eq!(report.slides, 4); // 32 + 32 + 6, then the drain
         assert_eq!(report.answers.len(), 4);
@@ -757,53 +602,5 @@ mod tests {
             .map(|s| s.cell_touches)
             .sum();
         assert!(touches > 0);
-    }
-
-    #[test]
-    fn balancer_waits_for_patience_then_doubles() {
-        let mut b = ShardBalancer::new(BalancerPolicy {
-            skew_percent: 50,
-            patience: 3,
-            max_shards: 8,
-            min_load: 1,
-        });
-        let skewed = [100u64, 0];
-        assert_eq!(b.observe(&skewed), None);
-        assert_eq!(b.observe(&skewed), None);
-        assert_eq!(b.observe(&skewed), Some(4));
-        // The split resets the streak: a full patience of skew again.
-        assert_eq!(b.observe(&skewed), None);
-        assert_eq!(b.observe(&skewed), None);
-        assert_eq!(b.observe(&skewed), Some(4));
-    }
-
-    #[test]
-    fn balancer_streak_resets_on_balanced_flush() {
-        let mut b = ShardBalancer::new(BalancerPolicy {
-            skew_percent: 50,
-            patience: 2,
-            max_shards: 8,
-            min_load: 1,
-        });
-        assert_eq!(b.observe(&[100, 0]), None);
-        assert_eq!(b.observe(&[50, 50]), None); // resets
-        assert_eq!(b.observe(&[100, 0]), None);
-        assert_eq!(b.observe(&[100, 0]), Some(4));
-    }
-
-    #[test]
-    fn balancer_respects_max_shards_and_noise_floor() {
-        let mut b = ShardBalancer::new(BalancerPolicy {
-            skew_percent: 50,
-            patience: 1,
-            max_shards: 4,
-            min_load: 10,
-        });
-        // Below the noise floor: never triggers.
-        assert_eq!(b.observe(&[5, 0]), None);
-        // At max: never recommends growing past it.
-        assert_eq!(b.observe(&[100, 0, 0, 0]), None);
-        // Within bounds: triggers immediately (patience 1).
-        assert_eq!(b.observe(&[100, 0]), Some(4));
     }
 }

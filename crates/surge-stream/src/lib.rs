@@ -27,11 +27,10 @@
 //! * [`metrics`] — log-bucketed latency histogram for tail-latency
 //!   reporting.
 //! * [`elastic`] — the shard mesh ([`drive_elastic`]): the driver thread
-//!   expands window transitions once and broadcasts event batches;
-//!   per-shard workers ingest and sweep their own cells, with a
-//!   [`ShardBalancer`] watching per-flush skew and live resharding that
-//!   doubles the shard count at a slide boundary — all bit-identical to the
-//!   sequential drivers. The only way an exact detector runs in parallel.
+//!   expands window transitions once and broadcasts event batches; one
+//!   worker per shard of the detector ingests and sweeps its own cells at a
+//!   width fixed for the whole run — bit-identical to the sequential
+//!   drivers. The only way an exact detector runs in parallel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +50,7 @@ pub use datasets::{Dataset, DatasetSpec};
 pub use driver::{drive, drive_slides, drive_slides_observed, drive_topk, RunStats, SlideRunStats};
 pub use elastic::{
     drive_elastic, drive_elastic_observed, drive_elastic_with_sink, BalancerPolicy, ElasticReport,
-    EpochStats, ShardBalancer,
+    EpochStats,
 };
 pub use generator::{BurstSpec, Hotspot, StreamGenerator, WorkloadConfig};
 pub use metrics::{LatencyHistogram, LatencySummary};

@@ -11,14 +11,14 @@
 //! [`push`](QueryRuntime::push) returns the flush an arrival completes and
 //! [`finish_step`](QueryRuntime::finish_step) yields the end-of-stream
 //! flushes one at a time, so each caller — `drive_slides`,
-//! `drive_incremental`, every `drive_elastic` epoch, the checkpoint runner,
+//! `drive_incremental`, `drive_elastic`, the checkpoint runner,
 //! every `surge-serve` lane — does its own post-flush work and error
 //! handling between flushes.
 //!
 //! **Resume.** The phase is a pure function of three counters every snapshot
 //! already stores — objects pushed, flushes run, slide size — so
-//! [`resume`](QueryRuntime::resume), the one path checkpoint recovery,
-//! `SurgeServer::restore` and each new mesh epoch take, derives it: a run
+//! [`resume`](QueryRuntime::resume), the one path checkpoint recovery and
+//! `SurgeServer::restore` take, derives it: a run
 //! captured after its partial or terminal flush does not repeat it, and a
 //! combination no run reaches is a [`RestoreError`].
 

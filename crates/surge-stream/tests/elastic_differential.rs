@@ -1,11 +1,11 @@
-//! Differential tests for the shard mesh: parallel ingest, per-shard
-//! flushes, the skew balancer and live resharding against the unsharded
-//! incremental driver — bit for bit.
+//! Differential tests for the shard mesh: parallel ingest and per-shard
+//! flushes at a fixed width against the unsharded incremental driver — bit
+//! for bit.
 //!
 //! The contract under test is the strongest one the pipeline makes:
 //! per-slide answers are **bit-identical** — score, point and region — for
-//! every shard count and reshard history, and the detectors
-//! end the run with identical stats and cell footprints. Random streams are
+//! every mesh width, and the detectors end the run with identical stats and
+//! cell footprints. Random streams are
 //! drawn on a coarse lattice so weight and position ties (the cases where a
 //! sloppy merge rule would diverge) are common rather than measure-zero.
 //! The adversarial workloads are the ones fixed ownership handles worst:
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use surge_core::{BurstDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot};
 use surge_stream::{
-    drive_elastic, drive_incremental, BalancerPolicy, ElasticReport, SlidingWindowEngine,
+    drive_elastic, drive_elastic_with_sink, drive_incremental, BalancerPolicy, ElasticReport,
+    RetainAll, SlidingWindowEngine,
 };
 use surge_testkit::{
     arb_lattice_stream, clustered_stream, tie_timestamps_reverse_ids, uniform_stream,
@@ -27,15 +28,8 @@ fn query(alpha: f64) -> SurgeQuery {
     SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(300), alpha)
 }
 
-/// A split-happy policy: any imbalance is "skew", two flushes of patience.
-fn aggressive() -> BalancerPolicy {
-    BalancerPolicy {
-        skew_percent: 0,
-        patience: 2,
-        max_shards: 8,
-        min_load: 1,
-    }
-}
+/// The mesh widths every differential runs at.
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Every object lands in a cell that hashes to shard 0 at a 2-shard mesh
 /// (`shard_of_cell`), so at width 2 one shard owns every anchor cell — the
@@ -113,97 +107,78 @@ fn assert_bitwise(
     }
 }
 
-/// Counter invariants every elastic run must satisfy, against the
-/// sequential ground truth.
-fn assert_counter_sanity(name: &str, elastic: &ElasticReport, seq_jobs: u64) {
+/// Counter invariants every mesh run must satisfy, against the sequential
+/// ground truth.
+fn assert_counter_sanity(name: &str, elastic: &ElasticReport, shards: usize, seq_jobs: u64) {
     // Sharding moves sweeps, it never invents them — and every cell is
     // swept by its owner.
     assert_eq!(elastic.sweeps, seq_jobs, "{name}: total sweeps");
     assert_eq!(elastic.stolen, 0, "{name}: stolen == 0");
+    // The mesh keeps the detector's width for the whole run.
+    assert_eq!(elastic.reshards, 0, "{name}");
+    assert_eq!(elastic.final_shards, shards, "{name}");
+    assert_eq!(elastic.epochs.len(), 1, "{name}");
     // Driver-side accounting agrees with the workers' own counters, per
-    // epoch and per shard.
-    for (e, epoch) in elastic.epochs.iter().enumerate() {
-        assert_eq!(epoch.shard_sweeps.len(), epoch.shards, "{name} epoch {e}");
-        for (s, (&driver, worker)) in epoch
-            .shard_sweeps
-            .iter()
-            .zip(epoch.shard_stats.iter())
-            .enumerate()
-        {
-            assert_eq!(driver, worker.sweeps, "{name} epoch {e} shard {s}");
-        }
+    // shard.
+    let run = &elastic.epochs[0];
+    assert_eq!(run.shard_sweeps.len(), shards, "{name}");
+    for (s, (&driver, worker)) in run.shard_sweeps.iter().zip(&run.shard_stats).enumerate() {
+        assert_eq!(driver, worker.sweeps, "{name} shard {s}");
     }
-    let epoch_sweeps: u64 = elastic
-        .epochs
-        .iter()
-        .flat_map(|e| e.shard_sweeps.iter())
-        .sum();
-    assert_eq!(epoch_sweeps, elastic.sweeps, "{name}: epoch sweep totals");
-    // Each reshard doubles: final = initial << reshards.
-    let initial = elastic.epochs.first().expect("at least one epoch").shards;
     assert_eq!(
-        elastic.final_shards,
-        initial << elastic.reshards,
-        "{name}: reshard doubling"
+        run.shard_sweeps.iter().sum::<u64>(),
+        elastic.sweeps,
+        "{name}: per-shard sweep totals"
     );
-    assert_eq!(elastic.epochs.len() as u64, elastic.reshards + 1, "{name}");
 }
 
-/// Skewed workloads: bitwise identity vs the incremental driver, with
-/// splitting live. The all-one-hotspot stream under the split-happy policy
-/// at three alphas, plus a three-cluster stream under a realistic policy
-/// (skew 25 %, noise floor 4) that must still split.
+/// Skewed workloads: bitwise identity vs the incremental driver at every
+/// width. The all-one-hotspot stream at three alphas, plus a three-cluster
+/// stream.
 #[test]
 fn skewed_workload_matches_incremental_bitwise() {
-    let realistic = BalancerPolicy {
-        skew_percent: 25,
-        patience: 2,
-        max_shards: 8,
-        min_load: 4,
-    };
     let cases = [
-        (one_hotspot_stream(900), 0.0, 300, 48, aggressive()),
-        (one_hotspot_stream(900), 0.5, 300, 48, aggressive()),
-        (one_hotspot_stream(900), 0.9, 300, 48, aggressive()),
-        (clustered_stream(30 * 16, 3, 5, 11), 0.5, 170, 16, realistic),
+        (one_hotspot_stream(900), 0.0, 300, 48),
+        (one_hotspot_stream(900), 0.5, 300, 48),
+        (one_hotspot_stream(900), 0.9, 300, 48),
+        (clustered_stream(30 * 16, 3, 5, 11), 0.5, 170, 16),
     ];
-    for (objs, alpha, window, slide, policy) in cases {
+    for (objs, alpha, window, slide) in cases {
         let windows = WindowConfig::equal(window);
         let q = SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), windows, alpha);
 
         let mut seq = CellCspot::with_shards(q, BoundMode::Combined, 1);
         let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide);
 
-        let mut ela = CellCspot::with_shards(q, BoundMode::Combined, 2);
-        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide, policy);
+        for shards in WIDTHS {
+            let mut ela = CellCspot::with_shards(q, BoundMode::Combined, shards);
+            let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide);
 
-        assert_eq!(report.objects, objs.len() as u64);
-        assert_eq!(report.slides, seq_report.slides);
-        assert_eq!(report.events, seq_report.events);
-        assert_eq!(report.answers.len(), seq_report.answers.len());
-        assert_bitwise(
-            "vs incremental",
-            &report,
-            seq_report.answers.iter().copied(),
-        );
-        assert_eq!(
-            report.final_answer.map(|a| a.score.to_bits()),
-            seq_report.answers[seq_report.answers.len() - 1].map(|a| a.score.to_bits())
-        );
-        assert_counter_sanity("skewed", &report, seq_report.jobs);
-        // The skewed stream must actually have exercised the machinery.
-        assert!(report.reshards >= 1, "skew never triggered a split");
-        assert!(report.final_shards > 2);
-        // Detector state converged identically.
-        assert_eq!(ela.stats().events, seq.stats().events);
-        assert_eq!(ela.stats().searches, seq.stats().searches);
-        assert_eq!(ela.cell_count(), seq.cell_count());
-        assert_eq!(ela.dirty_cell_count(), 0);
+            assert_eq!(report.objects, objs.len() as u64);
+            assert_eq!(report.slides, seq_report.slides);
+            assert_eq!(report.events, seq_report.events);
+            assert_eq!(report.answers.len(), seq_report.answers.len());
+            assert_bitwise(
+                "vs incremental",
+                &report,
+                seq_report.answers.iter().copied(),
+            );
+            assert_eq!(
+                report.final_answer.map(|a| a.score.to_bits()),
+                seq_report.answers[seq_report.answers.len() - 1].map(|a| a.score.to_bits())
+            );
+            assert_counter_sanity("skewed", &report, shards, seq_report.jobs);
+            // Detector state converged identically.
+            assert_eq!(ela.stats().events, seq.stats().events);
+            assert_eq!(ela.stats().searches, seq.stats().searches);
+            assert_eq!(ela.cell_count(), seq.cell_count());
+            assert_eq!(ela.dirty_cell_count(), 0);
+        }
     }
 }
 
-/// The migrating hotspot: the loaded shard changes mid-run, across epochs —
-/// answers still bit-identical.
+/// The migrating hotspot: the loaded shard changes mid-run — answers still
+/// bit-identical at every width.
 #[test]
 fn moving_hotspot_matches_incremental_bitwise() {
     let objs = moving_hotspot_stream(1_200);
@@ -212,18 +187,19 @@ fn moving_hotspot_matches_incremental_bitwise() {
     let mut seq = CellCspot::with_shards(query(0.6), BoundMode::Combined, 1);
     let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 64);
 
-    let mut ela = CellCspot::with_shards(query(0.6), BoundMode::Combined, 2);
-    let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 64, aggressive());
+    for shards in WIDTHS {
+        let mut ela = CellCspot::with_shards(query(0.6), BoundMode::Combined, shards);
+        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 64);
 
-    assert_eq!(report.slides, seq_report.slides);
-    assert_bitwise("moving", &report, seq_report.answers.iter().copied());
-    assert_counter_sanity("moving", &report, seq_report.jobs);
-    assert_eq!(ela.stats().searches, seq.stats().searches);
+        assert_eq!(report.slides, seq_report.slides);
+        assert_bitwise("moving", &report, seq_report.answers.iter().copied());
+        assert_counter_sanity("moving", &report, shards, seq_report.jobs);
+        assert_eq!(ela.stats().searches, seq.stats().searches);
+    }
 }
 
-/// A fixed-width mesh (`max_shards` = starting width) on the one-hotspot
-/// stream: the most lopsided flushes the mesh can see, with no split to
-/// relieve them, must not perturb a single bit.
+/// The one-hotspot stream at every width: the most lopsided flushes the
+/// mesh can see must not perturb a single bit.
 #[test]
 fn fixed_width_mesh_on_one_hotspot_is_bit_identical() {
     let objs = one_hotspot_stream(700);
@@ -232,18 +208,51 @@ fn fixed_width_mesh_on_one_hotspot_is_bit_identical() {
     let mut seq = CellCspot::with_shards(query(0.5), BoundMode::Combined, 1);
     let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 32);
 
-    for shards in [2usize, 4, 8] {
-        let fixed = BalancerPolicy {
-            max_shards: shards,
-            ..aggressive()
-        };
+    for shards in WIDTHS {
         let mut ela = CellCspot::with_shards(query(0.5), BoundMode::Combined, shards);
-        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 32, fixed);
-        assert_eq!(report.reshards, 0);
-        assert_eq!(report.final_shards, shards);
+        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 32);
         assert_bitwise("fixed-width", &report, seq_report.answers.iter().copied());
-        assert_counter_sanity("fixed-width", &report, seq_report.jobs);
+        assert_counter_sanity("fixed-width", &report, shards, seq_report.jobs);
     }
+}
+
+/// `drive_elastic_with_sink` still takes a [`BalancerPolicy`] and ignores
+/// it: the split-happy policy that used to double a skewed mesh leaves the
+/// width, the one epoch and every answer bit exactly as the default
+/// policy's run has them.
+#[test]
+fn balancer_policy_is_ignored() {
+    let objs = one_hotspot_stream(700);
+    let windows = WindowConfig::equal(300);
+    let split_happy = BalancerPolicy {
+        skew_percent: 25,
+        patience: 2,
+        max_shards: 16,
+        min_load: 4,
+    };
+    let run = |policy: BalancerPolicy| {
+        let mut d = CellCspot::with_shards(query(0.5), BoundMode::Combined, 2);
+        drive_elastic_with_sink(
+            &mut d,
+            windows,
+            objs.iter().copied(),
+            32,
+            policy,
+            &mut RetainAll,
+        )
+    };
+    let default = run(BalancerPolicy::default());
+    let split = run(split_happy);
+    assert_eq!(split.reshards, 0);
+    assert_eq!(split.epochs.len(), 1);
+    assert_eq!(split.final_shards, 2);
+    assert_eq!(split.answers.len(), default.answers.len());
+    assert_bitwise(
+        "split-happy policy",
+        &split,
+        default.answers.iter().copied(),
+    );
+    assert_eq!(split.epochs, default.epochs);
 }
 
 /// Whole-number weights make many regions tie on the exact score. PR 11's
@@ -251,7 +260,7 @@ fn fixed_width_mesh_on_one_hotspot_is_bit_identical() {
 /// ties differently (scores one ulp apart); this pins the stream that
 /// finding came from — uniform positions, weights `1 + i % 4`, 0.3 × 0.3
 /// region, slide 32, window shortened to 3 s — across the sequential driver
-/// at 1 and 2 shards and the mesh under the benchmark's policy.
+/// at 1 and 2 shards and the benchmark's 2-shard mesh.
 #[test]
 fn integer_weight_ties_break_identically_across_drivers() {
     let objs = uniform_stream(6_000, 42);
@@ -265,12 +274,8 @@ fn integer_weight_ties_break_identically_across_drivers() {
     let seq2_report = drive_incremental(&mut seq2, windows, objs.iter().copied(), 32);
     assert_eq!(seq2_report.answers.len(), seq_report.answers.len());
 
-    let policy = BalancerPolicy {
-        max_shards: 4,
-        ..BalancerPolicy::default()
-    };
     let mut mesh = CellCspot::with_shards(q, BoundMode::Combined, 2);
-    let report = drive_elastic(&mut mesh, windows, objs.iter().copied(), 32, policy);
+    let report = drive_elastic(&mut mesh, windows, objs.iter().copied(), 32);
     assert_eq!(report.answers.len(), seq_report.answers.len());
 
     assert_bitwise("ties: mesh", &report, seq_report.answers.iter().copied());
@@ -279,24 +284,22 @@ fn integer_weight_ties_break_identically_across_drivers() {
         &report,
         seq2_report.answers.iter().copied(),
     );
-    assert_counter_sanity("ties", &report, seq_report.jobs);
+    assert_counter_sanity("ties", &report, 2, seq_report.jobs);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary lattice streams (dense ties), arbitrary slide cadence and
-    /// starting shard count, split-happy balancer: per-slide answers
-    /// bit-match the unsharded incremental driver across every reshard
-    /// history the balancer happens to pick — also on streams whose
-    /// equal-timestamp arrivals carry decreasing ids.
+    /// mesh width 1/2/4/8: per-slide answers bit-match the unsharded
+    /// incremental driver — also on streams whose equal-timestamp arrivals
+    /// carry decreasing ids.
     #[test]
     fn elastic_driver_bit_matches_unsharded(
         objs in arb_lattice_stream(240),
         alpha_pct in 0u32..100,
         slide_pow in 2u32..6,
         shard_pow in 0u32..4,
-        patience in 1u32..4,
         tied in 0u32..2,
     ) {
         let objs = if tied == 1 { tie_timestamps_reverse_ids(&objs, 20) } else { objs };
@@ -304,18 +307,12 @@ proptest! {
         let slide = 1usize << slide_pow;
         let shards = 1usize << shard_pow;
         let windows = WindowConfig::equal(300);
-        let policy = BalancerPolicy {
-            skew_percent: 0,
-            patience,
-            max_shards: 16,
-            min_load: 1,
-        };
 
         let mut unsharded = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
         let seq = drive_incremental(&mut unsharded, windows, objs.iter().copied(), slide);
 
         let mut ela = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide, policy);
+        let report = drive_elastic(&mut ela, windows, objs.iter().copied(), slide);
 
         prop_assert_eq!(report.objects, seq.objects);
         prop_assert_eq!(report.events, seq.events);
@@ -326,8 +323,8 @@ proptest! {
                 (Some(x), Some(y)) => {
                     prop_assert_eq!(
                         x.score.to_bits(), y.score.to_bits(),
-                        "slide {} (alpha {}, shards {}, reshards {}): {} vs {}",
-                        i, alpha, shards, report.reshards, x.score, y.score
+                        "slide {} (alpha {}, shards {}): {} vs {}",
+                        i, alpha, shards, x.score, y.score
                     );
                     prop_assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
                     prop_assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
@@ -343,10 +340,9 @@ proptest! {
         prop_assert_eq!(ela.stats().searches, unsharded.stats().searches);
         prop_assert_eq!(ela.cell_count(), unsharded.cell_count());
         prop_assert_eq!(ela.dirty_cell_count(), 0);
-        prop_assert_eq!(
-            report.final_shards,
-            report.epochs[0].shards << report.reshards
-        );
+        prop_assert_eq!(report.final_shards, shards);
+        prop_assert_eq!(report.reshards, 0);
+        prop_assert_eq!(report.epochs.len(), 1);
     }
 
     /// The mesh flush answer scores must also agree with the fully lazy
@@ -372,7 +368,7 @@ proptest! {
         let want = lazy.current().map(|a| a.score);
 
         let mut mesh = CellCspot::with_shards(query(alpha), BoundMode::Combined, 4);
-        let par = drive_elastic(&mut mesh, windows, objs.iter().copied(), 32, aggressive());
+        let par = drive_elastic(&mut mesh, windows, objs.iter().copied(), 32);
         prop_assert!(par.answers.len() >= 2);
         let got = par.answers[par.answers.len() - 2].map(|a| a.score);
 

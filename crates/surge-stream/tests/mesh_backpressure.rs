@@ -20,10 +20,10 @@ use surge_core::{
     BurstDetector, Event, MeshIngest, MeshWorker, Point, RegionAnswer, RegionSize, ShardFlush,
     ShardRunStats, ShardWorkerStats, SpatialObject, WindowConfig,
 };
-use surge_stream::{drive_elastic, BalancerPolicy, SlidingWindowEngine};
+use surge_stream::{drive_elastic, SlidingWindowEngine};
 
 /// A mesh that computes nothing and defers to two hooks, each called with
-/// `(shard, events this worker has applied in the current epoch)`:
+/// `(shard, events this worker has applied so far)`:
 /// `on_event` after every event (sleep or panic there to model a slow or
 /// failing worker), `on_flush` to produce the flush reply.
 struct ScriptedMesh<E, F> {
@@ -97,10 +97,6 @@ where
     fn region_size(&self) -> RegionSize {
         RegionSize::new(1.0, 1.0)
     }
-
-    fn reshard(&mut self, shards: usize) {
-        self.shards = shards;
-    }
 }
 
 /// Arrivals spread across 16 cells, timestamps strictly increasing.
@@ -141,9 +137,8 @@ fn with_watchdog(timeout: Duration, f: impl FnOnce() -> (u64, u64) + Send + 'sta
 
 /// Shard 0's worker sleeps periodically while applying events — every other
 /// worker runs at full speed while the driver fills the slow worker's
-/// channel and blocks on it. With zero dirty cells the balancer stays quiet
-/// (load < min_load), so this exercises the broadcast, the flush and the
-/// epoch loop under a slow worker without resharding noise.
+/// channel and blocks on it, exercising the broadcast and the flush under a
+/// slow worker.
 fn mesh_backpressure(shards: usize) {
     // 9 000 events between flushes, in 256-event batches on a 16-deep
     // channel: the driver fills the slow worker's channel twice over
@@ -167,7 +162,6 @@ fn mesh_backpressure(shards: usize) {
             WindowConfig::equal(500),
             spread_stream(n_objects).into_iter(),
             3_000,
-            BalancerPolicy::default(),
         );
         (report.objects, report.events)
     });
@@ -201,7 +195,6 @@ where
             WindowConfig::equal(500),
             spread_stream(2_000).into_iter(),
             500,
-            BalancerPolicy::default(),
         );
         (r.objects, r.events)
     });
@@ -263,7 +256,7 @@ fn flush_panic_is_propagated_8_shards() {
 /// One flush = one command and one reply per worker: every worker flushes
 /// exactly once per slide, only after all of that slide's events, and the
 /// report's per-shard sweeps are the dirty counts the workers returned —
-/// across a live reshard.
+/// with all the load on one shard, whose width the mesh keeps.
 #[test]
 fn each_worker_flushes_once_per_slide_after_all_its_events() {
     let windows = WindowConfig::equal(500);
@@ -287,43 +280,33 @@ fn each_worker_flushes_once_per_slide_after_all_its_events() {
     let mut mesh = ScriptedMesh {
         shards: 2,
         on_event: |_, _| {},
-        // All load on shard 0: persistent skew, so the balancer splits.
+        // All load on shard 0: persistent skew.
         on_flush: |shard, seen| {
             let dirty = if shard == 0 { seen } else { 0 };
             log.lock().unwrap().push((shard, seen, dirty));
             ShardFlush { dirty, best: None }
         },
     };
-    let policy = BalancerPolicy {
-        skew_percent: 50,
-        patience: 2,
-        max_shards: 4,
-        min_load: 1,
-    };
-    let report = drive_elastic(&mut mesh, windows, objs.into_iter(), 16, policy);
+    let report = drive_elastic(&mut mesh, windows, objs.into_iter(), 16);
     assert_eq!(report.slides, want_seen.len() as u64);
-    assert_eq!(report.reshards, 1, "two skewed flushes split 2 -> 4");
+    assert_eq!(report.reshards, 0);
+    assert_eq!(report.final_shards, 2);
+    assert_eq!(report.epochs.len(), 1);
 
     let log = log.into_inner().unwrap();
     let mut calls = log.iter();
-    let mut flush = 0;
-    for epoch in &report.epochs {
-        // Workers count from the start of their epoch.
-        let before_epoch = if flush == 0 { 0 } else { want_seen[flush - 1] };
-        let mut swept = vec![0u64; epoch.shards];
-        for _ in 0..epoch.slides {
-            // A flush is a barrier, so its calls are contiguous in the log.
-            let mut shards = Vec::new();
-            for &(shard, seen, dirty) in calls.by_ref().take(epoch.shards) {
-                assert_eq!(seen, want_seen[flush] - before_epoch, "flush {flush}");
-                swept[shard] += dirty;
-                shards.push(shard);
-            }
-            shards.sort_unstable();
-            assert!(shards.iter().copied().eq(0..epoch.shards), "flush {flush}");
-            flush += 1;
+    let mut swept = vec![0u64; 2];
+    for (flush, &seen_by_now) in want_seen.iter().enumerate() {
+        // A flush is a barrier, so its calls are contiguous in the log.
+        let mut shards = Vec::new();
+        for &(shard, seen, dirty) in calls.by_ref().take(2) {
+            assert_eq!(seen, seen_by_now, "flush {flush}");
+            swept[shard] += dirty;
+            shards.push(shard);
         }
-        assert_eq!(swept, epoch.shard_sweeps);
+        shards.sort_unstable();
+        assert_eq!(shards, [0, 1], "flush {flush}");
     }
     assert!(calls.next().is_none(), "a flush nobody asked for");
+    assert_eq!(swept, report.epochs[0].shard_sweeps);
 }

@@ -21,7 +21,7 @@ use surge_exact::{BoundMode, CellCspot};
 use surge_observe::Observe;
 use surge_stream::{
     drive_elastic_observed, drive_incremental, drive_incremental_observed, drive_slides,
-    drive_slides_observed, BalancerPolicy, RetainAll, SlidingWindowEngine,
+    drive_slides_observed, RetainAll, SlidingWindowEngine,
 };
 use surge_testkit::arb_lattice_stream;
 
@@ -144,42 +144,35 @@ proptest! {
         prop_assert_eq!(snap.counter("incremental/searches"), Some(on.stats.searches));
     }
 
-    /// `drive_elastic`: bitwise answers observed vs not across arbitrary
-    /// reshard histories, with epoch-labelled registry counters
-    /// conserved against the report, and the per-shard sweep counters
-    /// summing to the *sequential* driver's job count.
+    /// `drive_elastic`: bitwise answers observed vs not at mesh widths
+    /// 1/2/4, with the shard-labelled registry counters conserved against
+    /// the report, and the per-shard sweep counters summing to the
+    /// *sequential* driver's job count.
     #[test]
     fn drive_elastic_is_unperturbed_and_conserved(
         objs in arb_lattice_stream(200),
         alpha_pct in 0u32..100,
         slide_pow in 2u32..6,
         shard_pow in 0u32..3,
-        patience in 1u32..4,
     ) {
         let alpha = alpha_pct as f64 / 100.0;
         let slide = 1usize << slide_pow;
         let shards = 1usize << shard_pow;
         let windows = WindowConfig::equal(300);
-        let policy = BalancerPolicy {
-            skew_percent: 0,
-            patience,
-            max_shards: 16,
-            min_load: 1,
-        };
 
         let mut seq_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
         let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide);
 
         let mut off_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
         let off = drive_elastic_observed(
-            &mut off_det, windows, objs.iter().copied(), slide, policy,
+            &mut off_det, windows, objs.iter().copied(), slide,
             &mut RetainAll, &Observe::off(),
         );
 
         let obs = Observe::enabled();
         let mut on_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
         let on = drive_elastic_observed(
-            &mut on_det, windows, objs.iter().copied(), slide, policy,
+            &mut on_det, windows, objs.iter().copied(), slide,
             &mut RetainAll, &obs,
         );
 
@@ -189,8 +182,7 @@ proptest! {
         }
         assert_answer_bits(&off.final_answer, &on.final_answer, "elastic terminal");
         prop_assert_eq!(off.sweeps, on.sweeps);
-        prop_assert_eq!(off.reshards, on.reshards);
-        prop_assert_eq!(off.final_shards, on.final_shards);
+        prop_assert_eq!(off.epochs, on.epochs.clone());
         prop_assert_eq!(off_det.stats(), on_det.stats());
 
         let snap = obs.snapshot();
@@ -198,31 +190,30 @@ proptest! {
         prop_assert_eq!(snap.counter("elastic/events"), Some(on.events));
         prop_assert_eq!(snap.counter("elastic/slides"), Some(on.slides));
         prop_assert_eq!(snap.counter("elastic/sweeps"), Some(on.sweeps));
-        prop_assert_eq!(snap.counter("elastic/reshards"), Some(on.reshards));
-        prop_assert_eq!(
-            snap.gauge("elastic/final_shards"),
-            Some(on.final_shards as i64)
-        );
-        // Epoch-labelled families are partitions of the totals.
-        let epoch_sweeps = snap.sum_counters(|p| {
-            p.starts_with("elastic/epoch=") && p.ends_with("/sweeps")
+        // One counter pair per shard of the mesh, each the report's figure.
+        let run = &on.epochs[0];
+        for s in 0..shards {
+            prop_assert_eq!(
+                snap.counter(&format!("elastic/shard={s}/sweeps")),
+                Some(run.shard_sweeps[s])
+            );
+            prop_assert_eq!(
+                snap.counter(&format!("elastic/shard={s}/cell_touches")),
+                Some(run.shard_stats[s].cell_touches)
+            );
+        }
+        // The shard-labelled families are partitions of the totals.
+        let shard_sweeps = snap.sum_counters(|p| {
+            p.starts_with("elastic/shard=") && p.ends_with("/sweeps")
         });
-        prop_assert_eq!(epoch_sweeps, on.sweeps, "epoch sweeps partition the total");
-        // Sharding and resharding move sweeps; they never invent any.
-        prop_assert_eq!(epoch_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
+        prop_assert_eq!(shard_sweeps, on.sweeps, "shard sweeps partition the total");
+        // Sharding moves sweeps; it never invents any.
+        prop_assert_eq!(shard_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
         let touches = snap.sum_counters(|p| {
-            p.starts_with("elastic/epoch=") && p.ends_with("/cell_touches")
+            p.starts_with("elastic/shard=") && p.ends_with("/cell_touches")
         });
-        let report_touches: u64 = on
-            .epochs
-            .iter()
-            .flat_map(|e| e.shard_stats.iter().map(|s| s.cell_touches))
-            .sum();
+        let report_touches: u64 = run.shard_stats.iter().map(|s| s.cell_touches).sum();
         prop_assert_eq!(touches, report_touches, "per-shard touches match the report");
-        let epoch_slides = snap.sum_counters(|p| {
-            p.starts_with("elastic/epoch=") && p.ends_with("/slides")
-        });
-        prop_assert_eq!(epoch_slides, on.slides, "epoch slides partition the total");
     }
 }
 
@@ -234,14 +225,7 @@ fn flight_dumps_are_deterministic_across_runs_with_ring_wrap() {
     let objs = stream(600, 0x0B5E_7DE7);
     let windows = WindowConfig::equal(300);
 
-    // Split-happy, so the dump also covers a reshard: one driver ring plus
-    // one ring per worker per epoch.
-    let policy = BalancerPolicy {
-        skew_percent: 0,
-        patience: 8,
-        max_shards: 8,
-        min_load: 1,
-    };
+    // One driver ring plus one ring per worker.
     let run = |cap: usize| {
         let obs = Observe::with_flight_capacity(cap);
         let mut det = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
@@ -250,13 +234,8 @@ fn flight_dumps_are_deterministic_across_runs_with_ring_wrap() {
             windows,
             objs.iter().copied(),
             16,
-            policy,
             &mut RetainAll,
             &obs,
-        );
-        assert_eq!(
-            report.reshards, 1,
-            "the stream must cross one epoch boundary"
         );
         (obs.trace_dump(), report.slides)
     };
@@ -275,5 +254,20 @@ fn flight_dumps_are_deterministic_across_runs_with_ring_wrap() {
     let (dump_full_b, _) = run(1024);
     assert_eq!(dump_full, dump_full_b);
     assert!(dump_full.workers.iter().all(|w| w.dropped == 0));
+    let rings: Vec<&str> = dump_full
+        .workers
+        .iter()
+        .map(|w| w.worker.as_str())
+        .collect();
+    assert_eq!(
+        rings,
+        [
+            "elastic/driver",
+            "elastic/shard=0",
+            "elastic/shard=1",
+            "elastic/shard=2",
+            "elastic/shard=3"
+        ]
+    );
     assert!(dump_full.len() > dump_a.len());
 }

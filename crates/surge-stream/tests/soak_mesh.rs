@@ -24,7 +24,7 @@ use surge_core::{
     WindowConfig, WindowKind,
 };
 use surge_exact::{BoundMode, CellCspot, PersistentCellSweep, SweepStats};
-use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy, SlidingWindowEngine};
+use surge_stream::{drive_elastic, drive_incremental, SlidingWindowEngine};
 use surge_testkit::uniform_stream;
 
 const OBJECTS: usize = 100_000;
@@ -48,11 +48,7 @@ fn soak_100k_mesh_bit_identity() {
 
     for shards in [1usize, 2, 8] {
         let mut mesh = CellCspot::with_shards(query, BoundMode::Combined, shards);
-        let fixed = BalancerPolicy {
-            max_shards: shards,
-            ..BalancerPolicy::default()
-        };
-        let report = drive_elastic(&mut mesh, windows, objs.iter().copied(), SLIDE, fixed);
+        let report = drive_elastic(&mut mesh, windows, objs.iter().copied(), SLIDE);
         assert_eq!(report.final_shards, shards);
 
         // Full lifecycle: every object's New/Grown/Expired reached the

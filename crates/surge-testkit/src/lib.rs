@@ -12,9 +12,9 @@
 //! in the production crates:
 //!
 //! * [`sweep`] — [`sl_cspot_naive`], the paper's direct `O(n²)` sweep;
-//! * [`segtree`] — [`RecursiveMaxAddTree`] and [`SplitBurstSegTree`], the
-//!   references for the flat and fused-lane trees of
-//!   [`surge_exact::segtree`];
+//! * [`segtree`] — [`MaxAddTree`], the single-form flat tree,
+//!   [`RecursiveMaxAddTree`] against it and [`SplitBurstSegTree`] against
+//!   the fused-lane tree of [`surge_exact::segtree`];
 //! * [`maxrs`] — [`maxrs_sweep`], the α = 0 (classic MaxRS) sweep.
 //!
 //! Those comparisons are only as strong as their inputs, so the generators
@@ -43,7 +43,7 @@ pub mod segtree;
 pub mod sweep;
 
 pub use maxrs::maxrs_sweep;
-pub use segtree::{RecursiveMaxAddTree, SplitBurstSegTree};
+pub use segtree::{MaxAddTree, RecursiveMaxAddTree, SplitBurstSegTree};
 pub use sweep::sl_cspot_naive;
 
 use proptest::prelude::*;

@@ -5,7 +5,7 @@
 //! Choi et al. 2012): past-window rectangles contribute nothing and the
 //! score is a pure sum of covered current weights. Sums are decomposable, so
 //! the interval maximum can be maintained by the lazy segment tree
-//! ([`surge_exact::MaxAddTree`]) over a single linear form, skipping the
+//! ([`MaxAddTree`]) over a single linear form, skipping the
 //! general sweep's second tree and midpoint machinery.
 //!
 //! No detector runs it: detectors stay on the general sweep (correct for
@@ -15,7 +15,9 @@
 
 use surge_core::{BurstParams, Point, Rect, WindowKind};
 
-use surge_exact::{MaxAddTree, SweepRect, SweepResult};
+use surge_exact::{SweepRect, SweepResult};
+
+use crate::MaxAddTree;
 
 /// Finds a point maximizing the current-window weight sum (the α = 0 burst
 /// score) among `rects` clipped to `area`. Past-window rectangles are

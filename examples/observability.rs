@@ -62,7 +62,6 @@ fn main() {
         windows,
         objects.iter().copied(),
         slide,
-        BalancerPolicy::default(),
         &mut surge::stream::RetainAll,
         &Observe::off(),
     );
@@ -74,7 +73,6 @@ fn main() {
         windows,
         objects.iter().copied(),
         slide,
-        BalancerPolicy::default(),
         &mut surge::stream::RetainAll,
         &obs,
     );
@@ -100,13 +98,13 @@ fn main() {
     let snap = obs.snapshot();
     assert_eq!(snap.counter("elastic/sweeps"), Some(on.sweeps));
     let per_shard =
-        snap.sum_counters(|p| p.starts_with("elastic/epoch=") && p.ends_with("/sweeps"));
+        snap.sum_counters(|p| p.starts_with("elastic/shard=") && p.ends_with("/sweeps"));
     assert_eq!(per_shard, on.sweeps, "per-shard sweeps partition the total");
     assert_eq!(snap.counter("elastic/events"), Some(on.events));
     println!(
-        "conserved: {} sweeps = sum of the per-epoch shard counters ({} → {} shards); \
+        "conserved: {} sweeps = sum of the {} per-shard counters; \
          {} events = report events",
-        on.sweeps, shards, on.final_shards, on.events
+        on.sweeps, shards, on.events
     );
 
     // ---- 3. Live serving stats on the same handle ----

@@ -4,14 +4,14 @@
 //!
 //! 1. the sequential incremental driver (`drive_incremental`) — every event
 //!    is applied on the calling thread, dirty-cell sweeps fan out per slide;
-//! 2. the shard mesh (`drive_elastic`) — the detector splits into
-//!    per-shard workers (spatial-hash sharding of the cell map), events are
-//!    broadcast to every worker over channels, both ingest *and* sweeps run
-//!    shard-parallel, and persistent skew doubles the shard count mid-run.
+//! 2. the shard mesh (`drive_elastic`) — the detector splits into one
+//!    worker per shard (spatial-hash sharding of the cell map), events are
+//!    broadcast to every worker over channels, and both ingest *and* sweeps
+//!    run shard-parallel at the detector's width for the whole run.
 //!
-//! The two must agree bit-for-bit at every slide boundary — sharding and
-//! resharding are wall-clock optimizations, never semantic ones — and the
-//! example verifies exactly that before printing per-shard load statistics.
+//! The two must agree bit-for-bit at every slide boundary — sharding is a
+//! wall-clock optimization, never a semantic one — and the example verifies
+//! exactly that before printing per-shard load statistics.
 //!
 //! Run with `cargo run --release --example sharded_ingest`.
 
@@ -55,16 +55,11 @@ fn main() {
     let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), slide);
     let seq_elapsed = t0.elapsed();
 
-    // 2. The mesh: 8 shard workers ingest and sweep concurrently. Capping
-    // the balancer at the starting width keeps the mesh at 8 shards.
+    // 2. The mesh: 8 shard workers ingest and sweep concurrently.
     let shards = 8;
-    let policy = BalancerPolicy {
-        max_shards: shards,
-        ..BalancerPolicy::default()
-    };
     let mut par = CellCspot::with_shards(query, BoundMode::Combined, shards);
     let t0 = std::time::Instant::now();
-    let report = drive_elastic(&mut par, windows, objs.iter().copied(), slide, policy);
+    let report = drive_elastic(&mut par, windows, objs.iter().copied(), slide);
     let par_elapsed = t0.elapsed();
 
     // Bit-identity check at every slide boundary.

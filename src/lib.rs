@@ -101,8 +101,8 @@ pub mod prelude {
     pub use surge_observe::{Observe, RegistrySnapshot, TraceDump, TraceEvent};
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
-        drive, drive_elastic, drive_incremental, drive_slides, drive_topk, BalancerPolicy,
-        BurstSpec, Dataset, DirtyCellTracker, ElasticReport, EventBatch, Hotspot, LatencyHistogram,
+        drive, drive_elastic, drive_incremental, drive_slides, drive_topk, BurstSpec, Dataset,
+        DirtyCellTracker, ElasticReport, EventBatch, Hotspot, LatencyHistogram,
         SlidingWindowEngine, StreamGenerator, WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
