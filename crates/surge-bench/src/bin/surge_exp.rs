@@ -14,25 +14,6 @@
 //!   fig8                   Fig. 8    scalability vs arrival rate
 //!   fig9   [--axis A]      Fig. 9    top-k runtime (A = window | k)
 //!   case-study             §VII-G    burst localization
-//!   latency                extension: per-event tail-latency table
-//!   sweep-bench            naive vs segment-tree sweep, flat vs recursive
-//!                          and fused vs split segment trees, persistent
-//!                          cell sweeps (bit-identity with a from-scratch
-//!                          reference asserted first); writes
-//!                          BENCH_sweep.json
-//!   checkpoint-bench       checkpointed driver vs in-memory driver +
-//!                          recovery vs replay-from-zero (bit-identity
-//!                          asserted first), one row per WAL fsync
-//!                          policy; writes BENCH_checkpoint.json
-//!   serve-bench            multi-query serving: one shared server vs N
-//!                          dedicated runs (bit-identity asserted first),
-//!                          dedup hit-rate and per-query answer
-//!                          throughput; writes BENCH_serve.json
-//!   observe-bench          observability overhead: the slide-batched
-//!                          drivers with the surge-observe layer off vs on
-//!                          (bit-identity and registry conservation
-//!                          asserted first, overhead column, registry
-//!                          export embedded); writes BENCH_observe.json
 //!   all                    everything above
 //!
 //! Options:
@@ -120,69 +101,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|latency|sweep-bench|checkpoint-bench|serve-bench|observe-bench|all> \
+    "usage: surge-exp <table1|fig5|table2|fig6|fig7|table3|table4|fig8|fig9|case-study|all> \
      [--axis window|rect|k] [--objects N] [--heavy N] [--naive N] [--seed S] \
      [--datasets uk,us,taxi] [--fast] [--paper]"
         .to_string()
-}
-
-/// Runs the naive-vs-segtree sweep comparison plus the persistent
-/// cell-sweep experiment, printing both tables and writing
-/// `BENCH_sweep.json` to the working directory.
-fn run_sweep_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::sweep_bench(cfg);
-    print!("{}", print::sweep_bench(&rows));
-    let prows = experiments::persistent_bench(cfg);
-    print!("{}", print::persistent_bench(&prows));
-    let json = print::sweep_bench_json(&rows, &prows);
-    let path = "BENCH_sweep.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the checkpoint/recovery experiment, printing the table and writing
-/// `BENCH_checkpoint.json` to the working directory.
-fn run_checkpoint_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::checkpoint_bench(cfg);
-    print!("{}", print::checkpoint_bench(&rows));
-    let json = print::checkpoint_bench_json(&rows);
-    let path = "BENCH_checkpoint.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the multi-query serving experiment, printing the table and writing
-/// `BENCH_serve.json` to the working directory. Bit-identity of every
-/// subscription channel against its dedicated run is asserted inside the
-/// experiment before anything is timed, so a successful exit is the smoke
-/// check.
-fn run_serve_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let rows = experiments::serve_bench(cfg);
-    print!("{}", print::serve_bench(&rows));
-    let json = print::serve_bench_json(&rows);
-    let path = "BENCH_serve.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
-}
-
-/// Runs the observability-overhead experiment (the slide-batched drivers
-/// with the surge-observe layer off vs on), printing the table and writing
-/// `BENCH_observe.json` to the working directory. Bit-identity of the
-/// observed runs and conservation of the registry totals against the
-/// legacy report counters are asserted inside the experiment before
-/// anything is timed, so a successful exit is the smoke check; the JSON
-/// embeds the registry's own `to_json` export.
-fn run_observe_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let (rows, registry) = experiments::observe_bench(cfg);
-    print!("{}", print::observe_bench(&rows));
-    let json = print::observe_bench_json(&rows, &registry);
-    let path = "BENCH_observe.json";
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("# wrote {path}");
-    Ok(())
 }
 
 fn parse_axis(axis: &Option<String>, default: SweepAxis) -> Result<SweepAxis, String> {
@@ -259,17 +181,6 @@ fn run(args: &Args) -> Result<(), String> {
             print!("{}", print::fig9(&experiments::fig9(ds, axis, cfg)));
         }
         "case-study" => print!("{}", print::case_study(&experiments::case_study(cfg))),
-        "latency" => {
-            let d = ds.first().copied().unwrap_or(Dataset::Taxi);
-            print!(
-                "{}",
-                print::latency(d.spec().name, &experiments::latency_table(d, cfg))
-            );
-        }
-        "sweep-bench" => run_sweep_bench(cfg)?,
-        "checkpoint-bench" => run_checkpoint_bench(cfg)?,
-        "serve-bench" => run_serve_bench(cfg)?,
-        "observe-bench" => run_observe_bench(cfg)?,
         "all" => {
             print!("{}", print::table1(&experiments::table1(cfg)));
             print!(
@@ -323,15 +234,6 @@ fn run(args: &Args) -> Result<(), String> {
             );
             print!("{}", print::fig9(&experiments::fig9(ds, SweepAxis::K, cfg)));
             print!("{}", print::case_study(&experiments::case_study(cfg)));
-            let d = ds.first().copied().unwrap_or(Dataset::Taxi);
-            print!(
-                "{}",
-                print::latency(d.spec().name, &experiments::latency_table(d, cfg))
-            );
-            run_sweep_bench(cfg)?;
-            run_checkpoint_bench(cfg)?;
-            run_serve_bench(cfg)?;
-            run_observe_bench(cfg)?;
         }
         other => return Err(format!("unknown command {other}\n{}", usage())),
     }

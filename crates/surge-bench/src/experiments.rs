@@ -3,24 +3,19 @@
 //! All runners are deterministic given an [`ExpConfig`] (object counts and
 //! seed). Absolute timings depend on the machine; the *shapes* — which
 //! algorithm wins, how curves grow with window/rect/α/rate/k — are what the
-//! paper's evaluation establishes and what `EXPERIMENTS.md` compares.
+//! paper's evaluation (§VII) establishes.
 
 use surge_core::{
-    BurstDetector, CheckpointableDetector, IncrementalDetector, RegionSize, SpatialObject,
-    SurgeQuery, TopKDetector, WindowConfig, SCORE_EPS,
+    BurstDetector, RegionSize, SpatialObject, SurgeQuery, TopKDetector, WindowConfig, SCORE_EPS,
 };
 use surge_stream::{
-    drive, drive_topk, BurstSpec, Dataset, FlushOutcome, QueryCore, QueryRuntime, RunStats,
-    SlidingWindowEngine, StreamGenerator,
+    drive, drive_topk, BurstSpec, Dataset, RunStats, SlidingWindowEngine, StreamGenerator,
 };
 
 use surge_approx::{GapSurge, MgapSurge};
 use surge_baseline::Ag2;
-use surge_exact::{BaseDetector, BoundMode, CellCspot, SweepMode, SweepStats, DEFAULT_SHARDS};
+use surge_exact::{BaseDetector, BoundMode, CellCspot};
 use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
-// The canonical generator lives in `surge-testkit`, so the soak and
-// differential tests exercise byte-for-byte the streams `BENCH_*.json` report.
-use surge_testkit::uniform_stream;
 
 /// The single-region algorithms the harness can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,8 +108,7 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// A fast smoke-scale configuration (used by `--fast` and the criterion
-    /// benches).
+    /// A fast smoke-scale configuration (used by `--fast`).
     pub fn fast() -> Self {
         ExpConfig {
             objects: 4_000,
@@ -851,980 +845,6 @@ pub fn case_study(cfg: &ExpConfig) -> CaseStudyResult {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Latency-tail table (extension: the paper reports means only)
-// ---------------------------------------------------------------------------
-
-/// One row of the tail-latency table.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// Algorithm name.
-    pub algo: &'static str,
-    /// Per-event latency percentiles.
-    pub summary: surge_stream::LatencySummary,
-    /// Final burst score (sanity: exact rows must agree).
-    pub final_score: f64,
-}
-
-/// Runs every single-region algorithm over one stream, one after another,
-/// and reports per-event latency percentiles: each window-transition event
-/// is timed with the `current()` refresh that follows it. The tail windows
-/// are not drained, so the final scores (all exact rows must agree) are
-/// taken while the windows still hold objects.
-///
-/// The paper's figures show means; the tail is where the exact detector's
-/// bimodal cost (bound update vs full cell sweep) becomes visible.
-pub fn latency_table(dataset: Dataset, cfg: &ExpConfig) -> Vec<LatencyRow> {
-    let windows = dataset.spec().default_windows;
-    let query = query_for(dataset, windows, 1.0, DEFAULT_ALPHA);
-    let objects = objects_for(dataset, windows, cfg.heavy_objects, cfg.max_heavy_objects);
-    let stream = stream_for(dataset, objects, cfg.seed);
-    Algo::EXACT_SET
-        .iter()
-        .chain(&Algo::APPROX_SET)
-        .map(|algo| {
-            let mut detector = algo.build(query);
-            let mut engine = SlidingWindowEngine::new(windows);
-            let mut latency = surge_stream::LatencyHistogram::new();
-            for obj in stream.iter().copied() {
-                for ev in engine.push(obj) {
-                    let t0 = std::time::Instant::now();
-                    detector.on_event(&ev);
-                    let _ = detector.current();
-                    latency.record(t0.elapsed());
-                }
-            }
-            LatencyRow {
-                algo: detector.name(),
-                summary: latency.summary(),
-                final_score: detector.current().map(|a| a.score).unwrap_or(0.0),
-            }
-        })
-        .collect()
-}
-
-/// One row of the sweep micro-benchmark: naive vs segment-tree SL-CSPOT on
-/// identical scenes of `n` rectangles, plus the flat-vs-recursive segment
-/// tree comparison at the same `n`.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepBenchRow {
-    /// Rectangles per scene (and leaves per tree in the tree columns).
-    pub n: usize,
-    /// Mean microseconds per naive `O(n²)` sweep.
-    pub naive_us: f64,
-    /// Mean microseconds per segment-tree `O(n log n)` sweep.
-    pub segtree_us: f64,
-    /// `naive_us / segtree_us`.
-    pub speedup: f64,
-    /// Mean microseconds per flat-tree interval-add workload.
-    pub tree_flat_us: f64,
-    /// Mean microseconds for the same workload on the recursive baseline.
-    pub tree_recursive_us: f64,
-    /// `tree_recursive_us / tree_flat_us`.
-    pub tree_speedup: f64,
-    /// Mean microseconds per fused SoA-lane burst-tree workload
-    /// (clear + sync + 3n applies with a `top()` each).
-    pub burst_fused_us: f64,
-    /// Mean microseconds for the same workload on the split two-tree
-    /// layout.
-    pub burst_split_us: f64,
-    /// `burst_split_us / burst_fused_us`.
-    pub burst_speedup: f64,
-}
-
-/// Times one deterministic interval-add workload (3n adds + a `top()` each)
-/// on the flat iterative tree vs the retained recursive baseline at `n`
-/// leaves, cross-checking results every round.
-fn tree_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
-    use surge_testkit::{MaxAddTree, RecursiveMaxAddTree};
-
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let ops: Vec<(usize, usize, f64)> = (0..3 * n)
-        .map(|_| {
-            let a = next() as usize % n;
-            let b = next() as usize % n;
-            let v = (next() % 41) as f64 - 20.0;
-            (a.min(b), a.max(b), v)
-        })
-        .collect();
-
-    let mut t_flat = std::time::Duration::ZERO;
-    let mut t_rec = std::time::Duration::ZERO;
-    let mut acc_flat = 0.0f64;
-    let mut acc_rec = 0.0f64;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let mut flat = MaxAddTree::new(n);
-        for &(l, r, v) in &ops {
-            flat.add(l, r, v);
-            acc_flat += flat.top().0;
-        }
-        t_flat += t0.elapsed();
-        let t0 = std::time::Instant::now();
-        let mut rec = RecursiveMaxAddTree::new(n);
-        for &(l, r, v) in &ops {
-            rec.add(l, r, v);
-            acc_rec += rec.top().0;
-        }
-        t_rec += t0.elapsed();
-    }
-    assert!(
-        acc_flat.to_bits() == acc_rec.to_bits(),
-        "tree mismatch at n={n}: {acc_flat} vs {acc_rec}"
-    );
-    (
-        t_flat.as_secs_f64() * 1e6 / reps as f64,
-        t_rec.as_secs_f64() * 1e6 / reps as f64,
-    )
-}
-
-/// Times the persistent sweep's burst-tree workload — `clear_values` +
-/// `sync_len` then `3n` signed burst applies with a `top()` each — on the
-/// fused SoA-lane tree vs the split two-tree layout, cross-checking the
-/// accumulated maxima bit for bit every round.
-fn burst_bench(n: usize, seed: u64, reps: usize) -> (f64, f64) {
-    use surge_core::{BurstParams, WindowKind};
-    use surge_exact::BurstSegTree;
-    use surge_testkit::SplitBurstSegTree;
-
-    let params = BurstParams {
-        alpha: DEFAULT_ALPHA,
-        current_norm: 1.0,
-        past_norm: 1.0,
-    };
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let ops: Vec<(usize, usize, f64, WindowKind, f64)> = (0..3 * n)
-        .map(|i| {
-            let a = next() as usize % n;
-            let b = next() as usize % n;
-            let w = 1.0 + (next() % 7) as f64;
-            let kind = if next() % 3 == 0 {
-                WindowKind::Past
-            } else {
-                WindowKind::Current
-            };
-            // Every third op retracts (the persistent sweep's remove path).
-            let sign = if i % 3 == 2 { -1.0 } else { 1.0 };
-            (a.min(b), a.max(b), w, kind, sign)
-        })
-        .collect();
-
-    let mut fused = BurstSegTree::new(n, &params);
-    let mut split = SplitBurstSegTree::new(n, &params);
-    let mut t_fused = std::time::Duration::ZERO;
-    let mut t_split = std::time::Duration::ZERO;
-    let mut acc_fused = 0.0f64;
-    let mut acc_split = 0.0f64;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        fused.clear_values();
-        fused.sync_len(n, &params);
-        for &(l, r, w, kind, sign) in &ops {
-            fused.apply(l, r, w, kind, sign);
-            acc_fused += fused.top().0;
-        }
-        t_fused += t0.elapsed();
-        let t0 = std::time::Instant::now();
-        split.clear_values();
-        split.sync_len(n, &params);
-        for &(l, r, w, kind, sign) in &ops {
-            split.apply(l, r, w, kind, sign);
-            acc_split += split.top().0;
-        }
-        t_split += t0.elapsed();
-    }
-    assert!(
-        acc_fused.to_bits() == acc_split.to_bits(),
-        "burst-tree mismatch at n={n}: {acc_fused} vs {acc_split}"
-    );
-    (
-        t_fused.as_secs_f64() * 1e6 / reps as f64,
-        t_split.as_secs_f64() * 1e6 / reps as f64,
-    )
-}
-
-/// Times [`surge_exact::sl_cspot`] (segment tree) against
-/// [`surge_testkit::sl_cspot_naive`] on identical deterministic scenes at
-/// n ∈ {64, 256, 1024, 4096} — the comparison behind the PR-1 `≥ 5×` at
-/// n = 4096 acceptance bar — and the flat vs recursive tree workload at the
-/// same sizes. Scores are cross-checked every round so a regression in
-/// either implementation fails loudly rather than benching garbage.
-pub fn sweep_bench(cfg: &ExpConfig) -> Vec<SweepBenchRow> {
-    use surge_core::{BurstParams, Rect, WindowKind};
-    use surge_exact::{sl_cspot, SweepRect};
-    use surge_testkit::sl_cspot_naive;
-
-    let params = BurstParams {
-        alpha: DEFAULT_ALPHA,
-        current_norm: 1.0,
-        past_norm: 1.0,
-    };
-    let area = Rect::new(0.0, 0.0, 50.0, 50.0);
-    let make_rects = |n: usize, seed: u64| -> Vec<SweepRect> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / ((1u64 << 31) as f64)
-        };
-        (0..n)
-            .map(|i| {
-                let x0 = next() * 10.0;
-                let y0 = next() * 10.0;
-                SweepRect {
-                    rect: Rect::new(x0, y0, x0 + 1.0, y0 + 1.0),
-                    weight: 1.0 + next(),
-                    kind: if i % 3 == 0 {
-                        WindowKind::Past
-                    } else {
-                        WindowKind::Current
-                    },
-                }
-            })
-            .collect()
-    };
-
-    [64usize, 256, 1024, 4096]
-        .iter()
-        .map(|&n| {
-            let rects = make_rects(n, cfg.seed);
-            // The quadratic sweep dominates the budget; scale repetitions so
-            // small n still averages over noise without making n=4096 crawl.
-            let reps = (16_384 / n).max(1);
-            let mut t_seg = std::time::Duration::ZERO;
-            let mut t_naive = std::time::Duration::ZERO;
-            for _ in 0..reps {
-                let t0 = std::time::Instant::now();
-                let fast = sl_cspot(&rects, &area, &params);
-                t_seg += t0.elapsed();
-                let t0 = std::time::Instant::now();
-                let naive = sl_cspot_naive(&rects, &area, &params);
-                t_naive += t0.elapsed();
-                let (f, g) = (fast.unwrap(), naive.unwrap());
-                assert!(
-                    (f.score - g.score).abs() <= 1e-9 * g.score.abs().max(1.0),
-                    "sweep mismatch at n={n}: {} vs {}",
-                    f.score,
-                    g.score
-                );
-            }
-            let naive_us = t_naive.as_secs_f64() * 1e6 / reps as f64;
-            let segtree_us = t_seg.as_secs_f64() * 1e6 / reps as f64;
-            let (tree_flat_us, tree_recursive_us) = tree_bench(n, cfg.seed, reps.min(64));
-            let (burst_fused_us, burst_split_us) = burst_bench(n, cfg.seed, reps.min(64));
-            SweepBenchRow {
-                n,
-                naive_us,
-                segtree_us,
-                speedup: naive_us / segtree_us,
-                tree_flat_us,
-                tree_recursive_us,
-                tree_speedup: tree_recursive_us / tree_flat_us,
-                burst_fused_us,
-                burst_split_us,
-                burst_speedup: burst_split_us / burst_fused_us,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Persistent cell sweeps vs the from-scratch reference
-// ---------------------------------------------------------------------------
-
-/// One row of the persistent cell-sweep experiment: an incremental
-/// workload driven through a `CellCspot` whose per-cell sweeps reuse
-/// persistent cross-sweep state, next to the rebuild work of the
-/// from-scratch reference on the same stream.
-#[derive(Debug, Clone, Copy)]
-pub struct PersistentBenchRow {
-    /// Workload label (`"uniform"` or `"taxi"`).
-    pub workload: &'static str,
-    /// Objects driven through the pipeline.
-    pub objects: u64,
-    /// Cell searches executed.
-    pub searches: u64,
-    /// Incremental edits applied to persistent structures.
-    pub churn_ops: u64,
-    /// Evaluation positions written by full rebuilds (threshold crossings
-    /// only) — the hardware-independent work metric.
-    pub rebuilt_leaves: u64,
-    /// Full rebuilds executed.
-    pub full_rebuilds: u64,
-    /// Evaluation positions the from-scratch reference rebuilt on the same
-    /// stream: a twin restored from the detector's own capture before every
-    /// flush, so each flush sweeps every dirty cell from rebuilt state.
-    /// (Cells of fewer than six rectangles build by incremental inserts and
-    /// add nothing here, so this undercounts from-scratch work.)
-    pub reference_rebuilt_leaves: u64,
-    /// Wall-clock milliseconds for the persistent run (best of five).
-    pub elapsed_ms: f64,
-}
-
-/// `drive_incremental`'s flush with a from-scratch detector: right before
-/// each flush the detector is replaced by a twin restored from its own
-/// capture (restore rebuilds every derived structure), and the replaced
-/// detector's sweep counters are folded into `retired`.
-struct RestoredEachFlush {
-    det: CellCspot,
-    retired: SweepStats,
-}
-
-impl QueryCore for RestoredEachFlush {
-    fn on_events(&mut self, events: &[surge_core::Event]) {
-        for ev in events {
-            self.det.on_event(ev);
-        }
-    }
-
-    fn flush(&mut self, _seq: u64) -> FlushOutcome {
-        let mut twin = CellCspot::with_shards(*self.det.query(), BoundMode::Combined, 1);
-        twin.restore_state(&self.det.capture_state())
-            .expect("a detector's own capture restores into a same-query twin");
-        self.retired.absorb(&self.det.sweep_stats());
-        self.det = twin;
-        let swept = self.det.sweep_dirty(1);
-        FlushOutcome {
-            answers: self.det.current().into_iter().collect(),
-            swept,
-        }
-    }
-}
-
-/// Runs the persistent cell sweeps on the incremental workloads
-/// (`surge_exp sweep-bench` → the `persistent` section of
-/// `BENCH_sweep.json`), asserting per-slide **bit-identity** with the
-/// from-scratch reference (a twin restored from the detector's own capture
-/// before every flush) before reporting any numbers — benchmarks must not
-/// time a divergent pipeline.
-pub fn persistent_bench(cfg: &ExpConfig) -> Vec<PersistentBenchRow> {
-    use surge_stream::drive_incremental;
-
-    // Tighter cadence than the throughput benches: continuous monitoring
-    // sweeps after every few arrivals, which is the regime cross-sweep
-    // persistence targets (fewer mutations per inter-sweep window, so the
-    // incremental structures amortize across searches).
-    let slide = 32;
-    let taxi_windows = Dataset::Taxi.spec().default_windows;
-    let taxi_objects = objects_for(Dataset::Taxi, taxi_windows, cfg.objects, cfg.max_objects);
-    let uniform_windows = WindowConfig::equal(60_000);
-    let workloads: [(&'static str, WindowConfig, SurgeQuery, Vec<SpatialObject>); 2] = [
-        (
-            "uniform",
-            uniform_windows,
-            SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), uniform_windows, DEFAULT_ALPHA),
-            uniform_stream(cfg.objects.clamp(4_000, 200_000), cfg.seed),
-        ),
-        (
-            "taxi",
-            taxi_windows,
-            query_for(Dataset::Taxi, taxi_windows, 1.0, DEFAULT_ALPHA),
-            stream_for(Dataset::Taxi, taxi_objects, cfg.seed),
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    for (workload, windows, query, stream) in workloads {
-        // Best of five: single runs on a shared container are ±10% noisy.
-        let mut best: Option<(_, std::time::Duration, _)> = None;
-        for _ in 0..5 {
-            let mut det = CellCspot::with_shards(query, BoundMode::Combined, 1);
-            let t0 = std::time::Instant::now();
-            let report = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
-            let elapsed = t0.elapsed();
-            if best.as_ref().is_none_or(|(_, b, _)| elapsed < *b) {
-                best = Some((report, elapsed, det.sweep_stats()));
-            }
-        }
-        let (report, elapsed, sweep) = best.expect("five runs");
-
-        // Bit-identity gate: every slide answer must match the reference.
-        let mut rt = QueryRuntime::new(
-            RestoredEachFlush {
-                det: CellCspot::with_shards(query, BoundMode::Combined, 1),
-                retired: SweepStats::default(),
-            },
-            windows,
-            slide,
-        );
-        let mut reference = Vec::new();
-        rt.run(stream.iter().copied(), |_, flushed| {
-            reference.push(flushed.first().copied())
-        });
-        assert_slides_bitwise(
-            report.answers.retained(),
-            &reference,
-            &format!("persistent-bench {workload}"),
-        );
-        assert_eq!(report.jobs, rt.counters().jobs);
-        let mut reference_sweep = rt.core().retired;
-        reference_sweep.absorb(&rt.core().det.sweep_stats());
-
-        rows.push(PersistentBenchRow {
-            workload,
-            objects: report.objects,
-            searches: sweep.searches,
-            churn_ops: sweep.churn_ops,
-            rebuilt_leaves: sweep.rebuilt_leaves,
-            full_rebuilds: sweep.full_rebuilds,
-            reference_rebuilt_leaves: reference_sweep.rebuilt_leaves,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        });
-    }
-    rows
-}
-
-/// Asserts two per-slide answer streams are bit-identical.
-fn assert_slides_bitwise(
-    got: &[Option<surge_core::RegionAnswer>],
-    want: &[Option<surge_core::RegionAnswer>],
-    ctx: &str,
-) {
-    assert_eq!(got.len(), want.len(), "{ctx}: flush counts diverged");
-    for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                assert_eq!(
-                    x.score.to_bits(),
-                    y.score.to_bits(),
-                    "{ctx}: divergence at slide {i}"
-                );
-                assert_eq!(x.point.x.to_bits(), y.point.x.to_bits(), "{ctx}: slide {i}");
-                assert_eq!(x.point.y.to_bits(), y.point.y.to_bits(), "{ctx}: slide {i}");
-            }
-            (None, None) => {}
-            other => panic!("{ctx}: divergence at slide {i}: {other:?}"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint & recovery experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the checkpoint/recovery experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointBenchRow {
-    /// Workload label: `"uniform"` or `"taxi"`.
-    pub workload: &'static str,
-    /// WAL fsync policy label ([`surge_checkpoint::SyncPolicy::name`]).
-    pub sync: &'static str,
-    /// Objects driven through the pipeline.
-    pub objects: u64,
-    /// Flushes executed.
-    pub slides: u64,
-    /// Wall-clock ms for the in-memory `drive_incremental` baseline (no
-    /// durability at all).
-    pub baseline_ms: f64,
-    /// Wall-clock ms for the checkpointed run (WAL + periodic snapshots).
-    pub checkpointed_ms: f64,
-    /// Durability overhead: `checkpointed_ms / baseline_ms`.
-    pub overhead: f64,
-    /// Snapshots written.
-    pub snapshots: u64,
-    /// Median snapshot stall in microseconds.
-    pub stall_p50_us: f64,
-    /// p99 snapshot stall in microseconds.
-    pub stall_p99_us: f64,
-    /// Worst snapshot stall in microseconds.
-    pub stall_max_us: f64,
-    /// Objects appended to the WAL.
-    pub wal_appends: u64,
-    /// Wall-clock ms to recover after a crash at end-of-stream: load the
-    /// newest snapshot, rebuild, replay the WAL tail, terminal drain.
-    pub recovery_ms: f64,
-    /// Objects the recovery replayed from the WAL tail.
-    pub replayed: u64,
-    /// Wall-clock ms to reach the same state by re-ingesting the whole
-    /// stream from t = 0 (what a restart costs without checkpoints).
-    pub replay_from_zero_ms: f64,
-    /// `replay_from_zero_ms / recovery_ms`.
-    pub recovery_speedup: f64,
-}
-
-/// Runs the checkpointing driver against the in-memory incremental driver
-/// on the uniform and taxi workloads, asserting recovery **bit-identity**
-/// before timing anything (`surge_exp checkpoint-bench` →
-/// `BENCH_checkpoint.json`): snapshot cost (stall percentiles), WAL append
-/// overhead, and recovery time vs. replay-from-zero — one row per
-/// [`surge_checkpoint::SyncPolicy`] tier, quantifying what each durability
-/// step costs.
-pub fn checkpoint_bench(cfg: &ExpConfig) -> Vec<CheckpointBenchRow> {
-    use surge_checkpoint::{
-        recover, run_checkpointed, CheckpointConfig, CheckpointPolicy, DetectorSpec, SyncPolicy,
-        Tail,
-    };
-    use surge_exact::{BoundMode, CellCspot};
-    use surge_stream::drive_incremental;
-
-    let slide = 256;
-    let mut rows = Vec::new();
-
-    let taxi_windows = Dataset::Taxi.spec().default_windows;
-    let taxi_objects = objects_for(Dataset::Taxi, taxi_windows, cfg.objects, cfg.max_objects);
-    let uniform_windows = WindowConfig::equal(60_000);
-    let workloads: [(&'static str, WindowConfig, SurgeQuery, Vec<SpatialObject>); 2] = [
-        (
-            "uniform",
-            uniform_windows,
-            SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), uniform_windows, DEFAULT_ALPHA),
-            uniform_stream(cfg.objects.clamp(4_000, 200_000), cfg.seed),
-        ),
-        (
-            "taxi",
-            taxi_windows,
-            query_for(Dataset::Taxi, taxi_windows, 1.0, DEFAULT_ALPHA),
-            stream_for(Dataset::Taxi, taxi_objects, cfg.seed),
-        ),
-    ];
-
-    for (workload, windows, query, stream) in workloads {
-        let spec = DetectorSpec::Cell {
-            bound: BoundMode::Combined,
-            sweep: SweepMode::Persistent,
-            shards: DEFAULT_SHARDS,
-        };
-        let base = std::env::temp_dir().join(format!(
-            "surge-ckpt-bench-{workload}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-
-        // In-memory baseline (no durability) — shared by every sync tier.
-        let mut det = CellCspot::new(query);
-        let t0 = std::time::Instant::now();
-        let baseline = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
-        let baseline_elapsed = t0.elapsed();
-
-        // Replay-from-zero: what the restart costs without checkpoints.
-        let mut det = CellCspot::new(query);
-        let t0 = std::time::Instant::now();
-        let _ = drive_incremental(&mut det, windows, stream.iter().copied(), slide);
-        let replay_elapsed = t0.elapsed();
-
-        for sync in [
-            SyncPolicy::OsFlush,
-            SyncPolicy::FsyncPerSnapshot,
-            SyncPolicy::FsyncPerSlide,
-        ] {
-            let config = CheckpointConfig {
-                query,
-                windows,
-                spec,
-                slide_objects: slide,
-                threads: 1,
-                policy: CheckpointPolicy {
-                    snapshot_every_slides: 8,
-                    wal_segment_objects: 8_192,
-                    keep_snapshots: 2,
-                    sync,
-                },
-            };
-
-            // Checkpointed run.
-            let full_dir = base.join(format!("full-{}", sync.name().replace('/', "-")));
-            let t0 = std::time::Instant::now();
-            let full = run_checkpointed(&config, &full_dir, stream.iter().copied(), Tail::Finish)
-                .expect("checkpointed run");
-            let checkpointed_elapsed = t0.elapsed();
-
-            // Benchmarks must not time a divergent pipeline: the
-            // checkpointed answers must be bit-identical to the in-memory
-            // driver's, at every durability tier.
-            let got = full.single_answers();
-            assert_eq!(got.len(), baseline.answers.len(), "{workload}");
-            for (i, (a, b)) in got.iter().zip(baseline.answers.iter()).enumerate() {
-                match (a, b) {
-                    (Some(x), Some(y)) => assert_eq!(
-                        x.score.to_bits(),
-                        y.score.to_bits(),
-                        "checkpoint-bench divergence at {workload}, slide {i}"
-                    ),
-                    (None, None) => {}
-                    other => {
-                        panic!("checkpoint-bench divergence at {workload}, slide {i}: {other:?}")
-                    }
-                }
-            }
-
-            // Crash at end-of-stream, then recover: snapshot restore + WAL
-            // tail replay + terminal drain, bit-identity asserted.
-            let crash_dir = base.join(format!("crash-{}", sync.name().replace('/', "-")));
-            run_checkpointed(&config, &crash_dir, stream.iter().copied(), Tail::Crash)
-                .expect("crashed run");
-            let t0 = std::time::Instant::now();
-            let resumed = recover(&config, &crash_dir, stream.iter().copied(), Tail::Finish)
-                .expect("recovery");
-            let recovery_elapsed = t0.elapsed();
-            assert_eq!(resumed.answers.len(), full.answers.len(), "{workload}");
-            for (i, (a, b)) in resumed.answers.iter().zip(full.answers.iter()).enumerate() {
-                assert_eq!(a.len(), b.len(), "{workload} flush {i}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(
-                        x.score.to_bits(),
-                        y.score.to_bits(),
-                        "recovery divergence at {workload}, flush {i}"
-                    );
-                }
-            }
-
-            rows.push(CheckpointBenchRow {
-                workload,
-                sync: sync.name(),
-                objects: full.objects,
-                slides: full.slides,
-                baseline_ms: baseline_elapsed.as_secs_f64() * 1e3,
-                checkpointed_ms: checkpointed_elapsed.as_secs_f64() * 1e3,
-                overhead: checkpointed_elapsed.as_secs_f64()
-                    / baseline_elapsed.as_secs_f64().max(1e-9),
-                snapshots: full.snapshots_written,
-                stall_p50_us: full.pause.p50_us,
-                stall_p99_us: full.pause.p99_us,
-                stall_max_us: full.pause.max_us,
-                wal_appends: full.wal_appends,
-                recovery_ms: recovery_elapsed.as_secs_f64() * 1e3,
-                replayed: resumed.replayed_from_wal,
-                replay_from_zero_ms: replay_elapsed.as_secs_f64() * 1e3,
-                recovery_speedup: replay_elapsed.as_secs_f64()
-                    / recovery_elapsed.as_secs_f64().max(1e-9),
-            });
-        }
-        std::fs::remove_dir_all(&base).ok();
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Multi-query serving experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the serving experiment: one subscription count, comparing a
-/// shared [`surge_serve::SurgeServer`] against the aggregate cost of one
-/// dedicated single-query run per subscription.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeBenchRow {
-    /// Live subscriptions registered on the server.
-    pub queries: usize,
-    /// Deduped detector groups the registry collapsed them into.
-    pub groups: usize,
-    /// `(queries - groups) / queries`: the fraction of subscriptions served
-    /// without their own detector.
-    pub dedup_hit_rate: f64,
-    /// Objects in the stream.
-    pub objects: u64,
-    /// Flushes each subscription received (slides + terminal).
-    pub slides: u64,
-    /// Wall-clock ms for `queries` dedicated single-query runs — what N
-    /// independent processes pay in aggregate ingest work.
-    pub independent_ms: f64,
-    /// Wall-clock ms for the one shared server run.
-    pub served_ms: f64,
-    /// `independent_ms / served_ms`.
-    pub speedup: f64,
-    /// Answer flushes delivered across all subscriptions per second of
-    /// served wall-clock.
-    pub answers_per_sec: f64,
-    /// `answers_per_sec / queries`.
-    pub per_query_answers_per_sec: f64,
-}
-
-/// Runs the multi-query serving experiment (`surge_exp serve-bench` →
-/// `BENCH_serve.json`): subscription counts 1/2/4/8 with bitwise-duplicate
-/// pairs mixed in, the shared server timed against the aggregate of N
-/// dedicated runs — **after** asserting every subscription's channel is
-/// bit-identical to its dedicated run. Reports the dedup hit-rate and
-/// per-query answer throughput alongside the speedup.
-pub fn serve_bench(cfg: &ExpConfig) -> Vec<ServeBenchRow> {
-    use surge_checkpoint::{DetectorSpec, SpecDetector};
-    use surge_core::RegionAnswer;
-    use surge_exact::BoundMode;
-    use surge_serve::{ServeConfig, SurgeServer};
-    use surge_stream::QueryRuntime;
-
-    let slide = 256;
-    let windows = WindowConfig::equal(60_000);
-    let stream = uniform_stream(cfg.objects.clamp(4_000, 120_000), cfg.seed);
-    let spec = DetectorSpec::Cell {
-        bound: BoundMode::Combined,
-        sweep: SweepMode::Persistent,
-        shards: DEFAULT_SHARDS,
-    };
-
-    let mut rows = Vec::new();
-    for q in [1usize, 2, 4, 8] {
-        // Consecutive pairs are bitwise-identical queries, so half of every
-        // multi-query panel dedupes; distinct pairs vary region and α.
-        let queries: Vec<SurgeQuery> = (0..q)
-            .map(|i| {
-                let v = i / 2;
-                SurgeQuery::whole_space(
-                    RegionSize::new(0.25 + 0.05 * (v % 4) as f64, 0.25 + 0.04 * (v % 3) as f64),
-                    windows,
-                    0.3 + 0.1 * (v % 4) as f64,
-                )
-            })
-            .collect();
-
-        // The aggregate cost of dedicated processes: one full single-query
-        // run per subscription, duplicates included (each independent
-        // process pays even for a query someone else already runs).
-        let mut dedicated: Vec<Vec<Vec<RegionAnswer>>> = Vec::new();
-        let t0 = std::time::Instant::now();
-        for query in &queries {
-            let det = SpecDetector::build(&spec, *query).expect("servable spec");
-            let mut rt = QueryRuntime::new(det, windows, slide);
-            let mut answers = Vec::new();
-            rt.run(stream.iter().copied(), |_seq, a| answers.push(a));
-            dedicated.push(answers);
-        }
-        let independent_elapsed = t0.elapsed();
-
-        // The shared server: register everything, ingest once.
-        let mut server = SurgeServer::new(ServeConfig::sequential(slide));
-        let subs: Vec<_> = queries
-            .iter()
-            .map(|query| server.subscribe(*query, spec).expect("servable"))
-            .collect();
-        let stats = server.stats();
-        let t0 = std::time::Instant::now();
-        for obj in &stream {
-            server.ingest(*obj);
-        }
-        server.finish();
-        let served_elapsed = t0.elapsed();
-
-        // Benchmarks must not time a divergent pipeline: every channel is
-        // bit-identical to its dedicated run before any number is reported.
-        let mut delivered = 0usize;
-        for (sub, want) in subs.iter().zip(&dedicated) {
-            let got = server.drain(*sub).expect("live channel");
-            assert_eq!(
-                got.len(),
-                want.len(),
-                "serve-bench divergence at {q} queries"
-            );
-            for ((seq, a), b) in got.iter().zip(want) {
-                assert_eq!(a.len(), b.len(), "serve-bench divergence at flush {seq}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(
-                        x.score.to_bits(),
-                        y.score.to_bits(),
-                        "serve-bench divergence at {q} queries, flush {seq}"
-                    );
-                }
-            }
-            delivered += got.len();
-        }
-
-        let served_s = served_elapsed.as_secs_f64().max(1e-9);
-        let speedup = independent_elapsed.as_secs_f64() / served_s;
-        if q >= 2 {
-            // Sharing the engine and deduping detectors must beat paying
-            // for N independent ingest paths.
-            assert!(
-                speedup > 1.0,
-                "shared serving slower than {q} dedicated runs ({speedup:.2}x)"
-            );
-        }
-        rows.push(ServeBenchRow {
-            queries: q,
-            groups: stats.groups,
-            dedup_hit_rate: stats.dedup_hit_rate(),
-            objects: server.objects_ingested(),
-            slides: dedicated[0].len() as u64,
-            independent_ms: independent_elapsed.as_secs_f64() * 1e3,
-            served_ms: served_elapsed.as_secs_f64() * 1e3,
-            speedup,
-            answers_per_sec: delivered as f64 / served_s,
-            per_query_answers_per_sec: delivered as f64 / q as f64 / served_s,
-        });
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Observability-overhead experiment
-// ---------------------------------------------------------------------------
-
-/// One row of the observability-overhead experiment: one driver family,
-/// timed either with [`surge_observe::Observe::off`] or with a live
-/// registry + flight recorders.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserveBenchRow {
-    /// Driver family: `"incremental"` or `"elastic"`.
-    pub driver: &'static str,
-    /// `"off"` (disabled handle) or `"on"` (live registry).
-    pub mode: &'static str,
-    /// Objects driven through the pipeline.
-    pub objects: u64,
-    /// Window-transition events processed.
-    pub events: u64,
-    /// Dirty-cell sweeps — identical across modes (non-invasiveness).
-    pub sweeps: u64,
-    /// Sweeps as totalled by the registry (0 on `off` rows; asserted equal
-    /// to `sweeps` on `on` rows before anything is reported).
-    pub registry_sweeps: u64,
-    /// Best-of-N wall-clock milliseconds for the run.
-    pub elapsed_ms: f64,
-    /// Throughput in objects per second (from the best run).
-    pub objects_per_sec: f64,
-    /// Observability cost on `on` rows (0 on `off` rows): the ratio of the
-    /// two modes' best-of-N elapsed floors, as a percentage. The
-    /// acceptance bar for the layer is ≤ 5% on every driver.
-    pub overhead_pct: f64,
-}
-
-/// Times the slide-batched driver families with observability off vs on
-/// (`surge_exp observe-bench` → `BENCH_observe.json`) — **after** asserting
-/// the two runs' per-slide answers are bit-identical and the enabled run's
-/// registry totals are conserved against the legacy report counters.
-/// Off/on trials are interleaved and the overhead column compares the two
-/// modes' best-of-N elapsed floors, so it measures the layer rather
-/// than host drift. Returns the rows plus the enabled runs' shared
-/// registry snapshot (the bench JSON embeds its
-/// [`surge_observe::RegistrySnapshot::to_json`] export verbatim — the
-/// bench emission path rides the registry export, not a parallel format).
-pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::RegistrySnapshot) {
-    use surge_core::RegionAnswer;
-    use surge_observe::Observe;
-    use surge_stream::{drive_elastic_observed, drive_incremental_observed, RetainAll};
-
-    let slide = 256;
-    let windows = WindowConfig::equal(60_000);
-    let query = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, DEFAULT_ALPHA);
-    let stream = uniform_stream(cfg.objects.clamp(2_000, 50_000), cfg.seed);
-    const TRIALS: usize = 7;
-
-    // The registry all enabled runs share: each driver publishes under its
-    // own scope, so the final snapshot carries every family side by side.
-    let shared = Observe::enabled();
-
-    // (answers, sweeps-analog, objects, events, registry-total-checker)
-    type RunOutcome = (Vec<Option<RegionAnswer>>, u64, u64, u64);
-    type DriverRun<'a> = Box<dyn Fn(&Observe) -> RunOutcome + 'a>;
-    let drivers: Vec<(&'static str, DriverRun)> = vec![
-        (
-            "incremental",
-            Box::new(|obs: &Observe| {
-                let mut det = CellCspot::new(query);
-                let r = drive_incremental_observed(
-                    &mut det,
-                    windows,
-                    stream.iter().copied(),
-                    slide,
-                    &mut RetainAll,
-                    obs,
-                );
-                (r.answers.retained().to_vec(), r.jobs, r.objects, r.events)
-            }),
-        ),
-        (
-            "elastic",
-            Box::new(|obs: &Observe| {
-                let mut det = CellCspot::with_shards(query, BoundMode::Combined, 2);
-                let r = drive_elastic_observed(
-                    &mut det,
-                    windows,
-                    stream.iter().copied(),
-                    slide,
-                    &mut RetainAll,
-                    obs,
-                );
-                (r.answers.retained().to_vec(), r.sweeps, r.objects, r.events)
-            }),
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    for (driver, run) in &drivers {
-        // Interleaved off/on trials: host drift (thermal, page cache,
-        // co-tenants) hits both modes alike, so best-of-N per mode
-        // measures the layer, not which mode ran second.
-        let off_handle = Observe::off();
-        let mut off_s = f64::INFINITY;
-        let mut on_s = f64::INFINITY;
-        let mut off_outcome = None;
-        let mut on_outcome = None;
-        for _ in 0..TRIALS {
-            let t0 = std::time::Instant::now();
-            off_outcome = Some(run(&off_handle));
-            let off_trial = t0.elapsed().as_secs_f64();
-            let t0 = std::time::Instant::now();
-            on_outcome = Some(run(&shared));
-            let on_trial = t0.elapsed().as_secs_f64();
-            off_s = off_s.min(off_trial);
-            on_s = on_s.min(on_trial);
-        }
-        // The overhead estimate compares the best-of-N minima: each mode's
-        // minimum converges on its noise-free floor, so transient host
-        // drift (which only ever inflates a trial) drops out of both sides.
-        let floor_ratio = on_s / off_s.max(1e-9);
-        let (off_answers, off_sweeps, objects, events) = off_outcome.expect("trials ran");
-        let (on_answers, on_sweeps, _, _) = on_outcome.expect("trials ran");
-
-        // Non-invasiveness gate: no timing is reported for a divergent run.
-        assert_slides_bitwise(
-            &on_answers,
-            &off_answers,
-            &format!("observe-bench {driver}"),
-        );
-        assert_eq!(
-            on_sweeps, off_sweeps,
-            "observe-bench {driver}: sweep counters diverged"
-        );
-        // Conservation gate: the registry's totals must be the report's.
-        // The shared handle accumulated TRIALS enabled runs per driver.
-        let snap = shared.snapshot();
-        let registry_sweeps = snap
-            .counter(&format!("{driver}/sweeps"))
-            .or_else(|| snap.counter(&format!("{driver}/jobs")))
-            .expect("driver published sweep totals");
-        assert_eq!(
-            registry_sweeps,
-            on_sweeps * TRIALS as u64,
-            "observe-bench {driver}: registry total != report counter x trials"
-        );
-
-        let overhead_pct = (floor_ratio - 1.0) * 100.0;
-        rows.push(ObserveBenchRow {
-            driver,
-            mode: "off",
-            objects,
-            events,
-            sweeps: off_sweeps,
-            registry_sweeps: 0,
-            elapsed_ms: off_s * 1e3,
-            objects_per_sec: objects as f64 / off_s.max(1e-9),
-            overhead_pct: 0.0,
-        });
-        rows.push(ObserveBenchRow {
-            driver,
-            mode: "on",
-            objects,
-            events,
-            sweeps: on_sweeps,
-            registry_sweeps: registry_sweeps / TRIALS as u64,
-            elapsed_ms: on_s * 1e3,
-            objects_per_sec: objects as f64 / on_s.max(1e-9),
-            overhead_pct,
-        });
-    }
-    (rows, shared.snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1912,61 +932,6 @@ mod tests {
     fn fig9_k_axis() {
         let rows = fig9(&[Dataset::Taxi], SweepAxis::K, &tiny());
         assert_eq!(rows.len(), 12); // 4 k values x 3 algos
-    }
-
-    #[test]
-    fn latency_table_covers_all_algos() {
-        let rows = latency_table(Dataset::Taxi, &tiny());
-        assert_eq!(rows.len(), 6);
-        let exact: Vec<f64> = rows
-            .iter()
-            .filter(|r| ["CCS", "B-CCS", "Base", "aG2"].contains(&r.algo))
-            .map(|r| r.final_score)
-            .collect();
-        for w in exact.windows(2) {
-            assert!(
-                (w[0] - w[1]).abs() <= 1e-9 * w[0].abs().max(1e-12),
-                "exact rows disagree: {exact:?}"
-            );
-        }
-        for r in &rows {
-            assert!(r.summary.count > 0, "{} recorded no samples", r.algo);
-            assert!(r.summary.max_us >= r.summary.p50_us);
-        }
-    }
-
-    #[test]
-    fn sweep_bench_rows_cross_check() {
-        // One tiny size is enough for the test suite; correctness of the
-        // timed implementations is asserted inside the runner itself.
-        let mut cfg = tiny();
-        cfg.seed = 11;
-        let rows = sweep_bench(&cfg);
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!(r.naive_us > 0.0 && r.segtree_us > 0.0);
-            assert!(r.tree_flat_us > 0.0 && r.tree_recursive_us > 0.0);
-        }
-    }
-
-    #[test]
-    fn persistent_bench_matches_the_restored_twin_with_less_rebuild_work() {
-        let rows = persistent_bench(&tiny());
-        // Two workloads (uniform, taxi); bit-identity with the from-scratch
-        // reference is asserted inside the runner before any row is emitted.
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert!(row.searches > 0, "{}", row.workload);
-            // The persistent path rebuilds only on threshold crossings; the
-            // reference rebuilds every dirty cell at every flush.
-            assert!(
-                row.rebuilt_leaves < row.reference_rebuilt_leaves,
-                "{}: persistent rebuilt {} leaves vs reference {}",
-                row.workload,
-                row.rebuilt_leaves,
-                row.reference_rebuilt_leaves
-            );
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Experiment harness regenerating every table and figure of the SURGE
 //! paper's evaluation (§VII). The [`experiments`] module exposes one runner
 //! per table/figure returning structured rows; the `surge-exp` binary prints
-//! them in the paper's layout, and the criterion benches in `benches/` wrap
-//! the same runners at reduced scale.
+//! them in the paper's layout. Per-layer and end-to-end performance is
+//! measured by the separate `bench/` harness, not here.
 //!
-//! Experiment ↔ paper mapping (see `DESIGN.md` §5 and `EXPERIMENTS.md`):
+//! Experiment ↔ paper mapping (§VII of the paper):
 //!
 //! | Runner | Paper artifact |
 //! |--------|----------------|
@@ -28,6 +28,6 @@ pub mod experiments;
 pub mod print;
 
 pub use experiments::{
-    case_study, fig5, fig6, fig7, fig8, fig9, sweep_bench, table1, table2, table3, table4, Algo,
-    ExpConfig, SweepAxis, SweepBenchRow,
+    case_study, fig5, fig6, fig7, fig8, fig9, table1, table2, table3, table4, Algo, ExpConfig,
+    SweepAxis,
 };

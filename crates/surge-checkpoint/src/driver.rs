@@ -77,8 +77,7 @@ use crate::wal::{self, Wal, WalWriter};
 ///
 /// Every tier syncs to the OS at each slide boundary (group commit), so a
 /// process kill never loses a flushed slide. The tiers differ in what a
-/// **power loss** can cost — and in write latency, which
-/// `checkpoint-bench` quantifies per policy.
+/// **power loss** can cost — and in write latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// OS flush only. A power loss can drop the OS-buffered WAL tail;
@@ -96,7 +95,7 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Short name for bench tables.
+    /// Short name, as recorded in `SnapshotStall` flight events.
     pub fn name(self) -> &'static str {
         match self {
             SyncPolicy::OsFlush => "os-flush",

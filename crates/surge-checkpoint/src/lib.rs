@@ -31,7 +31,7 @@
 //!   the shared `sweep_core` guarantees is bit-identical — replay the WAL
 //!   tail, then continue with the live source. Snapshot stalls land in a
 //!   [`surge_stream::LatencyHistogram`] and surface as p50/p99/max
-//!   columns in the reports and `surge_exp checkpoint-bench`.
+//!   columns in the reports.
 //!
 //! # Why recovery is bit-identical
 //!

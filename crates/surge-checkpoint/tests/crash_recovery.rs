@@ -115,9 +115,9 @@ fn crash_recover_matches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The acceptance matrix: arbitrary cut points × {1, 2, 8} shards,
-    /// answers bit-identical per slide and terminally — and identical to
-    /// `drive_incremental` at the same cadence.
+    /// The acceptance matrix: arbitrary cut points × {1, 2, 8} shards ×
+    /// every WAL sync tier, answers bit-identical per slide and terminally
+    /// — and identical to `drive_incremental` at the same cadence.
     #[test]
     fn crash_at_any_point_is_bit_identical(
         stream in arb_lattice_stream(60),
@@ -135,14 +135,16 @@ proptest! {
             16,
         );
 
-        for shards in [1usize, 2, 8] {
+        let tiers = [SyncPolicy::OsFlush, SyncPolicy::FsyncPerSnapshot, SyncPolicy::FsyncPerSlide];
+        for (shards, sync) in [1usize, 2, 8].into_iter().flat_map(|s| tiers.map(|t| (s, t))) {
             let spec = DetectorSpec::Cell {
                 bound: BoundMode::Combined,
                 sweep: SweepMode::Persistent,
                 shards,
             };
-            let config = cfg(spec, windows);
-            let tag = format!("cell-s{shards}-cut{cut}");
+            let mut config = cfg(spec, windows);
+            config.policy.sync = sync;
+            let tag = format!("cell-s{shards}-{sync:?}-cut{cut}");
             let resumed = crash_recover_matches(&config, &stream, cut, &tag);
 
             // The recovered answer sequence equals the plain driver's.

@@ -59,10 +59,9 @@
 //!
 //! `surge-testkit` holds the references: `MaxAddTree`, the same flat layout
 //! over a single linear form (the α = 0 MaxRS reference sweep uses it), and
-//! the recursive tree it replaced, the baseline of the `surge_exp
-//! sweep-bench` flat-vs-recursive micro-benchmark. Both break argmax ties
-//! leftmost, so on scenes with exact arithmetic (integer-valued adds) they
-//! agree bit-for-bit, argmax included.
+//! the recursive tree it replaced. Both break argmax ties leftmost, so on
+//! scenes with exact arithmetic (integer-valued adds) they agree
+//! bit-for-bit, argmax included.
 //!
 //! # Structure-of-arrays lanes
 //!
@@ -79,8 +78,7 @@
 //! Per lane the arithmetic (order, operands, tie-breaks) is exactly what two
 //! independent single-form trees (`surge-testkit`'s `MaxAddTree`) would
 //! do, so the fused tree is bitwise interchangeable with that split pair,
-//! the differential reference and the baseline of the `surge_exp
-//! sweep-bench` fused-vs-split micro-benchmark.
+//! the differential reference.
 
 use surge_core::{BurstParams, WindowKind};
 

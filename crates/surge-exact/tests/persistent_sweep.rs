@@ -24,10 +24,10 @@ use surge_exact::{
     MIN_CHURN_BUDGET,
 };
 use surge_stream::{
-    drive_elastic, drive_incremental, EventBatch, FlushOutcome, QueryCore, QueryRuntime,
-    SlidingWindowEngine,
+    drive_elastic, drive_incremental, Dataset, EventBatch, FlushOutcome, QueryCore, QueryRuntime,
+    SlidingWindowEngine, StreamGenerator,
 };
-use surge_testkit::{arb_lattice_stream, arb_window_config};
+use surge_testkit::{arb_lattice_stream, arb_window_config, uniform_stream};
 
 fn params(alpha_pct: u32) -> surge_core::BurstParams {
     surge_core::BurstParams {
@@ -315,6 +315,51 @@ proptest! {
             }
         }
         prop_assert_eq!(par.sweeps, seq_jobs);
+    }
+}
+
+/// The lattice streams above are small and collision-heavy; the generator
+/// streams are what the experiments and the benchmark run. On the evenly
+/// loaded uniform stream and the skewed Taxi stream, at a 32-object slide,
+/// the persistent detector's answer at every slide and its swept-cell total
+/// equal the from-scratch reference run's bit for bit.
+#[test]
+fn generator_streams_match_rebuild_per_slide() {
+    let uniform_windows = WindowConfig::equal(1_000);
+    let taxi = Dataset::Taxi;
+    let taxi_windows = WindowConfig::equal_minutes(2);
+    let workloads = [
+        (
+            "uniform",
+            SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), uniform_windows, 0.5),
+            uniform_stream(2_000, 42),
+        ),
+        (
+            "taxi",
+            SurgeQuery::new(taxi.spec().extent, taxi.default_region(), taxi_windows, 0.5),
+            StreamGenerator::new(taxi.workload(2_000, 42)).generate(),
+        ),
+    ];
+    for (name, query, objs) in workloads {
+        let mut pers = CellCspot::with_shards(query, BoundMode::Combined, 1);
+        let report = drive_incremental(&mut pers, query.windows, objs.iter().copied(), 32);
+        let (reb_answers, reb_jobs, reb) = drive_restored(query, 1, &objs, 32);
+
+        assert_eq!(report.answers.len(), reb_answers.len(), "{name}");
+        assert!(report.answers.iter().any(Option::is_some), "{name}");
+        for (i, (a, b)) in report.answers.iter().zip(&reb_answers).enumerate() {
+            match (a, b) {
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{name} slide {i}");
+                    assert_eq!(x.point.x.to_bits(), y.point.x.to_bits(), "{name} slide {i}");
+                    assert_eq!(x.point.y.to_bits(), y.point.y.to_bits(), "{name} slide {i}");
+                }
+                (None, None) => {}
+                other => panic!("{name} slide {i}: {other:?}"),
+            }
+        }
+        assert_eq!(report.jobs, reb_jobs, "{name}: swept-cell totals");
+        assert_eq!(pers.stats(), reb.stats(), "{name}");
     }
 }
 

@@ -612,8 +612,7 @@ mod tests {
         assert!(json.contains("\"runtime/objects\": 10"));
         assert!(json.contains("\"serve/lanes\": 2"));
         assert!(json.contains("\"runtime/flush_ns\""));
-        // Balanced braces/quotes (same wellformedness check the bench
-        // emitters use).
+        // Balanced braces/quotes.
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

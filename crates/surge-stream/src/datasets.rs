@@ -8,8 +8,9 @@
 //!
 //! The real datasets (geo-tagged tweets; CRAWDAD roma/taxi) are not
 //! redistributable; these presets synthesize streams with the published
-//! statistics and plausible urban skew (see `DESIGN.md` §3 for the
-//! substitution rationale). Weights are uniform `[1, 100]` as in §VII-A.
+//! statistics and plausible urban skew, so the paper's §VII experiments
+//! run on streams of the same rate and extent. Weights are uniform
+//! `[1, 100]` as in §VII-A.
 
 use surge_core::{Point, Rect, RegionSize, WindowConfig};
 

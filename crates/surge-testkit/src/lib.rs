@@ -27,9 +27,7 @@
 //!
 //! This is a tooling crate: the production detector crates must not depend
 //! on it. Test targets reach it through dev-dependencies (cargo permits
-//! dev-only cycles back to the crates it builds on), and `surge-bench` —
-//! the experiment harness — uses it directly so benchmark workloads and
-//! test workloads are byte-for-byte the same streams. A test comparing a
+//! dev-only cycles back to the crates it builds on). A test comparing a
 //! `surge-exact` type with a reference here belongs in this crate's unit
 //! tests or in an integration test, never in a `#[cfg(test)]` module of
 //! `surge-exact/src`: through the dev-only cycle that module sees a second

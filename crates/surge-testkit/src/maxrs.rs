@@ -9,9 +9,7 @@
 //! general sweep's second tree and midpoint machinery.
 //!
 //! No detector runs it: detectors stay on the general sweep (correct for
-//! every α). It is the α = 0 reference the tests below pin to `sl_cspot`,
-//! and the `maxrs_vs_general` bench quantifies what specializing the α = 0
-//! path would buy.
+//! every α). It is the α = 0 reference the tests below pin to `sl_cspot`.
 
 use surge_core::{BurstParams, Point, Rect, WindowKind};
 

@@ -3,8 +3,7 @@
 //! [`MaxAddTree`], the same flat layout over one linear form (also the
 //! tree of the α = 0 [`maxrs_sweep`](crate::maxrs_sweep)); a recursive lazy
 //! max-tree against it; and a split pair of [`MaxAddTree`]s against the
-//! fused burst tree. Differential tests and `surge_exp sweep-bench` compare
-//! these bit for bit.
+//! fused burst tree. Differential tests compare these bit for bit.
 
 use surge_core::{BurstParams, WindowKind};
 
@@ -276,10 +275,10 @@ impl MaxAddTree {
     }
 }
 
-/// The recursive lazy max-tree: the differential-testing reference and
-/// micro-benchmark baseline for the flat [`MaxAddTree`]. Both break argmax
-/// ties leftmost, so on scenes with exact arithmetic (integer-valued adds)
-/// they agree bit for bit, argmax included.
+/// The recursive lazy max-tree: the differential-testing reference for the
+/// flat [`MaxAddTree`]. Both break argmax ties leftmost, so on scenes with
+/// exact arithmetic (integer-valued adds) they agree bit for bit, argmax
+/// included.
 #[derive(Debug, Clone)]
 pub struct RecursiveMaxAddTree {
     n: usize,
@@ -358,8 +357,8 @@ impl RecursiveMaxAddTree {
 }
 
 /// The burst tree as two independent [`MaxAddTree`]s, one per linear form:
-/// the differential-testing reference and micro-benchmark baseline for the
-/// fused-lane [`BurstSegTree`](surge_exact::BurstSegTree) — per lane the two perform identical
+/// the differential-testing reference for the fused-lane
+/// [`BurstSegTree`](surge_exact::BurstSegTree) — per lane the two perform identical
 /// floating-point operations, so they must agree bit for bit on every
 /// `top()`, `-0.0` partial sums included.
 #[derive(Debug, Clone)]
