@@ -874,7 +874,16 @@ mod tests {
 
     #[test]
     fn fig5_produces_grid_of_points() {
-        let rows = fig5(&[Dataset::Taxi], SweepAxis::Rect, &tiny());
+        // A shape check: the heavy runs (B-CCS, Base, aG2 at up to 3q×3q)
+        // need no more than a few hundred objects. Taxi's hour-long
+        // windows put the warm-up far above the cap, so the cap is what
+        // sets their stream length.
+        let cfg = ExpConfig {
+            heavy_objects: 100,
+            max_heavy_objects: 400,
+            ..tiny()
+        };
+        let rows = fig5(&[Dataset::Taxi], SweepAxis::Rect, &cfg);
         // 4 rect sizes x 4 algorithms
         assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.time_per_object_us >= 0.0));

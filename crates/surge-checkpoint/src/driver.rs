@@ -60,7 +60,7 @@ use surge_core::{
     IncrementalDetector, RegionAnswer, RestoreError, SpatialObject, SurgeQuery, TopKDetector,
     WindowConfig,
 };
-use surge_exact::{BaseDetector, CellCspot, SweepMode};
+use surge_exact::{CellCspot, SweepMode};
 use surge_io::{BlobStore, FsStore, IoError};
 use surge_observe::{Counter, Flight, Histogram, Observe, TraceEvent};
 use surge_stream::{
@@ -259,8 +259,6 @@ impl CheckpointReport {
 pub enum SpecDetector {
     /// CCS / B-CCS ([`surge_exact::CellCspot`]).
     Cell(CellCspot),
-    /// The baseline detector ([`surge_exact::BaseDetector`]).
-    Base(BaseDetector),
     /// Continuous top-k ([`surge_topk::KCellCspot`]).
     TopK(KCellCspot),
     /// GAP-SURGE ([`surge_approx::GapSurge`]).
@@ -285,7 +283,6 @@ impl SpecDetector {
                 sweep: SweepMode::Persistent,
                 shards,
             } => SpecDetector::Cell(CellCspot::with_shards(query, bound, shards)),
-            DetectorSpec::Base => SpecDetector::Base(BaseDetector::new(query)),
             DetectorSpec::TopK { k } => SpecDetector::TopK(KCellCspot::new(query, k)),
             DetectorSpec::Gaps { .. } => SpecDetector::Gaps(GapSurge::new(query)),
             DetectorSpec::Mgaps { .. } => SpecDetector::Mgaps(Box::new(MgapSurge::new(query))),
@@ -303,7 +300,6 @@ impl SpecDetector {
     pub fn capture(&self) -> DetectorState {
         match self {
             SpecDetector::Cell(d) => d.capture_state(),
-            SpecDetector::Base(d) => d.capture_state(),
             SpecDetector::TopK(d) => d.capture_state(),
             SpecDetector::Gaps(d) => d.capture_state(),
             SpecDetector::Mgaps(d) => d.capture_state(),
@@ -314,7 +310,6 @@ impl SpecDetector {
     pub fn restore(&mut self, state: &DetectorState) -> Result<(), RestoreError> {
         match self {
             SpecDetector::Cell(d) => d.restore_state(state),
-            SpecDetector::Base(d) => d.restore_state(state),
             SpecDetector::TopK(d) => d.restore_state(state),
             SpecDetector::Gaps(d) => d.restore_state(state),
             SpecDetector::Mgaps(d) => d.restore_state(state),
@@ -325,7 +320,6 @@ impl SpecDetector {
     pub fn stats(&self) -> DetectorStats {
         match self {
             SpecDetector::Cell(d) => d.stats(),
-            SpecDetector::Base(d) => BurstDetector::stats(d),
             SpecDetector::TopK(d) => TopKDetector::stats(d),
             SpecDetector::Gaps(d) => BurstDetector::stats(d),
             SpecDetector::Mgaps(d) => BurstDetector::stats(d.as_ref()),
@@ -338,7 +332,6 @@ impl QueryCore for SpecDetector {
         for ev in events {
             match self {
                 SpecDetector::Cell(d) => d.on_event(ev),
-                SpecDetector::Base(d) => BurstDetector::on_event(d, ev),
                 SpecDetector::TopK(d) => TopKDetector::on_event(d, ev),
                 SpecDetector::Gaps(d) => BurstDetector::on_event(d, ev),
                 SpecDetector::Mgaps(d) => BurstDetector::on_event(d.as_mut(), ev),
@@ -348,8 +341,8 @@ impl QueryCore for SpecDetector {
 
     /// The per-slide flush, matching each detector family's canonical
     /// cadence: CCS sweeps its dirty cells in place and then reads the
-    /// all-fresh answer (bit-identical to `drive_incremental`), Base,
-    /// top-k and the grid detectors answer directly.
+    /// all-fresh answer (bit-identical to `drive_incremental`), top-k and
+    /// the grid detectors answer directly.
     fn flush(&mut self, _seq: u64) -> FlushOutcome {
         let (answer, swept) = match self {
             SpecDetector::TopK(d) => {
@@ -362,7 +355,6 @@ impl QueryCore for SpecDetector {
                 let swept = d.sweep_dirty(1);
                 (d.current(), swept)
             }
-            SpecDetector::Base(d) => (d.current(), 0),
             SpecDetector::Gaps(d) => (d.current(), 0),
             SpecDetector::Mgaps(d) => (d.current(), 0),
         };
@@ -820,7 +812,13 @@ fn run_checkpointed_inner(
             "directory already holds checkpoint state; use recover() to resume".into(),
         ));
     }
-    let wal = WalWriter::open_with_store(dir.wal_dir(), 0, cfg.policy.wal_segment_objects, store)?;
+    let wal = WalWriter::open_with_store(
+        dir.wal_dir(),
+        0,
+        cfg.policy.wal_segment_objects,
+        cfg.policy.sync,
+        store,
+    )?;
     let runner = Runner {
         cfg: *cfg,
         rt: QueryRuntime::new(detector, cfg.windows, cfg.slide_objects),
@@ -931,6 +929,7 @@ pub fn recover_with_sink(
         dir.wal_dir(),
         objects + replayed,
         cfg.policy.wal_segment_objects,
+        cfg.policy.sync,
     )?;
 
     // The slide phase — mid-slide, past the partial flush, or finished —

@@ -15,8 +15,8 @@
 //!   engine residency ([`surge_core::EngineState`]), detector logical
 //!   state ([`surge_core::DetectorState`], captured via the
 //!   [`surge_core::CheckpointableDetector`] trait implemented by
-//!   `CellCspot`, `BaseDetector` and `KCellCspot`), the query/spec, and
-//!   the per-slide answers so far — serialized into `surge-io`'s
+//!   `CellCspot`, `KCellCspot`, `GapSurge` and `MgapSurge`), the
+//!   query/spec, and the per-slide answers so far — serialized into `surge-io`'s
 //!   checksummed, versioned section container (CRC footer, atomic
 //!   write-then-rename).
 //! * [`wal`] — the segmented WAL of raw ingested objects: 40-byte binary

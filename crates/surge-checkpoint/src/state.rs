@@ -55,8 +55,6 @@ pub enum DetectorSpec {
         /// Cell-store shard count.
         shards: usize,
     },
-    /// [`surge_exact::BaseDetector`].
-    Base,
     /// [`surge_topk::KCellCspot`] (continuous top-k).
     TopK {
         /// The configured k.
@@ -143,7 +141,7 @@ const OBJECT_BYTES: usize = 8 + 8 + 16 + 8;
 /// The smallest encoded cell row: its id plus four empty column counts.
 const CELL_MIN_BYTES: usize = 16 + 4 * 8;
 /// The smallest encoded per-level entry of a cell row: a `us` value and a
-/// one-byte candidate (Base rows carry no `ud`).
+/// one-byte candidate (the row's `ud` column may be empty).
 const LEVEL_MIN_BYTES: usize = 8 + 1;
 
 /// A capacity hint for `n` records of at least `min_bytes` each: never more
@@ -290,12 +288,6 @@ pub(crate) fn put_spec(w: &mut PayloadWriter, query: &SurgeQuery, spec: &Detecto
             });
             w.u64(*shards as u64);
         }
-        DetectorSpec::Base => {
-            w.u8(1);
-            // Variant byte: 0 is the only Base variant (the decoder refuses
-            // 1, the deleted incumbent-pruned one).
-            w.u8(0);
-        }
         DetectorSpec::TopK { k } => {
             w.u8(2);
             w.u64(*k as u64);
@@ -355,15 +347,12 @@ pub(crate) fn get_spec(r: &mut PayloadReader<'_>) -> Result<(SurgeQuery, Detecto
             },
             shards: r.u64("spec.shards")? as usize,
         },
-        1 => match r.u8("spec.pruned")? {
-            0 => DetectorSpec::Base,
-            1 => {
-                return Err(inv(
-                    "the incumbent-pruned Base variant (pruned code 1) is no longer supported",
-                ))
-            }
-            other => return Err(inv(format!("unknown Base-variant code {other}"))),
-        },
+        1 => {
+            return Err(inv(
+                "detector-spec code 1 (Base) is no longer supported: Base runs only as \
+                 an in-memory ablation",
+            ))
+        }
         2 => DetectorSpec::TopK {
             k: r.u64("spec.k")? as usize,
         },

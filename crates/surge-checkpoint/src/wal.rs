@@ -41,11 +41,14 @@
 //! [`WalWriter::append`] buffers; [`WalWriter::sync`] flushes to the OS and
 //! [`WalWriter::sync_durable`] additionally forces the bytes to stable
 //! storage (`fdatasync`). The checkpointing driver syncs at every slide
-//! boundary (group commit) per its [`SyncPolicy`](crate::SyncPolicy), after
-//! the detector's flush and before its answers leave the process, so a hard
-//! kill loses at most the current slide's tail — and because recovery
-//! resumes the *source* stream from the last durable record, a lost tail
-//! costs replay work, never correctness.
+//! boundary (group commit) per its [`SyncPolicy`], after the detector's
+//! flush and before its answers leave the process, so a hard kill loses at
+//! most the current slide's tail — and because recovery resumes the
+//! *source* stream from the last durable record, a lost tail costs replay
+//! work, never correctness. `sync_durable` reaches only the active
+//! segment, so under the two `fdatasync` tiers a rotation syncs the segment
+//! it seals: every record appended before a durable sync is on stable
+//! storage, whichever segment holds it.
 //!
 //! Segment files are created through a [`surge_io::BlobStore`], so tests
 //! can substitute [`surge_io::FailingStore`] and probe every I/O-failure
@@ -61,6 +64,8 @@ use surge_io::{
     decode_record, encode_record, frame_record, read_framed_record, BlobFile, BlobStore,
     FramedRecord, FsStore, IoError, Result, RECORD_SIZE,
 };
+
+use crate::SyncPolicy;
 
 /// Magic bytes identifying a WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"SURGWAL1";
@@ -101,6 +106,9 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 pub struct WalWriter {
     dir: PathBuf,
     segment_objects: u64,
+    /// The run's durability tier: any but `OsFlush` syncs a segment as it
+    /// is sealed.
+    sync: SyncPolicy,
     store: Box<dyn BlobStore>,
     file: Option<BufWriter<Box<dyn BlobFile>>>,
     /// Records in the active segment.
@@ -116,6 +124,7 @@ impl fmt::Debug for WalWriter {
         f.debug_struct("WalWriter")
             .field("dir", &self.dir)
             .field("segment_objects", &self.segment_objects)
+            .field("sync", &self.sync)
             .field("in_segment", &self.in_segment)
             .field("next_index", &self.next_index)
             .field("segments_opened", &self.segments_opened)
@@ -127,9 +136,16 @@ impl WalWriter {
     /// Opens a writer that appends starting at global index `next_index`
     /// (0 for a fresh run; the recovered count after a restart). The first
     /// append opens a new segment — recovery always seals the old tail, so
-    /// a writer never extends a file it did not create.
-    pub fn open(dir: impl Into<PathBuf>, next_index: u64, segment_objects: u64) -> Result<Self> {
-        Self::open_with_store(dir, next_index, segment_objects, Box::new(FsStore))
+    /// a writer never extends a file it did not create. `sync` is the run's
+    /// durability tier; it decides whether a rotation syncs the segment it
+    /// seals.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        next_index: u64,
+        segment_objects: u64,
+        sync: SyncPolicy,
+    ) -> Result<Self> {
+        Self::open_with_store(dir, next_index, segment_objects, sync, Box::new(FsStore))
     }
 
     /// [`WalWriter::open`] with an explicit segment-file store — the hook
@@ -138,6 +154,7 @@ impl WalWriter {
         dir: impl Into<PathBuf>,
         next_index: u64,
         segment_objects: u64,
+        sync: SyncPolicy,
         store: Box<dyn BlobStore>,
     ) -> Result<Self> {
         let dir = dir.into();
@@ -145,6 +162,7 @@ impl WalWriter {
         Ok(WalWriter {
             dir,
             segment_objects: segment_objects.max(1),
+            sync,
             store,
             file: None,
             in_segment: 0,
@@ -166,6 +184,11 @@ impl WalWriter {
     fn roll(&mut self) -> Result<()> {
         if let Some(mut f) = self.file.take() {
             f.flush()?;
+            // A sealed segment leaves `sync_durable`'s reach, so a durable
+            // tier syncs it now or its unsynced records never would be.
+            if self.sync != SyncPolicy::OsFlush {
+                f.get_mut().sync_data()?;
+            }
         }
         let path = segment_path(&self.dir, self.next_index);
         // Overwriting an existing segment named `next_index` is safe: a
@@ -209,8 +232,8 @@ impl WalWriter {
     }
 
     /// [`WalWriter::sync`] plus `fdatasync`: the bytes survive power loss,
-    /// not just a process kill. Used by the stricter
-    /// [`SyncPolicy`](crate::SyncPolicy) tiers.
+    /// not just a process kill. Used by the stricter [`SyncPolicy`] tiers,
+    /// whose rotations have already synced every sealed segment.
     pub fn sync_durable(&mut self) -> Result<()> {
         if let Some(f) = self.file.as_mut() {
             f.flush()?;
@@ -363,6 +386,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex};
     use surge_core::Point;
 
     fn obj(id: u64, t: u64) -> SpatialObject {
@@ -379,7 +404,7 @@ mod tests {
     #[test]
     fn append_rotate_recover_roundtrip() {
         let dir = temp_dir("roundtrip");
-        let mut w = WalWriter::open(&dir, 0, 4).unwrap();
+        let mut w = WalWriter::open(&dir, 0, 4, SyncPolicy::OsFlush).unwrap();
         let objs: Vec<_> = (0..11).map(|i| obj(i, i * 10)).collect();
         for o in &objs {
             w.append(o).unwrap();
@@ -403,7 +428,7 @@ mod tests {
         let dir = temp_dir("torn");
         let objs: Vec<_> = (0..6).map(|i| obj(i, i * 10)).collect();
         {
-            let mut w = WalWriter::open(&dir, 0, 4).unwrap();
+            let mut w = WalWriter::open(&dir, 0, 4, SyncPolicy::OsFlush).unwrap();
             for o in &objs {
                 w.append(o).unwrap();
             }
@@ -433,7 +458,7 @@ mod tests {
         let dir = temp_dir("flip");
         let objs: Vec<_> = (0..4).map(|i| obj(i, i * 10)).collect();
         {
-            let mut w = WalWriter::open(&dir, 0, 100).unwrap();
+            let mut w = WalWriter::open(&dir, 0, 100, SyncPolicy::OsFlush).unwrap();
             for o in &objs {
                 w.append(o).unwrap();
             }
@@ -455,7 +480,7 @@ mod tests {
     fn corruption_in_a_non_tail_segment_is_an_error() {
         let dir = temp_dir("midcorrupt");
         {
-            let mut w = WalWriter::open(&dir, 0, 2).unwrap();
+            let mut w = WalWriter::open(&dir, 0, 2, SyncPolicy::OsFlush).unwrap();
             for i in 0..6 {
                 w.append(&obj(i, i * 10)).unwrap();
             }
@@ -473,7 +498,7 @@ mod tests {
     #[test]
     fn gc_drops_covered_segments_only() {
         let dir = temp_dir("gc");
-        let mut w = WalWriter::open(&dir, 0, 2).unwrap();
+        let mut w = WalWriter::open(&dir, 0, 2, SyncPolicy::OsFlush).unwrap();
         for i in 0..7 {
             w.append(&obj(i, i * 10)).unwrap();
         }
@@ -493,7 +518,7 @@ mod tests {
     fn writer_resumes_after_recovery_with_a_fresh_segment() {
         let dir = temp_dir("resume");
         {
-            let mut w = WalWriter::open(&dir, 0, 100).unwrap();
+            let mut w = WalWriter::open(&dir, 0, 100, SyncPolicy::OsFlush).unwrap();
             for i in 0..5 {
                 w.append(&obj(i, i * 10)).unwrap();
             }
@@ -501,7 +526,7 @@ mod tests {
         }
         let rec = Wal::recover(&dir).unwrap();
         assert_eq!(rec.objects.len(), 5);
-        let mut w = WalWriter::open(&dir, 5, 100).unwrap();
+        let mut w = WalWriter::open(&dir, 5, 100, SyncPolicy::OsFlush).unwrap();
         for i in 5..8 {
             assert_eq!(w.append(&obj(i, i * 10)).unwrap(), i);
         }
@@ -516,7 +541,7 @@ mod tests {
     fn gap_between_segments_is_an_error() {
         let dir = temp_dir("gap");
         {
-            let mut w = WalWriter::open(&dir, 0, 2).unwrap();
+            let mut w = WalWriter::open(&dir, 0, 2, SyncPolicy::OsFlush).unwrap();
             for i in 0..6 {
                 w.append(&obj(i, i * 10)).unwrap();
             }
@@ -530,7 +555,7 @@ mod tests {
     #[test]
     fn sync_durable_persists_the_tail() {
         let dir = temp_dir("durable");
-        let mut w = WalWriter::open(&dir, 0, 8).unwrap();
+        let mut w = WalWriter::open(&dir, 0, 8, SyncPolicy::OsFlush).unwrap();
         for i in 0..3 {
             w.append(&obj(i, i * 10)).unwrap();
         }
@@ -540,12 +565,80 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A store that counts, per segment path, the bytes written since that
+    /// file's last `sync_data` — the bytes a power loss could still drop.
+    #[derive(Clone, Default)]
+    struct UnsyncedBytes(Arc<Mutex<BTreeMap<PathBuf, usize>>>);
+
+    struct UnsyncedFile {
+        path: PathBuf,
+        unsynced: UnsyncedBytes,
+    }
+
+    impl BlobStore for UnsyncedBytes {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn BlobFile>> {
+            self.0.lock().unwrap().insert(path.to_path_buf(), 0);
+            Ok(Box::new(UnsyncedFile {
+                path: path.to_path_buf(),
+                unsynced: self.clone(),
+            }))
+        }
+    }
+
+    impl Write for UnsyncedFile {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            *self.unsynced.0.lock().unwrap().get_mut(&self.path).unwrap() += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl BlobFile for UnsyncedFile {
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.unsynced.0.lock().unwrap().insert(self.path.clone(), 0);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn durable_sync_covers_segments_sealed_since_the_last_one() {
+        for sync in [
+            SyncPolicy::OsFlush,
+            SyncPolicy::FsyncPerSnapshot,
+            SyncPolicy::FsyncPerSlide,
+        ] {
+            let dir = temp_dir("sealed");
+            let store = UnsyncedBytes::default();
+            let mut w =
+                WalWriter::open_with_store(&dir, 0, 2, sync, Box::new(store.clone())).unwrap();
+            // Five appends cross two rotations: segments [0,2) and [2,4)
+            // are sealed, [4,..) is active.
+            for i in 0..5 {
+                w.append(&obj(i, i * 10)).unwrap();
+            }
+            let unsynced = || -> Vec<usize> { store.0.lock().unwrap().values().copied().collect() };
+            if sync == SyncPolicy::OsFlush {
+                // The bench's tier: a rotation only flushes to the OS.
+                w.sync().unwrap();
+                assert!(unsynced().iter().all(|&n| n > 0), "{sync:?}");
+            } else {
+                w.sync_durable().unwrap();
+                assert_eq!(unsynced(), [0, 0, 0], "{sync:?}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn injected_write_failure_surfaces_and_log_stays_recoverable() {
         use surge_io::{FailingStore, FaultPlan};
         let dir = temp_dir("inject");
         let store = FailingStore::new(FaultPlan::new().fail_after_writes(6));
-        let mut w = WalWriter::open_with_store(&dir, 0, 2, Box::new(store)).unwrap();
+        let mut w =
+            WalWriter::open_with_store(&dir, 0, 2, SyncPolicy::OsFlush, Box::new(store)).unwrap();
         let mut failed = false;
         for i in 0..40 {
             // Appends buffer, so the injected failure may surface at a

@@ -12,7 +12,7 @@ use surge_core::{
     BurstDetector, CheckpointableDetector, DetectorState, EngineState, Event, Point, RegionSize,
     SpatialObject, SurgeQuery, TopKDetector, WindowConfig,
 };
-use surge_exact::{BaseDetector, BoundMode, CellCspot, SweepMode};
+use surge_exact::{BoundMode, CellCspot, SweepMode};
 use surge_io::Snapshot;
 use surge_topk::KCellCspot;
 
@@ -125,14 +125,6 @@ fn capture_and_decode_allocations_do_not_grow_with_cells() {
             let (state, n) = allocations(|| d.capture_state());
             (d.cell_count(), state, n)
         });
-        let base = count(DetectorSpec::Base, cells.clone(), || {
-            let mut d = BaseDetector::new(query());
-            for ev in &events {
-                BurstDetector::on_event(&mut d, ev);
-            }
-            let (state, n) = allocations(|| d.capture_state());
-            (d.cell_count(), state, n)
-        });
         let topk = count(DetectorSpec::TopK { k: 3 }, cells, || {
             let mut d = KCellCspot::new(query(), 3);
             for ev in &events {
@@ -141,7 +133,7 @@ fn capture_and_decode_allocations_do_not_grow_with_cells() {
             let (state, n) = allocations(|| d.capture_state());
             (d.cell_count(), state, n)
         });
-        rows.push([cell, base, topk]);
+        rows.push([cell, topk]);
     }
     for counts in &rows {
         for [capture, decode] in counts {

@@ -1,7 +1,7 @@
 //! Crash-at-any-point differential tests: snapshot + WAL-tail replay must
 //! produce **bit-identical** per-slide and terminal answers to the
 //! uninterrupted run — for arbitrary cut points, at 1/2/8 shards, and for
-//! the Base and top-k detector families.
+//! the top-k detector family.
 //!
 //! Streams come from `surge-testkit`'s collision-heavy generators (the
 //! workspace rule: differential code draws from the shared toolkit).
@@ -164,7 +164,7 @@ proptest! {
         }
     }
 
-    /// Base and top-k recover bit-identically too.
+    /// Top-k recovers bit-identically too.
     #[test]
     fn other_detector_families_recover_bit_identically(
         stream in arb_lattice_stream(48),
@@ -172,13 +172,8 @@ proptest! {
     ) {
         let windows = WindowConfig::new(150, 70);
         let cut = cut_seed % (stream.len() + 1);
-        for (spec, tag) in [
-            (DetectorSpec::Base, "base"),
-            (DetectorSpec::TopK { k: 3 }, "topk3"),
-        ] {
-            let config = cfg(spec, windows);
-            crash_recover_matches(&config, &stream, cut, &format!("{tag}-cut{cut}"));
-        }
+        let config = cfg(DetectorSpec::TopK { k: 3 }, windows);
+        crash_recover_matches(&config, &stream, cut, &format!("topk3-cut{cut}"));
     }
 
     /// Losing the unsynced WAL tail (a harder crash) still recovers
@@ -343,7 +338,11 @@ fn recover_rejects_mismatched_config() {
     run_checkpointed(&config, &dir, stream.iter().copied(), Tail::Crash).unwrap();
 
     let mut wrong_spec = config;
-    wrong_spec.spec = DetectorSpec::Base;
+    wrong_spec.spec = DetectorSpec::Cell {
+        bound: BoundMode::StaticOnly,
+        sweep: SweepMode::Persistent,
+        shards: 2,
+    };
     assert!(recover(&wrong_spec, &dir, stream.iter().copied(), Tail::Finish).is_err());
 
     let mut wrong_slide = config;

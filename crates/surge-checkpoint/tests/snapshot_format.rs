@@ -27,9 +27,9 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn cell_spec() -> DetectorSpec {
+fn cell_spec(bound: BoundMode) -> DetectorSpec {
     DetectorSpec::Cell {
-        bound: BoundMode::Combined,
+        bound,
         sweep: SweepMode::Persistent,
         shards: 4,
     }
@@ -38,15 +38,9 @@ fn cell_spec() -> DetectorSpec {
 /// Every detector spec `run_checkpointed` accepts, with a label for
 /// failure messages.
 fn every_spec() -> Vec<(&'static str, DetectorSpec)> {
-    let cell = |bound| DetectorSpec::Cell {
-        bound,
-        sweep: SweepMode::Persistent,
-        shards: 4,
-    };
     vec![
-        ("cell", cell(BoundMode::Combined)),
-        ("bccs", cell(BoundMode::StaticOnly)),
-        ("base", DetectorSpec::Base),
+        ("cell", cell_spec(BoundMode::Combined)),
+        ("bccs", cell_spec(BoundMode::StaticOnly)),
         ("topk3", DetectorSpec::TopK { k: 3 }),
         ("gaps", DetectorSpec::Gaps { shards: 1 }),
         ("mgaps", DetectorSpec::Mgaps { shards: 1 }),
@@ -85,7 +79,8 @@ fn real_snapshot_bytes(stream: &[SpatialObject], tag: &str, spec: DetectorSpec) 
 }
 
 /// The encoded snapshot of a serving registry after `stream`: two lanes,
-/// a deduped exact pair, and one group of every other family.
+/// a deduped exact pair, a B-CCS group, and one group of every other
+/// family.
 fn serve_snapshot_bytes(stream: &[SpatialObject]) -> Vec<u8> {
     let w1 = WindowConfig::new(160, 80);
     let w2 = WindowConfig::new(120, 60);
@@ -93,9 +88,9 @@ fn serve_snapshot_bytes(stream: &[SpatialObject]) -> Vec<u8> {
     let q2 = SurgeQuery::whole_space(RegionSize::new(1.5, 0.8), w2, 0.6);
     let mut server = SurgeServer::new(ServeConfig::sequential(7));
     for (query, spec) in [
-        (q1, cell_spec()),
-        (q1, cell_spec()),
-        (q2, DetectorSpec::Base),
+        (q1, cell_spec(BoundMode::Combined)),
+        (q1, cell_spec(BoundMode::Combined)),
+        (q2, cell_spec(BoundMode::StaticOnly)),
         (q1, DetectorSpec::TopK { k: 3 }),
         (q2, DetectorSpec::Gaps { shards: 1 }),
         (q1, DetectorSpec::Mgaps { shards: 1 }),
@@ -154,7 +149,7 @@ proptest! {
     /// `IoError` — never a panic, never a partial state.
     #[test]
     fn every_truncation_is_rejected(stream in arb_lattice_stream(24)) {
-        let bytes = real_snapshot_bytes(&stream, "trunc", cell_spec());
+        let bytes = real_snapshot_bytes(&stream, "trunc", cell_spec(BoundMode::Combined));
         // Every byte-level cut of the container fails its framing/CRC…
         for cut in (0..bytes.len()).step_by(7) {
             prop_assert!(Snapshot::decode(&bytes[..cut]).is_err(), "cut {}", cut);
@@ -185,7 +180,7 @@ proptest! {
 #[test]
 fn corrupt_crc_and_version_are_precise_errors() {
     let stream = surge_testkit::clustered_stream(48, 3, 7, 3);
-    let bytes = real_snapshot_bytes(&stream, "corrupt", cell_spec());
+    let bytes = real_snapshot_bytes(&stream, "corrupt", cell_spec(BoundMode::Combined));
 
     // Any payload bit flip trips the CRC.
     let mut flipped = bytes.clone();
@@ -224,7 +219,7 @@ fn corrupt_crc_and_version_are_precise_errors() {
 #[test]
 fn semantic_corruption_is_rejected_by_the_state_decoder() {
     let stream = surge_testkit::clustered_stream(48, 3, 7, 9);
-    let bytes = real_snapshot_bytes(&stream, "semantic", cell_spec());
+    let bytes = real_snapshot_bytes(&stream, "semantic", cell_spec(BoundMode::Combined));
     let snap = Snapshot::decode(&bytes).unwrap();
     let state = CheckpointState::from_snapshot(&snap).unwrap();
 
@@ -277,14 +272,16 @@ fn snapshot_bytes_are_pinned() {
     // when their GAPS/MGAPS fixtures moved from `shards: 2` to `shards: 1`
     // (the only count accepted since the sharded grids were deleted); the
     // previous code wrote the same bytes for the new fixtures.
-    const PINNED: [(&str, u32); 7] = [
+    // The serve pin was re-recorded again when its fixture's Base
+    // subscription became a B-CCS one (Base no longer checkpoints); the
+    // previous code wrote the same bytes for the new fixture.
+    const PINNED: [(&str, u32); 6] = [
         ("cell", 0x7b1eb7ce),
         ("bccs", 0x9c18d7ae),
-        ("base", 0xb1d6ab75),
         ("topk3", 0xa2ae71fa),
         ("gaps", 0x92cc851d),
         ("mgaps", 0x589022bc),
-        ("serve", 0x1361f930),
+        ("serve", 0x7076551e),
     ];
     // The container's own footer: CRC-32 over every byte before it (the
     // CRC of a whole file, footer included, is the constant CRC residue).
@@ -313,28 +310,15 @@ fn snapshot_bytes_are_pinned() {
 
 /// Version-4 snapshots of the deleted variants — a cell detector sweeping
 /// in rebuild-per-search mode (SPEC sweep code 1), the incumbent-pruned
-/// Base (SPEC pruned code 1) and a sharded GAPS (SPEC shard count 2) — are
-/// refused with `IoError::Invariant`, never restored as something else.
-/// Everything else about the files is valid: they are real snapshots with
-/// one SPEC byte patched and the CRC resealed.
+/// Base (SPEC pruned code 1), a sharded GAPS (SPEC shard count 2) and any
+/// Base at all (SPEC family code 1) — are refused with `IoError::Invariant`,
+/// never restored as something else. Everything else about the files is
+/// valid: they are real snapshots with their SPEC payload patched and the
+/// CRC resealed.
 #[test]
 fn retired_spec_codes_are_refused() {
     let stream = surge_testkit::clustered_stream(96, 3, 7, 42);
-    let cell = |bound| DetectorSpec::Cell {
-        bound,
-        sweep: SweepMode::Persistent,
-        shards: 4,
-    };
-    // (label, spec, position of the patched byte counted from the end of
-    // the SPEC payload, its live value, the retired value): a cell spec
-    // ends `sweep: u8, shards: u64`, a Base spec ends with its variant byte,
-    // a GAPS spec ends with its little-endian `shards: u64`.
-    for (label, spec, from_end, live, retired) in [
-        ("cell-rebuild", cell(BoundMode::Combined), 9, 0, 1),
-        ("bccs-rebuild", cell(BoundMode::StaticOnly), 9, 0, 1),
-        ("base-pruned", DetectorSpec::Base, 1, 0, 1),
-        ("gaps-sharded", DetectorSpec::Gaps { shards: 1 }, 8, 1, 2),
-    ] {
+    let refused = |label: &str, spec, patch: &dyn Fn(&mut Vec<u8>)| {
         let bytes = real_snapshot_bytes(&stream, "retired", spec);
         let snap = Snapshot::decode(&bytes).unwrap();
         assert!(CheckpointState::from_snapshot(&snap).is_ok(), "{label}");
@@ -342,9 +326,7 @@ fn retired_spec_codes_are_refused() {
         for (tag, payload) in snap.sections() {
             let mut payload = payload.clone();
             if *tag == surge_checkpoint::state::tags::SPEC {
-                let at = payload.len() - from_end;
-                assert_eq!(payload[at], live, "{label}: the live code");
-                payload[at] = retired;
+                patch(&mut payload);
             }
             patched.push_section(*tag, payload);
         }
@@ -356,6 +338,33 @@ fn retired_spec_codes_are_refused() {
             ),
             "{label}: a retired code must be refused"
         );
+    };
+    // (label, spec, position of the patched byte counted from the end of
+    // the SPEC payload, its live value, the retired value): a cell spec
+    // ends `sweep: u8, shards: u64`, a Base spec ended with its variant
+    // byte, a GAPS spec ends with its little-endian `shards: u64`.
+    for (label, spec, from_end, live, retired) in [
+        ("cell-rebuild", cell_spec(BoundMode::Combined), 9, 0, 1),
+        ("bccs-rebuild", cell_spec(BoundMode::StaticOnly), 9, 0, 1),
+        ("gaps-sharded", DetectorSpec::Gaps { shards: 1 }, 8, 1, 2),
+    ] {
+        refused(label, spec, &|payload| {
+            let at = payload.len() - from_end;
+            assert_eq!(payload[at], live, "{label}: the live code");
+            payload[at] = retired;
+        });
+    }
+    // The SPEC payload opens with the query — area (4 × f64), region
+    // (2 × f64), windows (2 × u64), alpha (f64) — followed by the family
+    // code. A Base spec was family code 1 and a variant byte: 0 for the
+    // eager detector, 1 for the incumbent-pruned one.
+    const QUERY_BYTES: usize = 72;
+    for (label, variant) in [("base", 0), ("base-pruned", 1)] {
+        refused(label, DetectorSpec::TopK { k: 3 }, &|payload| {
+            assert_eq!(payload[QUERY_BYTES], 2, "{label}: the live top-k code");
+            payload.truncate(QUERY_BYTES);
+            payload.extend([1, variant]);
+        });
     }
 }
 
@@ -409,7 +418,7 @@ fn out_of_canonical_order_detector_state_is_rejected() {
         );
     };
 
-    let cell = decode(cell_spec());
+    let cell = decode(cell_spec(BoundMode::Combined));
     let table = &cell.detector.cells;
     let n = table.len();
     assert!(n >= 2, "the stream must populate several cells");

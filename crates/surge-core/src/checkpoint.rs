@@ -148,9 +148,9 @@ impl<T> Column<T> {
 /// The per-cell logical state of a detector, one row per grid cell, stored
 /// column-major: the cell ids, plus one compressed-sparse-row column each
 /// for the resident rectangles, the static-bound accumulators, the dynamic
-/// bounds and the candidates. Rows vary in width per column — Base records
-/// no dynamic bound, top-k records k levels and keeps its rectangles in
-/// [`DetectorState::rects`] — so every column keeps its own row offsets.
+/// bounds and the candidates. Rows vary in width per column — top-k
+/// records k levels and keeps its rectangles in [`DetectorState::rects`] —
+/// so every column keeps its own row offsets.
 ///
 /// A capture therefore costs a fixed number of allocations whatever the
 /// cell count, and dropping it is a handful of frees — it runs on the
@@ -186,7 +186,7 @@ pub struct CellView<'a> {
     /// captured bit-for-bit.
     pub us: &'a [f64],
     /// Per-level dynamic bounds in score units (Eqn. 3; ∞ until first
-    /// searched), captured bit-for-bit. Empty for Base, which keeps none.
+    /// searched), captured bit-for-bit.
     pub ud: &'a [f64],
     /// Per-level candidate states.
     pub cand: &'a [CandidateState],

@@ -10,12 +10,10 @@
 use std::collections::BTreeSet;
 
 use surge_core::{
-    object_to_rect, BurstDetector, BurstParams, CandidateState, CellId, CellStore, CellTable,
-    CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec, Point, Rect,
-    RegionAnswer, RestoreError, ShardedCellStore, SurgeQuery, TotalF64, WindowKind,
+    object_to_rect, BurstDetector, BurstParams, CellId, CellStore, DetectorStats, Event, EventKind,
+    GridSpec, Point, Rect, RegionAnswer, ShardedCellStore, SurgeQuery, TotalF64,
 };
 
-use crate::cell::sorted_cells;
 use crate::psweep::{PersistentCellSweep, SweepPool};
 
 #[derive(Debug)]
@@ -32,10 +30,6 @@ struct BaseCell {
     /// candidate score of its last search.
     score_key: TotalF64,
     domain: Option<Rect>,
-    /// Sum of current-window weights — the unnormalized static bound
-    /// (Definition 7). Base never prunes with it; snapshots carry it in the
-    /// cell table's `us` column, whose bytes the snapshot format pins.
-    us_weight: f64,
 }
 
 /// The Base detector: exhaustive per-event cell searches, no pruning.
@@ -109,125 +103,6 @@ impl BaseDetector {
     }
 }
 
-/// Checkpoint capture/restore. Base has no dynamic bounds, so the logical
-/// per-cell state is the rectangle set, the static-bound accumulator, and
-/// the cached best point: `cand[0]` is `Valid { point, wc: score, wp: 0 }`
-/// for a candidate, `Absent` for a "nothing in domain" outcome and
-/// `Infeasible` for domain-less cells. Every cell is searched on every
-/// event that touches it, so none is ever `Stale`. Score keys are derived,
-/// exactly as the live path derives them.
-impl CheckpointableDetector for BaseDetector {
-    fn capture_state(&self) -> DetectorState {
-        let (refs, rects) = sorted_cells(self.cells.shards(), |c: &BaseCell| c.sweep.len());
-        let mut cells = CellTable::with_capacity(refs.len(), rects, 1);
-        for (id, cell) in refs {
-            let cand = if cell.domain.is_none() {
-                CandidateState::Infeasible
-            } else {
-                match cell.best {
-                    Some((point, score)) => CandidateState::Valid {
-                        point,
-                        wc: score,
-                        wp: 0.0,
-                    },
-                    None => CandidateState::Absent,
-                }
-            };
-            cells.push_cell(id, cell.sweep.rect_states(), [cell.us_weight], [], [cand]);
-        }
-        DetectorState {
-            name: self.name().to_string(),
-            levels: 1,
-            cells,
-            rects: Vec::new(),
-            incumbents: Vec::new(),
-            grid_cells: Vec::new(),
-            stats: self.stats,
-        }
-    }
-
-    fn restore_state(&mut self, state: &DetectorState) -> Result<(), RestoreError> {
-        if self.cell_count() != 0 {
-            return Err(RestoreError::new(
-                "restore target must be a freshly constructed detector",
-            ));
-        }
-        if state.levels != 1 {
-            return Err(RestoreError::new(format!(
-                "Base state has 1 level, snapshot has {}",
-                state.levels
-            )));
-        }
-        if state.name != self.name() {
-            return Err(RestoreError::new(format!(
-                "snapshot captured a {:?} detector, restoring into {:?}",
-                state.name,
-                self.name()
-            )));
-        }
-        for cp in state.cells.iter() {
-            let (Some(&us), Some(&cand)) = (cp.us.first(), cp.cand.first()) else {
-                return Err(RestoreError::new(format!(
-                    "cell {:?} is missing level-0 state",
-                    cp.id
-                )));
-            };
-            let cell_rect = self.grid.cell_rect(cp.id);
-            let domain = self
-                .query
-                .point_domain()
-                .and_then(|d| d.intersection(&cell_rect));
-            let mut sweep = self.pool.take(domain, self.params);
-            for r in cp.rects {
-                sweep.insert(r.id, r.rect, r.weight);
-                if r.kind == WindowKind::Past {
-                    sweep.grow(r.id);
-                }
-            }
-            if sweep.is_empty() {
-                return Err(RestoreError::new(format!(
-                    "cell {:?} has no rectangles (empty cells are dropped, never captured)",
-                    cp.id
-                )));
-            }
-            let best = match cand {
-                CandidateState::Stale => {
-                    return Err(RestoreError::new(format!(
-                        "cell {:?}: Base never records Stale candidates",
-                        cp.id
-                    )))
-                }
-                CandidateState::Infeasible => {
-                    if domain.is_some() {
-                        return Err(RestoreError::new(format!(
-                            "cell {:?}: snapshot says infeasible, query domain disagrees",
-                            cp.id
-                        )));
-                    }
-                    None
-                }
-                CandidateState::Absent => None,
-                CandidateState::Valid { point, wc, .. } => Some((point, wc)),
-            };
-            // Derive the score key exactly as the live path does.
-            let key = TotalF64(best.map_or(f64::NEG_INFINITY, |(_, s)| s));
-            if self.cells.contains(cp.id) {
-                return Err(RestoreError::new(format!("duplicate cell {:?}", cp.id)));
-            }
-            self.cells.get_or_insert_with(cp.id, || BaseCell {
-                sweep,
-                best,
-                score_key: key,
-                domain,
-                us_weight: us,
-            });
-            self.ranked.insert((key, cp.id));
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
-}
-
 impl BurstDetector for BaseDetector {
     fn on_event(&mut self, event: &Event) {
         self.stats.events += 1;
@@ -255,25 +130,17 @@ impl BurstDetector for BaseDetector {
                 best: None,
                 score_key: TotalF64(f64::NEG_INFINITY),
                 domain,
-                us_weight: 0.0,
             });
             match event.kind {
                 EventKind::New => {
                     cell.sweep
                         .insert(event.object.id, g.rect, event.object.weight);
-                    cell.us_weight += event.object.weight;
                 }
                 EventKind::Grown => {
-                    if cell.sweep.grow(event.object.id) {
-                        cell.us_weight -= event.object.weight;
-                    }
+                    cell.sweep.grow(event.object.id);
                 }
                 EventKind::Expired => {
-                    if let Some(r) = cell.sweep.remove(event.object.id) {
-                        if r.kind == WindowKind::Current {
-                            cell.us_weight -= r.weight;
-                        }
-                    }
+                    cell.sweep.remove(event.object.id);
                 }
             }
             touched = true;
@@ -317,97 +184,6 @@ mod tests {
 
     fn obj(id: u64, w: f64, x: f64, y: f64, t: u64) -> SpatialObject {
         SpatialObject::new(id, w, Point::new(x, y), t)
-    }
-
-    #[test]
-    fn capture_restore_resumes_bit_identically() {
-        let events: Vec<Event> = (0..90u64)
-            .flat_map(|i| {
-                let o = obj(
-                    i,
-                    1.0 + (i % 3) as f64,
-                    (i % 7) as f64,
-                    (i % 5) as f64,
-                    i * 9,
-                );
-                let mut evs = vec![Event::new_arrival(o)];
-                if i >= 30 && i % 3 == 0 {
-                    let p = i - 30;
-                    let old = obj(
-                        p,
-                        1.0 + (p % 3) as f64,
-                        (p % 7) as f64,
-                        (p % 5) as f64,
-                        p * 9,
-                    );
-                    evs.push(Event::grown(old, i * 9));
-                }
-                if i >= 60 && i % 3 == 0 {
-                    let p = i - 60;
-                    let old = obj(
-                        p,
-                        1.0 + (p % 3) as f64,
-                        (p % 7) as f64,
-                        (p % 5) as f64,
-                        p * 9,
-                    );
-                    evs.push(Event::expired(old, i * 9));
-                }
-                evs
-            })
-            .collect();
-        for cut in [0usize, 40, events.len()] {
-            let mut live = BaseDetector::new(query(0.5));
-            for ev in &events[..cut] {
-                live.on_event(ev);
-            }
-            let state = live.capture_state();
-            let mut resumed = BaseDetector::new(query(0.5));
-            resumed.restore_state(&state).unwrap();
-            assert_eq!(resumed.capture_state(), state, "capture is stable");
-            for (i, ev) in events[cut..].iter().enumerate() {
-                live.on_event(ev);
-                resumed.on_event(ev);
-                let (a, b) = (live.current(), resumed.current());
-                match (a, b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.score.to_bits(), y.score.to_bits(), "cut {cut} ev {i}");
-                        assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
-                        assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
-                    }
-                    (None, None) => {}
-                    other => panic!("cut {cut} ev {i}: {other:?}"),
-                }
-            }
-            assert_eq!(resumed.stats(), live.stats());
-            assert_eq!(resumed.cell_count(), live.cell_count());
-        }
-    }
-
-    #[test]
-    fn restore_rejects_wrong_variant() {
-        // A CCS capture has Base's shape (one level) but not its name.
-        let mut ccs = crate::CellCspot::new(query(0.5));
-        ccs.on_event(&Event::new_arrival(obj(0, 1.0, 0.0, 0.0, 0)));
-        let state = ccs.capture_state();
-        let mut base = BaseDetector::new(query(0.5));
-        assert!(base.restore_state(&state).is_err());
-        // A Stale candidate is a state eager Base never reaches.
-        let mut eager = BaseDetector::new(query(0.5));
-        eager.on_event(&Event::new_arrival(obj(0, 1.0, 0.0, 0.0, 0)));
-        let mut stale = eager.capture_state();
-        let row = stale.cells.iter().next().expect("one cell");
-        let mut cells = surge_core::CellTable::new();
-        cells.push_cell(
-            row.id,
-            row.rects.iter().copied(),
-            row.us.iter().copied(),
-            [],
-            [CandidateState::Stale],
-        );
-        stale.cells = cells;
-        let mut base = BaseDetector::new(query(0.5));
-        assert!(base.restore_state(&stale).is_err());
     }
 
     #[test]

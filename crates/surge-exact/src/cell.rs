@@ -529,25 +529,6 @@ impl CellCspot {
     }
 }
 
-/// Every cell of `shards` as `(id, &cell)` in ascending id order — the row
-/// order of a capture's cell table — plus the total of `rects` over them,
-/// so the caller can size the table before filling it.
-pub(crate) fn sorted_cells<C>(
-    shards: &[HashMap<CellId, C>],
-    rects: impl Fn(&C) -> usize,
-) -> (Vec<(CellId, &C)>, usize) {
-    let mut refs = Vec::with_capacity(shards.iter().map(HashMap::len).sum());
-    let mut total = 0;
-    for shard in shards {
-        for (&id, cell) in shard {
-            total += rects(cell);
-            refs.push((id, cell));
-        }
-    }
-    refs.sort_unstable_by_key(|&(id, _)| id);
-    (refs, total)
-}
-
 /// Checkpoint capture/restore (see `surge_core::checkpoint`): the logical
 /// per-cell state is the rectangle set plus the floating-point accumulators
 /// whose bits depend on event history (`us_weight`, `ud`, Lemma-4 candidate
@@ -557,7 +538,16 @@ pub(crate) fn sorted_cells<C>(
 /// uninterrupted run bit for bit.
 impl CheckpointableDetector for CellCspot {
     fn capture_state(&self) -> DetectorState {
-        let (refs, rects) = sorted_cells(self.store.shards(), |c: &Cell| c.sweep.len());
+        // Rows in ascending cell id order: the canonical capture order.
+        let mut refs: Vec<(CellId, &Cell)> = Vec::with_capacity(self.cell_count());
+        let mut rects = 0;
+        for shard in self.store.shards() {
+            for (&id, cell) in shard {
+                rects += cell.sweep.len();
+                refs.push((id, cell));
+            }
+        }
+        refs.sort_unstable_by_key(|&(id, _)| id);
         let mut cells = CellTable::with_capacity(refs.len(), rects, 1);
         for (id, cell) in refs {
             let cand = match cell.cand {

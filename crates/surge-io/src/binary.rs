@@ -1,39 +1,28 @@
-//! Compact binary codec for spatial-object streams.
+//! The fixed 40-byte binary record of one spatial object.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   : 8 bytes  = b"SURGEOB1"
-//! count   : u64      = number of records
-//! records : count × 40 bytes
-//!     id         : u64
-//!     weight     : f64 (IEEE-754 bits)
-//!     x          : f64
-//!     y          : f64
-//!     created_ms : u64
+//! id         : u64
+//! weight     : f64 (IEEE-754 bits)
+//! x          : f64
+//! y          : f64
+//! created_ms : u64
 //! ```
 //!
-//! The fixed 40-byte record makes the format seekable: record `i` starts at
-//! offset `16 + 40·i`. At one million objects (the paper's dataset size) a
-//! stream file is 40 MB, ~2.5× smaller than the CSV form and an order of
-//! magnitude faster to decode.
-
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+//! The checkpoint WAL frames exactly this record with a per-record CRC, so
+//! [`decode_record`] is the WAL's own decoder: every record a recovery
+//! reads passes its weight and coordinate checks.
 
 use surge_core::{Point, SpatialObject};
 
 use crate::error::{IoError, Result};
 
-/// Magic bytes identifying the format and version.
-pub const OBJECTS_MAGIC: &[u8; 8] = b"SURGEOB1";
 /// Size of one encoded record in bytes.
 pub const RECORD_SIZE: usize = 40;
 
 /// Encodes one object as the fixed 40-byte record (id, weight bits, x bits,
-/// y bits, created). Shared with the checkpoint WAL, which frames exactly
-/// this record with a per-record CRC.
+/// y bits, created).
 pub fn encode_record(o: &SpatialObject) -> [u8; RECORD_SIZE] {
     let mut rec = [0u8; RECORD_SIZE];
     rec[0..8].copy_from_slice(&o.id.to_le_bytes());
@@ -65,190 +54,63 @@ pub fn decode_record(rec: &[u8; RECORD_SIZE], at: u64) -> Result<SpatialObject> 
     Ok(SpatialObject::new(id, weight, Point::new(x, y), created))
 }
 
-/// Writes objects in the binary format.
-pub fn write_objects_binary<W: Write>(out: W, objects: &[SpatialObject]) -> Result<()> {
-    let mut out = BufWriter::new(out);
-    out.write_all(OBJECTS_MAGIC)?;
-    out.write_all(&(objects.len() as u64).to_le_bytes())?;
-    for o in objects {
-        out.write_all(&encode_record(o))?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Writes objects in binary form to a file at `path`.
-pub fn write_objects_binary_to(path: impl AsRef<Path>, objects: &[SpatialObject]) -> Result<()> {
-    write_objects_binary(File::create(path)?, objects)
-}
-
-fn read_exact_or(input: &mut impl Read, buf: &mut [u8], at: u64, what: &str) -> Result<()> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            IoError::Parse {
-                at,
-                message: format!("truncated input while reading {what}"),
-            }
-        } else {
-            IoError::Io(e)
-        }
-    })
-}
-
 fn u64_from(buf: &[u8]) -> u64 {
     u64::from_le_bytes(buf.try_into().expect("8-byte slice"))
-}
-
-/// Reads objects written by [`write_objects_binary`].
-///
-/// Validates the magic, the declared record count against the actual payload,
-/// weight/coordinate sanity, and non-decreasing timestamps.
-pub fn read_objects_binary<R: Read>(input: R) -> Result<Vec<SpatialObject>> {
-    let mut input = BufReader::new(input);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, 0, "magic")?;
-    if &magic != OBJECTS_MAGIC {
-        return Err(IoError::BadHeader {
-            expected: "SURGEOB1",
-            found: String::from_utf8_lossy(&magic).into_owned(),
-        });
-    }
-    let mut count_buf = [0u8; 8];
-    read_exact_or(&mut input, &mut count_buf, 0, "record count")?;
-    let count = u64_from(&count_buf);
-    // Guard against absurd declared counts before reserving memory.
-    let mut objects = Vec::with_capacity(count.min(1 << 24) as usize);
-    let mut rec = [0u8; RECORD_SIZE];
-    let mut last_created = 0u64;
-    for i in 0..count {
-        read_exact_or(&mut input, &mut rec, i, "record")?;
-        let o = decode_record(&rec, i)?;
-        if o.created < last_created {
-            return Err(IoError::Invariant(format!(
-                "record {i}: created {} regresses below {last_created}",
-                o.created
-            )));
-        }
-        last_created = o.created;
-        objects.push(o);
-    }
-    // Trailing garbage means the file was not produced by this writer.
-    let mut probe = [0u8; 1];
-    match input.read(&mut probe)? {
-        0 => Ok(objects),
-        _ => Err(IoError::Invariant(format!(
-            "trailing bytes after {count} declared records"
-        ))),
-    }
-}
-
-/// Reads binary objects from a file at `path`.
-pub fn read_objects_binary_from(path: impl AsRef<Path>) -> Result<Vec<SpatialObject>> {
-    read_objects_binary(File::open(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<SpatialObject> {
-        vec![
-            SpatialObject::new(0, 42.5, Point::new(12.4823, 41.8901), 0),
-            SpatialObject::new(7, 1.0, Point::new(-180.0, 90.0), 118),
-            SpatialObject::new(u64::MAX, 0.0, Point::new(0.0, 0.0), u64::MAX),
-        ]
+    /// Encodes a struct literal: `SpatialObject::new` debug-asserts the
+    /// weight, and these objects carry the values the decoder must refuse.
+    fn raw(weight: f64, x: f64, y: f64) -> [u8; RECORD_SIZE] {
+        encode_record(&SpatialObject {
+            id: 3,
+            weight,
+            pos: Point::new(x, y),
+            created: 9,
+        })
+    }
+
+    fn refused(rec: &[u8; RECORD_SIZE]) -> bool {
+        matches!(decode_record(rec, 5), Err(IoError::Invariant(m)) if m.starts_with("record 5:"))
     }
 
     #[test]
     fn roundtrip_is_bit_exact() {
-        let objs = sample();
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &objs).unwrap();
-        assert_eq!(buf.len(), 16 + RECORD_SIZE * objs.len());
-        let back = read_objects_binary(&buf[..]).unwrap();
-        assert_eq!(back, objs);
-    }
-
-    #[test]
-    fn empty_roundtrips() {
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &[]).unwrap();
-        assert!(read_objects_binary(&buf[..]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn rejects_wrong_magic() {
-        let err = read_objects_binary(&b"NOTSURGE\0\0\0\0\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, IoError::BadHeader { .. }));
-    }
-
-    #[test]
-    fn rejects_truncated_header() {
-        let err = read_objects_binary(&b"SURG"[..]).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
-    }
-
-    #[test]
-    fn rejects_truncated_record() {
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &sample()).unwrap();
-        buf.truncate(buf.len() - 3);
-        let err = read_objects_binary(&buf[..]).unwrap_err();
-        match err {
-            IoError::Parse { at, .. } => assert_eq!(at, 2),
-            other => panic!("unexpected: {other}"),
+        for o in [
+            SpatialObject::new(0, 42.5, Point::new(12.4823, 41.8901), 0),
+            SpatialObject::new(7, 1.0, Point::new(-180.0, 90.0), 118),
+            SpatialObject::new(u64::MAX, 0.0, Point::new(-0.0, 0.0), u64::MAX),
+            SpatialObject::new(1, f64::MIN_POSITIVE, Point::new(-1e300, 1e-300), 2),
+        ] {
+            let back = decode_record(&encode_record(&o), 0).unwrap();
+            assert_eq!(back.id, o.id);
+            assert_eq!(back.weight.to_bits(), o.weight.to_bits());
+            assert_eq!(back.pos.x.to_bits(), o.pos.x.to_bits());
+            assert_eq!(back.pos.y.to_bits(), o.pos.y.to_bits());
+            assert_eq!(back.created, o.created);
         }
     }
 
     #[test]
-    fn rejects_trailing_garbage() {
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &sample()).unwrap();
-        buf.push(0xFF);
-        assert!(matches!(
-            read_objects_binary(&buf[..]),
-            Err(IoError::Invariant(_))
-        ));
-    }
-
-    #[test]
     fn rejects_nan_weight() {
-        let objs = vec![SpatialObject {
-            id: 0,
-            weight: f64::NAN,
-            pos: Point::new(0.0, 0.0),
-            created: 0,
-        }];
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &objs).unwrap();
-        assert!(matches!(
-            read_objects_binary(&buf[..]),
-            Err(IoError::Invariant(_))
-        ));
+        assert!(refused(&raw(f64::NAN, 0.0, 0.0)));
     }
 
     #[test]
-    fn rejects_timestamp_regression() {
-        let objs = vec![
-            SpatialObject::new(0, 1.0, Point::new(0.0, 0.0), 100),
-            SpatialObject::new(1, 1.0, Point::new(0.0, 0.0), 99),
-        ];
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &objs).unwrap();
-        assert!(matches!(
-            read_objects_binary(&buf[..]),
-            Err(IoError::Invariant(_))
-        ));
+    fn rejects_negative_and_infinite_weights() {
+        for w in [-1.0, -f64::MIN_POSITIVE, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(refused(&raw(w, 0.0, 0.0)), "weight {w}");
+        }
     }
 
     #[test]
-    fn file_helpers_roundtrip() {
-        let dir = std::env::temp_dir().join("surge-io-bin-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("objects.bin");
-        let objs = sample();
-        write_objects_binary_to(&path, &objs).unwrap();
-        assert_eq!(read_objects_binary_from(&path).unwrap(), objs);
-        std::fs::remove_file(&path).ok();
+    fn rejects_non_finite_coordinates() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(refused(&raw(1.0, bad, 0.0)), "x {bad}");
+            assert!(refused(&raw(1.0, 0.0, bad)), "y {bad}");
+        }
     }
 }

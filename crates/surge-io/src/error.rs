@@ -9,8 +9,8 @@ pub enum IoError {
     Io(std::io::Error),
     /// The input is syntactically malformed.
     Parse {
-        /// 1-based line number (text formats) or record index (binary
-        /// formats) at which decoding failed.
+        /// Where decoding failed: the 1-based line of a CSV stream, or the
+        /// byte offset into a snapshot or payload.
         at: u64,
         /// Human-readable description of what went wrong.
         message: String,

@@ -1,22 +1,16 @@
-//! Decoder hardening: every truncation point of every format yields a
+//! Decoder hardening: every truncation point of a CSV stream yields a
 //! precise `IoError` — never a panic, never a silently short read.
 //!
-//! This is the contract the checkpoint WAL's torn-tail handling builds on:
-//! "the bytes stop early" must always be *distinguishable* from "the
-//! stream is complete". The binary and event-log formats get it from
-//! length framing; CSV gets it from the mandatory end-of-stream footer.
-//! Arbitrary corruption (bit flips) must never panic either — it may
-//! decode to an error of any kind, or (for the CRC-less formats) to a
-//! *different valid stream*, but the process must stay up.
+//! "The bytes stop early" must always be *distinguishable* from "the
+//! stream is complete"; CSV gets it from the mandatory end-of-stream
+//! footer. Arbitrary corruption (bit flips) must never panic either — it
+//! may decode to an error of any kind, or (the CSV codec and the bare
+//! binary record carry no CRC) to a *different valid object*, but the
+//! process must stay up.
 
 use proptest::prelude::*;
-use surge_core::WindowConfig;
-use surge_io::{
-    read_events, read_objects, read_objects_binary, write_events, write_objects,
-    write_objects_binary, IoError,
-};
-use surge_stream::SlidingWindowEngine;
-use surge_testkit::{arb_lattice_stream, arb_timed_stream};
+use surge_io::{decode_record, encode_record, read_objects, write_objects, IoError, RECORD_SIZE};
+use surge_testkit::arb_timed_stream;
 
 /// Asserts that decoding every proper prefix of `bytes` either errors
 /// precisely or still decodes the **complete** original stream (possible
@@ -50,50 +44,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn binary_rejects_every_truncation_point(objs in arb_timed_stream(30)) {
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &objs).unwrap();
-        assert_every_truncation_errors(&buf, |b| read_objects_binary(b), &objs, "binary");
-    }
-
-    #[test]
     fn csv_rejects_every_truncation_point(objs in arb_timed_stream(30)) {
         let mut buf = Vec::new();
         write_objects(&mut buf, &objs).unwrap();
         assert_every_truncation_errors(&buf, |b| read_objects(b), &objs, "csv");
     }
 
-    #[test]
-    fn eventlog_rejects_every_truncation_point(objs in arb_lattice_stream(24)) {
-        let mut engine = SlidingWindowEngine::new(WindowConfig::equal(120));
-        let mut events = Vec::new();
-        for o in objs {
-            events.extend(engine.push(o));
-        }
-        events.extend(engine.finish());
-        let mut buf = Vec::new();
-        write_events(&mut buf, &events).unwrap();
-        assert_every_truncation_errors(&buf, |b| read_events(b), &events, "eventlog");
-    }
-
     /// Bit flips anywhere must never panic the decoders. (The CRC-less
-    /// interchange formats may legitimately decode a flipped file as a
-    /// different valid stream; the checkpoint formats layer CRCs on top —
+    /// codecs may legitimately decode a flipped input as a different valid
+    /// stream or object; the checkpoint formats layer CRCs on top —
     /// covered in `surge-io`'s snapshot tests and the WAL tests.)
     #[test]
     fn bit_flips_never_panic(
         objs in arb_timed_stream(16),
         flip_seed in 0usize..10_000,
     ) {
-        let mut bin = Vec::new();
-        write_objects_binary(&mut bin, &objs).unwrap();
         let mut csv = Vec::new();
         write_objects(&mut csv, &objs).unwrap();
-        for buf in [&mut bin, &mut csv] {
-            let pos = flip_seed % buf.len();
-            buf[pos] ^= 1 << (flip_seed % 8);
-            let _ = read_objects_binary(&buf[..]);
-            let _ = read_objects(&buf[..]);
+        let pos = flip_seed % csv.len();
+        csv[pos] ^= 1 << (flip_seed % 8);
+        let _ = read_objects(&csv[..]);
+        for (i, o) in objs.iter().enumerate() {
+            let mut rec = encode_record(o);
+            rec[flip_seed % RECORD_SIZE] ^= 1 << (flip_seed % 8);
+            let _ = decode_record(&rec, i as u64);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Cross-format round-trip properties and engine→log→replay equivalence.
+//! Round-trip properties of the CSV codec and the binary object record.
 //!
 //! Streams come from `surge-testkit` — the workspace's one canonical
 //! generator set (collision-heavy lattices, duplicate timestamps, arbitrary
@@ -9,12 +9,8 @@
 
 use proptest::prelude::*;
 use surge_core::{Point, SpatialObject};
-use surge_io::{
-    read_events, read_objects, read_objects_binary, write_events, write_objects,
-    write_objects_binary,
-};
-use surge_stream::SlidingWindowEngine;
-use surge_testkit::{arb_lattice_stream, arb_timed_stream, ordered_stream};
+use surge_io::{decode_record, encode_record, read_objects, write_objects};
+use surge_testkit::{arb_timed_stream, ordered_stream};
 
 fn assert_objects_bitwise(a: &[SpatialObject], b: &[SpatialObject]) {
     assert_eq!(a.len(), b.len());
@@ -40,35 +36,18 @@ proptest! {
     #[test]
     fn binary_roundtrip_bit_exact(raw in prop::collection::vec((0u64..1 << 40, 0u16..500), 0..80)) {
         let objs = ordered_stream(raw);
-        let mut buf = Vec::new();
-        write_objects_binary(&mut buf, &objs).unwrap();
-        prop_assert_eq!(read_objects_binary(&buf[..]).unwrap(), objs);
-    }
-
-    #[test]
-    fn csv_and_binary_agree(objs in arb_lattice_stream(40)) {
-        let mut c = Vec::new();
-        write_objects(&mut c, &objs).unwrap();
-        let mut b = Vec::new();
-        write_objects_binary(&mut b, &objs).unwrap();
-        prop_assert_eq!(read_objects(&c[..]).unwrap(), read_objects_binary(&b[..]).unwrap());
-    }
-
-    #[test]
-    fn eventlog_roundtrip_via_engine(objs in arb_timed_stream(60)) {
-        let mut engine = SlidingWindowEngine::new(surge_core::WindowConfig::equal(500));
-        let mut events = Vec::new();
-        for o in objs {
-            events.extend(engine.push(o));
-        }
-        let mut buf = Vec::new();
-        write_events(&mut buf, &events).unwrap();
-        prop_assert_eq!(read_events(&buf[..]).unwrap(), events);
+        let back: Vec<SpatialObject> = objs
+            .iter()
+            .enumerate()
+            .map(|(i, o)| decode_record(&encode_record(o), i as u64).unwrap())
+            .collect();
+        assert_objects_bitwise(&back, &objs);
     }
 }
 
 /// Extreme values the detector-oriented testkit generators never produce:
-/// the codecs must still round-trip them bit-exactly.
+/// the CSV codec must still round-trip them bit-exactly (the binary
+/// record's extremes are its unit tests').
 #[test]
 fn extreme_values_roundtrip_bit_exact() {
     let objs = vec![
@@ -84,57 +63,4 @@ fn extreme_values_roundtrip_bit_exact() {
     let mut csv = Vec::new();
     write_objects(&mut csv, &objs).unwrap();
     assert_objects_bitwise(&read_objects(&csv[..]).unwrap(), &objs);
-    let mut bin = Vec::new();
-    write_objects_binary(&mut bin, &objs).unwrap();
-    assert_objects_bitwise(&read_objects_binary(&bin[..]).unwrap(), &objs);
-}
-
-/// A recorded event log replayed into a detector must produce the same final
-/// answer as running the detector live behind the engine.
-#[test]
-fn replayed_log_matches_live_run() {
-    use surge_core::{BurstDetector, RegionSize, SurgeQuery, WindowConfig};
-    use surge_stream::{Dataset, StreamGenerator};
-
-    let dataset = Dataset::Taxi;
-    let q = dataset.default_region();
-    let query = SurgeQuery::new(
-        dataset.spec().extent,
-        RegionSize::new(q.width * 4.0, q.height * 4.0),
-        WindowConfig::equal_minutes(5),
-        0.5,
-    );
-    let stream = StreamGenerator::new(dataset.workload(1_500, 11)).generate();
-
-    // Live run, recording events as they are produced.
-    let mut live = surge_exact::CellCspot::new(query);
-    let mut engine = SlidingWindowEngine::new(query.windows);
-    let mut events = Vec::new();
-    for obj in stream {
-        for ev in engine.push(obj) {
-            live.on_event(&ev);
-            events.push(ev);
-        }
-    }
-    let live_answer = live.current();
-
-    // Serialize, deserialize, and replay into a fresh detector.
-    let mut buf = Vec::new();
-    write_events(&mut buf, &events).unwrap();
-    let replayed_events = read_events(&buf[..]).unwrap();
-    let mut replayed = surge_exact::CellCspot::new(query);
-    for ev in &replayed_events {
-        replayed.on_event(ev);
-    }
-    let replay_answer = replayed.current();
-
-    match (live_answer, replay_answer) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.point.x.to_bits(), b.point.x.to_bits());
-            assert_eq!(a.point.y.to_bits(), b.point.y.to_bits());
-        }
-        (a, b) => panic!("live {a:?} vs replay {b:?}"),
-    }
 }

@@ -5,7 +5,7 @@
 //!
 //! A [`SurgeServer`] owns a registry of live subscriptions. Each
 //! subscription names a [`SurgeQuery`] (area, region size a×b, α, window
-//! lengths) and a [`DetectorSpec`] flavor (exact cell-sweep, baseline,
+//! lengths) and a [`DetectorSpec`] flavor (exact cell-sweep CCS/B-CCS,
 //! top-k, GAPS/MGAPS approximations). The server shares work at two levels:
 //!
 //! * **Lanes** — queries whose window configuration matches share one
@@ -649,8 +649,12 @@ mod tests {
         SurgeQuery::whole_space(RegionSize::new(1.5, 1.5), WindowConfig::new(120, 60), alpha)
     }
 
-    fn base_spec() -> DetectorSpec {
-        DetectorSpec::Base
+    fn bccs_spec() -> DetectorSpec {
+        DetectorSpec::Cell {
+            bound: surge_exact::BoundMode::StaticOnly,
+            sweep: surge_exact::SweepMode::Persistent,
+            shards: 1,
+        }
     }
 
     fn stream(n: usize) -> Vec<SpatialObject> {
@@ -670,9 +674,9 @@ mod tests {
     #[test]
     fn identical_queries_share_a_group() {
         let mut server = SurgeServer::new(ServeConfig::sequential(8));
-        let a = server.subscribe(query(0.4), base_spec()).unwrap();
-        let b = server.subscribe(query(0.4), base_spec()).unwrap();
-        let c = server.subscribe(query(0.7), base_spec()).unwrap();
+        let a = server.subscribe(query(0.4), bccs_spec()).unwrap();
+        let b = server.subscribe(query(0.4), bccs_spec()).unwrap();
+        let c = server.subscribe(query(0.7), bccs_spec()).unwrap();
         let stats = server.stats();
         assert_eq!((stats.lanes, stats.groups, stats.subscriptions), (1, 2, 3));
         assert!((stats.dedup_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -694,7 +698,7 @@ mod tests {
     #[test]
     fn acks_release_and_drain_empties() {
         let mut server = SurgeServer::new(ServeConfig::sequential(8));
-        let id = server.subscribe(query(0.5), base_spec()).unwrap();
+        let id = server.subscribe(query(0.5), bccs_spec()).unwrap();
         for obj in stream(40) {
             server.ingest(obj);
         }
@@ -711,8 +715,8 @@ mod tests {
     #[test]
     fn unsubscribe_cascades_cleanup() {
         let mut server = SurgeServer::new(ServeConfig::sequential(8));
-        let a = server.subscribe(query(0.4), base_spec()).unwrap();
-        let b = server.subscribe(query(0.4), base_spec()).unwrap();
+        let a = server.subscribe(query(0.4), bccs_spec()).unwrap();
+        let b = server.subscribe(query(0.4), bccs_spec()).unwrap();
         server.unsubscribe(a).unwrap();
         assert_eq!(server.stats().groups, 1, "twin keeps the group alive");
         server.unsubscribe(b).unwrap();
@@ -736,10 +740,10 @@ mod tests {
     #[test]
     fn finished_server_rejects_subscriptions() {
         let mut server = SurgeServer::new(ServeConfig::sequential(8));
-        server.subscribe(query(0.4), base_spec()).unwrap();
+        server.subscribe(query(0.4), bccs_spec()).unwrap();
         server.finish();
         assert_eq!(
-            server.subscribe(query(0.6), base_spec()).unwrap_err(),
+            server.subscribe(query(0.6), bccs_spec()).unwrap_err(),
             ServeError::Finished
         );
     }

@@ -70,6 +70,14 @@ fn cell_spec() -> DetectorSpec {
     }
 }
 
+fn bccs_spec() -> DetectorSpec {
+    DetectorSpec::Cell {
+        bound: BoundMode::StaticOnly,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -96,7 +104,7 @@ proptest! {
         let panel: Vec<(SurgeQuery, DetectorSpec)> = vec![
             (q1, cell_spec()),
             (q1, cell_spec()), // bitwise duplicate: shares the group
-            (q3, DetectorSpec::Base),
+            (q3, bccs_spec()),
             (q1, DetectorSpec::TopK { k: 3 }), // same query, new flavor: own group, same lane
             (q5, DetectorSpec::Gaps { shards: 1 }),
             (q5, DetectorSpec::Mgaps { shards: 1 }),
@@ -170,7 +178,7 @@ proptest! {
 
         let mut server = SurgeServer::new(ServeConfig::sequential(slide));
         let a = server.subscribe(qa, cell_spec()).unwrap();
-        let b = server.subscribe(qb, DetectorSpec::Base).unwrap();
+        let b = server.subscribe(qb, bccs_spec()).unwrap();
 
         for obj in prefix {
             server.ingest(*obj);
@@ -180,7 +188,7 @@ proptest! {
         // slides delivered so far — a prefix of the dedicated run.
         let b_log = server.unsubscribe(b).unwrap();
         prop_assert_eq!(b_log.len(), cut / slide);
-        let b_ref = independent_run(qb, DetectorSpec::Base, &objs, slide);
+        let b_ref = independent_run(qb, bccs_spec(), &objs, slide);
         assert_flushes_bitwise(b_log.retained(), &b_ref[..b_log.len()], "deregistered prefix");
 
         // Register C (plus a dedup twin) and a late duplicate of A.

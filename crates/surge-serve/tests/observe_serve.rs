@@ -18,6 +18,14 @@ fn cell_spec() -> DetectorSpec {
     }
 }
 
+fn bccs_spec() -> DetectorSpec {
+    DetectorSpec::Cell {
+        bound: BoundMode::StaticOnly,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    }
+}
+
 fn stream(n: u64) -> Vec<SpatialObject> {
     (0..n)
         .map(|i| {
@@ -50,7 +58,7 @@ fn observed_server_is_bit_identical_and_conserved() {
         let subs = [
             server.subscribe(q1, cell_spec()).unwrap(),
             server.subscribe(q1, DetectorSpec::TopK { k: 2 }).unwrap(),
-            server.subscribe(q2, DetectorSpec::Base).unwrap(),
+            server.subscribe(q2, bccs_spec()).unwrap(),
         ];
         for obj in &objs {
             server.ingest(*obj);

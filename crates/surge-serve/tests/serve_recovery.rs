@@ -18,6 +18,14 @@ fn cell_spec() -> DetectorSpec {
     }
 }
 
+fn bccs_spec() -> DetectorSpec {
+    DetectorSpec::Cell {
+        bound: BoundMode::StaticOnly,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    }
+}
+
 fn assert_channels_bitwise(a: &SurgeServer, b: &SurgeServer, subs: &[SubId]) {
     for sub in subs {
         let (x, y) = (a.answers(*sub).unwrap(), b.answers(*sub).unwrap());
@@ -46,7 +54,7 @@ fn populate(server: &mut SurgeServer) -> Vec<SubId> {
     vec![
         server.subscribe(q1, cell_spec()).unwrap(),
         server.subscribe(q1, cell_spec()).unwrap(), // dedup twin
-        server.subscribe(q2, DetectorSpec::Base).unwrap(),
+        server.subscribe(q2, bccs_spec()).unwrap(),
         server.subscribe(q1, DetectorSpec::TopK { k: 3 }).unwrap(),
         server
             .subscribe(q3, DetectorSpec::Gaps { shards: 1 })
@@ -97,7 +105,7 @@ fn live_registry_recovers_bit_identically() {
     let extra = recovered
         .subscribe(
             SurgeQuery::whole_space(RegionSize::new(1.1, 1.1), WindowConfig::new(280, 140), 0.5),
-            DetectorSpec::Base,
+            bccs_spec(),
         )
         .unwrap();
     assert!(
@@ -123,7 +131,7 @@ fn live_registry_recovers_bit_identically() {
                     WindowConfig::new(280, 140),
                     0.5
                 ),
-                DetectorSpec::Base,
+                bccs_spec(),
             )
             .unwrap_err(),
         ServeError::Finished,

@@ -2,7 +2,7 @@
 //!
 //! Registers a mixed panel of continuous queries on one [`SurgeServer`] —
 //! a deduped pair of identical exact queries, a top-k view of the same
-//! query, and a differently-parameterized baseline — then streams a
+//! query, and a differently-parameterized B-CCS — then streams a
 //! clustered workload through the single shared ingest path:
 //!
 //! * arrivals are expanded into window-transition events **once** per
@@ -68,8 +68,14 @@ fn main() {
     let alerting = server.subscribe(hot, exact).unwrap();
     // Same query, top-3 view: shares the lane, runs its own detector.
     let top3 = server.subscribe(hot, DetectorSpec::TopK { k: 3 }).unwrap();
-    // Different parameters entirely: still the same shared ingest.
-    let audit = server.subscribe(wide, DetectorSpec::Base).unwrap();
+    // Different parameters and the static-bound B-CCS: still the same
+    // shared ingest.
+    let bccs = DetectorSpec::Cell {
+        bound: BoundMode::StaticOnly,
+        sweep: SweepMode::Persistent,
+        shards: 1,
+    };
+    let audit = server.subscribe(wide, bccs).unwrap();
 
     let stats = server.stats();
     println!(

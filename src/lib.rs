@@ -53,8 +53,8 @@
 //!   per-worker flight recorders of logical-time trace events. Provably
 //!   non-invasive: a disabled [`observe::Observe`] handle compiles to
 //!   no-ops, and an enabled one never perturbs answer bits.
-//! * [`io`] — CSV/binary stream codecs, event-log recording/replay, GeoJSON
-//!   export of detections, and the checksummed snapshot container.
+//! * [`io`] — the CSV stream codec, the WAL's binary object record, and the
+//!   checksummed snapshot container.
 //! * [`checkpoint`] — durable state: periodic logical snapshots + a
 //!   segmented WAL, with crash recovery that resumes bit-identically.
 //! * [`serve`] — the multi-query subscription layer: many queries over one
@@ -95,9 +95,7 @@ pub mod prelude {
     pub use surge_exact::{
         snapshot_bursty_region, snapshot_topk, BaseDetector, BoundMode, CellCspot,
     };
-    pub use surge_io::{
-        read_events_from, read_objects_from, write_events_to, write_objects_to, LabelledAnswer,
-    };
+    pub use surge_io::{read_objects_from, write_objects_to};
     pub use surge_observe::{Observe, RegistrySnapshot, TraceDump, TraceEvent};
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
